@@ -126,6 +126,7 @@ class CampaignConfig:
             cfg.spectral_k = {}
             for name, spec in d["models"].items():
                 try:
+                    spec = dict(spec)
                     k = spec.pop("spectral_k", None)
                     cfg.models[name] = ModelSpec.from_dict(spec)
                     if k is not None:

@@ -1,9 +1,12 @@
 """Intrinsic distances, ball tables, and discrete perimeters.
 
-Three routes to the distance are kept, with the sandwich
+Four routes to the distance are kept.  The dual certificate and the graph
+distance bracket the intrinsic distance,
 
     dual certificate  <=  intrinsic distance  <=  graph distance (+ mesh slack)
 
+* oracle: the closed form of the model space (Euclidean, flat torus, round
+  sphere), evaluated from one source over every node in one array call.
 * graph: Dijkstra over the model edges.  Edge lengths are chart lengths;
   for the Heisenberg lattice only the horizontal moves carry edges, each of
   unit-speed traversal time h, so graph distances are automatically
@@ -13,9 +16,9 @@ Three routes to the distance are kept, with the sandwich
 * dual: any field with pointwise Gamma(f) <= 1 certifies the lower bound
   f(x) - f(y).  Candidates are rescaled to feasibility, then improved by a
   smoothed ascent; feasibility, not optimality, is the certificate.
-* subunit (Heisenberg): direct optimization of unit-speed horizontal
-  controls steering the lattice's generating flows; returns a curve length,
-  hence an upper bound.
+* subunit (Heisenberg): shooting with unit-speed, piecewise-constant
+  horizontal controls of the continuous group, whose endpoint and its
+  gradient are exact; returns a curve length, hence an upper bound.
 """
 from __future__ import annotations
 
@@ -90,8 +93,7 @@ def graph_distance(model: DiscretizedModel, source: int) -> DistanceField:
 def oracle_distance(model: DiscretizedModel, oracle: GeometryOracle, source: int) -> DistanceField:
     if oracle.exact_distance is None:
         raise ValueError("oracle carries no closed-form distance")
-    src = model.nodes[source]
-    vals = np.array([oracle.exact_distance(src, p) for p in model.nodes])
+    vals = oracle.exact_distance(model.nodes[source], model.nodes)
     return DistanceField(model.model_id, source, vals, "oracle")
 
 
@@ -128,6 +130,7 @@ def _feasible_value(model, cand: np.ndarray, x: int, y: int):
 @dataclass(frozen=True)
 class DualCertificate:
     value: float                    # certified lower bound on d(x, y)
+    graph_value: float              # graph distance d_graph(x, y), an upper bound
     field: ScalarField              # achieving feasible field
     feasibility: float              # max-node Gamma of the field (<= 1)
     iterations: int
@@ -204,6 +207,7 @@ def dual_distance(model: DiscretizedModel, x: int, y: int, budget: int = 30,
     g = model.edge_form.evaluate(model.mu, best_f, best_f)
     return DualCertificate(
         value=float(best_val),
+        graph_value=float(base[x]),
         field=model.field(best_f),
         feasibility=float(g.max()),
         iterations=it,
@@ -228,6 +232,48 @@ def _horizontal_endpoint(thetas: np.ndarray, T: float):
     ys = np.concatenate([[0.0], np.cumsum(dy)])
     dz = 0.5 * tau * (xs[:-1] * v - ys[:-1] * u)
     return xs[-1], ys[-1], float(np.sum(dz))
+
+
+def _horizontal_endpoint_jacobian(thetas: np.ndarray, T: float) -> np.ndarray:
+    """Derivatives of the exact endpoint with respect to the headings.
+
+    Rows 0, 1, 2 hold dx, dy, dz / d theta_j.  With tau = T / m,
+    x = tau sum cos theta_j, y = tau sum sin theta_j and
+    z = tau^2 / 2 sum_{i<k} sin(theta_k - theta_i), so
+
+        dz/d theta_j = tau^2 / 2 [sum_{i<j} cos(theta_j - theta_i)
+                                  - sum_{k>j} cos(theta_k - theta_j)],
+
+    evaluated in O(m) from exclusive prefix and suffix sums of cos and sin.
+    The endpoint is homogeneous in T (x, y of degree 1, z of degree 2), so
+    its T-derivative is (x / T, y / T, 2 z / T).
+    """
+    tau = T / thetas.size
+    u, v = np.cos(thetas), np.sin(thetas)
+    pu = np.cumsum(u) - u
+    pv = np.cumsum(v) - v
+    su = u.sum() - u - pu
+    sv = v.sum() - v - pv
+    return np.stack([-tau * v, tau * u,
+                     0.5 * tau**2 * (u * (pu - su) + v * (pv - sv))])
+
+
+def _shooting_loss(p: np.ndarray, penalty: float, target: np.ndarray, wz: float):
+    """Penalized shooting loss T + penalty * miss and its exact gradient.
+
+    ``p`` holds the m headings followed by the length parameter, with
+    T = |p[-1]|; the endpoint miss weights the vertical error by ``wz``.
+    """
+    thetas, T = p[:-1], abs(p[-1]) + 1e-9
+    xe, ye, ze = _horizontal_endpoint(thetas, T)
+    x0, y0, z0 = target
+    miss = (xe - x0) ** 2 + (ye - y0) ** 2 + wz * (ze - z0) ** 2
+    # d miss / d (x, y, z), chained through the endpoint's derivatives
+    dmiss = 2 * np.array([xe - x0, ye - y0, wz * (ze - z0)])
+    grad = np.empty_like(p)
+    grad[:-1] = penalty * (dmiss @ _horizontal_endpoint_jacobian(thetas, T))
+    grad[-1] = np.sign(p[-1]) * (1.0 + penalty * (dmiss @ np.array([xe, ye, 2 * ze])) / T)
+    return T + penalty * miss, grad
 
 
 @dataclass(frozen=True)
@@ -265,12 +311,6 @@ def subunit_distance_heisenberg(target, segments: int = 64, budget: int = 3,
     zscale = max(abs(z0), scale**2 / (16 * np.pi))
     wz = 4 * np.pi / zscale
 
-    def pack_loss(p, penalty):
-        thetas, T = p[:-1], abs(p[-1]) + 1e-9
-        xe, ye, ze = _horizontal_endpoint(thetas, T)
-        miss = (xe - x0) ** 2 + (ye - y0) ** 2 + wz * (ze - z0) ** 2
-        return T + penalty * miss
-
     heading = np.arctan2(y0, x0)
     sweep = 2 * np.pi * np.sign(z0 if z0 != 0 else 1.0)
     ramps = []
@@ -293,7 +333,8 @@ def subunit_distance_heisenberg(target, segments: int = 64, budget: int = 3,
         p = np.concatenate([ram, [scale]])
         for penalty in (1e2, 1e4, 1e6):
             res = optimize.minimize(
-                pack_loss, p, args=(penalty / scale**2,), method="L-BFGS-B",
+                _shooting_loss, p, args=(penalty / scale**2, target, wz),
+                method="L-BFGS-B", jac=True,
                 options={"maxiter": 150 * budget},
             )
             p = res.x
@@ -377,7 +418,7 @@ def calibrate_anisotropy(model: DiscretizedModel, oracle: GeometryOracle,
         x, y = rng.integers(0, model.n_nodes, size=2)
         if x == y:
             continue
-        ref = oracle.exact_distance(model.nodes[x], model.nodes[y])
+        ref = float(oracle.exact_distance(model.nodes[x], model.nodes[y]))
         if ref < 3 * model.meta.get("h", 0.0):
             continue
         g = graph_distance(model, int(y)).values[x]

@@ -79,7 +79,7 @@ class GeometryOracle:
     dim: int
     ricci_lower: float
     cd_params: Optional[CDParameters] = None
-    exact_distance: Optional[Callable] = None          # (x, y) -> float
+    exact_distance: Optional[Callable] = None          # (x, Y) -> ndarray, broadcast over rows of Y
     exact_ball_volume: Optional[Callable] = None       # (x, r) -> float
     exact_kernel: Optional[Callable] = None            # (t, x, y) -> float
     exact_eigenvalues: Optional[Callable] = None       # count -> ndarray
@@ -184,7 +184,7 @@ def _euclidean_oracle(dim: int, extent: float) -> GeometryOracle:
     return GeometryOracle(
         dim=dim,
         ricci_lower=0.0,
-        exact_distance=lambda x, y: float(np.linalg.norm(np.asarray(x) - np.asarray(y))),
+        exact_distance=lambda x, Y: np.linalg.norm(np.asarray(Y) - np.asarray(x), axis=-1),
         exact_ball_volume=lambda x, r: vol_coef * r ** dim,
         exact_kernel=kernel,
         total_measure=(2 * extent) ** dim,
@@ -193,10 +193,10 @@ def _euclidean_oracle(dim: int, extent: float) -> GeometryOracle:
 
 
 def _torus_oracle(dim: int, period: float) -> GeometryOracle:
-    def dist(x, y):
-        d = np.abs(np.asarray(x) - np.asarray(y))
+    def dist(x, Y):
+        d = np.abs(np.asarray(Y) - np.asarray(x))
         d = np.minimum(d, period - d)
-        return float(np.linalg.norm(d))
+        return np.linalg.norm(d, axis=-1)
 
     def kernel(t, x, y):
         # wrapped Gaussian; images decay fast for t << period^2
@@ -404,8 +404,8 @@ def latitude_sphere(mt: int, pole_rows_untrusted: int = 4):
 
 
 def _sphere_oracle() -> GeometryOracle:
-    def dist(x, y):
-        return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
+    def dist(x, Y):
+        return np.arccos(np.clip(np.asarray(Y) @ np.asarray(x), -1.0, 1.0))
 
     def kernel(t, x, y):
         return sphere_zonal_kernel(t, float(np.dot(x, y)))

@@ -174,6 +174,19 @@ def test_entropy_plot_slope_consistency(tmp_path, sphere):
     assert refit == pytest.approx(rep.metadata["entropy_slope"], abs=1e-12)
 
 
+def test_config_from_dict_leaves_input_intact():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
+                        "small.cfg")
+    data = load_config_file(path)
+    first = CampaignConfig.from_dict(data)
+    second = CampaignConfig.from_dict(data)
+    expected = {"torus": 64, "box": 300, "sphere": 200}
+    assert first.spectral_k == expected
+    assert second.spectral_k == expected
+    assert data["models"]["torus"]["spectral_k"] == 64
+    assert "spectral_k" not in second.models["torus"].options
+
+
 def test_default_config_is_valid():
     cfg = default_config()
     assert len(cfg.checks) >= 30

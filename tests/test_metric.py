@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 from heatlab import (
     ball_table,
@@ -11,7 +14,12 @@ from heatlab import (
     subunit_distance_heisenberg,
     volume_growth_exponent,
 )
-from heatlab.metric import _horizontal_endpoint, oracle_distance
+from heatlab.metric import (
+    _horizontal_endpoint,
+    _horizontal_endpoint_jacobian,
+    _shooting_loss,
+    oracle_distance,
+)
 from heatlab.models import ModelSpec, build_model
 
 
@@ -121,6 +129,80 @@ def test_subunit_exact_integrator():
     assert x == pytest.approx(float(xs[-1]), abs=1e-6)
     assert y == pytest.approx(float(ys[-1]), abs=1e-6)
     assert z == pytest.approx(zq, abs=1e-6)
+
+
+def test_subunit_endpoint_jacobian():
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(-np.pi, np.pi, 64)
+    T = 0.9
+    jac = _horizontal_endpoint_jacobian(thetas, T)
+    for k in range(3):
+        fd = optimize.approx_fprime(thetas, lambda t: _horizontal_endpoint(t, T)[k])
+        assert np.abs(jac[k] - fd).max() < 1e-7
+
+
+def test_subunit_loss_gradient():
+    # analytic gradient of the shooting loss against finite differences at
+    # random controls; the length parameter enters as |p[-1]|, so both signs
+    rng = np.random.default_rng(11)
+    target = np.array([0.2, -0.1, 0.05])
+    for length in (0.8, -0.6):
+        p = np.concatenate([rng.uniform(-np.pi, np.pi, 32), [length]])
+        args = (25.0, target, 40.0)
+        grad = _shooting_loss(p, *args)[1]
+        err = optimize.check_grad(lambda q: _shooting_loss(q, *args)[0],
+                                  lambda q: _shooting_loss(q, *args)[1], p)
+        assert err < 1e-5 * np.linalg.norm(grad)
+
+
+def _closed_form_row(kind, x, y, period=None):
+    # per-pair reference in plain Python arithmetic
+    if kind == "sphere":
+        c = sum(a * b for a, b in zip(x, y))
+        return math.acos(min(1.0, max(-1.0, c)))
+    d = [abs(a - b) for a, b in zip(x, y)]
+    if kind == "torus":
+        d = [min(t, period - t) for t in d]
+    return math.sqrt(sum(t * t for t in d))
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("euclidean", dim=3, resolution=8),
+    ModelSpec("torus", dim=2, resolution=12),
+    ModelSpec("sphere", dim=2, resolution=16),
+], ids=lambda s: s.kind)
+def test_oracle_distance_broadcasts_over_nodes(spec):
+    model, oracle, _ = build_model(spec)
+    period = model.meta.get("period")
+    rng = np.random.default_rng(0)
+    for src in rng.integers(0, model.n_nodes, size=4):
+        x = model.nodes[src]
+        vals = oracle_distance(model, oracle, int(src)).values
+        ref = np.array([_closed_form_row(spec.kind, x, y, period) for y in model.nodes])
+        assert vals.shape == (model.n_nodes,)
+        if spec.kind == "sphere":
+            # arccos is ill-conditioned at +-1: an ulp of the dot product is
+            # worth up to sqrt(2 eps) there, roundoff elsewhere
+            cos = np.abs(model.nodes @ x)
+            assert np.abs(vals - ref)[cos <= 0.9].max() <= 1e-14
+            assert np.abs(vals - ref).max() <= np.sqrt(8 * np.finfo(float).eps)
+        else:
+            assert np.abs(vals - ref).max() <= 1e-14
+        y = model.nodes[(src + 1) % model.n_nodes]
+        single = oracle.exact_distance(x, y)
+        assert np.ndim(single) == 0
+        assert float(single) == pytest.approx(_closed_form_row(spec.kind, x, y, period),
+                                              abs=1e-14)
+
+
+def test_sphere_oracle_clips_identical_and_antipodal_points(sphere):
+    _, oracle, _ = sphere
+    x = np.ones(3) / np.sqrt(3.0)
+    assert x @ x > 1.0                       # arccos alone would return nan
+    assert float(oracle.exact_distance(x, x)) == 0.0
+    assert float(oracle.exact_distance(x, -x)) == np.pi
+    both = oracle.exact_distance(x, np.stack([x, -x]))
+    assert both.tolist() == [0.0, np.pi]
 
 
 def test_subunit_dual_sandwich(heis):
