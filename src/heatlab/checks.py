@@ -81,6 +81,43 @@ def cd_margin_field(model, f: ScalarField, rho: float, n: float) -> np.ndarray:
     return gamma2(model, f).values - lf**2 / n - rho * carre_du_champ(model, f).values
 
 
+def span_cd_margin(model, oracle: GeometryOracle, basis: np.ndarray,
+                   interior=None) -> float:
+    """Worst relative CD margin over every field in the span of ``basis``.
+
+    ``basis`` holds mu-orthonormal columns.  The margin field and Gamma2
+    are quadratic in f, so at each node they are m x m forms in the
+    coefficients, polarized from the columns and their pairwise sums.  The
+    result is the least pointwise eigenvalue of the margin form over the
+    largest pointwise eigenvalue of the Gamma2 form plus max |L basis|^2/n,
+    the ``check_cd`` scale taken over the unit sphere of the span.  It is
+    unchanged when the columns are rotated inside the span, so it does not
+    depend on the basis a solver picks inside a degenerate eigenspace.
+    """
+    rho, n = oracle.ricci_lower, float(oracle.dim)
+    if interior is None:
+        interior = deep_interior(model, hops=2)
+    idx = _mask_indices(model, interior)
+    m = basis.shape[1]
+
+    def forms(v):
+        f = model.field(v)
+        return np.stack([cd_margin_field(model, f, rho, n)[idx],
+                         gamma2(model, f).values[idx]])
+
+    single = [forms(basis[:, a]) for a in range(m)]
+    M = np.empty((2, idx.size, m, m))
+    for a in range(m):
+        M[:, :, a, a] = single[a]
+        for b in range(a + 1, m):
+            cross = (forms(basis[:, a] + basis[:, b]) - single[a] - single[b]) / 2
+            M[:, :, a, b] = M[:, :, b, a] = cross
+    margin = np.linalg.eigvalsh(M[0])[:, 0]
+    g2 = np.abs(np.linalg.eigvalsh(M[1])).max()
+    lsq = np.max(np.sum((model.L @ basis)[idx] ** 2, axis=1))
+    return float(margin.min() / (g2 + lsq / n))
+
+
 def generalized_cd_margin_field(model, vform, f: ScalarField,
                                 params: CDParameters, nu: float) -> np.ndarray:
     fv = model.check_field(f)

@@ -405,7 +405,10 @@ def latitude_sphere(mt: int, pole_rows_untrusted: int = 4):
 
 def _sphere_oracle() -> GeometryOracle:
     def dist(x, Y):
-        return np.arccos(np.clip(np.asarray(Y) @ np.asarray(x), -1.0, 1.0))
+        # arctan2 of sine and cosine is exact at 0 and pi, where arccos of
+        # the dot product loses half the digits
+        Y, x = np.asarray(Y), np.asarray(x)
+        return np.arctan2(np.linalg.norm(np.cross(Y, x), axis=-1), Y @ x)
 
     def kernel(t, x, y):
         return sphere_zonal_kernel(t, float(np.dot(x, y)))

@@ -10,7 +10,14 @@ Two independent routes to exp(tL) are kept side by side and cross-checked:
 
 The eigensolver works on the symmetrized matrix D^{1/2} L D^{-1/2}
 (D = diag mu), so standard symmetric machinery applies; eigenfields map
-back and are mu-orthonormal by construction.
+back and are mu-orthonormal by construction.  The solver is picked from
+the node count N and the retained count k: shift-invert Lanczos (ARPACK)
+when N > 10 k, a dense subset solve of the k lowest pairs otherwise; the
+two cross over near N = 10 k on the sphere and box models (measured up to
+N = 4514).  Inside every cluster of equal eigenvalues the basis is then
+rotated to a canonical one fixed by constant probe fields, so no
+eigenfield of a cluster that k leaves whole depends on the solver, its
+start vector or the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
@@ -36,6 +44,11 @@ class TruncationError(RuntimeError):
 
 
 CACHE_MAGIC = b"HLSPEC01"
+# header version: 2 since eigenfields are in the canonical cluster basis
+CACHE_VERSION = 2
+# seed of the probe fields that fix the basis inside eigenvalue clusters;
+# a constant, so the basis does not follow any run's seed
+PROBE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -75,20 +88,28 @@ def _symmetrized(model: DiscretizedModel):
 
 
 def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0,
-                       dense_cutoff: int = 6000, maxiter: int | None = None) -> SpectralData:
+                       maxiter: int | None = None) -> SpectralData:
     """k lowest eigenpairs of -L in the mu-weighted inner product.
 
-    Deterministic for a fixed seed (the iterative start vector is drawn
-    from it); small models fall back to a dense solve.
+    When N > 10 k the pairs come from shift-invert ``eigsh`` (its start
+    vector is drawn from ``seed``; ``maxiter`` bounds its iterations);
+    otherwise from a dense solve of the k lowest pairs only.  The crossover
+    was measured up to N = 4514; past that the rule is extrapolated, and
+    the dense path holds an N x N matrix.  Each cluster of equal
+    eigenvalues (``eigenvalue_clusters``) is then put into the basis of
+    ``canonical_basis``, which also fixes the sign of simple eigenfields,
+    so a cluster that k leaves whole does not depend on the solver or the
+    seed.
+
+    Caveat: a cluster that k cuts (euclid2 at k = 500) keeps whichever of
+    its vectors the solver retained.  Its effect on P_t is bounded by
+    exp(-lambda_{k-1} t), like the rest of the truncation.
     """
     n = model.n_nodes
     if k > n:
         raise ValueError("cannot retain more eigenpairs than nodes")
     A, dm = _symmetrized(model)
-    if n <= dense_cutoff:
-        w, U = np.linalg.eigh(A.toarray())
-        w, U = w[:k], U[:, :k]
-    else:
+    if n > 10 * k:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         shift = 1e-2 * float(A.diagonal().mean())
@@ -102,20 +123,41 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0,
             ) from exc
         order = np.argsort(w)
         w, U = w[order], U[:, order]
-
-    # deterministic sign convention: largest-|entry| component positive
-    pick = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[pick, np.arange(U.shape[1])])
-    signs[signs == 0] = 1.0
-    U = U * signs
-
+    else:
+        w, U = sla.eigh(A.toarray(), subset_by_index=[0, k - 1])
     w = np.clip(w, 0.0, None)
-    phi = U * dm[:, None]
+    phi = canonical_basis(w, U * dm[:, None], model.mu)
     gram = phi.T @ (model.mu[:, None] * phi)
     gram_error = float(np.max(np.abs(gram - np.eye(k))))
     resid = model.L @ phi + phi * w
     residual = float(np.sqrt(np.max(model.mu @ resid**2)))
     return SpectralData(model.model_id, w, phi, residual, gram_error)
+
+
+def canonical_basis(eigenvalues: np.ndarray, fields: np.ndarray,
+                    mu: np.ndarray) -> np.ndarray:
+    """mu-orthonormal ``fields`` rotated to a fixed basis in each eigenvalue cluster.
+
+    For a cluster V with m columns, B = V^T diag(mu) P holds the L2(mu)
+    projections of the first m probe fields P (seeded by ``PROBE_SEED``)
+    onto its span; with B = QR and the diagonal of R made positive, V Q is
+    the Gram-Schmidt basis of those projections.  It depends only on
+    span(V): replacing V by V O for an orthogonal O leaves V Q unchanged.
+    """
+    clusters = eigenvalue_clusters(eigenvalues)
+    width = max((len(c) for c in clusters), default=0)
+    # draw probe by probe, so probe j is the same whatever the widest cluster
+    probes = np.random.default_rng(PROBE_SEED).standard_normal(
+        (width, fields.shape[0])).T
+    weighted = mu[:, None] * probes
+    out = np.array(fields, dtype=float)
+    for cl in clusters:
+        V = out[:, cl]
+        Q, R = np.linalg.qr(V.T @ weighted[:, :len(cl)])
+        signs = np.sign(np.diag(R))
+        signs[signs == 0] = 1.0
+        out[:, cl] = V @ (Q * signs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +188,6 @@ def apply_semigroup(model: DiscretizedModel, engine, f: ScalarField, t: float) -
         damp = np.exp(-lam[-1] * t) if lam.size else 1.0
         return model.field(resolved + damp * rest)
     return engine.evolve(f, t)
-
-
-def semigroup_truncation_bound(model: DiscretizedModel, spectral: SpectralData,
-                               f: ScalarField, t: float) -> float:
-    fv = model.check_field(f)
-    coef = _coefficients(model, spectral, fv)
-    rest = fv - spectral.eigenfields @ coef
-    return float(np.exp(-spectral.eigenvalues[-1] * t) * np.sqrt(model.mu @ rest**2))
 
 
 class CrankNicolson:
@@ -253,20 +287,14 @@ def heat_kernel_block(spectral: SpectralData, t: float, rows, cols=None) -> np.n
     return R @ C.T
 
 
-def heat_kernel_column(model, spectral, t: float, i: int) -> ScalarField:
-    lam = spectral.eigenvalues
-    phi = spectral.eigenfields
-    return model.field(phi @ (np.exp(-lam * t) * phi[i]))
-
-
 # ---------------------------------------------------------------------------
 # reproducing kernels, trace, equilibrium
 
 
-def eigenvalue_clusters(spectral: SpectralData, rtol: float = 1e-6,
+def eigenvalue_clusters(eigenvalues: np.ndarray, rtol: float = 1e-6,
                         atol: float = 1e-9) -> list[np.ndarray]:
-    """Group retained eigenvalues that agree within the clustering tolerance."""
-    lam = spectral.eigenvalues
+    """Group ascending eigenvalues that agree within the clustering tolerance."""
+    lam = np.asarray(eigenvalues)
     clusters, start = [], 0
     for m in range(1, lam.size + 1):
         if m == lam.size or lam[m] - lam[start] > atol + rtol * max(1.0, lam[start]):
@@ -297,11 +325,6 @@ def reproducing_kernel(spectral: SpectralData, cluster: np.ndarray,
         )
     phi = spectral.eigenfields[:, cluster]
     return float(phi[i] @ phi[j])
-
-
-def reproducing_kernel_matrix(spectral: SpectralData, cluster: np.ndarray) -> np.ndarray:
-    phi = spectral.eigenfields[:, np.asarray(cluster, dtype=int)]
-    return phi @ phi.T
 
 
 def trace(model: DiscretizedModel, spectral: SpectralData, t: float) -> float:
@@ -397,7 +420,7 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
 
 def save_spectral(path: str, spectral: SpectralData, model_hash: str) -> None:
     header = json.dumps({
-        "version": 1,
+        "version": CACHE_VERSION,
         "model_id": spectral.model_id,
         "model_hash": model_hash,
         "k": spectral.count,
@@ -421,7 +444,11 @@ def save_spectral(path: str, spectral: SpectralData, model_hash: str) -> None:
 
 
 def load_spectral(path: str, model_hash: str) -> SpectralData | None:
-    """Load a cached decomposition; None on any mismatch (then recompute)."""
+    """Load a cached decomposition; None on any mismatch (then recompute).
+
+    Files of another header version are a mismatch: version 1 files hold
+    eigenfields in a solver-dependent basis.
+    """
     import os
 
     if not os.path.exists(path):
@@ -432,7 +459,8 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
                 return None
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen))
-            if header.get("version") != 1 or header.get("model_hash") != model_hash:
+            if (header.get("version") != CACHE_VERSION
+                    or header.get("model_hash") != model_hash):
                 return None
             k, n = header["k"], header["n"]
             lam = np.frombuffer(fh.read(8 * k), dtype=float).copy()

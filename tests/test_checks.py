@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from heatlab import NotApplicableError, node_nearest
 from heatlab.checks import (
+    cd_margin_field,
     check_cd,
     check_completeness,
     check_diameter,
@@ -27,8 +28,9 @@ from heatlab.checks import (
     poincare_margin,
     sample_harnack_pairs,
     sharp_sobolev_sides,
+    span_cd_margin,
 )
-from heatlab.fields import CDParameters
+from heatlab.fields import CDParameters, deep_interior, gamma2
 from heatlab.reports import Tolerance
 from heatlab.suites import (
     NamedField,
@@ -47,6 +49,37 @@ def test_cd_sphere(sphere):
     rep = check_cd(model, oracle, suite, mode="riemannian")
     assert rep.passed
     assert rep.min_margin > -0.02 * rep.scale
+
+
+def test_span_cd_margin_ignores_the_basis(sphere):
+    model, oracle, spectral = sphere
+    span = spectral.eigenfields[:, 1:10]
+    O, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((9, 9)))
+    a = span_cd_margin(model, oracle, span)
+    assert a < 0
+    assert span_cd_margin(model, oracle, span @ O) == pytest.approx(a, rel=1e-10)
+
+
+def test_span_cd_margin_matches_check_cd(sphere):
+    model, oracle, spectral = sphere
+    # one column: the check_cd relative margin of that field
+    v = spectral.eigenfields[:, 5]
+    rep = check_cd(model, oracle, [NamedField("v", model.field(v))],
+                   mode="riemannian", include_gamma_lemma=False)
+    assert span_cd_margin(model, oracle, v[:, None]) == pytest.approx(
+        rep.min_margin / rep.scale, rel=1e-12)
+    # two columns: forms maximized and minimized by brute force over angles
+    span = spectral.eigenfields[:, [2, 5]]
+    idx = np.flatnonzero(deep_interior(model))
+    n = float(oracle.dim)
+    marg, g2, lsq = [], [], []
+    for t in np.linspace(0, np.pi, 721):
+        v = span @ [np.cos(t), np.sin(t)]
+        marg.append(cd_margin_field(model, model.field(v), oracle.ricci_lower, n)[idx].min())
+        g2.append(np.abs(gamma2(model, model.field(v)).values[idx]).max())
+        lsq.append(((model.L @ v)[idx] ** 2).max())
+    brute = min(marg) / (max(g2) + max(lsq) / n)
+    assert span_cd_margin(model, oracle, span) == pytest.approx(brute, rel=1e-4)
 
 
 def test_cd_euclid_equality(euclid2):

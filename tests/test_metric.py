@@ -159,7 +159,9 @@ def _closed_form_row(kind, x, y, period=None):
     # per-pair reference in plain Python arithmetic
     if kind == "sphere":
         c = sum(a * b for a, b in zip(x, y))
-        return math.acos(min(1.0, max(-1.0, c)))
+        cross = (y[1] * x[2] - y[2] * x[1], y[2] * x[0] - y[0] * x[2],
+                 y[0] * x[1] - y[1] * x[0])
+        return math.atan2(math.sqrt(sum(t * t for t in cross)), c)
     d = [abs(a - b) for a, b in zip(x, y)]
     if kind == "torus":
         d = [min(t, period - t) for t in d]
@@ -180,14 +182,7 @@ def test_oracle_distance_broadcasts_over_nodes(spec):
         vals = oracle_distance(model, oracle, int(src)).values
         ref = np.array([_closed_form_row(spec.kind, x, y, period) for y in model.nodes])
         assert vals.shape == (model.n_nodes,)
-        if spec.kind == "sphere":
-            # arccos is ill-conditioned at +-1: an ulp of the dot product is
-            # worth up to sqrt(2 eps) there, roundoff elsewhere
-            cos = np.abs(model.nodes @ x)
-            assert np.abs(vals - ref)[cos <= 0.9].max() <= 1e-14
-            assert np.abs(vals - ref).max() <= np.sqrt(8 * np.finfo(float).eps)
-        else:
-            assert np.abs(vals - ref).max() <= 1e-14
+        assert np.abs(vals - ref).max() <= 1e-14
         y = model.nodes[(src + 1) % model.n_nodes]
         single = oracle.exact_distance(x, y)
         assert np.ndim(single) == 0
@@ -203,6 +198,20 @@ def test_sphere_oracle_clips_identical_and_antipodal_points(sphere):
     assert float(oracle.exact_distance(x, -x)) == np.pi
     both = oracle.exact_distance(x, np.stack([x, -x]))
     assert both.tolist() == [0.0, np.pi]
+
+
+def test_sphere_oracle_exact_at_both_ends(sphere):
+    model, oracle, _ = sphere
+    X = model.nodes
+    self_dist = np.array([oracle.exact_distance(x, x) for x in X])
+    assert np.all(self_dist == 0.0)
+    row = np.array([oracle.exact_distance(X[i], X)[i] for i in range(X.shape[0])])
+    assert np.all(row == 0.0)
+    # the latitude grid holds the antipode of every node
+    anti = np.array([int(np.argmin(np.sum((X + x) ** 2, axis=1))) for x in X])
+    assert np.abs(X[anti] + X).max() < 1e-15
+    far = np.array([oracle.exact_distance(x, X[j]) for x, j in zip(X, anti)])
+    assert np.abs(far - np.pi).max() <= 1e-15
 
 
 def test_subunit_dual_sandwich(heis):

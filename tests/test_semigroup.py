@@ -1,4 +1,9 @@
+import json
 import os
+import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,7 +28,15 @@ from heatlab import (
     trace,
     trace_from_kernel,
 )
-from heatlab.semigroup import SolverError, TruncationError, kernel_truncation_bound
+from heatlab import semigroup
+from heatlab.cli import ModelContext
+from heatlab.semigroup import (
+    CACHE_MAGIC,
+    SolverError,
+    TruncationError,
+    canonical_basis,
+    kernel_truncation_bound,
+)
 from heatlab.models import exact_heat_kernel
 
 
@@ -140,7 +153,7 @@ def test_trace_two_paths_and_monotonicity(torus1):
 
 def test_reproducing_kernels(sphere):
     model, _, spectral = sphere
-    clusters = eigenvalue_clusters(spectral, rtol=5e-3)
+    clusters = eigenvalue_clusters(spectral.eigenvalues, rtol=5e-3)
     assert [len(c) for c in clusters[:3]] == [1, 3, 5]
     pole = node_nearest(model, [0, 0, 1])
     v1 = reproducing_kernel(spectral, clusters[1], pole, pole)
@@ -153,7 +166,7 @@ def test_reproducing_kernels(sphere):
 def test_reproducing_kernel_basis_invariance(sphere):
     # remix the eigenspace by a random orthogonal matrix: kernel unchanged
     model, _, spectral = sphere
-    clusters = eigenvalue_clusters(spectral, rtol=5e-3)
+    clusters = eigenvalue_clusters(spectral.eigenvalues, rtol=5e-3)
     cl = clusters[1]
     phi = spectral.eigenfields[:, cl]
     rng = np.random.default_rng(7)
@@ -165,7 +178,7 @@ def test_reproducing_kernel_basis_invariance(sphere):
 
 def test_reproducing_kernel_reproduces_cluster_span(sphere):
     model, _, spectral = sphere
-    clusters = eigenvalue_clusters(spectral, rtol=5e-3)
+    clusters = eigenvalue_clusters(spectral.eigenvalues, rtol=5e-3)
     cl = clusters[1]
     rng = np.random.default_rng(8)
     f = spectral.eigenfields[:, cl] @ rng.standard_normal(len(cl))
@@ -221,6 +234,126 @@ def test_spectral_cache_roundtrip(tmp_path, tiny_torus):
     assert np.array_equal(back.eigenfields, spectral.eigenfields)
     assert load_spectral(path, "0" * 64) is None          # hash mismatch
     assert load_spectral(os.path.join(tmp_path, "nope"), mh) is None
+
+
+def _write_v1_cache(path, spectral, mh):
+    # the version 1 layout: same magic and blocks, eigenfields in any basis
+    header = json.dumps({
+        "version": 1, "model_id": spectral.model_id, "model_hash": mh,
+        "k": spectral.count, "n": spectral.eigenfields.shape[0],
+        "residual": spectral.residual, "gram_error": spectral.gram_error,
+    }, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(CACHE_MAGIC + struct.pack("<I", len(header)) + header)
+        fh.write(spectral.eigenvalues.tobytes())
+        fh.write(spectral.eigenfields.tobytes())
+
+
+def _header(path):
+    with open(path, "rb") as fh:
+        assert fh.read(len(CACHE_MAGIC)) == CACHE_MAGIC
+        (hlen,) = struct.unpack("<I", fh.read(4))
+        return json.loads(fh.read(hlen))
+
+
+def test_version1_cache_is_recomputed(tmp_path):
+    spec = ModelSpec("torus", dim=1, resolution=16)
+    ctx = ModelContext("t", spec, str(tmp_path), seed=0, k=16)
+    model = ctx.model
+    mh = model_hash(model)
+    fresh = spectral_decompose(model, k=16)
+    path = os.path.join(tmp_path, "t-k16.spec")
+    # a valid decomposition in another basis, as a version 1 file may hold
+    flipped = semigroup.SpectralData(fresh.model_id, fresh.eigenvalues,
+                                     -fresh.eigenfields, fresh.residual,
+                                     fresh.gram_error)
+    _write_v1_cache(path, flipped, mh)
+    assert load_spectral(path, mh) is None
+
+    got = ctx.spectral()
+    assert np.array_equal(got.eigenfields, fresh.eigenfields)
+    assert _header(path)["version"] == 2
+    back = load_spectral(path, mh)
+    assert back is not None
+    assert np.array_equal(back.eigenfields, fresh.eigenfields)
+
+
+def test_canonical_basis_ignores_rotations_within_clusters(sphere):
+    model, _, spectral = sphere
+    clusters = eigenvalue_clusters(spectral.eigenvalues)
+    assert max(len(c) for c in clusters) > 1
+    rng = np.random.default_rng(12)
+    rotated = spectral.eigenfields.copy()
+    for cl in clusters:
+        O, _ = np.linalg.qr(rng.standard_normal((len(cl), len(cl))))
+        rotated[:, cl] = rotated[:, cl] @ O
+    assert np.max(np.abs(rotated - spectral.eigenfields)) > 0.1
+    back = canonical_basis(spectral.eigenvalues, rotated, model.mu)
+    assert np.max(np.abs(back - spectral.eigenfields)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def sphere16():
+    model, _, _ = build_model(ModelSpec("sphere", dim=2, resolution=16))
+    return model
+
+
+def _full_clusters(spectral):
+    # the last cluster may be cut by k, and its retained vectors are arbitrary
+    return np.concatenate(eigenvalue_clusters(spectral.eigenvalues)[:-1])
+
+
+def test_dense_and_eigsh_paths_agree(sphere16, monkeypatch):
+    model = sphere16
+    n = model.n_nodes
+    k_eigsh, k_dense = n // 10 - 3, n // 10 + 3
+    ran = []
+    eigsh, eigh = semigroup.spla.eigsh, semigroup.sla.eigh
+    monkeypatch.setattr(semigroup.spla, "eigsh",
+                        lambda *a, **kw: ran.append("eigsh") or eigsh(*a, **kw))
+    monkeypatch.setattr(semigroup.sla, "eigh",
+                        lambda *a, **kw: ran.append("dense") or eigh(*a, **kw))
+    a = spectral_decompose(model, k=k_eigsh)
+    b = spectral_decompose(model, k=k_dense)
+    assert ran == ["eigsh", "dense"]
+    assert np.max(np.abs(a.eigenvalues - b.eigenvalues[:k_eigsh])) < 1e-10
+    full = _full_clusters(a)
+    assert np.max(np.abs(a.eigenfields[:, full] - b.eigenfields[:, full])) < 1e-8
+
+
+def test_eigenfields_do_not_follow_the_seed(sphere16):
+    k = sphere16.n_nodes // 10 - 3        # eigsh path: the seed draws its start vector
+    a = spectral_decompose(sphere16, k=k, seed=0)
+    b = spectral_decompose(sphere16, k=k, seed=9)
+    full = _full_clusters(a)
+    assert np.max(np.abs(a.eigenfields[:, full] - b.eigenfields[:, full])) < 1e-8
+
+
+_CD_MARGIN = textwrap.dedent("""
+    from heatlab import ModelSpec, build_model, spectral_decompose
+    from heatlab.checks import check_cd
+    from heatlab.suites import eigen_fields
+    model, oracle, _ = build_model(ModelSpec("sphere", dim=2, resolution=16))
+    spectral = spectral_decompose(model, k=60)
+    rep = check_cd(model, oracle, eigen_fields(model, spectral, seed=0),
+                   mode="riemannian", include_gamma_lemma=False)
+    print(repr(rep.min_margin))
+""")
+
+
+def test_cd_margin_does_not_follow_blas_threads():
+    # single eigenfields and their combinations come from degenerate
+    # eigenspaces of the latitude grid; at N = 482, k = 60 the dense solver runs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    margins = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _CD_MARGIN], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        margins.append(float(out.stdout.strip().splitlines()[-1]))
+    a, b = margins
+    assert abs(a - b) <= 1e-9 * abs(a)
 
 
 def test_decompose_determinism_and_errors(tiny_torus):
