@@ -4,11 +4,9 @@
 Margins must not systematically decrease under refinement; spectra and
 saturation gaps must improve.  Prints one table row per quantity.
 """
-import numpy as np
-
 from heatlab import ModelSpec, build_model, node_nearest, spectral_decompose
 from heatlab.checks import check_li_yau, span_cd_margin
-from heatlab.suites import NamedField, bump_fields
+from heatlab.suites import point_source_fields
 
 
 def sphere_cd(mt):
@@ -25,11 +23,7 @@ def flat_li_yau(m):
     model, oracle, _ = build_model(
         ModelSpec("euclidean", dim=2, resolution=m, extent=1.5))
     spectral = spectral_decompose(model, k=min(500, model.n_nodes))
-    i0 = node_nearest(model, [0.0, 0.0])
-    delta = np.zeros(model.n_nodes)
-    delta[i0] = 1.0 / model.mu[i0]
-    suite = [NamedField("point-source", model.field(delta))]
-    suite += bump_fields(model, centers=[i0], width=0.25)
+    suite = point_source_fields(model, node_nearest(model, [0.0, 0.0]), width=0.25)
     rep = check_li_yau(model, oracle, spectral, suite, [0.05, 0.1],
                        mode="rho0", saturation_fields=("point-source",),
                        saturation_rtol=1.0)

@@ -28,11 +28,12 @@ from .fields import (
     require_vertical,
 )
 from .metric import (
-    BallTable,
     DistanceField,
     ball_table,
     distance_field,
     dual_distance,
+    graph_distance,
+    subunit_distance_heisenberg,
     volume_growth_exponent,
 )
 from .models import GeometryOracle
@@ -40,7 +41,9 @@ from .reports import MarginReport, Tolerance
 from .semigroup import (
     SpectralData,
     apply_semigroup,
+    equilibrium_rate,
     heat_kernel_block,
+    neumann_restrict,
     spectral_decompose,
 )
 from .suites import NamedField, eps_shift
@@ -81,8 +84,7 @@ def cd_margin_field(model, f: ScalarField, rho: float, n: float) -> np.ndarray:
     return gamma2(model, f).values - lf**2 / n - rho * carre_du_champ(model, f).values
 
 
-def span_cd_margin(model, oracle: GeometryOracle, basis: np.ndarray,
-                   interior=None) -> float:
+def span_cd_margin(model, oracle: GeometryOracle, basis: np.ndarray) -> float:
     """Worst relative CD margin over every field in the span of ``basis``.
 
     ``basis`` holds mu-orthonormal columns.  The margin field and Gamma2
@@ -95,9 +97,7 @@ def span_cd_margin(model, oracle: GeometryOracle, basis: np.ndarray,
     depend on the basis a solver picks inside a degenerate eigenspace.
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
-    if interior is None:
-        interior = deep_interior(model, hops=2)
-    idx = _mask_indices(model, interior)
+    idx = _mask_indices(model, deep_interior(model, hops=2))
     m = basis.shape[1]
 
     def forms(v):
@@ -132,7 +132,7 @@ def generalized_cd_margin_field(model, vform, f: ScalarField,
 def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
              suite: list[NamedField], vform: VerticalForm | None = None,
              params: CDParameters | None = None, nu_grid=(0.5, 1.0, 2.0, 4.0),
-             mode: str = "riemannian", interior=None,
+             mode: str = "riemannian",
              tolerance: Tolerance | None = None,
              include_gamma_lemma: bool = True,
              equality_fields=()) -> MarginReport:
@@ -144,9 +144,7 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
     """
     if mode not in ("riemannian", "generalized", "scan"):
         raise ValueError(f"unknown cd mode {mode!r}")
-    if interior is None:
-        interior = deep_interior(model, hops=2)
-    idx = _mask_indices(model, interior)
+    idx = _mask_indices(model, deep_interior(model, hops=2))
     samples = []
     scale = 0.0
     meta: dict = {"mode": mode, "interior_nodes": int(idx.size)}
@@ -253,7 +251,6 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
 
 
 def check_vertical_commutation(model, vform: VerticalForm, suite,
-                               interior=None,
                                tolerance: Tolerance | None = None) -> MarginReport:
     """Residual of the mixed-form symmetry Gamma(f, Gamma^Z f) = Gamma^Z(f, Gamma f).
 
@@ -262,9 +259,7 @@ def check_vertical_commutation(model, vform: VerticalForm, suite,
     honest size of the bilinear quantities whose cancellation is tested.
     """
     vform = require_vertical(model, vform)
-    if interior is None:
-        interior = deep_interior(model, hops=2)
-    idx = _mask_indices(model, interior)
+    idx = _mask_indices(model, deep_interior(model, hops=2))
     tolerance = tolerance or Tolerance(1e-12, 0.08, mesh_order=2)
     samples, scale = [], 1.0
     for nf in suite:
@@ -289,14 +284,13 @@ def check_vertical_commutation(model, vform: VerticalForm, suite,
 
 
 def check_gradient_bound(model, oracle, engine, suite, t_grid,
-                         interior=None, tolerance: Tolerance | None = None) -> MarginReport:
+                         tolerance: Tolerance | None = None) -> MarginReport:
     """sqrt(Gamma(P_t f)) <= exp(-rho t) P_t sqrt(Gamma(f)) pointwise."""
     rho = oracle.ricci_lower
     tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
     samples, scale = [], 0.0
     for t in t_grid:
-        mask = interior if interior is not None else interior_for_time(model, t)
-        idx = _mask_indices(model, mask)
+        idx = _mask_indices(model, interior_for_time(model, t))
         for nf in suite:
             sg = model.field(np.sqrt(carre_du_champ(model, nf.field).values))
             rhs = np.exp(-rho * t) * apply_semigroup(model, engine, sg, t).values
@@ -378,7 +372,7 @@ def _entropy(model, g: np.ndarray) -> float:
 
 def check_log_sobolev(model, oracle, engine, suite, t_grid=None,
                       tolerance: Tolerance | None = None,
-                      slope_slack: float = 0.05, seed: int = 0) -> MarginReport:
+                      slope_slack: float = 0.05) -> MarginReport:
     """Entropy inequality with constant 2/rho, plus the entropy-decay rate.
 
     The decay mode fits the slope of log Ent(P_t f) and requires it at most
@@ -428,6 +422,25 @@ def check_log_sobolev(model, oracle, engine, suite, t_grid=None,
     return _report("log-sobolev", model.model_id, samples, tolerance, scale, meta)
 
 
+def check_equilibrium_rate(model, spectral: SpectralData, t_grid,
+                           rtol: float = 0.03) -> MarginReport:
+    """Heat flow reaches equilibrium at the spectral-gap rate.
+
+    The fitted slope of log ||P_t phi_1 - mean|| over ``t_grid`` must match
+    -lambda_1 within relative ``rtol``.
+    """
+    f = model.field(spectral.eigenfields[:, 1])
+    slope = equilibrium_rate(model, spectral, f, t_grid)
+    expect = -float(spectral.eigenvalues[1])
+    gap = abs(slope - expect) / abs(expect)
+    samples = [{"quantity": "log-error-slope", "lhs": float(gap), "rhs": rtol,
+                "margin": float(rtol - gap), "slope": float(slope)}]
+    return _report("equilibrium-rate", model.model_id, samples,
+                   Tolerance(0.0, 0.0), 1.0,
+                   {"slope": float(slope), "expected": expect,
+                    "t_grid": list(map(float, t_grid))})
+
+
 # ---------------------------------------------------------------------------
 # Li-Yau family
 
@@ -461,7 +474,7 @@ def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None, schedule=None):
 def check_li_yau(model, oracle, engine, suite, t_grid, mode: str = "rho0",
                  alpha: float | None = None, vform=None,
                  params: CDParameters | None = None,
-                 schedules=None, interior=None,
+                 schedules=None,
                  tolerance: Tolerance | None = None,
                  saturation_fields=(), saturation_rtol: float | None = None) -> MarginReport:
     """Gradient-of-logarithm estimates for positive solutions.
@@ -491,8 +504,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid, mode: str = "rho0",
     for ti, t in enumerate(t_grid):
         if mode == "bakry-qian" and t < 2 / rho - 1e-12:
             raise ValueError(f"bakry-qian needs t >= 2/rho = {2 / rho:g}")
-        mask = interior if interior is not None else interior_for_time(model, t)
-        idx = _mask_indices(model, mask)
+        idx = _mask_indices(model, interior_for_time(model, t))
         for nf in suite:
             f, eps = eps_shift(model, nf.field) if np.min(nf.field.values) < 0 \
                 else (nf.field, 0.0)
@@ -581,7 +593,7 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
             dcache[y] = distance_field(model, oracle, y, method=dist_method)
         return float(dcache[y].values[x])
 
-    samples, worst_pairs = [], []
+    samples = []
     for nf in suite:
         f, eps = eps_shift(model, nf.field) if np.min(nf.field.values) < 0 \
             else (nf.field, 0.0)
@@ -623,14 +635,11 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
                    scale=1.0, metadata=meta)
 
 
-def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0, t_max=None,
-                         interior=None):
+def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0):
     """(x, s, y, t) tuples with s < t, nodes drawn from a safe interior."""
     rng = np.random.default_rng(seed)
-    tmax = t_max or max(s + g for s in s_grid for g in gap_grid)
-    if interior is None:
-        interior = interior_for_time(model, tmax)
-    idx = _mask_indices(model, interior)
+    tmax = max(s + g for s in s_grid for g in gap_grid)
+    idx = _mask_indices(model, interior_for_time(model, tmax))
     pairs = []
     for _ in range(n_pairs):
         x, y = rng.choice(idx, size=2, replace=True)
@@ -644,10 +653,12 @@ def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0, t_max=None,
 # kernel bounds: lower (comparison), on-diagonal, two-sided, ball mass
 
 
+BALL_MASS_A_GRID = (0.25, 0.5, 1.0)
+
+
 def check_kernel_bounds(model, oracle, spectral, engine=None,
                         t_grid=(0.05, 0.1), pair_sample=None,
                         centers=None, radii=None, eps: float = 0.5,
-                        ball_dist_method: str = "auto", A_grid=(0.25, 0.5, 1.0),
                         tolerance: Tolerance | None = None,
                         equality_expected: bool = False,
                         saturation_rtol: float = 0.05,
@@ -662,8 +673,8 @@ def check_kernel_bounds(model, oracle, spectral, engine=None,
         constant in r;
     (c) two-sided bound: fit the smallest constant C(eps) making the
         volume-normalized Gaussian sandwich hold over the sample;
-    (d) ball mass: scan A for the largest uniform K with
-        P_{A r^2} 1_{B(x,r)}(x) >= K.
+    (d) ball mass: scan A over ``BALL_MASS_A_GRID`` for the largest uniform
+        K with P_{A r^2} 1_{B(x,r)}(x) >= K.
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
     K = max(0.0, -rho)
@@ -675,7 +686,7 @@ def check_kernel_bounds(model, oracle, spectral, engine=None,
 
     def dfield(x):
         if x not in dcache:
-            dcache[x] = distance_field(model, oracle, x, method=ball_dist_method)
+            dcache[x] = distance_field(model, oracle, x)
         return dcache[x]
 
     # (a) comparison lower bound
@@ -750,7 +761,7 @@ def check_kernel_bounds(model, oracle, spectral, engine=None,
     # (d) ball-mass scan
     if centers is not None and radii is not None and engine is not None:
         best = (None, -np.inf)
-        for A in A_grid:
+        for A in BALL_MASS_A_GRID:
             k_min = np.inf
             for x in centers:
                 df = dfield(x)
@@ -777,7 +788,6 @@ def _unit_ball_volume(n):
 
 def check_volume_regularity(model, oracle, centers, radii,
                             dist_method: str = "auto",
-                            expected_small_ratio: float | None = None,
                             ratio_window: tuple | None = None,
                             exponent_rtol: float = 0.10,
                             monotone_upper: float | None = None,
@@ -786,15 +796,19 @@ def check_volume_regularity(model, oracle, centers, radii,
 
     The doubling constant is the sample sup of the ratio; the reverse
     growth exponent is fitted from log volume against log radius and must
-    match log2 of the doubling constant within ``exponent_rtol``.
+    match log2 of the doubling constant within ``exponent_rtol``.  On the
+    Heisenberg lattice the metadata also records ``chart_ball_envelope_C``,
+    a report-only shape diagnostic: chart balls of radius r sit inside
+    intrinsic balls of radius ~ C sqrt(r) near the vertical axis.
     """
     radii = np.asarray(radii, dtype=float)
     tolerance = tolerance or Tolerance(1e-12, 0.0)
     all_r = np.unique(np.concatenate([radii, 2 * radii]))
     ratios, samples = [], []
-    slope_tables = []
+    slope_tables, fields = [], []
     for x in centers:
         df = distance_field(model, oracle, x, method=dist_method)
+        fields.append(df)
         safe = float(model.metric_distance_to_boundary()[x])
         if np.isfinite(safe) and 2 * radii.max() > safe:
             raise ValueError(
@@ -831,9 +845,6 @@ def check_volume_regularity(model, oracle, centers, radii,
         worst = min(float(ratios.min() - lo), float(hi - ratios.max()))
         samples.append({"part": "ratio-window", "lhs": lo, "rhs": hi,
                         "margin": worst})
-    if expected_small_ratio is not None:
-        small = float(np.mean(ratios[: max(1, len(radii) // 3)]))
-        meta["small_r_ratio"] = small
     if monotone_upper is not None:
         worst = float(monotone_upper - ratios.max()) + tolerance.rel * monotone_upper
         samples.append({"part": "ratio-upper", "lhs": float(ratios.max()),
@@ -848,6 +859,16 @@ def check_volume_regularity(model, oracle, centers, radii,
     meta["series_columns"] = ["r", "ratio"]
     meta["series"] = [[float(s["r"]), s["ratio"]] for s in samples
                       if s.get("part") == "doubling"]
+    if model.kind == "heisenberg":
+        # the lattice oracle has no closed-form distance, so fields[0] is
+        # the graph distance from the first centre
+        x0 = model.nodes[centers[0]]
+        d_cc = fields[0].values
+        d_ch = np.linalg.norm(model.nodes - x0, axis=1)
+        near_axis = (np.hypot(model.nodes[:, 0], model.nodes[:, 1])
+                     < 2 * float(model.meta["h"]))
+        sel = near_axis & (d_ch > 1e-6) & np.isfinite(d_cc)
+        meta["chart_ball_envelope_C"] = float(np.max(d_cc[sel] / np.sqrt(d_ch[sel])))
     return _report("volume-doubling", model.model_id, samples, tolerance, 1.0, meta)
 
 
@@ -880,6 +901,21 @@ def check_neumann_poincare(submodel, diameter: float, constant: float,
         meta["expected_product"] = expected_product
     return _report("neumann-poincare", submodel.model_id, samples, tolerance,
                    scale=max(1.0, product), metadata=meta)
+
+
+def check_ball_poincare(model, center: int, radius: float,
+                        seed: int = 0) -> MarginReport:
+    """Report-only: the scale-invariant Poincare constant lambda_1 r^2 of
+    the Neumann problem on the graph-distance ball B(center, radius)."""
+    d = graph_distance(model, center).values
+    sub = neumann_restrict(model, np.flatnonzero(d <= radius))
+    lam1 = float(spectral_decompose(sub, k=3, seed=seed).eigenvalues[1])
+    samples = [{"r": radius, "lhs": 0.0, "rhs": lam1 * radius**2,
+                "margin": lam1 * radius**2}]
+    return _report("ball-poincare", model.model_id, samples,
+                   Tolerance(0.0, 0.0), 1.0,
+                   {"lambda1": lam1, "radius": radius, "nodes": sub.n_nodes,
+                    "gate": "report-only"})
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +954,12 @@ def sharp_sobolev_sides(model, oracle, values, p):
 def check_sobolev_sharp(model, oracle, suite, p_list=(1.0, 2.0, 40.0),
                         extremal_suite=None, extremal_rtol: float = 0.05,
                         tolerance: Tolerance | None = None) -> MarginReport:
-    """Sharp Sobolev family on a positive-curvature model (normalized measure)."""
-    rho = oracle.ricci_lower
+    """Sharp Sobolev family on a positive-curvature model (normalized measure).
+
+    A last sample checks that the p = 1 member reproduces the Poincare
+    margin of each suite field, an identity up to the measure normalization.
+    """
+    rho, n = oracle.ricci_lower, float(oracle.dim)
     if rho <= 0:
         raise NotApplicableError("sharp Sobolev family needs rho > 0")
     tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
@@ -947,6 +987,17 @@ def check_sobolev_sharp(model, oracle, suite, p_list=(1.0, 2.0, 40.0),
                         "rhs": extremal_rtol,
                         "margin": (extremal_rtol - worst) * scale})
         meta["extremal_worst_gap"] = worst
+    worst = 0.0
+    for nf in suite:
+        v = nf.field.values / max(np.max(np.abs(nf.field.values)), 1e-300)
+        lhs, rhs = sharp_sobolev_sides(model, oracle, v, 1.0)
+        pm = poincare_margin(model, model.field(v), (n - 1) / (n * rho),
+                             absolute=True)
+        worst = max(worst, abs((rhs - lhs)
+                               - (n * rho / (n - 1)) * pm / model.total_measure))
+    samples.append({"quantity": "p1-equals-poincare", "lhs": worst,
+                    "rhs": 1e-8, "margin": (1e-8 - worst) * float(scale)})
+    meta["p1_identity_gap"] = worst
     return _report("sobolev-sharp", model.model_id, samples, tolerance, scale, meta)
 
 
@@ -1064,23 +1115,23 @@ def check_diameter(model, oracle, p: float = 40.0,
 
 
 def check_kernel_laws(model, oracle, spectral: SpectralData, engine2=None,
-                      t_pairs=((0.3, 0.7), (0.5, 0.5)), n_probe: int = 64,
                       cross_t: float = 0.1, seed: int = 0,
                       tolerance: Tolerance = Tolerance(1e-8),
                       cross_tol: float = 1e-4) -> MarginReport:
     """Symmetry, Chapman-Kolmogorov, and cross-engine agreement.
 
-    The composition law is checked on a probe subset: integrating the
-    kernel block against itself with the mu weights must reproduce the
-    kernel at the summed time.  ``engine2`` (a stepper) provides the
-    independent route to P_t for the cross-oracle comparison.
+    The composition law is checked on 64 probe nodes at (t, s) = (0.3, 0.7)
+    and (0.5, 0.5): integrating the kernel block against itself with the mu
+    weights must reproduce the kernel at the summed time.  ``engine2`` (a
+    stepper) provides the independent route to P_t for the cross-oracle
+    comparison.
     """
     rng = np.random.default_rng(seed)
-    probe = np.sort(rng.choice(model.n_nodes, size=min(n_probe, model.n_nodes),
+    probe = np.sort(rng.choice(model.n_nodes, size=min(64, model.n_nodes),
                                replace=False))
     samples = []
     full = np.arange(model.n_nodes)
-    for (t, s) in t_pairs:
+    for (t, s) in ((0.3, 0.7), (0.5, 0.5)):
         Kt = heat_kernel_block(spectral, t, probe, full)
         Ks = heat_kernel_block(spectral, s, full, probe)
         Kts = heat_kernel_block(spectral, t + s, probe, probe)
@@ -1152,3 +1203,29 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
         samples.append(s)
     return _report("distance-sandwich", model.model_id, samples, tolerance,
                    scale, {"n_pairs": n_pairs})
+
+
+def check_subunit_oracle(model, z_values=(0.04, 0.09), x_values=(0.3,),
+                         rtol: float = 0.02, seed: int = 0) -> MarginReport:
+    """Subunit shooting on the Heisenberg group against closed forms.
+
+    Vertical targets (0, 0, z) have geodesic length 2 sqrt(pi |z|) and
+    horizontal targets (x, 0, 0) length x; each shot length must match
+    within relative ``rtol``.
+    """
+    samples = []
+    for z in z_values:
+        path = subunit_distance_heisenberg([0.0, 0.0, float(z)], seed=seed)
+        ref = 2 * np.sqrt(np.pi * abs(z))
+        gap = abs(path.length - ref) / ref
+        samples.append({"z": float(z), "lhs": float(path.length),
+                        "rhs": float(ref), "margin": float(rtol - gap),
+                        "relative_gap": float(gap)})
+    for x in x_values:
+        path = subunit_distance_heisenberg([float(x), 0.0, 0.0], seed=seed)
+        gap = abs(path.length - x) / x
+        samples.append({"x": float(x), "lhs": float(path.length),
+                        "rhs": float(x), "margin": float(rtol - gap),
+                        "relative_gap": float(gap)})
+    return _report("subunit-oracle", model.model_id, samples,
+                   Tolerance(0.0, 0.0), 1.0, {"rtol": rtol})

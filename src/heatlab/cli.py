@@ -36,16 +36,10 @@ import numpy as np
 
 from . import checks as C
 from .fields import CDParameters, check_operator_axioms, deep_interior
-from .metric import graph_distance, subunit_distance_heisenberg
-from .models import ModelSpec, UnsupportedModelError, build_model, model_hash, node_nearest
+from .metric import graph_distance
+from .models import ModelSpec, UnsupportedModelError, build_model, node_nearest
 from .reports import MarginReport, Tolerance, atomic_write_text, write_csv
-from .semigroup import (
-    CrankNicolson,
-    load_spectral,
-    neumann_restrict,
-    save_spectral,
-    spectral_decompose,
-)
+from .semigroup import CrankNicolson, cached_decompose, neumann_restrict
 from . import suites as S
 
 CONFIG_SCHEMA_VERSION = 1
@@ -120,7 +114,9 @@ class CampaignConfig:
             if cfg.tol_scale <= 0:
                 raise ConfigError("tol_scale: must be positive")
         if "workers" in d:
-            cfg.workers = max(1, int(d["workers"]))
+            cfg.workers = int(d["workers"])
+            if cfg.workers < 1:
+                raise ConfigError("workers: must be at least 1")
         if d.get("models"):
             cfg.models = {}
             cfg.spectral_k = {}
@@ -213,16 +209,10 @@ class ModelContext:
     def spectral(self, k=None):
         k = k or self.k or min(self.model.n_nodes, 128)
         with self._lock:
-            if self._spectral is not None and self._spectral.count >= k:
-                return self._spectral
-            mh = model_hash(self.model)
-            path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
-            cached = load_spectral(path, mh)
-            if cached is None or cached.count < k:
-                cached = spectral_decompose(self.model, k=k, seed=self.seed)
-                save_spectral(path, cached, mh)
-            self._spectral = cached
-            return cached
+            if self._spectral is None or self._spectral.count < k:
+                path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
+                self._spectral = cached_decompose(self.model, k, path, seed=self.seed)
+            return self._spectral
 
     @property
     def engine(self):
@@ -248,6 +238,18 @@ def _seed_for(cfg, name):
     return cfg.seed + (zlib.crc32(name.encode()) % 1000)
 
 
+def _origin(model):
+    return node_nearest(model, np.zeros(model.nodes.shape[1]))
+
+
+def _cd_params(spec, default=None):
+    if "params" not in spec:
+        return default
+    p = spec["params"]
+    return CDParameters(float(p.get("rho1", 0.0)), float(p["rho2"]),
+                        float(p.get("kappa", 0.0)), float(p["n"]))
+
+
 def _suite_for(ctx, kind, seed):
     model = ctx.model
     if kind == "eigen":
@@ -256,13 +258,8 @@ def _suite_for(ctx, kind, seed):
         return S.coordinate_fields(model)
     if kind == "positive":
         return S.positive_fields(model, ctx.spectral() if ctx.k else None, seed=seed)
-    if kind == "bumps":
-        return S.bump_fields(model, seed=seed)
     if kind == "sub-riemannian":
         return S.sub_riemannian_suite(model, engine=ctx.stepper, seed=seed)
-    if kind == "standard":
-        return S.standard_suite(model, ctx.spectral() if ctx.k else None,
-                                engine=ctx.engine, seed=seed)
     raise ConfigError(f"unknown suite kind {kind!r}")
 
 
@@ -296,17 +293,12 @@ def run_cd(ctxs, spec, cfg, name):
     mode = spec.get("mode", "riemannian")
     suite = _suite_for(ctx, spec.get("suite", "eigen" if mode == "riemannian"
                                      else "sub-riemannian"), seed)
-    params = None
-    if "params" in spec:
-        p = spec["params"]
-        params = CDParameters(float(p.get("rho1", 0.0)), float(p["rho2"]),
-                              float(p.get("kappa", 0.0)), float(p["n"]))
     nu_grid = spec.get("nu_grid")
     if nu_grid is None:
         nu_grid = list(np.geomspace(0.25, 64, 10))
     defaults = {"riemannian": 0.02, "generalized": 0.10, "scan": 0.10}
     return C.check_cd(
-        ctx.model, ctx.oracle, suite, vform=ctx.vform, params=params,
+        ctx.model, ctx.oracle, suite, vform=ctx.vform, params=_cd_params(spec),
         nu_grid=nu_grid, mode=mode,
         tolerance=_tol(spec, 1e-12, defaults[mode], cfg.tol_scale, 2),
         equality_fields=tuple(spec.get("equality_fields", ())))
@@ -357,24 +349,11 @@ def run_log_sobolev(ctxs, spec, cfg, name):
 
 
 def run_equilibrium(ctxs, spec, cfg, name):
-    from .semigroup import equilibrium_rate
-
     ctx = ctxs[spec["model"]]
-    sd = ctx.spectral()
-    f = ctx.model.field(sd.eigenfields[:, 1])
-    t_grid = spec.get("t_grid", list(np.linspace(0.5, 2.0, 7)))
-    slope = equilibrium_rate(ctx.model, sd, f, t_grid)
-    expect = -float(sd.eigenvalues[1])
-    rtol = float(spec.get("rtol", 0.03)) * cfg.tol_scale
-    gap = abs(slope - expect) / abs(expect)
-    rep = MarginReport(
-        check_id="equilibrium-rate", model_id=ctx.model.model_id,
-        samples=[{"quantity": "log-error-slope", "lhs": float(gap), "rhs": rtol,
-                  "margin": float(rtol - gap), "slope": float(slope)}],
-        min_margin=float(rtol - gap), tolerance=Tolerance(0.0, 0.0), scale=1.0,
-        metadata={"slope": float(slope), "expected": expect,
-                  "t_grid": list(map(float, t_grid))})
-    return rep
+    return C.check_equilibrium_rate(
+        ctx.model, ctx.spectral(),
+        t_grid=spec.get("t_grid", list(np.linspace(0.5, 2.0, 7))),
+        rtol=float(spec.get("rtol", 0.03)) * cfg.tol_scale)
 
 
 def run_li_yau(ctxs, spec, cfg, name):
@@ -384,11 +363,7 @@ def run_li_yau(ctxs, spec, cfg, name):
     model = ctx.model
     suite, saturation = [], ()
     if spec.get("suite") == "delta":
-        i0 = node_nearest(model, np.zeros(model.nodes.shape[1]))
-        delta = np.zeros(model.n_nodes)
-        delta[i0] = 1.0 / model.mu[i0]
-        suite = [S.NamedField("point-source", model.field(delta))]
-        suite += S.bump_fields(model, centers=[i0], width=0.25)
+        suite = S.point_source_fields(model, _origin(model), width=0.25)
         suite += S.rectified_noise_fields(model, ctx.engine, n=2, seed=seed)
         saturation = ("point-source",) if spec.get("saturation", True) else ()
     elif spec.get("suite") == "sub-riemannian":
@@ -396,15 +371,11 @@ def run_li_yau(ctxs, spec, cfg, name):
         suite += S.rectified_noise_fields(model, ctx.stepper, n=1, seed=seed)
     else:
         suite = _suite_for(ctx, spec.get("suite", "positive"), seed)
-    params = ctx.oracle.cd_params
-    if "params" in spec:
-        p = spec["params"]
-        params = CDParameters(float(p.get("rho1", 0.0)), float(p["rho2"]),
-                              float(p.get("kappa", 0.0)), float(p["n"]))
     return C.check_li_yau(
         model, ctx.oracle, ctx.engine, suite,
         t_grid=spec.get("t_grid", [0.05, 0.1, 0.2]), mode=mode,
-        alpha=spec.get("alpha"), vform=ctx.vform, params=params,
+        alpha=spec.get("alpha"), vform=ctx.vform,
+        params=_cd_params(spec, ctx.oracle.cd_params),
         tolerance=_tol(spec, 1e-12, 0.03, cfg.tol_scale, 2),
         saturation_fields=saturation,
         saturation_rtol=float(spec.get("saturation_rtol", 0.01)))
@@ -420,11 +391,7 @@ def run_harnack(ctxs, spec, cfg, name):
     pairs = C.sample_harnack_pairs(model, int(spec.get("n_pairs", 200)),
                                    s_grid, gap_grid, seed=seed)
     if spec.get("suite") == "delta":
-        i0 = node_nearest(model, np.zeros(model.nodes.shape[1]))
-        delta = np.zeros(model.n_nodes)
-        delta[i0] = 1.0 / model.mu[i0]
-        suite = [S.NamedField("point-source", model.field(delta))]
-        suite += S.bump_fields(model, centers=[i0], width=0.3)
+        suite = S.point_source_fields(model, _origin(model), width=0.3)
     elif mode == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
     else:
@@ -444,7 +411,7 @@ def run_kernel_bounds(ctxs, spec, cfg, name):
     radii = spec.get("radii", [0.3, 0.4, 0.5, 0.6])
     t_grid = spec.get("t_grid", [0.05, 0.1])
     safe = model.metric_distance_to_boundary()
-    i0 = node_nearest(model, np.zeros(model.nodes.shape[1]))
+    i0 = _origin(model)
 
     # reflection inflates p(x, x, t) by ~exp(-w^2/t) at wall distance w;
     # keep that under a fraction of a percent for the product/equality gates
@@ -485,35 +452,24 @@ def run_volume(ctxs, spec, cfg, name):
     else:
         radii = np.asarray(spec.get("radii", [0.3, 0.4, 0.5, 0.6]), dtype=float)
     if spec.get("centers") == "origin":
-        centers = [node_nearest(model, np.zeros(model.nodes.shape[1]))]
+        centers = [_origin(model)]
     else:
         rng = np.random.default_rng(_seed_for(cfg, name))
         safe = model.metric_distance_to_boundary()
         h = float(model.meta.get("h", 0.0) or 0.0)
         idx = np.flatnonzero(safe > 2 * float(np.max(radii)) + 2 * h)
-        centers = [node_nearest(model, np.zeros(model.nodes.shape[1]))]
+        centers = [_origin(model)]
         if idx.size:
             centers += rng.choice(idx, size=min(2, idx.size), replace=False).tolist()
         centers = [int(c) for c in centers]
     window = spec.get("ratio_window")
-    rep = C.check_volume_regularity(
+    return C.check_volume_regularity(
         model, ctx.oracle, centers, radii,
         dist_method=spec.get("distance", "auto"),
         ratio_window=tuple(window) if window else None,
         exponent_rtol=float(spec.get("exponent_rtol", 0.10)),
         monotone_upper=spec.get("monotone_upper"),
         tolerance=_tol(spec, 1e-12, float(spec.get("tol_rel", 0.05)), cfg.tol_scale))
-    if model.kind == "heisenberg":
-        # report-only shape diagnostic: chart balls of radius r sit inside
-        # intrinsic balls of radius ~ C sqrt(r) near the vertical axis
-        d_cc = graph_distance(model, centers[0]).values
-        d_ch = np.linalg.norm(model.nodes - model.nodes[centers[0]], axis=1)
-        near_axis = (np.hypot(model.nodes[:, 0], model.nodes[:, 1])
-                     < 2 * float(model.meta["h"]))
-        sel = near_axis & (d_ch > 1e-6) & np.isfinite(d_cc)
-        ratio = d_cc[sel] / np.sqrt(d_ch[sel])
-        rep.metadata["chart_ball_envelope_C"] = float(np.max(ratio))
-    return rep
 
 
 def run_neumann(ctxs, spec, cfg, name):
@@ -546,29 +502,17 @@ def run_neumann(ctxs, spec, cfg, name):
 
 
 def run_ball_poincare(ctxs, spec, cfg, name):
-    # report-only: the scale-invariant ball constant on a sub-Riemannian model
-    ctx = ctxs[spec["model"]]
-    model = ctx.model
-    i0 = node_nearest(model, np.zeros(model.nodes.shape[1]))
-    d = graph_distance(model, i0).values
-    r = float(spec.get("radius", 0.6))
-    sub = neumann_restrict(model, np.flatnonzero(d <= r))
-    sd = spectral_decompose(sub, k=3, seed=_seed_for(cfg, name))
-    lam1 = float(sd.eigenvalues[1])
-    rep = MarginReport(
-        check_id="ball-poincare", model_id=model.model_id,
-        samples=[{"r": r, "lhs": 0.0, "rhs": lam1 * r**2, "margin": lam1 * r**2}],
-        min_margin=lam1 * r**2, tolerance=Tolerance(0.0, 0.0), scale=1.0,
-        metadata={"lambda1": lam1, "radius": r, "nodes": sub.n_nodes,
-                  "gate": "report-only"})
-    return rep
+    model = ctxs[spec["model"]].model
+    return C.check_ball_poincare(model, _origin(model),
+                                 float(spec.get("radius", 0.6)),
+                                 seed=_seed_for(cfg, name))
 
 
 def run_sobolev_embedding(ctxs, spec, cfg, name):
     ctx = ctxs[spec["model"]]
     model = ctx.model
-    i0 = node_nearest(model, np.zeros(model.nodes.shape[1]))
-    suite = S.bump_fields(model, centers=[i0], width=float(spec.get("width", 0.25)))
+    suite = S.bump_fields(model, centers=[_origin(model)],
+                          width=float(spec.get("width", 0.25)))
     suite += S.bump_fields(model, seed=_seed_for(cfg, name),
                            width=float(spec.get("width", 0.25)))
     return C.check_sobolev_embedding(
@@ -583,7 +527,7 @@ def run_isoperimetric(ctxs, spec, cfg, name):
     safe = model.metric_distance_to_boundary()
     h = float(model.meta.get("h", 0.0) or 0.0)
     idx = np.flatnonzero(safe > float(radii.max()) + 3 * h)
-    centers = [node_nearest(model, np.zeros(model.nodes.shape[1]))]
+    centers = [_origin(model)]
     centers += [int(c) for c in rng.choice(idx, size=min(6, idx.size),
                                            replace=False)]
     expected = spec.get("expected_ratio")
@@ -604,26 +548,10 @@ def run_sobolev_sharp(ctxs, spec, cfg, name):
     pole = node_nearest(model, [0, 0, 1])
     extremal = S.latitude_profiles(model, pole, p=max(p_list),
                                    lams=tuple(spec.get("lams", (0.05, 0.1, 0.2))))
-    rep = C.check_sobolev_sharp(
+    return C.check_sobolev_sharp(
         model, ctx.oracle, suite, p_list=p_list, extremal_suite=extremal,
         extremal_rtol=float(spec.get("extremal_rtol", 0.05)) * cfg.tol_scale,
         tolerance=_tol(spec, 1e-12, 0.02, cfg.tol_scale, 2))
-    # consistency: the p = 1 member must reproduce the Poincare margin
-    rho, n = ctx.oracle.ricci_lower, float(ctx.oracle.dim)
-    worst = 0.0
-    for nf in suite:
-        v = nf.field.values / max(np.max(np.abs(nf.field.values)), 1e-300)
-        lhs, rhs = C.sharp_sobolev_sides(model, ctx.oracle, v, 1.0)
-        pm = C.poincare_margin(model, model.field(v), (n - 1) / (n * rho),
-                               absolute=True)
-    # identical arithmetic up to the measure normalization factor
-        diff = abs((rhs - lhs) - (n * rho / (n - 1)) * pm / model.total_measure)
-        worst = max(worst, diff)
-    rep.samples.append({"quantity": "p1-equals-poincare", "lhs": worst,
-                        "rhs": 1e-8, "margin": (1e-8 - worst) * rep.scale})
-    rep.min_margin = min(rep.min_margin, rep.samples[-1]["margin"])
-    rep.metadata["p1_identity_gap"] = worst
-    return rep
 
 
 def run_diameter(ctxs, spec, cfg, name):
@@ -648,30 +576,12 @@ def run_distance_sandwich(ctxs, spec, cfg, name):
 
 
 def run_subunit_oracle(ctxs, spec, cfg, name):
-    """Subunit shooting against the closed-form vertical geodesic length."""
-    ctx = ctxs[spec["model"]]
-    rtol = float(spec.get("rtol", 0.02)) * cfg.tol_scale
-    samples = []
-    for z in spec.get("z_values", (0.04, 0.09)):
-        path = subunit_distance_heisenberg([0.0, 0.0, float(z)],
-                                           seed=_seed_for(cfg, name))
-        ref = 2 * np.sqrt(np.pi * abs(z))
-        gap = abs(path.length - ref) / ref
-        samples.append({"z": float(z), "lhs": float(path.length),
-                        "rhs": float(ref), "margin": float(rtol - gap),
-                        "relative_gap": float(gap)})
-    for x in spec.get("x_values", (0.3,)):
-        path = subunit_distance_heisenberg([float(x), 0.0, 0.0],
-                                           seed=_seed_for(cfg, name))
-        gap = abs(path.length - x) / x
-        samples.append({"x": float(x), "lhs": float(path.length),
-                        "rhs": float(x), "margin": float(rtol - gap),
-                        "relative_gap": float(gap)})
-    return MarginReport(
-        check_id="subunit-oracle", model_id=ctx.model.model_id, samples=samples,
-        min_margin=min(s["margin"] for s in samples),
-        tolerance=Tolerance(0.0, 0.0), scale=1.0,
-        metadata={"rtol": rtol})
+    return C.check_subunit_oracle(
+        ctxs[spec["model"]].model,
+        z_values=spec.get("z_values", (0.04, 0.09)),
+        x_values=spec.get("x_values", (0.3,)),
+        rtol=float(spec.get("rtol", 0.02)) * cfg.tol_scale,
+        seed=_seed_for(cfg, name))
 
 
 CHECK_RUNNERS = {
@@ -977,19 +887,14 @@ def _add_common(p):
 
 
 def _load_cfg(args) -> CampaignConfig:
+    # command-line overrides go through the same validation as the file
     data = load_config_file(args.config) if args.config else {}
-    cfg = CampaignConfig.from_dict(data)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.output_dir = args.out
-    if args.cache:
-        cfg.cache_dir = args.cache
-    if getattr(args, "tol_scale", None):
-        cfg.tol_scale = args.tol_scale
-    if getattr(args, "workers", None):
-        cfg.workers = args.workers
-    return cfg
+    for key, value in (("seed", args.seed), ("output_dir", args.out),
+                       ("cache_dir", args.cache), ("tol_scale", args.tol_scale),
+                       ("workers", args.workers)):
+        if value is not None:
+            data[key] = value
+    return CampaignConfig.from_dict(data)
 
 
 def main(argv=None) -> int:

@@ -5,8 +5,9 @@ Kinds
 euclidean    cell-centered grid on a box [-a, a]^n, reflecting (zero-Neumann)
              closure, uniform measure h^n, conductance h^(n-2)
 torus        periodic grid, period P, uniform measure
-sphere       geodesic icosahedral mesh of S^2 (frequency nu, 10 nu^2 + 2
-             vertices), cotangent conductances, lumped vertex-area measure
+sphere       latitude-longitude grid of S^2 (resolution mt: mt - 1 rows of
+             2 mt nodes plus two pole cap cells), flux conductances of the
+             divergence form, cell-area measure
 heisenberg   group lattice for the first Heisenberg group: horizontal moves
              are the exact time-h flows of X = dx - (y/2) dz and
              Y = dy + (x/2) dz, which close on the lattice when the vertical
@@ -14,8 +15,7 @@ heisenberg   group lattice for the first Heisenberg group: horizontal moves
              sub-Laplacian and the vertical edge form carries Z = dz
 
 All truncations are reflecting, so mass conservation is exact and the
-constant field is in the kernel of L globally.  The hyperbolic kind is an
-optional tier that is not enabled in this build.
+constant field is in the kernel of L globally.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ class ModelSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "torus", "sphere", "heisenberg", "hyperbolic"):
+        if self.kind not in ("euclidean", "torus", "sphere", "heisenberg"):
             raise UnsupportedModelError(f"unknown model kind {self.kind!r}")
         if self.resolution < 8:
             raise ValueError("resolution must be at least 8")
@@ -231,82 +231,6 @@ def _torus_oracle(dim: int, period: float) -> GeometryOracle:
 
 # ---------------------------------------------------------------------------
 # sphere
-
-
-_PHI = (1 + np.sqrt(5)) / 2
-
-_ICO_VERTS = np.array(
-    [(-1, _PHI, 0), (1, _PHI, 0), (-1, -_PHI, 0), (1, -_PHI, 0),
-     (0, -1, _PHI), (0, 1, _PHI), (0, -1, -_PHI), (0, 1, -_PHI),
-     (_PHI, 0, -1), (_PHI, 0, 1), (-_PHI, 0, -1), (-_PHI, 0, 1)],
-    dtype=float,
-)
-_ICO_FACES = np.array(
-    [(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-     (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-     (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-     (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1)],
-    dtype=int,
-)
-
-
-def geodesic_sphere(frequency: int):
-    """Class-I geodesic subdivision of the icosahedron, projected to S^2.
-
-    Returns unit vertices (10 nu^2 + 2 of them) and triangle faces.
-    """
-    nu = int(frequency)
-    base = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
-    verts: list[np.ndarray] = []
-    index: dict[bytes, int] = {}
-    faces: list[tuple[int, int, int]] = []
-
-    def vid(p: np.ndarray) -> int:
-        p = p / np.linalg.norm(p)
-        key = np.round(p, 9).tobytes()
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(p)
-        return index[key]
-
-    for (a, b, c) in _ICO_FACES:
-        A, B, C = base[a], base[b], base[c]
-        grid = {}
-        for i in range(nu + 1):
-            for j in range(nu + 1 - i):
-                p = (A * (nu - i - j) + B * i + C * j) / nu
-                grid[(i, j)] = vid(p)
-        for i in range(nu):
-            for j in range(nu - i):
-                faces.append((grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]))
-                if i + j < nu - 1:
-                    faces.append((grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]))
-    return np.asarray(verts), np.asarray(faces, dtype=int)
-
-
-def cotangent_assembly(verts: np.ndarray, faces: np.ndarray):
-    """Cotangent conductances and lumped (barycentric) vertex areas."""
-    n = verts.shape[0]
-    weights: dict[tuple[int, int], float] = {}
-    area = np.zeros(n)
-    for (a, b, c) in faces:
-        P = verts[[a, b, c]]
-        # angles via edge vectors; flat triangle geometry on chords
-        for k, (u, v, w) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
-            e1 = verts[v] - verts[u]
-            e2 = verts[w] - verts[u]
-            cross = np.linalg.norm(np.cross(e1, e2))
-            cot = float(e1 @ e2) / cross
-            key = (v, w) if v < w else (w, v)
-            weights[key] = weights.get(key, 0.0) + 0.5 * cot
-        tri_area = 0.5 * np.linalg.norm(np.cross(P[1] - P[0], P[2] - P[0]))
-        for u in (a, b, c):
-            area[u] += tri_area / 3.0
-    keys = sorted(weights)
-    i = np.array([k[0] for k in keys], dtype=np.int64)
-    j = np.array([k[1] for k in keys], dtype=np.int64)
-    c = np.array([weights[k] for k in keys])
-    return i, j, c, area
 
 
 def _legendre_values(lmax: int, x: float) -> np.ndarray:
@@ -560,34 +484,17 @@ def build_model(spec: ModelSpec):
         if spec.dim != 2:
             raise UnsupportedModelError("only the round 2-sphere is in the catalog")
         mesh = spec.options.get("mesh", "latitude")
-        if mesh == "latitude":
-            i, j, c, mu, nodes, lengths, trusted, dth = latitude_sphere(
-                spec.resolution,
-                pole_rows_untrusted=int(spec.options.get("pole_rows_untrusted", 4)),
-            )
-            ef = EdgeForm(i, j, c, mu.size)
-            L = graph_laplacian(ef, mu)
-            boundary = np.zeros(mu.size, dtype=bool)
-            meta = {"h": dth, "mesh_order": 2, "trusted_mask": trusted}
-            model_id = f"sphere2-lat{spec.resolution}"
-        elif mesh == "icosahedral":
-            # integrated quantities (spectra, semigroups) are accurate here,
-            # but pointwise second-order forms are not consistent on the
-            # irregular vertex stars; prefer the latitude mesh for those
-            verts, faces = geodesic_sphere(spec.resolution)
-            i, j, c, area = cotangent_assembly(verts, faces)
-            ef = EdgeForm(i, j, c, verts.shape[0])
-            mu = area
-            L = graph_laplacian(ef, mu)
-            chord = np.linalg.norm(verts[j] - verts[i], axis=1)
-            lengths = 2 * np.arcsin(np.clip(chord / 2, 0, 1))
-            nodes = verts
-            boundary = np.zeros(verts.shape[0], dtype=bool)
-            meta = {"h": float(lengths.mean()), "faces": faces, "mesh_order": 1,
-                    "trusted_mask": np.zeros(verts.shape[0], dtype=bool)}
-            model_id = f"sphere2-ico{spec.resolution}"
-        else:
+        if mesh != "latitude":
             raise UnsupportedModelError(f"unknown sphere mesh {mesh!r}")
+        i, j, c, mu, nodes, lengths, trusted, dth = latitude_sphere(
+            spec.resolution,
+            pole_rows_untrusted=int(spec.options.get("pole_rows_untrusted", 4)),
+        )
+        ef = EdgeForm(i, j, c, mu.size)
+        L = graph_laplacian(ef, mu)
+        boundary = np.zeros(mu.size, dtype=bool)
+        meta = {"h": dth, "mesh_order": 2, "trusted_mask": trusted}
+        model_id = f"sphere2-lat{spec.resolution}"
         oracle = _sphere_oracle()
     elif spec.kind == "heisenberg":
         nodes, mu, L, ef, lengths, boundary, meta, vedges = _build_heisenberg(spec)
@@ -597,10 +504,6 @@ def build_model(spec: ModelSpec):
             f"-z{spec.options.get('z_extent', spec.extent / 8.0):g}"
         )
         vform = ("pending", vedges)
-    elif spec.kind == "hyperbolic":
-        raise UnsupportedModelError(
-            "the hyperbolic plane is an optional tier and is not enabled"
-        )
     else:  # pragma: no cover
         raise UnsupportedModelError(spec.kind)
 

@@ -33,6 +33,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .fields import DiscretizedModel, EdgeForm, ScalarField, graph_laplacian
+from .models import model_hash
 
 
 class SolverError(RuntimeError):
@@ -469,3 +470,15 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
                             header["residual"], header["gram_error"])
     except (OSError, ValueError, KeyError, json.JSONDecodeError):
         return None
+
+
+def cached_decompose(model: DiscretizedModel, k: int, path: str,
+                     seed: int = 0) -> SpectralData:
+    """At least k eigenpairs from the cache file at ``path``; on a miss (see
+    ``load_spectral``) or too few cached pairs, k are computed and saved."""
+    mh = model_hash(model)
+    cached = load_spectral(path, mh)
+    if cached is None or cached.count < k:
+        cached = spectral_decompose(model, k=k, seed=seed)
+        save_spectral(path, cached, mh)
+    return cached

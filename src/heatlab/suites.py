@@ -1,10 +1,10 @@
 """Named generators of test fields for the inequality checks.
 
 Families: eigenfunction combinations, chart-coordinate polynomials, bump
-functions, heat-evolved noise, and log-concave latitude profiles used as
-near-extremal candidates for the sharp Sobolev family.  Checks that need
-positivity shift by a recorded epsilon and are rerun at epsilon/10 to
-confirm stability.
+functions, point sources, heat-evolved noise, and log-concave latitude
+profiles used as near-extremal candidates for the sharp Sobolev family.
+Checks that need positivity shift by a recorded epsilon and are rerun at
+epsilon/10 to confirm stability.
 """
 from __future__ import annotations
 
@@ -73,6 +73,16 @@ def bump_fields(model: DiscretizedModel, centers=None, width: float | None = Non
     return out
 
 
+def point_source_fields(model: DiscretizedModel, center: int,
+                        width: float) -> list[NamedField]:
+    """The unit point source at ``center`` and a Gaussian bump of ``width``
+    centred there."""
+    delta = np.zeros(model.n_nodes)
+    delta[center] = 1.0 / model.mu[center]
+    return ([NamedField("point-source", model.field(delta))]
+            + bump_fields(model, centers=[center], width=width))
+
+
 def evolved_noise_fields(model: DiscretizedModel, engine, n: int = 2,
                          eps_time: float | None = None, seed: int = 0) -> list[NamedField]:
     """White noise mollified by a short heat run (P_eps of noise)."""
@@ -131,14 +141,13 @@ def latitude_profiles(model: DiscretizedModel, pole_node: int, p: float,
     return out
 
 
-def horizontal_bump_fields(model: DiscretizedModel, widths=(0.5,),
-                           center=None) -> list[NamedField]:
-    """Bumps constant in the vertical coordinate (smooth for the sub-Laplacian)."""
+def horizontal_bump_fields(model: DiscretizedModel, widths=(0.5,)) -> list[NamedField]:
+    """Bumps about the vertical axis, constant in the vertical coordinate
+    (smooth for the sub-Laplacian)."""
     nodes = model.nodes
-    c = nodes[center] if center is not None else np.zeros(nodes.shape[1])
     out = []
     for w in widths:
-        d2 = (nodes[:, 0] - c[0]) ** 2 + (nodes[:, 1] - c[1]) ** 2
+        d2 = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
         out.append(NamedField(f"hbump-{w:g}", model.field(np.exp(-d2 / (2 * w**2)))))
     return out
 
@@ -155,16 +164,4 @@ def sub_riemannian_suite(model: DiscretizedModel, engine=None, seed: int = 0) ->
         for nf in evolved_noise_fields(model, engine, n=1, eps_time=16 * h**2,
                                        seed=seed):
             out.append(nf)
-    return out
-
-
-def standard_suite(model: DiscretizedModel, spectral: SpectralData | None = None,
-                   engine=None, seed: int = 0) -> list[NamedField]:
-    """The default mixed suite for curvature-dimension style checks."""
-    out = coordinate_fields(model)
-    if spectral is not None:
-        out += eigen_fields(model, spectral, seed=seed)
-    out += bump_fields(model, seed=seed)
-    if engine is not None:
-        out += evolved_noise_fields(model, engine, seed=seed)
     return out

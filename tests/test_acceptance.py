@@ -252,6 +252,7 @@ def test_criterion_7_volume(euclid2, sphere):
                                    ratio_window=(14.0, 18.0),
                                    exponent_rtol=0.10)
     assert hrep.passed, hrep.worst_sample()
+    assert 0 < hrep.metadata["chart_ball_envelope_C"] < np.inf
     q_fit = hrep.metadata["growth_exponent_fit"]
     q_dbl = hrep.metadata["Q_from_doubling"]
     assert _line("criterion-7 volume doubling", True,

@@ -5,10 +5,12 @@ from scipy.integrate import quad
 from heatlab import NotApplicableError, node_nearest
 from heatlab.checks import (
     cd_margin_field,
+    check_ball_poincare,
     check_cd,
     check_completeness,
     check_diameter,
     check_distance_sandwich,
+    check_equilibrium_rate,
     check_gradient_bound,
     check_harnack,
     check_isoperimetric_balls,
@@ -21,6 +23,7 @@ from heatlab.checks import (
     check_sobolev_sharp,
     check_spectral_gap,
     check_spectrum,
+    check_subunit_oracle,
     check_vertical_commutation,
     check_volume_regularity,
     diameter_bound,
@@ -382,6 +385,9 @@ def test_sharp_sobolev_family(sphere):
                               extremal_suite=extremal)
     assert rep.passed
     assert rep.metadata["extremal_worst_gap"] < 0.05
+    p1 = rep.samples[-1]
+    assert p1["quantity"] == "p1-equals-poincare" and p1["lhs"] < 1e-8
+    assert rep.metadata["p1_identity_gap"] == p1["lhs"]
 
 
 def test_sharp_p1_matches_poincare(sphere):
@@ -422,3 +428,37 @@ def test_kernel_laws_and_spectrum(torus1):
     assert rep.metadata["cross_engine_sup_diff"] < 1e-4
     rep2 = check_spectrum(model, oracle, spectral, count=5, rtol=0.01)
     assert rep2.passed
+
+
+def _least_margin(rep):
+    return min(s["margin"] for s in rep.samples)
+
+
+def test_equilibrium_rate(sphere):
+    model, _, spectral = sphere
+    rep = check_equilibrium_rate(model, spectral, list(np.linspace(0.5, 2.0, 7)),
+                                 rtol=0.03)
+    assert rep.passed
+    assert rep.metadata["slope"] == pytest.approx(-spectral.eigenvalues[1], rel=0.03)
+    assert rep.min_margin == _least_margin(rep)
+
+
+def test_ball_poincare_is_report_only(heis):
+    model = heis[0]
+    rep = check_ball_poincare(model, node_nearest(model, [0, 0, 0]), 0.6, seed=1)
+    assert rep.metadata["gate"] == "report-only"
+    assert 3 < rep.metadata["nodes"] < model.n_nodes
+    assert rep.min_margin == _least_margin(rep)
+    assert rep.min_margin == pytest.approx(rep.metadata["lambda1"] * 0.6**2)
+    assert rep.min_margin > 0
+
+
+def test_subunit_oracle(heis):
+    rep = check_subunit_oracle(heis[0], z_values=(0.04, 0.09), x_values=(0.3,),
+                               rtol=0.02, seed=0)
+    assert rep.passed
+    assert [("z" in s, "x" in s) for s in rep.samples] == \
+        [(True, False), (True, False), (False, True)]
+    vertical = rep.samples[0]
+    assert vertical["lhs"] >= vertical["rhs"] == pytest.approx(2 * np.sqrt(0.04 * np.pi))
+    assert rep.min_margin == _least_margin(rep)

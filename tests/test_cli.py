@@ -16,6 +16,15 @@ from heatlab.cli import (
 )
 from heatlab.reports import MarginReport
 
+SMALL_CFG = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
+                         "small.cfg")
+MINI_CFG = ("models.t.kind = torus\n"
+            "models.t.dim = 1\n"
+            "models.t.resolution = 32\n"
+            "models.t.spectral_k = 32\n"
+            "checks.ax.check = operator-axioms\n"
+            "checks.ax.model = t\n")
+
 
 def test_parse_dotted_config():
     cfg = parse_config_text("""
@@ -113,13 +122,7 @@ def test_main_exit_codes(tmp_path):
     assert main(["campaign", "--config", str(bad)]) == 2
 
     cfgfile = tmp_path / "mini.cfg"
-    cfgfile.write_text(
-        "models.t.kind = torus\n"
-        "models.t.dim = 1\n"
-        "models.t.resolution = 32\n"
-        "models.t.spectral_k = 32\n"
-        "checks.ax.check = operator-axioms\n"
-        "checks.ax.model = t\n")
+    cfgfile.write_text(MINI_CFG)
     out = str(tmp_path / "o")
     cache = str(tmp_path / "c")
     assert main(["campaign", "--config", str(cfgfile), "--out", out,
@@ -128,6 +131,44 @@ def test_main_exit_codes(tmp_path):
                  "--out", out, "--cache", cache]) == 0
     assert main(["build", "--model", "t", "--config", str(cfgfile),
                  "--cache", cache]) == 0
+
+
+def test_command_line_overrides_are_validated(tmp_path):
+    # an override passes the same checks as the config key it replaces
+    cfgfile = tmp_path / "mini.cfg"
+    cfgfile.write_text(MINI_CFG)
+    out = tmp_path / "o"
+    for override in (["--tol-scale", "-1"], ["--tol-scale", "0"],
+                     ["--workers", "-3"]):
+        assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                     "--cache", str(tmp_path / "c")] + override) == 2, override
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="workers"):
+        CampaignConfig.from_dict({"workers": 0})
+
+
+def test_small_campaign_independent_of_workers_and_cache(tmp_path, monkeypatch):
+    # two cold runs (workers 1 and 2), then a warm rerun on the first cache
+    outs = []
+    for run, (workers, cache) in enumerate(((1, "c1"), (2, "c2"), (1, "c1"))):
+        if run == 2:
+            def no_solve(*args, **kwargs):
+                raise AssertionError("warm rerun recomputed a spectrum")
+            monkeypatch.setattr("heatlab.semigroup.spectral_decompose", no_solve)
+        cfg = CampaignConfig.from_dict(load_config_file(SMALL_CFG))
+        cfg.workers = workers
+        cfg.output_dir = str(tmp_path / f"out{run}")
+        cfg.cache_dir = str(tmp_path / cache)
+        assert run_campaign(cfg, log=lambda *a: None) == 0
+        outs.append(cfg.output_dir)
+    names = sorted(os.listdir(outs[0]))
+    assert "summary.csv" in names and len(names) == len(cfg.checks) + 2
+    for other in outs[1:]:
+        assert sorted(os.listdir(other)) == names
+        for name in names:
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(other, name), "rb") as b:
+                assert a.read() == b.read(), f"{other}/{name} differs"
 
 
 def test_plot_emission(tmp_path, sphere):
@@ -175,9 +216,7 @@ def test_entropy_plot_slope_consistency(tmp_path, sphere):
 
 
 def test_config_from_dict_leaves_input_intact():
-    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
-                        "small.cfg")
-    data = load_config_file(path)
+    data = load_config_file(SMALL_CFG)
     first = CampaignConfig.from_dict(data)
     second = CampaignConfig.from_dict(data)
     expected = {"torus": 64, "box": 300, "sphere": 200}

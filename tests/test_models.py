@@ -4,7 +4,6 @@ import pytest
 from heatlab import ModelSpec, build_model, exact_heat_kernel, spectral_decompose
 from heatlab.models import (
     UnsupportedModelError,
-    geodesic_sphere,
     latitude_sphere,
     model_hash,
     node_nearest,
@@ -23,6 +22,9 @@ def test_spec_validation():
         build_model(ModelSpec("hyperbolic", dim=2, resolution=16))
     with pytest.raises(UnsupportedModelError):
         build_model(ModelSpec("euclidean", dim=4, resolution=16))
+    with pytest.raises(UnsupportedModelError, match="icosahedral"):
+        build_model(ModelSpec("sphere", dim=2, resolution=8,
+                              options={"mesh": "icosahedral"}))
 
 
 def test_torus_spectrum(torus1):
@@ -131,14 +133,6 @@ def test_latitude_sphere_total_measure():
     assert np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1) < 1e-12)
 
 
-def test_icosahedral_mesh_option():
-    model, oracle, _ = build_model(
-        ModelSpec("sphere", dim=2, resolution=8, options={"mesh": "icosahedral"}))
-    assert model.n_nodes == 10 * 8**2 + 2
-    sd = spectral_decompose(model, k=4)
-    assert np.all(np.abs(sd.eigenvalues[1:4] - 2.0) < 0.04)
-
-
 def test_heisenberg_lattice_structure(heis):
     model, oracle, vform, _ = heis
     # horizontal moves preserve the sublattice parity and stay in the box
@@ -155,10 +149,3 @@ def test_model_hash_stable(tiny_torus):
     assert model_hash(model) == model_hash(model2)
     model3, _, _ = build_model(ModelSpec("torus", dim=1, resolution=32))
     assert model_hash(model) != model_hash(model3)
-
-
-def test_geodesic_sphere_counts():
-    verts, faces = geodesic_sphere(4)
-    assert verts.shape[0] == 10 * 16 + 2
-    assert faces.shape[0] == 20 * 16
-    assert np.allclose(np.linalg.norm(verts, axis=1), 1.0)
