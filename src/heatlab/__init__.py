@@ -47,21 +47,16 @@ from .metric import (
 from .reports import MarginReport, Tolerance
 from .semigroup import (
     CrankNicolson,
-    KernelEval,
     SpectralData,
     apply_semigroup,
     eigenvalue_clusters,
     equilibrium_error,
     equilibrium_rate,
-    heat_kernel,
     heat_kernel_block,
     load_spectral,
     neumann_restrict,
-    reproducing_kernel,
     save_spectral,
     spectral_decompose,
-    trace,
-    trace_from_kernel,
 )
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .fields import (
 from .metric import (
     DistanceField,
     ball_table,
+    calibrate_anisotropy,
     distance_field,
     dual_distance,
     graph_distance,
@@ -129,9 +130,17 @@ def generalized_cd_margin_field(model, vform, f: ScalarField,
     return lhs - rhs
 
 
+# second-order composition errors carry curvature^2-sized constants on
+# sub-Riemannian lattices; their slack reflects measured behaviour
+CD_TOLERANCE = {"riemannian": Tolerance(1e-12, 0.02, mesh_order=2),
+                "generalized": Tolerance(1e-12, 0.10, mesh_order=2),
+                "scan": Tolerance(1e-12, 0.10, mesh_order=2)}
+
+
 def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
              suite: list[NamedField], vform: VerticalForm | None = None,
-             params: CDParameters | None = None, nu_grid=(0.5, 1.0, 2.0, 4.0),
+             params: CDParameters | None = None,
+             nu_grid=tuple(np.geomspace(0.25, 64, 10)),
              mode: str = "riemannian",
              tolerance: Tolerance | None = None,
              include_gamma_lemma: bool = True,
@@ -142,8 +151,9 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
     needs a vertical form and CD parameters; ``scan`` returns the largest
     rho1 compatible with the sample for the given (rho2, kappa, n).
     """
-    if mode not in ("riemannian", "generalized", "scan"):
+    if mode not in CD_TOLERANCE:
         raise ValueError(f"unknown cd mode {mode!r}")
+    tolerance = tolerance or CD_TOLERANCE[mode]
     idx = _mask_indices(model, deep_interior(model, hops=2))
     samples = []
     scale = 0.0
@@ -151,7 +161,6 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
 
     if mode == "riemannian":
         rho, n = oracle.ricci_lower, float(oracle.dim)
-        tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
         meta.update(rho=rho, n=n)
         for nf in suite:
             marg = cd_margin_field(model, nf.field, rho, n)[idx]
@@ -194,9 +203,6 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
                 n=params.n, nu_grid=list(nu_grid))
 
     if mode == "generalized":
-        # second-order composition errors carry curvature^2-sized constants
-        # on sub-Riemannian lattices; the slack reflects measured behaviour
-        tolerance = tolerance or Tolerance(1e-12, 0.10, mesh_order=2)
         for nf in suite:
             for nu in nu_grid:
                 marg = generalized_cd_margin_field(model, vform, nf.field, params, nu)[idx]
@@ -217,7 +223,6 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
         #    - rho2 GammaZ + slack] / Gamma,
         # where slack is this check's tolerance at the field's margin scale
         # (nodes with vanishing Gamma are then automatically unbinding).
-        tolerance = tolerance or Tolerance(1e-12, 0.10, mesh_order=2)
         rho1_best = np.inf
         gamma_floor = 1e-8
         for nf in suite:
@@ -247,11 +252,10 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
         return _report("cd-scan", model.model_id, samples, tolerance,
                        scale=1.0, metadata=meta)
 
-    raise ValueError(f"unknown cd mode {mode!r}")
 
-
-def check_vertical_commutation(model, vform: VerticalForm, suite,
-                               tolerance: Tolerance | None = None) -> MarginReport:
+def check_vertical_commutation(
+        model, vform: VerticalForm, suite,
+        tolerance: Tolerance = Tolerance(1e-12, 0.08, mesh_order=2)) -> MarginReport:
     """Residual of the mixed-form symmetry Gamma(f, Gamma^Z f) = Gamma^Z(f, Gamma f).
 
     Residuals are normalized by the Cauchy-Schwarz majorant of either side,
@@ -260,7 +264,6 @@ def check_vertical_commutation(model, vform: VerticalForm, suite,
     """
     vform = require_vertical(model, vform)
     idx = _mask_indices(model, deep_interior(model, hops=2))
-    tolerance = tolerance or Tolerance(1e-12, 0.08, mesh_order=2)
     samples, scale = [], 1.0
     for nf in suite:
         gz = gamma_z(model, vform, nf.field)
@@ -283,11 +286,12 @@ def check_vertical_commutation(model, vform: VerticalForm, suite,
 # semigroup-based pointwise bounds
 
 
-def check_gradient_bound(model, oracle, engine, suite, t_grid,
-                         tolerance: Tolerance | None = None) -> MarginReport:
+def check_gradient_bound(model, oracle, engine, suite,
+                         t_grid=(0.0, 0.1, 0.5, 1.0),
+                         tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
+                         ) -> MarginReport:
     """sqrt(Gamma(P_t f)) <= exp(-rho t) P_t sqrt(Gamma(f)) pointwise."""
     rho = oracle.ricci_lower
-    tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
     samples, scale = [], 0.0
     for t in t_grid:
         idx = _mask_indices(model, interior_for_time(model, t))
@@ -306,7 +310,7 @@ def check_gradient_bound(model, oracle, engine, suite, t_grid,
                    {"rho": rho})
 
 
-def check_completeness(model, engine, t_grid,
+def check_completeness(model, engine, t_grid=(0.1, 1.0),
                        tolerance: Tolerance = Tolerance(1e-10)) -> MarginReport:
     """Mass conservation: sup |P_t 1 - 1| per time (exact on reflecting closures)."""
     samples = []
@@ -332,13 +336,13 @@ def poincare_margin(model, f: ScalarField, const: float, absolute: bool = False)
 
 def check_spectral_gap(model, oracle, spectral: SpectralData,
                        n_random: int = 100, seed: int = 0,
-                       tolerance: Tolerance | None = None) -> MarginReport:
+                       tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
+                       ) -> MarginReport:
     """Spectral gap against the sharp positive-curvature bound n rho/(n-1)."""
     rho, n = oracle.ricci_lower, float(oracle.dim)
     if rho <= 0:
         raise NotApplicableError("spectral-gap bound needs rho > 0")
     bound = n * rho / (n - 1)
-    tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
     lam1 = float(spectral.eigenvalues[1])
     samples = [{"quantity": "gap", "lhs": bound, "rhs": lam1,
                 "margin": lam1 - bound}]
@@ -370,8 +374,9 @@ def _entropy(model, g: np.ndarray) -> float:
     return float(mu @ glg - gm * np.log(gm))
 
 
-def check_log_sobolev(model, oracle, engine, suite, t_grid=None,
-                      tolerance: Tolerance | None = None,
+def check_log_sobolev(model, oracle, engine, suite,
+                      t_grid=tuple(np.linspace(0.3, 1.5, 7)),
+                      tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2),
                       slope_slack: float = 0.05) -> MarginReport:
     """Entropy inequality with constant 2/rho, plus the entropy-decay rate.
 
@@ -381,7 +386,6 @@ def check_log_sobolev(model, oracle, engine, suite, t_grid=None,
     rho = oracle.ricci_lower
     if rho <= 0:
         raise NotApplicableError("log-Sobolev constant needs rho > 0")
-    tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
     mu_hat = model.mu / model.total_measure
     samples, scale = [], 0.0
     eps_used = {}
@@ -399,30 +403,30 @@ def check_log_sobolev(model, oracle, engine, suite, t_grid=None,
             samples.append({"field": nf.name + tag, "lhs": ent, "rhs": rhs,
                             "margin": rhs - ent})
     meta = {"rho": rho, "constant": 2.0 / rho, "eps": eps_used}
-    if t_grid is not None:
-        f = suite[0].field
-        for nf in suite:
-            if nf.field.values.min() > 0 and np.ptp(nf.field.values) > 1e-6:
-                f = nf.field
-                break
-        ents = []
-        for t in t_grid:
-            pt = apply_semigroup(model, engine, f, t)
-            ents.append(_entropy(model, np.maximum(pt.values, 1e-300)))
-        ents = np.array(ents)
-        if np.all(ents > 0):
-            slope = float(np.polyfit(np.asarray(t_grid, float), np.log(ents), 1)[0])
-            meta["entropy_slope"] = slope
-            meta["entropy_series"] = [[float(t), float(np.log(e))]
-                                      for t, e in zip(t_grid, ents)]
-            samples.append({"quantity": "entropy-decay-slope",
-                            "lhs": slope, "rhs": -2 * rho + slope_slack,
-                            "margin": (-2 * rho + slope_slack - slope) * scale /
-                                      max(abs(slope), 1.0)})
+    f = suite[0].field
+    for nf in suite:
+        if nf.field.values.min() > 0 and np.ptp(nf.field.values) > 1e-6:
+            f = nf.field
+            break
+    ents = []
+    for t in t_grid:
+        pt = apply_semigroup(model, engine, f, t)
+        ents.append(_entropy(model, np.maximum(pt.values, 1e-300)))
+    ents = np.array(ents)
+    if np.all(ents > 0):
+        slope = float(np.polyfit(np.asarray(t_grid, float), np.log(ents), 1)[0])
+        meta["entropy_slope"] = slope
+        meta["entropy_series"] = [[float(t), float(np.log(e))]
+                                  for t, e in zip(t_grid, ents)]
+        samples.append({"quantity": "entropy-decay-slope",
+                        "lhs": slope, "rhs": -2 * rho + slope_slack,
+                        "margin": (-2 * rho + slope_slack - slope) * scale /
+                                  max(abs(slope), 1.0)})
     return _report("log-sobolev", model.model_id, samples, tolerance, scale, meta)
 
 
-def check_equilibrium_rate(model, spectral: SpectralData, t_grid,
+def check_equilibrium_rate(model, spectral: SpectralData,
+                           t_grid=tuple(np.linspace(0.5, 2.0, 7)),
                            rtol: float = 0.03) -> MarginReport:
     """Heat flow reaches equilibrium at the spectral-gap rate.
 
@@ -471,23 +475,23 @@ def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None, schedule=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def check_li_yau(model, oracle, engine, suite, t_grid, mode: str = "rho0",
-                 alpha: float | None = None, vform=None,
+def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
+                 mode: str = "rho0", alpha: float | None = None, vform=None,
                  params: CDParameters | None = None,
                  schedules=None,
-                 tolerance: Tolerance | None = None,
-                 saturation_fields=(), saturation_rtol: float | None = None) -> MarginReport:
+                 tolerance: Tolerance = Tolerance(1e-12, 0.03, mesh_order=2),
+                 saturation_fields=(), saturation_rtol: float = 0.01) -> MarginReport:
     """Gradient-of-logarithm estimates for positive solutions.
 
     Modes: ``rho0`` (sharp flat-space form), ``general-alpha``,
     ``v-schedule`` (per-time integral pairs of the weight V and its rate),
     ``exponential``, ``bakry-qian`` (needs rho > 0 and t >= 2/rho), and
     ``sub-riemannian`` (needs the vertical form, alpha > 2).
-    Fields named in ``saturation_fields`` must additionally come within the
-    saturation tolerance of equality somewhere on the interior.
+    Fields named in ``saturation_fields`` must additionally come within
+    ``saturation_rtol`` (relative to the report scale) of equality somewhere
+    on the interior.
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
-    tolerance = tolerance or Tolerance(1e-12, 0.03, mesh_order=2)
     if mode == "bakry-qian" and rho <= 0:
         raise NotApplicableError("bakry-qian mode needs rho > 0")
     if mode == "sub-riemannian":
@@ -543,11 +547,11 @@ def check_li_yau(model, oracle, engine, suite, t_grid, mode: str = "rho0",
                 close = float(np.min(np.abs(marg)))
                 sat_worst[nf.name] = max(sat_worst.get(nf.name, 0.0), close)
     if saturation_fields:
-        rtol = saturation_rtol if saturation_rtol is not None else tolerance.rel
+        allowed = saturation_rtol * scale
         for name, gap in sat_worst.items():
             samples.append({"field": f"{name}|saturation", "lhs": gap,
-                            "rhs": rtol * scale, "margin": rtol * scale - gap})
-        meta["saturation_rtol"] = rtol
+                            "rhs": allowed, "margin": allowed - gap})
+        meta["saturation_rtol"] = saturation_rtol
     meta["series_columns"] = ["t", "node", "lhs", "rhs", "margin"]
     meta["series"] = series
     return _report(f"li-yau-{mode}", model.model_id, samples, tolerance, scale, meta)
@@ -561,9 +565,9 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
                   mode: str = "riemannian", alpha: float = 3.0,
                   params: CDParameters | None = None,
                   dist_method: str = "auto",
-                  tolerance: Tolerance | None = None,
-                  kernel_spectral: SpectralData | None = None) -> MarginReport:
-    """Two-point Harnack comparisons of positive solutions (or kernels).
+                  tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
+                  ) -> MarginReport:
+    """Two-point Harnack comparisons of positive solutions.
 
     ``pair_sample`` is a list of (x, s, y, t) with s < t.  The Riemannian
     form uses K = max(0, -rho); the sub-Riemannian form uses the effective
@@ -572,7 +576,6 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
     K = max(0.0, -rho)
-    tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
     if mode == "sub-riemannian":
         params = params or oracle.cd_params
         if params is None or params.rho1 < 0:
@@ -616,21 +619,6 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
             samples.append({"field": nf.name, "x": int(x), "s": float(s),
                             "y": int(y), "t": float(t), "d": d,
                             "lhs": lhs, "rhs": rhs, "margin": float(m)})
-    if kernel_spectral is not None:
-        # kernel form: p(x, y, s) <= p(x, z, t) (t/s)^{n/2} exp(...)
-        for (x, s, y, t) in pair_sample:
-            z = y
-            for target in (y, x):
-                d = dist(target, z) if target != z else 0.0
-                ps = heat_kernel_block(kernel_spectral, s, [x], [target])[0, 0]
-                pt = heat_kernel_block(kernel_spectral, t, [x], [z])[0, 0]
-                rhs = (pt * (t / s) ** (dim_exp / 2)
-                       * np.exp(gauss * d**2 / (4 * (t - s))
-                                + K * d**2 / 6 + n * K * (t - s) / 4))
-                samples.append({"field": "kernel", "x": int(x), "s": float(s),
-                                "y": int(target), "z": int(z), "t": float(t),
-                                "lhs": float(ps), "rhs": float(rhs),
-                                "margin": float(_norm_margin(ps, rhs))})
     return _report(f"harnack-{mode}", model.model_id, samples, tolerance,
                    scale=1.0, metadata=meta)
 
@@ -656,10 +644,9 @@ def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0):
 BALL_MASS_A_GRID = (0.25, 0.5, 1.0)
 
 
-def check_kernel_bounds(model, oracle, spectral, engine=None,
-                        t_grid=(0.05, 0.1), pair_sample=None,
+def check_kernel_bounds(model, oracle, spectral, engine=None, pair_sample=None,
                         centers=None, radii=None, eps: float = 0.5,
-                        tolerance: Tolerance | None = None,
+                        tolerance: Tolerance = Tolerance(1e-12, 0.05, mesh_order=2),
                         equality_expected: bool = False,
                         saturation_rtol: float = 0.05,
                         ondiag_constancy_rtol: float = 0.05) -> MarginReport:
@@ -678,7 +665,6 @@ def check_kernel_bounds(model, oracle, spectral, engine=None,
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
     K = max(0.0, -rho)
-    tolerance = tolerance or Tolerance(1e-12, 0.05, mesh_order=2)
     samples = []
     meta = {"n": n, "K": K, "eps": eps}
 
@@ -791,7 +777,7 @@ def check_volume_regularity(model, oracle, centers, radii,
                             ratio_window: tuple | None = None,
                             exponent_rtol: float = 0.10,
                             monotone_upper: float | None = None,
-                            tolerance: Tolerance | None = None) -> MarginReport:
+                            tolerance: Tolerance = Tolerance(1e-12, 0.05)) -> MarginReport:
     """Doubling ratios mu(B(x, 2r))/mu(B(x, r)) and the growth exponent.
 
     The doubling constant is the sample sup of the ratio; the reverse
@@ -802,7 +788,6 @@ def check_volume_regularity(model, oracle, centers, radii,
     intrinsic balls of radius ~ C sqrt(r) near the vertical axis.
     """
     radii = np.asarray(radii, dtype=float)
-    tolerance = tolerance or Tolerance(1e-12, 0.0)
     all_r = np.unique(np.concatenate([radii, 2 * radii]))
     ratios, samples = [], []
     slope_tables, fields = [], []
@@ -876,17 +861,17 @@ def check_volume_regularity(model, oracle, centers, radii,
 # Neumann Poincare on domains
 
 
-def check_neumann_poincare(submodel, diameter: float, constant: float,
+def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2,
                            expected_product: float | None = None,
                            product_rtol: float = 0.01, k: int = 4,
                            seed: int = 0,
-                           tolerance: Tolerance | None = None) -> MarginReport:
+                           tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
+                           ) -> MarginReport:
     """lambda_1(Neumann) >= constant / diam^2 on a restricted domain.
 
     The relative slack also covers the sharp case, where the discrete gap
     converges to the optimal constant from below.
     """
-    tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
     sd = spectral_decompose(submodel, k=min(k, submodel.n_nodes), seed=seed)
     lam1 = float(sd.eigenvalues[1])
     product = lam1 * diameter**2
@@ -903,7 +888,7 @@ def check_neumann_poincare(submodel, diameter: float, constant: float,
                    scale=max(1.0, product), metadata=meta)
 
 
-def check_ball_poincare(model, center: int, radius: float,
+def check_ball_poincare(model, center: int, radius: float = 0.6,
                         seed: int = 0) -> MarginReport:
     """Report-only: the scale-invariant Poincare constant lambda_1 r^2 of
     the Neumann problem on the graph-distance ball B(center, radius)."""
@@ -951,9 +936,13 @@ def sharp_sobolev_sides(model, oracle, values, p):
     return lhs, dir_
 
 
-def check_sobolev_sharp(model, oracle, suite, p_list=(1.0, 2.0, 40.0),
+SOBOLEV_P_LIST = (1.0, 2.0, 40.0)
+
+
+def check_sobolev_sharp(model, oracle, suite, p_list=SOBOLEV_P_LIST,
                         extremal_suite=None, extremal_rtol: float = 0.05,
-                        tolerance: Tolerance | None = None) -> MarginReport:
+                        tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
+                        ) -> MarginReport:
     """Sharp Sobolev family on a positive-curvature model (normalized measure).
 
     A last sample checks that the p = 1 member reproduces the Poincare
@@ -962,7 +951,6 @@ def check_sobolev_sharp(model, oracle, suite, p_list=(1.0, 2.0, 40.0),
     rho, n = oracle.ricci_lower, float(oracle.dim)
     if rho <= 0:
         raise NotApplicableError("sharp Sobolev family needs rho > 0")
-    tolerance = tolerance or Tolerance(1e-12, 0.02, mesh_order=2)
     samples, scale = [], 0.0
     for p in p_list:
         for nf in suite:
@@ -1002,7 +990,7 @@ def check_sobolev_sharp(model, oracle, suite, p_list=(1.0, 2.0, 40.0),
 
 
 def check_sobolev_embedding(model, oracle, suite,
-                            tolerance: Tolerance | None = None) -> MarginReport:
+                            tolerance: Tolerance = Tolerance(1e-12, 0.01)) -> MarginReport:
     """Polynomial-decay Sobolev embedding ||f||_{2n/(n-2)} <= C ||sqrt(Gamma f)||_2.
 
     The constant comes from the flat on-diagonal kernel bound
@@ -1014,7 +1002,6 @@ def check_sobolev_embedding(model, oracle, suite,
         raise NotApplicableError("embedding form needs n > 2")
     c_kernel = (4 * np.pi) ** (-n / 2)
     const = 2 ** (1 - 1 / n) * 2 * n * c_kernel ** (1 / n) / ((n - 2) * np.sqrt(np.pi))
-    tolerance = tolerance or Tolerance(1e-12, 0.01)
     p_crit = 2 * n / (n - 2)
     samples = []
     for nf in suite:
@@ -1033,7 +1020,8 @@ def check_isoperimetric_balls(model, oracle, centers, radii,
                               constancy_rtol: float = 0.12,
                               value_rtol: float = 0.06,
                               dist_method: str = "auto",
-                              tolerance: Tolerance | None = None) -> MarginReport:
+                              tolerance: Tolerance = Tolerance(1e-12, 0.0, mesh_order=1)
+                              ) -> MarginReport:
     """mu(B)^((n-1)/n) <= C P(B) on metric balls, with the fitted C.
 
     Ball perimeters use the coarea rate dV/dr, which matches the perimeter
@@ -1043,7 +1031,6 @@ def check_isoperimetric_balls(model, oracle, centers, radii,
     """
     n = float(oracle.dim)
     radii = np.asarray(radii, dtype=float)
-    tolerance = tolerance or Tolerance(1e-12, 0.0)
     vols = np.zeros_like(radii)
     cper = np.zeros_like(radii)
     xper = np.zeros_like(radii)
@@ -1091,13 +1078,12 @@ def diameter_bound(p: float, A: float) -> float:
 
 
 def check_diameter(model, oracle, p: float = 40.0,
-                   tolerance: Tolerance | None = None,
+                   tolerance: Tolerance = Tolerance(1e-12, 0.0),
                    myers_rtol: float = 0.05) -> MarginReport:
     """Diameter corollary of the verified sharp Sobolev constant."""
     rho, n = oracle.ricci_lower, float(oracle.dim)
     if rho <= 0:
         raise NotApplicableError("diameter bound needs rho > 0")
-    tolerance = tolerance or Tolerance(1e-12, 0.0)
     A = (n - 1) * (p - 2) / (n * rho)
     bound = diameter_bound(p, A)
     diam = oracle.diameter
@@ -1157,13 +1143,12 @@ def check_kernel_laws(model, oracle, spectral: SpectralData, engine2=None,
     return _report("kernel-laws", model.model_id, samples, tolerance, 1.0, meta)
 
 
-def check_spectrum(model, oracle, spectral: SpectralData, count: int,
+def check_spectrum(model, oracle, spectral: SpectralData, count: int = 5,
                    rtol: float = 0.02,
-                   tolerance: Tolerance | None = None) -> MarginReport:
+                   tolerance: Tolerance = Tolerance(1e-12, 0.0)) -> MarginReport:
     """Retained eigenvalues against the oracle's closed-form spectrum."""
     if oracle.exact_eigenvalues is None:
         raise NotApplicableError("oracle has no closed-form spectrum")
-    tolerance = tolerance or Tolerance(1e-12, 0.0)
     lam = spectral.eigenvalues[:count]
     ref = np.asarray(oracle.exact_eigenvalues(count), dtype=float)
     samples = []
@@ -1183,7 +1168,11 @@ def check_spectrum(model, oracle, spectral: SpectralData, count: int,
 def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
                             budget: int = 30,
                             tolerance: Tolerance | None = None) -> MarginReport:
-    """Certified dual lower bounds never exceed graph distances (plus slack)."""
+    """Certified dual lower bounds never exceed graph distances (plus slack).
+
+    Where the oracle has a closed-form distance, the metadata also records
+    the lattice overestimation factor (report-only; it never alters bounds).
+    """
     h = float(model.meta.get("h", 0.0) or 0.0)
     tolerance = tolerance or Tolerance(2 * h, 0.02, mesh_order=1)
     rng = np.random.default_rng(seed)
@@ -1201,8 +1190,12 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
         if oracle.exact_distance is not None:
             s["oracle"] = float(oracle.exact_distance(model.nodes[x], model.nodes[y]))
         samples.append(s)
+    meta = {"n_pairs": n_pairs}
+    if oracle.exact_distance is not None:
+        meta["anisotropy"] = calibrate_anisotropy(model, oracle, n_pairs=100,
+                                                  seed=seed)
     return _report("distance-sandwich", model.model_id, samples, tolerance,
-                   scale, {"n_pairs": n_pairs})
+                   scale, meta)
 
 
 def check_subunit_oracle(model, z_values=(0.04, 0.09), x_values=(0.3,),

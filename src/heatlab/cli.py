@@ -5,6 +5,10 @@ caches, and emits one JSON margin report per (model, check) plus a summary
 table, CSV series, and static SVG plots.  Reports contain no timestamps or
 environment data, so reruns at a fixed seed are byte-identical.
 
+Each check id is declared once in ``CHECK_KINDS``: its check function, the
+model-context parts it takes, and the config keys it accepts with their
+types.  Defaults and default tolerances live in the check functions.
+
 Config grammar (also accepted as JSON with the same nesting):
 
     # comment lines start with '#'
@@ -17,13 +21,18 @@ Config grammar (also accepted as JSON with the same nesting):
     checks.cd-sphere.mode = riemannian
 
 Dotted keys nest; values are parsed as JSON scalars/lists with a plain
-string fallback.  Exit codes: 0 all gated checks pass, 1 a check failed,
-2 configuration error.
+string fallback.  An unknown key or model option, an ill-typed value or an
+unknown choice is a configuration error that names the field; for an
+unknown key it also lists the accepted ones.  Exit codes: 0 all gated
+checks pass, 1 a check failed, 2 configuration error.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -31,14 +40,15 @@ import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import checks as C
 from .fields import CDParameters, check_operator_axioms, deep_interior
 from .metric import graph_distance
-from .models import ModelSpec, UnsupportedModelError, build_model, node_nearest
-from .reports import MarginReport, Tolerance, atomic_write_text, write_csv
+from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
+from .reports import MarginReport, atomic_write_text, write_csv
 from .semigroup import CrankNicolson, cached_decompose, neumann_restrict
 from . import suites as S
 
@@ -89,6 +99,107 @@ def load_config_file(path: str) -> dict:
     return parse_config_text(text)
 
 
+# Value types: each converter returns the value a check receives, or raises
+# ValueError saying what it expected.
+
+def _int(v):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _float(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _bounded(convert, ok, text):
+    def checked(v):
+        v = convert(v)
+        if not ok(v):
+            raise ValueError(f"must be {text}")
+        return v
+    return checked
+
+
+_nonneg = _bounded(_float, lambda v: v >= 0, "nonnegative")
+_count = _bounded(_int, lambda v: v >= 1, "at least 1")
+
+
+def _bool(v):
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _floats(v):
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ValueError(f"expected a nonempty list of numbers, got {v!r}")
+    return [_float(x) for x in v]
+
+
+def _pair(v):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"expected a list of two numbers, got {v!r}")
+    return _floats(v)
+
+
+def _strs(v):
+    if not isinstance(v, (list, tuple)) or not all(isinstance(x, str) for x in v):
+        raise ValueError(f"expected a list of strings, got {v!r}")
+    return list(v)
+
+
+def _table(v):
+    if not isinstance(v, dict):
+        raise ValueError(f"expected a table of keys, got {v!r}")
+    return dict(v)
+
+
+def _choice(*options):
+    def member(v):
+        if v not in options:
+            raise ValueError(f"expected one of {list(options)}, got {v!r}")
+        return v
+    return member
+
+
+def _cd_params(v):
+    v = _table(v)
+    if not {"rho2", "n"} <= set(v) <= {"rho1", "rho2", "kappa", "n"}:
+        raise ValueError(f"expected rho2, n and optionally rho1, kappa, got {v!r}")
+    return CDParameters(_float(v.get("rho1", 0.0)), _float(v["rho2"]),
+                        _float(v.get("kappa", 0.0)), _float(v["n"]))
+
+
+def _keyed(where, table, keys) -> dict:
+    """Convert every entry of a config table; errors name ``where + key``."""
+    table = _convert(where.rstrip(".") or "config", _table, table)
+    out = {}
+    for key, value in table.items():
+        if key not in keys:
+            raise ConfigError(f"{where}{key}: unknown key "
+                              f"(accepted: {', '.join(keys)})")
+        out[key] = _convert(where + key, keys[key], value)
+    return out
+
+
+def _convert(where, convert, value):
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+SETTINGS = {"seed": _int, "output_dir": str, "cache_dir": str,
+            "tol_scale": _bounded(_float, lambda v: v > 0, "positive"),
+            "workers": _count,
+            "models": _table, "checks": _table}
+MODEL_KEYS = {"kind": _choice(*MODEL_OPTIONS), "dim": _int, "resolution": _int,
+              "extent": _float, "options": _table, "spectral_k": _count}
+
+
 @dataclass
 class CampaignConfig:
     seed: int = 42
@@ -103,54 +214,48 @@ class CampaignConfig:
     @staticmethod
     def from_dict(d: dict) -> "CampaignConfig":
         cfg = default_config()
-        if "seed" in d:
-            cfg.seed = int(d["seed"])
-        if "output_dir" in d:
-            cfg.output_dir = str(d["output_dir"])
-        if "cache_dir" in d:
-            cfg.cache_dir = str(d["cache_dir"])
-        if "tol_scale" in d:
-            cfg.tol_scale = float(d["tol_scale"])
-            if cfg.tol_scale <= 0:
-                raise ConfigError("tol_scale: must be positive")
-        if "workers" in d:
-            cfg.workers = int(d["workers"])
-            if cfg.workers < 1:
-                raise ConfigError("workers: must be at least 1")
-        if d.get("models"):
-            cfg.models = {}
-            cfg.spectral_k = {}
-            for name, spec in d["models"].items():
+        values = _keyed("", d, SETTINGS)
+        for key in ("seed", "output_dir", "cache_dir", "tol_scale", "workers"):
+            if key in values:
+                setattr(cfg, key, values[key])
+        if values.get("models"):
+            cfg.models, cfg.spectral_k = {}, {}
+            for name, spec in values["models"].items():
+                spec = _keyed(f"models.{name}.", spec, MODEL_KEYS)
+                if "kind" not in spec:
+                    raise ConfigError(f"models.{name}.kind: missing")
+                k = spec.pop("spectral_k", None)
                 try:
-                    spec = dict(spec)
-                    k = spec.pop("spectral_k", None)
-                    cfg.models[name] = ModelSpec.from_dict(spec)
-                    if k is not None:
-                        cfg.spectral_k[name] = int(k)
-                except (KeyError, TypeError, ValueError, UnsupportedModelError) as exc:
-                    raise ConfigError(f"models.{name}: {exc}") from exc
-        if d.get("checks"):
-            cfg.checks = {}
-            for name, spec in d["checks"].items():
-                cfg.checks[name] = dict(spec)
+                    cfg.models[name] = ModelSpec(**spec)
+                except ValueError as exc:
+                    raise ConfigError(f"models.{name}.{exc}") from None
+                if k is not None:
+                    cfg.spectral_k[name] = k
+        if values.get("checks"):
+            cfg.checks = {name: _convert(f"checks.{name}", _table, spec)
+                          for name, spec in values["checks"].items()}
         validate_config(cfg)
         return cfg
 
 
 def validate_config(cfg: CampaignConfig) -> None:
+    """Check every check spec against the declaration of its kind."""
     for name, spec in cfg.checks.items():
-        cid = spec.get("check")
-        if cid not in CHECK_RUNNERS:
-            raise ConfigError(
-                f"checks.{name}.check: unknown check id {cid!r} "
-                f"(known: {sorted(CHECK_RUNNERS)})"
-            )
-        model = spec.get("model")
-        if model is not None and model not in cfg.models:
-            raise ConfigError(f"checks.{name}.model: undefined model {model!r}")
-        for key in ("tol_abs", "tol_rel"):
-            if key in spec and float(spec[key]) < 0:
-                raise ConfigError(f"checks.{name}.{key}: tolerance must be nonnegative")
+        _check_options(cfg, name, spec)
+
+
+def _check_options(cfg, name, spec) -> dict:
+    """The converted keys of one check spec, without ``check`` and ``model``."""
+    cid = spec.get("check")
+    if cid not in CHECK_KINDS:
+        raise ConfigError(f"checks.{name}.check: unknown check id {cid!r} "
+                          f"(known: {sorted(CHECK_KINDS)})")
+    if spec.get("model") not in cfg.models:
+        raise ConfigError(f"checks.{name}.model: undefined model {spec.get('model')!r}")
+    opts = _keyed(f"checks.{name}.", spec,
+                  {"check": str, "model": str, **CHECK_KINDS[cid].keys})
+    del opts["check"], opts["model"]
+    return opts
 
 
 def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
@@ -223,15 +328,28 @@ class ModelContext:
 
 
 # ---------------------------------------------------------------------------
-# check runners (bind config dicts to the check functions)
+# check kinds: one declaration per check id binds config keys to a check
 
 
-def _tol(spec, default_abs, default_rel, tol_scale, mesh_order=None):
-    return Tolerance(
-        abs=float(spec.get("tol_abs", default_abs)) * tol_scale,
-        rel=float(spec.get("tol_rel", default_rel)) * tol_scale,
-        mesh_order=spec.get("mesh_order", mesh_order),
-    )
+@dataclass(frozen=True)
+class CheckKind:
+    """How a check id binds its config to a check function.
+
+    ``parts`` name the arguments taken from the model context (``seed`` is
+    the check's own sampler seed).  ``keys`` maps each accepted config key
+    to its value type; a key is passed to the check under its own name
+    (``distance`` as ``dist_method``) unless ``bind(ctx, opts, seed)``
+    pops it: ``bind`` builds what no single key gives (suites, centers,
+    pair samples).  ``scaled`` lists the check arguments that ``tol_scale``
+    multiplies, taken from the check's defaults when the config omits them;
+    ``tol_abs``/``tol_rel`` replace the fields of the default tolerance.
+    """
+
+    check: Callable
+    parts: tuple
+    keys: dict = field(default_factory=dict)
+    bind: Callable | None = None
+    scaled: tuple = ("tolerance",)
 
 
 def _seed_for(cfg, name):
@@ -242,372 +360,242 @@ def _origin(model):
     return node_nearest(model, np.zeros(model.nodes.shape[1]))
 
 
-def _cd_params(spec, default=None):
-    if "params" not in spec:
-        return default
-    p = spec["params"]
-    return CDParameters(float(p.get("rho1", 0.0)), float(p["rho2"]),
-                        float(p.get("kappa", 0.0)), float(p["n"]))
+def _centers(model, rng, mask, count):
+    """The origin and up to ``count`` distinct nodes drawn from ``mask``."""
+    idx = np.flatnonzero(mask)
+    return [_origin(model)] + [int(c) for c in rng.choice(
+        idx, size=min(count, idx.size), replace=False)]
 
 
-def _suite_for(ctx, kind, seed):
-    model = ctx.model
-    if kind == "eigen":
-        return S.eigen_fields(model, ctx.spectral(), seed=seed)
-    if kind == "coordinate":
-        return S.coordinate_fields(model)
-    if kind == "positive":
-        return S.positive_fields(model, ctx.spectral() if ctx.k else None, seed=seed)
-    if kind == "sub-riemannian":
-        return S.sub_riemannian_suite(model, engine=ctx.stepper, seed=seed)
-    raise ConfigError(f"unknown suite kind {kind!r}")
+def _reach(model, r, cells):
+    """Nodes farther than ``r`` plus ``cells`` grid steps from the boundary."""
+    h = float(model.meta.get("h", 0.0) or 0.0)
+    return model.metric_distance_to_boundary() > r + cells * h
 
 
-def run_axioms(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    return check_operator_axioms(
-        ctx.model, n_random=int(spec.get("n_random", 100)),
-        seed=_seed_for(cfg, name),
-        tolerance=_tol(spec, 1e-10, 0.0, cfg.tol_scale))
+_SUITES = {
+    "eigen": lambda ctx, seed: S.eigen_fields(ctx.model, ctx.spectral(), seed=seed),
+    "coordinate": lambda ctx, seed: S.coordinate_fields(ctx.model),
+    "positive": lambda ctx, seed: S.positive_fields(
+        ctx.model, ctx.spectral() if ctx.k else None, seed=seed),
+    "sub-riemannian": lambda ctx, seed: S.sub_riemannian_suite(
+        ctx.model, engine=ctx.stepper, seed=seed),
+}
 
 
-def run_kernel_laws(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    return C.check_kernel_laws(
-        ctx.model, ctx.oracle, ctx.spectral(), engine2=ctx.stepper,
-        cross_t=float(spec.get("cross_t", 0.1)), seed=_seed_for(cfg, name),
-        tolerance=_tol(spec, 1e-8, 0.0, cfg.tol_scale),
-        cross_tol=float(spec.get("cross_tol", 1e-4)))
+def _bind_suite(default):
+    return lambda ctx, opts, seed: {
+        "suite": _SUITES[opts.pop("suite", default)](ctx, seed)}
 
 
-def run_spectrum(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    return C.check_spectrum(ctx.model, ctx.oracle, ctx.spectral(),
-                            count=int(spec.get("count", 5)),
-                            rtol=float(spec.get("rtol", 0.02)) * cfg.tol_scale)
+def _bind_cd(ctx, opts, seed):
+    mode = opts.get("mode", "riemannian")
+    suite = opts.pop("suite", "eigen" if mode == "riemannian" else "sub-riemannian")
+    return {"suite": _SUITES[suite](ctx, seed), "tolerance": C.CD_TOLERANCE[mode]}
 
 
-def run_cd(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    seed = _seed_for(cfg, name)
-    mode = spec.get("mode", "riemannian")
-    suite = _suite_for(ctx, spec.get("suite", "eigen" if mode == "riemannian"
-                                     else "sub-riemannian"), seed)
-    nu_grid = spec.get("nu_grid")
-    if nu_grid is None:
-        nu_grid = list(np.geomspace(0.25, 64, 10))
-    defaults = {"riemannian": 0.02, "generalized": 0.10, "scan": 0.10}
-    return C.check_cd(
-        ctx.model, ctx.oracle, suite, vform=ctx.vform, params=_cd_params(spec),
-        nu_grid=nu_grid, mode=mode,
-        tolerance=_tol(spec, 1e-12, defaults[mode], cfg.tol_scale, 2),
-        equality_fields=tuple(spec.get("equality_fields", ())))
+def _bind_vertical(ctx, opts, seed):
+    return {"suite": [nf for nf in _SUITES["sub-riemannian"](ctx, seed)
+                      if "noise" not in nf.name]}
 
 
-def run_vertical_commutation(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    suite = [nf for nf in _suite_for(ctx, "sub-riemannian", _seed_for(cfg, name))
-             if "noise" not in nf.name]
-    return C.check_vertical_commutation(
-        ctx.model, ctx.vform, suite,
-        tolerance=_tol(spec, 1e-12, 0.08, cfg.tol_scale, 2))
-
-
-def run_gradient_bound(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    seed = _seed_for(cfg, name)
-    suite = _suite_for(ctx, spec.get("suite", "eigen"), seed)
-    return C.check_gradient_bound(
-        ctx.model, ctx.oracle, ctx.engine, suite,
-        t_grid=spec.get("t_grid", [0.0, 0.1, 0.5, 1.0]),
-        tolerance=_tol(spec, 1e-12, 0.02, cfg.tol_scale, 2))
-
-
-def run_completeness(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    return C.check_completeness(ctx.model, ctx.engine,
-                                t_grid=spec.get("t_grid", [0.1, 1.0]),
-                                tolerance=_tol(spec, 1e-10, 0.0, cfg.tol_scale))
-
-
-def run_spectral_gap(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    return C.check_spectral_gap(
-        ctx.model, ctx.oracle, ctx.spectral(),
-        n_random=int(spec.get("n_random", 100)), seed=_seed_for(cfg, name),
-        tolerance=_tol(spec, 1e-12, 0.02, cfg.tol_scale, 2))
-
-
-def run_log_sobolev(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    suite = _suite_for(ctx, "positive", _seed_for(cfg, name))
-    return C.check_log_sobolev(
-        ctx.model, ctx.oracle, ctx.engine, suite,
-        t_grid=spec.get("t_grid", list(np.linspace(0.3, 1.5, 7))),
-        tolerance=_tol(spec, 1e-12, 0.02, cfg.tol_scale, 2),
-        slope_slack=float(spec.get("slope_slack", 0.05)))
-
-
-def run_equilibrium(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    return C.check_equilibrium_rate(
-        ctx.model, ctx.spectral(),
-        t_grid=spec.get("t_grid", list(np.linspace(0.5, 2.0, 7))),
-        rtol=float(spec.get("rtol", 0.03)) * cfg.tol_scale)
-
-
-def run_li_yau(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    seed = _seed_for(cfg, name)
-    mode = spec.get("mode", "rho0")
-    model = ctx.model
-    suite, saturation = [], ()
-    if spec.get("suite") == "delta":
+def _bind_li_yau(ctx, opts, seed):
+    model, kind = ctx.model, opts.pop("suite", "positive")
+    if kind == "delta":
         suite = S.point_source_fields(model, _origin(model), width=0.25)
         suite += S.rectified_noise_fields(model, ctx.engine, n=2, seed=seed)
-        saturation = ("point-source",) if spec.get("saturation", True) else ()
-    elif spec.get("suite") == "sub-riemannian":
+        return {"suite": suite, "saturation_fields": ("point-source",)}
+    if kind == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
-        suite += S.rectified_noise_fields(model, ctx.stepper, n=1, seed=seed)
-    else:
-        suite = _suite_for(ctx, spec.get("suite", "positive"), seed)
-    return C.check_li_yau(
-        model, ctx.oracle, ctx.engine, suite,
-        t_grid=spec.get("t_grid", [0.05, 0.1, 0.2]), mode=mode,
-        alpha=spec.get("alpha"), vform=ctx.vform,
-        params=_cd_params(spec, ctx.oracle.cd_params),
-        tolerance=_tol(spec, 1e-12, 0.03, cfg.tol_scale, 2),
-        saturation_fields=saturation,
-        saturation_rtol=float(spec.get("saturation_rtol", 0.01)))
+        return {"suite": suite + S.rectified_noise_fields(model, ctx.stepper, n=1,
+                                                          seed=seed)}
+    return {"suite": _SUITES[kind](ctx, seed)}
 
 
-def run_harnack(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    seed = _seed_for(cfg, name)
-    mode = spec.get("mode", "riemannian")
+def _bind_harnack(ctx, opts, seed):
     model = ctx.model
-    s_grid = spec.get("s_grid", [0.05, 0.1])
-    gap_grid = spec.get("gap_grid", [0.05, 0.1])
-    pairs = C.sample_harnack_pairs(model, int(spec.get("n_pairs", 200)),
-                                   s_grid, gap_grid, seed=seed)
-    if spec.get("suite") == "delta":
+    pairs = C.sample_harnack_pairs(model, opts.pop("n_pairs", 200),
+                                   opts.pop("s_grid", [0.05, 0.1]),
+                                   opts.pop("gap_grid", [0.05, 0.1]), seed=seed)
+    if opts.pop("suite", None) == "delta":
         suite = S.point_source_fields(model, _origin(model), width=0.3)
-    elif mode == "sub-riemannian":
+    elif opts.get("mode") == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
     else:
         suite = S.bump_fields(model, seed=seed)
-    return C.check_harnack(
-        model, ctx.oracle, ctx.engine, suite, pairs, mode=mode,
-        alpha=float(spec.get("alpha", 3.0)),
-        dist_method=spec.get("distance", "auto"),
-        tolerance=_tol(spec, 1e-12, 0.02, cfg.tol_scale, 2),
-        kernel_spectral=ctx.spectral() if spec.get("kernel", False) else None)
+    return {"suite": suite, "pair_sample": pairs}
 
 
-def run_kernel_bounds(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
+def _bind_kernel_bounds(ctx, opts, seed):
     model = ctx.model
-    rng = np.random.default_rng(_seed_for(cfg, name))
-    radii = spec.get("radii", [0.3, 0.4, 0.5, 0.6])
-    t_grid = spec.get("t_grid", [0.05, 0.1])
+    rng = np.random.default_rng(seed)
+    radii = opts.pop("radii", [0.3, 0.4, 0.5, 0.6])
+    t_grid = opts.pop("t_grid", [0.05, 0.1])
     safe = model.metric_distance_to_boundary()
-    i0 = _origin(model)
-
+    interior = deep_interior(model, hops=3)
     # reflection inflates p(x, x, t) by ~exp(-w^2/t) at wall distance w;
     # keep that under a fraction of a percent for the product/equality gates
-    w_prod = 2.4 * float(max(radii))
-    idx = np.flatnonzero(deep_interior(model, hops=3) & (safe > w_prod))
-    centers = [i0] + [int(c) for c in
-                      rng.choice(idx, size=min(int(spec.get("n_centers", 4)),
-                                               idx.size), replace=False)] \
-        if idx.size else [i0]
-
-    w_pair = 2.4 * float(np.sqrt(max(t_grid)))
-    pool = np.flatnonzero(deep_interior(model, hops=3) & (safe > w_pair))
-    pair_sample = []
-    for _ in range(int(spec.get("n_pairs", 8))):
+    centers = _centers(model, rng, interior & (safe > 2.4 * max(radii)), 4)
+    pool = np.flatnonzero(interior & (safe > 2.4 * np.sqrt(max(t_grid))))
+    pairs = []
+    for _ in range(8):
         t = float(rng.choice(t_grid))
-        a = int(rng.choice(pool))
-        b = int(rng.choice(pool))
-        dref = float(np.linalg.norm(model.nodes[a] - model.nodes[b]))
-        if dref > 3.0 * np.sqrt(t):                      # keep the pair resolvable
-            b = a
-        pair_sample.append((a, b, t))
-    return C.check_kernel_bounds(
-        model, ctx.oracle, ctx.spectral(), engine=ctx.engine,
-        t_grid=t_grid, pair_sample=pair_sample, centers=centers,
-        radii=list(map(float, radii)), eps=float(spec.get("eps", 0.5)),
-        tolerance=_tol(spec, 1e-12, 0.05, cfg.tol_scale, 2),
-        equality_expected=bool(spec.get("equality_expected", False)),
-        saturation_rtol=float(spec.get("saturation_rtol", 0.05)),
-        ondiag_constancy_rtol=float(spec.get("ondiag_constancy_rtol", 0.05)))
+        a, b = int(rng.choice(pool)), int(rng.choice(pool))
+        if np.linalg.norm(model.nodes[a] - model.nodes[b]) > 3.0 * np.sqrt(t):
+            b = a                                  # keep the pair resolvable
+        pairs.append((a, b, t))
+    return {"radii": radii, "centers": centers, "pair_sample": pairs}
 
 
-def run_volume(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
+def _bind_volume(ctx, opts, seed):
     model = ctx.model
-    if spec.get("shell_radii"):
-        h = float(model.meta["h"])
-        radii = (np.asarray(spec["shell_radii"], dtype=float) + 0.49) * h
-    else:
-        radii = np.asarray(spec.get("radii", [0.3, 0.4, 0.5, 0.6]), dtype=float)
-    if spec.get("centers") == "origin":
-        centers = [_origin(model)]
-    else:
-        rng = np.random.default_rng(_seed_for(cfg, name))
-        safe = model.metric_distance_to_boundary()
-        h = float(model.meta.get("h", 0.0) or 0.0)
-        idx = np.flatnonzero(safe > 2 * float(np.max(radii)) + 2 * h)
-        centers = [_origin(model)]
-        if idx.size:
-            centers += rng.choice(idx, size=min(2, idx.size), replace=False).tolist()
-        centers = [int(c) for c in centers]
-    window = spec.get("ratio_window")
-    return C.check_volume_regularity(
-        model, ctx.oracle, centers, radii,
-        dist_method=spec.get("distance", "auto"),
-        ratio_window=tuple(window) if window else None,
-        exponent_rtol=float(spec.get("exponent_rtol", 0.10)),
-        monotone_upper=spec.get("monotone_upper"),
-        tolerance=_tol(spec, 1e-12, float(spec.get("tol_rel", 0.05)), cfg.tol_scale))
+    radii = np.asarray(opts.pop("radii", [0.3, 0.4, 0.5, 0.6]))
+    if "shell_radii" in opts:
+        radii = (np.asarray(opts.pop("shell_radii")) + 0.49) * float(model.meta["h"])
+    if opts.pop("centers", None) == "origin":
+        return {"radii": radii, "centers": [_origin(model)]}
+    return {"radii": radii, "centers": _centers(
+        model, np.random.default_rng(seed), _reach(model, 2 * radii.max(), 2), 2)}
 
 
-def run_neumann(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
+def _bind_neumann(ctx, opts, seed):
     model = ctx.model
-    domain = spec.get("domain", "box")
-    if domain == "box":
-        half = float(spec.get("half_width", 0.5))
-        mask = np.all(np.abs(model.nodes) <= half, axis=1)
-        sub = neumann_restrict(model, np.flatnonzero(mask))
-        h = float(model.meta["h"])
+    half, r = opts.pop("half_width", 0.5), opts.pop("radius", 0.8)
+    if opts.pop("domain", "box") == "box":
+        sub = neumann_restrict(model, np.flatnonzero(
+            np.all(np.abs(model.nodes) <= half, axis=1)))
         dim = model.nodes.shape[1]
-        side = round(sub.n_nodes ** (1.0 / dim)) * h
-        diam = side * np.sqrt(dim)
-    elif domain == "cap":
-        r = float(spec.get("radius", 0.8))
-        pole = node_nearest(model, [0, 0, 1])
-        d = graph_distance(model, pole).values
-        sub = neumann_restrict(model, np.flatnonzero(d <= r))
-        diam = 2 * r
+        diameter = round(sub.n_nodes ** (1.0 / dim)) * float(model.meta["h"]) \
+            * np.sqrt(dim)
     else:
-        raise ConfigError(f"checks.{name}.domain: unknown domain {domain!r}")
-    return C.check_neumann_poincare(
-        sub, diameter=float(spec.get("diameter", diam)),
-        constant=float(spec.get("constant", np.pi**2)),
-        expected_product=spec.get("expected_product"),
-        product_rtol=float(spec.get("product_rtol", 0.01)) * cfg.tol_scale,
-        seed=_seed_for(cfg, name),
-        tolerance=_tol(spec, 1e-12, 0.02, cfg.tol_scale, 2))
+        d = graph_distance(model, node_nearest(model, [0, 0, 1])).values
+        sub = neumann_restrict(model, np.flatnonzero(d <= r))
+        diameter = 2 * r
+    return {"submodel": sub, "diameter": float(diameter)}
 
 
-def run_ball_poincare(ctxs, spec, cfg, name):
-    model = ctxs[spec["model"]].model
-    return C.check_ball_poincare(model, _origin(model),
-                                 float(spec.get("radius", 0.6)),
-                                 seed=_seed_for(cfg, name))
-
-
-def run_sobolev_embedding(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
+def _bind_embedding(ctx, opts, seed):
     model = ctx.model
-    suite = S.bump_fields(model, centers=[_origin(model)],
-                          width=float(spec.get("width", 0.25)))
-    suite += S.bump_fields(model, seed=_seed_for(cfg, name),
-                           width=float(spec.get("width", 0.25)))
-    return C.check_sobolev_embedding(
-        model, ctx.oracle, suite, tolerance=_tol(spec, 1e-12, 0.01, cfg.tol_scale))
+    return {"suite": S.bump_fields(model, centers=[_origin(model)], width=0.25)
+            + S.bump_fields(model, seed=seed, width=0.25)}
 
 
-def run_isoperimetric(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
+def _bind_isoperimetric(ctx, opts, seed):
     model = ctx.model
-    rng = np.random.default_rng(_seed_for(cfg, name))
-    radii = np.asarray(spec.get("radii", [0.3, 0.4, 0.5, 0.6]), dtype=float)
-    safe = model.metric_distance_to_boundary()
-    h = float(model.meta.get("h", 0.0) or 0.0)
-    idx = np.flatnonzero(safe > float(radii.max()) + 3 * h)
-    centers = [_origin(model)]
-    centers += [int(c) for c in rng.choice(idx, size=min(6, idx.size),
-                                           replace=False)]
-    expected = spec.get("expected_ratio")
-    return C.check_isoperimetric_balls(
-        model, ctx.oracle, centers, radii,
-        expected_ratio=float(expected) if expected is not None else None,
-        constancy_rtol=float(spec.get("constancy_rtol", 0.12)) * cfg.tol_scale,
-        value_rtol=float(spec.get("value_rtol", 0.06)) * cfg.tol_scale,
-        tolerance=_tol(spec, 1e-12, 0.0, cfg.tol_scale, 1))
+    radii = np.asarray([0.3, 0.4, 0.5, 0.6])
+    return {"radii": radii, "centers": _centers(
+        model, np.random.default_rng(seed), _reach(model, radii.max(), 3), 6)}
 
 
-def run_sobolev_sharp(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    model = ctx.model
-    seed = _seed_for(cfg, name)
-    suite = _suite_for(ctx, "positive", seed)
-    p_list = tuple(float(p) for p in spec.get("p_list", (1.0, 2.0, 40.0)))
-    pole = node_nearest(model, [0, 0, 1])
-    extremal = S.latitude_profiles(model, pole, p=max(p_list),
-                                   lams=tuple(spec.get("lams", (0.05, 0.1, 0.2))))
-    return C.check_sobolev_sharp(
-        model, ctx.oracle, suite, p_list=p_list, extremal_suite=extremal,
-        extremal_rtol=float(spec.get("extremal_rtol", 0.05)) * cfg.tol_scale,
-        tolerance=_tol(spec, 1e-12, 0.02, cfg.tol_scale, 2))
+def _bind_sobolev_sharp(ctx, opts, seed):
+    suite = _SUITES["positive"](ctx, seed)
+    pole = node_nearest(ctx.model, [0, 0, 1])
+    return {"suite": suite, "extremal_suite": S.latitude_profiles(
+        ctx.model, pole, p=max(C.SOBOLEV_P_LIST), lams=(0.05, 0.1, 0.2))}
 
 
-def run_diameter(ctxs, spec, cfg, name):
-    ctx = ctxs[spec["model"]]
-    return C.check_diameter(ctx.model, ctx.oracle, p=float(spec.get("p", 40.0)),
-                            tolerance=_tol(spec, 1e-12, 0.0, cfg.tol_scale),
-                            myers_rtol=float(spec.get("myers_rtol", 0.05)))
+_DISTANCE = _choice("auto", "oracle", "graph")
+_SUITE = _choice(*_SUITES)
+_RENAMED = {"distance": "dist_method"}
 
-
-def run_distance_sandwich(ctxs, spec, cfg, name):
-    from .metric import calibrate_anisotropy
-
-    ctx = ctxs[spec["model"]]
-    rep = C.check_distance_sandwich(
-        ctx.model, ctx.oracle, n_pairs=int(spec.get("n_pairs", 50)),
-        seed=_seed_for(cfg, name), budget=int(spec.get("budget", 30)))
-    if ctx.oracle.exact_distance is not None:
-        # report-only: lattice overestimation factor, never alters bounds
-        rep.metadata["anisotropy"] = calibrate_anisotropy(
-            ctx.model, ctx.oracle, n_pairs=100, seed=_seed_for(cfg, name))
-    return rep
-
-
-def run_subunit_oracle(ctxs, spec, cfg, name):
-    return C.check_subunit_oracle(
-        ctxs[spec["model"]].model,
-        z_values=spec.get("z_values", (0.04, 0.09)),
-        x_values=spec.get("x_values", (0.3,)),
-        rtol=float(spec.get("rtol", 0.02)) * cfg.tol_scale,
-        seed=_seed_for(cfg, name))
-
-
-CHECK_RUNNERS = {
-    "operator-axioms": run_axioms,
-    "kernel-laws": run_kernel_laws,
-    "spectrum": run_spectrum,
-    "cd": run_cd,
-    "vertical-commutation": run_vertical_commutation,
-    "gradient-bound": run_gradient_bound,
-    "completeness": run_completeness,
-    "spectral-gap": run_spectral_gap,
-    "log-sobolev": run_log_sobolev,
-    "equilibrium-rate": run_equilibrium,
-    "li-yau": run_li_yau,
-    "harnack": run_harnack,
-    "kernel-bounds": run_kernel_bounds,
-    "volume-doubling": run_volume,
-    "neumann-poincare": run_neumann,
-    "ball-poincare": run_ball_poincare,
-    "sobolev-embedding": run_sobolev_embedding,
-    "isoperimetric": run_isoperimetric,
-    "sobolev-sharp": run_sobolev_sharp,
-    "diameter": run_diameter,
-    "distance-sandwich": run_distance_sandwich,
-    "subunit-oracle": run_subunit_oracle,
+CHECK_KINDS = {
+    "operator-axioms": CheckKind(check_operator_axioms, ("model", "seed"),
+                                 {"n_random": _int}),
+    "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "oracle", "spectral", "seed"),
+                             bind=lambda ctx, opts, seed: {"engine2": ctx.stepper}),
+    "spectrum": CheckKind(C.check_spectrum, ("model", "oracle", "spectral"),
+                          {"count": _int, "rtol": _float}, scaled=("rtol",)),
+    "cd": CheckKind(C.check_cd, ("model", "oracle", "vform"),
+                    {"mode": _choice(*C.CD_TOLERANCE), "suite": _SUITE,
+                     "params": _cd_params, "nu_grid": _floats,
+                     "equality_fields": _strs, "tol_abs": _nonneg,
+                     "tol_rel": _nonneg}, bind=_bind_cd),
+    "vertical-commutation": CheckKind(C.check_vertical_commutation,
+                                      ("model", "vform"), bind=_bind_vertical),
+    "gradient-bound": CheckKind(C.check_gradient_bound, ("model", "oracle", "engine"),
+                                {"suite": _SUITE, "t_grid": _floats},
+                                bind=_bind_suite("eigen")),
+    "completeness": CheckKind(C.check_completeness, ("model", "engine"),
+                              {"t_grid": _floats}),
+    "spectral-gap": CheckKind(C.check_spectral_gap,
+                              ("model", "oracle", "spectral", "seed")),
+    "log-sobolev": CheckKind(C.check_log_sobolev, ("model", "oracle", "engine"),
+                             bind=_bind_suite("positive")),
+    "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral"),
+                                  scaled=("rtol",)),
+    "li-yau": CheckKind(C.check_li_yau, ("model", "oracle", "engine", "vform"),
+                        {"mode": _choice("rho0", "general-alpha", "exponential",
+                                         "bakry-qian", "sub-riemannian"),
+                         "suite": _choice("delta", *_SUITES), "t_grid": _floats,
+                         "alpha": _float}, bind=_bind_li_yau),
+    "harnack": CheckKind(C.check_harnack, ("model", "oracle", "engine"),
+                         {"mode": _choice("riemannian", "sub-riemannian"),
+                          "suite": _choice("delta"), "alpha": _float,
+                          "distance": _DISTANCE, "n_pairs": _int,
+                          "s_grid": _floats, "gap_grid": _floats},
+                         bind=_bind_harnack),
+    "kernel-bounds": CheckKind(C.check_kernel_bounds,
+                               ("model", "oracle", "spectral", "engine"),
+                               {"equality_expected": _bool, "radii": _floats,
+                                "t_grid": _floats}, bind=_bind_kernel_bounds),
+    "volume-doubling": CheckKind(C.check_volume_regularity, ("model", "oracle"),
+                                 {"radii": _floats, "shell_radii": _floats,
+                                  "centers": _choice("origin"),
+                                  "distance": _DISTANCE, "ratio_window": _pair,
+                                  "monotone_upper": _float, "tol_rel": _nonneg},
+                                 bind=_bind_volume),
+    "neumann-poincare": CheckKind(C.check_neumann_poincare, ("seed",),
+                                  {"domain": _choice("box", "cap"),
+                                   "half_width": _float, "radius": _float,
+                                   "constant": _float, "expected_product": _float,
+                                   "product_rtol": _float},
+                                  bind=_bind_neumann,
+                                  scaled=("tolerance", "product_rtol")),
+    "ball-poincare": CheckKind(C.check_ball_poincare, ("model", "seed"),
+                               {"radius": _float},
+                               bind=lambda ctx, opts, seed: {"center": _origin(ctx.model)},
+                               scaled=()),
+    "sobolev-embedding": CheckKind(C.check_sobolev_embedding, ("model", "oracle"),
+                                   bind=_bind_embedding),
+    "isoperimetric": CheckKind(C.check_isoperimetric_balls, ("model", "oracle"),
+                               {"expected_ratio": _float}, bind=_bind_isoperimetric,
+                               scaled=("tolerance", "constancy_rtol", "value_rtol")),
+    "sobolev-sharp": CheckKind(C.check_sobolev_sharp, ("model", "oracle"),
+                               bind=_bind_sobolev_sharp,
+                               scaled=("tolerance", "extremal_rtol")),
+    "diameter": CheckKind(C.check_diameter, ("model", "oracle"), {"p": _float}),
+    "distance-sandwich": CheckKind(C.check_distance_sandwich,
+                                   ("model", "oracle", "seed"), {"n_pairs": _int},
+                                   scaled=()),
+    "subunit-oracle": CheckKind(C.check_subunit_oracle, ("model", "seed"),
+                                scaled=("rtol",)),
 }
+
+
+def _run_check(kind: CheckKind, ctxs, spec, cfg, name):
+    """Run one configured check: bind its keys, scale its tolerances."""
+    ctx = ctxs[spec["model"]]
+    seed = _seed_for(cfg, name)
+    opts = _check_options(cfg, name, spec)
+    tol = {f: opts.pop(f"tol_{f}") for f in ("abs", "rel") if f"tol_{f}" in opts}
+    kwargs = {part: seed if part == "seed"
+              else ctx.spectral() if part == "spectral" else getattr(ctx, part)
+              for part in kind.parts}
+    if kind.bind is not None:
+        kwargs.update(kind.bind(ctx, opts, seed))
+    kwargs.update((_RENAMED.get(key, key), value) for key, value in opts.items())
+    defaults = inspect.signature(kind.check).parameters
+    for key in kind.scaled:
+        value = kwargs.get(key, defaults[key].default)
+        if key == "tolerance":
+            value = dataclasses.replace(value, **tol)
+        kwargs[key] = value * cfg.tol_scale
+    return kind.check(**kwargs)
+
+
+# looked up on every run, so callers may wrap entries
+CHECK_RUNNERS = {cid: functools.partial(_run_check, kind)
+                 for cid, kind in CHECK_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +731,7 @@ def default_config() -> CampaignConfig:
 
 
 def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
+    validate_config(cfg)          # before any report is written
     os.makedirs(cfg.output_dir, exist_ok=True)
     os.makedirs(cfg.cache_dir, exist_ok=True)
     ctxs = {name: ModelContext(name, spec, cfg.cache_dir, cfg.seed,

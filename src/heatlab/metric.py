@@ -64,24 +64,6 @@ class BallTable:
             raise ValueError("ball volumes must be nondecreasing")
 
 
-def distance_field_csv_rows(dist: DistanceField, model: DiscretizedModel):
-    """Flatten a distance field to CSV rows (node, coordinates..., distance)."""
-    dim = model.nodes.shape[1]
-    rows = [["node"] + [f"x{d}" for d in range(dim)] + ["distance"]]
-    for k in range(model.n_nodes):
-        rows.append([k] + [repr(float(c)) for c in model.nodes[k]]
-                    + [repr(float(dist.values[k]))])
-    return rows
-
-
-def ball_table_csv_rows(table: BallTable):
-    rows = [["r", "volume", "cut_perimeter", "coarea_perimeter"]]
-    for r, v, p, c in zip(table.radii, table.volumes, table.perimeters,
-                          table.coarea_perimeters):
-        rows.append([repr(float(r)), repr(float(v)), repr(float(p)), repr(float(c))])
-    return rows
-
-
 def graph_distance(model: DiscretizedModel, source: int) -> DistanceField:
     """Shortest-path distance from one node over the model edges."""
     d = dijkstra(model.adjacency(), directed=False, indices=source)

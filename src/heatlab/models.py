@@ -41,8 +41,16 @@ class UnsupportedModelError(ValueError):
     """Requested (kind, dim) combination is not in the catalog."""
 
 
+# the options each model kind reads; any other option is an error
+MODEL_OPTIONS = {"euclidean": (), "torus": ("period",),
+                 "sphere": ("mesh", "pole_rows_untrusted"),
+                 "heisenberg": ("z_extent",)}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
+    """Model parameters.  Error messages start with the offending field."""
+
     kind: str
     dim: int = 2
     resolution: int = 16
@@ -50,26 +58,19 @@ class ModelSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "torus", "sphere", "heisenberg"):
-            raise UnsupportedModelError(f"unknown model kind {self.kind!r}")
+        if self.kind not in MODEL_OPTIONS:
+            raise UnsupportedModelError(f"kind: unknown model kind {self.kind!r}")
         if self.resolution < 8:
-            raise ValueError("resolution must be at least 8")
+            raise ValueError("resolution: must be at least 8")
         if self.kind in ("euclidean", "heisenberg") and not (self.extent > 0):
-            raise ValueError("truncated kinds need a positive extent")
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        known = {"kind", "dim", "resolution", "extent", "options"}
-        extra = {k: v for k, v in d.items() if k not in known}
-        opts = dict(d.get("options", {}))
-        opts.update(extra)
-        return ModelSpec(
-            kind=d["kind"],
-            dim=int(d.get("dim", 2)),
-            resolution=int(d.get("resolution", 16)),
-            extent=float(d.get("extent", 1.0)),
-            options=opts,
-        )
+            raise ValueError("extent: truncated kinds need a positive extent")
+        for key in self.options:
+            if key not in MODEL_OPTIONS[self.kind]:
+                raise ValueError(f"options.{key}: a {self.kind} model reads no such "
+                                 f"option (it reads: {list(MODEL_OPTIONS[self.kind])})")
+        if self.options.get("mesh", "latitude") != "latitude":
+            raise UnsupportedModelError(
+                f"options.mesh: unknown sphere mesh {self.options['mesh']!r}")
 
 
 @dataclass(frozen=True)
@@ -483,9 +484,6 @@ def build_model(spec: ModelSpec):
     elif spec.kind == "sphere":
         if spec.dim != 2:
             raise UnsupportedModelError("only the round 2-sphere is in the catalog")
-        mesh = spec.options.get("mesh", "latitude")
-        if mesh != "latitude":
-            raise UnsupportedModelError(f"unknown sphere mesh {mesh!r}")
         i, j, c, mu, nodes, lengths, trusted, dth = latitude_sphere(
             spec.resolution,
             pole_rows_untrusted=int(spec.options.get("pole_rows_untrusted", 4)),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,10 +38,6 @@ from .models import model_hash
 
 class SolverError(RuntimeError):
     """Eigensolver failed to converge within its iteration budget."""
-
-
-class TruncationError(RuntimeError):
-    """Retained spectrum is inadequate for the requested diffusion time."""
 
 
 CACHE_MAGIC = b"HLSPEC01"
@@ -242,42 +238,6 @@ class CrankNicolson:
 # heat kernel
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    t: float
-    i: int
-    j: int
-    value: float
-    truncation_bound: float
-
-
-def kernel_truncation_bound(model, spectral, t, i, j) -> float:
-    """Valid tail bound from finite-dimensional completeness:
-
-    sum_{m >= k} exp(-lam_m t) phi_m(i) phi_m(j) is at most
-    exp(-lam_{k-1} t) / sqrt(mu_i mu_j).
-    """
-    lam = spectral.eigenvalues
-    return float(np.exp(-lam[-1] * t) / np.sqrt(model.mu[i] * model.mu[j]))
-
-
-def heat_kernel(model: DiscretizedModel, spectral: SpectralData, t: float,
-                i: int, j: int, max_truncation: float | None = None) -> KernelEval:
-    """Kernel value p(t, i, j) = sum_k exp(-lam_k t) phi_k(i) phi_k(j)."""
-    if not (t > 0):
-        raise ValueError("kernel time must be positive")
-    lam = spectral.eigenvalues
-    phi = spectral.eigenfields
-    value = float(np.sum(np.exp(-lam * t) * phi[i] * phi[j]))
-    bound = kernel_truncation_bound(model, spectral, t, i, j)
-    if max_truncation is not None and bound > max_truncation:
-        raise TruncationError(
-            f"kernel tail bound {bound:g} exceeds {max_truncation:g} at t={t:g}; "
-            "retain more eigenpairs"
-        )
-    return KernelEval(t=t, i=i, j=j, value=value, truncation_bound=bound)
-
-
 def heat_kernel_block(spectral: SpectralData, t: float, rows, cols=None) -> np.ndarray:
     """Dense kernel block p(t, rows, cols) from the retained spectrum."""
     lam = spectral.eigenvalues
@@ -289,7 +249,7 @@ def heat_kernel_block(spectral: SpectralData, t: float, rows, cols=None) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# reproducing kernels, trace, equilibrium
+# eigenvalue clusters, equilibrium
 
 
 def eigenvalue_clusters(eigenvalues: np.ndarray, rtol: float = 1e-6,
@@ -302,43 +262,6 @@ def eigenvalue_clusters(eigenvalues: np.ndarray, rtol: float = 1e-6,
             clusters.append(np.arange(start, m))
             start = m
     return clusters
-
-
-def reproducing_kernel(spectral: SpectralData, cluster: np.ndarray,
-                       i: int, j: int, min_gap_factor: float = 10.0) -> float:
-    """Projection kernel of one eigenspace, sum_k phi_k(i) phi_k(j).
-
-    Raises when the cluster is not separated from its neighbours by at
-    least ``min_gap_factor`` times the internal spread.
-    """
-    lam = spectral.eigenvalues
-    cluster = np.asarray(cluster, dtype=int)
-    spread = float(lam[cluster].max() - lam[cluster].min())
-    lo, hi = cluster.min(), cluster.max()
-    gaps = []
-    if lo > 0:
-        gaps.append(lam[lo] - lam[lo - 1])
-    if hi < lam.size - 1:
-        gaps.append(lam[hi + 1] - lam[hi])
-    if gaps and min(gaps) < min_gap_factor * max(spread, 1e-12):
-        raise SolverError(
-            "eigenvalue cluster is not well separated at this tolerance"
-        )
-    phi = spectral.eigenfields[:, cluster]
-    return float(phi[i] @ phi[j])
-
-
-def trace(model: DiscretizedModel, spectral: SpectralData, t: float) -> float:
-    """Trace of P_t over the retained spectrum, sum_k exp(-lam_k t)."""
-    if not (t > 0):
-        raise ValueError("trace needs positive time")
-    return float(np.sum(np.exp(-spectral.eigenvalues * t)))
-
-
-def trace_from_kernel(model: DiscretizedModel, spectral: SpectralData, t: float) -> float:
-    lam, phi = spectral.eigenvalues, spectral.eigenfields
-    diag = np.sum(phi**2 * np.exp(-lam * t), axis=1)
-    return float(model.mu @ diag)
 
 
 def equilibrium_error(model: DiscretizedModel, engine, f: ScalarField, t: float,

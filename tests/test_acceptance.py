@@ -226,7 +226,8 @@ def test_criterion_7_volume(euclid2, sphere):
     model, oracle, _ = euclid2
     i0 = node_nearest(model, [0, 0])
     rep = check_volume_regularity(model, oracle, [i0], [0.3, 0.45, 0.6],
-                                  ratio_window=(3.7, 4.3))
+                                  ratio_window=(3.7, 4.3),
+                                  tolerance=Tolerance(1e-12, 0.0))
     assert rep.passed
     assert rep.metadata["oracle_small_ratio"] == pytest.approx(4.0)  # 2^n exact
 

@@ -18,6 +18,8 @@ from heatlab.reports import MarginReport
 
 SMALL_CFG = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
                          "small.cfg")
+SPHERE_CFG = os.path.join(os.path.dirname(__file__), "..", "bench",
+                          "sphere_refine.cfg")
 MINI_CFG = ("models.t.kind = torus\n"
             "models.t.dim = 1\n"
             "models.t.resolution = 32\n"
@@ -230,8 +232,85 @@ def test_default_config_is_valid():
     cfg = default_config()
     assert len(cfg.checks) >= 30
     # every check id resolves and every referenced model exists
-    from heatlab.cli import CHECK_RUNNERS
+    from heatlab.cli import CHECK_RUNNERS, validate_config
 
     for name, spec in cfg.checks.items():
         assert spec["check"] in CHECK_RUNNERS
         assert spec["model"] in cfg.models
+    validate_config(cfg)
+    # the shipped configs pass the key, type and choice checks
+    for path in (SMALL_CFG, SPHERE_CFG):
+        assert CampaignConfig.from_dict(load_config_file(path)).checks
+
+
+SPECTRUM_CFG = MINI_CFG + ("checks.sp.check = spectrum\n"
+                           "checks.sp.model = t\n")
+
+
+TYPOS = [
+    (MINI_CFG + "models.t.resolutoin = 48\n", "models.t.resolutoin"),
+    (MINI_CFG + "models.t.options.perod = 6.0\n", "models.t.options.perod"),
+    (MINI_CFG + "models.t.options.z_extent = 0.1\n", "models.t.options.z_extent"),
+    (MINI_CFG + "models.t.dim = two\n", "models.t.dim"),
+    ("models.s.kind = sphere\nmodels.s.options.mesh = icosahedral\n"
+     "checks.ax.check = operator-axioms\nchecks.ax.model = s\n",
+     "models.s.options.mesh"),
+    (SPECTRUM_CFG + "checks.sp.cuont = 9\n", "checks.sp.cuont"),
+    (SPECTRUM_CFG + 'checks.sp.count = "nine"\n', "checks.sp.count"),
+    (SPECTRUM_CFG + "checks.sp.rtol = [0.02]\n", "checks.sp.rtol"),
+    (MINI_CFG + "checks.c.check = cd\nchecks.c.model = t\n"
+     "checks.c.mode = riemanian\n", "checks.c.mode"),
+    (MINI_CFG + "checks.c.check = cd\nchecks.c.model = t\n"
+     "checks.c.suite = eigne\n", "checks.c.suite"),
+    (MINI_CFG + "workers = many\n", "workers"),
+    (MINI_CFG + "seed = 1.5\n", "seed"),
+    (MINI_CFG + "sede = 3\n", "sede"),
+]
+
+
+@pytest.mark.parametrize("text, field", TYPOS, ids=[f for _, f in TYPOS])
+def test_config_typos_exit_2_and_write_nothing(tmp_path, capsys, text, field):
+    cfgfile = tmp_path / "typo.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                 "--cache", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {field}:" in err, err
+    assert not out.exists()
+
+
+def test_unknown_key_error_lists_accepted_keys():
+    data = parse_config_text(SPECTRUM_CFG + "checks.sp.cuont = 9\n")
+    with pytest.raises(ConfigError) as info:
+        CampaignConfig.from_dict(data)
+    assert str(info.value).endswith("(accepted: check, model, count, rtol)")
+    data = parse_config_text(MINI_CFG + "models.t.options.perod = 6.0\n")
+    with pytest.raises(ConfigError, match=r"it reads: \['period'\]"):
+        CampaignConfig.from_dict(data)
+
+
+def test_tol_scale_multiplies_the_declared_tolerances(tmp_path):
+    # spectrum scales its rtol only, the axioms their tolerance, and the
+    # distance sandwich neither
+    reports = []
+    for scale in (1.0, 2.0):
+        cfg = CampaignConfig.from_dict({
+            "tol_scale": scale,
+            "output_dir": str(tmp_path / f"out{scale}"),
+            "cache_dir": str(tmp_path / "cache"),
+            "models": {"t": {"kind": "torus", "dim": 1, "resolution": 32,
+                             "spectral_k": 32}},
+            "checks": {"ax": {"check": "operator-axioms", "model": "t",
+                              "n_random": 5},
+                       "sp": {"check": "spectrum", "model": "t", "rtol": 0.02},
+                       "dd": {"check": "distance-sandwich", "model": "t",
+                              "n_pairs": 4}}})
+        assert run_campaign(cfg, log=lambda *a: None) == 0
+        reports.append({n: MarginReport.load(os.path.join(cfg.output_dir, f"{n}.json"))
+                        for n in cfg.checks})
+    one, two = reports
+    assert two["ax"].tolerance.abs == 2 * one["ax"].tolerance.abs
+    assert two["sp"].metadata["rtol"] == 2 * one["sp"].metadata["rtol"] == 0.04
+    assert two["sp"].tolerance == one["sp"].tolerance
+    assert two["dd"].tolerance == one["dd"].tolerance

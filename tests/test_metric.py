@@ -280,23 +280,3 @@ def test_anisotropy_calibration(sphere):
     cal = calibrate_anisotropy(model, oracle, n_pairs=40, seed=2)
     assert 1.0 <= cal["mean_ratio"] < 1.3
     assert cal["max_ratio"] < 1.5
-
-
-def test_metric_csv_serialization(tmp_path, euclid2):
-    from heatlab.metric import ball_table_csv_rows, distance_field_csv_rows
-    from heatlab.reports import write_csv
-    import os
-
-    model, oracle, _ = euclid2
-    i0 = node_nearest(model, [0, 0])
-    dist = graph_distance(model, i0)
-    rows = distance_field_csv_rows(dist, model)
-    assert rows[0] == ["node", "x0", "x1", "distance"]
-    assert len(rows) == model.n_nodes + 1
-    path = os.path.join(tmp_path, "dist.csv")
-    write_csv(path, rows)
-    assert open(path).readline().strip() == "node,x0,x1,distance"
-
-    bt = ball_table(model, dist, [0.3, 0.5])
-    brows = ball_table_csv_rows(bt)
-    assert brows[0][0] == "r" and len(brows) == 3

@@ -16,27 +16,17 @@ from heatlab import (
     eigenvalue_clusters,
     equilibrium_error,
     equilibrium_rate,
-    heat_kernel,
     heat_kernel_block,
     load_spectral,
     model_hash,
     neumann_restrict,
     node_nearest,
-    reproducing_kernel,
     save_spectral,
     spectral_decompose,
-    trace,
-    trace_from_kernel,
 )
 from heatlab import semigroup
 from heatlab.cli import ModelContext
-from heatlab.semigroup import (
-    CACHE_MAGIC,
-    SolverError,
-    TruncationError,
-    canonical_basis,
-    kernel_truncation_bound,
-)
+from heatlab.semigroup import CACHE_MAGIC, canonical_basis
 from heatlab.models import exact_heat_kernel
 
 
@@ -119,47 +109,28 @@ def test_kernel_against_oracles(euclid1, sphere):
     model, oracle, spectral = euclid1
     i = node_nearest(model, [0.0])
     j = node_nearest(model, [0.25])
-    ke = heat_kernel(model, spectral, 0.05, i, j)
+    ke = heat_kernel_block(spectral, 0.05, [i], [j])[0, 0]
     ref = exact_heat_kernel(oracle, 0.05, model.nodes[i], model.nodes[j])
-    assert ke.value == pytest.approx(ref, rel=0.01)
+    assert ke == pytest.approx(ref, rel=0.01)
 
     smodel, soracle, sspectral = sphere
     a = node_nearest(smodel, [0, 0, 1])
     b = node_nearest(smodel, [1, 0, 0])
-    kv = heat_kernel(smodel, sspectral, 5.0, a, b)
-    assert kv.value == pytest.approx(1 / (4 * np.pi), rel=0.01)
-
-
-def test_kernel_truncation_guard(tiny_torus):
-    model, _, spectral = tiny_torus
-    short = spectral_decompose(model, k=4)
-    bound = kernel_truncation_bound(model, short, 1e-4, 0, 1)
-    assert bound > 0
-    with pytest.raises(TruncationError):
-        heat_kernel(model, short, 1e-4, 0, 1, max_truncation=bound / 10)
-    with pytest.raises(ValueError):
-        heat_kernel(model, spectral, 0.0, 0, 1)
-
-
-def test_trace_two_paths_and_monotonicity(torus1):
-    model, _, spectral = torus1
-    assert trace(model, spectral, 1.0) == pytest.approx(
-        trace_from_kernel(model, spectral, 1.0), abs=1e-8)
-    ts = [0.5, 1.0, 2.0, 8.0, 50.0]
-    vals = [trace(model, spectral, t) for t in ts]
-    assert np.all(np.diff(vals) < 0)
-    assert vals[-1] == pytest.approx(1.0, abs=1e-8)  # one zero mode survives
+    kv = heat_kernel_block(sspectral, 5.0, [a], [b])[0, 0]
+    assert kv == pytest.approx(1 / (4 * np.pi), rel=0.01)
 
 
 def test_reproducing_kernels(sphere):
     model, _, spectral = sphere
     clusters = eigenvalue_clusters(spectral.eigenvalues, rtol=5e-3)
     assert [len(c) for c in clusters[:3]] == [1, 3, 5]
+    # projection kernel of an eigenspace: sum of phi_k(i) phi_k(j) over it
+    phi = spectral.eigenfields
     pole = node_nearest(model, [0, 0, 1])
-    v1 = reproducing_kernel(spectral, clusters[1], pole, pole)
+    v1 = phi[pole, clusters[1]] @ phi[pole, clusters[1]]
     assert v1 == pytest.approx(3 / (4 * np.pi), rel=0.01)
     x = node_nearest(model, [1, 0, 0])
-    v0 = reproducing_kernel(spectral, clusters[0], pole, x)
+    v0 = phi[pole, clusters[0]] @ phi[x, clusters[0]]
     assert v0 == pytest.approx(1 / model.total_measure, rel=1e-10)
 
 
@@ -185,12 +156,6 @@ def test_reproducing_kernel_reproduces_cluster_span(sphere):
     K = spectral.eigenfields[:, cl] @ spectral.eigenfields[:, cl].T
     reproduced = K @ (model.mu * f)
     assert np.max(np.abs(reproduced - f)) < 1e-10 * np.max(np.abs(f))
-
-
-def test_reproducing_kernel_cluster_separation_guard(sphere):
-    model, _, spectral = sphere
-    with pytest.raises(SolverError):
-        reproducing_kernel(spectral, np.array([1, 2]), 0, 0)  # splits the triple
 
 
 def test_equilibrium(sphere):
