@@ -16,7 +16,6 @@ from .fields import (
     ScalarField,
     VerticalForm,
     carre_du_champ,
-    check_operator_axioms,
     deep_interior,
     gamma2,
     gamma2_z,
@@ -45,6 +44,7 @@ from .metric import (
     volume_growth_exponent,
 )
 from .reports import MarginReport, Tolerance
+from .checks import check_operator_axioms
 from .semigroup import (
     CrankNicolson,
     SpectralData,

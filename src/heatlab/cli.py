@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import checks as C
-from .fields import CDParameters, check_operator_axioms, deep_interior
+from .fields import CDParameters, deep_interior
 from .metric import graph_distance
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
@@ -192,9 +192,7 @@ def _convert(where, convert, value):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-SETTINGS = {"seed": _int, "output_dir": str, "cache_dir": str,
-            "tol_scale": _bounded(_float, lambda v: v > 0, "positive"),
-            "workers": _count,
+SETTINGS = {"seed": _int, "output_dir": str, "cache_dir": str, "workers": _count,
             "models": _table, "checks": _table}
 MODEL_KEYS = {"kind": _choice(*MODEL_OPTIONS), "dim": _int, "resolution": _int,
               "extent": _float, "options": _table, "spectral_k": _count}
@@ -205,7 +203,6 @@ class CampaignConfig:
     seed: int = 42
     output_dir: str = "campaign-out"
     cache_dir: str = "campaign-cache"
-    tol_scale: float = 1.0
     workers: int = 1
     models: dict = field(default_factory=dict)   # name -> ModelSpec
     checks: dict = field(default_factory=dict)   # name -> spec dict
@@ -215,7 +212,7 @@ class CampaignConfig:
     def from_dict(d: dict) -> "CampaignConfig":
         cfg = default_config()
         values = _keyed("", d, SETTINGS)
-        for key in ("seed", "output_dir", "cache_dir", "tol_scale", "workers"):
+        for key in ("seed", "output_dir", "cache_dir", "workers"):
             if key in values:
                 setattr(cfg, key, values[key])
         if values.get("models"):
@@ -260,8 +257,7 @@ def _check_options(cfg, name, spec) -> dict:
 
 def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
     payload = json.dumps(
-        {"schema": CONFIG_SCHEMA_VERSION, "seed": cfg.seed,
-         "tol_scale": cfg.tol_scale, "check": spec,
+        {"schema": CONFIG_SCHEMA_VERSION, "seed": cfg.seed, "check": spec,
          "model": (cfg.models[spec["model"]].__dict__
                    if spec.get("model") in cfg.models else None)},
         sort_keys=True, default=str)
@@ -311,10 +307,10 @@ class ModelContext:
                                           richardson_tol=1e-6)
         return self._stepper
 
-    def spectral(self, k=None):
-        k = k or self.k or min(self.model.n_nodes, 128)
+    def spectral(self):
+        k = self.k or min(self.model.n_nodes, 128)
         with self._lock:
-            if self._spectral is None or self._spectral.count < k:
+            if self._spectral is None:
                 path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
                 self._spectral = cached_decompose(self.model, k, path, seed=self.seed)
             return self._spectral
@@ -340,16 +336,14 @@ class CheckKind:
     to its value type; a key is passed to the check under its own name
     (``distance`` as ``dist_method``) unless ``bind(ctx, opts, seed)``
     pops it: ``bind`` builds what no single key gives (suites, centers,
-    pair samples).  ``scaled`` lists the check arguments that ``tol_scale``
-    multiplies, taken from the check's defaults when the config omits them;
-    ``tol_abs``/``tol_rel`` replace the fields of the default tolerance.
+    pair samples).  ``tol_abs``/``tol_rel`` replace the fields of the
+    check's default tolerance.
     """
 
     check: Callable
     parts: tuple
     keys: dict = field(default_factory=dict)
     bind: Callable | None = None
-    scaled: tuple = ("tolerance",)
 
 
 def _seed_for(cfg, name):
@@ -395,8 +389,8 @@ def _bind_cd(ctx, opts, seed):
 
 
 def _bind_vertical(ctx, opts, seed):
-    return {"suite": [nf for nf in _SUITES["sub-riemannian"](ctx, seed)
-                      if "noise" not in nf.name]}
+    # without an engine the suite has no noise fields, which this check skips
+    return {"suite": S.sub_riemannian_suite(ctx.model)}
 
 
 def _bind_li_yau(ctx, opts, seed):
@@ -499,12 +493,12 @@ _SUITE = _choice(*_SUITES)
 _RENAMED = {"distance": "dist_method"}
 
 CHECK_KINDS = {
-    "operator-axioms": CheckKind(check_operator_axioms, ("model", "seed"),
+    "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed"),
                                  {"n_random": _int}),
     "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "oracle", "spectral", "seed"),
                              bind=lambda ctx, opts, seed: {"engine2": ctx.stepper}),
     "spectrum": CheckKind(C.check_spectrum, ("model", "oracle", "spectral"),
-                          {"count": _int, "rtol": _float}, scaled=("rtol",)),
+                          {"count": _int, "rtol": _float}),
     "cd": CheckKind(C.check_cd, ("model", "oracle", "vform"),
                     {"mode": _choice(*C.CD_TOLERANCE), "suite": _SUITE,
                      "params": _cd_params, "nu_grid": _floats,
@@ -521,8 +515,7 @@ CHECK_KINDS = {
                               ("model", "oracle", "spectral", "seed")),
     "log-sobolev": CheckKind(C.check_log_sobolev, ("model", "oracle", "engine"),
                              bind=_bind_suite("positive")),
-    "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral"),
-                                  scaled=("rtol",)),
+    "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral")),
     "li-yau": CheckKind(C.check_li_yau, ("model", "oracle", "engine", "vform"),
                         {"mode": _choice("rho0", "general-alpha", "exponential",
                                          "bakry-qian", "sub-riemannian"),
@@ -549,31 +542,25 @@ CHECK_KINDS = {
                                    "half_width": _float, "radius": _float,
                                    "constant": _float, "expected_product": _float,
                                    "product_rtol": _float},
-                                  bind=_bind_neumann,
-                                  scaled=("tolerance", "product_rtol")),
+                                  bind=_bind_neumann),
     "ball-poincare": CheckKind(C.check_ball_poincare, ("model", "seed"),
                                {"radius": _float},
-                               bind=lambda ctx, opts, seed: {"center": _origin(ctx.model)},
-                               scaled=()),
+                               bind=lambda ctx, opts, seed: {"center": _origin(ctx.model)}),
     "sobolev-embedding": CheckKind(C.check_sobolev_embedding, ("model", "oracle"),
                                    bind=_bind_embedding),
     "isoperimetric": CheckKind(C.check_isoperimetric_balls, ("model", "oracle"),
-                               {"expected_ratio": _float}, bind=_bind_isoperimetric,
-                               scaled=("tolerance", "constancy_rtol", "value_rtol")),
+                               {"expected_ratio": _float}, bind=_bind_isoperimetric),
     "sobolev-sharp": CheckKind(C.check_sobolev_sharp, ("model", "oracle"),
-                               bind=_bind_sobolev_sharp,
-                               scaled=("tolerance", "extremal_rtol")),
+                               bind=_bind_sobolev_sharp),
     "diameter": CheckKind(C.check_diameter, ("model", "oracle"), {"p": _float}),
     "distance-sandwich": CheckKind(C.check_distance_sandwich,
-                                   ("model", "oracle", "seed"), {"n_pairs": _int},
-                                   scaled=()),
-    "subunit-oracle": CheckKind(C.check_subunit_oracle, ("model", "seed"),
-                                scaled=("rtol",)),
+                                   ("model", "oracle", "seed"), {"n_pairs": _int}),
+    "subunit-oracle": CheckKind(C.check_subunit_oracle, ("model", "seed")),
 }
 
 
 def _run_check(kind: CheckKind, ctxs, spec, cfg, name):
-    """Run one configured check: bind its keys, scale its tolerances."""
+    """Run one configured check: bind its keys to the check's arguments."""
     ctx = ctxs[spec["model"]]
     seed = _seed_for(cfg, name)
     opts = _check_options(cfg, name, spec)
@@ -584,12 +571,9 @@ def _run_check(kind: CheckKind, ctxs, spec, cfg, name):
     if kind.bind is not None:
         kwargs.update(kind.bind(ctx, opts, seed))
     kwargs.update((_RENAMED.get(key, key), value) for key, value in opts.items())
-    defaults = inspect.signature(kind.check).parameters
-    for key in kind.scaled:
-        value = kwargs.get(key, defaults[key].default)
-        if key == "tolerance":
-            value = dataclasses.replace(value, **tol)
-        kwargs[key] = value * cfg.tol_scale
+    if tol:
+        default = inspect.signature(kind.check).parameters["tolerance"].default
+        kwargs["tolerance"] = dataclasses.replace(kwargs.get("tolerance", default), **tol)
     return kind.check(**kwargs)
 
 
@@ -871,7 +855,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
     p.add_argument("--cache", help="spectral cache directory")
-    p.add_argument("--tol-scale", type=float, dest="tol_scale")
     p.add_argument("--workers", type=int)
 
 
@@ -879,8 +862,7 @@ def _load_cfg(args) -> CampaignConfig:
     # command-line overrides go through the same validation as the file
     data = load_config_file(args.config) if args.config else {}
     for key, value in (("seed", args.seed), ("output_dir", args.out),
-                       ("cache_dir", args.cache), ("tol_scale", args.tol_scale),
-                       ("workers", args.workers)):
+                       ("cache_dir", args.cache), ("workers", args.workers)):
         if value is not None:
             data[key] = value
     return CampaignConfig.from_dict(data)
@@ -921,10 +903,15 @@ def main(argv=None) -> int:
         if args.command == "build":
             if args.model not in cfg.models:
                 raise ConfigError(f"--model: unknown model {args.model!r}")
+            k = cfg.spectral_k.get(args.model)
+            if args.k is not None:
+                k = _convert("-k", _count, args.k)
             ctx = ModelContext(args.model, cfg.models[args.model],
-                               cfg.cache_dir, cfg.seed,
-                               k=args.k or cfg.spectral_k.get(args.model))
+                               cfg.cache_dir, cfg.seed, k=k)
             m = ctx.model
+            if args.k is not None and k > m.n_nodes:
+                raise ConfigError(f"-k: must be at most the {m.n_nodes} nodes "
+                                  f"of model {args.model!r}, got {k}")
             print(f"{m.model_id}: {m.n_nodes} nodes, "
                   f"{m.edge_form.n_edges} edges, mu(M)={m.total_measure:.6g}")
             if ctx.k:

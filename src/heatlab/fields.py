@@ -28,8 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .reports import MarginReport, Tolerance
-
 
 class MismatchError(ValueError):
     """Field and model disagree on size or identity."""
@@ -267,16 +265,15 @@ def deep_interior(model: DiscretizedModel, hops: int = 2) -> np.ndarray:
     return mask
 
 
-def interior_for_time(model: DiscretizedModel, t: float, safety: float = 3.0,
-                      hops: int = 2) -> np.ndarray:
-    """Safety mask for time-t heat checks: metric distance > safety*sqrt(t).
+def interior_for_time(model: DiscretizedModel, t: float) -> np.ndarray:
+    """Safety mask for time-t heat checks: metric distance > 3 sqrt(t).
 
-    The default factor 3 is motivated by Gaussian tail decay of boundary
-    contamination; the hop floor keeps second-order forms meaningful.
+    The factor 3 is motivated by Gaussian tail decay of boundary
+    contamination; the two-hop floor keeps second-order forms meaningful.
     """
-    mask = deep_interior(model, hops=hops)
+    mask = deep_interior(model, hops=2)
     if model.boundary_mask.any() and t > 0:
-        mask = mask & (model.metric_distance_to_boundary() > safety * np.sqrt(t))
+        mask = mask & (model.metric_distance_to_boundary() > 3.0 * np.sqrt(t))
     return mask
 
 
@@ -363,56 +360,6 @@ def self_test_gamma(model: DiscretizedModel, seed: int = 0, n_fields: int = 3) -
         b = carre_du_champ_operator_path(model, f, g).values
         worst = max(worst, float(np.max(np.abs(a - b))))
     return worst
-
-
-def check_operator_axioms(model: DiscretizedModel, n_random: int = 100,
-                          seed: int = 0,
-                          tolerance: Tolerance = Tolerance(1e-10)) -> MarginReport:
-    """Report the residuals of the defining operator axioms.
-
-    Covers mu-weighted symmetry, L1 = 0, Dirichlet nonpositivity of
-    <f, Lf>_mu over a randomized field sample, and pointwise Gamma(f) >= 0.
-    """
-    rng = np.random.default_rng(seed)
-    D = sp.diags(model.mu)
-    M = D @ model.L
-    sym_residual = float(np.abs((M - M.T)).max()) if M.nnz else 0.0
-
-    ones = model.constant(1.0)
-    l1_residual = float(np.max(np.abs(model.L @ ones.values)))
-
-    min_dirichlet = np.inf
-    min_gamma = np.inf
-    for _ in range(n_random):
-        f = model.field(rng.standard_normal(model.n_nodes))
-        min_dirichlet = min(min_dirichlet, -model.inner(f, model.apply_L(f)))
-        min_gamma = min(min_gamma, float(carre_du_champ(model, f).values.min()))
-
-    gamma_paths = self_test_gamma(model, seed=seed)
-
-    samples = [
-        {"axiom": "weighted-symmetry", "lhs": sym_residual, "rhs": 0.0,
-         "margin": -sym_residual},
-        {"axiom": "unit-in-kernel", "lhs": l1_residual, "rhs": 0.0,
-         "margin": -l1_residual},
-        {"axiom": "dirichlet-nonpositive", "lhs": -min_dirichlet, "rhs": 0.0,
-         "margin": min_dirichlet},
-        {"axiom": "gamma-nonnegative", "lhs": -min_gamma, "rhs": 0.0,
-         "margin": min_gamma},
-        {"axiom": "gamma-two-paths", "lhs": gamma_paths, "rhs": 0.0,
-         "margin": -gamma_paths},
-    ]
-    min_margin = min(s["margin"] for s in samples)
-    scale = float(np.abs(model.L.data).max()) if model.L.nnz else 1.0
-    return MarginReport(
-        check_id="operator-axioms",
-        model_id=model.model_id,
-        samples=samples,
-        min_margin=min_margin,
-        tolerance=tolerance,
-        scale=scale,
-        metadata={"n_random_fields": n_random, "seed": seed},
-    )
 
 
 # ---------------------------------------------------------------------------

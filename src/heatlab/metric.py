@@ -22,7 +22,7 @@ distance bracket the intrinsic distance,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -37,8 +37,6 @@ class DistanceField:
     model_id: str
     source: int
     values: np.ndarray
-    method: str                      # graph | dual | oracle | subunit
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
@@ -69,14 +67,14 @@ def graph_distance(model: DiscretizedModel, source: int) -> DistanceField:
     d = dijkstra(model.adjacency(), directed=False, indices=source)
     if not np.all(np.isfinite(d)):
         raise ValueError("model graph is disconnected")
-    return DistanceField(model.model_id, source, d, "graph")
+    return DistanceField(model.model_id, source, d)
 
 
 def oracle_distance(model: DiscretizedModel, oracle: GeometryOracle, source: int) -> DistanceField:
     if oracle.exact_distance is None:
         raise ValueError("oracle carries no closed-form distance")
     vals = oracle.exact_distance(model.nodes[source], model.nodes)
-    return DistanceField(model.model_id, source, vals, "oracle")
+    return DistanceField(model.model_id, source, vals)
 
 
 def distance_field(model, oracle, source, method="auto") -> DistanceField:
@@ -115,7 +113,6 @@ class DualCertificate:
     graph_value: float              # graph distance d_graph(x, y), an upper bound
     field: ScalarField              # achieving feasible field
     feasibility: float              # max-node Gamma of the field (<= 1)
-    iterations: int
 
 
 def _cap_cones(values: np.ndarray, eps: float) -> np.ndarray:
@@ -135,18 +132,19 @@ def _cap_cones(values: np.ndarray, eps: float) -> np.ndarray:
     return cap
 
 
-def dual_distance(model: DiscretizedModel, x: int, y: int, budget: int = 30,
-                  seed: int = 0, smooth_steps=(0, 2, 8, 32)) -> DualCertificate:
+def dual_distance(model: DiscretizedModel, x: int, y: int,
+                  budget: int = 30) -> DualCertificate:
     """Certified lower bound on d(x, y) via the Lipschitz dual.
 
-    Maximizes f(x) - f(y) over fields with max-node Gamma(f) <= 1.  Any
+    Maximizes f(x) - f(y) over fields with max-node Gamma(f) <= 1, starting
+    from the graph distance to y after 0, 2, 8 and 32 smoothing steps.  Any
     feasible field certifies; budget exhaustion returns the best so far.
     """
     h = float(model.meta.get("h", 0.0) or 0.0)
     cap = 0.75 * h
     candidates = []
     base = graph_distance(model, y).values
-    for s in smooth_steps:
+    for s in (0, 2, 8, 32):
         cand = _jacobi_smooth(model, base, s) if s else base.copy()
         candidates.append(_cap_cones(cand, cap))
     if model.kind in ("euclidean", "torus", "heisenberg"):
@@ -170,13 +168,12 @@ def dual_distance(model: DiscretizedModel, x: int, y: int, budget: int = 30,
             best_val, best_f = val, f
 
     # smoothed ascent on the best candidate
-    it = 0
     direction = np.zeros(model.n_nodes)
     direction[x], direction[y] = 1.0, -1.0
     direction = _jacobi_smooth(model, direction, 4)
     step = 0.5 * best_val if best_val > 0 else 1.0
     cur = best_f.copy()
-    for it in range(1, budget + 1):
+    for _ in range(budget):
         trial = cur + step * direction
         val, f = _feasible_value(model, trial, x, y)
         if val > best_val:
@@ -192,7 +189,6 @@ def dual_distance(model: DiscretizedModel, x: int, y: int, budget: int = 30,
         graph_value=float(base[x]),
         field=model.field(best_f),
         feasibility=float(g.max()),
-        iterations=it,
     )
 
 
@@ -261,9 +257,6 @@ def _shooting_loss(p: np.ndarray, penalty: float, target: np.ndarray, wz: float)
 @dataclass(frozen=True)
 class SubunitPath:
     length: float                   # curve length T (upper bound on d)
-    thetas: np.ndarray
-    endpoint_miss: float
-    target: np.ndarray
 
 
 def _cc_scale(target: np.ndarray) -> float:
@@ -271,23 +264,21 @@ def _cc_scale(target: np.ndarray) -> float:
     return float(np.hypot(x, y) + 2 * np.sqrt(np.pi * abs(z)) + 1e-12)
 
 
-def subunit_distance_heisenberg(target, segments: int = 64, budget: int = 3,
-                                miss_tol: float = 2e-3, seed: int = 0,
-                                origin=None) -> SubunitPath:
-    """Upper bound on the Carnot-Caratheodory distance to ``target``.
+def subunit_distance_heisenberg(target, seed: int = 0) -> SubunitPath:
+    """Upper bound on the Carnot-Caratheodory distance from the origin to
+    ``target``.
 
-    Optimizes piecewise-constant horizontal controls (u, v) with
+    Optimizes 64 piecewise-constant horizontal controls (u, v) with
     u^2 + v^2 = 1 driving x' = u, y' = v, z' = (x v - y u)/2 from the
-    origin; shooting with an escalating endpoint penalty.  Group
-    translation reduces arbitrary source points to the origin.
+    origin; shooting with an escalating endpoint penalty.  A shot that
+    misses by more than 2% of the distance scale is an error.
     """
     target = np.asarray(target, dtype=float)
-    if origin is not None:
-        target = heisenberg_translate(np.asarray(origin, float), target)
     x0, y0, z0 = target
     scale = _cc_scale(target)
     if scale < 1e-10:
-        return SubunitPath(0.0, np.zeros(segments), 0.0, target)
+        return SubunitPath(0.0)
+    segments, miss_tol = 64, 2e-3
 
     # weight the z-miss so a full miss costs its squared CC length 4 pi |z|
     zscale = max(abs(z0), scale**2 / (16 * np.pi))
@@ -317,7 +308,7 @@ def subunit_distance_heisenberg(target, segments: int = 64, budget: int = 3,
             res = optimize.minimize(
                 _shooting_loss, p, args=(penalty / scale**2, target, wz),
                 method="L-BFGS-B", jac=True,
-                options={"maxiter": 150 * budget},
+                options={"maxiter": 450},
             )
             p = res.x
         thetas, T = p[:-1], abs(p[-1]) + 1e-9
@@ -325,15 +316,12 @@ def subunit_distance_heisenberg(target, segments: int = 64, budget: int = 3,
         # rank: shots that actually hit (small miss) first, then total bound
         key = (miss > miss_tol * scale, T + miss)
         if best is None or key < best[0]:
-            best = (key, T, miss, thetas)
-    _, T, miss, thetas = best
+            best = (key, T, miss)
+    _, T, miss = best
     if miss > miss_tol * scale * 10:
-        raise RuntimeError(
-            f"subunit shooting missed the endpoint by {miss:g}; "
-            "raise the control resolution"
-        )
+        raise RuntimeError(f"subunit shooting missed the endpoint by {miss:g}")
     # the residual gap is closed by the explicit patch, keeping the bound valid
-    return SubunitPath(float(T + miss), thetas, float(miss), target)
+    return SubunitPath(float(T + miss))
 
 
 # ---------------------------------------------------------------------------

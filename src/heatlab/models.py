@@ -45,6 +45,9 @@ class UnsupportedModelError(ValueError):
 MODEL_OPTIONS = {"euclidean": (), "torus": ("period",),
                  "sphere": ("mesh", "pole_rows_untrusted"),
                  "heisenberg": ("z_extent",)}
+# the dimensions each model kind is built in
+MODEL_DIMS = {"euclidean": (1, 2, 3), "torus": (1, 2), "sphere": (2,),
+              "heisenberg": (3,)}
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_OPTIONS:
             raise UnsupportedModelError(f"kind: unknown model kind {self.kind!r}")
+        if self.dim not in MODEL_DIMS[self.kind]:
+            raise UnsupportedModelError(
+                f"dim: a {self.kind} model has dim in {list(MODEL_DIMS[self.kind])}, "
+                f"got {self.dim!r}")
         if self.resolution < 8:
             raise ValueError("resolution: must be at least 8")
         if self.kind in ("euclidean", "heisenberg") and not (self.extent > 0):
@@ -470,20 +477,14 @@ def build_model(spec: ModelSpec):
     """Build (DiscretizedModel, GeometryOracle, VerticalForm | None)."""
     vform = None
     if spec.kind == "euclidean":
-        if spec.dim not in (1, 2, 3):
-            raise UnsupportedModelError("euclidean boxes support dim 1..3")
         nodes, mu, L, ef, lengths, boundary, meta = _build_grid(spec, periodic=False)
         oracle = _euclidean_oracle(spec.dim, spec.extent)
         model_id = f"euclidean{spec.dim}d-m{spec.resolution}-a{spec.extent:g}"
     elif spec.kind == "torus":
-        if spec.dim not in (1, 2):
-            raise UnsupportedModelError("torus supports dim 1..2")
         nodes, mu, L, ef, lengths, boundary, meta = _build_grid(spec, periodic=True)
         oracle = _torus_oracle(spec.dim, meta["period"])
         model_id = f"torus{spec.dim}d-m{spec.resolution}-P{meta['period']:g}"
     elif spec.kind == "sphere":
-        if spec.dim != 2:
-            raise UnsupportedModelError("only the round 2-sphere is in the catalog")
         i, j, c, mu, nodes, lengths, trusted, dth = latitude_sphere(
             spec.resolution,
             pole_rows_untrusted=int(spec.options.get("pole_rows_untrusted", 4)),
@@ -494,7 +495,7 @@ def build_model(spec: ModelSpec):
         meta = {"h": dth, "mesh_order": 2, "trusted_mask": trusted}
         model_id = f"sphere2-lat{spec.resolution}"
         oracle = _sphere_oracle()
-    elif spec.kind == "heisenberg":
+    else:  # heisenberg
         nodes, mu, L, ef, lengths, boundary, meta, vedges = _build_heisenberg(spec)
         oracle = _heisenberg_oracle(total=float(mu.sum()))
         model_id = (
@@ -502,8 +503,6 @@ def build_model(spec: ModelSpec):
             f"-z{spec.options.get('z_extent', spec.extent / 8.0):g}"
         )
         vform = ("pending", vedges)
-    else:  # pragma: no cover
-        raise UnsupportedModelError(spec.kind)
 
     model = DiscretizedModel(
         model_id=model_id,
@@ -526,8 +525,6 @@ def build_model(spec: ModelSpec):
         raise AssertionError(
             f"Gamma edge/operator self-test failed for {model_id}: {resid:g}"
         )
-    model.meta["gamma_self_test"] = resid
-    model.meta["oracle"] = oracle
     return model, oracle, vform
 
 

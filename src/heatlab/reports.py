@@ -31,10 +31,6 @@ class Tolerance:
     def slack(self, scale: float) -> float:
         return self.abs + self.rel * abs(scale)
 
-    def __mul__(self, factor: float) -> "Tolerance":
-        """Both slack terms times ``factor``; the mesh order is kept."""
-        return Tolerance(self.abs * factor, self.rel * factor, self.mesh_order)
-
 
 @dataclass
 class MarginReport:

@@ -84,12 +84,11 @@ def _symmetrized(model: DiscretizedModel):
     return A.tocsr(), dm
 
 
-def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0,
-                       maxiter: int | None = None) -> SpectralData:
+def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> SpectralData:
     """k lowest eigenpairs of -L in the mu-weighted inner product.
 
     When N > 10 k the pairs come from shift-invert ``eigsh`` (its start
-    vector is drawn from ``seed``; ``maxiter`` bounds its iterations);
+    vector is drawn from ``seed``; ``SolverError`` if it does not converge);
     otherwise from a dense solve of the k lowest pairs only.  The crossover
     was measured up to N = 4514; past that the rule is extrapolated, and
     the dense path holds an N x N matrix.  Each cluster of equal
@@ -111,8 +110,7 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0,
         v0 = rng.standard_normal(n)
         shift = 1e-2 * float(A.diagonal().mean())
         try:
-            w, U = spla.eigsh(A, k=k, sigma=-shift, which="LM", v0=v0,
-                              maxiter=maxiter)
+            w, U = spla.eigsh(A, k=k, sigma=-shift, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise SolverError(
                 "eigensolver did not converge; raise the subspace size or "
@@ -252,28 +250,22 @@ def heat_kernel_block(spectral: SpectralData, t: float, rows, cols=None) -> np.n
 # eigenvalue clusters, equilibrium
 
 
-def eigenvalue_clusters(eigenvalues: np.ndarray, rtol: float = 1e-6,
-                        atol: float = 1e-9) -> list[np.ndarray]:
-    """Group ascending eigenvalues that agree within the clustering tolerance."""
+def eigenvalue_clusters(eigenvalues: np.ndarray, rtol: float = 1e-6) -> list[np.ndarray]:
+    """Group ascending eigenvalues that agree within 1e-9 + rtol max(1, lambda)."""
     lam = np.asarray(eigenvalues)
     clusters, start = [], 0
     for m in range(1, lam.size + 1):
-        if m == lam.size or lam[m] - lam[start] > atol + rtol * max(1.0, lam[start]):
+        if m == lam.size or lam[m] - lam[start] > 1e-9 + rtol * max(1.0, lam[start]):
             clusters.append(np.arange(start, m))
             start = m
     return clusters
 
 
-def equilibrium_error(model: DiscretizedModel, engine, f: ScalarField, t: float,
-                      norm: str = "l2") -> float:
-    """Distance of P_t f from its equilibrium (the mu-average of f)."""
-    if model.boundary_mask.any() and not model.meta.get("reflecting", True):
-        raise ValueError("equilibrium needs a reflecting (mass-conserving) closure")
+def equilibrium_error(model: DiscretizedModel, engine, f: ScalarField, t: float) -> float:
+    """L2(mu) distance of P_t f from its equilibrium (the mu-average of f)."""
     mean = model.integrate(f) / model.total_measure
     pt = apply_semigroup(model, engine, f, t)
     diff = pt.values - mean
-    if norm == "sup":
-        return float(np.max(np.abs(diff)))
     return float(np.sqrt(model.mu @ diff**2))
 
 
@@ -371,7 +363,9 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
     """Load a cached decomposition; None on any mismatch (then recompute).
 
     Files of another header version are a mismatch: version 1 files hold
-    eigenfields in a solver-dependent basis.
+    eigenfields in a solver-dependent basis.  So is a damaged file: one cut
+    short, with bytes past its blocks, with a header that is not a JSON
+    object, or with data that ``SpectralData`` rejects.
     """
     import os
 
@@ -383,15 +377,18 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
                 return None
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen))
-            if (header.get("version") != CACHE_VERSION
+            if (not isinstance(header, dict)
+                    or header.get("version") != CACHE_VERSION
                     or header.get("model_hash") != model_hash):
                 return None
             k, n = header["k"], header["n"]
             lam = np.frombuffer(fh.read(8 * k), dtype=float).copy()
             phi = np.frombuffer(fh.read(8 * n * k), dtype=float).reshape(n, k).copy()
+            if fh.read(1):
+                return None
         return SpectralData(header["model_id"], lam, phi,
                             header["residual"], header["gram_error"])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
+    except (OSError, ValueError, KeyError, TypeError, struct.error, SolverError):
         return None
 
 

@@ -22,9 +22,9 @@ class NamedField:
     field: ScalarField
 
 
-def eps_shift(model: DiscretizedModel, f: ScalarField, eps_rel: float = 1e-3):
-    """f + eps with eps = eps_rel * sup|f|; returns (shifted field, eps)."""
-    eps = eps_rel * float(np.max(np.abs(f.values)) or 1.0)
+def eps_shift(model: DiscretizedModel, f: ScalarField):
+    """f + eps with eps = 1e-3 sup|f|; returns (shifted field, eps)."""
+    eps = 1e-3 * float(np.max(np.abs(f.values)) or 1.0)
     return model.field(f.values + eps), eps
 
 
@@ -39,10 +39,11 @@ def coordinate_fields(model: DiscretizedModel) -> list[NamedField]:
 
 
 def eigen_fields(model: DiscretizedModel, spectral: SpectralData,
-                 n_single: int = 3, n_combo: int = 3, k_max: int = 9,
+                 n_single: int = 3, n_combo: int = 3,
                  seed: int = 0) -> list[NamedField]:
+    """Eigenfields 1..n_single and random combinations of eigenfields 1..9."""
     rng = np.random.default_rng(seed)
-    k_max = min(k_max, spectral.count - 1)
+    k_max = min(9, spectral.count - 1)
     out = []
     for k in range(1, min(n_single, k_max) + 1):
         out.append(NamedField(f"eigen-{k}", model.field(spectral.eigenfields[:, k])))
@@ -109,11 +110,11 @@ def rectified_noise_fields(model: DiscretizedModel, engine, n: int = 2,
 
 
 def positive_fields(model: DiscretizedModel, spectral: SpectralData | None,
-                    seed: int = 0, amplitudes=(0.3, 0.6)) -> list[NamedField]:
-    """Strictly positive suite members 1 + a * (bounded field)."""
+                    seed: int = 0) -> list[NamedField]:
+    """Strictly positive suite members 1 + a * (bounded field), a = 0.3, 0.6."""
     out = [NamedField("one", model.constant(1.0))]
     if spectral is not None and spectral.count > 1:
-        for a in amplitudes:
+        for a in (0.3, 0.6):
             phi = spectral.eigenfields[:, 1]
             v = 1.0 + a * phi / np.max(np.abs(phi))
             out.append(NamedField(f"one-plus-{a:g}-eigen1", model.field(v)))

@@ -140,13 +140,21 @@ def test_command_line_overrides_are_validated(tmp_path):
     cfgfile = tmp_path / "mini.cfg"
     cfgfile.write_text(MINI_CFG)
     out = tmp_path / "o"
-    for override in (["--tol-scale", "-1"], ["--tol-scale", "0"],
-                     ["--workers", "-3"]):
-        assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
-                     "--cache", str(tmp_path / "c")] + override) == 2, override
+    assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                 "--cache", str(tmp_path / "c"), "--workers", "-3"]) == 2
     assert not out.exists()
     with pytest.raises(ConfigError, match="workers"):
         CampaignConfig.from_dict({"workers": 0})
+
+
+@pytest.mark.parametrize("k, message", [("0", "must be at least 1"),
+                                        ("-3", "must be at least 1"),
+                                        ("999999", "must be at most the 64 nodes")])
+def test_build_k_is_validated(tmp_path, capsys, k, message):
+    cache = tmp_path / "c"
+    assert main(["build", "--model", "torus1", "-k", k, "--cache", str(cache)]) == 2
+    assert f"configuration error: -k: {message}" in capsys.readouterr().err
+    assert not any(cache.glob("*.spec"))
 
 
 def test_small_campaign_independent_of_workers_and_cache(tmp_path, monkeypatch):
@@ -252,6 +260,8 @@ TYPOS = [
     (MINI_CFG + "models.t.options.perod = 6.0\n", "models.t.options.perod"),
     (MINI_CFG + "models.t.options.z_extent = 0.1\n", "models.t.options.z_extent"),
     (MINI_CFG + "models.t.dim = two\n", "models.t.dim"),
+    ("models.s.kind = sphere\nmodels.s.dim = 3\n"
+     "checks.ax.check = operator-axioms\nchecks.ax.model = s\n", "models.s.dim"),
     ("models.s.kind = sphere\nmodels.s.options.mesh = icosahedral\n"
      "checks.ax.check = operator-axioms\nchecks.ax.model = s\n",
      "models.s.options.mesh"),
@@ -288,29 +298,3 @@ def test_unknown_key_error_lists_accepted_keys():
     data = parse_config_text(MINI_CFG + "models.t.options.perod = 6.0\n")
     with pytest.raises(ConfigError, match=r"it reads: \['period'\]"):
         CampaignConfig.from_dict(data)
-
-
-def test_tol_scale_multiplies_the_declared_tolerances(tmp_path):
-    # spectrum scales its rtol only, the axioms their tolerance, and the
-    # distance sandwich neither
-    reports = []
-    for scale in (1.0, 2.0):
-        cfg = CampaignConfig.from_dict({
-            "tol_scale": scale,
-            "output_dir": str(tmp_path / f"out{scale}"),
-            "cache_dir": str(tmp_path / "cache"),
-            "models": {"t": {"kind": "torus", "dim": 1, "resolution": 32,
-                             "spectral_k": 32}},
-            "checks": {"ax": {"check": "operator-axioms", "model": "t",
-                              "n_random": 5},
-                       "sp": {"check": "spectrum", "model": "t", "rtol": 0.02},
-                       "dd": {"check": "distance-sandwich", "model": "t",
-                              "n_pairs": 4}}})
-        assert run_campaign(cfg, log=lambda *a: None) == 0
-        reports.append({n: MarginReport.load(os.path.join(cfg.output_dir, f"{n}.json"))
-                        for n in cfg.checks})
-    one, two = reports
-    assert two["ax"].tolerance.abs == 2 * one["ax"].tolerance.abs
-    assert two["sp"].metadata["rtol"] == 2 * one["sp"].metadata["rtol"] == 0.04
-    assert two["sp"].tolerance == one["sp"].tolerance
-    assert two["dd"].tolerance == one["dd"].tolerance

@@ -243,6 +243,54 @@ def test_version1_cache_is_recomputed(tmp_path):
     assert np.array_equal(back.eigenfields, fresh.eigenfields)
 
 
+def test_damaged_cache_is_recomputed(tmp_path, monkeypatch):
+    # a cut-short or garbled cache file is a miss: the decomposition is
+    # computed afresh and the file rewritten
+    model, _, _ = build_model(ModelSpec("torus", dim=1, resolution=16))
+    mh = model_hash(model)
+    path = str(tmp_path / "t-k6.spec")
+    good = semigroup.cached_decompose(model, 6, path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = len(CACHE_MAGIC) + 4
+    hlen = struct.unpack("<I", data[len(CACHE_MAGIC):head])[0]
+    blocks = head + hlen
+    lam0 = data[:blocks] + struct.pack("<d", 5.0) + data[blocks + 8:]
+    damaged = [data[:n] for n in (0, 5, head - 2, blocks - 3, blocks + 20,
+                                  blocks + 48, len(data) - 8)]
+    damaged += [data[:head] + b"[" + b" " * (hlen - 2) + b"]" + data[blocks:],
+                data[:head] + b"\xff" * hlen + data[blocks:],
+                data[:len(CACHE_MAGIC)] + struct.pack("<I", 2**31) + data[head:],
+                lam0, data + b"\0" * 8]
+    solves = []
+    real = semigroup.spectral_decompose
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(semigroup, "spectral_decompose", counted)
+    for n, bad in enumerate(damaged):
+        with open(path, "wb") as fh:
+            fh.write(bad)
+        assert load_spectral(path, mh) is None, n
+        got = semigroup.cached_decompose(model, 6, path)
+        assert len(solves) == n + 1
+        assert np.array_equal(got.eigenfields, good.eigenfields)
+        with open(path, "rb") as fh:
+            assert fh.read() == data, n
+
+
+def test_eigsh_without_convergence_raises_solver_error(monkeypatch):
+    model, _, _ = build_model(ModelSpec("torus", dim=1, resolution=64))
+
+    def stalled(*args, **kwargs):
+        raise semigroup.spla.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((64, 0)))
+    monkeypatch.setattr(semigroup.spla, "eigsh", stalled)
+    with pytest.raises(semigroup.SolverError, match="did not converge"):
+        spectral_decompose(model, k=4)          # N = 64 > 10 k: the eigsh path
+
+
 def test_canonical_basis_ignores_rotations_within_clusters(sphere):
     model, _, spectral = sphere
     clusters = eigenvalue_clusters(spectral.eigenvalues)
