@@ -30,12 +30,10 @@ from .fields import (
     self_test_gamma,
 )
 from .metric import (
-    DistanceField,
     ball_table,
     calibrate_anisotropy,
     distance_field,
     dual_distance,
-    graph_distance,
     subunit_distance_heisenberg,
     volume_growth_exponent,
 )
@@ -633,15 +631,9 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
         dim_exp, gauss = n, 1.0
     meta = {"mode": mode, "K": K, "exponent": dim_exp, "gauss_factor": gauss,
             "distance": dist_method}
-
-    dcache: dict[int, DistanceField] = {}
-
-    def dist(x, y):
-        if x == y:
-            return 0.0
-        if y not in dcache:
-            dcache[y] = distance_field(model, oracle, y, method=dist_method)
-        return float(dcache[y].values[x])
+    dists = [0.0 if x == y else
+             float(distance_field(model, oracle, y, method=dist_method).values[x])
+             for (x, s, y, t) in pair_sample]
 
     samples = []
     for nf in suite:
@@ -654,10 +646,9 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
                 cache[t] = apply_semigroup(model, engine, f, t).values
             return float(cache[t][node])
 
-        for (x, s, y, t) in pair_sample:
+        for (x, s, y, t), d in zip(pair_sample, dists):
             if not s < t:
                 raise ValueError("harnack pairs need s < t")
-            d = dist(x, y)
             lhs = u(x, s)
             rhs = (u(y, t) * (t / s) ** (dim_exp / 2)
                    * np.exp(gauss * d**2 / (4 * (t - s))
@@ -716,18 +707,11 @@ def check_kernel_bounds(model, oracle, spectral, engine=None, pair_sample=None,
     samples = []
     meta = {"n": n, "K": K, "eps": eps}
 
-    dcache = {}
-
-    def dfield(x):
-        if x not in dcache:
-            dcache[x] = distance_field(model, oracle, x)
-        return dcache[x]
-
     # (a) comparison lower bound
     if pair_sample:
         worst_sat = 0.0
         for (x, y, t) in pair_sample:
-            d = float(dfield(x).values[y])
+            d = float(distance_field(model, oracle, x).values[y])
             p = heat_kernel_block(spectral, t, [x], [y])[0, 0]
             low = ((4 * np.pi * t) ** (-n / 2)
                    * np.exp(-d**2 / (4 * t) - K * d**2 / 6 - n * K * t / 4))
@@ -746,8 +730,7 @@ def check_kernel_bounds(model, oracle, spectral, engine=None, pair_sample=None,
     if centers is not None and radii is not None:
         q_hi, q_lo = [], []
         for x in centers:
-            df = dfield(x)
-            bt = ball_table(model, df, radii)
+            bt = ball_table(model, distance_field(model, oracle, x), radii)
             for r, vol in zip(radii, bt.volumes):
                 exact_vol = (oracle.exact_ball_volume(model.nodes[x], r)
                              if oracle.exact_ball_volume else vol)
@@ -778,11 +761,12 @@ def check_kernel_bounds(model, oracle, spectral, engine=None, pair_sample=None,
     if pair_sample and centers is not None and radii is not None:
         c_fit = 0.0
         for (x, y, t) in pair_sample:
-            d = float(dfield(x).values[y])
+            dx = distance_field(model, oracle, x).values
+            d = float(dx[y])
             p = heat_kernel_block(spectral, t, [x], [y])[0, 0]
             vol = (oracle.exact_ball_volume(model.nodes[x], np.sqrt(t))
                    if oracle.exact_ball_volume else
-                   float(model.mu[dfield(x).values <= np.sqrt(t)].sum()))
+                   float(model.mu[dx <= np.sqrt(t)].sum()))
             if p <= 0 or vol <= 0:
                 continue
             up = p * vol / np.exp(-d**2 / ((4 + eps) * t))
@@ -798,9 +782,9 @@ def check_kernel_bounds(model, oracle, spectral, engine=None, pair_sample=None,
         for A in BALL_MASS_A_GRID:
             k_min = np.inf
             for x in centers:
-                df = dfield(x)
+                dx = distance_field(model, oracle, x).values
                 for r in radii:
-                    ind = model.field((df.values <= r).astype(float))
+                    ind = model.field((dx <= r).astype(float))
                     val = apply_semigroup(model, engine, ind, A * r**2).values[x]
                     k_min = min(k_min, float(val))
             if k_min > best[1]:
@@ -838,10 +822,9 @@ def check_volume_regularity(model, oracle, centers, radii,
     radii = np.asarray(radii, dtype=float)
     all_r = np.unique(np.concatenate([radii, 2 * radii]))
     ratios, samples = [], []
-    slope_tables, fields = [], []
+    slope_tables = []
     for x in centers:
         df = distance_field(model, oracle, x, method=dist_method)
-        fields.append(df)
         safe = float(model.metric_distance_to_boundary()[x])
         if np.isfinite(safe) and 2 * radii.max() > safe:
             raise ValueError(
@@ -893,10 +876,10 @@ def check_volume_regularity(model, oracle, centers, radii,
     meta["series"] = [[float(s["r"]), s["ratio"]] for s in samples
                       if s.get("part") == "doubling"]
     if model.kind == "heisenberg":
-        # the lattice oracle has no closed-form distance, so fields[0] is
-        # the graph distance from the first centre
+        # the lattice oracle has no closed-form distance, so this is the
+        # graph distance from the first centre
         x0 = model.nodes[centers[0]]
-        d_cc = fields[0].values
+        d_cc = distance_field(model, oracle, centers[0], method=dist_method).values
         d_ch = np.linalg.norm(model.nodes - x0, axis=1)
         near_axis = (np.hypot(model.nodes[:, 0], model.nodes[:, 1])
                      < 2 * float(model.meta["h"]))
@@ -939,7 +922,7 @@ def check_ball_poincare(model, center: int, radius: float = 0.6,
                         seed: int = 0) -> MarginReport:
     """Report-only: the scale-invariant Poincare constant lambda_1 r^2 of
     the Neumann problem on the graph-distance ball B(center, radius)."""
-    d = graph_distance(model, center).values
+    d = distance_field(model, None, center, method="graph").values
     sub = neumann_restrict(model, np.flatnonzero(d <= radius))
     lam1 = float(spectral_decompose(sub, k=3, seed=seed).eigenvalues[1])
     samples = [{"r": radius, "lhs": 0.0, "rhs": lam1 * radius**2,
@@ -1232,7 +1215,7 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
         if x == y:
             continue
         dc = dual_distance(model, int(x), int(y), budget=budget)
-        g = dc.graph_value
+        g = float(distance_field(model, None, y, method="graph").values[x])
         scale = max(scale, g)
         s = {"x": int(x), "y": int(y), "lhs": dc.value, "rhs": g,
              "margin": g - dc.value, "feasibility": dc.feasibility}

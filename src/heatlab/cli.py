@@ -1,9 +1,11 @@
 """Config-driven campaign runner.
 
 Builds the model catalog, runs the selected checks, persists spectral
-caches, and emits one JSON margin report per (model, check) plus a summary
-table, CSV series, and static SVG plots.  Reports contain no timestamps or
-environment data, so reruns at a fixed seed are byte-identical.
+caches, and writes one JSON margin report per (model, check) plus a summary
+table; ``heatlab report`` turns a report into a CSV series and a static SVG
+plot.  Reports contain no timestamps or environment data, so reruns at a
+fixed seed are byte-identical.  A rerun reuses a report only when both its
+config and the heatlab sources are unchanged (``config_digest``).
 
 Each check id is declared once in ``CHECK_KINDS``: its check function, the
 model-context parts it takes, and the config keys it accepts with their
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import checks as C
 from .fields import CDParameters, deep_interior
-from .metric import graph_distance
+from .metric import distance_field
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
 from .semigroup import CrankNicolson, cached_decompose, neumann_restrict
@@ -255,11 +257,23 @@ def _check_options(cfg, name, spec) -> dict:
     return opts
 
 
+@functools.cache
+def _source_digest() -> str:
+    """Digest of the package's source files: a report made by other code is
+    not reused."""
+    h = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
 def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
     payload = json.dumps(
-        {"schema": CONFIG_SCHEMA_VERSION, "seed": cfg.seed, "check": spec,
-         "model": (cfg.models[spec["model"]].__dict__
-                   if spec.get("model") in cfg.models else None)},
+        {"schema": CONFIG_SCHEMA_VERSION, "code": _source_digest(),
+         "seed": cfg.seed, "check": spec, "model": cfg.models[spec["model"]].__dict__},
         sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -462,7 +476,8 @@ def _bind_neumann(ctx, opts, seed):
         diameter = round(sub.n_nodes ** (1.0 / dim)) * float(model.meta["h"]) \
             * np.sqrt(dim)
     else:
-        d = graph_distance(model, node_nearest(model, [0, 0, 1])).values
+        d = distance_field(model, None, node_nearest(model, [0, 0, 1]),
+                           method="graph").values
         sub = neumann_restrict(model, np.flatnonzero(d <= r))
         diameter = 2 * r
     return {"submodel": sub, "diameter": float(diameter)}
@@ -599,8 +614,7 @@ def default_config() -> CampaignConfig:
         "heis-hd": ModelSpec("heisenberg", dim=3, resolution=49, extent=1.3,
                              options={"z_extent": 0.16}),
     }
-    cfg.spectral_k = {"torus1": 64, "euclid1": 96, "euclid2": 500,
-                      "sphere": 300}
+    cfg.spectral_k = {"torus1": 64, "euclid2": 500, "sphere": 300}
     cfg.checks = {}
     for m in ("torus1", "euclid1", "euclid2", "euclid3", "sphere", "heis"):
         cfg.checks[f"axioms-{m}"] = {"check": "operator-axioms", "model": m}
@@ -714,14 +728,24 @@ def default_config() -> CampaignConfig:
 # campaign runner
 
 
+def _check_spectral_k(ctx: ModelContext, where: str) -> None:
+    if ctx.k and ctx.k > ctx.model.n_nodes:
+        raise ConfigError(f"{where}: must be at most the {ctx.model.n_nodes} "
+                          f"nodes of model {ctx.name!r}, got {ctx.k}")
+
+
 def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
+    """Run the checks (all, or those named in ``only``) and write their
+    reports; a full run also writes ``summary.csv`` and ``summary.txt``."""
     validate_config(cfg)          # before any report is written
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    os.makedirs(cfg.cache_dir, exist_ok=True)
     ctxs = {name: ModelContext(name, spec, cfg.cache_dir, cfg.seed,
                                k=cfg.spectral_k.get(name))
             for name, spec in cfg.models.items()}
     names = [n for n in cfg.checks if only is None or n in only]
+    for name in dict.fromkeys(cfg.checks[n]["model"] for n in names):
+        _check_spectral_k(ctxs[name], f"models.{name}.spectral_k")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    os.makedirs(cfg.cache_dir, exist_ok=True)
     results: dict[str, MarginReport] = {}
 
     def task(name):
@@ -750,18 +774,17 @@ def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
         results[name] = rep
         log(f"[{rep.verdict:4s}] {name:34s} min_margin={rep.min_margin:+.3e}"
             f"{' (cached)' if cached else ''}")
-
-    summary_rows = [["check", "model", "verdict", "min_margin", "tol_abs",
-                     "tol_rel", "scale"]]
-    for name in names:
-        r = results[name]
-        summary_rows.append([name, r.model_id, r.verdict, repr(r.min_margin),
-                             repr(r.tolerance.abs), repr(r.tolerance.rel),
-                             repr(r.scale)])
-    write_csv(os.path.join(cfg.output_dir, "summary.csv"), summary_rows)
-    lines = [f"{row[0]:36s} {row[1]:28s} {row[2]}" for row in summary_rows[1:]]
-    atomic_write_text(os.path.join(cfg.output_dir, "summary.txt"),
-                      "\n".join(lines) + "\n")
+    if only is None:    # a partial run leaves the summaries of the full one
+        rows = [["check", "model", "verdict", "min_margin", "tol_abs", "tol_rel",
+                 "scale"]]
+        for name in names:
+            r = results[name]
+            rows.append([name, r.model_id, r.verdict, repr(r.min_margin),
+                         repr(r.tolerance.abs), repr(r.tolerance.rel), repr(r.scale)])
+        write_csv(os.path.join(cfg.output_dir, "summary.csv"), rows)
+        lines = [f"{row[0]:36s} {row[1]:28s} {row[2]}" for row in rows[1:]]
+        atomic_write_text(os.path.join(cfg.output_dir, "summary.txt"),
+                          "\n".join(lines) + "\n")
     failed = [n for n in names if not results[n].passed]
     if failed:
         log(f"FAILED: {', '.join(failed)}")
@@ -908,10 +931,9 @@ def main(argv=None) -> int:
                 k = _convert("-k", _count, args.k)
             ctx = ModelContext(args.model, cfg.models[args.model],
                                cfg.cache_dir, cfg.seed, k=k)
+            _check_spectral_k(ctx, "-k" if args.k is not None
+                              else f"models.{args.model}.spectral_k")
             m = ctx.model
-            if args.k is not None and k > m.n_nodes:
-                raise ConfigError(f"-k: must be at most the {m.n_nodes} nodes "
-                                  f"of model {args.model!r}, got {k}")
             print(f"{m.model_id}: {m.n_nodes} nodes, "
                   f"{m.edge_form.n_edges} edges, mu(M)={m.total_measure:.6g}")
             if ctx.k:

@@ -217,38 +217,24 @@ class DiscretizedModel:
             self.meta[key] = a
         return self.meta[key]
 
-    def hop_distance_to_boundary(self) -> np.ndarray:
-        """Graph-hop distance to the boundary node set (inf when compact)."""
-        key = "_hops_to_boundary"
-        if key not in self.meta:
-            n = self.n_nodes
-            if not self.boundary_mask.any():
-                self.meta[key] = np.full(n, np.inf)
-            else:
-                adj = self.adjacency(weights="unit")
-                hops = np.full(n, np.inf)
-                frontier = self.boundary_mask.copy()
-                hops[frontier] = 0
-                k = 0
-                while frontier.any():
-                    k += 1
-                    nxt = (adj @ frontier.astype(float)) > 0
-                    nxt &= ~np.isfinite(hops)
-                    hops[nxt] = k
-                    frontier = nxt
-                self.meta[key] = hops
-        return self.meta[key]
-
-    def metric_distance_to_boundary(self) -> np.ndarray:
-        key = "_dist_to_boundary"
+    def _distance_to_boundary(self, weights: str) -> np.ndarray:
+        key = f"_boundary_{weights}"
         if key not in self.meta:
             if not self.boundary_mask.any():
                 self.meta[key] = np.full(self.n_nodes, np.inf)
             else:
                 src = np.flatnonzero(self.boundary_mask)
-                d = dijkstra(self.adjacency(), directed=False, indices=src, min_only=True)
-                self.meta[key] = d
+                self.meta[key] = dijkstra(self.adjacency(weights), directed=False,
+                                          indices=src, min_only=True)
         return self.meta[key]
+
+    def hop_distance_to_boundary(self) -> np.ndarray:
+        """Graph-hop distance to the boundary node set (inf when compact)."""
+        return self._distance_to_boundary("unit")
+
+    def metric_distance_to_boundary(self) -> np.ndarray:
+        """Shortest-path distance to the boundary node set (inf when compact)."""
+        return self._distance_to_boundary("length")
 
 
 def deep_interior(model: DiscretizedModel, hops: int = 2) -> np.ndarray:

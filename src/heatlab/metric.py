@@ -12,7 +12,9 @@ distance bracket the intrinsic distance,
   unit-speed traversal time h, so graph distances are automatically
   Carnot-Caratheodory-flavoured (and overestimate by the lattice
   anisotropy, which is calibrated and recorded, never used to alter
-  certified bounds).
+  certified bounds).  ``distance_field`` keeps each graph distance in the
+  model's derived-data cache (``model.meta``, beside the adjacency), so
+  every caller shares one Dijkstra run per source.
 * dual: any field with pointwise Gamma(f) <= 1 certifies the lower bound
   f(x) - f(y).  Candidates are rescaled to feasibility, then improved by a
   smoothed ascent; feasibility, not optimality, is the certificate.
@@ -63,7 +65,7 @@ class BallTable:
 
 
 def graph_distance(model: DiscretizedModel, source: int) -> DistanceField:
-    """Shortest-path distance from one node over the model edges."""
+    """Shortest-path distance from one node over the model edges (one run)."""
     d = dijkstra(model.adjacency(), directed=False, indices=source)
     if not np.all(np.isfinite(d)):
         raise ValueError("model graph is disconnected")
@@ -78,12 +80,18 @@ def oracle_distance(model: DiscretizedModel, oracle: GeometryOracle, source: int
 
 
 def distance_field(model, oracle, source, method="auto") -> DistanceField:
+    """Distance from ``source``; a graph distance is kept in ``model.meta``
+    (an idempotent write, like the adjacency), so it runs once per source."""
     if method == "auto":
         method = "oracle" if (oracle is not None and oracle.exact_distance) else "graph"
     if method == "oracle":
         return oracle_distance(model, oracle, source)
     if method == "graph":
-        return graph_distance(model, source)
+        memo = model.meta.setdefault("_graph_distance", {})
+        source = int(source)
+        if source not in memo:
+            memo[source] = graph_distance(model, source)
+        return memo[source]
     raise ValueError(f"unknown distance method {method!r}")
 
 
@@ -100,6 +108,16 @@ def _jacobi_smooth(model: DiscretizedModel, v: np.ndarray, steps: int) -> np.nda
     return v
 
 
+def _smoothed(model: DiscretizedModel, v: np.ndarray, steps, cap: float) -> list:
+    """Capped copies of ``v`` after each of the ascending step counts
+    ``steps``, taken from one running smoothing."""
+    out, done = [], 0
+    for s in steps:
+        v, done = _jacobi_smooth(model, v, s - done), s
+        out.append(_cap_cones(v, cap))
+    return out
+
+
 def _feasible_value(model, cand: np.ndarray, x: int, y: int):
     g = model.edge_form.evaluate(model.mu, cand, cand)
     s = float(np.sqrt(max(g.max(), 1e-300)))
@@ -110,7 +128,6 @@ def _feasible_value(model, cand: np.ndarray, x: int, y: int):
 @dataclass(frozen=True)
 class DualCertificate:
     value: float                    # certified lower bound on d(x, y)
-    graph_value: float              # graph distance d_graph(x, y), an upper bound
     field: ScalarField              # achieving feasible field
     feasibility: float              # max-node Gamma of the field (<= 1)
 
@@ -142,11 +159,8 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
     """
     h = float(model.meta.get("h", 0.0) or 0.0)
     cap = 0.75 * h
-    candidates = []
-    base = graph_distance(model, y).values
-    for s in (0, 2, 8, 32):
-        cand = _jacobi_smooth(model, base, s) if s else base.copy()
-        candidates.append(_cap_cones(cand, cap))
+    base = distance_field(model, None, y, method="graph").values
+    candidates = _smoothed(model, base, (0, 2, 8, 32), cap)
     if model.kind in ("euclidean", "torus", "heisenberg"):
         u = model.nodes[x] - model.nodes[y]
         if model.kind == "heisenberg":
@@ -157,9 +171,7 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
             candidates.append(model.nodes @ (u / nrm))
     if model.kind == "sphere":
         ang = np.arccos(np.clip(model.nodes @ model.nodes[y], -1.0, 1.0))
-        candidates.append(_cap_cones(ang, cap))
-        for s in (2, 8):
-            candidates.append(_cap_cones(_jacobi_smooth(model, ang, s), cap))
+        candidates += _smoothed(model, ang, (0, 2, 8), cap)
 
     best_val, best_f = -np.inf, None
     for cand in candidates:
@@ -186,7 +198,6 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
     g = model.edge_form.evaluate(model.mu, best_f, best_f)
     return DualCertificate(
         value=float(best_val),
-        graph_value=float(base[x]),
         field=model.field(best_f),
         feasibility=float(g.max()),
     )
@@ -391,7 +402,7 @@ def calibrate_anisotropy(model: DiscretizedModel, oracle: GeometryOracle,
         ref = float(oracle.exact_distance(model.nodes[x], model.nodes[y]))
         if ref < 3 * model.meta.get("h", 0.0):
             continue
-        g = graph_distance(model, int(y)).values[x]
+        g = distance_field(model, oracle, y, method="graph").values[x]
         ratios.append(g / ref)
     ratios = np.array(ratios)
     return {"max_ratio": float(ratios.max()), "mean_ratio": float(ratios.mean()),

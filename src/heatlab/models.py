@@ -176,7 +176,7 @@ def _build_grid(spec: ModelSpec, periodic: bool):
     lengths = np.linalg.norm(nodes[j] - nodes[i], axis=1)
     if periodic:
         lengths = np.minimum(lengths, np.full_like(lengths, h))  # wrap edges
-    meta = {"h": h, "shape": shape, "mesh_order": 2}
+    meta = {"h": h}
     if periodic:
         meta["period"] = period
     return nodes, mu, L, ef, lengths, boundary, meta
@@ -448,8 +448,7 @@ def _build_heisenberg(spec: ModelSpec):
     if ncomp != 1:
         raise UnsupportedModelError("horizontal graph is disconnected; widen the box")
 
-    meta = {"h": h, "hz": hz, "z_step": 2 * hz, "shape": (nx, nx, nz),
-            "mesh_order": 2}
+    meta = {"h": h, "z_step": 2 * hz}
     return nodes, mu, L, ef, lengths, boundary, meta, vform_edges
 
 
@@ -492,7 +491,7 @@ def build_model(spec: ModelSpec):
         ef = EdgeForm(i, j, c, mu.size)
         L = graph_laplacian(ef, mu)
         boundary = np.zeros(mu.size, dtype=bool)
-        meta = {"h": dth, "mesh_order": 2, "trusted_mask": trusted}
+        meta = {"h": dth, "trusted_mask": trusted}
         model_id = f"sphere2-lat{spec.resolution}"
         oracle = _sphere_oracle()
     else:  # heisenberg
@@ -502,7 +501,7 @@ def build_model(spec: ModelSpec):
             f"heisenberg-m{spec.resolution}-a{spec.extent:g}"
             f"-z{spec.options.get('z_extent', spec.extent / 8.0):g}"
         )
-        vform = ("pending", vedges)
+        vform = VerticalForm(model_id=model_id, form=vedges)
 
     model = DiscretizedModel(
         model_id=model_id,
@@ -515,8 +514,6 @@ def build_model(spec: ModelSpec):
         boundary_mask=boundary,
         meta=meta,
     )
-    if vform is not None:
-        vform = VerticalForm(model_id=model_id, form=vform[1])
 
     # built-in self test: edge and operator routes to Gamma must agree
     resid = self_test_gamma(model, seed=7, n_fields=2)

@@ -21,9 +21,10 @@ start vector or the BLAS thread count.
 """
 from __future__ import annotations
 
-import io
 import json
+import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,9 @@ class SolverError(RuntimeError):
 
 
 CACHE_MAGIC = b"HLSPEC01"
-# header version: 2 since eigenfields are in the canonical cluster basis
-CACHE_VERSION = 2
+# header version: 2 since eigenfields are in the canonical cluster basis,
+# 3 since the header carries a CRC-32 of the eigenvalue and eigenfield blocks
+CACHE_VERSION = 3
 # seed of the probe fields that fix the basis inside eigenvalue clusters;
 # a constant, so the basis does not follow any run's seed
 PROBE_SEED = 0
@@ -321,9 +323,7 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
         edge_form=sub_ef,
         edge_length=model.edge_length[keep],
         boundary_mask=boundary,
-        meta={"h": model.meta.get("h"), "parent": model.model_id,
-              "parent_index": subset,
-              "mesh_order": model.meta.get("mesh_order", 1)},
+        meta={"h": model.meta.get("h")},
     )
     if "trusted_mask" in model.meta:
         sub.meta["trusted_mask"] = model.meta["trusted_mask"][subset]
@@ -335,8 +335,11 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
 
 
 def save_spectral(path: str, spectral: SpectralData, model_hash: str) -> None:
+    lam = np.ascontiguousarray(spectral.eigenvalues).tobytes()
+    phi = np.ascontiguousarray(spectral.eigenfields).tobytes()
     header = json.dumps({
         "version": CACHE_VERSION,
+        "checksum": zlib.crc32(phi, zlib.crc32(lam)),
         "model_id": spectral.model_id,
         "model_hash": model_hash,
         "k": spectral.count,
@@ -344,18 +347,12 @@ def save_spectral(path: str, spectral: SpectralData, model_hash: str) -> None:
         "residual": spectral.residual,
         "gram_error": spectral.gram_error,
     }, sort_keys=True).encode()
-    buf = io.BytesIO()
-    buf.write(CACHE_MAGIC)
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
-    buf.write(np.ascontiguousarray(spectral.eigenvalues).tobytes())
-    buf.write(np.ascontiguousarray(spectral.eigenfields).tobytes())
-    import os
-
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CACHE_MAGIC + struct.pack("<I", len(header)) + header)
+        fh.write(lam)
+        fh.write(phi)
     os.replace(tmp, path)
 
 
@@ -365,10 +362,9 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
     Files of another header version are a mismatch: version 1 files hold
     eigenfields in a solver-dependent basis.  So is a damaged file: one cut
     short, with bytes past its blocks, with a header that is not a JSON
-    object, or with data that ``SpectralData`` rejects.
+    object, with blocks that fail the header's checksum, or with data that
+    ``SpectralData`` rejects.
     """
-    import os
-
     if not os.path.exists(path):
         return None
     try:
@@ -382,10 +378,11 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
                     or header.get("model_hash") != model_hash):
                 return None
             k, n = header["k"], header["n"]
-            lam = np.frombuffer(fh.read(8 * k), dtype=float).copy()
-            phi = np.frombuffer(fh.read(8 * n * k), dtype=float).reshape(n, k).copy()
-            if fh.read(1):
+            blocks = fh.read(8 * k * (n + 1))
+            if fh.read(1) or zlib.crc32(blocks) != header.get("checksum"):
                 return None
+            lam = np.frombuffer(blocks[:8 * k], dtype=float).copy()
+            phi = np.frombuffer(blocks[8 * k:], dtype=float).reshape(n, k).copy()
         return SpectralData(header["model_id"], lam, phi,
                             header["residual"], header["gram_error"])
     except (OSError, ValueError, KeyError, TypeError, struct.error, SolverError):

@@ -1,9 +1,11 @@
+import collections
 import json
 import os
 
 import numpy as np
 import pytest
 
+from heatlab import cli, metric
 from heatlab.cli import (
     CampaignConfig,
     ConfigError,
@@ -179,6 +181,65 @@ def test_small_campaign_independent_of_workers_and_cache(tmp_path, monkeypatch):
             with open(os.path.join(outs[0], name), "rb") as a, \
                     open(os.path.join(other, name), "rb") as b:
                 assert a.read() == b.read(), f"{other}/{name} differs"
+
+
+def test_small_campaign_runs_each_dijkstra_once(tmp_path, monkeypatch):
+    # every graph distance of a cold campaign comes from one Dijkstra run
+    # per (model, source), whichever checks ask for it
+    runs = collections.Counter()
+    real = metric.graph_distance
+
+    def counted(model, source):
+        runs[model.model_id, int(source)] += 1
+        return real(model, source)
+    monkeypatch.setattr(metric, "graph_distance", counted)
+    cfg = CampaignConfig.from_dict(load_config_file(SMALL_CFG))
+    cfg.output_dir = str(tmp_path / "out")
+    cfg.cache_dir = str(tmp_path / "cache")
+    assert run_campaign(cfg, log=lambda *a: None) == 0
+    assert len(runs) == 93
+    assert max(runs.values()) == 1
+
+
+def test_spectral_k_beyond_node_count_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "big-k.cfg"
+    cfgfile.write_text(MINI_CFG.replace("spectral_k = 32", "spectral_k = 999"))
+    out = tmp_path / "o"
+    assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                 "--cache", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "models.t.spectral_k: must be at most the 32 nodes" in err
+    assert not out.exists()
+
+
+def test_partial_run_keeps_the_summaries(tmp_path):
+    cfgfile = tmp_path / "two.cfg"
+    cfgfile.write_text(MINI_CFG + "checks.laws.check = kernel-laws\n"
+                                  "checks.laws.model = t\n")
+    args = ["--config", str(cfgfile), "--out", str(tmp_path / "o"),
+            "--cache", str(tmp_path / "c")]
+    assert main(["campaign", *args]) == 0
+    summaries = {name: (tmp_path / "o" / name).read_bytes()
+                 for name in ("summary.csv", "summary.txt")}
+    assert b"laws" in summaries["summary.csv"]
+    assert main(["check", "--check", "ax", *args]) == 0
+    for name, data in summaries.items():
+        assert (tmp_path / "o" / name).read_bytes() == data, name
+
+
+def test_reports_are_rerun_after_a_code_change(tmp_path, monkeypatch):
+    cfg = _mini_config(str(tmp_path))
+    assert run_campaign(cfg, log=lambda *a: None) == 0
+    path = os.path.join(cfg.output_dir, "ax.json")
+    before = MarginReport.load(path).metadata["config_digest"]
+    lines = []
+    assert run_campaign(cfg, log=lines.append) == 0
+    assert all("(cached)" in line for line in lines)
+    monkeypatch.setattr(cli, "_source_digest", lambda: "other sources")
+    lines.clear()
+    assert run_campaign(cfg, log=lines.append) == 0
+    assert lines and not any("(cached)" in line for line in lines)
+    assert MarginReport.load(path).metadata["config_digest"] != before
 
 
 def test_plot_emission(tmp_path, sphere):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from heatlab import (
     MismatchError,
@@ -166,6 +167,26 @@ def test_interior_masks(euclid2, sphere):
     smodel = sphere[0]
     mask = deep_interior(smodel, hops=2)
     assert mask.sum() == smodel.meta["trusted_mask"].sum()
+
+
+def _hops_from_boundary(model):
+    # breadth-first hop counts from a super-source joined to every boundary
+    # node, one hop more than the counts from the boundary set itself
+    n, ef = model.n_nodes, model.edge_form
+    b = np.flatnonzero(model.boundary_mask)
+    i = np.concatenate([ef.i, np.full(b.size, n)])
+    j = np.concatenate([ef.j, b])
+    adj = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n + 1, n + 1))
+    return shortest_path(adj, directed=False, unweighted=True, indices=n)[:n] - 1
+
+
+def test_hop_distance_to_boundary(euclid2, heis, torus1, sphere):
+    for model in (euclid2[0], heis[0]):
+        hops = model.hop_distance_to_boundary()
+        assert hops.max() >= 3
+        np.testing.assert_array_equal(hops, _hops_from_boundary(model))
+    for model in (torus1[0], sphere[0]):
+        assert np.all(np.isinf(model.hop_distance_to_boundary()))
 
 
 def test_graph_laplacian_row_sums(tiny_torus):

@@ -237,7 +237,7 @@ def test_version1_cache_is_recomputed(tmp_path):
 
     got = ctx.spectral()
     assert np.array_equal(got.eigenfields, fresh.eigenfields)
-    assert _header(path)["version"] == 2
+    assert _header(path)["version"] == semigroup.CACHE_VERSION
     back = load_spectral(path, mh)
     assert back is not None
     assert np.array_equal(back.eigenfields, fresh.eigenfields)
@@ -256,12 +256,15 @@ def test_damaged_cache_is_recomputed(tmp_path, monkeypatch):
     hlen = struct.unpack("<I", data[len(CACHE_MAGIC):head])[0]
     blocks = head + hlen
     lam0 = data[:blocks] + struct.pack("<d", 5.0) + data[blocks + 8:]
+    # a flipped eigenfield entry leaves sizes and header intact; only the
+    # checksum tells
+    flipped = data[:-8] + struct.pack("<d", 1e3)
     damaged = [data[:n] for n in (0, 5, head - 2, blocks - 3, blocks + 20,
                                   blocks + 48, len(data) - 8)]
     damaged += [data[:head] + b"[" + b" " * (hlen - 2) + b"]" + data[blocks:],
                 data[:head] + b"\xff" * hlen + data[blocks:],
                 data[:len(CACHE_MAGIC)] + struct.pack("<I", 2**31) + data[head:],
-                lam0, data + b"\0" * 8]
+                lam0, flipped, data + b"\0" * 8]
     solves = []
     real = semigroup.spectral_decompose
 
