@@ -26,14 +26,12 @@ def main():
     ap.add_argument("--out", default="campaign-out")
     ap.add_argument("--cache", default="campaign-cache")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     cfg = default_config()
     cfg.output_dir = args.out
     cfg.cache_dir = args.cache
     cfg.seed = args.seed
-    cfg.workers = args.workers
     rc = run_campaign(cfg)
 
     plot_dir = os.path.join(args.out, "plots")

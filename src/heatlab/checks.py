@@ -185,7 +185,6 @@ CD_TOLERANCE = {"riemannian": Tolerance(1e-12, 0.02, mesh_order=2),
 
 def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
              suite: list[NamedField], vform: VerticalForm | None = None,
-             params: CDParameters | None = None,
              nu_grid=tuple(np.geomspace(0.25, 64, 10)),
              mode: str = "riemannian",
              tolerance: Tolerance | None = None,
@@ -194,8 +193,9 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
     """Pointwise curvature-dimension margins over suite x interior (x nu).
 
     Modes: ``riemannian`` uses (rho, n) from the oracle; ``generalized``
-    needs a vertical form and CD parameters; ``scan`` returns the largest
-    rho1 compatible with the sample for the given (rho2, kappa, n).
+    needs a vertical form and the oracle's CD parameters; ``scan`` returns
+    the largest rho1 compatible with the sample for the oracle's
+    (rho2, kappa, n).
     """
     if mode not in CD_TOLERANCE:
         raise ValueError(f"unknown cd mode {mode!r}")
@@ -241,8 +241,7 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
         return _report("cd", model.model_id, samples, tolerance, scale, meta)
 
     vform = require_vertical(model, vform)
-    if params is None:
-        params = oracle.cd_params
+    params = oracle.cd_params
     if params is None:
         raise NotApplicableError("no CD parameters available for this model")
     meta.update(rho1=params.rho1, rho2=params.rho2, kappa=params.kappa,
@@ -502,18 +501,13 @@ def harnack_dimension(alpha: float, kappa: float, rho2: float, n: float) -> floa
     return n * (alpha - 1) ** 2 * (1 + alpha * kappa / ((alpha - 1) * rho2)) / (4 * (alpha - 2))
 
 
-def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None, schedule=None):
+def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None):
     if mode == "rho0":
         return lu_over_u + n / (2 * t)
     if mode == "general-alpha":
         a = alpha if alpha is not None else 1.0
         coef = 1 - 2 * rho * t / (2 * a + 1)
         const = 0.5 * n * (a**2 / ((2 * a - 1) * t) + rho**2 * t / (2 * a + 1) - rho)
-        return coef * lu_over_u + const
-    if mode == "v-schedule":
-        i2, i2p = schedule
-        coef = 1 - 2 * rho * i2
-        const = 0.5 * n * (i2p + rho**2 * i2 - rho)
         return coef * lu_over_u + const
     if mode == "exponential":
         e = np.exp(-2 * rho * t / 3)
@@ -523,16 +517,14 @@ def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None, schedule=None):
 
 def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
                  mode: str = "rho0", alpha: float | None = None, vform=None,
-                 params: CDParameters | None = None,
-                 schedules=None,
                  tolerance: Tolerance = Tolerance(1e-12, 0.03, mesh_order=2),
                  saturation_fields=(), saturation_rtol: float = 0.01) -> MarginReport:
     """Gradient-of-logarithm estimates for positive solutions.
 
     Modes: ``rho0`` (sharp flat-space form), ``general-alpha``,
-    ``v-schedule`` (per-time integral pairs of the weight V and its rate),
     ``exponential``, ``bakry-qian`` (needs rho > 0 and t >= 2/rho), and
-    ``sub-riemannian`` (needs the vertical form, alpha > 2).
+    ``sub-riemannian`` (needs the vertical form, the oracle's CD parameters
+    and alpha > 2).
     Fields named in ``saturation_fields`` must additionally come within
     ``saturation_rtol`` (relative to the report scale) of equality somewhere
     on the interior.
@@ -542,7 +534,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
         raise NotApplicableError("bakry-qian mode needs rho > 0")
     if mode == "sub-riemannian":
         vform = require_vertical(model, vform)
-        params = params or oracle.cd_params
+        params = oracle.cd_params
         if params is None:
             raise NotApplicableError("sub-riemannian mode needs CD parameters")
         if alpha is None or alpha <= 2:
@@ -551,7 +543,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
     sat_worst = {}
     meta = {"mode": mode, "alpha": alpha, "rho": rho, "n": n}
     series = []
-    for ti, t in enumerate(t_grid):
+    for t in t_grid:
         if mode == "bakry-qian" and t < 2 / rho - 1e-12:
             raise ValueError(f"bakry-qian needs t >= 2/rho = {2 / rho:g}")
         idx = _mask_indices(model, interior_for_time(model, t))
@@ -578,9 +570,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
                            - params.rho1 * params.n * c / 2
                            + params.n * (alpha - 1) ** 2 * c**2 / (8 * (alpha - 2) * t))
                 else:
-                    sched = schedules[ti] if schedules is not None else None
-                    rhs = _li_yau_rhs(mode, t, rho, n, lu_over_u[idx],
-                                      alpha=alpha, schedule=sched)
+                    rhs = _li_yau_rhs(mode, t, rho, n, lu_over_u[idx], alpha=alpha)
             marg = rhs - lhs
             scale = max(scale, float(np.max(np.abs(rhs))))
             k = int(np.argmin(marg))
@@ -608,7 +598,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
 
 
 def check_harnack(model, oracle, engine, suite, pair_sample,
-                  mode: str = "riemannian", alpha: float = 3.0,
+                  mode: str = "riemannian",
                   dist_method: str = "auto",
                   tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                   ) -> MarginReport:
@@ -616,7 +606,8 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
 
     ``pair_sample`` is a list of (x, s, y, t) with s < t.  The Riemannian
     form uses K = max(0, -rho); the sub-Riemannian form uses the effective
-    exponent from (alpha, kappa, rho2, n) and requires rho1 >= 0.
+    exponent from (alpha, kappa, rho2, n) at alpha = 3 and requires
+    rho1 >= 0.
     Normalized margins: (rhs - lhs) / max(lhs, rhs).
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
@@ -625,7 +616,7 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
         params = oracle.cd_params
         if params is None or params.rho1 < 0:
             raise NotApplicableError("sub-riemannian Harnack needs rho1 >= 0")
-        dim_exp = harnack_dimension(alpha, params.kappa, params.rho2, params.n)
+        dim_exp = harnack_dimension(3.0, params.kappa, params.rho2, params.n)
         gauss = dim_exp / params.n
     else:
         dim_exp, gauss = n, 1.0
@@ -893,14 +884,14 @@ def check_volume_regularity(model, oracle, centers, radii,
 
 
 def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2,
-                           expected_product: float | None = None,
-                           product_rtol: float = 0.01, seed: int = 0,
+                           expected_product: float | None = None, seed: int = 0,
                            tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                            ) -> MarginReport:
     """lambda_1(Neumann) >= constant / diam^2 on a restricted domain.
 
     The relative slack also covers the sharp case, where the discrete gap
-    converges to the optimal constant from below.
+    converges to the optimal constant from below.  An ``expected_product``
+    must be met within 1%.
     """
     sd = spectral_decompose(submodel, k=min(4, submodel.n_nodes), seed=seed)
     lam1 = float(sd.eigenvalues[1])
@@ -910,6 +901,7 @@ def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2
     meta = {"lambda1": lam1, "diameter": diameter, "constant": constant,
             "product": product}
     if expected_product is not None:
+        product_rtol = 0.01
         gap = abs(product / expected_product - 1.0)
         samples.append({"quantity": "sharp-product", "lhs": float(gap),
                         "rhs": product_rtol, "margin": float(product_rtol - gap)})
@@ -918,10 +910,10 @@ def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2
                    scale=max(1.0, product), metadata=meta)
 
 
-def check_ball_poincare(model, center: int, radius: float = 0.6,
-                        seed: int = 0) -> MarginReport:
+def check_ball_poincare(model, center: int, seed: int = 0) -> MarginReport:
     """Report-only: the scale-invariant Poincare constant lambda_1 r^2 of
-    the Neumann problem on the graph-distance ball B(center, radius)."""
+    the Neumann problem on the graph-distance ball B(center, 0.6)."""
+    radius = 0.6
     d = distance_field(model, None, center, method="graph").values
     sub = neumann_restrict(model, np.flatnonzero(d <= radius))
     lam1 = float(spectral_decompose(sub, k=3, seed=seed).eigenvalues[1])
@@ -1108,10 +1100,10 @@ def diameter_bound(p: float, A: float) -> float:
     return np.pi * np.sqrt(2 * p * A) / (p - 2)
 
 
-def check_diameter(model, oracle, p: float = 40.0,
-                   tolerance: Tolerance = Tolerance(1e-12, 0.0),
+def check_diameter(model, oracle, tolerance: Tolerance = Tolerance(1e-12, 0.0),
                    myers_rtol: float = 0.05) -> MarginReport:
-    """Diameter corollary of the verified sharp Sobolev constant."""
+    """Diameter corollary of the verified sharp Sobolev constant at p = 40."""
+    p = 40.0
     rho, n = oracle.ricci_lower, float(oracle.dim)
     if rho <= 0:
         raise NotApplicableError("diameter bound needs rho > 0")

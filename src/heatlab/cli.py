@@ -1,11 +1,12 @@
 """Config-driven campaign runner.
 
-Builds the model catalog, runs the selected checks, persists spectral
-caches, and writes one JSON margin report per (model, check) plus a summary
-table; ``heatlab report`` turns a report into a CSV series and a static SVG
-plot.  Reports contain no timestamps or environment data, so reruns at a
-fixed seed are byte-identical.  A rerun reuses a report only when both its
-config and the heatlab sources are unchanged (``config_digest``).
+Builds the model catalog, runs the selected checks one after another on
+one thread, persists spectral caches, and writes one JSON margin report per
+(model, check) plus a summary table; each check logs its line as soon as it
+finishes.  ``heatlab report`` turns a report into a CSV series and a static
+SVG plot.  Reports contain no timestamps or environment data, so reruns at
+a fixed seed are byte-identical.  A rerun reuses a report only when both
+its config and the heatlab sources are unchanged (``config_digest``).
 
 Each check id is declared once in ``CHECK_KINDS``: its check function, the
 model-context parts it takes, and the config keys it accepts with their
@@ -25,8 +26,10 @@ Config grammar (also accepted as JSON with the same nesting):
 Dotted keys nest; values are parsed as JSON scalars/lists with a plain
 string fallback.  An unknown key or model option, an ill-typed value or an
 unknown choice is a configuration error that names the field; for an
-unknown key it also lists the accepted ones.  Exit codes: 0 all gated
-checks pass, 1 a check failed, 2 configuration error.
+unknown key it also lists the accepted ones.  ``seed`` must be
+nonnegative; ``workers`` is accepted only as 1, so that older configs that
+set it still parse.  Exit codes: 0 all gated checks pass, 1 a check
+failed, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -38,16 +41,14 @@ import inspect
 import json
 import os
 import sys
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import checks as C
-from .fields import CDParameters, deep_interior
+from .fields import deep_interior
 from .metric import distance_field
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
@@ -127,6 +128,9 @@ def _bounded(convert, ok, text):
 
 _nonneg = _bounded(_float, lambda v: v >= 0, "nonnegative")
 _count = _bounded(_int, lambda v: v >= 1, "at least 1")
+_seed = _bounded(_int, lambda v: v >= 0, "nonnegative")
+# campaigns run on one thread; the key is kept so that configs setting it parse
+_one_worker = _bounded(_int, lambda v: v == 1, "1 (campaigns run on one thread)")
 
 
 def _bool(v):
@@ -167,14 +171,6 @@ def _choice(*options):
     return member
 
 
-def _cd_params(v):
-    v = _table(v)
-    if not {"rho2", "n"} <= set(v) <= {"rho1", "rho2", "kappa", "n"}:
-        raise ValueError(f"expected rho2, n and optionally rho1, kappa, got {v!r}")
-    return CDParameters(_float(v.get("rho1", 0.0)), _float(v["rho2"]),
-                        _float(v.get("kappa", 0.0)), _float(v["n"]))
-
-
 def _keyed(where, table, keys) -> dict:
     """Convert every entry of a config table; errors name ``where + key``."""
     table = _convert(where.rstrip(".") or "config", _table, table)
@@ -194,8 +190,8 @@ def _convert(where, convert, value):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-SETTINGS = {"seed": _int, "output_dir": str, "cache_dir": str, "workers": _count,
-            "models": _table, "checks": _table}
+SETTINGS = {"seed": _seed, "output_dir": str, "cache_dir": str,
+            "workers": _one_worker, "models": _table, "checks": _table}
 MODEL_KEYS = {"kind": _choice(*MODEL_OPTIONS), "dim": _int, "resolution": _int,
               "extent": _float, "options": _table, "spectral_k": _count}
 
@@ -205,7 +201,6 @@ class CampaignConfig:
     seed: int = 42
     output_dir: str = "campaign-out"
     cache_dir: str = "campaign-cache"
-    workers: int = 1
     models: dict = field(default_factory=dict)   # name -> ModelSpec
     checks: dict = field(default_factory=dict)   # name -> spec dict
     spectral_k: dict = field(default_factory=dict)
@@ -214,7 +209,7 @@ class CampaignConfig:
     def from_dict(d: dict) -> "CampaignConfig":
         cfg = default_config()
         values = _keyed("", d, SETTINGS)
-        for key in ("seed", "output_dir", "cache_dir", "workers"):
+        for key in ("seed", "output_dir", "cache_dir"):
             if key in values:
                 setattr(cfg, key, values[key])
         if values.get("models"):
@@ -291,43 +286,35 @@ class ModelContext:
         self.cache_dir = cache_dir
         self.seed = seed
         self.k = k
-        self._built = None
-        self._spectral = None
-        self._stepper = None
-        self._lock = threading.RLock()
 
-    def _ensure(self):
-        with self._lock:
-            if self._built is None:
-                self._built = build_model(self.spec)
-        return self._built
+    @functools.cached_property
+    def _built(self):
+        return build_model(self.spec)
 
     @property
     def model(self):
-        return self._ensure()[0]
+        return self._built[0]
 
     @property
     def oracle(self):
-        return self._ensure()[1]
+        return self._built[1]
 
     @property
     def vform(self):
-        return self._ensure()[2]
+        return self._built[2]
 
-    @property
+    @functools.cached_property
     def stepper(self):
-        if self._stepper is None:
-            self._stepper = CrankNicolson(self.model, base_steps=32,
-                                          richardson_tol=1e-6)
-        return self._stepper
+        return CrankNicolson(self.model, base_steps=32, richardson_tol=1e-6)
+
+    @functools.cached_property
+    def _spectral(self):
+        k = self.k or min(self.model.n_nodes, 128)
+        path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
+        return cached_decompose(self.model, k, path, seed=self.seed)
 
     def spectral(self):
-        k = self.k or min(self.model.n_nodes, 128)
-        with self._lock:
-            if self._spectral is None:
-                path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
-                self._spectral = cached_decompose(self.model, k, path, seed=self.seed)
-            return self._spectral
+        return self._spectral
 
     @property
     def engine(self):
@@ -468,7 +455,7 @@ def _bind_volume(ctx, opts, seed):
 
 def _bind_neumann(ctx, opts, seed):
     model = ctx.model
-    half, r = opts.pop("half_width", 0.5), opts.pop("radius", 0.8)
+    half, r = 0.5, 0.8            # box half-width, cap radius
     if opts.pop("domain", "box") == "box":
         sub = neumann_restrict(model, np.flatnonzero(
             np.all(np.abs(model.nodes) <= half, axis=1)))
@@ -508,17 +495,15 @@ _SUITE = _choice(*_SUITES)
 _RENAMED = {"distance": "dist_method"}
 
 CHECK_KINDS = {
-    "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed"),
-                                 {"n_random": _int}),
+    "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed")),
     "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "oracle", "spectral", "seed"),
                              bind=lambda ctx, opts, seed: {"engine2": ctx.stepper}),
     "spectrum": CheckKind(C.check_spectrum, ("model", "oracle", "spectral"),
                           {"count": _int, "rtol": _float}),
     "cd": CheckKind(C.check_cd, ("model", "oracle", "vform"),
                     {"mode": _choice(*C.CD_TOLERANCE), "suite": _SUITE,
-                     "params": _cd_params, "nu_grid": _floats,
-                     "equality_fields": _strs, "tol_abs": _nonneg,
-                     "tol_rel": _nonneg}, bind=_bind_cd),
+                     "nu_grid": _floats, "equality_fields": _strs,
+                     "tol_abs": _nonneg, "tol_rel": _nonneg}, bind=_bind_cd),
     "vertical-commutation": CheckKind(C.check_vertical_commutation,
                                       ("model", "vform"), bind=_bind_vertical),
     "gradient-bound": CheckKind(C.check_gradient_bound, ("model", "oracle", "engine"),
@@ -538,9 +523,9 @@ CHECK_KINDS = {
                          "alpha": _float}, bind=_bind_li_yau),
     "harnack": CheckKind(C.check_harnack, ("model", "oracle", "engine"),
                          {"mode": _choice("riemannian", "sub-riemannian"),
-                          "suite": _choice("delta"), "alpha": _float,
-                          "distance": _DISTANCE, "n_pairs": _int,
-                          "s_grid": _floats, "gap_grid": _floats},
+                          "suite": _choice("delta"), "distance": _DISTANCE,
+                          "n_pairs": _int, "s_grid": _floats,
+                          "gap_grid": _floats},
                          bind=_bind_harnack),
     "kernel-bounds": CheckKind(C.check_kernel_bounds,
                                ("model", "oracle", "spectral", "engine"),
@@ -554,12 +539,9 @@ CHECK_KINDS = {
                                  bind=_bind_volume),
     "neumann-poincare": CheckKind(C.check_neumann_poincare, ("seed",),
                                   {"domain": _choice("box", "cap"),
-                                   "half_width": _float, "radius": _float,
-                                   "constant": _float, "expected_product": _float,
-                                   "product_rtol": _float},
+                                   "constant": _float, "expected_product": _float},
                                   bind=_bind_neumann),
     "ball-poincare": CheckKind(C.check_ball_poincare, ("model", "seed"),
-                               {"radius": _float},
                                bind=lambda ctx, opts, seed: {"center": _origin(ctx.model)}),
     "sobolev-embedding": CheckKind(C.check_sobolev_embedding, ("model", "oracle"),
                                    bind=_bind_embedding),
@@ -567,7 +549,7 @@ CHECK_KINDS = {
                                {"expected_ratio": _float}, bind=_bind_isoperimetric),
     "sobolev-sharp": CheckKind(C.check_sobolev_sharp, ("model", "oracle"),
                                bind=_bind_sobolev_sharp),
-    "diameter": CheckKind(C.check_diameter, ("model", "oracle"), {"p": _float}),
+    "diameter": CheckKind(C.check_diameter, ("model", "oracle")),
     "distance-sandwich": CheckKind(C.check_distance_sandwich,
                                    ("model", "oracle", "seed"), {"n_pairs": _int}),
     "subunit-oracle": CheckKind(C.check_subunit_oracle, ("model", "seed")),
@@ -626,28 +608,23 @@ def default_config() -> CampaignConfig:
         "spectrum-sphere": {"check": "spectrum", "model": "sphere",
                             "count": 9, "rtol": 0.02},
         "neumann-interval": {"check": "neumann-poincare", "model": "euclid1",
-                             "domain": "box", "half_width": 0.5,
-                             "expected_product": float(np.pi**2),
-                             "product_rtol": 0.01},
+                             "domain": "box",
+                             "expected_product": float(np.pi**2)},
         "neumann-square": {"check": "neumann-poincare", "model": "euclid2",
-                           "domain": "box", "half_width": 0.5,
+                           "domain": "box",
                            "expected_product": float(2 * np.pi**2)},
         "neumann-cap-sphere": {"check": "neumann-poincare", "model": "sphere",
-                               "domain": "cap", "radius": 0.8, "constant": 1.0},
-        "ball-poincare-heis": {"check": "ball-poincare", "model": "heis",
-                               "radius": 0.6},
+                               "domain": "cap", "constant": 1.0},
+        "ball-poincare-heis": {"check": "ball-poincare", "model": "heis"},
         "cd-sphere": {"check": "cd", "model": "sphere", "mode": "riemannian",
                       "suite": "eigen"},
         "cd-euclid2": {"check": "cd", "model": "euclid2", "mode": "riemannian",
                        "suite": "coordinate",
                        "equality_fields": ["half-square-norm"],
                        "tol_rel": 1e-9, "tol_abs": 1e-9},
-        "cd-scan-heis": {"check": "cd", "model": "heis", "mode": "scan",
-                         "params": {"rho2": 0.5, "kappa": 1.0, "n": 2.0}},
+        "cd-scan-heis": {"check": "cd", "model": "heis", "mode": "scan"},
         "cd-generalized-heis": {"check": "cd", "model": "heis",
                                 "mode": "generalized",
-                                "params": {"rho1": 0.0, "rho2": 0.5,
-                                           "kappa": 1.0, "n": 2.0},
                                 "nu_grid": [0.5, 1.0, 2.0, 8.0]},
         "vertical-commutation-heis": {"check": "vertical-commutation",
                                       "model": "heis"},
@@ -672,9 +649,9 @@ def default_config() -> CampaignConfig:
                            "n_pairs": 200, "s_grid": [0.1, 0.2],
                            "gap_grid": [0.1, 0.3]},
         "harnack-heis": {"check": "harnack", "model": "heis",
-                         "mode": "sub-riemannian", "alpha": 3.0,
-                         "distance": "graph", "n_pairs": 60,
-                         "s_grid": [0.02, 0.04], "gap_grid": [0.02, 0.05]},
+                         "mode": "sub-riemannian", "distance": "graph",
+                         "n_pairs": 60, "s_grid": [0.02, 0.04],
+                         "gap_grid": [0.02, 0.05]},
         "kernel-bounds-euclid2": {"check": "kernel-bounds", "model": "euclid2",
                                   "equality_expected": True,
                                   "radii": [0.3, 0.4, 0.5, 0.6]},
@@ -710,7 +687,7 @@ def default_config() -> CampaignConfig:
         "isoperimetric-euclid2": {"check": "isoperimetric", "model": "euclid2",
                                   "expected_ratio": float(1 / (2 * np.sqrt(np.pi)))},
         "sobolev-sharp-sphere": {"check": "sobolev-sharp", "model": "sphere"},
-        "diameter-sphere": {"check": "diameter", "model": "sphere", "p": 40.0},
+        "diameter-sphere": {"check": "diameter", "model": "sphere"},
         "distance-sandwich-torus1": {"check": "distance-sandwich",
                                      "model": "torus1"},
         "distance-sandwich-euclid2": {"check": "distance-sandwich",
@@ -734,6 +711,15 @@ def _check_spectral_k(ctx: ModelContext, where: str) -> None:
                           f"nodes of model {ctx.name!r}, got {ctx.k}")
 
 
+def _stored_report(path, digest):
+    """The report at ``path`` if it was made from this config and code."""
+    try:
+        prev = MarginReport.load(path)
+    except (OSError, ValueError, KeyError):
+        return None
+    return prev if prev.metadata.get("config_digest") == digest else None
+
+
 def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
     """Run the checks (all, or those named in ``only``) and write their
     reports; a full run also writes ``summary.csv`` and ``summary.txt``."""
@@ -747,30 +733,16 @@ def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     os.makedirs(cfg.cache_dir, exist_ok=True)
     results: dict[str, MarginReport] = {}
-
-    def task(name):
+    for name in names:
         spec = cfg.checks[name]
         digest = config_digest(cfg, name, spec)
         path = os.path.join(cfg.output_dir, f"{name}.json")
-        if os.path.exists(path):
-            try:
-                prev = MarginReport.load(path)
-                if prev.metadata.get("config_digest") == digest:
-                    return name, prev, True
-            except (ValueError, KeyError, json.JSONDecodeError):
-                pass
-        runner = CHECK_RUNNERS[spec["check"]]
-        rep = runner(ctxs, spec, cfg, name)
-        rep.metadata["config_digest"] = digest
-        rep.save(path)
-        return name, rep, False
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            done = list(pool.map(task, names))
-    else:
-        done = [task(n) for n in names]
-    for name, rep, cached in done:          # deterministic reduction order
+        rep = _stored_report(path, digest)
+        cached = rep is not None
+        if not cached:
+            rep = CHECK_RUNNERS[spec["check"]](ctxs, spec, cfg, name)
+            rep.metadata["config_digest"] = digest
+            rep.save(path)
         results[name] = rep
         log(f"[{rep.verdict:4s}] {name:34s} min_margin={rep.min_margin:+.3e}"
             f"{' (cached)' if cached else ''}")
@@ -878,14 +850,13 @@ def _add_common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
     p.add_argument("--cache", help="spectral cache directory")
-    p.add_argument("--workers", type=int)
 
 
 def _load_cfg(args) -> CampaignConfig:
     # command-line overrides go through the same validation as the file
     data = load_config_file(args.config) if args.config else {}
     for key, value in (("seed", args.seed), ("output_dir", args.out),
-                       ("cache_dir", args.cache), ("workers", args.workers)):
+                       ("cache_dir", args.cache)):
         if value is not None:
             data[key] = value
     return CampaignConfig.from_dict(data)

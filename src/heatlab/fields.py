@@ -201,7 +201,7 @@ class DiscretizedModel:
         v = f.values if isinstance(f, ScalarField) else np.asarray(f)
         return self.L @ v
 
-    # -- adjacency helpers (cached; idempotent, so benign under concurrency)
+    # -- adjacency helpers (each computed once and kept in ``meta``)
 
     def adjacency(self, weights: str = "length") -> sp.csr_matrix:
         key = f"_adj_{weights}"

@@ -12,15 +12,17 @@ distance bracket the intrinsic distance,
   unit-speed traversal time h, so graph distances are automatically
   Carnot-Caratheodory-flavoured (and overestimate by the lattice
   anisotropy, which is calibrated and recorded, never used to alter
-  certified bounds).  ``distance_field`` keeps each graph distance in the
-  model's derived-data cache (``model.meta``, beside the adjacency), so
-  every caller shares one Dijkstra run per source.
+  certified bounds).
 * dual: any field with pointwise Gamma(f) <= 1 certifies the lower bound
   f(x) - f(y).  Candidates are rescaled to feasibility, then improved by a
   smoothed ascent; feasibility, not optimality, is the certificate.
 * subunit (Heisenberg): shooting with unit-speed, piecewise-constant
   horizontal controls of the continuous group, whose endpoint and its
   gradient are exact; returns a curve length, hence an upper bound.
+
+``distance_field`` keeps each oracle and graph distance in the model's
+derived-data cache (``model.meta``, beside the adjacency), so every caller
+shares one evaluation per (route, source).
 """
 from __future__ import annotations
 
@@ -80,19 +82,24 @@ def oracle_distance(model: DiscretizedModel, oracle: GeometryOracle, source: int
 
 
 def distance_field(model, oracle, source, method="auto") -> DistanceField:
-    """Distance from ``source``; a graph distance is kept in ``model.meta``
-    (an idempotent write, like the adjacency), so it runs once per source."""
+    """Distance from ``source`` by the oracle or the graph route.
+
+    Each result is kept in ``model.meta`` under (route, source), beside the
+    adjacency, so each route runs once per source.  ``oracle`` is the one
+    built with ``model``.
+    """
     if method == "auto":
         method = "oracle" if (oracle is not None and oracle.exact_distance) else "graph"
-    if method == "oracle":
-        return oracle_distance(model, oracle, source)
-    if method == "graph":
-        memo = model.meta.setdefault("_graph_distance", {})
-        source = int(source)
-        if source not in memo:
-            memo[source] = graph_distance(model, source)
-        return memo[source]
-    raise ValueError(f"unknown distance method {method!r}")
+    memo = model.meta.setdefault("_distance", {})
+    key = (method, int(source))
+    if key not in memo:
+        if method == "oracle":
+            memo[key] = oracle_distance(model, oracle, key[1])
+        elif method == "graph":
+            memo[key] = graph_distance(model, key[1])
+        else:
+            raise ValueError(f"unknown distance method {method!r}")
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------

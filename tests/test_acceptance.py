@@ -47,7 +47,6 @@ from heatlab.checks import (
     sharp_sobolev_sides,
     span_cd_margin,
 )
-from heatlab.fields import CDParameters
 from heatlab.reports import Tolerance
 from heatlab.suites import (
     NamedField,
@@ -127,12 +126,11 @@ def test_criterion_4_cd_suite(sphere, euclid2, heis):
     assert erep.passed
 
     hmodel, horacle, vform, stepper = heis
-    params = CDParameters(0.0, 0.5, 1.0, 2.0)
     vals = []
     for seed in (5, 77):
         suite = sub_riemannian_suite(hmodel, engine=stepper, seed=seed)
-        hrep = check_cd(hmodel, horacle, suite, vform=vform, params=params,
-                        mode="scan", nu_grid=np.geomspace(0.25, 64, 10))
+        hrep = check_cd(hmodel, horacle, suite, vform=vform, mode="scan",
+                        nu_grid=np.geomspace(0.25, 64, 10))
         vals.append(hrep.metadata["rho1_scan"])
         assert vals[-1] >= -0.02
     repro = abs(vals[0] - vals[1]) <= 0.01 * max(1.0, abs(vals[0]))
@@ -170,8 +168,7 @@ def test_criterion_5_li_yau(euclid2, sphere, heis):
     hmodel, horacle, vform, stepper = heis
     hsuite = horizontal_bump_fields(hmodel, widths=(0.5, 0.8))
     rh = check_li_yau(hmodel, horacle, stepper, hsuite, [0.01, 0.02, 0.05],
-                      mode="sub-riemannian", alpha=3.0, vform=vform,
-                      params=CDParameters(0.0, 0.5, 1.0, 2.0))
+                      mode="sub-riemannian", alpha=3.0, vform=vform)
     assert rh.passed
     assert _line("criterion-5 li-yau family", True,
                  f"flat saturation gap {sat['lhs']:.3f} (allowed {sat['rhs']:.3f}), "
@@ -214,8 +211,8 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     hpairs2 = sample_harnack_pairs(hmodel, 60, [0.02, 0.04], [0.02, 0.05], seed=5)
     rsub = check_harnack(hmodel, horacle, stepper,
                          horizontal_bump_fields(hmodel, widths=(0.5, 0.8)),
-                         hpairs2, mode="sub-riemannian", alpha=3.0,
-                         dist_method="graph", tolerance=Tolerance(1e-12, 0.02))
+                         hpairs2, mode="sub-riemannian", dist_method="graph",
+                         tolerance=Tolerance(1e-12, 0.02))
     assert rsub.passed
     assert _line("criterion-6 harnack + kernel bounds", True,
                  f"flat equality gap within 5%, on-diag product {prod:.4f} "
@@ -328,7 +325,7 @@ def test_criterion_9_sobolev_diameter(euclid3, euclid2, sphere):
     assert worst < 1e-8
 
     from heatlab.checks import check_diameter
-    rd = check_diameter(smodel, soracle, p=40.0, myers_rtol=0.05)
+    rd = check_diameter(smodel, soracle, myers_rtol=0.05)
     assert rd.passed
     bound = rd.metadata["bound"]
     assert bound >= np.pi and abs(bound / np.pi - 1) < 0.05

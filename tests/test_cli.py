@@ -1,4 +1,6 @@
 import collections
+import csv
+import glob
 import json
 import os
 
@@ -15,8 +17,9 @@ from heatlab.cli import (
     main,
     parse_config_text,
     run_campaign,
+    validate_config,
 )
-from heatlab.reports import MarginReport
+from heatlab.reports import MarginReport, Tolerance
 
 SMALL_CFG = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
                          "small.cfg")
@@ -79,7 +82,7 @@ def _mini_config(tmp_path, seed=11):
                   "spectral_k": 32},
         },
         "checks": {
-            "ax": {"check": "operator-axioms", "model": "t", "n_random": 20},
+            "ax": {"check": "operator-axioms", "model": "t"},
             "laws": {"check": "kernel-laws", "model": "t"},
             "spec": {"check": "spectrum", "model": "t", "count": 5,
                      "rtol": 0.02},
@@ -143,10 +146,31 @@ def test_command_line_overrides_are_validated(tmp_path):
     cfgfile.write_text(MINI_CFG)
     out = tmp_path / "o"
     assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
-                 "--cache", str(tmp_path / "c"), "--workers", "-3"]) == 2
+                 "--cache", str(tmp_path / "c"), "--seed", "-1000"]) == 2
     assert not out.exists()
-    with pytest.raises(ConfigError, match="workers"):
-        CampaignConfig.from_dict({"workers": 0})
+    with pytest.raises(ConfigError, match="seed"):
+        CampaignConfig.from_dict({"seed": -1})
+
+
+@pytest.mark.parametrize("value", ["2", "0", "true"])
+def test_workers_other_than_one_exit_2(tmp_path, capsys, value):
+    # campaigns run on one thread: 1 is the only accepted worker count
+    cfgfile = tmp_path / "w.cfg"
+    cfgfile.write_text(MINI_CFG + f"workers = {value}\n")
+    out = tmp_path / "o"
+    assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                 "--cache", str(tmp_path / "c")]) == 2
+    assert "configuration error: workers:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_option_is_gone(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        main(["campaign", "--workers", "2", "--out", str(out)])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k, message", [("0", "must be at least 1"),
@@ -159,18 +183,17 @@ def test_build_k_is_validated(tmp_path, capsys, k, message):
     assert not any(cache.glob("*.spec"))
 
 
-def test_small_campaign_independent_of_workers_and_cache(tmp_path, monkeypatch):
-    # two cold runs (workers 1 and 2), then a warm rerun on the first cache
+def test_small_campaign_independent_of_cache(tmp_path, monkeypatch):
+    # a cold run, then a warm rerun on its cache into a new output directory
     outs = []
-    for run, (workers, cache) in enumerate(((1, "c1"), (2, "c2"), (1, "c1"))):
-        if run == 2:
+    for run in range(2):
+        if run == 1:
             def no_solve(*args, **kwargs):
                 raise AssertionError("warm rerun recomputed a spectrum")
             monkeypatch.setattr("heatlab.semigroup.spectral_decompose", no_solve)
         cfg = CampaignConfig.from_dict(load_config_file(SMALL_CFG))
-        cfg.workers = workers
         cfg.output_dir = str(tmp_path / f"out{run}")
-        cfg.cache_dir = str(tmp_path / cache)
+        cfg.cache_dir = str(tmp_path / "cache")
         assert run_campaign(cfg, log=lambda *a: None) == 0
         outs.append(cfg.output_dir)
     names = sorted(os.listdir(outs[0]))
@@ -227,6 +250,20 @@ def test_partial_run_keeps_the_summaries(tmp_path):
         assert (tmp_path / "o" / name).read_bytes() == data, name
 
 
+def test_each_check_logs_before_the_next_starts(tmp_path, monkeypatch):
+    cfg = _mini_config(str(tmp_path))
+    events = []
+    for cid, runner in list(cli.CHECK_RUNNERS.items()):
+        def started(ctxs, spec, cfg, name, runner=runner):
+            events.append(("start", name))
+            return runner(ctxs, spec, cfg, name)
+        monkeypatch.setitem(cli.CHECK_RUNNERS, cid, started)
+    assert run_campaign(cfg, log=lambda line: events.append(
+        ("log", line.split()[1]))) == 0
+    assert events == [(kind, name) for name in cfg.checks
+                      for kind in ("start", "log")]
+
+
 def test_reports_are_rerun_after_a_code_change(tmp_path, monkeypatch):
     cfg = _mini_config(str(tmp_path))
     assert run_campaign(cfg, log=lambda *a: None) == 0
@@ -269,6 +306,34 @@ def test_plot_emission(tmp_path, sphere):
         emit_plot_data(rep, "histogram", str(tmp_path))
 
 
+def test_margins_report_csv(tmp_path, capsys):
+    rep = MarginReport("demo", "m1", [
+        {"x": 1, "margin": 0.1, "lhs": 1 / 3},
+        {"margin": -2.5e-17, "ys": [3, 1], "extra": {"b": 1, "a": 2}},
+    ], min_margin=-2.5e-17, tolerance=Tolerance(1e-12))
+    # sample keys in the order they first appear, floats by repr, lists and
+    # dicts as sorted-key JSON, absent keys empty
+    assert rep.csv_rows() == [
+        ["check_id", "model_id", "x", "margin", "lhs", "ys", "extra"],
+        ["demo", "m1", 1, "0.1", "0.3333333333333333", None, None],
+        ["demo", "m1", None, "-2.5e-17", None, "[3, 1]", '{"a": 2, "b": 1}'],
+    ]
+    # the command line reads the saved report, whose samples have sorted keys
+    path = tmp_path / "demo.json"
+    rep.save(str(path))
+    assert main(["report", "--report", str(path), "--kind", "margins",
+                 "--out", str(tmp_path / "plots")]) == 0
+    base = tmp_path / "plots" / "demo-margins"
+    assert capsys.readouterr().out.split() == [f"{base}.csv", f"{base}.svg"]
+    with open(f"{base}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["check_id", "model_id", "lhs", "margin", "x", "extra", "ys"],
+        ["demo", "m1", "0.3333333333333333", "0.1", "1", "", ""],
+        ["demo", "m1", "", "-2.5e-17", "", '{"a": 2, "b": 1}', "[3, 1]"],
+    ]
+
+
 def test_entropy_plot_slope_consistency(tmp_path, sphere):
     from heatlab.checks import check_log_sobolev
     from heatlab.suites import positive_fields
@@ -301,15 +366,21 @@ def test_default_config_is_valid():
     cfg = default_config()
     assert len(cfg.checks) >= 30
     # every check id resolves and every referenced model exists
-    from heatlab.cli import CHECK_RUNNERS, validate_config
-
     for name, spec in cfg.checks.items():
-        assert spec["check"] in CHECK_RUNNERS
+        assert spec["check"] in cli.CHECK_RUNNERS
         assert spec["model"] in cfg.models
     validate_config(cfg)
-    # the shipped configs pass the key, type and choice checks
-    for path in (SMALL_CFG, SPHERE_CFG):
-        assert CampaignConfig.from_dict(load_config_file(path)).checks
+
+
+SHIPPED_CFGS = sorted(glob.glob(os.path.join(os.path.dirname(SMALL_CFG), "*.cfg")))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CFGS + [SPHERE_CFG],
+                         ids=os.path.basename)
+def test_shipped_configs_parse(path):
+    # every shipped config passes the key, type and choice checks, so a key
+    # removed from the grammar cannot strand one of them
+    assert CampaignConfig.from_dict(load_config_file(path)).checks
 
 
 SPECTRUM_CFG = MINI_CFG + ("checks.sp.check = spectrum\n"
