@@ -29,7 +29,8 @@ unknown choice is a configuration error that names the field; for an
 unknown key it also lists the accepted ones.  ``seed`` must be
 nonnegative; ``workers`` is accepted only as 1, so that older configs that
 set it still parse.  Exit codes: 0 all gated checks pass, 1 a check
-failed, 2 configuration error.
+failed, 2 configuration or input error: a bad config, or a config or
+report file that cannot be read or lacks what the command needs.
 """
 from __future__ import annotations
 
@@ -93,12 +94,25 @@ def parse_config_text(text: str) -> dict:
     return root
 
 
+def _unreadable(path, exc) -> ConfigError:
+    """A one-line error naming a file that could not be read or parsed."""
+    if isinstance(exc, OSError):
+        reason = exc.strerror
+    elif isinstance(exc, KeyError):
+        reason = f"not a margin report (no {exc} entry)"
+    else:
+        reason = str(exc)
+    return ConfigError(f"{path}: {reason}")
+
+
 def load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise _unreadable(path, exc) from None
     return parse_config_text(text)
 
 
@@ -487,7 +501,7 @@ def _bind_sobolev_sharp(ctx, opts, seed):
     suite = _SUITES["positive"](ctx, seed)
     pole = node_nearest(ctx.model, [0, 0, 1])
     return {"suite": suite, "extremal_suite": S.latitude_profiles(
-        ctx.model, pole, p=max(C.SOBOLEV_P_LIST), lams=(0.05, 0.1, 0.2))}
+        ctx.model, pole, p=max(C.SOBOLEV_P_LIST))}
 
 
 _DISTANCE = _choice("auto", "oracle", "graph")
@@ -768,7 +782,8 @@ def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
 # plot emission
 
 
-def _svg_polyline(points, width=480, height=320, margin=40):
+def _svg_polyline(points):
+    width, height, margin = 480, 320, 40          # pixels
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
     x0, x1 = xs.min(), xs.max()
@@ -787,58 +802,52 @@ def _svg_polyline(points, width=480, height=320, margin=40):
     )
 
 
-def emit_plot_data(report: MarginReport, kind: str, out_dir: str) -> list[str]:
-    """CSV series plus a minimal static SVG for one report."""
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, f"{report.check_id}-{kind}")
-    written = []
+# the metadata series each plot kind reads, and its name in errors
+_PLOT_SERIES = {"li-yau": ("series", "pointwise"), "doubling": ("series", "(r, ratio)"),
+               "entropy": ("entropy_series", "entropy")}
+
+
+def _plot_series(report: MarginReport, kind: str):
+    """(CSV rows, SVG points) of a plot; ValueError if the report lacks them."""
+    if kind == "margins":
+        return (report.csv_rows(),
+                [(i, s.get("margin", 0.0)) for i, s in enumerate(report.samples)])
+    if kind not in _PLOT_SERIES:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    key, what = _PLOT_SERIES[kind]
+    series = report.metadata.get(key)
+    if not series:
+        raise ValueError(f"report carries no {what} series")
     if kind == "li-yau":
-        series = report.metadata.get("series")
-        if not series:
-            raise ValueError("report carries no pointwise series")
         rows = [report.metadata.get("series_columns",
                                     ["t", "node", "lhs", "rhs", "margin"])]
         rows += [[repr(float(v)) if isinstance(v, float) else v for v in row]
                  for row in series]
-        write_csv(base + ".csv", rows)
         pts = {}
         for t, node, lhs, rhs, margin in series:
             pts[t] = min(pts.get(t, np.inf), margin)
-        svg = _svg_polyline(sorted(pts.items()))
-        atomic_write_text(base + ".svg", svg)
-        written = [base + ".csv", base + ".svg"]
-    elif kind == "doubling":
-        series = report.metadata.get("series")
-        if not series:
-            raise ValueError("report carries no (r, ratio) series")
+        return rows, sorted(pts.items())
+    if kind == "doubling":
         rows = [["r", "ratio", "monotone_r"]]
         prev = -np.inf
         for r, ratio in series:
-            rows.append([repr(float(r)), repr(float(ratio)),
-                         int(r >= prev)])
+            rows.append([repr(float(r)), repr(float(ratio)), int(r >= prev)])
             prev = r
-        write_csv(base + ".csv", rows)
-        atomic_write_text(base + ".svg", _svg_polyline([(r, q) for r, q in series]))
-        written = [base + ".csv", base + ".svg"]
-    elif kind == "entropy":
-        series = report.metadata.get("entropy_series")
-        if not series:
-            raise ValueError("report carries no entropy series")
-        slope = report.metadata.get("entropy_slope")
-        rows = [[f"# fitted_slope = {slope!r}"], ["t", "log_entropy"]]
-        rows += [[repr(float(t)), repr(float(e))] for t, e in series]
-        write_csv(base + ".csv", rows)
-        atomic_write_text(base + ".svg", _svg_polyline(series))
-        written = [base + ".csv", base + ".svg"]
-    elif kind == "margins":
-        rows = report.csv_rows()
-        write_csv(base + ".csv", rows)
-        pts = [(i, s.get("margin", 0.0)) for i, s in enumerate(report.samples)]
-        atomic_write_text(base + ".svg", _svg_polyline(pts))
-        written = [base + ".csv", base + ".svg"]
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    return written
+        return rows, series
+    slope = report.metadata.get("entropy_slope")
+    rows = [[f"# fitted_slope = {slope!r}"], ["t", "log_entropy"]]
+    return rows + [[repr(float(t)), repr(float(e))] for t, e in series], series
+
+
+def emit_plot_data(report: MarginReport, kind: str, out_dir: str) -> list[str]:
+    """CSV series plus a minimal static SVG for one report; a report that
+    lacks the series raises ValueError before anything is written."""
+    rows, points = _plot_series(report, kind)
+    os.makedirs(out_dir, exist_ok=True)
+    base = os.path.join(out_dir, f"{report.check_id}-{kind}")
+    write_csv(base + ".csv", rows)
+    atomic_write_text(base + ".svg", _svg_polyline(points))
+    return [base + ".csv", base + ".svg"]
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +898,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            rep = MarginReport.load(args.report)
-            for path in emit_plot_data(rep, args.kind, args.out):
+            where = f"--report {args.report}"
+            try:
+                rep = MarginReport.load(args.report)
+            except (OSError, ValueError, KeyError) as exc:
+                raise _unreadable(where, exc) from None
+            try:
+                written = emit_plot_data(rep, args.kind, args.out)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            for path in written:
                 print(path)
             return 0
         cfg = _load_cfg(args)

@@ -4,7 +4,7 @@ Kinds
 -----
 euclidean    cell-centered grid on a box [-a, a]^n, reflecting (zero-Neumann)
              closure, uniform measure h^n, conductance h^(n-2)
-torus        periodic grid, period P, uniform measure
+torus        periodic grid, period 2 pi, uniform measure
 sphere       latitude-longitude grid of S^2 (resolution mt: mt - 1 rows of
              2 mt nodes plus two pole cap cells), flux conductances of the
              divergence form, cell-area measure
@@ -42,9 +42,10 @@ class UnsupportedModelError(ValueError):
 
 
 # the options each model kind reads; any other option is an error
-MODEL_OPTIONS = {"euclidean": (), "torus": ("period",),
-                 "sphere": ("mesh", "pole_rows_untrusted"),
+MODEL_OPTIONS = {"euclidean": (), "torus": (), "sphere": (),
                  "heisenberg": ("z_extent",)}
+# the kinds truncated to a box of half-width ``extent``; the others have none
+EXTENT_KINDS = ("euclidean", "heisenberg")
 # the dimensions each model kind is built in
 MODEL_DIMS = {"euclidean": (1, 2, 3), "torus": (1, 2), "sphere": (2,),
               "heisenberg": (3,)}
@@ -52,12 +53,13 @@ MODEL_DIMS = {"euclidean": (1, 2, 3), "torus": (1, 2), "sphere": (2,),
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model parameters.  Error messages start with the offending field."""
+    """Model parameters; ``extent`` (default 1.0) is set on ``EXTENT_KINDS``
+    only.  Error messages start with the offending field."""
 
     kind: str
     dim: int = 2
     resolution: int = 16
-    extent: float = 1.0
+    extent: float | None = None
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,15 +71,16 @@ class ModelSpec:
                 f"got {self.dim!r}")
         if self.resolution < 8:
             raise ValueError("resolution: must be at least 8")
-        if self.kind in ("euclidean", "heisenberg") and not (self.extent > 0):
-            raise ValueError("extent: truncated kinds need a positive extent")
+        if self.kind in EXTENT_KINDS:
+            object.__setattr__(self, "extent", 1.0 if self.extent is None else self.extent)
+            if not (self.extent > 0):
+                raise ValueError("extent: truncated kinds need a positive extent")
+        elif self.extent is not None:
+            raise ValueError(f"extent: a {self.kind} model has no extent")
         for key in self.options:
             if key not in MODEL_OPTIONS[self.kind]:
                 raise ValueError(f"options.{key}: a {self.kind} model reads no such "
                                  f"option (it reads: {list(MODEL_OPTIONS[self.kind])})")
-        if self.options.get("mesh", "latitude") != "latitude":
-            raise UnsupportedModelError(
-                f"options.mesh: unknown sphere mesh {self.options['mesh']!r}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def _axis_edges(shape, axis, wrap):
 def _build_grid(spec: ModelSpec, periodic: bool):
     dim, m = spec.dim, spec.resolution
     if periodic:
-        period = float(spec.options.get("period", 2 * np.pi))
+        period = 2 * np.pi
         h = period / m
         axis = -period / 2 + h * np.arange(m)
     else:
@@ -271,16 +274,16 @@ def sphere_zonal_kernel(t: float, cos_angle: float, tail: float = 1e-12,
     return float(np.sum(np.exp(-ls * (ls + 1) * t) * (2 * ls + 1) * p) / (4 * np.pi))
 
 
-def latitude_sphere(mt: int, pole_rows_untrusted: int = 4):
+def latitude_sphere(mt: int):
     """Conservative latitude-longitude discretization of S^2 with pole cells.
 
     Interior rows sit at colatitude i * dth (i = 1 .. mt-1) with 2 mt
     longitudes; the two poles are genuine cap cells.  Conductances are the
     exact flux coefficients of the divergence form of the Laplace-Beltrami
     operator, so the scheme is pointwise second-order accurate away from the
-    coordinate degeneracy.  The first ``pole_rows_untrusted`` rows adjacent
-    to each pole change stencil character; second-order forms are not
-    trusted there and the builder exports a trusted-node mask.
+    coordinate degeneracy.  The first four rows adjacent to each pole change
+    stencil character; second-order forms are not trusted there and the
+    builder exports a trusted-node mask.
     """
     mp = 2 * mt
     dth = np.pi / mt
@@ -327,7 +330,7 @@ def latitude_sphere(mt: int, pole_rows_untrusted: int = 4):
     nodes[south] = (0.0, 0.0, -1.0)
 
     trusted = np.zeros(n, dtype=bool)
-    k = pole_rows_untrusted
+    k = 4                       # untrusted rows next to each pole
     if nrows > 2 * k:
         block = np.zeros((nrows, mp), dtype=bool)
         block[k : nrows - k, :] = True
@@ -484,10 +487,7 @@ def build_model(spec: ModelSpec):
         oracle = _torus_oracle(spec.dim, meta["period"])
         model_id = f"torus{spec.dim}d-m{spec.resolution}-P{meta['period']:g}"
     elif spec.kind == "sphere":
-        i, j, c, mu, nodes, lengths, trusted, dth = latitude_sphere(
-            spec.resolution,
-            pole_rows_untrusted=int(spec.options.get("pole_rows_untrusted", 4)),
-        )
+        i, j, c, mu, nodes, lengths, trusted, dth = latitude_sphere(spec.resolution)
         ef = EdgeForm(i, j, c, mu.size)
         L = graph_laplacian(ef, mu)
         boundary = np.zeros(mu.size, dtype=bool)

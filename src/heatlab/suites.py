@@ -124,9 +124,10 @@ def positive_fields(model: DiscretizedModel, spectral: SpectralData | None,
     return out
 
 
-def latitude_profiles(model: DiscretizedModel, pole_node: int, p: float,
-                      lams=(0.1, 0.2, 0.4)) -> list[NamedField]:
-    """Near-extremal profiles (1 + lam * cos d)^(-2/(p-2)) on the sphere.
+def latitude_profiles(model: DiscretizedModel, pole_node: int,
+                      p: float) -> list[NamedField]:
+    """Near-extremal profiles (1 + lam * cos d)^(-2/(p-2)), lam = 0.05, 0.1,
+    0.2, on the sphere.
 
     cos d is the latitude sine seen from the reference pole; the exponent is
     matched to the Lebesgue index p (its dimension solves p = 2n/(n-2)).
@@ -136,7 +137,7 @@ def latitude_profiles(model: DiscretizedModel, pole_node: int, p: float,
         raise ValueError("profiles are defined for p > 2")
     cosd = model.nodes @ model.nodes[pole_node]
     out = []
-    for lam in lams:
+    for lam in (0.05, 0.1, 0.2):
         v = (1.0 + lam * cosd) ** (-2.0 / (p - 2.0))
         out.append(NamedField(f"latitude-profile-{lam:g}", model.field(v)))
     return out

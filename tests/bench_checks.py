@@ -1,0 +1,48 @@
+"""Microbenchmarks of a curvature check and of dual ascent (pytest-benchmark).
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest tests/bench_checks.py --benchmark-only
+
+The default test run collects only ``test_*.py`` files, so these run only
+when named.  Pin the BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to
+compare runs across commits.
+"""
+import numpy as np
+import pytest
+
+from heatlab import ModelSpec, build_model, node_nearest
+from heatlab.checks import check_cd
+from heatlab.metric import dual_distance
+from heatlab.suites import sub_riemannian_suite
+
+
+@pytest.fixture(scope="module")
+def heis():
+    model, oracle, vform = build_model(
+        ModelSpec("heisenberg", dim=3, resolution=21, extent=1.25,
+                  options={"z_extent": 0.15625}))
+    return model, oracle, vform
+
+
+@pytest.fixture(scope="module")
+def euclid2():
+    model, _, _ = build_model(
+        ModelSpec("euclidean", dim=2, resolution=48, extent=1.5))
+    return model
+
+
+def test_cd_generalized_heis(benchmark, heis):
+    # the campaign's cd-generalized-heis: four nu values over one suite
+    model, oracle, vform = heis
+    suite = sub_riemannian_suite(model)
+    rep = benchmark(check_cd, model, oracle, suite, vform=vform,
+                    mode="generalized", nu_grid=[0.5, 1.0, 2.0, 8.0])
+    assert len(rep.samples) == 4 * len(suite)
+
+
+def test_dual_distance_euclid2(benchmark, euclid2):
+    # the graph distance to y is kept on the model after the first round,
+    # so the rounds after it time the dual ascent alone
+    x = node_nearest(euclid2, [-0.6, 0.4])
+    y = node_nearest(euclid2, [0.5, -0.3])
+    cert = benchmark(dual_distance, euclid2, x, y)
+    assert 0 < cert.value <= np.abs(euclid2.nodes[x] - euclid2.nodes[y]).sum()

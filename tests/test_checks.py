@@ -8,6 +8,7 @@ from heatlab import (
     ModelSpec,
     NotApplicableError,
     build_model,
+    checks,
     metric,
     node_nearest,
     spectral_decompose,
@@ -142,6 +143,38 @@ def test_cd_mode_errors(sphere):
         check_cd(model, oracle, suite, mode="nonsense")
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls that ``heatlab.checks`` makes to each of its imports
+    ``names``."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for name in names:
+        monkeypatch.setattr(checks, name, counted(name, getattr(checks, name)))
+    return calls
+
+
+def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
+    from heatlab.suites import sub_riemannian_suite
+
+    calls = _count_calls(monkeypatch, "gamma2", "gamma2_z")
+    model, oracle, spectral = sphere
+    suite = eigen_fields(model, spectral, seed=0)
+    check_cd(model, oracle, suite, mode="riemannian")
+    assert calls["gamma2"] == len(suite)
+
+    calls.clear()
+    hmodel, horacle, vform, _ = heis
+    hsuite = sub_riemannian_suite(hmodel)
+    check_cd(hmodel, horacle, hsuite, vform=vform, mode="generalized",
+             nu_grid=[0.5, 1.0, 2.0, 8.0])
+    assert calls == {"gamma2": len(hsuite), "gamma2_z": len(hsuite)}
+
+
 def test_vertical_commutation(heis):
     model, _, vform, _ = heis
     x, z = model.nodes[:, 0], model.nodes[:, 2]
@@ -178,7 +211,7 @@ def test_completeness(sphere, torus1):
 
 def test_spectral_gap_poincare(sphere):
     model, oracle, spectral = sphere
-    rep = check_spectral_gap(model, oracle, spectral, n_random=100, seed=0)
+    rep = check_spectral_gap(model, oracle, spectral, seed=0)
     assert rep.passed
     assert rep.metadata["lambda1"] == pytest.approx(2.0, rel=0.02)
     # extremal eigenfunction saturates the Poincare inequality
@@ -196,8 +229,7 @@ def test_spectral_gap_needs_positive_curvature(euclid2):
 def test_log_sobolev(sphere):
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
-    rep = check_log_sobolev(model, oracle, spectral, suite,
-                            t_grid=np.linspace(0.3, 1.5, 7))
+    rep = check_log_sobolev(model, oracle, spectral, suite)
     assert rep.passed
     assert rep.metadata["entropy_slope"] <= -2.0 + 0.05
     assert rep.metadata["constant"] == 2.0
@@ -337,6 +369,20 @@ def test_kernel_bounds_flat(euclid2):
     assert rep.metadata["ball_mass_K"] > 0
 
 
+def test_kernel_bounds_evaluates_each_kernel_once(monkeypatch, euclid2):
+    # parts (a) and (c) share each pair's kernel; part (b) reads p(x, x, r^2)
+    # and p(x, x, 2 r^2) per (centre, radius)
+    calls = _count_calls(monkeypatch, "heat_kernel_block")
+    model, oracle, spectral = euclid2
+    i0, i1 = node_nearest(model, [0, 0]), node_nearest(model, [0.1, -0.1])
+    pairs = [(i0, node_nearest(model, [0.2, 0.1]), 0.05), (i1, i0, 0.1),
+             (i1, i1, 0.05)]
+    radii = [0.3, 0.4, 0.5]
+    check_kernel_bounds(model, oracle, spectral, engine=spectral,
+                        pair_sample=pairs, centers=[i0, i1], radii=radii)
+    assert calls["heat_kernel_block"] == len(pairs) + 2 * 2 * len(radii)
+
+
 def test_volume_doubling(euclid2, sphere):
     model, oracle, _ = euclid2
     i0 = node_nearest(model, [0, 0])
@@ -398,9 +444,8 @@ def test_sharp_sobolev_family(sphere):
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
     pole = node_nearest(model, [0, 0, 1])
-    extremal = latitude_profiles(model, pole, p=40.0, lams=(0.05, 0.1, 0.2))
-    rep = check_sobolev_sharp(model, oracle, suite, p_list=(1.0, 2.0, 40.0),
-                              extremal_suite=extremal)
+    extremal = latitude_profiles(model, pole, p=40.0)
+    rep = check_sobolev_sharp(model, oracle, suite, extremal_suite=extremal)
     assert rep.passed
     assert rep.metadata["extremal_worst_gap"] < 0.05
     p1 = rep.samples[-1]
@@ -454,8 +499,7 @@ def _least_margin(rep):
 
 def test_equilibrium_rate(sphere):
     model, _, spectral = sphere
-    rep = check_equilibrium_rate(model, spectral, list(np.linspace(0.5, 2.0, 7)),
-                                 rtol=0.03)
+    rep = check_equilibrium_rate(model, spectral)
     assert rep.passed
     assert rep.metadata["slope"] == pytest.approx(-spectral.eigenvalues[1], rel=0.03)
     assert rep.min_margin == _least_margin(rep)
@@ -472,8 +516,7 @@ def test_ball_poincare_is_report_only(heis):
 
 
 def test_subunit_oracle(heis):
-    rep = check_subunit_oracle(heis[0], z_values=(0.04, 0.09), x_values=(0.3,),
-                               rtol=0.02, seed=0)
+    rep = check_subunit_oracle(heis[0], seed=0)
     assert rep.passed
     assert [("z" in s, "x" in s) for s in rep.samples] == \
         [(True, False), (True, False), (False, True)]

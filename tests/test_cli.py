@@ -340,8 +340,7 @@ def test_entropy_plot_slope_consistency(tmp_path, sphere):
 
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
-    rep = check_log_sobolev(model, oracle, spectral, suite,
-                            t_grid=np.linspace(0.3, 1.5, 7))
+    rep = check_log_sobolev(model, oracle, spectral, suite)
     files = emit_plot_data(rep, "entropy", str(tmp_path))
     lines = open(files[0]).read().splitlines()
     slope_header = float(lines[0].split("=")[1])
@@ -392,6 +391,9 @@ TYPOS = [
     (MINI_CFG + "models.t.options.perod = 6.0\n", "models.t.options.perod"),
     (MINI_CFG + "models.t.options.z_extent = 0.1\n", "models.t.options.z_extent"),
     (MINI_CFG + "models.t.dim = two\n", "models.t.dim"),
+    (MINI_CFG + "models.t.extent = 3.0\n", "models.t.extent"),
+    ("models.s.kind = sphere\nmodels.s.extent = 5.0\n"
+     "checks.ax.check = operator-axioms\nchecks.ax.model = s\n", "models.s.extent"),
     ("models.s.kind = sphere\nmodels.s.dim = 3\n"
      "checks.ax.check = operator-axioms\nchecks.ax.model = s\n", "models.s.dim"),
     ("models.s.kind = sphere\nmodels.s.options.mesh = icosahedral\n"
@@ -428,5 +430,44 @@ def test_unknown_key_error_lists_accepted_keys():
         CampaignConfig.from_dict(data)
     assert str(info.value).endswith("(accepted: check, model, count, rtol)")
     data = parse_config_text(MINI_CFG + "models.t.options.perod = 6.0\n")
-    with pytest.raises(ConfigError, match=r"it reads: \['period'\]"):
+    with pytest.raises(ConfigError, match=r"a torus model reads no such option "
+                       r"\(it reads: \[\]\)"):
         CampaignConfig.from_dict(data)
+
+
+def _unreadable_config(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "absent.cfg"
+    if case == "directory":
+        (tmp_path / "cfgdir").mkdir()
+        return tmp_path / "cfgdir"
+    path = tmp_path / "broken.json"
+    path.write_text('{"seed": 3,')
+    return path
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "malformed-json"])
+def test_unreadable_config_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    path = _unreadable_config(tmp_path, case)
+    out, cache = tmp_path / "o", tmp_path / "c"
+    assert main(["campaign", "--config", str(path), "--out", str(out),
+                 "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists() and not cache.exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "no-series"])
+def test_unusable_report_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    path = tmp_path / "rep.json"
+    if case == "no-series":
+        MarginReport("spectrum", "m", [{"lhs": 0.0, "rhs": 1.0, "margin": 1.0}],
+                     1.0, Tolerance(0.0)).save(str(path))
+    plots = tmp_path / "plots"
+    assert main(["report", "--report", str(path), "--kind", "li-yau",
+                 "--out", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: --report {path}: ")
+    assert err.count("\n") == 1
+    assert not plots.exists()

@@ -22,9 +22,8 @@ def test_spec_validation():
         build_model(ModelSpec("hyperbolic", dim=2, resolution=16))
     with pytest.raises(UnsupportedModelError):
         build_model(ModelSpec("euclidean", dim=4, resolution=16))
-    with pytest.raises(UnsupportedModelError, match="icosahedral"):
-        build_model(ModelSpec("sphere", dim=2, resolution=8,
-                              options={"mesh": "icosahedral"}))
+    with pytest.raises(ValueError, match="options.mesh: a sphere model reads no such"):
+        ModelSpec("sphere", dim=2, resolution=8, options={"mesh": "icosahedral"})
 
 
 def test_torus_spectrum(torus1):
