@@ -179,7 +179,9 @@ def _build_grid(spec: ModelSpec, periodic: bool):
     lengths = np.linalg.norm(nodes[j] - nodes[i], axis=1)
     if periodic:
         lengths = np.minimum(lengths, np.full_like(lengths, h))  # wrap edges
-    meta = {"h": h}
+    # the generator is a Kronecker sum of 1-D second differences (see
+    # ``semigroup.spectral_decompose``); ``neumann_restrict`` drops the marker
+    meta = {"h": h, "structure": ("torus" if periodic else "box", m, dim)}
     if periodic:
         meta["period"] = period
     return nodes, mu, L, ef, lengths, boundary, meta
@@ -491,7 +493,9 @@ def build_model(spec: ModelSpec):
         ef = EdgeForm(i, j, c, mu.size)
         L = graph_laplacian(ef, mu)
         boundary = np.zeros(mu.size, dtype=bool)
-        meta = {"h": dth, "trusted_mask": trusted}
+        # the operator commutes with the longitude shift
+        meta = {"h": dth, "trusted_mask": trusted,
+                "structure": ("sphere", spec.resolution)}
         model_id = f"sphere2-lat{spec.resolution}"
         oracle = _sphere_oracle()
     else:  # heisenberg

@@ -95,7 +95,12 @@ class MarginReport:
 
     @staticmethod
     def from_json_dict(d: dict) -> "MarginReport":
+        """ValueError when ``d`` or its ``tolerance`` is not a JSON object."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a report object, got {type(d).__name__}")
         tol = d.get("tolerance", {})
+        if not isinstance(tol, dict):
+            raise ValueError(f"tolerance: expected an object, got {type(tol).__name__}")
         return MarginReport(
             check_id=d["check_id"],
             model_id=d["model_id"],

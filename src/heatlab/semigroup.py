@@ -8,16 +8,26 @@ Two independent routes to exp(tL) are kept side by side and cross-checked:
 * Crank-Nicolson stepping with a Richardson step-doubling control, solved
   by conjugate gradients on the mu-symmetrized operator.
 
-The eigensolver works on the symmetrized matrix D^{1/2} L D^{-1/2}
-(D = diag mu), so standard symmetric machinery applies; eigenfields map
-back and are mu-orthonormal by construction.  The solver is picked from
-the node count N and the retained count k: shift-invert Lanczos (ARPACK)
-when N > 10 k, a dense subset solve of the k lowest pairs otherwise; the
-two cross over near N = 10 k on the sphere and box models (measured up to
-N = 4514).  Inside every cluster of equal eigenvalues the basis is then
-rotated to a canonical one fixed by constant probe fields, so no
-eigenfield of a cluster that k leaves whole depends on the solver, its
-start vector or the BLAS thread count.
+The eigenpairs are those of the symmetrized matrix D^{1/2} L D^{-1/2}
+(D = diag mu); eigenfields map back and are mu-orthonormal by
+construction.  ``spectral_decompose`` has three routes to them:
+
+* structured, for the models that ``build_model`` marks in
+  ``meta["structure"]``.  Box and torus generators are Kronecker sums of
+  1-D second differences, whose eigenvectors are cosines (DCT-II) or
+  (cos, sin) Fourier pairs; the sphere operator commutes with the
+  longitude shift and splits into mt + 1 real tridiagonal blocks, one per
+  longitude frequency.  The k lowest pairs are assembled exactly, and a
+  residual check keeps a wrong structure assumption loud;
+* shift-invert Lanczos (ARPACK) on any other model when N > 10 k;
+* a dense subset solve of the k lowest pairs otherwise.  The last two
+  cross over near N = 10 k on the sphere and box models (measured up to
+  N = 4514).
+
+Inside every cluster of equal eigenvalues the basis is then rotated to a
+canonical one fixed by constant probe fields, so no eigenfield of a
+cluster that k leaves whole depends on the route, the solver's start
+vector or the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -43,8 +53,10 @@ class SolverError(RuntimeError):
 
 CACHE_MAGIC = b"HLSPEC01"
 # header version: 2 since eigenfields are in the canonical cluster basis,
-# 3 since the header carries a CRC-32 of the eigenvalue and eigenfield blocks
-CACHE_VERSION = 3
+# 3 since the header carries a CRC-32 of the eigenvalue and eigenfield blocks,
+# 4 since structured models keep the structured route's vectors of a cluster
+# that k cuts (earlier files hold a generic solver's)
+CACHE_VERSION = 4
 # seed of the probe fields that fix the basis inside eigenvalue clusters;
 # a constant, so the basis does not follow any run's seed
 PROBE_SEED = 0
@@ -86,28 +98,140 @@ def _symmetrized(model: DiscretizedModel):
     return A.tocsr(), dm
 
 
+def _grid_pairs(A, structure, k: int):
+    """k lowest pairs of a box or torus generator with uniform mu.
+
+    The 1-D eigenvectors are cos(pi a (i + 1/2) / m) on a box axis
+    (theta_a = pi a / m) and explicit (cos, sin) pairs of frequency a on a
+    periodic axis (theta_a = 2 pi a / m), with eigenvalues
+    4 w sin^2(theta_a / 2), where w is the coupling of neighbouring nodes
+    read from ``A``.  All m^d sums are ranked by a stable argsort over the
+    lexicographic multi-index, and the k lowest become tensor products.
+    """
+    kind, m, dim = structure
+    n = A.shape[0]
+    if m ** dim != n:
+        raise SolverError(f"{kind} marker says {m}^{dim} nodes, the model has {n}")
+    w1 = -A[0, 1]                # nodes 0 and 1 neighbour along the last axis
+    i = np.arange(m)
+    if kind == "box":
+        freq = np.arange(m)
+        theta = np.pi * freq / m
+        V = np.cos(np.pi * (np.outer(2 * i + 1, freq) % (4 * m)) / (2 * m))
+    else:
+        a = np.arange(m // 2 + 1)
+        freq = np.repeat(a, np.where((a > 0) & (2 * a < m), 2, 1))
+        is_sin = np.r_[False, freq[1:] == freq[:-1]]     # the second of a pair
+        theta = 2 * np.pi * freq / m
+        phase = 2 * np.pi * (np.outer(i, freq) % m) / m
+        V = np.where(is_sin, np.sin(phase), np.cos(phase))
+    V /= np.linalg.norm(V, axis=0)
+    lam1 = 4 * w1 * np.sin(theta / 2) ** 2
+    total = lam1
+    for _ in range(dim - 1):
+        total = np.add.outer(total, lam1)
+    order = np.argsort(total.ravel(), kind="stable")[:k]
+    modes = np.unravel_index(order, (m,) * dim)
+    coords = np.unravel_index(np.arange(n), (m,) * dim)
+    U = np.ones((n, k))
+    for ax in range(dim):
+        U *= V[np.ix_(coords[ax], modes[ax])]
+    return total.ravel()[order], U
+
+
+def _sphere_pairs(A, structure, k: int):
+    """k lowest pairs of the latitude sphere from its longitude-frequency blocks.
+
+    Rows of 2 mt cells are numbered row by row, then the north and south
+    pole cells.  For a wave of frequency m along every row, ``A`` acts on
+    the row amplitudes as a tridiagonal block whose diagonal is the row's
+    diagonal plus 2 cos(pi m / mt) times its longitude coupling; block 0
+    also holds the poles, coupled to their rows by sqrt(2 mt) times one
+    pole entry.  Each 0 < m < mt carries a cos and a sin copy.
+    """
+    mt = structure[1]
+    mp, nrows = 2 * mt, mt - 1
+    n = A.shape[0]
+    if nrows * mp + 2 != n:
+        raise SolverError(f"sphere marker says lat{mt}, the model has {n} nodes")
+    north, south = n - 2, n - 1
+    first = np.arange(nrows) * mp                     # longitude 0 of each row
+    diag = A.diagonal()
+    along = np.asarray(A[first, first + 1]).ravel()
+    across = np.asarray(A[first[:-1], first[1:]]).ravel()
+    pole_n, pole_s = A[north, first[0]], A[south, first[-1]]
+
+    lam, vecs, freq, is_sin = [], [], [], []
+    for m in range(mt + 1):
+        d = diag[first] + 2 * np.cos(np.pi * m / mt) * along
+        if m == 0:
+            d = np.concatenate([[diag[north]], d, [diag[south]]])
+            e = np.concatenate([[np.sqrt(mp) * pole_n], across, [np.sqrt(mp) * pole_s]])
+        else:
+            e = across
+        w, u = sla.eigh_tridiagonal(d, e)
+        if m > 0:
+            u = np.vstack([np.zeros(nrows), u, np.zeros(nrows)])
+        for sin_copy in ((False, True) if 0 < m < mt else (False,)):
+            lam.append(w)
+            vecs.append(u)
+            freq.append(np.full(w.size, m))
+            is_sin.append(np.full(w.size, sin_copy))
+    lam, vecs = np.concatenate(lam), np.hstack(vecs)
+    freq, is_sin = np.concatenate(freq), np.concatenate(is_sin)
+    order = np.argsort(lam, kind="stable")[:k]
+    phase = 2 * np.pi * (np.outer(np.arange(mp), freq[order]) % mp) / mp
+    waves = np.where(is_sin[order], np.sin(phase), np.cos(phase))
+    waves /= np.linalg.norm(waves, axis=0)
+    amp = vecs[:, order]
+    U = np.empty((n, k))
+    U[:nrows * mp] = (amp[1:-1, None, :] * waves[None, :, :]).reshape(nrows * mp, k)
+    U[north], U[south] = amp[0], amp[-1]
+    return lam[order], U
+
+
 def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> SpectralData:
     """k lowest eigenpairs of -L in the mu-weighted inner product.
 
-    When N > 10 k the pairs come from shift-invert ``eigsh`` (its start
-    vector is drawn from ``seed``; ``SolverError`` if it does not converge);
-    otherwise from a dense solve of the k lowest pairs only.  The crossover
-    was measured up to N = 4514; past that the rule is extrapolated, and
-    the dense path holds an N x N matrix.  Each cluster of equal
-    eigenvalues (``eigenvalue_clusters``) is then put into the basis of
-    ``canonical_basis``, which also fixes the sign of simple eigenfields,
-    so a cluster that k leaves whole does not depend on the solver or the
-    seed.
+    Three routes:
 
-    Caveat: a cluster that k cuts (euclid2 at k = 500) keeps whichever of
-    its vectors the solver retained.  Its effect on P_t is bounded by
+    * structured, when ``build_model`` marked the model in
+      ``meta["structure"]`` (euclidean dims 1-3, torus dims 1-2, sphere):
+      Kronecker-sum tensor products on grids (``_grid_pairs``), longitude
+      blocks on the sphere (``_sphere_pairs``).  A residual above
+      1e-9 max(1, lambda_max), or a marker that does not fit the node
+      count, raises ``SolverError``.  ``neumann_restrict`` submodels carry
+      no marker;
+    * shift-invert ``eigsh`` when N > 10 k (its start vector is drawn from
+      ``seed``; ``SolverError`` if it does not converge);
+    * otherwise a dense solve of the k lowest pairs only.  The crossover
+      was measured up to N = 4514; past that the rule is extrapolated, and
+      the dense path holds an N x N matrix.
+
+    Each cluster of equal eigenvalues (``eigenvalue_clusters``) is then put
+    into the basis of ``canonical_basis``, which also fixes the sign of
+    simple eigenfields, so a cluster that k leaves whole does not depend on
+    the route or the seed.
+
+    Caveat: a cluster that k cuts (euclid2 at k = 500) keeps the vectors
+    the route retained: on structured models the first ones of a fixed
+    order, so the cut is deterministic; on the generic routes whichever
+    the solver returned.  Its effect on P_t is bounded by
     exp(-lambda_{k-1} t), like the rest of the truncation.
     """
     n = model.n_nodes
     if k > n:
         raise ValueError("cannot retain more eigenpairs than nodes")
     A, dm = _symmetrized(model)
-    if n > 10 * k:
+    structure = model.meta.get("structure")
+    if structure is not None:
+        if structure[0] == "sphere":
+            w, U = _sphere_pairs(A, structure, k)
+        elif structure[0] in ("box", "torus"):
+            w, U = _grid_pairs(A, structure, k)
+        else:
+            raise SolverError(f"unknown structure marker {structure!r}")
+    elif n > 10 * k:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         shift = 1e-2 * float(A.diagonal().mean())
@@ -128,6 +252,9 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
     gram_error = float(np.max(np.abs(gram - np.eye(k))))
     resid = model.L @ phi + phi * w
     residual = float(np.sqrt(np.max(model.mu @ resid**2)))
+    if structure is not None and residual > 1e-9 * max(1.0, float(w[-1])):
+        raise SolverError(f"structured eigenpairs of {model.model_id} have residual "
+                          f"{residual:g}; the {structure[0]!r} marker does not fit")
     return SpectralData(model.model_id, w, phi, residual, gram_error)
 
 

@@ -12,13 +12,9 @@ import pytest
 from heatlab import (
     CrankNicolson,
     ModelSpec,
-    apply_semigroup,
     build_model,
     check_operator_axioms,
-    dual_distance,
     eigenvalue_clusters,
-    graph_distance,
-    heat_kernel_block,
     neumann_restrict,
     node_nearest,
     spectral_decompose,
@@ -34,7 +30,6 @@ from heatlab.checks import (
     check_kernel_laws,
     check_li_yau,
     check_log_sobolev,
-    check_neumann_poincare,
     check_sobolev_embedding,
     check_sobolev_sharp,
     check_spectral_gap,

@@ -52,7 +52,6 @@ from heatlab.suites import (
     horizontal_bump_fields,
     latitude_profiles,
     positive_fields,
-    rectified_noise_fields,
 )
 
 

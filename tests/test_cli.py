@@ -458,12 +458,17 @@ def test_unreadable_config_exits_2_and_writes_nothing(tmp_path, capsys, case):
     assert not out.exists() and not cache.exists()
 
 
-@pytest.mark.parametrize("case", ["missing", "no-series"])
+@pytest.mark.parametrize("case", ["missing", "no-series", "not-an-object", "bad-tolerance"])
 def test_unusable_report_exits_2_and_writes_nothing(tmp_path, capsys, case):
     path = tmp_path / "rep.json"
     if case == "no-series":
         MarginReport("spectrum", "m", [{"lhs": 0.0, "rhs": 1.0, "margin": 1.0}],
                      1.0, Tolerance(0.0)).save(str(path))
+    elif case == "not-an-object":
+        path.write_text("[1]")
+    elif case == "bad-tolerance":
+        path.write_text(json.dumps({"check_id": "spectrum", "model_id": "m",
+                                    "min_margin": 1.0, "tolerance": 3}))
     plots = tmp_path / "plots"
     assert main(["report", "--report", str(path), "--kind", "li-yau",
                  "--out", str(plots)]) == 2

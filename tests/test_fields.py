@@ -17,8 +17,6 @@ from heatlab.fields import (
     DiscretizedModel,
     EdgeForm,
     VerticalForm,
-    carre_du_champ_operator_path,
-    graph_laplacian,
     self_test_gamma,
 )
 from heatlab.models import ModelSpec, build_model

@@ -283,8 +283,13 @@ def test_damaged_cache_is_recomputed(tmp_path, monkeypatch):
             assert fh.read() == data, n
 
 
+def _unmarked(model):
+    # the same operator without the structure marker: the generic solvers run
+    return neumann_restrict(model, np.arange(model.n_nodes))
+
+
 def test_eigsh_without_convergence_raises_solver_error(monkeypatch):
-    model, _, _ = build_model(ModelSpec("torus", dim=1, resolution=64))
+    model = _unmarked(build_model(ModelSpec("torus", dim=1, resolution=64))[0])
 
     def stalled(*args, **kwargs):
         raise semigroup.spla.ArpackNoConvergence(
@@ -311,7 +316,7 @@ def test_canonical_basis_ignores_rotations_within_clusters(sphere):
 @pytest.fixture(scope="module")
 def sphere16():
     model, _, _ = build_model(ModelSpec("sphere", dim=2, resolution=16))
-    return model
+    return _unmarked(model)
 
 
 def _full_clusters(spectral):
@@ -346,20 +351,23 @@ def test_eigenfields_do_not_follow_the_seed(sphere16):
 
 
 _CD_MARGIN = textwrap.dedent("""
-    from heatlab import ModelSpec, build_model, spectral_decompose
+    import numpy as np
+    from heatlab import ModelSpec, build_model, neumann_restrict, spectral_decompose
     from heatlab.checks import check_cd
     from heatlab.suites import eigen_fields
     model, oracle, _ = build_model(ModelSpec("sphere", dim=2, resolution=16))
-    spectral = spectral_decompose(model, k=60)
-    rep = check_cd(model, oracle, eigen_fields(model, spectral, seed=0),
-                   mode="riemannian", include_gamma_lemma=False)
-    print(repr(rep.min_margin))
+    for m in (model, neumann_restrict(model, np.arange(model.n_nodes))):
+        spectral = spectral_decompose(m, k=60)
+        rep = check_cd(m, oracle, eigen_fields(m, spectral, seed=0),
+                       mode="riemannian", include_gamma_lemma=False)
+        print(repr(rep.min_margin))
 """)
 
 
 def test_cd_margin_does_not_follow_blas_threads():
     # single eigenfields and their combinations come from degenerate
-    # eigenspaces of the latitude grid; at N = 482, k = 60 the dense solver runs
+    # eigenspaces of the latitude grid; at N = 482, k = 60 the structured
+    # route runs on the model and the dense solver on its unmarked copy
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     margins = []
     for threads in ("1", "2"):
@@ -367,9 +375,55 @@ def test_cd_margin_does_not_follow_blas_threads():
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-c", _CD_MARGIN], env=env,
                              capture_output=True, text=True, timeout=120, check=True)
-        margins.append(float(out.stdout.strip().splitlines()[-1]))
-    a, b = margins
-    assert abs(a - b) <= 1e-9 * abs(a)
+        margins.append([float(v) for v in out.stdout.strip().splitlines()[-2:]])
+    for a, b in zip(*margins):
+        assert abs(a - b) <= 1e-9 * abs(a)
+
+
+STRUCTURED = [("euclidean", 1, 16), ("euclidean", 2, 12), ("euclidean", 3, 8),
+              ("torus", 1, 16), ("torus", 1, 15), ("torus", 2, 10), ("torus", 2, 9),
+              ("sphere", 2, 12)]
+
+
+@pytest.mark.parametrize("kind,dim,res", STRUCTURED)
+def test_structured_route_matches_generic_solver(kind, dim, res, monkeypatch):
+    model, _, _ = build_model(ModelSpec(kind, dim=dim, resolution=res))
+    assert "structure" in model.meta
+    ref = spectral_decompose(_unmarked(model), k=model.n_nodes)   # dense, every cluster whole
+    # cut the widest cluster in the low third of the spectrum in half (the
+    # 1-D box has simple eigenvalues only: then cut nothing)
+    low = [c for c in eigenvalue_clusters(ref.eigenvalues) if c[-1] < model.n_nodes // 3]
+    cut = max(low, key=len)
+    assert len(cut) > 1 or (kind, dim) == ("euclidean", 1)
+    k = int(cut[0]) + len(cut) // 2 if len(cut) > 1 else model.n_nodes // 3
+
+    def generic(*args, **kwargs):
+        raise AssertionError("a structured model ran a generic solver")
+    monkeypatch.setattr(semigroup.spla, "eigsh", generic)
+    monkeypatch.setattr(semigroup.sla, "eigh", generic)
+    a = spectral_decompose(model, k=k, seed=0)
+    b = spectral_decompose(model, k=k, seed=9)
+
+    lam = ref.eigenvalues[:k]
+    assert np.all(np.abs(a.eigenvalues - lam) <= 1e-10 * np.maximum(1.0, lam))
+    whole = np.arange(k if len(cut) == 1 else int(cut[0]))
+    assert np.max(np.abs(a.eigenfields[:, whole] - ref.eigenfields[:, whole])) < 1e-8
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.eigenfields, b.eigenfields)     # the cut cluster too
+
+
+@pytest.mark.parametrize("kind,dim,res,marker,match", [
+    ("euclidean", 2, 12, ("torus", 12, 2), "residual"),
+    ("torus", 1, 16, ("box", 16, 1), "residual"),
+    ("torus", 2, 10, ("torus", 10, 1), "nodes"),
+    ("sphere", 2, 16, ("sphere", 12), "nodes"),
+    ("sphere", 2, 12, ("disk", 12), "unknown"),
+])
+def test_tampered_structure_marker_raises(kind, dim, res, marker, match):
+    model, _, _ = build_model(ModelSpec(kind, dim=dim, resolution=res))
+    model.meta["structure"] = marker
+    with pytest.raises(semigroup.SolverError, match=match):
+        spectral_decompose(model, k=8)
 
 
 def test_decompose_determinism_and_errors(tiny_torus):
