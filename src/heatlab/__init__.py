@@ -2,10 +2,10 @@
 
 Model spaces (boxes, tori, spheres, the Heisenberg group lattice) are
 finite weighted graphs whose Laplacians are self-adjoint by construction;
-spectral and time-stepping semigroup engines, intrinsic distances, and a
-suite of quantitative margin checks (curvature-dimension, gradient bounds,
-Li-Yau, Harnack, Gaussian kernel bounds, doubling, Poincare, log-Sobolev,
-Sobolev, diameter) sit on top.
+spectral, matrix-exponential and time-stepping semigroup engines,
+intrinsic distances, and a suite of quantitative margin checks
+(curvature-dimension, gradient bounds, Li-Yau, Harnack, Gaussian kernel
+bounds, doubling, Poincare, log-Sobolev, Sobolev, diameter) sit on top.
 """
 from .fields import (
     CDParameters,
@@ -47,6 +47,7 @@ from .reports import MarginReport, Tolerance
 from .checks import check_operator_axioms
 from .semigroup import (
     CrankNicolson,
+    ExpmFlow,
     SpectralData,
     apply_semigroup,
     eigenvalue_clusters,

@@ -53,7 +53,7 @@ from .fields import deep_interior
 from .metric import distance_field
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
-from .semigroup import CrankNicolson, cached_decompose, neumann_restrict
+from .semigroup import CrankNicolson, ExpmFlow, cached_decompose, neumann_restrict
 from . import suites as S
 
 CONFIG_SCHEMA_VERSION = 1
@@ -292,7 +292,13 @@ def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
 
 
 class ModelContext:
-    """Lazy bundle: model, oracle, vertical form, spectral data, stepper."""
+    """Lazy bundle: model, oracle, vertical form, spectral data, heat engines.
+
+    ``engine`` evolves the checks: the retained spectrum when the model has
+    a ``spectral_k``, the exact ``flow`` (``ExpmFlow``) otherwise.  ``flow``
+    also evolves the noise of the sub-riemannian suites, and ``stepper``
+    (Crank-Nicolson) is only ``kernel-laws``' independent second route.
+    """
 
     def __init__(self, name, spec: ModelSpec, cache_dir, seed, k=None):
         self.name = name
@@ -322,6 +328,10 @@ class ModelContext:
         return CrankNicolson(self.model, base_steps=32, richardson_tol=1e-6)
 
     @functools.cached_property
+    def flow(self):
+        return ExpmFlow(self.model)
+
+    @functools.cached_property
     def _spectral(self):
         k = self.k or min(self.model.n_nodes, 128)
         path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
@@ -332,10 +342,11 @@ class ModelContext:
 
     @property
     def engine(self):
-        """Best semigroup engine: spectral when retained, stepper otherwise."""
+        """Semigroup engine of the checks: the truncated spectrum when one is
+        retained (``spectral_k``), the exact ``ExpmFlow`` otherwise."""
         if self.k:
             return self.spectral()
-        return self.stepper
+        return self.flow
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +399,7 @@ _SUITES = {
     "positive": lambda ctx, seed: S.positive_fields(
         ctx.model, ctx.spectral() if ctx.k else None, seed=seed),
     "sub-riemannian": lambda ctx, seed: S.sub_riemannian_suite(
-        ctx.model, engine=ctx.stepper, seed=seed),
+        ctx.model, engine=ctx.flow, seed=seed),
 }
 
 
@@ -416,7 +427,7 @@ def _bind_li_yau(ctx, opts, seed):
         return {"suite": suite, "saturation_fields": ("point-source",)}
     if kind == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
-        return {"suite": suite + S.rectified_noise_fields(model, ctx.stepper, n=1,
+        return {"suite": suite + S.rectified_noise_fields(model, ctx.flow, n=1,
                                                           seed=seed)}
     return {"suite": _SUITES[kind](ctx, seed)}
 

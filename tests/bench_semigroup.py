@@ -1,0 +1,44 @@
+"""Kernel microbenchmarks of semigroup application (pytest-benchmark).
+
+    PYTHONPATH=src python -m pytest tests/bench_semigroup.py --benchmark-only
+
+One white-noise field evolved by the exact ``ExpmFlow`` (the engine of
+every model without a retained spectrum) and by ``CrankNicolson`` (the
+independent route of ``kernel-laws``) with the campaign's settings, on
+``heis`` at the smallest and largest Heisenberg campaign times and on
+``torus1`` at ``kernel-laws``' cross-check time.  The default test run
+collects only ``test_*.py`` files, so these run only when named.  Pin the
+BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to compare runs across
+commits.
+"""
+import functools
+
+import numpy as np
+import pytest
+
+from heatlab import CrankNicolson, ExpmFlow, ModelSpec, build_model
+
+MODELS = {
+    "heis": ModelSpec("heisenberg", dim=3, resolution=21, extent=1.25,
+                      options={"z_extent": 0.15625}),
+    "torus1": ModelSpec("torus", dim=1, resolution=64),
+}
+ENGINES = {
+    "expm": ExpmFlow,
+    "cn": lambda model: CrankNicolson(model, base_steps=32, richardson_tol=1e-6),
+}
+
+
+@functools.cache
+def noise(name):
+    model, _, _ = build_model(MODELS[name])
+    return model, model.field(np.random.default_rng(0).standard_normal(model.n_nodes))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("name, t", [("heis", 0.02), ("heis", 0.2), ("torus1", 0.1)])
+def test_evolve(benchmark, engine, name, t):
+    model, f = noise(name)
+    evolve = ENGINES[engine](model).evolve
+    out = benchmark.pedantic(evolve, args=(f, t), rounds=5)
+    assert abs(model.integrate(out) - model.integrate(f)) < 1e-8

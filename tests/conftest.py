@@ -1,6 +1,6 @@
 import pytest
 
-from heatlab import CrankNicolson, ModelSpec, build_model, spectral_decompose
+from heatlab import ExpmFlow, ModelSpec, build_model, spectral_decompose
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +45,7 @@ def heis():
     model, oracle, vform = build_model(
         ModelSpec("heisenberg", dim=3, resolution=21, extent=1.25,
                   options={"z_extent": 0.15625}))
-    stepper = CrankNicolson(model, base_steps=32, richardson_tol=1e-6)
-    return model, oracle, vform, stepper
+    return model, oracle, vform, ExpmFlow(model)
 
 
 @pytest.fixture(scope="session")

@@ -120,10 +120,10 @@ def test_criterion_4_cd_suite(sphere, euclid2, heis):
                     tolerance=Tolerance(1e-9, 1e-9), include_gamma_lemma=False)
     assert erep.passed
 
-    hmodel, horacle, vform, stepper = heis
+    hmodel, horacle, vform, flow = heis
     vals = []
     for seed in (5, 77):
-        suite = sub_riemannian_suite(hmodel, engine=stepper, seed=seed)
+        suite = sub_riemannian_suite(hmodel, engine=flow, seed=seed)
         hrep = check_cd(hmodel, horacle, suite, vform=vform, mode="scan",
                         nu_grid=np.geomspace(0.25, 64, 10))
         vals.append(hrep.metadata["rho1_scan"])
@@ -160,9 +160,9 @@ def test_criterion_5_li_yau(euclid2, sphere, heis):
                       mode="bakry-qian")
     assert rb.passed
 
-    hmodel, horacle, vform, stepper = heis
+    hmodel, horacle, vform, flow = heis
     hsuite = horizontal_bump_fields(hmodel, widths=(0.5, 0.8))
-    rh = check_li_yau(hmodel, horacle, stepper, hsuite, [0.01, 0.02, 0.05],
+    rh = check_li_yau(hmodel, horacle, flow, hsuite, [0.01, 0.02, 0.05],
                       mode="sub-riemannian", alpha=3.0, vform=vform)
     assert rh.passed
     assert _line("criterion-5 li-yau family", True,
@@ -201,9 +201,9 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     assert rs.passed
 
     assert harnack_dimension(3.0, 0.0, 0.5, 2.0) == pytest.approx(2.0)
-    hmodel, horacle, vform, stepper = heis
+    hmodel, horacle, vform, flow = heis
     hpairs2 = sample_harnack_pairs(hmodel, 60, [0.02, 0.04], [0.02, 0.05], seed=5)
-    rsub = check_harnack(hmodel, horacle, stepper,
+    rsub = check_harnack(hmodel, horacle, flow,
                          horizontal_bump_fields(hmodel, widths=(0.5, 0.8)),
                          hpairs2, mode="sub-riemannian", dist_method="graph",
                          tolerance=Tolerance(1e-12, 0.02))

@@ -106,12 +106,12 @@ def test_cd_euclid_equality(euclid2):
 
 
 def test_cd_heisenberg_scan_and_reproducibility(heis):
-    model, oracle, vform, stepper = heis
+    model, oracle, vform, flow = heis
     from heatlab.suites import sub_riemannian_suite
 
     vals = []
     for seed in (5, 77):
-        suite = sub_riemannian_suite(model, engine=stepper, seed=seed)
+        suite = sub_riemannian_suite(model, engine=flow, seed=seed)
         rep = check_cd(model, oracle, suite, vform=vform,
                        mode="scan", nu_grid=np.geomspace(0.25, 64, 10))
         assert rep.passed
@@ -121,10 +121,10 @@ def test_cd_heisenberg_scan_and_reproducibility(heis):
 
 
 def test_cd_generalized_margins(heis):
-    model, oracle, vform, stepper = heis
+    model, oracle, vform, flow = heis
     from heatlab.suites import sub_riemannian_suite
 
-    suite = sub_riemannian_suite(model, engine=stepper, seed=5)
+    suite = sub_riemannian_suite(model, engine=flow, seed=5)
     rep = check_cd(model, oracle, suite, vform=vform, mode="generalized",
                    nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert rep.passed
@@ -292,9 +292,9 @@ def test_li_yau_errors(euclid2, sphere):
 
 
 def test_li_yau_sub_riemannian(heis):
-    model, oracle, vform, stepper = heis
+    model, oracle, vform, flow = heis
     suite = horizontal_bump_fields(model, widths=(0.5,))
-    rep = check_li_yau(model, oracle, stepper, suite, [0.02, 0.05],
+    rep = check_li_yau(model, oracle, flow, suite, [0.02, 0.05],
                        mode="sub-riemannian", alpha=3.0, vform=vform)
     assert rep.passed
 

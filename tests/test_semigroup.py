@@ -7,9 +7,11 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from heatlab import (
     CrankNicolson,
+    ExpmFlow,
     ModelSpec,
     apply_semigroup,
     build_model,
@@ -35,9 +37,13 @@ def test_mass_conservation(sphere, torus1, heis):
         model, _, spectral = bundle
         pt = apply_semigroup(model, spectral, model.constant(1.0), t)
         assert np.max(np.abs(pt.values - 1.0)) < 1e-10
-    model, _, _, stepper = heis
-    pt = apply_semigroup(model, stepper, model.constant(1.0), 0.2)
+    model, _, _, flow = heis
+    pt = apply_semigroup(model, flow, model.constant(1.0), 0.2)
     assert np.max(np.abs(pt.values - 1.0)) < 1e-10
+    f = model.field(np.random.default_rng(3).standard_normal(model.n_nodes))
+    mass = model.integrate(f)
+    assert abs(model.integrate(apply_semigroup(model, flow, f, 0.2)) - mass) \
+        < 1e-10 * model.integrate(np.abs(f.values))
 
 
 def test_eigenfunction_decay(sphere):
@@ -58,13 +64,31 @@ def test_time_zero_identity(torus1):
         apply_semigroup(model, spectral, f, -0.1)
 
 
-def test_cross_engine_agreement(torus1, sphere):
-    for model, _, spectral in (torus1, sphere):
+def test_cross_engine_agreement(torus1, sphere, heis):
+    # spectral on the grids and the sphere, the exact flow on heis
+    for model, engine in ((torus1[0], torus1[2]), (sphere[0], sphere[2]),
+                          (heis[0], heis[3])):
         rng = np.random.default_rng(1)
         f = model.field(rng.standard_normal(model.n_nodes))
-        a = apply_semigroup(model, spectral, f, 0.1)
+        a = apply_semigroup(model, engine, f, 0.1)
         b = CrankNicolson(model).evolve(f, 0.1)
         assert np.max(np.abs(a.values - b.values)) < 1e-4
+
+
+def test_expm_flow_matches_dense_exponential():
+    model, _, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=9, extent=1.25,
+                                        options={"z_extent": 0.15625}))
+    assert model.n_nodes == 389
+    flow = ExpmFlow(model)
+    f = model.field(np.random.default_rng(4).standard_normal(model.n_nodes))
+    L = model.L.toarray()
+    for t in (0.01, 0.2, 1.0):
+        exact = sla.expm(t * L) @ f.values
+        got = apply_semigroup(model, flow, f, t).values
+        assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+    assert np.array_equal(flow.evolve(f, 0.0).values, f.values)
+    with pytest.raises(ValueError):
+        flow.evolve(f, -0.1)
 
 
 def test_semigroup_law(sphere):
