@@ -1113,10 +1113,10 @@ def check_kernel_laws(model, oracle, spectral: SpectralData, engine2,
 
     The composition law is checked on 64 probe nodes at (t, s) = (0.3, 0.7)
     and (0.5, 0.5): integrating the kernel block against itself with the mu
-    weights must reproduce the kernel at the summed time.  ``engine2`` (the
-    Crank-Nicolson stepper, which evolves no other check) is the
-    independent route to P_t: at t = 0.1 it must agree with the spectral
-    route within 1e-4 on a random field.
+    weights must reproduce the kernel at the summed time.  ``engine2`` is
+    an independent route to P_t (in the campaign the exact ``ExpmFlow``,
+    which the retained spectrum does not enter): at t = 0.1 it must agree
+    with the truncated spectral route within 1e-4 on a random field.
     """
     rng = np.random.default_rng(seed)
     probe = np.sort(rng.choice(model.n_nodes, size=min(64, model.n_nodes),

@@ -53,7 +53,7 @@ from .fields import deep_interior
 from .metric import distance_field
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
-from .semigroup import CrankNicolson, ExpmFlow, cached_decompose, neumann_restrict
+from .semigroup import ExpmFlow, cached_decompose, neumann_restrict
 from . import suites as S
 
 CONFIG_SCHEMA_VERSION = 1
@@ -296,8 +296,8 @@ class ModelContext:
 
     ``engine`` evolves the checks: the retained spectrum when the model has
     a ``spectral_k``, the exact ``flow`` (``ExpmFlow``) otherwise.  ``flow``
-    also evolves the noise of the sub-riemannian suites, and ``stepper``
-    (Crank-Nicolson) is only ``kernel-laws``' independent second route.
+    also evolves the noise of the sub-riemannian suites, and it is
+    ``kernel-laws``' independent second route next to the spectrum.
     """
 
     def __init__(self, name, spec: ModelSpec, cache_dir, seed, k=None):
@@ -324,10 +324,6 @@ class ModelContext:
         return self._built[2]
 
     @functools.cached_property
-    def stepper(self):
-        return CrankNicolson(self.model, base_steps=32, richardson_tol=1e-6)
-
-    @functools.cached_property
     def flow(self):
         return ExpmFlow(self.model)
 
@@ -343,7 +339,8 @@ class ModelContext:
     @property
     def engine(self):
         """Semigroup engine of the checks: the truncated spectrum when one is
-        retained (``spectral_k``), the exact ``ExpmFlow`` otherwise."""
+        retained (``spectral_k``), the exact ``flow`` otherwise (longitude
+        blocks on the sphere, ``expm_multiply`` elsewhere)."""
         if self.k:
             return self.spectral()
         return self.flow
@@ -522,7 +519,7 @@ _RENAMED = {"distance": "dist_method"}
 CHECK_KINDS = {
     "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed")),
     "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "oracle", "spectral", "seed"),
-                             bind=lambda ctx, opts, seed: {"engine2": ctx.stepper}),
+                             bind=lambda ctx, opts, seed: {"engine2": ctx.flow}),
     "spectrum": CheckKind(C.check_spectrum, ("model", "oracle", "spectral"),
                           {"count": _int, "rtol": _float}),
     "cd": CheckKind(C.check_cd, ("model", "oracle", "vform"),

@@ -6,13 +6,16 @@ Three routes to exp(tL), all on the mu-symmetrized operator:
   with the unresolved component damped at the last retained rate (so t = 0
   reproduces the input exactly and mass is conserved to roundoff).  It
   evolves every model that retains a spectrum (``spectral_k``);
-* ``ExpmFlow``, the exact action of the matrix exponential by the
-  truncated Taylor method of ``scipy.sparse.linalg.expm_multiply``.  It
-  evolves every other model (the Heisenberg lattice in the default
-  campaign) and the noise of the sub-riemannian suites;
+* ``ExpmFlow``, the exact flow: on the latitude sphere by diagonalizing
+  each of its longitude blocks, on every other model by the truncated
+  Taylor method of ``scipy.sparse.linalg.expm_multiply``.  It evolves
+  every model without a retained spectrum (the Heisenberg lattice in the
+  default campaign) and the noise of the sub-riemannian suites, and it is
+  the independent route that ``check_kernel_laws`` cross-checks against
+  the truncated spectral one;
 * Crank-Nicolson stepping with a Richardson step-doubling control, solved
-  by conjugate gradients.  It is the independent route that
-  ``check_kernel_laws`` cross-checks against the spectral one.
+  by conjugate gradients.  No check runs it; it stays as a reference for
+  tests and benchmarks.
 
 The eigenpairs are those of the symmetrized matrix D^{1/2} L D^{-1/2}
 (D = diag mu); eigenfields map back and are mu-orthonormal by
@@ -54,7 +57,8 @@ from .models import model_hash
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failed to converge within its iteration budget."""
+    """A solver did not converge within its budget, or a structure marker
+    does not fit the operator."""
 
 
 CACHE_MAGIC = b"HLSPEC01"
@@ -145,54 +149,79 @@ def _grid_pairs(A, structure, k: int):
     return total.ravel()[order], U
 
 
-def _sphere_pairs(A, structure, k: int):
-    """k lowest pairs of the latitude sphere from its longitude-frequency blocks.
+class _SphereBlocks:
+    """The latitude sphere's symmetrized operator as diagonalized longitude blocks.
 
     Rows of 2 mt cells are numbered row by row, then the north and south
-    pole cells.  For a wave of frequency m along every row, ``A`` acts on
-    the row amplitudes as a tridiagonal block whose diagonal is the row's
+    pole cells.  The operator commutes with the longitude shift, so the
+    orthonormal longitude waves (the columns of ``waves``, of frequency
+    ``freq``: one cos wave at m = 0 and m = mt, a cos and a sin copy for
+    each 0 < m < mt) split it into mt + 1 real tridiagonal blocks (P. J.
+    Davis, *Circulant Matrices*, 1979).  For a wave of frequency m, ``A``
+    acts on the row amplitudes as a block whose diagonal is the row's
     diagonal plus 2 cos(pi m / mt) times its longitude coupling; block 0
     also holds the poles, coupled to their rows by sqrt(2 mt) times one
-    pole entry.  Each 0 < m < mt carries a cos and a sin copy.
+    pole entry.  ``blocks[m]`` is the block's (eigenvalues, eigenvectors),
+    block 0's with the north pole first and the south pole last.  The
+    coefficients are read at longitude 0 only.
     """
-    mt = structure[1]
-    mp, nrows = 2 * mt, mt - 1
-    n = A.shape[0]
-    if nrows * mp + 2 != n:
-        raise SolverError(f"sphere marker says lat{mt}, the model has {n} nodes")
-    north, south = n - 2, n - 1
-    first = np.arange(nrows) * mp                     # longitude 0 of each row
-    diag = A.diagonal()
-    along = np.asarray(A[first, first + 1]).ravel()
-    across = np.asarray(A[first[:-1], first[1:]]).ravel()
-    pole_n, pole_s = A[north, first[0]], A[south, first[-1]]
 
-    lam, vecs, freq, is_sin = [], [], [], []
-    for m in range(mt + 1):
-        d = diag[first] + 2 * np.cos(np.pi * m / mt) * along
-        if m == 0:
-            d = np.concatenate([[diag[north]], d, [diag[south]]])
-            e = np.concatenate([[np.sqrt(mp) * pole_n], across, [np.sqrt(mp) * pole_s]])
-        else:
+    def __init__(self, A, structure):
+        mt = structure[1]
+        self.mp, self.nrows = mp, nrows = 2 * mt, mt - 1
+        n = A.shape[0]
+        if nrows * mp + 2 != n:
+            raise SolverError(f"sphere marker says lat{mt}, the model has {n} nodes")
+        north, south = n - 2, n - 1
+        first = np.arange(nrows) * mp                     # longitude 0 of each row
+        diag = A.diagonal()
+        along = np.asarray(A[first, first + 1]).ravel()
+        across = np.asarray(A[first[:-1], first[1:]]).ravel()
+        pole_n, pole_s = A[north, first[0]], A[south, first[-1]]
+        self.blocks = []
+        for m in range(mt + 1):
+            d = diag[first] + 2 * np.cos(np.pi * m / mt) * along
             e = across
-        w, u = sla.eigh_tridiagonal(d, e)
-        if m > 0:
-            u = np.vstack([np.zeros(nrows), u, np.zeros(nrows)])
-        for sin_copy in ((False, True) if 0 < m < mt else (False,)):
-            lam.append(w)
-            vecs.append(u)
-            freq.append(np.full(w.size, m))
-            is_sin.append(np.full(w.size, sin_copy))
-    lam, vecs = np.concatenate(lam), np.hstack(vecs)
-    freq, is_sin = np.concatenate(freq), np.concatenate(is_sin)
+            if m == 0:
+                d = np.concatenate([[diag[north]], d, [diag[south]]])
+                e = np.concatenate([[np.sqrt(mp) * pole_n], across, [np.sqrt(mp) * pole_s]])
+            self.blocks.append(sla.eigh_tridiagonal(d, e))
+        a = np.arange(mt + 1)
+        self.freq = np.repeat(a, np.where((a > 0) & (a < mt), 2, 1))
+        is_sin = np.r_[False, self.freq[1:] == self.freq[:-1]]     # the second of a pair
+        phase = 2 * np.pi * (np.outer(np.arange(mp), self.freq) % mp) / mp
+        self.waves = np.where(is_sin, np.sin(phase), np.cos(phase))
+        self.waves /= np.linalg.norm(self.waves, axis=0)
+
+    def apply(self, v: np.ndarray, fn) -> np.ndarray:
+        """The sum over blocks of u diag(fn(w)) u^T, applied to ``v``: project
+        the rows onto the waves, act block by block, map back."""
+        nrows, mp = self.nrows, self.mp
+        amp = v[:nrows * mp].reshape(nrows, mp) @ self.waves
+        for m, (w, u) in enumerate(self.blocks):
+            if m == 0:
+                b = u @ (fn(w) * (u.T @ np.r_[v[-2], amp[:, 0], v[-1]]))
+                poles, amp[:, 0] = b[[0, -1]], b[1:-1]
+            else:
+                cols = self.freq == m
+                amp[:, cols] = u @ (fn(w)[:, None] * (u.T @ amp[:, cols]))
+        return np.concatenate([(amp @ self.waves.T).ravel(), poles])
+
+
+def _sphere_pairs(A, structure, k: int):
+    """k lowest pairs of the latitude sphere: block eigenvectors of
+    ``_SphereBlocks`` times their longitude waves."""
+    S = _SphereBlocks(A, structure)
+    zero = np.zeros(S.nrows)
+    lam = np.concatenate([S.blocks[m][0] for m in S.freq])
+    vecs = np.hstack([S.blocks[m][1] if m == 0 else np.vstack([zero, S.blocks[m][1], zero])
+                      for m in S.freq])
+    col = np.repeat(np.arange(S.mp), [S.blocks[m][0].size for m in S.freq])
     order = np.argsort(lam, kind="stable")[:k]
-    phase = 2 * np.pi * (np.outer(np.arange(mp), freq[order]) % mp) / mp
-    waves = np.where(is_sin[order], np.sin(phase), np.cos(phase))
-    waves /= np.linalg.norm(waves, axis=0)
-    amp = vecs[:, order]
-    U = np.empty((n, k))
-    U[:nrows * mp] = (amp[1:-1, None, :] * waves[None, :, :]).reshape(nrows * mp, k)
-    U[north], U[south] = amp[0], amp[-1]
+    amp, waves = vecs[:, order], S.waves[:, col[order]]
+    U = np.empty((S.nrows * S.mp + 2, k))
+    U[:-2] = (amp[1:-1, None, :] * waves[None, :, :]).reshape(-1, k)
+    U[-2], U[-1] = amp[0], amp[-1]
     return lam[order], U
 
 
@@ -299,8 +328,8 @@ def _coefficients(model: DiscretizedModel, spectral: SpectralData, fv: np.ndarra
 
 
 def apply_semigroup(model: DiscretizedModel, engine, f: ScalarField, t: float) -> ScalarField:
-    """P_t f.  ``engine`` is SpectralData, or an ``ExpmFlow`` or
-    ``CrankNicolson`` engine, whose ``evolve`` is called.
+    """P_t f.  ``engine`` is SpectralData, or an engine whose ``evolve`` is
+    called: the exact ``ExpmFlow`` in every check, or ``CrankNicolson``.
 
     The spectral route damps the component outside the retained span at the
     last resolved rate; the true semigroup damps it at least that fast, so
@@ -322,18 +351,35 @@ def apply_semigroup(model: DiscretizedModel, engine, f: ScalarField, t: float) -
 
 
 class ExpmFlow:
-    """Exact heat flow by the action of the matrix exponential.
+    """Exact heat flow P_t f = D^{-1/2} exp(-t A) D^{1/2} f on the symmetrized
+    operator A.
 
-    P_t f = D^{-1/2} exp(-t A) D^{1/2} f on the symmetrized operator A,
-    evaluated by ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33 (2011) 488-511), whose Taylor degree and step
-    count are chosen from norms of t A for double-precision accuracy.
-    Constants and total mass are preserved to roundoff.
+    On a sphere-marked model (``meta["structure"] == ("sphere", mt)``) each
+    longitude block of ``_SphereBlocks`` is diagonalized, and exp(-t A) is
+    applied block by block, at a cost that does not grow with t ||A||.  At
+    construction the block form applied to a fixed probe vector must
+    reproduce ``A @ v`` to 1e-9 of each row's |A| |v|, or ``SolverError``
+    is raised, so a marker that does not fit the operator stays loud.
+    Every other model is evaluated by ``scipy.sparse.linalg.expm_multiply``
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511), whose
+    Taylor degree and step count are chosen from norms of t A for
+    double-precision accuracy.  Constants and total mass are preserved to
+    roundoff.
     """
 
     def __init__(self, model: DiscretizedModel):
         self.model = model
         self._A, self._dm = _symmetrized(model)
+        self._blocks = None
+        structure = model.meta.get("structure")
+        if structure is not None and structure[0] == "sphere":
+            self._blocks = _SphereBlocks(self._A, structure)
+            v = np.random.default_rng(PROBE_SEED).standard_normal(model.n_nodes)
+            err = np.abs(self._blocks.apply(v, lambda w: w) - self._A @ v)
+            rel = float(np.max(err / (abs(self._A) @ np.abs(v))))
+            if not rel <= 1e-9:
+                raise SolverError(f"longitude blocks of {model.model_id} miss the operator "
+                                  f"by {rel:g} of a row; the sphere marker does not fit")
 
     def evolve(self, f: ScalarField, t: float) -> ScalarField:
         if t < 0:
@@ -341,7 +387,10 @@ class ExpmFlow:
         fv = self.model.check_field(f)
         if t == 0:
             return self.model.field(fv)
-        w = spla.expm_multiply(-t * self._A, fv / self._dm)    # on D^{1/2} f
+        if self._blocks is not None:                             # on D^{1/2} f
+            w = self._blocks.apply(fv / self._dm, lambda lam: np.exp(-t * lam))
+        else:
+            w = spla.expm_multiply(-t * self._A, fv / self._dm)
         return self.model.field(w * self._dm)
 
 
@@ -350,7 +399,12 @@ class CrankNicolson:
 
     Each half-step solves (I - dt/2 A) w = (I + dt/2 A) w on the
     symmetrized operator by conjugate gradients; constants are preserved
-    exactly and so is total mass.
+    exactly and so is total mass.  The step count doubles from
+    ``base_steps`` until two successive results differ by less than
+    ``richardson_tol`` times max(1, sup of the finer one); if
+    ``max_doublings`` run out first, ``SolverError`` is raised.  With
+    ``max_doublings = 0`` it takes ``base_steps`` steps and tests nothing.
+    No check runs it: it is a reference route for tests and benchmarks.
     """
 
     def __init__(self, model: DiscretizedModel, base_steps: int = 64,
@@ -385,10 +439,15 @@ class CrankNicolson:
         for _ in range(self.max_doublings):
             steps *= 2
             w2 = self._run(w0, t, steps)
-            if np.max(np.abs(w2 - w)) < self.richardson_tol * max(1.0, np.max(np.abs(w2))):
-                w = w2
-                break
+            diff, scale = np.max(np.abs(w2 - w)), max(1.0, np.max(np.abs(w2)))
             w = w2
+            if diff < self.richardson_tol * scale:
+                break
+        else:
+            if self.max_doublings:
+                raise SolverError(f"step doubling did not converge: {steps} steps still "
+                                  f"change the result by {diff / scale:g}, above "
+                                  f"richardson_tol {self.richardson_tol:g}")
         return self.model.field(w * self._dm)
 
 

@@ -3,10 +3,13 @@
     PYTHONPATH=src python -m pytest tests/bench_semigroup.py --benchmark-only
 
 One white-noise field evolved by the exact ``ExpmFlow`` (the engine of
-every model without a retained spectrum) and by ``CrankNicolson`` (the
-independent route of ``kernel-laws``) with the campaign's settings, on
-``heis`` at the smallest and largest Heisenberg campaign times and on
-``torus1`` at ``kernel-laws``' cross-check time.  The default test run
+every model without a retained spectrum and ``kernel-laws``' second
+route) and by the ``CrankNicolson`` reference stepper, on ``heis`` at the
+smallest and largest Heisenberg campaign times, and on ``torus1`` and the
+latitude spheres of ``sphere-refine`` (lat32, lat48; ``ExpmFlow`` takes
+the longitude-block route there) at ``kernel-laws``' cross-check time.
+Each timed call builds the engine and evolves the field, as
+``kernel-laws`` does once per model.  The default test run
 collects only ``test_*.py`` files, so these run only when named.  Pin the
 BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to compare runs across
 commits.
@@ -22,6 +25,8 @@ MODELS = {
     "heis": ModelSpec("heisenberg", dim=3, resolution=21, extent=1.25,
                       options={"z_extent": 0.15625}),
     "torus1": ModelSpec("torus", dim=1, resolution=64),
+    "sphere32": ModelSpec("sphere", dim=2, resolution=32),
+    "sphere48": ModelSpec("sphere", dim=2, resolution=48),
 }
 ENGINES = {
     "expm": ExpmFlow,
@@ -36,9 +41,9 @@ def noise(name):
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-@pytest.mark.parametrize("name, t", [("heis", 0.02), ("heis", 0.2), ("torus1", 0.1)])
+@pytest.mark.parametrize("name, t", [("heis", 0.02), ("heis", 0.2), ("torus1", 0.1),
+                                     ("sphere32", 0.1), ("sphere48", 0.1)])
 def test_evolve(benchmark, engine, name, t):
     model, f = noise(name)
-    evolve = ENGINES[engine](model).evolve
-    out = benchmark.pedantic(evolve, args=(f, t), rounds=5)
+    out = benchmark.pedantic(lambda: ENGINES[engine](model).evolve(f, t), rounds=5)
     assert abs(model.integrate(out) - model.integrate(f)) < 1e-8

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from heatlab import (
+    ExpmFlow,
     ModelSpec,
     NotApplicableError,
     build_model,
@@ -490,6 +491,15 @@ def test_kernel_laws_and_spectrum(torus1):
     assert rep.metadata["cross_engine_sup_diff"] < 1e-4
     rep2 = check_spectrum(model, oracle, spectral, count=5, rtol=0.01)
     assert rep2.passed
+
+
+def test_kernel_laws_with_the_campaign_flow(sphere):
+    # the campaign binds engine2 to the exact flow; only the truncation of
+    # the 300 retained pairs then separates the routes
+    model, oracle, spectral = sphere
+    rep = check_kernel_laws(model, oracle, spectral, engine2=ExpmFlow(model), seed=0)
+    assert rep.passed
+    assert rep.metadata["cross_engine_sup_diff"] < 1e-8
 
 
 def _least_margin(rep):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -11,6 +12,7 @@ import scipy.linalg as sla
 
 from heatlab import (
     CrankNicolson,
+    EdgeForm,
     ExpmFlow,
     ModelSpec,
     apply_semigroup,
@@ -28,6 +30,7 @@ from heatlab import (
 )
 from heatlab import semigroup
 from heatlab.cli import ModelContext
+from heatlab.fields import graph_laplacian
 from heatlab.semigroup import CACHE_MAGIC, canonical_basis
 from heatlab.models import exact_heat_kernel
 
@@ -89,6 +92,79 @@ def test_expm_flow_matches_dense_exponential():
     assert np.array_equal(flow.evolve(f, 0.0).values, f.values)
     with pytest.raises(ValueError):
         flow.evolve(f, -0.1)
+
+
+def _forbid_expm_multiply(monkeypatch):
+    def generic(*args, **kwargs):
+        raise AssertionError("the sphere flow ran expm_multiply")
+    monkeypatch.setattr(semigroup.spla, "expm_multiply", generic)
+
+
+@pytest.mark.parametrize("res", [8, 16])
+def test_sphere_flow_matches_dense_exponential(res, monkeypatch):
+    model, _, _ = build_model(ModelSpec("sphere", dim=2, resolution=res))
+    f = model.field(np.random.default_rng(5).standard_normal(model.n_nodes))
+    L = model.L.toarray()
+    _forbid_expm_multiply(monkeypatch)
+    flow = ExpmFlow(model)
+    for t in (0.01, 0.1, 1.0):
+        exact = sla.expm(t * L) @ f.values
+        got = apply_semigroup(model, flow, f, t).values
+        assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+def test_sphere_flow_matches_generic_route(monkeypatch):
+    model, _, _ = build_model(ModelSpec("sphere", dim=2, resolution=32))
+    plain = _unmarked(model)
+    fv = np.random.default_rng(6).standard_normal(model.n_nodes)
+    ref = ExpmFlow(plain).evolve(plain.field(fv), 0.1).values
+    _forbid_expm_multiply(monkeypatch)
+    flow = ExpmFlow(model)
+    f = model.field(fv)
+    got = flow.evolve(f, 0.1).values
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(flow.evolve(f, 0.0).values, fv)
+    with pytest.raises(ValueError):
+        flow.evolve(f, -0.1)
+    for t in (0.1, 1.0):
+        pt = flow.evolve(model.constant(1.0), t)
+        assert np.max(np.abs(pt.values - 1.0)) < 1e-10
+        assert abs(model.integrate(flow.evolve(f, t)) - model.integrate(f)) \
+            < 1e-12 * model.integrate(np.abs(fv))
+
+
+def _tampered(model, edge):
+    # scale one conductance by 1.001 and reassemble L; the marker stays
+    ef = model.edge_form
+    c = np.array(ef.c)
+    c[edge] *= 1.001
+    ef = EdgeForm(ef.i, ef.j, c, ef.n_nodes)
+    return dataclasses.replace(model, L=graph_laplacian(ef, model.mu), edge_form=ef,
+                               meta=dict(model.meta))
+
+
+# lat8 edges: 16 longitudes of 7 longitude couplings (rows 0-6), then 6 of
+# 16 latitude couplings (rows r to r + 1), then 16 north and 16 south pole edges
+@pytest.mark.parametrize("edge", [2, 3 * 7 + 2, 16 * 7 + 2 * 16 + 5, -1],
+                         ids=["longitude-0", "longitude-3", "latitude", "pole"])
+def test_tampered_sphere_blocks_raise(edge):
+    model, _, _ = build_model(ModelSpec("sphere", dim=2, resolution=8))
+    ExpmFlow(model)
+    with pytest.raises(semigroup.SolverError, match="miss the operator"):
+        ExpmFlow(_tampered(model, edge))
+
+
+@pytest.mark.parametrize("kind,res,marker,match", [
+    ("sphere", 8, ("sphere", 7), "nodes"),
+    ("sphere", 8, ("sphere", 9), "nodes"),
+    ("torus", 14, ("sphere", 3), "miss the operator"),  # 14 = 2 rows of 6 + 2 poles
+])
+def test_wrong_sphere_marker_raises_in_flow(kind, res, marker, match):
+    model, _, _ = build_model(ModelSpec(kind, dim=1 if kind == "torus" else 2,
+                                        resolution=res))
+    model.meta["structure"] = marker
+    with pytest.raises(semigroup.SolverError, match=match):
+        ExpmFlow(model)
 
 
 def test_semigroup_law(sphere):
@@ -464,9 +540,14 @@ def test_richardson_stepper_refines(torus1):
     rng = np.random.default_rng(11)
     f = model.field(rng.standard_normal(model.n_nodes))
     coarse = CrankNicolson(model, base_steps=4, max_doublings=0).evolve(f, 0.5)
+    # 6 doublings end at 256 steps, whose last doubling changes the result
+    # by 6.9e-7: within 1e-6, but 700 times 1e-9
     fine = CrankNicolson(model, base_steps=4, max_doublings=6,
-                         richardson_tol=1e-9).evolve(f, 0.5)
+                         richardson_tol=1e-6).evolve(f, 0.5)
     exact = apply_semigroup(model, spectral, f, 0.5)
     err_c = np.max(np.abs(coarse.values - exact.values))
     err_f = np.max(np.abs(fine.values - exact.values))
     assert err_f < err_c / 10
+    with pytest.raises(semigroup.SolverError, match="did not converge"):
+        CrankNicolson(model, base_steps=4, max_doublings=6,
+                      richardson_tol=1e-9).evolve(f, 0.5)
