@@ -10,7 +10,7 @@ from heatlab.suites import point_source_fields
 
 
 def sphere_cd(mt):
-    model, oracle, _ = build_model(ModelSpec("sphere", dim=2, resolution=mt))
+    model, oracle = build_model(ModelSpec("sphere", dim=2, resolution=mt))
     spectral = spectral_decompose(model, k=60)
     # worst margin over the span of eigenfields 1..9 (whole eigenvalue
     # clusters), which no choice of basis inside a cluster can move
@@ -20,7 +20,7 @@ def sphere_cd(mt):
 
 
 def flat_li_yau(m):
-    model, oracle, _ = build_model(
+    model, oracle = build_model(
         ModelSpec("euclidean", dim=2, resolution=m, extent=1.5))
     spectral = spectral_decompose(model, k=min(500, model.n_nodes))
     suite = point_source_fields(model, node_nearest(model, [0.0, 0.0]), width=0.25)

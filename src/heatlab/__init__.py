@@ -14,7 +14,6 @@ from .fields import (
     MismatchError,
     NotApplicableError,
     ScalarField,
-    VerticalForm,
     carre_du_champ,
     deep_interior,
     gamma2,

@@ -18,14 +18,12 @@ from .fields import (
     DiscretizedModel,
     NotApplicableError,
     ScalarField,
-    VerticalForm,
     carre_du_champ,
     deep_interior,
     gamma2,
     gamma2_z,
     gamma_z,
     interior_for_time,
-    require_vertical,
     self_test_gamma,
 )
 from .metric import (
@@ -123,23 +121,11 @@ def check_operator_axioms(model: DiscretizedModel, n_random: int = 100,
 # curvature-dimension
 
 
-def cd_margin_field(model, f: ScalarField, rho: float, n: float) -> np.ndarray:
-    """Pointwise Gamma2(f) - (Lf)^2/n - rho Gamma(f)."""
-    fv = model.check_field(f)
-    lf = model.L @ fv
-    return gamma2(model, f).values - lf**2 / n - rho * carre_du_champ(model, f).values
-
-
-def cd_forms(model, f: ScalarField, vform: VerticalForm | None = None):
-    """(Gamma f, Gamma2 f, (Lf)^2, Gamma^Z f, Gamma2^Z f) on every node, each
-    evaluated once; the two vertical forms are None without ``vform``."""
+def cd_forms(model, f: ScalarField):
+    """(Gamma f, Gamma2 f, (Lf)^2) on every node, each evaluated once."""
     g = carre_du_champ(model, f).values
     g2 = gamma2(model, f).values
-    lf2 = (model.L @ f.values) ** 2
-    if vform is None:
-        return g, g2, lf2, None, None
-    return (g, g2, lf2, gamma_z(model, vform, f).values,
-            gamma2_z(model, vform, f).values)
+    return g, g2, (model.L @ f.values) ** 2
 
 
 def span_cd_margin(model, oracle: GeometryOracle, basis: np.ndarray) -> float:
@@ -159,7 +145,7 @@ def span_cd_margin(model, oracle: GeometryOracle, basis: np.ndarray) -> float:
     m = basis.shape[1]
 
     def forms(v):
-        g, g2, lf2, _, _ = cd_forms(model, model.field(v))
+        g, g2, lf2 = cd_forms(model, model.field(v))
         return np.stack([(g2 - lf2 / n - rho * g)[idx], g2[idx]])
 
     single = [forms(basis[:, a]) for a in range(m)]
@@ -183,7 +169,7 @@ CD_TOLERANCE = {"riemannian": Tolerance(1e-12, 0.02, mesh_order=2),
 
 
 def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
-             suite: list[NamedField], vform: VerticalForm | None = None,
+             suite: list[NamedField],
              nu_grid=tuple(np.geomspace(0.25, 64, 10)),
              mode: str = "riemannian",
              tolerance: Tolerance | None = None,
@@ -192,10 +178,11 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
     """Pointwise curvature-dimension margins over suite x interior (x nu).
 
     Modes: ``riemannian`` uses (rho, n) from the oracle; ``generalized``
-    needs a vertical form and the oracle's CD parameters; ``scan`` returns
-    the largest rho1 compatible with the sample for the oracle's
+    needs the model's vertical form and the oracle's CD parameters; ``scan``
+    returns the largest rho1 compatible with the sample for the oracle's
     (rho2, kappa, n).  Each mode reads a suite field's forms from one
-    ``cd_forms`` call, so Gamma2 runs once per field for any ``nu_grid``.
+    ``cd_forms`` call (and one Gamma^Z and Gamma2^Z evaluation), so Gamma2
+    runs once per field for any ``nu_grid``.
     """
     if mode not in CD_TOLERANCE:
         raise ValueError(f"unknown cd mode {mode!r}")
@@ -208,7 +195,7 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
         rho, n = oracle.ricci_lower, float(oracle.dim)
         meta.update(rho=rho, n=n)
         for nf in suite:
-            g, g2, lf2, _, _ = cd_forms(model, nf.field)
+            g, g2, lf2 = cd_forms(model, nf.field)
             marg = (g2 - lf2 / n - rho * g)[idx]
             sc = float(np.max(np.abs(g2[idx])) + np.max(lf2[idx]) / n)
             scale = max(scale, sc)
@@ -237,16 +224,17 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
                                 "normalized_by": lsc})
         return _report("cd", model.model_id, samples, tolerance, scale, meta)
 
-    vform = require_vertical(model, vform)
     params = oracle.cd_params
-    if params is None:
-        raise NotApplicableError("no CD parameters available for this model")
+    if params is None or model.vertical_form is None:
+        raise NotApplicableError(
+            f"cd mode {mode!r} needs CD parameters and a vertical form")
     meta.update(rho1=params.rho1, rho2=params.rho2, kappa=params.kappa,
                 n=params.n, nu_grid=list(nu_grid))
 
     if mode == "generalized":
         for nf in suite:
-            g, g2, lf2, gz, g2z = cd_forms(model, nf.field, vform)
+            g, g2, lf2 = cd_forms(model, nf.field)
+            gz, g2z = gamma_z(model, nf.field).values, gamma2_z(model, nf.field).values
             sc = float(np.max(np.abs(g2[idx])) + np.max(lf2[idx]) / params.n)
             scale = max(scale, sc)
             for nu in nu_grid:
@@ -269,7 +257,9 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
     rho1_best = np.inf
     gamma_floor = 1e-8
     for nf in suite:
-        g, g2, lf2, gz, g2z = (form[idx] for form in cd_forms(model, nf.field, vform))
+        g, g2, lf2 = (form[idx] for form in cd_forms(model, nf.field))
+        gz = gamma_z(model, nf.field).values[idx]
+        g2z = gamma2_z(model, nf.field).values[idx]
         ok = g > gamma_floor * max(float(g.max()), 1e-300)
         if not np.any(ok):
             continue
@@ -292,7 +282,7 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
 
 
 def check_vertical_commutation(
-        model, vform: VerticalForm, suite,
+        model, suite,
         tolerance: Tolerance = Tolerance(1e-12, 0.08, mesh_order=2)) -> MarginReport:
     """Residual of the mixed-form symmetry Gamma(f, Gamma^Z f) = Gamma^Z(f, Gamma f).
 
@@ -300,16 +290,15 @@ def check_vertical_commutation(
     sqrt(Gamma(f) Gamma(Gamma^Z f)) + sqrt(Gamma^Z(f) Gamma^Z(Gamma f)), the
     honest size of the bilinear quantities whose cancellation is tested.
     """
-    vform = require_vertical(model, vform)
     idx = _mask_indices(model, deep_interior(model, hops=2))
     samples, scale = [], 1.0
     for nf in suite:
-        gz = gamma_z(model, vform, nf.field)
+        gz = gamma_z(model, nf.field)
         g = carre_du_champ(model, nf.field)
         a = carre_du_champ(model, nf.field, model.field(gz.values)).values[idx]
-        b = gamma_z(model, vform, nf.field, model.field(g.values)).values[idx]
+        b = gamma_z(model, nf.field, model.field(g.values)).values[idx]
         g_gz = carre_du_champ(model, model.field(gz.values)).values[idx]
-        gz_g = gamma_z(model, vform, model.field(g.values)).values[idx]
+        gz_g = gamma_z(model, model.field(g.values)).values[idx]
         major = float(np.max(np.sqrt(np.maximum(g.values[idx] * g_gz, 0.0))
                              + np.sqrt(np.maximum(gz.values[idx] * gz_g, 0.0))))
         resid = float(np.max(np.abs(a - b)))
@@ -509,15 +498,15 @@ def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None):
 
 
 def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
-                 mode: str = "rho0", alpha: float | None = None, vform=None,
+                 mode: str = "rho0", alpha: float | None = None,
                  tolerance: Tolerance = Tolerance(1e-12, 0.03, mesh_order=2),
                  saturation_fields=(), saturation_rtol: float = 0.01) -> MarginReport:
     """Gradient-of-logarithm estimates for positive solutions.
 
     Modes: ``rho0`` (sharp flat-space form), ``general-alpha``,
     ``exponential``, ``bakry-qian`` (needs rho > 0 and t >= 2/rho), and
-    ``sub-riemannian`` (needs the vertical form, the oracle's CD parameters
-    and alpha > 2).
+    ``sub-riemannian`` (needs the model's vertical form, the oracle's CD
+    parameters and alpha > 2).
     Fields named in ``saturation_fields`` must additionally come within
     ``saturation_rtol`` (relative to the report scale) of equality somewhere
     on the interior.
@@ -526,10 +515,10 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
     if mode == "bakry-qian" and rho <= 0:
         raise NotApplicableError("bakry-qian mode needs rho > 0")
     if mode == "sub-riemannian":
-        vform = require_vertical(model, vform)
         params = oracle.cd_params
-        if params is None:
-            raise NotApplicableError("sub-riemannian mode needs CD parameters")
+        if params is None or model.vertical_form is None:
+            raise NotApplicableError(
+                "sub-riemannian mode needs CD parameters and a vertical form")
         if alpha is None or alpha <= 2:
             raise ValueError("sub-riemannian mode needs alpha > 2")
     samples, scale = [], 0.0
@@ -557,7 +546,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
                 if mode == "sub-riemannian":
                     c = 1 + alpha * params.kappa / ((alpha - 1) * params.rho2)
                     lhs = lhs + (2 * params.rho2 / alpha) * t * \
-                        gamma_z(model, vform, log_u).values[idx]
+                        gamma_z(model, log_u).values[idx]
                     rhs = ((c - 2 * params.rho1 * t / alpha) * lu_over_u[idx]
                            + params.n * params.rho1**2 * t / (2 * alpha)
                            - params.rho1 * params.n * c / 2
@@ -1106,7 +1095,7 @@ def check_diameter(model, oracle, tolerance: Tolerance = Tolerance(1e-12, 0.0)
 # kernel laws and spectra (structural semigroup checks)
 
 
-def check_kernel_laws(model, oracle, spectral: SpectralData, engine2,
+def check_kernel_laws(model, spectral: SpectralData, engine2,
                       seed: int = 0,
                       tolerance: Tolerance = Tolerance(1e-8)) -> MarginReport:
     """Symmetry, Chapman-Kolmogorov, and cross-engine agreement.
@@ -1213,16 +1202,16 @@ def check_subunit_oracle(model, seed: int = 0) -> MarginReport:
     z_values, x_values, rtol = (0.04, 0.09), (0.3,), 0.02
     samples = []
     for z in z_values:
-        path = subunit_distance_heisenberg([0.0, 0.0, float(z)], seed=seed)
+        length = subunit_distance_heisenberg([0.0, 0.0, float(z)], seed=seed)
         ref = 2 * np.sqrt(np.pi * abs(z))
-        gap = abs(path.length - ref) / ref
-        samples.append({"z": float(z), "lhs": float(path.length),
+        gap = abs(length - ref) / ref
+        samples.append({"z": float(z), "lhs": length,
                         "rhs": float(ref), "margin": float(rtol - gap),
                         "relative_gap": float(gap)})
     for x in x_values:
-        path = subunit_distance_heisenberg([float(x), 0.0, 0.0], seed=seed)
-        gap = abs(path.length - x) / x
-        samples.append({"x": float(x), "lhs": float(path.length),
+        length = subunit_distance_heisenberg([float(x), 0.0, 0.0], seed=seed)
+        gap = abs(length - x) / x
+        samples.append({"x": float(x), "lhs": length,
                         "rhs": float(x), "margin": float(rtol - gap),
                         "relative_gap": float(gap)})
     return _report("subunit-oracle", model.model_id, samples,

@@ -292,7 +292,7 @@ def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
 
 
 class ModelContext:
-    """Lazy bundle: model, oracle, vertical form, spectral data, heat engines.
+    """Lazy bundle: model, oracle, spectral data, heat engines.
 
     ``engine`` evolves the checks: the retained spectrum when the model has
     a ``spectral_k``, the exact ``flow`` (``ExpmFlow``) otherwise.  ``flow``
@@ -318,10 +318,6 @@ class ModelContext:
     @property
     def oracle(self):
         return self._built[1]
-
-    @property
-    def vform(self):
-        return self._built[2]
 
     @functools.cached_property
     def flow(self):
@@ -518,16 +514,16 @@ _RENAMED = {"distance": "dist_method"}
 
 CHECK_KINDS = {
     "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed")),
-    "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "oracle", "spectral", "seed"),
+    "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "spectral", "seed"),
                              bind=lambda ctx, opts, seed: {"engine2": ctx.flow}),
     "spectrum": CheckKind(C.check_spectrum, ("model", "oracle", "spectral"),
                           {"count": _int, "rtol": _float}),
-    "cd": CheckKind(C.check_cd, ("model", "oracle", "vform"),
+    "cd": CheckKind(C.check_cd, ("model", "oracle"),
                     {"mode": _choice(*C.CD_TOLERANCE), "suite": _SUITE,
                      "nu_grid": _floats, "equality_fields": _strs,
                      "tol_abs": _nonneg, "tol_rel": _nonneg}, bind=_bind_cd),
-    "vertical-commutation": CheckKind(C.check_vertical_commutation,
-                                      ("model", "vform"), bind=_bind_vertical),
+    "vertical-commutation": CheckKind(C.check_vertical_commutation, ("model",),
+                                      bind=_bind_vertical),
     "gradient-bound": CheckKind(C.check_gradient_bound, ("model", "oracle", "engine"),
                                 {"suite": _SUITE, "t_grid": _floats},
                                 bind=_bind_suite("eigen")),
@@ -538,7 +534,7 @@ CHECK_KINDS = {
     "log-sobolev": CheckKind(C.check_log_sobolev, ("model", "oracle", "engine"),
                              bind=_bind_suite("positive")),
     "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral")),
-    "li-yau": CheckKind(C.check_li_yau, ("model", "oracle", "engine", "vform"),
+    "li-yau": CheckKind(C.check_li_yau, ("model", "oracle", "engine"),
                         {"mode": _choice("rho0", "general-alpha", "exponential",
                                          "bakry-qian", "sub-riemannian"),
                          "suite": _choice("delta", *_SUITES), "t_grid": _floats,
@@ -888,7 +884,6 @@ def main(argv=None) -> int:
     p_build = sub.add_parser("build", help="build a model and its spectral cache")
     _add_common(p_build)
     p_build.add_argument("--model", required=True)
-    p_build.add_argument("-k", type=int, help="eigenpairs to cache")
 
     p_check = sub.add_parser("check", help="run one named check")
     _add_common(p_check)
@@ -922,13 +917,9 @@ def main(argv=None) -> int:
         if args.command == "build":
             if args.model not in cfg.models:
                 raise ConfigError(f"--model: unknown model {args.model!r}")
-            k = cfg.spectral_k.get(args.model)
-            if args.k is not None:
-                k = _convert("-k", _count, args.k)
-            ctx = ModelContext(args.model, cfg.models[args.model],
-                               cfg.cache_dir, cfg.seed, k=k)
-            _check_spectral_k(ctx, "-k" if args.k is not None
-                              else f"models.{args.model}.spectral_k")
+            ctx = ModelContext(args.model, cfg.models[args.model], cfg.cache_dir,
+                               cfg.seed, k=cfg.spectral_k.get(args.model))
+            _check_spectral_k(ctx, f"models.{args.model}.spectral_k")
             m = ctx.model
             print(f"{m.model_id}: {m.n_nodes} nodes, "
                   f"{m.edge_form.n_edges} edges, mu(M)={m.total_measure:.6g}")

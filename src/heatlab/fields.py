@@ -96,21 +96,6 @@ class EdgeForm:
 
 
 @dataclass(frozen=True)
-class VerticalForm:
-    """Second edge form (the transverse / vertical directions).
-
-    Empty for purely Riemannian models.
-    """
-
-    model_id: str
-    form: EdgeForm
-
-    @property
-    def empty(self) -> bool:
-        return self.form.n_edges == 0
-
-
-@dataclass(frozen=True)
 class CDParameters:
     """Constants of the generalized curvature-dimension inequality."""
 
@@ -141,6 +126,7 @@ class DiscretizedModel:
     edge_length: np.ndarray     # chart length per edge (distance weights)
     boundary_mask: np.ndarray   # True on truncation-boundary nodes
     meta: dict = field(default_factory=dict)
+    vertical_form: EdgeForm | None = None   # edges of Gamma^Z (sub-Riemannian only)
 
     def __post_init__(self):
         for name in ("nodes", "mu", "edge_length"):
@@ -300,35 +286,23 @@ def gamma2(model: DiscretizedModel, f: ScalarField) -> ScalarField:
     return model.field(out)
 
 
-def gamma_z(model: DiscretizedModel, vform: VerticalForm, f: ScalarField,
+def gamma_z(model: DiscretizedModel, f: ScalarField,
             g: ScalarField | None = None) -> ScalarField:
-    """Vertical form Gamma^Z(f, g) from its own edge list."""
-    if vform.model_id != model.model_id:
-        raise MismatchError("vertical form belongs to a different model")
+    """Vertical form Gamma^Z(f, g) from the model's vertical edge list."""
+    if model.vertical_form is None:
+        raise NotApplicableError(f"model {model.model_id!r} has no vertical structure")
     fv = model.check_field(f)
     gv = fv if g is None else model.check_field(g)
-    if vform.empty:
-        return model.field(np.zeros(model.n_nodes))
-    return model.field(vform.form.evaluate(model.mu, fv, gv))
+    return model.field(model.vertical_form.evaluate(model.mu, fv, gv))
 
 
-def gamma2_z(model: DiscretizedModel, vform: VerticalForm, f: ScalarField) -> ScalarField:
+def gamma2_z(model: DiscretizedModel, f: ScalarField) -> ScalarField:
     """Iterated vertical form (L Gamma^Z(f) - 2 Gamma^Z(f, Lf))/2."""
     fv = model.check_field(f)
-    if vform.empty:
-        return model.field(np.zeros(model.n_nodes))
     lf = model.field(model.L @ fv)
-    gz = gamma_z(model, vform, f)
-    out = 0.5 * (model.L @ gz.values) - gamma_z(model, vform, f, lf).values
+    gz = gamma_z(model, f)
+    out = 0.5 * (model.L @ gz.values) - gamma_z(model, f, lf).values
     return model.field(out)
-
-
-def require_vertical(model: DiscretizedModel, vform: VerticalForm | None) -> VerticalForm:
-    if vform is None or vform.empty:
-        raise NotApplicableError(
-            f"model {model.model_id!r} has no vertical structure"
-        )
-    return vform
 
 
 # ---------------------------------------------------------------------------

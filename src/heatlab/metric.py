@@ -32,7 +32,7 @@ import numpy as np
 from scipy import optimize
 from scipy.sparse.csgraph import dijkstra
 
-from .fields import DiscretizedModel, ScalarField
+from .fields import DiscretizedModel
 from .models import GeometryOracle, heisenberg_translate
 
 
@@ -135,7 +135,6 @@ def _feasible_value(model, cand: np.ndarray, x: int, y: int):
 @dataclass(frozen=True)
 class DualCertificate:
     value: float                    # certified lower bound on d(x, y)
-    field: ScalarField              # achieving feasible field
     feasibility: float              # max-node Gamma of the field (<= 1)
 
 
@@ -203,11 +202,7 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
                 break
 
     g = model.edge_form.evaluate(model.mu, best_f, best_f)
-    return DualCertificate(
-        value=float(best_val),
-        field=model.field(best_f),
-        feasibility=float(g.max()),
-    )
+    return DualCertificate(value=float(best_val), feasibility=float(g.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +267,14 @@ def _shooting_loss(p: np.ndarray, penalty: float, target: np.ndarray, wz: float)
     return T + penalty * miss, grad
 
 
-@dataclass(frozen=True)
-class SubunitPath:
-    length: float                   # curve length T (upper bound on d)
-
-
 def _cc_scale(target: np.ndarray) -> float:
     x, y, z = target
     return float(np.hypot(x, y) + 2 * np.sqrt(np.pi * abs(z)) + 1e-12)
 
 
-def subunit_distance_heisenberg(target, seed: int = 0) -> SubunitPath:
+def subunit_distance_heisenberg(target, seed: int = 0) -> float:
     """Upper bound on the Carnot-Caratheodory distance from the origin to
-    ``target``.
+    ``target``: the length of a subunit curve that reaches it.
 
     Optimizes 64 piecewise-constant horizontal controls (u, v) with
     u^2 + v^2 = 1 driving x' = u, y' = v, z' = (x v - y u)/2 from the
@@ -295,7 +285,7 @@ def subunit_distance_heisenberg(target, seed: int = 0) -> SubunitPath:
     x0, y0, z0 = target
     scale = _cc_scale(target)
     if scale < 1e-10:
-        return SubunitPath(0.0)
+        return 0.0
     segments, miss_tol = 64, 2e-3
 
     # weight the z-miss so a full miss costs its squared CC length 4 pi |z|
@@ -339,7 +329,7 @@ def subunit_distance_heisenberg(target, seed: int = 0) -> SubunitPath:
     if miss > miss_tol * scale * 10:
         raise RuntimeError(f"subunit shooting missed the endpoint by {miss:g}")
     # the residual gap is closed by the explicit patch, keeping the bound valid
-    return SubunitPath(float(T + miss))
+    return float(T + miss)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .fields import (
     CDParameters,
     DiscretizedModel,
     EdgeForm,
-    VerticalForm,
     graph_laplacian,
     self_test_gamma,
 )
@@ -433,7 +432,7 @@ def _build_heisenberg(spec: ModelSpec):
     zi = idmap[flat(ib[okz], jb[okz], kb[okz])]
     zj = idmap[flat(ib[okz], jb[okz], kb[okz] + 2)]
     cz = np.full(zi.shape, mu_cell / (2 * hz) ** 2)
-    vform_edges = EdgeForm(zi, zj, cz, n)
+    vertical = EdgeForm(zi, zj, cz, n)
 
     # horizontal edge lengths: time to traverse the unit-speed flow
     lengths = np.full(i.shape, h)
@@ -454,7 +453,7 @@ def _build_heisenberg(spec: ModelSpec):
         raise UnsupportedModelError("horizontal graph is disconnected; widen the box")
 
     meta = {"h": h, "z_step": 2 * hz}
-    return nodes, mu, L, ef, lengths, boundary, meta, vform_edges
+    return nodes, mu, L, ef, lengths, boundary, meta, vertical
 
 
 def heisenberg_translate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -478,8 +477,8 @@ def _heisenberg_oracle(total: float) -> GeometryOracle:
 
 
 def build_model(spec: ModelSpec):
-    """Build (DiscretizedModel, GeometryOracle, VerticalForm | None)."""
-    vform = None
+    """Build (DiscretizedModel, GeometryOracle)."""
+    vertical = None
     if spec.kind == "euclidean":
         nodes, mu, L, ef, lengths, boundary, meta = _build_grid(spec, periodic=False)
         oracle = _euclidean_oracle(spec.dim, spec.extent)
@@ -499,13 +498,12 @@ def build_model(spec: ModelSpec):
         model_id = f"sphere2-lat{spec.resolution}"
         oracle = _sphere_oracle()
     else:  # heisenberg
-        nodes, mu, L, ef, lengths, boundary, meta, vedges = _build_heisenberg(spec)
+        nodes, mu, L, ef, lengths, boundary, meta, vertical = _build_heisenberg(spec)
         oracle = _heisenberg_oracle(total=float(mu.sum()))
         model_id = (
             f"heisenberg-m{spec.resolution}-a{spec.extent:g}"
             f"-z{spec.options.get('z_extent', spec.extent / 8.0):g}"
         )
-        vform = VerticalForm(model_id=model_id, form=vedges)
 
     model = DiscretizedModel(
         model_id=model_id,
@@ -517,6 +515,7 @@ def build_model(spec: ModelSpec):
         edge_length=lengths,
         boundary_mask=boundary,
         meta=meta,
+        vertical_form=vertical,
     )
 
     # built-in self test: edge and operator routes to Gamma must agree
@@ -526,7 +525,7 @@ def build_model(spec: ModelSpec):
         raise AssertionError(
             f"Gamma edge/operator self-test failed for {model_id}: {resid:g}"
         )
-    return model, oracle, vform
+    return model, oracle
 
 
 def node_nearest(model: DiscretizedModel, point) -> int:

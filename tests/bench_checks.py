@@ -17,24 +17,24 @@ from heatlab.suites import sub_riemannian_suite
 
 @pytest.fixture(scope="module")
 def heis():
-    model, oracle, vform = build_model(
+    model, oracle = build_model(
         ModelSpec("heisenberg", dim=3, resolution=21, extent=1.25,
                   options={"z_extent": 0.15625}))
-    return model, oracle, vform
+    return model, oracle
 
 
 @pytest.fixture(scope="module")
 def euclid2():
-    model, _, _ = build_model(
+    model, _ = build_model(
         ModelSpec("euclidean", dim=2, resolution=48, extent=1.5))
     return model
 
 
 def test_cd_generalized_heis(benchmark, heis):
     # the campaign's cd-generalized-heis: four nu values over one suite
-    model, oracle, vform = heis
+    model, oracle = heis
     suite = sub_riemannian_suite(model)
-    rep = benchmark(check_cd, model, oracle, suite, vform=vform,
+    rep = benchmark(check_cd, model, oracle, suite,
                     mode="generalized", nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert len(rep.samples) == 4 * len(suite)
 

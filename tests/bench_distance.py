@@ -15,13 +15,13 @@ from heatlab.metric import graph_distance, oracle_distance, subunit_distance_hei
 
 @pytest.fixture(scope="module")
 def sphere32():
-    model, oracle, _ = build_model(ModelSpec("sphere", dim=2, resolution=32))
+    model, oracle = build_model(ModelSpec("sphere", dim=2, resolution=32))
     return model, oracle
 
 
 @pytest.fixture(scope="module")
 def euclid2():
-    model, _, _ = build_model(
+    model, _ = build_model(
         ModelSpec("euclidean", dim=2, resolution=48, extent=1.5))
     return model
 
@@ -36,9 +36,9 @@ def test_oracle_distance_sphere32(benchmark, sphere32):
 
 def test_subunit_vertical_target(benchmark):
     z = 0.04
-    path = benchmark(subunit_distance_heisenberg, [0.0, 0.0, z])
+    length = benchmark(subunit_distance_heisenberg, [0.0, 0.0, z])
     ref = 2 * np.sqrt(np.pi * z)
-    assert ref <= path.length <= 1.02 * ref
+    assert ref <= length <= 1.02 * ref
 
 
 def test_graph_distance_euclid2(benchmark, euclid2):

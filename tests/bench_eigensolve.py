@@ -19,13 +19,13 @@ from heatlab import ModelSpec, build_model, neumann_restrict, spectral_decompose
 
 @pytest.fixture(scope="module")
 def sphere48():
-    model, _, _ = build_model(ModelSpec("sphere", dim=2, resolution=48))
+    model, _ = build_model(ModelSpec("sphere", dim=2, resolution=48))
     return model
 
 
 @pytest.fixture(scope="module")
 def euclid2():
-    model, _, _ = build_model(
+    model, _ = build_model(
         ModelSpec("euclidean", dim=2, resolution=48, extent=1.5))
     return model
 

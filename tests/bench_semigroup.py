@@ -36,7 +36,7 @@ ENGINES = {
 
 @functools.cache
 def noise(name):
-    model, _, _ = build_model(MODELS[name])
+    model, _ = build_model(MODELS[name])
     return model, model.field(np.random.default_rng(0).standard_normal(model.n_nodes))
 
 

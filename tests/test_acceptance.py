@@ -76,9 +76,8 @@ def test_criterion_1_operator_axioms(torus1, euclid1, euclid2, euclid3, sphere, 
 
 def test_criterion_2_kernel_laws(torus1, sphere):
     t0 = time.monotonic()
-    for model, oracle, spectral in (torus1, sphere):
-        rep = check_kernel_laws(model, oracle, spectral,
-                                engine2=CrankNicolson(model),
+    for model, _, spectral in (torus1, sphere):
+        rep = check_kernel_laws(model, spectral, engine2=CrankNicolson(model),
                                 tolerance=Tolerance(1e-8))
         assert rep.passed, rep.worst_sample()
         assert rep.metadata["cross_engine_sup_diff"] < 1e-4
@@ -120,11 +119,11 @@ def test_criterion_4_cd_suite(sphere, euclid2, heis):
                     tolerance=Tolerance(1e-9, 1e-9), include_gamma_lemma=False)
     assert erep.passed
 
-    hmodel, horacle, vform, flow = heis
+    hmodel, horacle, flow = heis
     vals = []
     for seed in (5, 77):
         suite = sub_riemannian_suite(hmodel, engine=flow, seed=seed)
-        hrep = check_cd(hmodel, horacle, suite, vform=vform, mode="scan",
+        hrep = check_cd(hmodel, horacle, suite, mode="scan",
                         nu_grid=np.geomspace(0.25, 64, 10))
         vals.append(hrep.metadata["rho1_scan"])
         assert vals[-1] >= -0.02
@@ -160,10 +159,10 @@ def test_criterion_5_li_yau(euclid2, sphere, heis):
                       mode="bakry-qian")
     assert rb.passed
 
-    hmodel, horacle, vform, flow = heis
+    hmodel, horacle, flow = heis
     hsuite = horizontal_bump_fields(hmodel, widths=(0.5, 0.8))
     rh = check_li_yau(hmodel, horacle, flow, hsuite, [0.01, 0.02, 0.05],
-                      mode="sub-riemannian", alpha=3.0, vform=vform)
+                      mode="sub-riemannian", alpha=3.0)
     assert rh.passed
     assert _line("criterion-5 li-yau family", True,
                  f"flat saturation gap {sat['lhs']:.3f} (allowed {sat['rhs']:.3f}), "
@@ -201,7 +200,7 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     assert rs.passed
 
     assert harnack_dimension(3.0, 0.0, 0.5, 2.0) == pytest.approx(2.0)
-    hmodel, horacle, vform, flow = heis
+    hmodel, horacle, flow = heis
     hpairs2 = sample_harnack_pairs(hmodel, 60, [0.02, 0.04], [0.02, 0.05], seed=5)
     rsub = check_harnack(hmodel, horacle, flow,
                          horizontal_bump_fields(hmodel, widths=(0.5, 0.8)),
@@ -233,7 +232,7 @@ def test_criterion_7_volume(euclid2, sphere):
     oracle_up = [s for s in srep.samples if s["part"] == "ratio-upper-oracle"][0]
     assert oracle_up["margin"] >= 0.0
 
-    hd_model, hd_oracle, _ = build_model(
+    hd_model, hd_oracle = build_model(
         ModelSpec("heisenberg", dim=3, resolution=49, extent=1.3,
                   options={"z_extent": 0.16}))
     c0 = node_nearest(hd_model, [0, 0, 0])
@@ -332,21 +331,21 @@ def test_criterion_10_distances(torus1, euclid2, sphere, heis):
         rep = check_distance_sandwich(model, oracle, n_pairs=50, seed=6,
                                       budget=20)
         assert rep.passed, model.model_id
-    hmodel, horacle, vform, _ = heis
+    hmodel, horacle, _ = heis
     hrep = check_distance_sandwich(hmodel, horacle, n_pairs=50, seed=6,
                                    budget=20)
     assert hrep.passed
 
     worst = 0.0
     for z in (0.04, 0.09):
-        path = subunit_distance_heisenberg([0, 0, z], seed=1)
+        length = subunit_distance_heisenberg([0, 0, z], seed=1)
         ref = 2 * np.sqrt(np.pi * z)
-        worst = max(worst, abs(path.length - ref) / ref)
+        worst = max(worst, abs(length - ref) / ref)
     assert worst < 0.02
 
     suite = [NamedField("xz", hmodel.field(hmodel.nodes[:, 0] * hmodel.nodes[:, 2]))]
     suite += horizontal_bump_fields(hmodel, widths=(0.5,))
-    rv = check_vertical_commutation(hmodel, vform, suite,
+    rv = check_vertical_commutation(hmodel, suite,
                                     tolerance=Tolerance(1e-12, 0.08))
     assert rv.passed
     assert _line("criterion-10 distances", True,
@@ -391,7 +390,7 @@ def test_refinement_monotone_margins():
     # drawn from them, so the basis inside a degenerate cluster cannot move it
     rel = {}
     for mt in (24, 32):
-        model, oracle, _ = build_model(ModelSpec("sphere", dim=2, resolution=mt))
+        model, oracle = build_model(ModelSpec("sphere", dim=2, resolution=mt))
         spectral = spectral_decompose(model, k=60)
         # eigenfields 1..9, the span eigen_fields draws from, end at a cluster edge
         assert 10 in [c[0] for c in eigenvalue_clusters(spectral.eigenvalues)]

@@ -11,11 +11,12 @@ from heatlab import (
     build_model,
     checks,
     metric,
+    neumann_restrict,
     node_nearest,
     spectral_decompose,
 )
 from heatlab.checks import (
-    cd_margin_field,
+    cd_forms,
     check_ball_poincare,
     check_cd,
     check_completeness,
@@ -44,7 +45,7 @@ from heatlab.checks import (
     sharp_sobolev_sides,
     span_cd_margin,
 )
-from heatlab.fields import deep_interior, gamma2
+from heatlab.fields import deep_interior, gamma2_z, gamma_z
 from heatlab.reports import Tolerance
 from heatlab.suites import (
     NamedField,
@@ -84,14 +85,14 @@ def test_span_cd_margin_matches_check_cd(sphere):
     # two columns: forms maximized and minimized by brute force over angles
     span = spectral.eigenfields[:, [2, 5]]
     idx = np.flatnonzero(deep_interior(model))
-    n = float(oracle.dim)
-    marg, g2, lsq = [], [], []
+    rho, n = oracle.ricci_lower, float(oracle.dim)
+    marg, g2max, lsq = [], [], []
     for t in np.linspace(0, np.pi, 721):
-        v = span @ [np.cos(t), np.sin(t)]
-        marg.append(cd_margin_field(model, model.field(v), oracle.ricci_lower, n)[idx].min())
-        g2.append(np.abs(gamma2(model, model.field(v)).values[idx]).max())
-        lsq.append(((model.L @ v)[idx] ** 2).max())
-    brute = min(marg) / (max(g2) + max(lsq) / n)
+        g, g2, lf2 = cd_forms(model, model.field(span @ [np.cos(t), np.sin(t)]))
+        marg.append((g2 - lf2 / n - rho * g)[idx].min())
+        g2max.append(np.abs(g2[idx]).max())
+        lsq.append(lf2[idx].max())
+    brute = min(marg) / (max(g2max) + max(lsq) / n)
     assert span_cd_margin(model, oracle, span) == pytest.approx(brute, rel=1e-4)
 
 
@@ -107,13 +108,13 @@ def test_cd_euclid_equality(euclid2):
 
 
 def test_cd_heisenberg_scan_and_reproducibility(heis):
-    model, oracle, vform, flow = heis
+    model, oracle, flow = heis
     from heatlab.suites import sub_riemannian_suite
 
     vals = []
     for seed in (5, 77):
         suite = sub_riemannian_suite(model, engine=flow, seed=seed)
-        rep = check_cd(model, oracle, suite, vform=vform,
+        rep = check_cd(model, oracle, suite,
                        mode="scan", nu_grid=np.geomspace(0.25, 64, 10))
         assert rep.passed
         vals.append(rep.metadata["rho1_scan"])
@@ -122,11 +123,11 @@ def test_cd_heisenberg_scan_and_reproducibility(heis):
 
 
 def test_cd_generalized_margins(heis):
-    model, oracle, vform, flow = heis
+    model, oracle, flow = heis
     from heatlab.suites import sub_riemannian_suite
 
     suite = sub_riemannian_suite(model, engine=flow, seed=5)
-    rep = check_cd(model, oracle, suite, vform=vform, mode="generalized",
+    rep = check_cd(model, oracle, suite, mode="generalized",
                    nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert rep.passed
     # the vertical coordinate saturates the inequality on the axis
@@ -141,6 +142,27 @@ def test_cd_mode_errors(sphere):
         check_cd(model, oracle, suite, mode="generalized")
     with pytest.raises(ValueError):
         check_cd(model, oracle, suite, mode="nonsense")
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, oracle, suite: gamma_z(model, suite[0].field),
+    lambda model, oracle, suite: gamma2_z(model, suite[0].field),
+    lambda model, oracle, suite: check_cd(model, oracle, suite, mode="generalized"),
+    lambda model, oracle, suite: check_cd(model, oracle, suite, mode="scan"),
+    lambda model, oracle, suite: check_vertical_commutation(model, suite),
+    lambda model, oracle, suite: check_li_yau(model, oracle, None, suite,
+                                              mode="sub-riemannian", alpha=3.0),
+], ids=["gamma_z", "gamma2_z", "cd-generalized", "cd-scan", "vertical-commutation",
+        "li-yau-sub-riemannian"])
+def test_vertical_forms_need_vertical_edges(heis, call):
+    # a Neumann restriction of heis keeps its oracle's CD parameters but
+    # not its vertical edges, so only the missing vertical form can refuse
+    model, oracle, _ = heis
+    assert model.vertical_form.n_edges > 0
+    sub = neumann_restrict(model, np.all(np.abs(model.nodes[:, :2]) <= 0.8, axis=1))
+    assert sub.vertical_form is None
+    with pytest.raises(NotApplicableError, match="vertical"):
+        call(sub, oracle, [NamedField("x", sub.field(sub.nodes[:, 0]))])
 
 
 def _count_calls(monkeypatch, *names):
@@ -168,19 +190,19 @@ def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
     assert calls["gamma2"] == len(suite)
 
     calls.clear()
-    hmodel, horacle, vform, _ = heis
+    hmodel, horacle, _ = heis
     hsuite = sub_riemannian_suite(hmodel)
-    check_cd(hmodel, horacle, hsuite, vform=vform, mode="generalized",
+    check_cd(hmodel, horacle, hsuite, mode="generalized",
              nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert calls == {"gamma2": len(hsuite), "gamma2_z": len(hsuite)}
 
 
 def test_vertical_commutation(heis):
-    model, _, vform, _ = heis
+    model, _, _ = heis
     x, z = model.nodes[:, 0], model.nodes[:, 2]
     suite = [NamedField("xz", model.field(x * z))]
     suite += horizontal_bump_fields(model, widths=(0.5,))
-    rep = check_vertical_commutation(model, vform, suite)
+    rep = check_vertical_commutation(model, suite)
     assert rep.passed
     assert -rep.samples[0]["margin"] < 0.01    # xz residual is tiny
 
@@ -293,10 +315,10 @@ def test_li_yau_errors(euclid2, sphere):
 
 
 def test_li_yau_sub_riemannian(heis):
-    model, oracle, vform, flow = heis
+    model, oracle, flow = heis
     suite = horizontal_bump_fields(model, widths=(0.5,))
     rep = check_li_yau(model, oracle, flow, suite, [0.02, 0.05],
-                       mode="sub-riemannian", alpha=3.0, vform=vform)
+                       mode="sub-riemannian", alpha=3.0)
     assert rep.passed
 
 
@@ -331,7 +353,7 @@ def test_harnack_pairs_and_errors(sphere):
 
 def test_harnack_evaluates_each_oracle_field_once(monkeypatch):
     # a fresh model: the session fixtures' distance memos are already filled
-    model, oracle, _ = build_model(
+    model, oracle = build_model(
         ModelSpec("euclidean", dim=2, resolution=16, extent=1.5))
     spectral = spectral_decompose(model, k=40)
     a, b, c, y1, y2 = (node_nearest(model, p) for p in
@@ -485,8 +507,7 @@ def test_kernel_laws_and_spectrum(torus1):
     model, oracle, spectral = torus1
     from heatlab import CrankNicolson
 
-    rep = check_kernel_laws(model, oracle, spectral,
-                            engine2=CrankNicolson(model), seed=0)
+    rep = check_kernel_laws(model, spectral, engine2=CrankNicolson(model), seed=0)
     assert rep.passed
     assert rep.metadata["cross_engine_sup_diff"] < 1e-4
     rep2 = check_spectrum(model, oracle, spectral, count=5, rtol=0.01)
@@ -496,8 +517,8 @@ def test_kernel_laws_and_spectrum(torus1):
 def test_kernel_laws_with_the_campaign_flow(sphere):
     # the campaign binds engine2 to the exact flow; only the truncation of
     # the 300 retained pairs then separates the routes
-    model, oracle, spectral = sphere
-    rep = check_kernel_laws(model, oracle, spectral, engine2=ExpmFlow(model), seed=0)
+    model, _, spectral = sphere
+    rep = check_kernel_laws(model, spectral, engine2=ExpmFlow(model), seed=0)
     assert rep.passed
     assert rep.metadata["cross_engine_sup_diff"] < 1e-8
 

@@ -173,14 +173,28 @@ def test_workers_option_is_gone(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k, message", [("0", "must be at least 1"),
-                                        ("-3", "must be at least 1"),
-                                        ("999999", "must be at most the 64 nodes")])
-def test_build_k_is_validated(tmp_path, capsys, k, message):
-    cache = tmp_path / "c"
-    assert main(["build", "--model", "torus1", "-k", k, "--cache", str(cache)]) == 2
-    assert f"configuration error: -k: {message}" in capsys.readouterr().err
-    assert not any(cache.glob("*.spec"))
+def test_build_fills_the_cache_the_campaign_reads(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "laws.cfg"
+    cfgfile.write_text(MINI_CFG + "checks.laws.check = kernel-laws\n"
+                                  "checks.laws.model = t\n")
+    args = ["--config", str(cfgfile), "--cache", str(tmp_path / "c")]
+    assert main(["build", "--model", "t", *args]) == 0
+    assert [p.name for p in (tmp_path / "c").glob("*.spec")] == ["t-k32.spec"]
+
+    def no_solve(*a, **kw):
+        raise AssertionError("the campaign missed the cache that build filled")
+    monkeypatch.setattr("heatlab.semigroup.spectral_decompose", no_solve)
+    assert main(["campaign", *args, "--out", str(tmp_path / "o")]) == 0
+
+    with pytest.raises(SystemExit) as info:       # the size comes from the config
+        main(["build", "--model", "t", "-k", "8", *args])
+    assert info.value.code == 2
+    capsys.readouterr()
+    for k, message in (("0", "at least 1"), ("999", "at most the 32 nodes")):
+        cfgfile.write_text(MINI_CFG.replace("spectral_k = 32", f"spectral_k = {k}"))
+        assert main(["build", "--model", "t", *args]) == 2
+        assert (f"configuration error: models.t.spectral_k: must be {message}"
+                in capsys.readouterr().err)
 
 
 def test_small_campaign_independent_of_cache(tmp_path, monkeypatch):

@@ -10,15 +10,9 @@ from heatlab import (
     check_operator_axioms,
     deep_interior,
     gamma2,
-    gamma2_z,
     gamma_z,
 )
-from heatlab.fields import (
-    DiscretizedModel,
-    EdgeForm,
-    VerticalForm,
-    self_test_gamma,
-)
+from heatlab.fields import DiscretizedModel, self_test_gamma
 from heatlab.models import ModelSpec, build_model
 
 
@@ -88,21 +82,11 @@ def test_sphere_eigenfunction_cd_margin(sphere):
 
 
 def test_vertical_form_coordinate(heis):
-    model, _, vform, _ = heis
+    model, _, _ = heis
     f = model.field(model.nodes[:, 2])
-    gz = gamma_z(model, vform, f).values
+    gz = gamma_z(model, f).values
     interior = deep_interior(model, hops=1)
     assert np.max(np.abs(gz[interior] - 1.0)) < 1e-12
-
-
-def test_vertical_form_empty_on_riemannian(sphere):
-    model = sphere[0]
-    empty = VerticalForm(model.model_id,
-                         EdgeForm(np.empty(0, int), np.empty(0, int),
-                                  np.empty(0), model.n_nodes))
-    f = model.field(model.nodes[:, 0])
-    assert np.all(gamma_z(model, empty, f).values == 0.0)
-    assert np.all(gamma2_z(model, empty, f).values == 0.0)
 
 
 def test_operator_axioms_pass_on_catalog(torus1, sphere, heis):
@@ -144,7 +128,7 @@ def test_chain_rule_consistency_rate():
     # Gamma(phi(f)) -> phi'(f)^2 Gamma(f) at a rate of at least one in h
     errs, hs = [], []
     for m in (32, 64):
-        model, _, _ = build_model(ModelSpec("euclidean", dim=1, resolution=m,
+        model, _ = build_model(ModelSpec("euclidean", dim=1, resolution=m,
                                             extent=1.0))
         x = model.nodes[:, 0]
         f = model.field(x)

@@ -86,8 +86,8 @@ def test_dual_graph_sandwich(sphere, heis):
 
 
 def test_subunit_straight_line():
-    path = subunit_distance_heisenberg([0.3, 0.0, 0.0])
-    assert path.length == pytest.approx(0.3, rel=1e-3)
+    length = subunit_distance_heisenberg([0.3, 0.0, 0.0])
+    assert length == pytest.approx(0.3, rel=1e-3)
 
 
 def test_subunit_vertical_against_arc_family_scan():
@@ -106,9 +106,9 @@ def test_subunit_vertical_against_arc_family_scan():
                 best = T
     assert np.isfinite(best)
     assert best == pytest.approx(2 * np.sqrt(np.pi * z), rel=0.01)
-    path = subunit_distance_heisenberg([0.0, 0.0, z])
-    assert path.length == pytest.approx(best, rel=0.02)
-    assert path.length >= best * (1 - 5e-3)  # cannot beat the extremal family
+    length = subunit_distance_heisenberg([0.0, 0.0, z])
+    assert length == pytest.approx(best, rel=0.02)
+    assert length >= best * (1 - 5e-3)  # cannot beat the extremal family
 
 
 def test_subunit_exact_integrator():
@@ -174,7 +174,7 @@ def _closed_form_row(kind, x, y, period=None):
     ModelSpec("sphere", dim=2, resolution=16),
 ], ids=lambda s: s.kind)
 def test_oracle_distance_broadcasts_over_nodes(spec):
-    model, oracle, _ = build_model(spec)
+    model, oracle = build_model(spec)
     period = model.meta.get("period")
     rng = np.random.default_rng(0)
     for src in rng.integers(0, model.n_nodes, size=4):
@@ -219,7 +219,7 @@ def test_subunit_dual_sandwich(heis):
     i0 = node_nearest(model, [0, 0, 0])
     target = node_nearest(model, [0.0, 0.0, 0.0625])
     cert = dual_distance(model, target, i0)
-    up = subunit_distance_heisenberg(model.nodes[target]).length
+    up = subunit_distance_heisenberg(model.nodes[target])
     assert cert.value <= up * 1.02 + 2 * model.meta["h"]
 
 
@@ -264,7 +264,7 @@ def test_square_perimeter(euclid2):
 
 
 def test_heisenberg_growth_exponent():
-    model, _, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=49,
+    model, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=49,
                                         extent=1.3, options={"z_extent": 0.16}))
     i0 = node_nearest(model, [0, 0, 0])
     d = graph_distance(model, i0)

@@ -51,13 +51,13 @@ def test_interval_neumann_gap(euclid1):
 
 
 def test_euclidean_kernel_closed_forms():
-    _, oracle, _ = build_model(ModelSpec("euclidean", dim=1, resolution=16))
+    _, oracle = build_model(ModelSpec("euclidean", dim=1, resolution=16))
     x = np.array([0.0])
     assert exact_heat_kernel(oracle, 1.0, x, x) == pytest.approx((4 * np.pi) ** -0.5)
     y = np.array([2.0])
     assert exact_heat_kernel(oracle, 1.0, x, y) == pytest.approx(
         (4 * np.pi) ** -0.5 * np.exp(-1.0))
-    _, oracle2, _ = build_model(ModelSpec("euclidean", dim=2, resolution=16))
+    _, oracle2 = build_model(ModelSpec("euclidean", dim=2, resolution=16))
     z = np.zeros(2)
     assert exact_heat_kernel(oracle2, 1 / (4 * np.pi), z, z) == pytest.approx(1.0)
 
@@ -66,7 +66,7 @@ def test_kernel_oracle_errors(heis):
     oracle = heis[1]
     with pytest.raises(UnsupportedModelError):
         exact_heat_kernel(oracle, 1.0, np.zeros(3), np.zeros(3))
-    _, oracle_e, _ = build_model(ModelSpec("euclidean", dim=1, resolution=16))
+    _, oracle_e = build_model(ModelSpec("euclidean", dim=1, resolution=16))
     with pytest.raises(ValueError):
         exact_heat_kernel(oracle_e, 0.0, np.zeros(1), np.zeros(1))
 
@@ -111,7 +111,7 @@ def test_torus_oracle_eigenvalues(torus1):
 def test_spectral_convergence_under_refinement():
     errs = []
     for m in (32, 64):
-        model, oracle, _ = build_model(ModelSpec("torus", dim=1, resolution=m))
+        model, oracle = build_model(ModelSpec("torus", dim=1, resolution=m))
         sd = spectral_decompose(model, k=5)
         ref = oracle.exact_eigenvalues(5)
         errs.append(np.max(np.abs(sd.eigenvalues[1:5] - ref[1:5]) / ref[1:5]))
@@ -119,7 +119,7 @@ def test_spectral_convergence_under_refinement():
 
     serrs = []
     for mt in (16, 32):
-        model, oracle, _ = build_model(ModelSpec("sphere", dim=2, resolution=mt))
+        model, oracle = build_model(ModelSpec("sphere", dim=2, resolution=mt))
         sd = spectral_decompose(model, k=9)
         ref = oracle.exact_eigenvalues(9)
         serrs.append(np.max(np.abs(sd.eigenvalues[1:9] - ref[1:9]) / ref[1:9]))
@@ -133,10 +133,10 @@ def test_latitude_sphere_total_measure():
 
 
 def test_heisenberg_lattice_structure(heis):
-    model, oracle, vform, _ = heis
+    model, oracle, _ = heis
     # horizontal moves preserve the sublattice parity and stay in the box
     assert model.edge_form.n_edges > 0
-    assert vform is not None and not vform.empty
+    assert model.vertical_form.n_edges > 0
     assert oracle.cd_params is not None and oracle.cd_params.rho1 == 0.0
     i0 = node_nearest(model, [0, 0, 0])
     assert np.allclose(model.nodes[i0], 0.0)
@@ -144,7 +144,7 @@ def test_heisenberg_lattice_structure(heis):
 
 def test_model_hash_stable(tiny_torus):
     model = tiny_torus[0]
-    model2, _, _ = build_model(ModelSpec("torus", dim=1, resolution=16))
+    model2, _ = build_model(ModelSpec("torus", dim=1, resolution=16))
     assert model_hash(model) == model_hash(model2)
-    model3, _, _ = build_model(ModelSpec("torus", dim=1, resolution=32))
+    model3, _ = build_model(ModelSpec("torus", dim=1, resolution=32))
     assert model_hash(model) != model_hash(model3)

@@ -8,8 +8,8 @@ from heatlab import ModelSpec, apply_semigroup, build_model, carre_du_champ, gam
 from heatlab.fields import deep_interior
 from heatlab.reports import MarginReport, Tolerance
 
-MODEL, ORACLE, _ = build_model(ModelSpec("torus", dim=1, resolution=16))
-HEIS, _, VFORM = build_model(
+MODEL, ORACLE = build_model(ModelSpec("torus", dim=1, resolution=16))
+HEIS, _ = build_model(
     ModelSpec("heisenberg", dim=3, resolution=9, extent=1.0,
               options={"z_extent": 0.25}))
 from heatlab import spectral_decompose  # noqa: E402
@@ -68,10 +68,10 @@ def test_vertical_leibniz_rate(a, b, c):
     # difference expression; bounded by the product of increments
     f, g, h = HEIS.field(a), HEIS.field(b), HEIS.field(c)
     fg = HEIS.field(a * b)
-    lhs = gamma_z(HEIS, VFORM, fg, h).values
-    rhs = (a * gamma_z(HEIS, VFORM, g, h).values
-           + b * gamma_z(HEIS, VFORM, f, h).values)
-    ef = VFORM.form
+    lhs = gamma_z(HEIS, fg, h).values
+    rhs = (a * gamma_z(HEIS, g, h).values
+           + b * gamma_z(HEIS, f, h).values)
+    ef = HEIS.vertical_form
     third = np.zeros(HEIS.n_nodes)
     np.add.at(third, ef.i, ef.c * np.abs(
         ef.differences(a) * ef.differences(b) * ef.differences(c)))
@@ -86,14 +86,14 @@ def test_vertical_leibniz_smooth_convergence():
     # for smooth fields the Leibniz defect decays at second order
     errs, hzs = [], []
     for res in (9, 17):
-        m, _, v = build_model(ModelSpec("heisenberg", dim=3, resolution=res,
-                                        extent=1.0, options={"z_extent": 0.25}))
+        m, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=res,
+                                     extent=1.0, options={"z_extent": 0.25}))
         x, y, z = m.nodes[:, 0], m.nodes[:, 1], m.nodes[:, 2]
         f, g, h = m.field(np.sin(x) * z), m.field(y * z), m.field(np.cos(y + z))
         fg = m.field(f.values * g.values)
-        lhs = gamma_z(m, v, fg, h).values
-        rhs = (f.values * gamma_z(m, v, g, h).values
-               + g.values * gamma_z(m, v, f, h).values)
+        lhs = gamma_z(m, fg, h).values
+        rhs = (f.values * gamma_z(m, g, h).values
+               + g.values * gamma_z(m, f, h).values)
         mask = deep_interior(m, hops=1)
         errs.append(np.max(np.abs((lhs - rhs)[mask])))
         hzs.append(m.meta["z_step"])
