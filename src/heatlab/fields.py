@@ -327,11 +327,19 @@ def self_test_gamma(model: DiscretizedModel, seed: int = 0, n_fields: int = 3) -
 
 
 def graph_laplacian(edge_form: EdgeForm, mu: np.ndarray) -> sp.csr_matrix:
-    """Assemble (Lf)_i = sum_j c_ij (f_j - f_i) / mu_i as a sparse matrix."""
+    """Assemble (Lf)_i = sum_j c_ij (f_j - f_i) / mu_i as a sparse matrix.
+
+    The diagonal sums the edges with i = node, then those with j = node,
+    each in edge order, as summing (i, i, -c) and (j, j, -c) duplicates in
+    a COO of 4E entries would; the row scaling drops zero entries.
+    """
     n = edge_form.n_nodes
     i, j, c = edge_form.i, edge_form.j, edge_form.c
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([j, i, i, j])
-    vals = np.concatenate([c, c, -c, -c])
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    diag = np.zeros(n)
+    np.add.at(diag, i, c)
+    np.add.at(diag, j, c)
+    d, idx = np.arange(n), np.int32 if n < 2**31 else np.int64
+    L = sp.coo_matrix((np.concatenate([c, c, -diag]),
+                       (np.concatenate([i, j, d], dtype=idx),
+                        np.concatenate([j, i, d], dtype=idx))), shape=(n, n)).tocsr()
     return sp.diags(1.0 / mu) @ L

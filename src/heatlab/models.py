@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .fields import (
@@ -126,14 +125,10 @@ def model_hash(model: DiscretizedModel) -> str:
 
 def _axis_edges(shape, axis, wrap):
     """Index pairs of nearest neighbours along one axis of a C-ordered grid."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    a = np.moveaxis(idx, axis, 0)
-    pairs = [(a[:-1].ravel(), a[1:].ravel())]
+    a = np.moveaxis(np.arange(int(np.prod(shape))).reshape(shape), axis, 0)
     if wrap and shape[axis] > 2:
-        pairs.append((a[-1].ravel(), a[0].ravel()))
-    i = np.concatenate([p[0] for p in pairs])
-    j = np.concatenate([p[1] for p in pairs])
-    return i, j
+        a = np.concatenate([a, a[:1]])      # the wrap pairs (last, first) come last
+    return a[:-1].ravel(), a[1:].ravel()
 
 
 def _build_grid(spec: ModelSpec, periodic: bool):
@@ -151,29 +146,16 @@ def _build_grid(spec: ModelSpec, periodic: bool):
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     n = nodes.shape[0]
 
-    ii, jj = [], []
-    for ax in range(dim):
-        i, j = _axis_edges(shape, ax, wrap=periodic)
-        ii.append(i)
-        jj.append(j)
-    i = np.concatenate(ii)
-    j = np.concatenate(jj)
+    ii, jj = zip(*(_axis_edges(shape, ax, wrap=periodic) for ax in range(dim)))
+    i, j = np.concatenate(ii), np.concatenate(jj)
     c = np.full(i.shape, h ** (dim - 2), dtype=float)
     ef = EdgeForm(i, j, c, n)
     mu = np.full(n, h ** dim)
     L = graph_laplacian(ef, mu)
 
-    if periodic:
-        boundary = np.zeros(n, dtype=bool)
-    else:
-        onb = np.zeros(shape, dtype=bool)
-        for ax in range(dim):
-            sl = [slice(None)] * dim
-            sl[ax] = 0
-            onb[tuple(sl)] = True
-            sl[ax] = m - 1
-            onb[tuple(sl)] = True
-        boundary = onb.ravel()
+    # a box node is on the boundary when any of its grid indices is 0 or m - 1
+    index = np.indices(shape).reshape(dim, n)
+    boundary = np.any((index == 0) | (index == m - 1), axis=0) & (not periodic)
 
     lengths = np.linalg.norm(nodes[j] - nodes[i], axis=1)
     if periodic:
@@ -373,6 +355,20 @@ def _sphere_oracle() -> GeometryOracle:
 # heisenberg group lattice
 
 
+def _sublattice_ids(i, j, k, m_half: int, mz_half: int) -> np.ndarray:
+    """Ids of lattice points (i, j, k), |i|, |j| <= m_half, |k| <= mz_half, on
+    the even sublattice (k + i j even), numbered in (i, j, k) order: column
+    (i, j) holds k = -mz_half + q, ..., mz_half - q in steps of 2, with
+    q = (i j + mz_half) mod 2.  Any other point raises ``ValueError``."""
+    if np.any(((k + i * j) & 1) | (np.abs(i) > m_half) | (np.abs(j) > m_half)
+              | (np.abs(k) > mz_half)):
+        raise ValueError("lattice point off the even sublattice or outside the box")
+    xs = np.arange(-m_half, m_half + 1)
+    counts = mz_half + 1 - ((np.multiply.outer(xs, xs).ravel() + mz_half) & 1)
+    column = (i + m_half) * xs.size + j + m_half
+    return (np.cumsum(counts) - counts)[column] + (k + mz_half - ((i * j + mz_half) & 1)) // 2
+
+
 def _build_heisenberg(spec: ModelSpec):
     """Group lattice for the first Heisenberg group.
 
@@ -381,7 +377,8 @@ def _build_heisenberg(spec: ModelSpec):
     commutator loop shifts the vertical index by 2, so (k + i j) mod 2 is
     invariant under horizontal moves: the model lives on the even-parity
     sublattice (one horizontally connected component) and vertical edges
-    step by 2 hz.
+    step by 2 hz.  Only that sublattice is enumerated, in the order of
+    ``_sublattice_ids``.
     """
     m_half = (spec.resolution - 1) // 2
     h = spec.extent / m_half
@@ -389,66 +386,46 @@ def _build_heisenberg(spec: ModelSpec):
     z_extent = float(spec.options.get("z_extent", spec.extent / 8.0))
     mz_half = max(4, int(round(z_extent / hz)))
 
-    xs = np.arange(-m_half, m_half + 1)
-    ks = np.arange(-mz_half, mz_half + 1)
-    nx, nz = xs.size, ks.size
+    # slot s of column (i, j) holds k = -mz_half + q + 2 s while k <= mz_half
+    xs = np.arange(-m_half, m_half + 1, dtype=np.int32)
+    I, J, S = np.meshgrid(xs, xs, np.arange(mz_half + 1, dtype=np.int32), indexing="ij")
+    K = ((I * J + mz_half) & 1) - mz_half + 2 * S
+    keep = K <= mz_half
+    ib, jb, kb = I[keep], J[keep], K[keep]
+    n = ib.size
 
-    I, J, K = np.meshgrid(xs, xs, ks, indexing="ij")
-    iv, jv, kv = I.ravel(), J.ravel(), K.ravel()
-    keep = ((kv + iv * jv) % 2) == 0
-    n = int(keep.sum())
-    idmap = np.full(iv.size, -1, dtype=np.int64)
-    idmap[keep] = np.arange(n)
-
-    nodes = np.stack([iv[keep] * h, jv[keep] * h, kv[keep] * hz], axis=1)
-
-    def flat(i, j, k):
-        return ((i + m_half) * nx + (j + m_half)) * nz + (k + mz_half)
-
-    ib, jb, kb = iv[keep], jv[keep], kv[keep]
-    edges_i, edges_j = [], []
+    nodes = np.stack([ib * h, jb * h, kb * hz], axis=1)
 
     # X flow: (x, y, z) -> (x + h, y, z - h y / 2): lattice move (1, 0, -j)
-    ok = (ib + 1 <= m_half) & (np.abs(kb - jb) <= mz_half)
-    edges_i.append(idmap[flat(ib[ok], jb[ok], kb[ok])])
-    edges_j.append(idmap[flat(ib[ok] + 1, jb[ok], kb[ok] - jb[ok])])
-
+    okx = (ib + 1 <= m_half) & (np.abs(kb - jb) <= mz_half)
     # Y flow: (x, y, z) -> (x, y + h, z + h x / 2): lattice move (0, 1, +i)
-    ok = (jb + 1 <= m_half) & (np.abs(kb + ib) <= mz_half)
-    edges_i.append(idmap[flat(ib[ok], jb[ok], kb[ok])])
-    edges_j.append(idmap[flat(ib[ok], jb[ok] + 1, kb[ok] + ib[ok])])
-
-    i = np.concatenate(edges_i)
-    j = np.concatenate(edges_j)
-    assert np.all(i >= 0) and np.all(j >= 0)  # parity preserved by the moves
+    oky = (jb + 1 <= m_half) & (np.abs(kb + ib) <= mz_half)
+    i = np.concatenate([np.flatnonzero(okx), np.flatnonzero(oky)])   # ids = node order
+    j = np.concatenate([
+        _sublattice_ids(ib[okx] + 1, jb[okx], kb[okx] - jb[okx], m_half, mz_half),
+        _sublattice_ids(ib[oky], jb[oky] + 1, kb[oky] + ib[oky], m_half, mz_half)])
     mu_cell = h * h * (2 * hz)    # each sublattice node owns two hz-cells
-    c = np.full(i.shape, mu_cell / (h * h))
-    ef = EdgeForm(i, j, c, n)
+    ef = EdgeForm(i, j, np.full(i.shape, mu_cell / (h * h)), n)
+    del i, j                      # the edge form holds its own copies
     mu = np.full(n, mu_cell)
     L = graph_laplacian(ef, mu)
 
-    # vertical form: Z = dz sampled by the in-sublattice step 2 hz
-    okz = kb + 2 <= mz_half
-    zi = idmap[flat(ib[okz], jb[okz], kb[okz])]
-    zj = idmap[flat(ib[okz], jb[okz], kb[okz] + 2)]
-    cz = np.full(zi.shape, mu_cell / (2 * hz) ** 2)
-    vertical = EdgeForm(zi, zj, cz, n)
+    # vertical form: Z = dz sampled by the in-sublattice step 2 hz, which is
+    # the next node of the same column
+    zi = np.flatnonzero(kb + 2 <= mz_half)
+    vertical = EdgeForm(zi, zi + 1, np.full(zi.shape, mu_cell / (2 * hz) ** 2), n)
 
     # horizontal edge lengths: time to traverse the unit-speed flow
-    lengths = np.full(i.shape, h)
+    lengths = np.full(ef.n_edges, h)
 
     # boundary: any missing structural move (4 horizontal + 2 vertical)
-    deg = np.zeros(n)
-    np.add.at(deg, i, 1.0)
-    np.add.at(deg, j, 1.0)
-    degz = np.zeros(n)
-    np.add.at(degz, zi, 1.0)
-    np.add.at(degz, zj, 1.0)
+    deg = np.bincount(ef.i, minlength=n) + np.bincount(ef.j, minlength=n)
+    degz = np.bincount(vertical.i, minlength=n) + np.bincount(vertical.j, minlength=n)
     boundary = (deg < 4) | (degz < 2)
 
-    ncomp, _ = connected_components(
-        sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)), directed=False
-    )
+    # L's pattern is symmetric: its strong components are the graph's, and
+    # finding them needs no transposed copy
+    ncomp, _ = connected_components(L, connection="strong")
     if ncomp != 1:
         raise UnsupportedModelError("horizontal graph is disconnected; widen the box")
 
@@ -517,6 +494,7 @@ def build_model(spec: ModelSpec):
         meta=meta,
         vertical_form=vertical,
     )
+    del nodes, mu, lengths, boundary    # the model holds frozen copies
 
     # built-in self test: edge and operator routes to Gamma must agree
     resid = self_test_gamma(model, seed=7, n_fields=2)

@@ -108,6 +108,22 @@ def _symmetrized(model: DiscretizedModel):
     return A.tocsr(), dm
 
 
+def _operator(model: DiscretizedModel):
+    """(A, dm, blocks): ``_symmetrized`` and, on a sphere-marked model, its
+    ``_SphereBlocks`` (else None).  A sphere model's triple is built once
+    and kept in ``model.meta`` with the ``L`` it was built from, so a
+    ``meta`` copied to a model with another ``L`` builds its own."""
+    structure = model.meta.get("structure")
+    if structure is None or structure[0] != "sphere":
+        return (*_symmetrized(model), None)
+    kept = model.meta.get("_sphere_blocks")
+    if kept is None or kept[0] is not model.L:
+        A, dm = _symmetrized(model)
+        kept = (model.L, A, dm, _SphereBlocks(A, structure))
+        model.meta["_sphere_blocks"] = kept
+    return kept[1:]
+
+
 def _grid_pairs(A, structure, k: int):
     """k lowest pairs of a box or torus generator with uniform mu.
 
@@ -208,10 +224,9 @@ class _SphereBlocks:
         return np.concatenate([(amp @ self.waves.T).ravel(), poles])
 
 
-def _sphere_pairs(A, structure, k: int):
+def _sphere_pairs(S: _SphereBlocks, k: int):
     """k lowest pairs of the latitude sphere: block eigenvectors of
-    ``_SphereBlocks`` times their longitude waves."""
-    S = _SphereBlocks(A, structure)
+    ``S`` times their longitude waves."""
     zero = np.zeros(S.nrows)
     lam = np.concatenate([S.blocks[m][0] for m in S.freq])
     vecs = np.hstack([S.blocks[m][1] if m == 0 else np.vstack([zero, S.blocks[m][1], zero])
@@ -257,11 +272,11 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
     n = model.n_nodes
     if k > n:
         raise ValueError("cannot retain more eigenpairs than nodes")
-    A, dm = _symmetrized(model)
+    A, dm, blocks = _operator(model)
     structure = model.meta.get("structure")
     if structure is not None:
-        if structure[0] == "sphere":
-            w, U = _sphere_pairs(A, structure, k)
+        if blocks is not None:
+            w, U = _sphere_pairs(blocks, k)
         elif structure[0] in ("box", "torus"):
             w, U = _grid_pairs(A, structure, k)
         else:
@@ -369,11 +384,8 @@ class ExpmFlow:
 
     def __init__(self, model: DiscretizedModel):
         self.model = model
-        self._A, self._dm = _symmetrized(model)
-        self._blocks = None
-        structure = model.meta.get("structure")
-        if structure is not None and structure[0] == "sphere":
-            self._blocks = _SphereBlocks(self._A, structure)
+        self._A, self._dm, self._blocks = _operator(model)
+        if self._blocks is not None:
             v = np.random.default_rng(PROBE_SEED).standard_normal(model.n_nodes)
             err = np.abs(self._blocks.apply(v, lambda w: w) - self._A @ v)
             rel = float(np.max(err / (abs(self._A) @ np.abs(v))))
@@ -518,13 +530,13 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
     i, j = remap[ef.i[keep]], remap[ef.j[keep]]
     c = ef.c[keep]
     sub_ef = EdgeForm(i, j, c, subset.size)
-
-    adj = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(subset.size,) * 2)
-    ncomp, _ = connected_components(adj, directed=False)
+    mu = model.mu[subset]
+    L = graph_laplacian(sub_ef, mu)
+    # L's pattern is symmetric, so its strong components are the graph's
+    ncomp, _ = connected_components(L, connection="strong")
     if ncomp != 1:
         raise ValueError("restriction subset is disconnected")
 
-    mu = model.mu[subset]
     lost = np.ones(model.n_nodes, dtype=bool)
     lost[subset] = False
     adj_full = model.adjacency(weights="unit")
@@ -536,7 +548,7 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
         kind=model.kind,
         nodes=model.nodes[subset],
         mu=mu,
-        L=graph_laplacian(sub_ef, mu),
+        L=L,
         edge_form=sub_ef,
         edge_length=model.edge_length[keep],
         boundary_mask=boundary,

@@ -12,8 +12,9 @@ from heatlab import (
     gamma2,
     gamma_z,
 )
-from heatlab.fields import DiscretizedModel, self_test_gamma
+from heatlab.fields import DiscretizedModel, EdgeForm, graph_laplacian, self_test_gamma
 from heatlab.models import ModelSpec, build_model
+from heatlab.semigroup import neumann_restrict
 
 
 def test_field_validation(euclid2):
@@ -178,3 +179,42 @@ def test_graph_laplacian_row_sums(tiny_torus):
     D = sp.diags(model.mu)
     M = D @ model.L
     assert abs(M - M.T).max() < 1e-14
+
+
+def _laplacian_from_full_coo(ef, mu):
+    # reference assembly: a COO of 4E entries, each node's diagonal held as
+    # one -c duplicate per edge end, summed by the CSR conversion
+    i, j, c = ef.i, ef.j, ef.c
+    L = sp.coo_matrix((np.concatenate([c, c, -c, -c]),
+                       (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
+                      shape=(ef.n_nodes,) * 2).tocsr()
+    return sp.diags(1.0 / mu) @ L
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("euclidean", dim=1, resolution=12),
+    ModelSpec("euclidean", dim=2, resolution=10, extent=1.5),
+    ModelSpec("euclidean", dim=3, resolution=8),
+    ModelSpec("torus", dim=1, resolution=16),
+    ModelSpec("torus", dim=2, resolution=9),
+    ModelSpec("sphere", dim=2, resolution=12),
+    ModelSpec("heisenberg", dim=3, resolution=9),
+], ids=lambda s: f"{s.kind}{s.dim}")
+def test_graph_laplacian_matches_full_coo_assembly(spec):
+    model, _ = build_model(spec)
+    sub = neumann_restrict(model, model.nodes[:, 0] <= np.median(model.nodes[:, 0]))
+    for m in (model, sub):
+        ref = _laplacian_from_full_coo(m.edge_form, m.mu)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(m.L, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_graph_laplacian_isolated_node_and_zero_conductance():
+    # node 4 has no edge, and edge (1, 2) conducts nothing: both leave no entry
+    ef = EdgeForm(np.array([0, 1, 1]), np.array([1, 2, 3]), np.array([1.0, 0.0, 2.0]), 5)
+    mu = np.array([1.0, 2.0, 0.5, 4.0, 1.0])
+    L, ref = graph_laplacian(ef, mu), _laplacian_from_full_coo(ef, mu)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(L, name), getattr(ref, name)), name
+    assert L.indptr[-1] == L.indptr[-2] and 2 not in L.indices[L.indptr[1]:L.indptr[2]]

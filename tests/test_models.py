@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from heatlab import ModelSpec, build_model, exact_heat_kernel, spectral_decompose
 from heatlab.models import (
     UnsupportedModelError,
+    _sublattice_ids,
     latitude_sphere,
     model_hash,
     node_nearest,
@@ -140,6 +143,73 @@ def test_heisenberg_lattice_structure(heis):
     assert oracle.cd_params is not None and oracle.cd_params.rho1 == 0.0
     i0 = node_nearest(model, [0, 0, 0])
     assert np.allclose(model.nodes[i0], 0.0)
+
+
+def _full_grid_sublattice(m_half, mz_half):
+    # reference enumeration: mask the full (i, j, k) grid to k + i j even and
+    # look neighbours up through a grid-sized id map (-1 off the sublattice)
+    xs, ks = np.arange(-m_half, m_half + 1), np.arange(-mz_half, mz_half + 1)
+    I, J, K = (a.ravel() for a in np.meshgrid(xs, xs, ks, indexing="ij"))
+    keep = (K + I * J) % 2 == 0
+    idmap = np.full(I.size, -1)
+    idmap[keep] = np.arange(keep.sum())
+
+    def node(i, j, k):
+        return idmap[((i + m_half) * xs.size + j + m_half) * ks.size + k + mz_half]
+
+    ib, jb, kb = I[keep], J[keep], K[keep]
+    okx = (ib < m_half) & (np.abs(kb - jb) <= mz_half)
+    oky = (jb < m_half) & (np.abs(kb + ib) <= mz_half)
+    okz = kb + 2 <= mz_half
+    i = np.concatenate([node(ib[okx], jb[okx], kb[okx]), node(ib[oky], jb[oky], kb[oky])])
+    j = np.concatenate([node(ib[okx] + 1, jb[okx], kb[okx] - jb[okx]),
+                        node(ib[oky], jb[oky] + 1, kb[oky] + ib[oky])])
+    zi, zj = node(ib[okz], jb[okz], kb[okz]), node(ib[okz], jb[okz], kb[okz] + 2)
+    assert min(i.min(), j.min(), zi.min(), zj.min()) >= 0
+    deg, degz = np.zeros(ib.size), np.zeros(ib.size)
+    for d, e in ((deg, i), (deg, j), (degz, zi), (degz, zj)):
+        np.add.at(d, e, 1.0)
+    return np.stack([ib, jb, kb], axis=1), i, j, zi, zj, (deg < 4) | (degz < 2)
+
+
+@pytest.mark.parametrize("resolution,options,mz_half", [
+    (9, {}, 4), (12, {"z_extent": 0.1}, 5)])
+def test_heisenberg_sublattice_matches_full_grid(resolution, options, mz_half):
+    model, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=resolution,
+                                     options=options))
+    m_half = (resolution - 1) // 2
+    h, hz = model.meta["h"], model.meta["z_step"] / 2
+    lattice, i, j, zi, zj, boundary = _full_grid_sublattice(m_half, mz_half)
+    assert np.array_equal(model.nodes, lattice * np.array([h, h, hz]))
+    assert np.array_equal(model.edge_form.i, i) and np.array_equal(model.edge_form.j, j)
+    vf = model.vertical_form
+    assert np.array_equal(vf.i, zi) and np.array_equal(vf.j, zj)
+    assert np.array_equal(model.boundary_mask, boundary)
+    ids = _sublattice_ids(*lattice.T, m_half, mz_half)
+    assert np.array_equal(ids, np.arange(model.n_nodes))
+
+
+@pytest.mark.parametrize("point", [(0, 1, 1), (1, 3, 2), (5, 0, 0), (0, -5, 1), (0, 0, 6)],
+                         ids=["odd-k", "odd-k-ij", "i-out", "j-out", "k-out"])
+def test_sublattice_ids_reject_points_off_the_sublattice(point):
+    # m_half = 4, mz_half = 5: every point here is off the sublattice or the box
+    with pytest.raises(ValueError, match="off the even sublattice"):
+        _sublattice_ids(*(np.array([0, v]) for v in point), 4, 5)
+
+
+def test_heisenberg_build_peak_memory():
+    # assembly allocates little beyond what the model keeps: the full-grid
+    # enumeration and the 4E-entry Laplacian COO peaked near 3.4 times it
+    spec = ModelSpec("heisenberg", dim=3, resolution=31, extent=1.0)
+    build_model(ModelSpec("heisenberg", dim=3, resolution=9))
+    tracemalloc.start()
+    try:
+        model, _ = build_model(spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n_nodes == 54521
+    assert peak <= 2 * retained, (peak, retained)
 
 
 def test_model_hash_stable(tiny_torus):

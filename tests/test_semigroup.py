@@ -154,6 +154,34 @@ def test_tampered_sphere_blocks_raise(edge):
         ExpmFlow(_tampered(model, edge))
 
 
+def test_sphere_operator_built_once_per_model(monkeypatch):
+    spec = ModelSpec("sphere", dim=2, resolution=12)
+    ref_model, _ = build_model(spec)
+    ref_sd, ref_flow = spectral_decompose(ref_model, k=40), ExpmFlow(ref_model)
+    built = {"_symmetrized": 0, "_SphereBlocks": 0}
+
+    def counted(name):
+        real = getattr(semigroup, name)
+
+        def wrapper(*args):
+            built[name] += 1
+            return real(*args)
+        monkeypatch.setattr(semigroup, name, wrapper)
+    for name in built:
+        counted(name)
+    model, _ = build_model(spec)
+    sd = spectral_decompose(model, k=40)
+    flows = [ExpmFlow(model), ExpmFlow(model)]
+    spectral_decompose(model, k=20)
+    assert built == {"_symmetrized": 1, "_SphereBlocks": 1}
+    assert np.array_equal(sd.eigenvalues, ref_sd.eigenvalues)
+    assert np.array_equal(sd.eigenfields, ref_sd.eigenfields)
+    f = model.field(np.random.default_rng(3).standard_normal(model.n_nodes))
+    for flow in flows:
+        assert np.array_equal(flow.evolve(f, 0.1).values,
+                              ref_flow.evolve(ref_model.field(f.values), 0.1).values)
+
+
 @pytest.mark.parametrize("kind,res,marker,match", [
     ("sphere", 8, ("sphere", 7), "nodes"),
     ("sphere", 8, ("sphere", 9), "nodes"),
