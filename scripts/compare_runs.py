@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Compare two campaign runs report by report.
+
+    python scripts/compare_runs.py A B
+    python scripts/compare_runs.py --save DIGEST RUN
+
+A and B are each a campaign output directory or a digest file written by
+``--save`` (such as ``tests/golden/default-seed42.json``).  For each
+report it prints the verdict on both sides and the largest move of
+``min_margin``, ``scale`` or a sample margin, as a fraction of A's scale;
+every changed verdict is marked.  The exit code is 1 when a verdict
+changed or a report is missing on one side, else 0.
+
+``--save`` writes the digest of the output directory RUN to DIGEST.
+Regenerating the golden digest is a deliberate act: list every report
+that moved, and why, with the change that does it.
+"""
+import argparse
+import json
+import os
+import sys
+
+from heatlab.reports import compare_digests, run_digest
+
+
+def load(path):
+    if os.path.isdir(path):
+        return run_digest(path)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--save", metavar="DIGEST", help="write the digest of RUN to DIGEST")
+    ap.add_argument("runs", nargs="+", metavar="RUN")
+    args = ap.parse_args()
+    if args.save:
+        if len(args.runs) != 1:
+            ap.error("--save takes one RUN")
+        with open(args.save, "w") as fh:
+            fh.write(json.dumps(run_digest(args.runs[0]), sort_keys=True, indent=1) + "\n")
+        return 0
+    if len(args.runs) != 2:
+        ap.error("give two runs A B")
+    rows = compare_digests(load(args.runs[0]), load(args.runs[1]))
+    width = max(len(name) for name, *_ in rows)
+    print(f"{'report':<{width}}  {'verdict A -> B':<16} max |dmargin|/scale")
+    changed = 0
+    for name, va, vb, move in rows:
+        flag = "" if va == vb else "   CHANGED"
+        changed += va != vb
+        print(f"{name:<{width}}  {f'{va} -> {vb}':<16} {move:.3g}{flag}")
+    worst = max(rows, key=lambda r: r[3])
+    print(f"{len(rows)} reports, {changed} changed verdicts, "
+          f"largest move {worst[3]:.3g} of scale ({worst[0]})")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

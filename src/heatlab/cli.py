@@ -336,7 +336,7 @@ class ModelContext:
     def engine(self):
         """Semigroup engine of the checks: the truncated spectrum when one is
         retained (``spectral_k``), the exact ``flow`` otherwise (longitude
-        blocks on the sphere, ``expm_multiply`` elsewhere)."""
+        blocks on the sphere, a Chebyshev expansion elsewhere)."""
         if self.k:
             return self.spectral()
         return self.flow

@@ -106,21 +106,19 @@ def distance_field(model, oracle, source, method="auto") -> DistanceField:
 # dual (certificate) distance
 
 
-def _jacobi_smooth(model: DiscretizedModel, v: np.ndarray, steps: int) -> np.ndarray:
-    # explicit heat steps at a stable fraction of the diagonal CFL limit
-    diag = -model.L.diagonal()
-    dt = 0.5 / float(diag.max())
+def _jacobi_smooth(model: DiscretizedModel, v: np.ndarray, steps: int, dt: float) -> np.ndarray:
+    """``steps`` explicit heat steps of size ``dt``."""
     for _ in range(steps):
         v = v + dt * (model.L @ v)
     return v
 
 
-def _smoothed(model: DiscretizedModel, v: np.ndarray, steps, cap: float) -> list:
+def _smoothed(model: DiscretizedModel, v: np.ndarray, steps, cap: float, dt: float) -> list:
     """Capped copies of ``v`` after each of the ascending step counts
     ``steps``, taken from one running smoothing."""
     out, done = [], 0
     for s in steps:
-        v, done = _jacobi_smooth(model, v, s - done), s
+        v, done = _jacobi_smooth(model, v, s - done, dt), s
         out.append(_cap_cones(v, cap))
     return out
 
@@ -166,7 +164,9 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
     h = float(model.meta.get("h", 0.0) or 0.0)
     cap = 0.75 * h
     base = distance_field(model, None, y, method="graph").values
-    candidates = _smoothed(model, base, (0, 2, 8, 32), cap)
+    # smoothing steps at half the diagonal CFL limit, which keeps them stable
+    dt = 0.5 / float(-model.L.diagonal().min())
+    candidates = _smoothed(model, base, (0, 2, 8, 32), cap, dt)
     if model.kind in ("euclidean", "torus", "heisenberg"):
         u = model.nodes[x] - model.nodes[y]
         if model.kind == "heisenberg":
@@ -177,7 +177,7 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
             candidates.append(model.nodes @ (u / nrm))
     if model.kind == "sphere":
         ang = np.arccos(np.clip(model.nodes @ model.nodes[y], -1.0, 1.0))
-        candidates += _smoothed(model, ang, (0, 2, 8), cap)
+        candidates += _smoothed(model, ang, (0, 2, 8), cap, dt)
 
     best_val, best_f = -np.inf, None
     for cand in candidates:
@@ -188,7 +188,7 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
     # smoothed ascent on the best candidate
     direction = np.zeros(model.n_nodes)
     direction[x], direction[y] = 1.0, -1.0
-    direction = _jacobi_smooth(model, direction, 4)
+    direction = _jacobi_smooth(model, direction, 4, dt)
     step = 0.5 * best_val if best_val > 0 else 1.0
     cur = best_f.copy()
     for _ in range(budget):

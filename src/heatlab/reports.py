@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -116,6 +117,51 @@ class MarginReport:
     def load(path: str) -> "MarginReport":
         with open(path, "r") as fh:
             return MarginReport.from_json_dict(json.load(fh))
+
+
+def run_digest(output_dir: str) -> dict:
+    """Every report of a campaign output directory, by its campaign name
+    (the file name): its verdict, ``min_margin``, ``scale``, sample count
+    and sample margins."""
+    digest = {}
+    for name in sorted(os.listdir(output_dir)):
+        if name.endswith(".json"):
+            rep = MarginReport.load(os.path.join(output_dir, name))
+            margins = [s.get("margin") for s in rep.samples]
+            digest[name[:-len(".json")]] = {
+                "verdict": rep.verdict, "min_margin": rep.min_margin, "scale": rep.scale,
+                "samples": len(margins), "margins": margins}
+    return digest
+
+
+def _moved(x, y, scale: float) -> float:
+    """|y - x| / |scale|; inf when one side is missing or the difference
+    is not a number."""
+    if x == y:
+        return 0.0
+    if x is None or y is None:
+        return math.inf
+    d = abs(y - x) / (abs(scale) or 1.0)
+    return math.inf if math.isnan(d) else d
+
+
+def compare_digests(a: dict, b: dict) -> list[tuple]:
+    """(report name, verdict in a, verdict in b, move) for every report of
+    either digest, where move is the largest |b - a| / |scale of a| over
+    ``min_margin``, ``scale`` and the margins of the samples, paired by
+    position.  A report missing on one side has verdict None there, and it
+    or a changed sample count moves by inf."""
+    rows = []
+    for name in sorted(a.keys() | b.keys()):
+        ra, rb = a.get(name), b.get(name)
+        if ra is None or rb is None or ra["samples"] != rb["samples"]:
+            move = math.inf
+        else:
+            pairs = [(ra["min_margin"], rb["min_margin"]), (ra["scale"], rb["scale"]),
+                     *zip(ra["margins"], rb["margins"])]
+            move = max(_moved(x, y, ra["scale"]) for x, y in pairs)
+        rows.append((name, ra and ra["verdict"], rb and rb["verdict"], move))
+    return rows
 
 
 def _csv_cell(v):

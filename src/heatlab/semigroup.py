@@ -7,8 +7,10 @@ Three routes to exp(tL), all on the mu-symmetrized operator:
   reproduces the input exactly and mass is conserved to roundoff).  It
   evolves every model that retains a spectrum (``spectral_k``);
 * ``ExpmFlow``, the exact flow: on the latitude sphere by diagonalizing
-  each of its longitude blocks, on every other model by the truncated
-  Taylor method of ``scipy.sparse.linalg.expm_multiply``.  It evolves
+  each of its longitude blocks, on every other model by a Chebyshev
+  expansion whose Bessel-function weights bound its error for every
+  input, at a degree of about sqrt(t b ln(1 / CHEB_TAIL)) fixed before
+  any product with the operator (b bounds its spectrum).  It evolves
   every model without a retained spectrum (the Heisenberg lattice in the
   default campaign) and the noise of the sub-riemannian suites, and it is
   the independent route that ``check_kernel_laws`` cross-checks against
@@ -50,6 +52,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import connected_components
 
 from .fields import DiscretizedModel, EdgeForm, ScalarField, graph_laplacian
@@ -70,6 +73,9 @@ CACHE_VERSION = 4
 # seed of the probe fields that fix the basis inside eigenvalue clusters;
 # a constant, so the basis does not follow any run's seed
 PROBE_SEED = 0
+# the Chebyshev series of ``ExpmFlow`` drops weight below this, a bound on
+# its error relative to the 2-norm of the input: below double roundoff
+CHEB_TAIL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -365,6 +371,36 @@ def apply_semigroup(model: DiscretizedModel, engine, f: ScalarField, t: float) -
     return engine.evolve(f, t)
 
 
+def _bessel_weights(a: float, start: int | None = None) -> np.ndarray:
+    """w_k = exp(-a) I_k(a) for k = 0..K, K the first index whose tail
+    2 sum_{k > K} w_k is below ``CHEB_TAIL``.
+
+    Miller's backward recurrence in ratio form: r_k = I_k / I_{k-1} from
+    r_k = 1 / (2k / a + r_{k+1}), started at r_{start+1} = 0, cannot
+    overflow.  By default it starts at 30 plus twice the a-priori degree
+    sqrt(2 a ln(1 / CHEB_TAIL)), where the neglected I_k are far below
+    roundoff.  The products of the ratios are normalized by
+    exp(-a) (I_0 + 2 sum_k I_k) = 1, so the weights sum to 1 to roundoff.
+    ``SolverError`` if even the weights up to ``start`` leave a larger tail.
+    """
+    if start is None:
+        start = 30 + 2 * int(np.ceil(np.sqrt(2 * a * np.log(1.0 / CHEB_TAIL))))
+    r = np.empty(start)
+    x = 0.0
+    for k in range(start, 0, -1):
+        x = 1.0 / (2.0 * k / a + x)
+        r[k - 1] = x
+    p = np.cumprod(r)
+    w0 = 1.0 / (1.0 + 2.0 * p.sum())
+    w = np.concatenate([[w0], w0 * p])
+    tail = 2.0 * np.cumsum(w[:0:-1])[::-1]          # tail[k] = 2 sum_{j > k} w_j
+    cut = np.flatnonzero(tail < CHEB_TAIL)
+    if cut.size == 0:
+        raise SolverError(f"Bessel recurrence started at {start} leaves a tail "
+                          f"{tail[-1]:g} at a = {a:g}, above {CHEB_TAIL:g}")
+    return w[:cut[0] + 1]
+
+
 class ExpmFlow:
     """Exact heat flow P_t f = D^{-1/2} exp(-t A) D^{1/2} f on the symmetrized
     operator A.
@@ -375,23 +411,35 @@ class ExpmFlow:
     construction the block form applied to a fixed probe vector must
     reproduce ``A @ v`` to 1e-9 of each row's |A| |v|, or ``SolverError``
     is raised, so a marker that does not fit the operator stays loud.
-    Every other model is evaluated by ``scipy.sparse.linalg.expm_multiply``
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511), whose
-    Taylor degree and step count are chosen from norms of t A for
-    double-precision accuracy.  Constants and total mass are preserved to
-    roundoff.
+
+    Every other model is evaluated by a Chebyshev expansion (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81 (1984) 3967).  The Gershgorin bound b, the
+    largest absolute row sum of A, holds the spectrum of A in [0, b], so
+    that of X = I - (2/b) A lies in [-1, 1].  With a = t b / 2,
+    exp(-t A) = exp(-a) exp(a X) = sum_k c_k T_k(X), c_0 = exp(-a) I_0(a)
+    and c_k = 2 exp(-a) I_k(a) (``_bessel_weights``).  As |T_k| <= 1 on
+    [-1, 1], cutting the series after degree K errs by at most the sum of
+    the dropped c_k, relative to ||D^{1/2} f||_2; the series is cut where
+    that sum falls below ``CHEB_TAIL``, at a degree of about
+    sqrt(2 a ln(1 / CHEB_TAIL)) that is known before any product with A
+    (Hochbruck & Lubich, SIAM J. Numer. Anal. 34 (1997) 1911).  The
+    weights sum to 1 and X fixes D^{1/2} 1, so constants and total mass
+    are preserved to roundoff.
     """
 
     def __init__(self, model: DiscretizedModel):
         self.model = model
-        self._A, self._dm, self._blocks = _operator(model)
+        A, self._dm, self._blocks = _operator(model)
         if self._blocks is not None:
             v = np.random.default_rng(PROBE_SEED).standard_normal(model.n_nodes)
-            err = np.abs(self._blocks.apply(v, lambda w: w) - self._A @ v)
-            rel = float(np.max(err / (abs(self._A) @ np.abs(v))))
+            err = np.abs(self._blocks.apply(v, lambda w: w) - A @ v)
+            rel = float(np.max(err / (abs(A) @ np.abs(v))))
             if not rel <= 1e-9:
                 raise SolverError(f"longitude blocks of {model.model_id} miss the operator "
                                   f"by {rel:g} of a row; the sphere marker does not fit")
+        else:
+            self._b = float(abs(A).sum(axis=1).max())
+            self._X = (sp.identity(model.n_nodes, format="csr") - (2.0 / self._b) * A).tocsr()
 
     def evolve(self, f: ScalarField, t: float) -> ScalarField:
         if t < 0:
@@ -399,11 +447,26 @@ class ExpmFlow:
         fv = self.model.check_field(f)
         if t == 0:
             return self.model.field(fv)
-        if self._blocks is not None:                             # on D^{1/2} f
-            w = self._blocks.apply(fv / self._dm, lambda lam: np.exp(-t * lam))
+        v = fv / self._dm                                        # D^{1/2} f
+        if self._blocks is not None:
+            w = self._blocks.apply(v, lambda lam: np.exp(-t * lam))
         else:
-            w = spla.expm_multiply(-t * self._A, fv / self._dm)
+            w = self._chebyshev(v, 0.5 * t * self._b)
         return self.model.field(w * self._dm)
+
+    def _chebyshev(self, v: np.ndarray, a: float) -> np.ndarray:
+        """sum_k c_k T_k(X) v by the recurrence T_{k+1} = 2 X T_k - T_{k-1}."""
+        w = _bessel_weights(a)
+        out = w[0] * v
+        prev, cur = v, self._X @ v                               # T_0 v, T_1 v
+        for k in range(1, w.size):
+            if k > 1:
+                nxt = self._X @ cur
+                nxt *= 2.0
+                nxt -= prev
+                prev, cur = cur, nxt
+            out = daxpy(cur, out, a=2.0 * w[k])                   # out += c_k T_k v
+        return out
 
 
 class CrankNicolson:

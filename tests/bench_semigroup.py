@@ -4,8 +4,9 @@
 
 One white-noise field evolved by the exact ``ExpmFlow`` (the engine of
 every model without a retained spectrum and ``kernel-laws``' second
-route) and by the ``CrankNicolson`` reference stepper, on ``heis`` at the
-smallest and largest Heisenberg campaign times, and on ``torus1`` and the
+route) and by the ``CrankNicolson`` reference stepper, on ``heis`` at
+Heisenberg campaign times (0.25 is 16 h^2, the noise time of the CD
+suites; at 1.0 the flow's degree is largest), and on ``torus1`` and the
 latitude spheres of ``sphere-refine`` (lat32, lat48; ``ExpmFlow`` takes
 the longitude-block route there) at ``kernel-laws``' cross-check time.
 Each timed call builds the engine and evolves the field, as
@@ -41,7 +42,8 @@ def noise(name):
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-@pytest.mark.parametrize("name, t", [("heis", 0.02), ("heis", 0.2), ("torus1", 0.1),
+@pytest.mark.parametrize("name, t", [("heis", 0.02), ("heis", 0.2), ("heis", 0.25),
+                                     ("heis", 1.0), ("torus1", 0.1),
                                      ("sphere32", 0.1), ("sphere48", 0.1)])
 def test_evolve(benchmark, engine, name, t):
     model, f = noise(name)

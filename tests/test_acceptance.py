@@ -3,6 +3,7 @@
 Tolerances are pinned here, not configured elsewhere; every quantitative
 target carries its stated slack next to the assertion.
 """
+import json
 import os
 import time
 
@@ -42,7 +43,7 @@ from heatlab.checks import (
     sharp_sobolev_sides,
     span_cd_margin,
 )
-from heatlab.reports import Tolerance
+from heatlab.reports import Tolerance, compare_digests, run_digest
 from heatlab.suites import (
     NamedField,
     bump_fields,
@@ -52,6 +53,9 @@ from heatlab.suites import (
     positive_fields,
     sub_riemannian_suite,
 )
+
+# every report of the default campaign (seed 42), from scripts/compare_runs.py --save
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "default-seed42.json")
 
 
 def _line(name, ok, detail=""):
@@ -364,6 +368,13 @@ def test_criterion_11_determinism_and_runtime(tmp_path):
     cfg.cache_dir = cache
     rc1 = run_campaign(cfg, log=lambda *a: None)
     elapsed = time.monotonic() - t0
+    # the golden digest holds every report of this run at an earlier commit;
+    # margins move by roundoff only (1e-15 of scale across BLAS thread counts)
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    moved = [row for row in compare_digests(golden, run_digest(cfg.output_dir))
+             if row[1] != row[2] or not row[3] <= 1e-9]
+    assert not moved, f"(report, golden verdict, verdict, move / scale): {moved}"
     assert rc1 == 0
     assert elapsed < 300.0
 

@@ -9,6 +9,8 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
+from scipy.special import ive
 
 from heatlab import (
     CrankNicolson,
@@ -96,8 +98,62 @@ def test_expm_flow_matches_dense_exponential():
 
 def _forbid_expm_multiply(monkeypatch):
     def generic(*args, **kwargs):
-        raise AssertionError("the sphere flow ran expm_multiply")
-    monkeypatch.setattr(semigroup.spla, "expm_multiply", generic)
+        raise AssertionError("an ExpmFlow ran expm_multiply")
+    monkeypatch.setattr(spla, "expm_multiply", generic)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.5, 64.0, 5000.0])
+def test_bessel_weights_match_scipy(a):
+    w = semigroup._bessel_weights(a)
+    k = np.arange(w.size)
+    ref = ive(k, a)                              # exp(-a) I_k(a)
+    assert np.max(np.abs(w - ref)) <= 1e-14 * ref.max()
+    assert abs(w[0] + 2 * w[1:].sum() - 1.0) <= 4 * np.finfo(float).eps
+    # the true tail beyond the cut, and the cut is the first index below it
+    assert 2 * ive(np.arange(w.size, w.size + 2000), a).sum() < semigroup.CHEB_TAIL
+    assert 2 * ive(np.arange(w.size - 1, w.size + 2000), a).sum() >= semigroup.CHEB_TAIL
+
+
+def test_bessel_recurrence_started_too_low_raises():
+    with pytest.raises(semigroup.SolverError, match="leaves a tail"):
+        semigroup._bessel_weights(64.0, start=20)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.25, 1.0])
+def test_heis_flow_matches_expm_multiply(heis, t):
+    model, _, flow = heis
+    fv = np.random.default_rng(7).standard_normal(model.n_nodes)
+    A, dm = semigroup._symmetrized(model)
+    ref = dm * spla.expm_multiply(-t * A, fv / dm)     # reference only
+    got = flow.evolve(model.field(fv), t).values
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["heis", "torus1", "sphere"])
+def test_no_flow_runs_expm_multiply(name, request, monkeypatch):
+    model = request.getfixturevalue(name)[0]
+    _forbid_expm_multiply(monkeypatch)
+    flow = ExpmFlow(model)
+    f = model.field(np.random.default_rng(8).standard_normal(model.n_nodes))
+    mass = model.integrate(f)
+    for t in (0.05, 0.25, 1.0):
+        out = flow.evolve(f, t)
+        assert np.array_equal(out.values, flow.evolve(f, t).values)
+        assert abs(model.integrate(out) - mass) < 1e-12 * model.integrate(np.abs(f.values))
+        pt = flow.evolve(model.constant(1.0), t)
+        assert np.max(np.abs(pt.values - 1.0)) < 1e-12
+
+
+def test_torus_flow_matches_full_spectrum(torus1, monkeypatch):
+    model, _, spectral = torus1
+    assert spectral.count == model.n_nodes          # the whole spectrum: exact
+    _forbid_expm_multiply(monkeypatch)
+    flow = ExpmFlow(model)
+    f = model.field(np.random.default_rng(9).standard_normal(model.n_nodes))
+    for t in (0.01, 0.1, 10.0):
+        ref = apply_semigroup(model, spectral, f, t).values
+        got = flow.evolve(f, t).values
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(f.values))
 
 
 @pytest.mark.parametrize("res", [8, 16])
