@@ -1192,27 +1192,20 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
                    scale, meta)
 
 
-def check_subunit_oracle(model, seed: int = 0) -> MarginReport:
-    """Subunit shooting on the Heisenberg group against closed forms.
+def check_subunit_oracle(model) -> MarginReport:
+    """The Heisenberg subunit length on the axes, against the geodesics there.
 
-    Vertical targets (0, 0, z), z = 0.04 and 0.09, have geodesic length
-    2 sqrt(pi |z|) and the horizontal target (0.3, 0, 0) length 0.3; each
-    shot length must match within 2%.
+    Vertical targets (0, 0, z), z = 0.04 and 0.09, are reached by a full
+    circle of length 2 sqrt(pi |z|) and the horizontal target (0.3, 0, 0)
+    by a segment of length 0.3; ``subunit_distance_heisenberg`` must match
+    each within 2%.
     """
-    z_values, x_values, rtol = (0.04, 0.09), (0.3,), 0.02
-    samples = []
-    for z in z_values:
-        length = subunit_distance_heisenberg([0.0, 0.0, float(z)], seed=seed)
-        ref = 2 * np.sqrt(np.pi * abs(z))
+    rtol, samples = 0.02, []
+    axes = [("z", z, [0.0, 0.0, z], 2 * np.sqrt(np.pi * z)) for z in (0.04, 0.09)]
+    for axis, value, target, ref in axes + [("x", 0.3, [0.3, 0.0, 0.0], 0.3)]:
+        length = subunit_distance_heisenberg(target)
         gap = abs(length - ref) / ref
-        samples.append({"z": float(z), "lhs": length,
-                        "rhs": float(ref), "margin": float(rtol - gap),
-                        "relative_gap": float(gap)})
-    for x in x_values:
-        length = subunit_distance_heisenberg([float(x), 0.0, 0.0], seed=seed)
-        gap = abs(length - x) / x
-        samples.append({"x": float(x), "lhs": length,
-                        "rhs": float(x), "margin": float(rtol - gap),
-                        "relative_gap": float(gap)})
+        samples.append({axis: value, "lhs": length, "rhs": float(ref),
+                        "margin": float(rtol - gap), "relative_gap": float(gap)})
     return _report("subunit-oracle", model.model_id, samples,
                    Tolerance(0.0, 0.0), 1.0, {"rtol": rtol})

@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import checks as C
-from .fields import deep_interior
+from .fields import NotApplicableError, deep_interior
 from .metric import distance_field
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
@@ -75,8 +75,13 @@ def _parse_scalar(text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Dotted key/value grammar -> nested dict."""
+    """Dotted key/value grammar -> nested dict.
+
+    Each key is given once: a repeated key, or a scalar for a key that
+    already heads a table, is an error naming both lines.
+    """
     root: dict = {}
+    first: dict = {}            # dotted key -> the line that set or opened it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,12 +89,20 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
+        key = key.strip()
         node = root
-        parts = key.strip().split(".")
-        for p in parts[:-1]:
+        parts = key.split(".")
+        for k, p in enumerate(parts[:-1], 1):
             node = node.setdefault(p, {})
+            head = ".".join(parts[:k])
             if not isinstance(node, dict):
-                raise ConfigError(f"line {lineno}: {key.strip()!r} nests under a scalar")
+                raise ConfigError(f"{key}: line {lineno} nests under the scalar "
+                                  f"{head} of line {first[head]}")
+            first.setdefault(head, lineno)
+        if key in first:
+            what = "opens a table" if isinstance(node[parts[-1]], dict) else "sets it"
+            raise ConfigError(f"{key}: line {lineno} sets it again; line {first[key]} {what}")
+        first[key] = lineno
         node[parts[-1]] = _parse_scalar(val.strip())
     return root
 
@@ -450,6 +463,9 @@ def _bind_kernel_bounds(ctx, opts, seed):
     # keep that under a fraction of a percent for the product/equality gates
     centers = _centers(model, rng, interior & (safe > 2.4 * max(radii)), 4)
     pool = np.flatnonzero(interior & (safe > 2.4 * np.sqrt(max(t_grid))))
+    if pool.size == 0:
+        raise NotApplicableError(f"t_grid: no interior node lies 2.4 sqrt(t) from "
+                                 f"the boundary at t = {max(t_grid):g}")
     pairs = []
     for _ in range(8):
         t = float(rng.choice(t_grid))
@@ -570,7 +586,7 @@ CHECK_KINDS = {
     "diameter": CheckKind(C.check_diameter, ("model", "oracle")),
     "distance-sandwich": CheckKind(C.check_distance_sandwich,
                                    ("model", "oracle", "seed"), {"n_pairs": _int}),
-    "subunit-oracle": CheckKind(C.check_subunit_oracle, ("model", "seed")),
+    "subunit-oracle": CheckKind(C.check_subunit_oracle, ("model",)),
 }
 
 

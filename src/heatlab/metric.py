@@ -16,9 +16,9 @@ distance bracket the intrinsic distance,
 * dual: any field with pointwise Gamma(f) <= 1 certifies the lower bound
   f(x) - f(y).  Candidates are rescaled to feasibility, then improved by a
   smoothed ascent; feasibility, not optimality, is the certificate.
-* subunit (Heisenberg): shooting with unit-speed, piecewise-constant
-  horizontal controls of the continuous group, whose endpoint and its
-  gradient are exact; returns a curve length, hence an upper bound.
+* subunit (Heisenberg): the closed-form Carnot-Caratheodory distance of
+  the continuous group from the origin to one target, the length of the
+  circular-arc geodesic that reaches it.
 
 ``distance_field`` keeps each oracle and graph distance in the model's
 derived-data cache (``model.meta``, beside the adjacency), so every caller
@@ -26,6 +26,7 @@ shares one evaluation per (route, source).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from scipy import optimize
 from scipy.sparse.csgraph import dijkstra
 
 from .fields import DiscretizedModel
-from .models import GeometryOracle, heisenberg_translate
+from .models import GeometryOracle
 
 
 @dataclass(frozen=True)
@@ -206,130 +207,62 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
 
 
 # ---------------------------------------------------------------------------
-# subunit curves on the Heisenberg group
+# the Carnot-Caratheodory distance on the Heisenberg group
 
 
-def _horizontal_endpoint(thetas: np.ndarray, T: float):
-    """Integrate unit-speed piecewise-constant controls exactly.
+# 6 (x - sin x) / x^3 = sum_k (-1)^k 6 x^(2k) / (2k + 3)!, highest power first
+_SEGMENT_SERIES = [(-1) ** k * 6 / math.factorial(2 * k + 3) for k in range(8, -1, -1)]
 
-    On each segment x, y are linear, so the vertical coordinate
-    z' = (x y' - y x')/2 integrates in closed form.
+
+def _flat_area(phi: float) -> float:
+    """(2 phi - sin 2 phi) / (8 sin^2 phi), 0 < phi < pi: the segment area
+    over a unit chord whose arc turns by 2 phi.  Evaluated as
+    (phi / 6) S(2 phi) (phi / sin phi)^2, S(x) = 6 (x - sin x) / x^3, with S
+    summed as its series for x < 1, so nothing cancels as phi -> 0."""
+    x = 2 * phi
+    shape = np.polyval(_SEGMENT_SERIES, x * x) if x < 1 else 6 * (x - np.sin(x)) / x**3
+    return phi / 6 * shape * (phi / np.sin(phi)) ** 2
+
+
+def _steep_segment(psi: float) -> float:
+    """2 phi - sin 2 phi at phi = pi - psi: twice the area of the unit
+    circle's segment whose arc turns by 2 phi."""
+    return 2 * np.pi - 2 * psi + np.sin(2 * psi)
+
+
+def subunit_distance_heisenberg(target) -> float:
+    """Carnot-Caratheodory distance from the origin to ``target``: the
+    length of the shortest subunit curve that reaches it.
+
+    Horizontal curves x' = u, y' = v with u^2 + v^2 <= 1 lift by
+    z' = (x v - y u)/2, so z is the signed area between the curve and its
+    chord.  The shortest curve to (x, y, z) with r = |(x, y)| > 0 is a
+    circular arc over the chord that turns by 2 phi, where
+
+        (2 phi - sin 2 phi) / (8 sin^2 phi) = |z| / r^2,   0 <= phi < pi,
+
+    and its length is r phi / sin phi; the vertical target (0, 0, z) is
+    reached by a full circle of length 2 sqrt(pi |z|) (Gaveau, Acta Math.
+    139 (1977); Beals, Gaveau & Greiner, J. Math. Pures Appl. 79 (2000)).
+    The root is taken in phi up to pi/2 and in psi = pi - phi beyond, from
+    scale-free ratios, so both ends keep full precision.
     """
-    m = thetas.size
-    tau = T / m
-    u, v = np.cos(thetas), np.sin(thetas)
-    dx, dy = tau * u, tau * v
-    xs = np.concatenate([[0.0], np.cumsum(dx)])
-    ys = np.concatenate([[0.0], np.cumsum(dy)])
-    dz = 0.5 * tau * (xs[:-1] * v - ys[:-1] * u)
-    return xs[-1], ys[-1], float(np.sum(dz))
-
-
-def _horizontal_endpoint_jacobian(thetas: np.ndarray, T: float) -> np.ndarray:
-    """Derivatives of the exact endpoint with respect to the headings.
-
-    Rows 0, 1, 2 hold dx, dy, dz / d theta_j.  With tau = T / m,
-    x = tau sum cos theta_j, y = tau sum sin theta_j and
-    z = tau^2 / 2 sum_{i<k} sin(theta_k - theta_i), so
-
-        dz/d theta_j = tau^2 / 2 [sum_{i<j} cos(theta_j - theta_i)
-                                  - sum_{k>j} cos(theta_k - theta_j)],
-
-    evaluated in O(m) from exclusive prefix and suffix sums of cos and sin.
-    The endpoint is homogeneous in T (x, y of degree 1, z of degree 2), so
-    its T-derivative is (x / T, y / T, 2 z / T).
-    """
-    tau = T / thetas.size
-    u, v = np.cos(thetas), np.sin(thetas)
-    pu = np.cumsum(u) - u
-    pv = np.cumsum(v) - v
-    su = u.sum() - u - pu
-    sv = v.sum() - v - pv
-    return np.stack([-tau * v, tau * u,
-                     0.5 * tau**2 * (u * (pu - su) + v * (pv - sv))])
-
-
-def _shooting_loss(p: np.ndarray, penalty: float, target: np.ndarray, wz: float):
-    """Penalized shooting loss T + penalty * miss and its exact gradient.
-
-    ``p`` holds the m headings followed by the length parameter, with
-    T = |p[-1]|; the endpoint miss weights the vertical error by ``wz``.
-    """
-    thetas, T = p[:-1], abs(p[-1]) + 1e-9
-    xe, ye, ze = _horizontal_endpoint(thetas, T)
-    x0, y0, z0 = target
-    miss = (xe - x0) ** 2 + (ye - y0) ** 2 + wz * (ze - z0) ** 2
-    # d miss / d (x, y, z), chained through the endpoint's derivatives
-    dmiss = 2 * np.array([xe - x0, ye - y0, wz * (ze - z0)])
-    grad = np.empty_like(p)
-    grad[:-1] = penalty * (dmiss @ _horizontal_endpoint_jacobian(thetas, T))
-    grad[-1] = np.sign(p[-1]) * (1.0 + penalty * (dmiss @ np.array([xe, ye, 2 * ze])) / T)
-    return T + penalty * miss, grad
-
-
-def _cc_scale(target: np.ndarray) -> float:
-    x, y, z = target
-    return float(np.hypot(x, y) + 2 * np.sqrt(np.pi * abs(z)) + 1e-12)
-
-
-def subunit_distance_heisenberg(target, seed: int = 0) -> float:
-    """Upper bound on the Carnot-Caratheodory distance from the origin to
-    ``target``: the length of a subunit curve that reaches it.
-
-    Optimizes 64 piecewise-constant horizontal controls (u, v) with
-    u^2 + v^2 = 1 driving x' = u, y' = v, z' = (x v - y u)/2 from the
-    origin; shooting with an escalating endpoint penalty.  A shot that
-    misses by more than 2% of the distance scale is an error.
-    """
-    target = np.asarray(target, dtype=float)
-    x0, y0, z0 = target
-    scale = _cc_scale(target)
-    if scale < 1e-10:
-        return 0.0
-    segments, miss_tol = 64, 2e-3
-
-    # weight the z-miss so a full miss costs its squared CC length 4 pi |z|
-    zscale = max(abs(z0), scale**2 / (16 * np.pi))
-    wz = 4 * np.pi / zscale
-
-    heading = np.arctan2(y0, x0)
-    sweep = 2 * np.pi * np.sign(z0 if z0 != 0 else 1.0)
-    ramps = []
-    frac = np.hypot(x0, y0) / scale
-    for s in (1.0 - frac, 1.0, 0.5):
-        ramps.append(heading + sweep * s * (np.arange(segments) + 0.5) / segments)
-    ramps.append(np.full(segments, heading))
-    rng = np.random.default_rng(seed)
-    ramps.append(heading + 0.5 * rng.standard_normal(segments))
-
-    def patch_cost(thetas, T):
-        # cost of closing the residual gap: straight horizontal move plus a
-        # vertical correction loop, both with exact group arithmetic
-        xe, ye, ze = _horizontal_endpoint(thetas, T)
-        gap = heisenberg_translate(np.array([xe, ye, ze]), target)
-        return float(np.hypot(gap[0], gap[1]) + 2 * np.sqrt(np.pi * abs(gap[2])))
-
-    best = None
-    for ram in ramps:
-        p = np.concatenate([ram, [scale]])
-        for penalty in (1e2, 1e4, 1e6):
-            res = optimize.minimize(
-                _shooting_loss, p, args=(penalty / scale**2, target, wz),
-                method="L-BFGS-B", jac=True,
-                options={"maxiter": 450},
-            )
-            p = res.x
-        thetas, T = p[:-1], abs(p[-1]) + 1e-9
-        miss = patch_cost(thetas, T)
-        # rank: shots that actually hit (small miss) first, then total bound
-        key = (miss > miss_tol * scale, T + miss)
-        if best is None or key < best[0]:
-            best = (key, T, miss)
-    _, T, miss = best
-    if miss > miss_tol * scale * 10:
-        raise RuntimeError(f"subunit shooting missed the endpoint by {miss:g}")
-    # the residual gap is closed by the explicit patch, keeping the bound valid
-    return float(T + miss)
+    x, y, z = (float(c) for c in target)
+    r, a = float(np.hypot(x, y)), abs(z)
+    if r == 0.0:
+        return float(2 * np.sqrt(np.pi * a))
+    mu = (np.sqrt(a) / r) ** 2                # |z| / r^2
+    if mu == 0.0:
+        return r
+    tiny = np.finfo(float).tiny               # brentq's rtol alone sets the precision
+    if mu <= np.pi / 8:                       # phi <= pi/2, where mu / phi is in [1/6, 1/4]
+        phi = optimize.brentq(lambda p: _flat_area(p) - mu,
+                              3 * mu, min(7 * mu, 2.0), xtol=tiny)
+        return float(r * phi / np.sin(phi))
+    nu = (r / np.sqrt(a)) ** 2                # r^2 / |z|; psi / sqrt(nu) is in [0.88, 0.99]
+    psi = optimize.brentq(lambda s: 8 * np.sin(s) ** 2 / _steep_segment(s) - nu,
+                          0.5 * np.sqrt(nu), min(2 * np.sqrt(nu), 2.0), xtol=tiny)
+    return float((np.pi - psi) * np.sqrt(8 * a / _steep_segment(psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +320,8 @@ def volume_growth_exponent(table: BallTable) -> float:
 
 def calibrate_anisotropy(model: DiscretizedModel, oracle: GeometryOracle,
                          n_pairs: int = 100, seed: int = 0) -> dict:
-    """Graph-over-oracle distance ratios on random pairs (report metadata)."""
+    """Graph-over-oracle distance ratios on random pairs at least 3 h apart
+    (report metadata; only ``n_pairs: 0`` when no pair is)."""
     if oracle.exact_distance is None:
         raise ValueError("needs an oracle distance")
     rng = np.random.default_rng(seed)
@@ -401,6 +335,8 @@ def calibrate_anisotropy(model: DiscretizedModel, oracle: GeometryOracle,
             continue
         g = distance_field(model, oracle, y, method="graph").values[x]
         ratios.append(g / ref)
+    if not ratios:
+        return {"n_pairs": 0}
     ratios = np.array(ratios)
     return {"max_ratio": float(ratios.max()), "mean_ratio": float(ratios.mean()),
             "n_pairs": int(ratios.size)}

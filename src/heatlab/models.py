@@ -433,13 +433,6 @@ def _build_heisenberg(spec: ModelSpec):
     return nodes, mu, L, ef, lengths, boundary, meta, vertical
 
 
-def heisenberg_translate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Left-translate q by p^{-1}; distances satisfy d(p, q) = d(0, p^{-1} q)."""
-    a, b, c = p
-    x, y, z = q
-    return np.array([x - a, y - b, z - c + (b * x - a * y) / 2.0])
-
-
 def _heisenberg_oracle(total: float) -> GeometryOracle:
     return GeometryOracle(
         dim=3,

@@ -37,8 +37,15 @@ def test_oracle_distance_sphere32(benchmark, sphere32):
 def test_subunit_vertical_target(benchmark):
     z = 0.04
     length = benchmark(subunit_distance_heisenberg, [0.0, 0.0, z])
-    ref = 2 * np.sqrt(np.pi * z)
-    assert ref <= length <= 1.02 * ref
+    assert length == 2 * np.sqrt(np.pi * z)
+
+
+def test_subunit_off_axis_target(benchmark):
+    # the root solve: |z| / r^2 = 1, turning by about 0.77 pi
+    x, y, z = 0.2, -0.1, 0.05
+    length = benchmark(subunit_distance_heisenberg, [x, y, z])
+    r = np.hypot(x, y)
+    assert r <= length <= r + 2 * np.sqrt(np.pi * z)
 
 
 def test_graph_distance_euclid2(benchmark, euclid2):

@@ -342,7 +342,7 @@ def test_criterion_10_distances(torus1, euclid2, sphere, heis):
 
     worst = 0.0
     for z in (0.04, 0.09):
-        length = subunit_distance_heisenberg([0, 0, z], seed=1)
+        length = subunit_distance_heisenberg([0, 0, z])
         ref = 2 * np.sqrt(np.pi * z)
         worst = max(worst, abs(length - ref) / ref)
     assert worst < 0.02

@@ -546,7 +546,7 @@ def test_ball_poincare_is_report_only(heis):
 
 
 def test_subunit_oracle(heis):
-    rep = check_subunit_oracle(heis[0], seed=0)
+    rep = check_subunit_oracle(heis[0])
     assert rep.passed
     assert [("z" in s, "x" in s) for s in rep.samples] == \
         [(True, False), (True, False), (False, True)]

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from heatlab import cli, metric
+from heatlab import ModelSpec, NotApplicableError, build_model, cli, metric
 from heatlab.cli import (
     CampaignConfig,
     ConfigError,
@@ -425,8 +425,17 @@ TYPOS = [
     (MINI_CFG + "sede = 3\n", "sede"),
 ]
 
+# a key set twice is named like a typo of it; the ids say "twice" so that
+# they do not clash with the typo cases of the same key
+REPEATED_KEYS = [
+    (MINI_CFG + "seed = 1\nseed = 7\n", "seed"),
+    ("models.a.kind = sphere\nmodels.a = 3\n", "models.a"),
+]
 
-@pytest.mark.parametrize("text, field", TYPOS, ids=[f for _, f in TYPOS])
+
+@pytest.mark.parametrize("text, field", TYPOS + REPEATED_KEYS,
+                         ids=[f for _, f in TYPOS]
+                         + [f"{f}-twice" for _, f in REPEATED_KEYS])
 def test_config_typos_exit_2_and_write_nothing(tmp_path, capsys, text, field):
     cfgfile = tmp_path / "typo.cfg"
     cfgfile.write_text(text)
@@ -436,6 +445,24 @@ def test_config_typos_exit_2_and_write_nothing(tmp_path, capsys, text, field):
     err = capsys.readouterr().err
     assert f"configuration error: {field}:" in err, err
     assert not out.exists()
+
+
+def test_config_key_given_twice_names_both_lines():
+    with pytest.raises(ConfigError, match="^seed: line 3 sets it again; line 1 sets it$"):
+        parse_config_text("seed = 1\n# seven\nseed = 7\n")
+    with pytest.raises(ConfigError, match="^models.a: line 2 sets it again; "
+                       "line 1 opens a table$"):
+        parse_config_text("models.a.kind = sphere\nmodels.a = 3\n")
+    with pytest.raises(ConfigError, match="^models.a.kind: line 2 nests under the "
+                       "scalar models.a of line 1$"):
+        parse_config_text("models.a = 3\nmodels.a.kind = sphere\n")
+
+
+def test_kernel_bounds_t_grid_beyond_the_interior_is_not_applicable():
+    model, _ = build_model(ModelSpec("euclidean", dim=2, resolution=16, extent=1.0))
+    ctx = collections.namedtuple("Ctx", "model")(model)
+    with pytest.raises(NotApplicableError, match="^t_grid: "):
+        cli._bind_kernel_bounds(ctx, {"t_grid": [1.0]}, 0)
 
 
 def test_unknown_key_error_lists_accepted_keys():

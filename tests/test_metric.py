@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from heatlab import (
     ball_table,
@@ -14,12 +13,7 @@ from heatlab import (
     subunit_distance_heisenberg,
     volume_growth_exponent,
 )
-from heatlab.metric import (
-    _horizontal_endpoint,
-    _horizontal_endpoint_jacobian,
-    _shooting_loss,
-    oracle_distance,
-)
+from heatlab.metric import oracle_distance
 from heatlab.models import ModelSpec, build_model
 
 
@@ -111,48 +105,89 @@ def test_subunit_vertical_against_arc_family_scan():
     assert length >= best * (1 - 5e-3)  # cannot beat the extremal family
 
 
-def test_subunit_exact_integrator():
-    # closed-form endpoint of a staircase control against midpoint quadrature
-    thetas = np.linspace(0, np.pi / 2, 17, endpoint=False)
-    T = 1.3
-    x, y, z = _horizontal_endpoint(thetas, T)
-    n = 400000
-    dt = T / n
-    tmid = (np.arange(n) + 0.5) * dt
-    th = thetas[np.minimum((tmid / T * thetas.size).astype(int), thetas.size - 1)]
-    u, v = np.cos(th), np.sin(th)
-    xs = np.cumsum(u) * dt
-    ys = np.cumsum(v) * dt
-    xmid = xs - 0.5 * u * dt
-    ymid = ys - 0.5 * v * dt
-    zq = float(np.sum(0.5 * (xmid * v - ymid * u)) * dt)
-    assert x == pytest.approx(float(xs[-1]), abs=1e-6)
-    assert y == pytest.approx(float(ys[-1]), abs=1e-6)
-    assert z == pytest.approx(zq, abs=1e-6)
+def _arc_endpoints(targets, lengths, steps=2000):
+    """Integrate, by RK4, the unit-speed horizontal arc that the closed form
+    names for each target: length d, chord r, turning by 2 phi with
+    sin(phi) / phi = r / d, to the left when z > 0."""
+    targets = np.asarray(targets, dtype=float)
+    r = np.hypot(targets[:, 0], targets[:, 1])
+    lo, hi = np.zeros(len(r)), np.full(len(r), np.pi)
+    for _ in range(200):                      # bisection: sinc falls on [0, pi]
+        mid = 0.5 * (lo + hi)
+        above = np.sinc(mid / np.pi) > r / lengths
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    turn = np.sign(targets[:, 2]) * 0.5 * (lo + hi)
+    start = np.arctan2(targets[:, 1], targets[:, 0]) - turn
+    rate = 2 * turn / lengths
+
+    def rhs(t, q):
+        th = start + rate * t
+        u, v = np.cos(th), np.sin(th)
+        return np.stack([u, v, 0.5 * (q[0] * v - q[1] * u)])
+
+    q, dt = np.zeros((3, len(r))), lengths / steps
+    for k in range(steps):
+        t = k * dt
+        k1 = rhs(t, q)
+        k2 = rhs(t + dt / 2, q + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, q + dt / 2 * k2)
+        k4 = rhs(t + dt, q + dt * k3)
+        q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return q.T
 
 
-def test_subunit_endpoint_jacobian():
-    rng = np.random.default_rng(5)
-    thetas = rng.uniform(-np.pi, np.pi, 64)
-    T = 0.9
-    jac = _horizontal_endpoint_jacobian(thetas, T)
-    for k in range(3):
-        fd = optimize.approx_fprime(thetas, lambda t: _horizontal_endpoint(t, T)[k])
-        assert np.abs(jac[k] - fd).max() < 1e-7
+def test_subunit_closed_form_is_attained():
+    # the arc of length d reaches the target, so d is a subunit length
+    targets = [(0.2, -0.1, 0.05), (0.3, 0.1, -0.02), (0.05, 0.05, 0.08),
+               (-0.1, 0.3, -0.1), (0.4, 0.0, 0.01), (0.3, -0.4, 1e-6),
+               (1e-4, 0.0, 0.09), (0.0, 0.0, 0.04), (0.0, 0.0, -0.3),
+               (0.3, 0.0, 0.0), (0.6, 0.8, 0.5 * np.pi / 8)]
+    lengths = np.array([subunit_distance_heisenberg(q) for q in targets])
+    ends = _arc_endpoints(targets, lengths)
+    assert np.abs(ends - np.asarray(targets)).max() < 1e-6
 
 
-def test_subunit_loss_gradient():
-    # analytic gradient of the shooting loss against finite differences at
-    # random controls; the length parameter enters as |p[-1]|, so both signs
-    rng = np.random.default_rng(11)
-    target = np.array([0.2, -0.1, 0.05])
-    for length in (0.8, -0.6):
-        p = np.concatenate([rng.uniform(-np.pi, np.pi, 32), [length]])
-        args = (25.0, target, 40.0)
-        grad = _shooting_loss(p, *args)[1]
-        err = optimize.check_grad(lambda q: _shooting_loss(q, *args)[0],
-                                  lambda q: _shooting_loss(q, *args)[1], p)
-        assert err < 1e-5 * np.linalg.norm(grad)
+def test_subunit_closed_form_homogeneous_and_symmetric():
+    rng = np.random.default_rng(3)
+    for q in rng.uniform(-1, 1, (40, 3)) * [1, 1, 0.5]:
+        d = subunit_distance_heisenberg(q)
+        assert subunit_distance_heisenberg(-q) == d          # d(q^-1) = d(q)
+        for lam in (1e-3, 0.37, 5.0, 1e4):
+            scaled = subunit_distance_heisenberg([lam * q[0], lam * q[1], lam**2 * q[2]])
+            assert abs(scaled - lam * d) <= 1e-13 * lam * d
+        assert d >= np.hypot(q[0], q[1])
+
+
+def test_subunit_closed_form_on_the_axes():
+    for z in (0.04, 0.09, -0.3, 2.5, 1e-300):
+        assert subunit_distance_heisenberg([0.0, 0.0, z]) == 2 * np.sqrt(np.pi * abs(z))
+    for x, y in ((0.3, 0.0), (0.0, -2.0), (0.6, 0.8), (1e-200, 3e-200)):
+        assert subunit_distance_heisenberg([x, y, 0.0]) == np.hypot(x, y)
+
+
+def test_subunit_closed_form_near_the_vertical_axis():
+    # d(r, 0, z) and d(0, 0, z) differ by at most d((0, 0, z), (r, 0, z)) = r;
+    # the two computed values may each sit one rounding from the exact ones
+    for z in (0.04, -0.3):
+        ref = 2 * np.sqrt(np.pi * abs(z))
+        for r in 10.0 ** -np.arange(3, 13):
+            d = subunit_distance_heisenberg([r, 0.0, z])
+            assert abs(d - ref) <= r + 2 * np.spacing(ref)
+            assert d >= r
+
+
+def test_subunit_closed_form_flat_limit():
+    # d / r = 1 + 6 (|z| / r^2)^2 + ... as the target flattens
+    for r in (1.0, 1e-3, 7.3):
+        for ratio in (1e-12, 1e-300, 0.0):
+            d = subunit_distance_heisenberg([0.6 * r, -0.8 * r, ratio * r * r])
+            assert d >= r and d == pytest.approx(r, rel=1e-15)
+        d = subunit_distance_heisenberg([r, 0.0, 1e-4 * r * r])
+        assert d / r - 1 == pytest.approx(6e-8, rel=1e-6)
+        # both roots agree where they meet, at phi = pi/2 (d = r pi / 2)
+        for side in (1 - 1e-15, 1.0, 1 + 1e-15):
+            d = subunit_distance_heisenberg([r, 0.0, side * np.pi / 8 * r * r])
+            assert d == pytest.approx(r * np.pi / 2, rel=1e-14)
 
 
 def _closed_form_row(kind, x, y, period=None):
@@ -273,6 +308,12 @@ def test_heisenberg_growth_exponent():
     bt = ball_table(model, d, radii)
     slope = volume_growth_exponent(bt)
     assert 3.6 <= slope <= 4.2
+
+
+def test_anisotropy_calibration_without_distant_pairs():
+    # on an 8-node circle only antipodal pairs lie 3 h apart; these 4 draw none
+    model, oracle = build_model(ModelSpec("torus", dim=1, resolution=8))
+    assert calibrate_anisotropy(model, oracle, n_pairs=4, seed=0) == {"n_pairs": 0}
 
 
 def test_anisotropy_calibration(sphere):
