@@ -8,8 +8,11 @@ A and B are each a campaign output directory or a digest file written by
 ``--save`` (such as ``tests/golden/default-seed42.json``).  For each
 report it prints the verdict on both sides and the largest move of
 ``min_margin``, ``scale`` or a sample margin, as a fraction of A's scale;
-every changed verdict is marked.  The exit code is 1 when a verdict
-changed or a report is missing on one side, else 0.
+every changed verdict is marked.  When A and B are both output
+directories it also counts the reports whose files are byte-identical
+once ``metadata.config_digest`` is blanked, and names the others.  The
+exit code is 1 when a verdict changed or a report is missing on one side,
+else 0.
 
 ``--save`` writes the digest of the output directory RUN to DIGEST.
 Regenerating the golden digest is a deliberate act: list every report
@@ -18,6 +21,7 @@ that moved, and why, with the change that does it.
 import argparse
 import json
 import os
+import re
 import sys
 
 from heatlab.reports import compare_digests, run_digest
@@ -28,6 +32,16 @@ def load(path):
         return run_digest(path)
     with open(path) as fh:
         return json.load(fh)
+
+
+def report_bytes(run, name):
+    """The bytes of report ``name`` in ``run`` with its config digest
+    blanked (None when the file is missing)."""
+    path = os.path.join(run, f"{name}.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return re.sub(rb'"config_digest": "[^"]*"', b'"config_digest": ""', fh.read())
 
 
 def main():
@@ -54,6 +68,13 @@ def main():
     worst = max(rows, key=lambda r: r[3])
     print(f"{len(rows)} reports, {changed} changed verdicts, "
           f"largest move {worst[3]:.3g} of scale ({worst[0]})")
+    if all(os.path.isdir(run) for run in args.runs):
+        differ = [name for name, *_ in rows
+                  if report_bytes(args.runs[0], name) != report_bytes(args.runs[1], name)]
+        print(f"{len(rows) - len(differ)} of {len(rows)} reports byte-identical "
+              "apart from config_digest")
+        for name in differ:
+            print(f"  differs: {name}")
     return 1 if changed else 0
 
 

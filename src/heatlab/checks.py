@@ -1,8 +1,10 @@
 """The verification suite: one margin report per inequality family.
 
 Every check evaluates its inequality over a sample grid (fields x nodes x
-parameters), records per-sample (lhs, rhs, margin = rhs - lhs), and gates
-on the minimum margin against an (absolute, relative) tolerance.  Margins
+parameters), records per-sample (lhs, rhs, margin), and gates on the
+minimum margin against an (absolute, relative) tolerance.  Each sample row
+is made by ``_row`` (or ``_worst``, the least-margin node of a field); its
+margin is rhs - lhs unless the check passes another as ``margin=``.  Margins
 of multiplicative inequalities (Harnack, kernel bounds, Sobolev norms) are
 normalized per sample; additive pointwise margins carry a recorded scale.
 
@@ -60,6 +62,23 @@ def _report(check_id, model_id, samples, tolerance, scale=1.0, metadata=None):
     )
 
 
+def _row(lhs, rhs, margin=None, **where):
+    """One sample: its parameters ``where``, both sides and the margin,
+    rhs - lhs unless ``margin`` is given."""
+    lhs, rhs = float(lhs), float(rhs)
+    return {**where, "lhs": lhs, "rhs": rhs,
+            "margin": rhs - lhs if margin is None else float(margin)}
+
+
+def _worst(idx, lhs, rhs, **where):
+    """The ``_row`` of the node of ``idx`` with the least rhs - lhs, with its
+    ``node``; ``lhs`` and ``rhs`` hold one value per entry of ``idx``, or a
+    scalar."""
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    k = int(np.argmin(rhs - lhs))
+    return _row(lhs[k], rhs[k], **where, node=int(idx[k]))
+
+
 def _mask_indices(model, mask):
     idx = np.flatnonzero(mask)
     if idx.size == 0:
@@ -100,18 +119,10 @@ def check_operator_axioms(model: DiscretizedModel, n_random: int = 100,
 
     gamma_paths = self_test_gamma(model, seed=seed)
 
-    samples = [
-        {"axiom": "weighted-symmetry", "lhs": sym_residual, "rhs": 0.0,
-         "margin": -sym_residual},
-        {"axiom": "unit-in-kernel", "lhs": l1_residual, "rhs": 0.0,
-         "margin": -l1_residual},
-        {"axiom": "dirichlet-nonpositive", "lhs": -min_dirichlet, "rhs": 0.0,
-         "margin": min_dirichlet},
-        {"axiom": "gamma-nonnegative", "lhs": -min_gamma, "rhs": 0.0,
-         "margin": min_gamma},
-        {"axiom": "gamma-two-paths", "lhs": gamma_paths, "rhs": 0.0,
-         "margin": -gamma_paths},
-    ]
+    samples = [_row(lhs, 0.0, axiom=axiom) for axiom, lhs in (
+        ("weighted-symmetry", sym_residual), ("unit-in-kernel", l1_residual),
+        ("dirichlet-nonpositive", -min_dirichlet),
+        ("gamma-nonnegative", -min_gamma), ("gamma-two-paths", gamma_paths))]
     scale = float(np.abs(model.L.data).max()) if model.L.nnz else 1.0
     return _report("operator-axioms", model.model_id, samples, tolerance, scale,
                    {"n_random_fields": n_random, "seed": seed})
@@ -199,29 +210,23 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
             marg = (g2 - lf2 / n - rho * g)[idx]
             sc = float(np.max(np.abs(g2[idx])) + np.max(lf2[idx]) / n)
             scale = max(scale, sc)
-            k = int(np.argmin(marg))
-            samples.append({"field": nf.name, "node": int(idx[k]),
-                            "lhs": float(-marg[k]), "rhs": 0.0,
-                            "margin": float(marg[k]),
-                            "mean_margin": float(marg.mean())})
+            samples.append(_worst(idx, -marg, 0.0, field=nf.name,
+                                  mean_margin=float(marg.mean())))
             if nf.name in equality_fields:
                 # sharpness witness: the margin must vanish, not just stay
                 # nonnegative
-                worst = float(np.max(np.abs(marg)))
-                allowed = tolerance.slack(sc)
-                samples.append({"field": f"{nf.name}|equality", "lhs": worst,
-                                "rhs": allowed, "margin": allowed - worst})
+                samples.append(_row(np.max(np.abs(marg)), tolerance.slack(sc),
+                                    field=f"{nf.name}|equality"))
             if include_gamma_lemma:
                 gg = carre_du_champ(model, model.field(g)).values
                 bound = 4 * g * (g2 - rho * g)
                 lem = (bound - gg)[idx]
                 lsc = float(np.max(np.abs(4 * g * g2)) + 1e-300)
                 k = int(np.argmin(lem))
-                samples.append({"field": f"{nf.name}|gradient-of-gamma",
-                                "node": int(idx[k]), "lhs": float(gg[idx][k]),
-                                "rhs": float(bound[idx][k]),
-                                "margin": float(lem[k] / lsc * scale if scale else lem[k]),
-                                "normalized_by": lsc})
+                samples.append(_row(gg[idx][k], bound[idx][k],
+                                    margin=lem[k] / lsc * scale if scale else lem[k],
+                                    field=f"{nf.name}|gradient-of-gamma",
+                                    node=int(idx[k]), normalized_by=lsc))
         return _report("cd", model.model_id, samples, tolerance, scale, meta)
 
     params = oracle.cd_params
@@ -241,11 +246,8 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
                 lhs = g2 + nu * g2z
                 rhs = (lf2 / params.n + (params.rho1 - params.kappa / nu) * g
                        + params.rho2 * gz)
-                marg = (lhs - rhs)[idx]
-                k = int(np.argmin(marg))
-                samples.append({"field": nf.name, "nu": float(nu),
-                                "node": int(idx[k]), "lhs": float(-marg[k]),
-                                "rhs": 0.0, "margin": float(marg[k])})
+                samples.append(_worst(idx, -(lhs - rhs)[idx], 0.0,
+                                      field=nf.name, nu=float(nu)))
         return _report("cd-generalized", model.model_id, samples, tolerance, scale, meta)
 
     # scan: largest rho1 keeping min margin >= -slack; per node the binding
@@ -273,9 +275,8 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
         k = int(np.argmin(vals))
         rho1_f = float(vals[k])
         rho1_best = min(rho1_best, rho1_f)
-        samples.append({"field": nf.name, "node": int(idx[np.flatnonzero(ok)[k]]),
-                        "lhs": 0.0, "rhs": rho1_f, "margin": rho1_f,
-                        "slack": slack})
+        samples.append(_row(0.0, rho1_f, field=nf.name,
+                            node=int(idx[np.flatnonzero(ok)[k]]), slack=slack))
     meta["rho1_scan"] = float(rho1_best)
     return _report("cd-scan", model.model_id, samples, tolerance,
                    scale=1.0, metadata=meta)
@@ -303,8 +304,7 @@ def check_vertical_commutation(
                              + np.sqrt(np.maximum(gz.values[idx] * gz_g, 0.0))))
         resid = float(np.max(np.abs(a - b)))
         rel = resid / max(major, 1e-300)
-        samples.append({"field": nf.name, "lhs": resid, "rhs": 0.0,
-                        "margin": -rel, "majorant": major})
+        samples.append(_row(resid, 0.0, margin=-rel, field=nf.name, majorant=major))
     return _report("vertical-commutation", model.model_id, samples, tolerance,
                    scale, {"interior_nodes": int(idx.size)})
 
@@ -328,12 +328,8 @@ def check_gradient_bound(model, oracle, engine, suite,
             rhs = np.exp(-rho * t) * apply_semigroup(model, engine, sg, t).values
             ptf = apply_semigroup(model, engine, nf.field, t)
             lhs = np.sqrt(carre_du_champ(model, ptf).values)
-            marg = (rhs - lhs)[idx]
             scale = max(scale, float(np.max(np.abs(rhs[idx]))))
-            k = int(np.argmin(marg))
-            samples.append({"field": nf.name, "t": float(t), "node": int(idx[k]),
-                            "lhs": float(lhs[idx][k]), "rhs": float(rhs[idx][k]),
-                            "margin": float(marg[k])})
+            samples.append(_worst(idx, lhs[idx], rhs[idx], field=nf.name, t=float(t)))
     return _report("gradient-bound", model.model_id, samples, tolerance, scale,
                    {"rho": rho})
 
@@ -345,8 +341,7 @@ def check_completeness(model, engine, t_grid=(0.1, 1.0),
     one = model.constant(1.0)
     for t in t_grid:
         pt = apply_semigroup(model, engine, one, t)
-        resid = float(np.max(np.abs(pt.values - 1.0)))
-        samples.append({"t": float(t), "lhs": resid, "rhs": 0.0, "margin": -resid})
+        samples.append(_row(np.max(np.abs(pt.values - 1.0)), 0.0, t=float(t)))
     return _report("completeness", model.model_id, samples, tolerance, 1.0, {})
 
 
@@ -371,8 +366,7 @@ def check_spectral_gap(model, oracle, spectral: SpectralData, seed: int = 0,
         raise NotApplicableError("spectral-gap bound needs rho > 0")
     bound = n * rho / (n - 1)
     lam1 = float(spectral.eigenvalues[1])
-    samples = [{"quantity": "gap", "lhs": bound, "rhs": lam1,
-                "margin": lam1 - bound}]
+    samples = [_row(bound, lam1, quantity="gap")]
     rng = np.random.default_rng(seed)
     const = 1.0 / bound
     worst = np.inf
@@ -381,13 +375,11 @@ def check_spectral_gap(model, oracle, spectral: SpectralData, seed: int = 0,
         f = model.field(rng.standard_normal(model.n_nodes))
         m = poincare_margin(model, f, const) / model.inner(f, f)
         worst = min(worst, m)
-    samples.append({"quantity": "poincare-random", "lhs": -worst, "rhs": 0.0,
-                    "margin": float(worst) * bound})
+    samples.append(_row(-worst, 0.0, margin=worst * bound, quantity="poincare-random"))
     phi1 = model.field(spectral.eigenfields[:, 1])
     sat = poincare_margin(model, phi1, const) / model.inner(phi1, phi1)
-    samples.append({"quantity": "poincare-extremal-saturation",
-                    "lhs": abs(float(sat)), "rhs": 0.0,
-                    "margin": float(-abs(sat) + tolerance.rel * bound) })
+    samples.append(_row(abs(sat), 0.0, margin=-abs(sat) + tolerance.rel * bound,
+                        quantity="poincare-extremal-saturation"))
     return _report("spectral-gap", model.model_id, samples, tolerance,
                    scale=bound, metadata={"rho": rho, "n": n, "lambda1": lam1,
                                           "bound": bound, "n_random": n_random})
@@ -427,8 +419,7 @@ def check_log_sobolev(model, oracle, engine, suite,
             dirichlet = -float(mu_hat @ (fe.values * (model.L @ fe.values)))
             rhs = (2.0 / rho) * dirichlet
             scale = max(scale, abs(rhs), abs(ent))
-            samples.append({"field": nf.name + tag, "lhs": ent, "rhs": rhs,
-                            "margin": rhs - ent})
+            samples.append(_row(ent, rhs, field=nf.name + tag))
     meta = {"rho": rho, "constant": 2.0 / rho, "eps": eps_used}
     f = suite[0].field
     for nf in suite:
@@ -446,10 +437,9 @@ def check_log_sobolev(model, oracle, engine, suite,
         meta["entropy_slope"] = slope
         meta["entropy_series"] = [[float(t), float(np.log(e))]
                                   for t, e in zip(t_grid, ents)]
-        samples.append({"quantity": "entropy-decay-slope",
-                        "lhs": slope, "rhs": -2 * rho + slope_slack,
-                        "margin": (-2 * rho + slope_slack - slope) * scale /
-                                  max(abs(slope), 1.0)})
+        rhs = -2 * rho + slope_slack
+        samples.append(_row(slope, rhs, margin=(rhs - slope) * scale / max(abs(slope), 1.0),
+                            quantity="entropy-decay-slope"))
     return _report("log-sobolev", model.model_id, samples, tolerance, scale, meta)
 
 
@@ -464,8 +454,7 @@ def check_equilibrium_rate(model, spectral: SpectralData) -> MarginReport:
     slope = equilibrium_rate(model, spectral, f, t_grid)
     expect = -float(spectral.eigenvalues[1])
     gap = abs(slope - expect) / abs(expect)
-    samples = [{"quantity": "log-error-slope", "lhs": float(gap), "rhs": rtol,
-                "margin": float(rtol - gap), "slope": float(slope)}]
+    samples = [_row(gap, rtol, quantity="log-error-slope", slope=float(slope))]
     return _report("equilibrium-rate", model.model_id, samples,
                    Tolerance(0.0, 0.0), 1.0,
                    {"slope": float(slope), "expected": expect,
@@ -523,7 +512,8 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
             raise ValueError("sub-riemannian mode needs alpha > 2")
     samples, scale = [], 0.0
     sat_worst = {}
-    meta = {"mode": mode, "alpha": alpha, "rho": rho, "n": n}
+    meta = {"mode": mode, "alpha": alpha, "rho": rho, "n": n,
+            "series_columns": ["t", "node", "lhs", "rhs", "margin"]}
     series = []
     for t in t_grid:
         if mode == "bakry-qian" and t < 2 / rho - 1e-12:
@@ -553,24 +543,18 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
                            + params.n * (alpha - 1) ** 2 * c**2 / (8 * (alpha - 2) * t))
                 else:
                     rhs = _li_yau_rhs(mode, t, rho, n, lu_over_u[idx], alpha=alpha)
-            marg = rhs - lhs
             scale = max(scale, float(np.max(np.abs(rhs))))
-            k = int(np.argmin(marg))
-            samples.append({"field": nf.name, "t": float(t), "node": int(idx[k]),
-                            "lhs": float(lhs[k]), "rhs": float(rhs[k]),
-                            "margin": float(marg[k]), "eps": eps})
-            series.append([float(t), int(idx[k]), float(lhs[k]), float(rhs[k]),
-                           float(marg[k])])
+            row = _worst(idx, lhs, rhs, field=nf.name, t=float(t), eps=eps)
+            samples.append(row)
+            series.append([row[c] for c in meta["series_columns"]])
             if nf.name in saturation_fields:
-                close = float(np.min(np.abs(marg)))
+                close = float(np.min(np.abs(rhs - lhs)))
                 sat_worst[nf.name] = max(sat_worst.get(nf.name, 0.0), close)
     if saturation_fields:
         allowed = saturation_rtol * scale
         for name, gap in sat_worst.items():
-            samples.append({"field": f"{name}|saturation", "lhs": gap,
-                            "rhs": allowed, "margin": allowed - gap})
+            samples.append(_row(gap, allowed, field=f"{name}|saturation"))
         meta["saturation_rtol"] = saturation_rtol
-    meta["series_columns"] = ["t", "node", "lhs", "rhs", "margin"]
     meta["series"] = series
     return _report(f"li-yau-{mode}", model.model_id, samples, tolerance, scale, meta)
 
@@ -626,10 +610,8 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
             rhs = (u(y, t) * (t / s) ** (dim_exp / 2)
                    * np.exp(gauss * d**2 / (4 * (t - s))
                             + K * d**2 / 6 + n * K * (t - s) / 4))
-            m = _norm_margin(lhs, rhs)
-            samples.append({"field": nf.name, "x": int(x), "s": float(s),
-                            "y": int(y), "t": float(t), "d": d,
-                            "lhs": lhs, "rhs": rhs, "margin": float(m)})
+            samples.append(_row(lhs, rhs, margin=_norm_margin(lhs, rhs), field=nf.name,
+                                x=int(x), s=float(s), y=int(y), t=float(t), d=d))
     return _report(f"harnack-{mode}", model.model_id, samples, tolerance,
                    scale=1.0, metadata=meta)
 
@@ -692,9 +674,8 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
         low = ((4 * np.pi * t) ** (-n / 2)
                * np.exp(-d**2 / (4 * t) - K * d**2 / 6 - n * K * t / 4))
         m = _norm_margin(low, p)
-        samples.append({"part": "comparison-lower", "x": int(x), "y": int(y),
-                        "t": float(t), "lhs": float(low), "rhs": float(p),
-                        "margin": float(m)})
+        samples.append(_row(low, p, margin=m, part="comparison-lower",
+                            x=int(x), y=int(y), t=float(t)))
         worst_sat = max(worst_sat, abs(m))
         vol = (oracle.exact_ball_volume(model.nodes[x], np.sqrt(t))
                if oracle.exact_ball_volume else
@@ -704,9 +685,7 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
             dn = np.exp(-d**2 / ((4 - eps) * t)) / (p * vol)
             c_fit = max(c_fit, up, dn)
     if equality_expected:
-        samples.append({"part": "comparison-saturation", "lhs": worst_sat,
-                        "rhs": saturation_rtol,
-                        "margin": saturation_rtol - worst_sat})
+        samples.append(_row(worst_sat, saturation_rtol, part="comparison-saturation"))
         meta["saturation_rtol"] = saturation_rtol
 
     # (b) on-diagonal sandwich over (x, r)
@@ -721,27 +700,24 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
             hi, lo = p_r * exact_vol, p_2r * exact_vol
             q_hi.append(hi)
             q_lo.append(lo)
-            samples.append({"part": "ondiag", "x": int(x), "r": float(r),
-                            "lhs": float(lo), "rhs": float(hi),
-                            "margin": float(hi - lo), "volume_empirical": float(vol)})
+            samples.append(_row(lo, hi, part="ondiag", x=int(x), r=float(r),
+                                volume_empirical=float(vol)))
     k_star, c_n = float(np.min(q_lo)), float(np.max(q_hi))
     meta["ondiag_lower_K"] = k_star
     meta["ondiag_upper_C"] = c_n
-    samples.append({"part": "ondiag-ordered", "lhs": k_star, "rhs": c_n,
-                    "margin": float(c_n - k_star) if k_star > 0 else -1.0})
+    samples.append(_row(k_star, c_n, margin=c_n - k_star if k_star > 0 else -1.0,
+                        part="ondiag-ordered"))
     spread = (np.max(q_hi) - np.min(q_hi)) / np.mean(q_hi)
     meta["ondiag_product_spread"] = float(spread)
     if equality_expected:
-        samples.append({"part": "ondiag-constancy", "lhs": float(spread),
-                        "rhs": ondiag_constancy_rtol,
-                        "margin": float(ondiag_constancy_rtol - spread)})
+        samples.append(_row(spread, ondiag_constancy_rtol, part="ondiag-constancy"))
         meta["ondiag_expected_product"] = float((4 * np.pi) ** (-n / 2)
                                                 * _unit_ball_volume(n))
 
     # (c) two-sided Gaussian fit
     meta["two_sided_C"] = float(c_fit)
-    samples.append({"part": "two-sided-finite", "lhs": 0.0, "rhs": c_fit,
-                    "margin": float(c_fit > 0) - 0.5})
+    samples.append(_row(0.0, c_fit, margin=float(c_fit > 0) - 0.5,
+                        part="two-sided-finite"))
 
     # (d) ball-mass scan
     best = (None, -np.inf)
@@ -757,8 +733,7 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
             best = (float(A), k_min)
     meta["ball_mass_A"] = best[0]
     meta["ball_mass_K"] = best[1]
-    samples.append({"part": "ball-mass", "A": best[0], "lhs": 0.0,
-                    "rhs": best[1], "margin": best[1]})
+    samples.append(_row(0.0, best[1], part="ball-mass", A=best[0]))
     return _report("kernel-bounds", model.model_id, samples, tolerance, 1.0, meta)
 
 
@@ -789,7 +764,7 @@ def check_volume_regularity(model, oracle, centers, radii,
     ratios, samples, slope_tables = [], [], []
     for x in centers:
         df = distance_field(model, oracle, x, method=dist_method)
-        safe = float(model.metric_distance_to_boundary()[x])
+        safe = float(df.values[model.boundary_mask].min(initial=np.inf))
         if np.isfinite(safe) and 2 * radii.max() > safe:
             raise ValueError(
                 f"radii reach the truncation boundary (safe range {safe:g})"
@@ -800,9 +775,8 @@ def check_volume_regularity(model, oracle, centers, radii,
         for r in radii:
             ratio = vol[2 * r] / vol[r]
             ratios.append(ratio)
-            samples.append({"part": "doubling", "x": int(x), "r": float(r),
-                            "lhs": float(vol[2 * r]), "rhs": float(vol[r]),
-                            "margin": 0.0, "ratio": float(ratio)})
+            samples.append(_row(vol[2 * r], vol[r], margin=0.0, part="doubling",
+                                x=int(x), r=float(r), ratio=float(ratio)))
     ratios = np.array(ratios)
     c_doub = float(ratios.max())
     meta = {"doubling_constant": c_doub, "Q_from_doubling": float(np.log2(c_doub)),
@@ -818,22 +792,18 @@ def check_volume_regularity(model, oracle, centers, radii,
     meta["growth_exponent_fit"] = q_fit
     gap = abs(q_fit - np.log2(c_doub)) / np.log2(c_doub)
     exponent_rtol = 0.10
-    samples.append({"part": "reverse-exponent", "lhs": float(gap),
-                    "rhs": exponent_rtol, "margin": float(exponent_rtol - gap)})
+    samples.append(_row(gap, exponent_rtol, part="reverse-exponent"))
 
     if ratio_window is not None:
         lo, hi = ratio_window
         worst = min(float(ratios.min() - lo), float(hi - ratios.max()))
-        samples.append({"part": "ratio-window", "lhs": lo, "rhs": hi,
-                        "margin": worst})
+        samples.append(_row(lo, hi, margin=worst, part="ratio-window"))
     if monotone_upper is not None:
         worst = float(monotone_upper - ratios.max()) + tolerance.rel * monotone_upper
-        samples.append({"part": "ratio-upper", "lhs": float(ratios.max()),
-                        "rhs": monotone_upper, "margin": worst})
+        samples.append(_row(ratios.max(), monotone_upper, margin=worst,
+                            part="ratio-upper"))
         if oracle.exact_ball_volume is not None:
-            samples.append({"part": "ratio-upper-oracle",
-                            "lhs": float(np.max(ex)), "rhs": monotone_upper,
-                            "margin": float(monotone_upper - np.max(ex))})
+            samples.append(_row(np.max(ex), monotone_upper, part="ratio-upper-oracle"))
     meta["series_columns"] = ["r", "ratio"]
     meta["series"] = [[float(s["r"]), s["ratio"]] for s in samples
                       if s.get("part") == "doubling"]
@@ -866,15 +836,13 @@ def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2
     sd = spectral_decompose(submodel, k=min(4, submodel.n_nodes), seed=seed)
     lam1 = float(sd.eigenvalues[1])
     product = lam1 * diameter**2
-    samples = [{"quantity": "gap-vs-diameter", "lhs": constant, "rhs": product,
-                "margin": product - constant}]
+    samples = [_row(constant, product, quantity="gap-vs-diameter")]
     meta = {"lambda1": lam1, "diameter": diameter, "constant": constant,
             "product": product}
     if expected_product is not None:
         product_rtol = 0.01
         gap = abs(product / expected_product - 1.0)
-        samples.append({"quantity": "sharp-product", "lhs": float(gap),
-                        "rhs": product_rtol, "margin": float(product_rtol - gap)})
+        samples.append(_row(gap, product_rtol, quantity="sharp-product"))
         meta["expected_product"] = expected_product
     return _report("neumann-poincare", submodel.model_id, samples, tolerance,
                    scale=max(1.0, product), metadata=meta)
@@ -887,8 +855,7 @@ def check_ball_poincare(model, center: int, seed: int = 0) -> MarginReport:
     d = distance_field(model, None, center, method="graph").values
     sub = neumann_restrict(model, np.flatnonzero(d <= radius))
     lam1 = float(spectral_decompose(sub, k=3, seed=seed).eigenvalues[1])
-    samples = [{"r": radius, "lhs": 0.0, "rhs": lam1 * radius**2,
-                "margin": lam1 * radius**2}]
+    samples = [_row(0.0, lam1 * radius**2, r=radius)]
     return _report("ball-poincare", model.model_id, samples,
                    Tolerance(0.0, 0.0), 1.0,
                    {"lambda1": lam1, "radius": radius, "nodes": sub.n_nodes,
@@ -953,8 +920,7 @@ def check_sobolev_sharp(model, oracle, suite, extremal_suite=None,
     for p in SOBOLEV_P_LIST:
         for nf, (lhs, rhs) in zip(suite, sides[p]):
             scale = max(scale, abs(rhs), abs(lhs))
-            samples.append({"p": float(p), "field": nf.name, "lhs": lhs,
-                            "rhs": rhs, "margin": rhs - lhs})
+            samples.append(_row(lhs, rhs, p=float(p), field=nf.name))
     meta = {"p_list": list(map(float, SOBOLEV_P_LIST))}
     if extremal_suite:
         p, extremal_rtol = max(SOBOLEV_P_LIST), 0.05
@@ -964,12 +930,10 @@ def check_sobolev_sharp(model, oracle, suite, extremal_suite=None,
             lhs, rhs = sharp_sobolev_sides(model, oracle, v, p)
             ratio = lhs / rhs if rhs > 0 else 0.0
             worst = max(worst, abs(1 - ratio))
-            samples.append({"p": float(p), "field": nf.name, "lhs": lhs,
-                            "rhs": rhs, "margin": rhs - lhs,
-                            "equality_ratio": float(ratio)})
-        samples.append({"quantity": "extremal-proximity", "lhs": worst,
-                        "rhs": extremal_rtol,
-                        "margin": (extremal_rtol - worst) * scale})
+            samples.append(_row(lhs, rhs, p=float(p), field=nf.name,
+                                equality_ratio=float(ratio)))
+        samples.append(_row(worst, extremal_rtol, margin=(extremal_rtol - worst) * scale,
+                            quantity="extremal-proximity"))
         meta["extremal_worst_gap"] = worst
     worst = 0.0
     for v, (lhs, rhs) in zip(normalized, sides[1.0]):
@@ -977,8 +941,8 @@ def check_sobolev_sharp(model, oracle, suite, extremal_suite=None,
                              absolute=True)
         worst = max(worst, abs((rhs - lhs)
                                - (n * rho / (n - 1)) * pm / model.total_measure))
-    samples.append({"quantity": "p1-equals-poincare", "lhs": worst,
-                    "rhs": 1e-8, "margin": (1e-8 - worst) * float(scale)})
+    samples.append(_row(worst, 1e-8, margin=(1e-8 - worst) * scale,
+                        quantity="p1-equals-poincare"))
     meta["p1_identity_gap"] = worst
     return _report("sobolev-sharp", model.model_id, samples, tolerance, scale, meta)
 
@@ -1003,8 +967,7 @@ def check_sobolev_embedding(model, oracle, suite,
         lhs = float((model.mu @ np.abs(v) ** p_crit) ** (1 / p_crit))
         grad = float(np.sqrt(model.mu @ carre_du_champ(model, nf.field).values))
         rhs = const * grad
-        samples.append({"field": nf.name, "lhs": lhs, "rhs": rhs,
-                        "margin": _norm_margin(lhs, rhs)})
+        samples.append(_row(lhs, rhs, margin=_norm_margin(lhs, rhs), field=nf.name))
     return _report("sobolev-embedding", model.model_id, samples, tolerance, 1.0,
                    {"constant": const, "p": p_crit, "kernel_C": c_kernel})
 
@@ -1038,20 +1001,16 @@ def check_isoperimetric_balls(model, oracle, centers, radii,
     cper /= len(centers)
     xper /= len(centers)
     ratio = vols ** ((n - 1) / n) / cper
-    samples = []
-    for r, v, pmt, rat in zip(radii, vols, cper, ratio):
-        samples.append({"r": float(r), "lhs": float(v ** ((n - 1) / n)),
-                        "rhs": float(pmt), "margin": 0.0, "ratio": float(rat)})
+    samples = [_row(v ** ((n - 1) / n), pmt, margin=0.0, r=float(r), ratio=float(rat))
+               for r, v, pmt, rat in zip(radii, vols, cper, ratio)]
     spread = float((ratio.max() - ratio.min()) / ratio.mean())
-    samples.append({"quantity": "ratio-constancy", "lhs": spread,
-                    "rhs": constancy_rtol, "margin": constancy_rtol - spread})
+    samples.append(_row(spread, constancy_rtol, quantity="ratio-constancy"))
     meta = {"fitted_C3": float(ratio.max()), "ratio_mean": float(ratio.mean()),
             "spread": spread,
             "cut_perimeters": [float(p) for p in xper]}
     if expected_ratio is not None:
         gap = float(abs(ratio.mean() / expected_ratio - 1.0))
-        samples.append({"quantity": "ratio-value", "lhs": gap,
-                        "rhs": value_rtol, "margin": value_rtol - gap})
+        samples.append(_row(gap, value_rtol, quantity="ratio-value"))
         meta["expected_ratio"] = expected_ratio
     return _report("isoperimetric-balls", model.model_id, samples, tolerance,
                    1.0, meta)
@@ -1082,11 +1041,9 @@ def check_diameter(model, oracle, tolerance: Tolerance = Tolerance(1e-12, 0.0)
     A = (n - 1) * (p - 2) / (n * rho)
     bound = diameter_bound(p, A)
     diam = oracle.diameter
-    samples = [{"quantity": "bound-dominates", "lhs": float(diam),
-                "rhs": float(bound), "margin": float(bound - diam)}]
     gap = abs(bound / diam - 1.0)
-    samples.append({"quantity": "myers-equality", "lhs": float(gap),
-                    "rhs": myers_rtol, "margin": float(myers_rtol - gap)})
+    samples = [_row(diam, bound, quantity="bound-dominates"),
+               _row(gap, myers_rtol, quantity="myers-equality")]
     return _report("diameter-bound", model.model_id, samples, tolerance, 1.0,
                    {"p": p, "A": A, "bound": float(bound), "diameter": float(diam)})
 
@@ -1117,22 +1074,17 @@ def check_kernel_laws(model, spectral: SpectralData, engine2,
         Ks = heat_kernel_block(spectral, s, full, probe)
         Kts = heat_kernel_block(spectral, t + s, probe, probe)
         comp = Kt @ (model.mu[:, None] * Ks)
-        ck = float(np.max(np.abs(comp - Kts)))
-        sym = float(np.max(np.abs(Kts - Kts.T)))
-        neg = float(min(0.0, Kts.min()))
-        samples.append({"law": "chapman-kolmogorov", "t": float(t), "s": float(s),
-                        "lhs": ck, "rhs": 0.0, "margin": -ck})
-        samples.append({"law": "symmetry", "t": float(t + s), "lhs": sym,
-                        "rhs": 0.0, "margin": -sym})
-        samples.append({"law": "positivity", "t": float(t + s), "lhs": -neg,
-                        "rhs": 0.0, "margin": neg})
+        samples += [
+            _row(np.max(np.abs(comp - Kts)), 0.0, law="chapman-kolmogorov",
+                 t=float(t), s=float(s)),
+            _row(np.max(np.abs(Kts - Kts.T)), 0.0, law="symmetry", t=float(t + s)),
+            _row(-min(0.0, Kts.min()), 0.0, law="positivity", t=float(t + s))]
     cross_t, cross_tol = 0.1, 1e-4
     f = model.field(rng.standard_normal(model.n_nodes))
     a = apply_semigroup(model, spectral, f, cross_t).values
     b = apply_semigroup(model, engine2, f, cross_t).values
     gap = float(np.max(np.abs(a - b)))
-    samples.append({"law": "cross-engine", "t": float(cross_t), "lhs": gap,
-                    "rhs": cross_tol, "margin": cross_tol - gap})
+    samples.append(_row(gap, cross_tol, law="cross-engine", t=float(cross_t)))
     return _report("kernel-laws", model.model_id, samples, tolerance, 1.0,
                    {"cross_engine_sup_diff": gap})
 
@@ -1145,12 +1097,8 @@ def check_spectrum(model, oracle, spectral: SpectralData, count: int = 5,
         raise NotApplicableError("oracle has no closed-form spectrum")
     lam = spectral.eigenvalues[:count]
     ref = np.asarray(oracle.exact_eigenvalues(count), dtype=float)
-    samples = []
-    for k, (a, b) in enumerate(zip(lam, ref)):
-        gap = abs(a - b) / max(abs(b), 1.0)
-        samples.append({"k": k, "lhs": float(gap), "rhs": rtol,
-                        "margin": float(rtol - gap), "discrete": float(a),
-                        "exact": float(b)})
+    samples = [_row(abs(a - b) / max(abs(b), 1.0), rtol, k=k, discrete=float(a),
+                    exact=float(b)) for k, (a, b) in enumerate(zip(lam, ref))]
     return _report("spectrum", model.model_id, samples, tolerance, 1.0,
                    {"rtol": rtol, "count": count})
 
@@ -1167,7 +1115,7 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
     Where the oracle has a closed-form distance, the metadata also records
     the lattice overestimation factor (report-only; it never alters bounds).
     """
-    h = float(model.meta.get("h", 0.0) or 0.0)
+    h = float(model.meta["h"])
     tolerance = tolerance or Tolerance(2 * h, 0.02, mesh_order=1)
     rng = np.random.default_rng(seed)
     samples = []
@@ -1179,8 +1127,7 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
         dc = dual_distance(model, int(x), int(y), budget=budget)
         g = float(distance_field(model, None, y, method="graph").values[x])
         scale = max(scale, g)
-        s = {"x": int(x), "y": int(y), "lhs": dc.value, "rhs": g,
-             "margin": g - dc.value, "feasibility": dc.feasibility}
+        s = _row(dc.value, g, x=int(x), y=int(y), feasibility=dc.feasibility)
         if oracle.exact_distance is not None:
             s["oracle"] = float(oracle.exact_distance(model.nodes[x], model.nodes[y]))
         samples.append(s)
@@ -1205,7 +1152,7 @@ def check_subunit_oracle(model) -> MarginReport:
     for axis, value, target, ref in axes + [("x", 0.3, [0.3, 0.0, 0.0], 0.3)]:
         length = subunit_distance_heisenberg(target)
         gap = abs(length - ref) / ref
-        samples.append({axis: value, "lhs": length, "rhs": float(ref),
-                        "margin": float(rtol - gap), "relative_gap": float(gap)})
+        samples.append(_row(length, ref, margin=rtol - gap, relative_gap=float(gap),
+                            **{axis: value}))
     return _report("subunit-oracle", model.model_id, samples,
                    Tolerance(0.0, 0.0), 1.0, {"rtol": rtol})

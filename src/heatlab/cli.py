@@ -395,7 +395,7 @@ def _centers(model, rng, mask, count):
 
 def _reach(model, r, cells):
     """Nodes farther than ``r`` plus ``cells`` grid steps from the boundary."""
-    h = float(model.meta.get("h", 0.0) or 0.0)
+    h = float(model.meta["h"])
     return model.metric_distance_to_boundary() > r + cells * h
 
 
@@ -756,7 +756,8 @@ def _stored_report(path, digest):
 
 def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
     """Run the checks (all, or those named in ``only``) and write their
-    reports; a full run also writes ``summary.csv`` and ``summary.txt``."""
+    reports; a full run also writes ``summary.csv`` and ``summary.txt``.
+    A check found not applicable stops the run with a ``ConfigError``."""
     validate_config(cfg)          # before any report is written
     ctxs = {name: ModelContext(name, spec, cfg.cache_dir, cfg.seed,
                                k=cfg.spectral_k.get(name))
@@ -774,7 +775,10 @@ def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
         rep = _stored_report(path, digest)
         cached = rep is not None
         if not cached:
-            rep = CHECK_RUNNERS[spec["check"]](ctxs, spec, cfg, name)
+            try:
+                rep = CHECK_RUNNERS[spec["check"]](ctxs, spec, cfg, name)
+            except NotApplicableError as exc:
+                raise ConfigError(f"checks.{name}: {exc}") from None
             rep.metadata["config_digest"] = digest
             rep.save(path)
         results[name] = rep

@@ -125,8 +125,10 @@ class DiscretizedModel:
     edge_form: EdgeForm         # edges (i, j, c_ij) that assemble L and Gamma
     edge_length: np.ndarray     # chart length per edge (distance weights)
     boundary_mask: np.ndarray   # True on truncation-boundary nodes
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)      # what the builder states (h, ...)
     vertical_form: EdgeForm | None = None   # edges of Gamma^Z (sub-Riemannian only)
+    # caches of values computed from the model; a copy starts without them
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "mu", "edge_length"):
@@ -187,11 +189,11 @@ class DiscretizedModel:
         v = f.values if isinstance(f, ScalarField) else np.asarray(f)
         return self.L @ v
 
-    # -- adjacency helpers (each computed once and kept in ``meta``)
+    # -- adjacency helpers (each computed once and kept in ``derived``)
 
     def adjacency(self, weights: str = "length") -> sp.csr_matrix:
         key = f"_adj_{weights}"
-        if key not in self.meta:
+        if key not in self.derived:
             ef = self.edge_form
             w = self.edge_length if weights == "length" else np.ones(ef.n_edges)
             n = self.n_nodes
@@ -200,19 +202,19 @@ class DiscretizedModel:
                  (np.concatenate([ef.i, ef.j]), np.concatenate([ef.j, ef.i]))),
                 shape=(n, n),
             ).tocsr()
-            self.meta[key] = a
-        return self.meta[key]
+            self.derived[key] = a
+        return self.derived[key]
 
     def _distance_to_boundary(self, weights: str) -> np.ndarray:
         key = f"_boundary_{weights}"
-        if key not in self.meta:
+        if key not in self.derived:
             if not self.boundary_mask.any():
-                self.meta[key] = np.full(self.n_nodes, np.inf)
+                self.derived[key] = np.full(self.n_nodes, np.inf)
             else:
                 src = np.flatnonzero(self.boundary_mask)
-                self.meta[key] = dijkstra(self.adjacency(weights), directed=False,
-                                          indices=src, min_only=True)
-        return self.meta[key]
+                self.derived[key] = dijkstra(self.adjacency(weights), directed=False,
+                                             indices=src, min_only=True)
+        return self.derived[key]
 
     def hop_distance_to_boundary(self) -> np.ndarray:
         """Graph-hop distance to the boundary node set (inf when compact)."""

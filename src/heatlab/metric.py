@@ -21,7 +21,7 @@ distance bracket the intrinsic distance,
   circular-arc geodesic that reaches it.
 
 ``distance_field`` keeps each oracle and graph distance in the model's
-derived-data cache (``model.meta``, beside the adjacency), so every caller
+derived-data cache (``model.derived``, beside the adjacency), so every caller
 shares one evaluation per (route, source).
 """
 from __future__ import annotations
@@ -85,13 +85,13 @@ def oracle_distance(model: DiscretizedModel, oracle: GeometryOracle, source: int
 def distance_field(model, oracle, source, method="auto") -> DistanceField:
     """Distance from ``source`` by the oracle or the graph route.
 
-    Each result is kept in ``model.meta`` under (route, source), beside the
+    Each result is kept in ``model.derived`` under (route, source), beside the
     adjacency, so each route runs once per source.  ``oracle`` is the one
     built with ``model``.
     """
     if method == "auto":
         method = "oracle" if (oracle is not None and oracle.exact_distance) else "graph"
-    memo = model.meta.setdefault("_distance", {})
+    memo = model.derived.setdefault("_distance", {})
     key = (method, int(source))
     if key not in memo:
         if method == "oracle":
@@ -162,7 +162,7 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
     from the graph distance to y after 0, 2, 8 and 32 smoothing steps.  Any
     feasible field certifies; budget exhaustion returns the best so far.
     """
-    h = float(model.meta.get("h", 0.0) or 0.0)
+    h = float(model.meta["h"])
     cap = 0.75 * h
     base = distance_field(model, None, y, method="graph").values
     # smoothing steps at half the diagonal CFL limit, which keeps them stable
@@ -302,7 +302,7 @@ def ball_table(model: DiscretizedModel, dist: DistanceField, radii) -> BallTable
 
     # coarea route: dV/dr by central differences; the shell must span a few
     # mesh cells or the staircase dominates
-    h = float(model.meta.get("h", 0.0) or 0.0)
+    h = float(model.meta["h"])
     co = np.empty_like(radii)
     for k, r in enumerate(radii):
         dr = max(0.05 * r, 1.5 * h)
@@ -331,7 +331,7 @@ def calibrate_anisotropy(model: DiscretizedModel, oracle: GeometryOracle,
         if x == y:
             continue
         ref = float(oracle.exact_distance(model.nodes[x], model.nodes[y]))
-        if ref < 3 * model.meta.get("h", 0.0):
+        if ref < 3 * model.meta["h"]:
             continue
         g = distance_field(model, oracle, y, method="graph").values[x]
         ratios.append(g / ref)

@@ -117,17 +117,14 @@ def _symmetrized(model: DiscretizedModel):
 def _operator(model: DiscretizedModel):
     """(A, dm, blocks): ``_symmetrized`` and, on a sphere-marked model, its
     ``_SphereBlocks`` (else None).  A sphere model's triple is built once
-    and kept in ``model.meta`` with the ``L`` it was built from, so a
-    ``meta`` copied to a model with another ``L`` builds its own."""
+    and kept in ``model.derived``."""
     structure = model.meta.get("structure")
     if structure is None or structure[0] != "sphere":
         return (*_symmetrized(model), None)
-    kept = model.meta.get("_sphere_blocks")
-    if kept is None or kept[0] is not model.L:
+    if "_sphere_blocks" not in model.derived:
         A, dm = _symmetrized(model)
-        kept = (model.L, A, dm, _SphereBlocks(A, structure))
-        model.meta["_sphere_blocks"] = kept
-    return kept[1:]
+        model.derived["_sphere_blocks"] = (A, dm, _SphereBlocks(A, structure))
+    return model.derived["_sphere_blocks"]
 
 
 def _grid_pairs(A, structure, k: int):
@@ -615,7 +612,7 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
         edge_form=sub_ef,
         edge_length=model.edge_length[keep],
         boundary_mask=boundary,
-        meta={"h": model.meta.get("h")},
+        meta={"h": model.meta["h"]},
     )
     if "trusted_mask" in model.meta:
         sub.meta["trusted_mask"] = model.meta["trusted_mask"][subset]

@@ -89,8 +89,7 @@ def evolved_noise_fields(model: DiscretizedModel, engine, n: int = 2,
     """White noise mollified by a short heat run (P_eps of noise)."""
     rng = np.random.default_rng(seed)
     if eps_time is None:
-        h = float(model.meta.get("h", 0.05) or 0.05)
-        eps_time = 4 * h**2
+        eps_time = 4 * float(model.meta["h"])**2
     out = []
     for k in range(n):
         raw = model.field(rng.standard_normal(model.n_nodes))
@@ -162,7 +161,7 @@ def sub_riemannian_suite(model: DiscretizedModel, engine=None, seed: int = 0) ->
     out.append(NamedField("x2y", model.field(x * x * y)))
     out += horizontal_bump_fields(model, widths=(0.5, 0.8))
     if engine is not None:
-        h = float(model.meta.get("h", 0.05) or 0.05)
+        h = float(model.meta["h"])
         for nf in evolved_noise_fields(model, engine, n=1, eps_time=16 * h**2,
                                        seed=seed):
             out.append(nf)

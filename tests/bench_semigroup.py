@@ -44,7 +44,7 @@ def noise(name):
 
 
 def forget_blocks(model):
-    model.meta.pop("_sphere_blocks", None)
+    model.derived.pop("_sphere_blocks", None)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -429,6 +429,23 @@ def test_volume_doubling(euclid2, sphere):
     assert up["margin"] >= 0.0   # cap concavity in closed form
 
 
+@pytest.mark.parametrize("method", ["oracle", "graph"])
+def test_volume_radii_reaching_the_boundary_raise(method):
+    # the guard reads the centre's own distance field; on a box the nearest
+    # boundary node lies along an axis, as the boundary Dijkstra finds it
+    model, oracle = build_model(ModelSpec("euclidean", dim=2, resolution=16,
+                                          extent=1.0))
+    x = node_nearest(model, [0, 0])
+    safe = float(model.metric_distance_to_boundary()[x])
+    with pytest.raises(ValueError, match=rf"^radii reach the truncation boundary "
+                       rf"\(safe range {safe:g}\)$"):
+        check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe + 1e-9],
+                                dist_method=method)
+    rep = check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe],
+                                  dist_method=method)
+    assert rep.samples[0]["part"] == "doubling"
+
+
 def test_neumann_poincare(euclid1):
     from heatlab import neumann_restrict
 

@@ -3,6 +3,8 @@ import csv
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -463,6 +465,56 @@ def test_kernel_bounds_t_grid_beyond_the_interior_is_not_applicable():
     ctx = collections.namedtuple("Ctx", "model")(model)
     with pytest.raises(NotApplicableError, match="^t_grid: "):
         cli._bind_kernel_bounds(ctx, {"t_grid": [1.0]}, 0)
+
+
+def test_not_applicable_check_exits_2_with_one_line(tmp_path, capsys):
+    cfgfile = tmp_path / "na.cfg"
+    cfgfile.write_text("models.b.kind = euclidean\nmodels.b.dim = 2\n"
+                       "models.b.resolution = 16\nmodels.b.extent = 1.0\n"
+                       "models.b.spectral_k = 50\n"
+                       "checks.k.check = kernel-bounds\nchecks.k.model = b\n"
+                       "checks.k.t_grid = [1.0]\n")
+    out = tmp_path / "o"
+    assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                 "--cache", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: checks.k: t_grid: no interior node lies "
+                   "2.4 sqrt(t) from the boundary at t = 1\n")
+    assert not os.listdir(out)
+
+
+def _run_dir(path, digests, lhs):
+    for name, digest in zip("ab", digests):
+        rep = MarginReport(name, "m", [{"lhs": lhs, "rhs": 1.0, "margin": 1.0 - lhs}],
+                           min_margin=1.0 - lhs, tolerance=Tolerance(0.0),
+                           metadata={"config_digest": digest, "n": 3})
+        rep.save(str(path / f"{name}.json"))
+    return str(path)
+
+
+def test_compare_runs_counts_byte_identical_reports(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_runs.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+
+    def compare(a, b):
+        run = subprocess.run([sys.executable, script, a, b], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.splitlines()[-3:]
+
+    a = _run_dir(tmp_path / "a", ["0123", "4567"], 0.25)
+    b = _run_dir(tmp_path / "b", ["89ab", "cdef"], 0.25)
+    assert compare(a, b)[-1] == "2 of 2 reports byte-identical apart from config_digest"
+    # one byte differs in b's second report: "n": 3 -> "n": 4; no margin moves
+    a2 = _run_dir(tmp_path / "a2", ["0123", "4567"], 0.25)
+    path = os.path.join(a2, "b.json")
+    text = open(path).read()
+    with open(path, "w") as fh:
+        fh.write(text.replace('"n": 3', '"n": 4'))
+    assert compare(a2, b) == [
+        "2 reports, 0 changed verdicts, largest move 0 of scale (a)",
+        "1 of 2 reports byte-identical apart from config_digest",
+        "  differs: b"]
 
 
 def test_unknown_key_error_lists_accepted_keys():

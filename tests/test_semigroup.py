@@ -195,8 +195,7 @@ def _tampered(model, edge):
     c = np.array(ef.c)
     c[edge] *= 1.001
     ef = EdgeForm(ef.i, ef.j, c, ef.n_nodes)
-    return dataclasses.replace(model, L=graph_laplacian(ef, model.mu), edge_form=ef,
-                               meta=dict(model.meta))
+    return dataclasses.replace(model, L=graph_laplacian(ef, model.mu), edge_form=ef)
 
 
 # lat8 edges: 16 longitudes of 7 longitude couplings (rows 0-6), then 6 of
