@@ -192,6 +192,8 @@ class DiscretizedModel:
     # -- adjacency helpers (each computed once and kept in ``derived``)
 
     def adjacency(self, weights: str = "length") -> sp.csr_matrix:
+        """Edge weights, symmetric by construction: each edge is stored as
+        (i, j) and as (j, i), so Dijkstra runs on it as a directed graph."""
         key = f"_adj_{weights}"
         if key not in self.derived:
             ef = self.edge_form
@@ -212,7 +214,7 @@ class DiscretizedModel:
                 self.derived[key] = np.full(self.n_nodes, np.inf)
             else:
                 src = np.flatnonzero(self.boundary_mask)
-                self.derived[key] = dijkstra(self.adjacency(weights), directed=False,
+                self.derived[key] = dijkstra(self.adjacency(weights), directed=True,
                                              indices=src, min_only=True)
         return self.derived[key]
 

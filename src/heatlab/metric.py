@@ -17,8 +17,9 @@ distance bracket the intrinsic distance,
   f(x) - f(y).  Candidates are rescaled to feasibility, then improved by a
   smoothed ascent; feasibility, not optimality, is the certificate.
 * subunit (Heisenberg): the closed-form Carnot-Caratheodory distance of
-  the continuous group from the origin to one target, the length of the
-  circular-arc geodesic that reaches it.
+  the continuous group from the origin to one target or to rows of them,
+  the length of the circular-arc geodesic that reaches each; its roots are
+  bisected in numpy, so importing heatlab does not load scipy.optimize.
 
 ``distance_field`` keeps each oracle and graph distance in the model's
 derived-data cache (``model.derived``, beside the adjacency), so every caller
@@ -30,11 +31,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.sparse.csgraph import dijkstra
 
 from .fields import DiscretizedModel
 from .models import GeometryOracle
+
+
+def __getattr__(name):
+    # ``metric.optimize`` resolves, importing scipy.optimize on first use, only
+    # because bench/spans.py reads it under --trace 1; ROADMAP item 3's
+    # benchmark change deletes this together with metric.subunit.loss_evals
+    if name == "optimize":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,7 @@ class BallTable:
 
 def graph_distance(model: DiscretizedModel, source: int) -> DistanceField:
     """Shortest-path distance from one node over the model edges (one run)."""
-    d = dijkstra(model.adjacency(), directed=False, indices=source)
+    d = dijkstra(model.adjacency(), directed=True, indices=source)
     if not np.all(np.isfinite(d)):
         raise ValueError("model graph is disconnected")
     return DistanceField(model.model_id, source, d)
@@ -212,27 +222,51 @@ def dual_distance(model: DiscretizedModel, x: int, y: int,
 
 # 6 (x - sin x) / x^3 = sum_k (-1)^k 6 x^(2k) / (2k + 3)!, highest power first
 _SEGMENT_SERIES = [(-1) ** k * 6 / math.factorial(2 * k + 3) for k in range(8, -1, -1)]
+_RTOL, _TINY = 4 * np.finfo(float).eps, np.finfo(float).tiny
 
 
-def _flat_area(phi: float) -> float:
+def _flat_area(phi: np.ndarray) -> np.ndarray:
     """(2 phi - sin 2 phi) / (8 sin^2 phi), 0 < phi < pi: the segment area
     over a unit chord whose arc turns by 2 phi.  Evaluated as
     (phi / 6) S(2 phi) (phi / sin phi)^2, S(x) = 6 (x - sin x) / x^3, with S
     summed as its series for x < 1, so nothing cancels as phi -> 0."""
     x = 2 * phi
-    shape = np.polyval(_SEGMENT_SERIES, x * x) if x < 1 else 6 * (x - np.sin(x)) / x**3
+    shape, series = np.empty_like(x), x < 1
+    shape[series] = np.polyval(_SEGMENT_SERIES, x[series] ** 2)
+    big = x[~series]
+    shape[~series] = 6 * (big - np.sin(big)) / big**3
     return phi / 6 * shape * (phi / np.sin(phi)) ** 2
 
 
-def _steep_segment(psi: float) -> float:
+def _steep_segment(psi: np.ndarray) -> np.ndarray:
     """2 phi - sin 2 phi at phi = pi - psi: twice the area of the unit
     circle's segment whose arc turns by 2 phi."""
     return 2 * np.pi - 2 * psi + np.sin(2 * psi)
 
 
-def subunit_distance_heisenberg(target) -> float:
+def _increasing_root(f, level, lo, hi) -> np.ndarray:
+    """Row-wise roots of f(t) = level for an elementwise increasing f, by
+    bisection of the brackets [lo, hi] until each spans at most 4 eps of
+    its lower end (brentq's default rtol).  A row stops halving when its
+    bracket closes, so its root does not depend on the other rows."""
+    lo, hi = lo.copy(), hi.copy()
+    if np.any(f(lo) > level) or np.any(f(hi) < level):
+        raise ValueError("bracket does not straddle the root")
+    rows = np.arange(lo.size)
+    for _ in range(200):                     # 52 close any bracket of normal floats
+        rows = rows[hi[rows] - lo[rows] > _RTOL * lo[rows] + _TINY]
+        if rows.size == 0:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        below = f(mid) <= level[rows]
+        lo[rows[below]], hi[rows[~below]] = mid[below], mid[~below]
+    raise ValueError("bisection did not close its brackets in 200 halvings")
+
+
+def subunit_distance_heisenberg(target):
     """Carnot-Caratheodory distance from the origin to ``target``: the
-    length of the shortest subunit curve that reaches it.
+    length of the shortest subunit curve that reaches it.  One target gives
+    a float, an (n, 3) array of targets an (n,) array.
 
     Horizontal curves x' = u, y' = v with u^2 + v^2 <= 1 lift by
     z' = (x v - y u)/2, so z is the signed area between the curve and its
@@ -245,24 +279,27 @@ def subunit_distance_heisenberg(target) -> float:
     reached by a full circle of length 2 sqrt(pi |z|) (Gaveau, Acta Math.
     139 (1977); Beals, Gaveau & Greiner, J. Math. Pures Appl. 79 (2000)).
     The root is taken in phi up to pi/2 and in psi = pi - phi beyond, from
-    scale-free ratios, so both ends keep full precision.
+    scale-free ratios, so both ends keep full precision; all rows are
+    bisected at once, each branch only on its own rows.
     """
-    x, y, z = (float(c) for c in target)
-    r, a = float(np.hypot(x, y)), abs(z)
-    if r == 0.0:
-        return float(2 * np.sqrt(np.pi * a))
-    mu = (np.sqrt(a) / r) ** 2                # |z| / r^2
-    if mu == 0.0:
-        return r
-    tiny = np.finfo(float).tiny               # brentq's rtol alone sets the precision
-    if mu <= np.pi / 8:                       # phi <= pi/2, where mu / phi is in [1/6, 1/4]
-        phi = optimize.brentq(lambda p: _flat_area(p) - mu,
-                              3 * mu, min(7 * mu, 2.0), xtol=tiny)
-        return float(r * phi / np.sin(phi))
-    nu = (r / np.sqrt(a)) ** 2                # r^2 / |z|; psi / sqrt(nu) is in [0.88, 0.99]
-    psi = optimize.brentq(lambda s: 8 * np.sin(s) ** 2 / _steep_segment(s) - nu,
-                          0.5 * np.sqrt(nu), min(2 * np.sqrt(nu), 2.0), xtol=tiny)
-    return float((np.pi - psi) * np.sqrt(8 * a / _steep_segment(psi)))
+    q = np.asarray(target, dtype=float)
+    x, y, z = q.reshape(-1, 3).T
+    r, a = np.hypot(x, y), np.abs(z)
+    d = r.copy()                              # |z| = 0: the chord itself
+    vert = r == 0
+    d[vert] = 2 * np.sqrt(np.pi * a[vert])
+    mu = np.zeros_like(r)                     # |z| / r^2
+    mu[~vert] = (np.sqrt(a[~vert]) / r[~vert]) ** 2
+    flat = (mu > 0) & (mu <= np.pi / 8)       # phi <= pi/2, where mu / phi is in [1/6, 1/4]
+    m = mu[flat]
+    phi = _increasing_root(_flat_area, m, 3 * m, np.minimum(7 * m, 2.0))
+    d[flat] = r[flat] * phi / np.sin(phi)
+    steep = mu > np.pi / 8
+    nu = (r[steep] / np.sqrt(a[steep])) ** 2  # r^2 / |z|; psi / sqrt(nu) is in [0.88, 0.99]
+    psi = _increasing_root(lambda s: 8 * np.sin(s) ** 2 / _steep_segment(s), nu,
+                           0.5 * np.sqrt(nu), np.minimum(2 * np.sqrt(nu), 2.0))
+    d[steep] = (np.pi - psi) * np.sqrt(8 * a[steep] / _steep_segment(psi))
+    return float(d[0]) if q.ndim == 1 else d
 
 
 # ---------------------------------------------------------------------------

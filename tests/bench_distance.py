@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from heatlab import ModelSpec, build_model, node_nearest
+from heatlab.cli import default_config
 from heatlab.metric import graph_distance, oracle_distance, subunit_distance_heisenberg
 
 
@@ -46,6 +47,16 @@ def test_subunit_off_axis_target(benchmark):
     length = benchmark(subunit_distance_heisenberg, [x, y, z])
     r = np.hypot(x, y)
     assert r <= length <= r + 2 * np.sqrt(np.pi * z)
+
+
+def test_subunit_rows_heis_hd(benchmark):
+    # one target per node of the campaign's largest Heisenberg lattice
+    # (N = 262,285), solved in one call
+    model, _ = build_model(default_config().models["heis-hd"])
+    lengths = benchmark.pedantic(subunit_distance_heisenberg, args=(model.nodes,), rounds=3)
+    r = np.hypot(model.nodes[:, 0], model.nodes[:, 1])
+    assert lengths.shape == (model.n_nodes,)
+    assert np.all(lengths >= r)
 
 
 def test_graph_distance_euclid2(benchmark, euclid2):

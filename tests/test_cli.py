@@ -569,3 +569,16 @@ def test_unusable_report_exits_2_and_writes_nothing(tmp_path, capsys, case):
     assert err.startswith(f"configuration error: --report {path}: ")
     assert err.count("\n") == 1
     assert not plots.exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this process may already hold scipy.optimize.
+    # ``metric.optimize`` stays resolvable for the benchmark's trace mode.
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    probe = ("import sys, heatlab.cli, heatlab.metric\n"
+             "print('scipy.optimize' in sys.modules)\n"
+             "print(heatlab.metric.optimize.__name__)\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "scipy.optimize"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from heatlab import (
     ball_table,
@@ -13,7 +14,7 @@ from heatlab import (
     subunit_distance_heisenberg,
     volume_growth_exponent,
 )
-from heatlab.metric import oracle_distance
+from heatlab.metric import _increasing_root, oracle_distance
 from heatlab.models import ModelSpec, build_model
 
 
@@ -188,6 +189,78 @@ def test_subunit_closed_form_flat_limit():
         for side in (1 - 1e-15, 1.0, 1 + 1e-15):
             d = subunit_distance_heisenberg([r, 0.0, side * np.pi / 8 * r * r])
             assert d == pytest.approx(r * np.pi / 2, rel=1e-14)
+
+
+def test_subunit_rows_equal_per_row_calls():
+    # flat and steep roots, both axes, the branch seam and a flat target
+    rng = np.random.default_rng(11)
+    rows = rng.choice([-1.0, 1.0], (200, 3)) * 10.0 ** rng.uniform(-6, 3, (200, 3))
+    rows = np.vstack([rows, [[0.0, 0.0, 0.04], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0],
+                             [1.0, 0.0, np.pi / 8], [1e-12, 0.0, -0.3]]])
+    d = subunit_distance_heisenberg(rows)
+    assert d.shape == (len(rows),)
+    single = [subunit_distance_heisenberg(q) for q in rows]
+    assert all(type(v) is float for v in single)
+    assert np.array_equal(d, single)
+    assert subunit_distance_heisenberg(np.empty((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("target, length", [
+    ((0.0, 0.0, 0.04), "0.708981540362206"),
+    ((0.0, 0.0, 0.09), "1.063472310543310"),
+    ((0.3, 0.0, 0.0), "0.300000000000000"),
+    ((0.2, -0.1, 0.05), "0.599966057574853"),
+    ((0.3, 0.1, -0.02), "0.379806317336132"),
+    ((0.05, 0.05, 0.08), "0.932522781913579"),
+    ((0.4, 0.0, 0.01), "0.409183734968865"),
+    ((-0.1, 0.3, -0.1), "0.848480135585874"),
+    ((0.25, 0.25, 0.2), "1.261944233298115"),
+])
+def test_subunit_reproduces_recorded_closed_form(target, length):
+    # the closed-form column recorded when the closed form replaced shooting
+    assert f"{subunit_distance_heisenberg(target):.15f}" == length
+
+
+def test_subunit_root_needs_a_bracket():
+    one = np.ones(1)
+    with pytest.raises(ValueError, match="straddle"):
+        _increasing_root(lambda t: t, 5 * one, 0 * one, one)
+    with pytest.raises(ValueError, match="straddle"):
+        _increasing_root(lambda t: t, -one, 0 * one, one)
+    # a root at 0 has no relative tolerance, so the bracket never closes
+    with pytest.raises(ValueError, match="did not close"):
+        _increasing_root(lambda t: t, 0 * one, -one, one)
+
+
+def test_heisenberg_graph_distance_bounds_carnot_caratheodory(heis):
+    # every edge is an exact unit-speed flow of X or Y over time h, so a
+    # lattice path is a horizontal curve: graph(p, q) >= d_CC(p^-1 q) with
+    # no lattice error.  p^-1 q = (dx, dy, dz - (x_p y_q - y_p x_q) / 2)
+    model = heis[0]
+    rng = np.random.default_rng(4)
+    X = model.nodes
+    for src in rng.integers(0, model.n_nodes, size=8):
+        tgt = rng.integers(0, model.n_nodes, size=200)
+        p, q = X[src], X[tgt]
+        rel = q - p
+        rel[:, 2] -= (p[0] * q[:, 1] - p[1] * q[:, 0]) / 2
+        cc = subunit_distance_heisenberg(rel)
+        graph = graph_distance(model, int(src)).values[tgt]
+        assert np.all(graph >= cc * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("name", ["euclid2", "sphere", "torus1", "heis"])
+def test_dijkstra_as_directed_on_the_symmetric_adjacency(name, request):
+    model = request.getfixturevalue(name)[0]
+    adj = model.adjacency()
+    assert (adj != adj.T).nnz == 0
+    for src in np.random.default_rng(2).integers(0, model.n_nodes, size=3):
+        ref = dijkstra(adj, directed=False, indices=int(src))
+        assert np.array_equal(graph_distance(model, int(src)).values, ref)
+    if name in ("euclid2", "heis"):
+        ref = dijkstra(adj, directed=False, indices=np.flatnonzero(model.boundary_mask),
+                       min_only=True)
+        assert np.array_equal(model.metric_distance_to_boundary(), ref)
 
 
 def _closed_form_row(kind, x, y, period=None):
