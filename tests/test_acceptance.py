@@ -332,12 +332,10 @@ def test_criterion_9_sobolev_diameter(euclid3, euclid2, sphere):
 def test_criterion_10_distances(torus1, euclid2, sphere, heis):
     for bundle in (torus1, euclid2, sphere):
         model, oracle = bundle[0], bundle[1]
-        rep = check_distance_sandwich(model, oracle, n_pairs=50, seed=6,
-                                      budget=20)
+        rep = check_distance_sandwich(model, oracle, n_pairs=50, seed=6)
         assert rep.passed, model.model_id
     hmodel, horacle, _ = heis
-    hrep = check_distance_sandwich(hmodel, horacle, n_pairs=50, seed=6,
-                                   budget=20)
+    hrep = check_distance_sandwich(hmodel, horacle, n_pairs=50, seed=6)
     assert hrep.passed
 
     worst = 0.0

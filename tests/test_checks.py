@@ -515,8 +515,7 @@ def test_diameter_bound(sphere):
 def test_distance_sandwich_checks(sphere, heis):
     for bundle, pairs in ((sphere, 15), (heis, 8)):
         model, oracle = bundle[0], bundle[1]
-        rep = check_distance_sandwich(model, oracle, n_pairs=pairs, seed=4,
-                                      budget=10)
+        rep = check_distance_sandwich(model, oracle, n_pairs=pairs, seed=4)
         assert rep.passed
 
 

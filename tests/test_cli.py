@@ -21,7 +21,7 @@ from heatlab.cli import (
     run_campaign,
     validate_config,
 )
-from heatlab.reports import MarginReport, Tolerance
+from heatlab.reports import MarginReport, Tolerance, compare_digests, run_digest
 
 SMALL_CFG = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
                          "small.cfg")
@@ -238,6 +238,27 @@ def test_small_campaign_runs_each_dijkstra_once(tmp_path, monkeypatch):
     assert run_campaign(cfg, log=lambda *a: None) == 0
     assert len(runs) == 93
     assert max(runs.values()) == 1
+
+
+def test_small_campaign_independent_of_blas_threads(tmp_path):
+    # the same campaign at one and at two BLAS threads, each in a fresh
+    # interpreter, since the thread count is read when numpy loads
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = str(tmp_path / f"out{threads}")
+        run = subprocess.run([sys.executable, "-m", "heatlab.cli", "campaign",
+                              "--config", SMALL_CFG, "--out", out,
+                              "--cache", str(tmp_path / f"cache{threads}")],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run_digest(out))
+    rows = compare_digests(*digests)
+    assert len(rows) == len(load_config_file(SMALL_CFG)["checks"])
+    moved = [row for row in rows if row[1] != row[2] or not row[3] <= 1e-12]
+    assert not moved, f"(report, verdict at 1, verdict at 2, move / scale): {moved}"
 
 
 def test_spectral_k_beyond_node_count_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_dual_euclidean_linear_certificate(euclid2):
     model, oracle, _ = euclid2
     a = node_nearest(model, [0.53, 0.21])
     b = node_nearest(model, [-0.8, -0.37])
-    cert = dual_distance(model, a, b)
+    cert = dual_distance(model, oracle, a, b)
     ref = oracle.exact_distance(model.nodes[a], model.nodes[b])
     assert cert.feasibility <= 1 + 1e-9
     assert cert.value == pytest.approx(ref, rel=1e-6)
@@ -61,14 +62,13 @@ def test_dual_sphere_angle(sphere):
     model, oracle, _ = sphere
     pole = node_nearest(model, [0, 0, 1])
     x = node_nearest(model, [1, 0, 0])
-    cert = dual_distance(model, x, pole)
+    cert = dual_distance(model, oracle, x, pole)
     assert cert.value >= 0.95 * (np.pi / 2)
     assert cert.feasibility <= 1 + 1e-9
 
 
-def test_dual_graph_sandwich(sphere, heis):
-    for bundle in (sphere, heis):
-        model = bundle[0]
+def test_dual_graph_sandwich(torus1, euclid2, sphere, heis):
+    for model, oracle, _ in (torus1, euclid2, sphere, heis):
         h = model.meta["h"]
         rng = np.random.default_rng(1)
         for _ in range(6):
@@ -76,8 +76,22 @@ def test_dual_graph_sandwich(sphere, heis):
             if x == y:
                 continue
             g = graph_distance(model, int(y)).values[x]
-            cert = dual_distance(model, int(x), int(y))
+            cert = dual_distance(model, oracle, int(x), int(y))
+            assert cert.feasibility <= 1 + 1e-9
             assert cert.value <= g + 2 * h + 0.02 * g
+
+
+def test_dual_starts_from_the_oracle_field(torus1, euclid2, sphere, monkeypatch):
+    # where the oracle has a closed-form distance, the dual needs no Dijkstra
+    def no_graph(*args):
+        raise AssertionError("graph_distance called")
+
+    monkeypatch.setattr("heatlab.metric.graph_distance", no_graph)
+    for model, oracle, _ in (torus1, euclid2, sphere):
+        model.derived.pop("_distance", None)
+        x, y = 3, model.n_nodes // 2
+        cert = dual_distance(model, oracle, x, y)
+        assert 0 < cert.value and cert.feasibility <= 1 + 1e-9
 
 
 def test_subunit_straight_line():
@@ -205,6 +219,19 @@ def test_subunit_rows_equal_per_row_calls():
     assert subunit_distance_heisenberg(np.empty((0, 3))).shape == (0,)
 
 
+def test_subunit_extreme_ratio_does_not_warn():
+    # |z| / r^2 overflows to inf here; the steep branch still returns the
+    # full circle's length 2 sqrt(pi |z|), and no warning escapes
+    target = [1e-160, 0.0, 1e300]
+    ref = 2 * np.sqrt(np.pi * 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert subunit_distance_heisenberg(target) == pytest.approx(ref, rel=1e-15)
+        rows = subunit_distance_heisenberg(np.array([target, [0.3, 0.0, 0.01]]))
+    assert rows[0] == pytest.approx(ref, rel=1e-15)
+    assert rows[1] == subunit_distance_heisenberg([0.3, 0.0, 0.01])
+
+
 @pytest.mark.parametrize("target, length", [
     ((0.0, 0.0, 0.04), "0.708981540362206"),
     ((0.0, 0.0, 0.09), "1.063472310543310"),
@@ -323,10 +350,10 @@ def test_sphere_oracle_exact_at_both_ends(sphere):
 
 
 def test_subunit_dual_sandwich(heis):
-    model = heis[0]
+    model, oracle, _ = heis
     i0 = node_nearest(model, [0, 0, 0])
     target = node_nearest(model, [0.0, 0.0, 0.0625])
-    cert = dual_distance(model, target, i0)
+    cert = dual_distance(model, oracle, target, i0)
     up = subunit_distance_heisenberg(model.nodes[target])
     assert cert.value <= up * 1.02 + 2 * model.meta["h"]
 
