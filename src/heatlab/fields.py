@@ -8,7 +8,9 @@ cell measure ``mu``, and the graph Laplacian
 assembled from an edge list with positive conductances.  This construction
 makes the three operator axioms exact by design: mu-weighted symmetry
 (mu_i L_ij = mu_j L_ji), L applied to constants vanishes, and the Dirichlet
-form <f, -Lf>_mu = sum_e c_e (df_e)^2 is nonnegative.
+form <f, -Lf>_mu = sum_e c_e (df_e)^2 is nonnegative.  The edge list and
+``mu`` are the model; L is derived data, assembled on first use, so a model
+that no check applies L to never holds it.
 
 The first-order bilinear form (squared-gradient form) is assembled from the
 same edges,
@@ -16,7 +18,8 @@ same edges,
     Gamma(f, g)_i = (1/(2 mu_i)) * sum_j c_ij (f_j - f_i)(g_j - g_i),
 
 which coincides exactly with (L(fg) - f Lg - g Lf)/2 whenever L is the
-graph Laplacian of the same edge list (a built-in self test enforces this).
+graph Laplacian of the same edge list: every first assembly of L checks the
+two routes against a derived roundoff bound (``self_test_gamma``).
 The iterated form Gamma2 has no exact edge form and is evaluated by operator
 composition; it is only meaningful on nodes at least two hops away from any
 truncation boundary, so deep-interior masks are first-class here.
@@ -72,9 +75,9 @@ class EdgeForm:
     n_nodes: int
 
     def __post_init__(self):
-        for name in ("i", "j", "c"):
-            a = np.asarray(getattr(self, name))
-            a = a.astype(np.int64 if name != "c" else float)
+        idx = np.int32 if self.n_nodes < 2**31 else np.int64
+        for name, dtype in (("i", idx), ("j", idx), ("c", float)):
+            a = np.asarray(getattr(self, name)).astype(dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         if np.any(self.c < 0):
@@ -88,10 +91,14 @@ class EdgeForm:
         return values[self.j] - values[self.i]
 
     def evaluate(self, mu: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        e = self.c * self.differences(f) * self.differences(g)
+        # numpy gathers and scatters through int32 indices about half as fast
+        # as through intp ones, so the indices are cast once per call
+        i, j = self.i.astype(np.intp), self.j.astype(np.intp)
+        df = f[j] - f[i]
+        e = self.c * df * (df if g is f else g[j] - g[i])
         out = np.zeros(self.n_nodes)
-        np.add.at(out, self.i, e)
-        np.add.at(out, self.j, e)
+        np.add.at(out, i, e)
+        np.add.at(out, j, e)
         return out / (2.0 * mu)
 
 
@@ -121,7 +128,6 @@ class DiscretizedModel:
     kind: str
     nodes: np.ndarray           # (N, d) chart coordinates
     mu: np.ndarray              # (N,) positive cell measures
-    L: sp.csr_matrix            # graph Laplacian, self-adjoint in L2(mu)
     edge_form: EdgeForm         # edges (i, j, c_ij) that assemble L and Gamma
     edge_length: np.ndarray     # chart length per edge (distance weights)
     boundary_mask: np.ndarray   # True on truncation-boundary nodes
@@ -144,6 +150,20 @@ class DiscretizedModel:
     @property
     def n_nodes(self) -> int:
         return self.mu.shape[0]
+
+    @property
+    def L(self) -> sp.csr_matrix:
+        """The graph Laplacian of ``edge_form`` and ``mu``, self-adjoint in
+        L2(mu).  Assembled on first use and kept in ``derived``; the first
+        assembly must pass ``self_test_gamma`` or raises AssertionError."""
+        if "_L" not in self.derived:
+            self.derived["_L"] = graph_laplacian(self.edge_form, self.mu)
+            resid, slack = self_test_gamma(self, seed=7, n_fields=2)
+            if not resid <= slack:
+                del self.derived["_L"]
+                raise AssertionError(f"Gamma edge/operator self-test failed for "
+                                     f"{self.model_id}: {resid:g} > {slack:g}")
+        return self.derived["_L"]
 
     @property
     def total_measure(self) -> float:
@@ -313,17 +333,40 @@ def gamma2_z(model: DiscretizedModel, f: ScalarField) -> ScalarField:
 # operator axioms
 
 
-def self_test_gamma(model: DiscretizedModel, seed: int = 0, n_fields: int = 3) -> float:
-    """Max disagreement between the edge and operator routes to Gamma."""
+def self_test_gamma(model: DiscretizedModel, seed: int = 0,
+                    n_fields: int = 3) -> tuple[float, float]:
+    """(residual, slack): the largest disagreement between the edge and the
+    operator routes to Gamma(f, g) over ``n_fields`` random pairs, and the
+    roundoff bound that it stays under when L is the graph Laplacian of the
+    edge list.
+
+    With s = max |L_ij|, r the longest row of L, eps the machine epsilon
+    and F G the largest max |f| max |g| of a pair drawn, the slack is
+    4 (r + 3) eps s F G.  Each row of a graph Laplacian has
+    sum_j |L_ij| = 2 |L_ii| <= 2 s, each entry of L carries at most r
+    roundings of eps/2, and a row of the matrix product r more.  So, to
+    first order in eps:
+    - each of L(fg), f Lg and g Lf is within (2 r + 1) eps s F G of exact,
+      and the two subtractions add 6 eps s F G; halving the result halves
+      its error, to (3 r + 4.5) eps s F G;
+    - the edge route sums at most r - 1 terms of total size 2 s F G per
+      node, each term carrying 4 roundings and the division one more:
+      (r + 4) eps s F G.
+    The sum, (4 r + 8.5) eps s F G, is below the slack.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    L = model.L
+    worst, size = 0.0, 0.0
     for _ in range(n_fields):
         f = model.field(rng.standard_normal(model.n_nodes))
         g = model.field(rng.standard_normal(model.n_nodes))
         a = carre_du_champ(model, f, g).values
         b = carre_du_champ_operator_path(model, f, g).values
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+        size = max(size, float(np.abs(f.values).max() * np.abs(g.values).max()))
+    rows = int(np.diff(L.indptr).max(initial=0))
+    scale = float(np.abs(L.data).max(initial=0.0))
+    return worst, 4 * (rows + 3) * np.finfo(float).eps * scale * size
 
 
 # ---------------------------------------------------------------------------

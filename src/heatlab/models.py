@@ -26,13 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .fields import (
-    CDParameters,
-    DiscretizedModel,
-    EdgeForm,
-    graph_laplacian,
-    self_test_gamma,
-)
+from .fields import CDParameters, DiscretizedModel, EdgeForm
 
 
 class UnsupportedModelError(ValueError):
@@ -151,7 +145,6 @@ def _build_grid(spec: ModelSpec, periodic: bool):
     c = np.full(i.shape, h ** (dim - 2), dtype=float)
     ef = EdgeForm(i, j, c, n)
     mu = np.full(n, h ** dim)
-    L = graph_laplacian(ef, mu)
 
     # a box node is on the boundary when any of its grid indices is 0 or m - 1
     index = np.indices(shape).reshape(dim, n)
@@ -165,7 +158,7 @@ def _build_grid(spec: ModelSpec, periodic: bool):
     meta = {"h": h, "structure": ("torus" if periodic else "box", m, dim)}
     if periodic:
         meta["period"] = period
-    return nodes, mu, L, ef, lengths, boundary, meta
+    return nodes, mu, ef, lengths, boundary, meta
 
 
 def _euclidean_oracle(dim: int, extent: float) -> GeometryOracle:
@@ -408,7 +401,6 @@ def _build_heisenberg(spec: ModelSpec):
     ef = EdgeForm(i, j, np.full(i.shape, mu_cell / (h * h)), n)
     del i, j                      # the edge form holds its own copies
     mu = np.full(n, mu_cell)
-    L = graph_laplacian(ef, mu)
 
     # vertical form: Z = dz sampled by the in-sublattice step 2 hz, which is
     # the next node of the same column
@@ -423,14 +415,8 @@ def _build_heisenberg(spec: ModelSpec):
     degz = np.bincount(vertical.i, minlength=n) + np.bincount(vertical.j, minlength=n)
     boundary = (deg < 4) | (degz < 2)
 
-    # L's pattern is symmetric: its strong components are the graph's, and
-    # finding them needs no transposed copy
-    ncomp, _ = connected_components(L, connection="strong")
-    if ncomp != 1:
-        raise UnsupportedModelError("horizontal graph is disconnected; widen the box")
-
     meta = {"h": h, "z_step": 2 * hz}
-    return nodes, mu, L, ef, lengths, boundary, meta, vertical
+    return nodes, mu, ef, lengths, boundary, meta, vertical
 
 
 def _heisenberg_oracle(total: float) -> GeometryOracle:
@@ -450,17 +436,16 @@ def build_model(spec: ModelSpec):
     """Build (DiscretizedModel, GeometryOracle)."""
     vertical = None
     if spec.kind == "euclidean":
-        nodes, mu, L, ef, lengths, boundary, meta = _build_grid(spec, periodic=False)
+        nodes, mu, ef, lengths, boundary, meta = _build_grid(spec, periodic=False)
         oracle = _euclidean_oracle(spec.dim, spec.extent)
         model_id = f"euclidean{spec.dim}d-m{spec.resolution}-a{spec.extent:g}"
     elif spec.kind == "torus":
-        nodes, mu, L, ef, lengths, boundary, meta = _build_grid(spec, periodic=True)
+        nodes, mu, ef, lengths, boundary, meta = _build_grid(spec, periodic=True)
         oracle = _torus_oracle(spec.dim, meta["period"])
         model_id = f"torus{spec.dim}d-m{spec.resolution}-P{meta['period']:g}"
     elif spec.kind == "sphere":
         i, j, c, mu, nodes, lengths, trusted, dth = latitude_sphere(spec.resolution)
         ef = EdgeForm(i, j, c, mu.size)
-        L = graph_laplacian(ef, mu)
         boundary = np.zeros(mu.size, dtype=bool)
         # the operator commutes with the longitude shift
         meta = {"h": dth, "trusted_mask": trusted,
@@ -468,7 +453,7 @@ def build_model(spec: ModelSpec):
         model_id = f"sphere2-lat{spec.resolution}"
         oracle = _sphere_oracle()
     else:  # heisenberg
-        nodes, mu, L, ef, lengths, boundary, meta, vertical = _build_heisenberg(spec)
+        nodes, mu, ef, lengths, boundary, meta, vertical = _build_heisenberg(spec)
         oracle = _heisenberg_oracle(total=float(mu.sum()))
         model_id = (
             f"heisenberg-m{spec.resolution}-a{spec.extent:g}"
@@ -480,7 +465,6 @@ def build_model(spec: ModelSpec):
         kind=spec.kind,
         nodes=nodes,
         mu=mu,
-        L=L,
         edge_form=ef,
         edge_length=lengths,
         boundary_mask=boundary,
@@ -488,14 +472,12 @@ def build_model(spec: ModelSpec):
         vertical_form=vertical,
     )
     del nodes, mu, lengths, boundary    # the model holds frozen copies
-
-    # built-in self test: edge and operator routes to Gamma must agree
-    resid = self_test_gamma(model, seed=7, n_fields=2)
-    scale = float(np.abs(model.L.data).max())
-    if resid > 1e-9 * max(1.0, scale):
-        raise AssertionError(
-            f"Gamma edge/operator self-test failed for {model_id}: {resid:g}"
-        )
+    if spec.kind == "heisenberg":
+        # the adjacency is symmetric: its strong components are the graph's,
+        # and the graph-distance checks reuse it
+        ncomp, _ = connected_components(model.adjacency(), connection="strong")
+        if ncomp != 1:
+            raise UnsupportedModelError("horizontal graph is disconnected; widen the box")
     return model, oracle
 
 

@@ -55,7 +55,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import connected_components
 
-from .fields import DiscretizedModel, EdgeForm, ScalarField, graph_laplacian
+from .fields import DiscretizedModel, EdgeForm, ScalarField
 from .models import model_hash
 
 
@@ -590,12 +590,6 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
     i, j = remap[ef.i[keep]], remap[ef.j[keep]]
     c = ef.c[keep]
     sub_ef = EdgeForm(i, j, c, subset.size)
-    mu = model.mu[subset]
-    L = graph_laplacian(sub_ef, mu)
-    # L's pattern is symmetric, so its strong components are the graph's
-    ncomp, _ = connected_components(L, connection="strong")
-    if ncomp != 1:
-        raise ValueError("restriction subset is disconnected")
 
     lost = np.ones(model.n_nodes, dtype=bool)
     lost[subset] = False
@@ -607,13 +601,18 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
         model_id=f"{model.model_id}|sub{subset.size}",
         kind=model.kind,
         nodes=model.nodes[subset],
-        mu=mu,
-        L=L,
+        mu=model.mu[subset],
         edge_form=sub_ef,
         edge_length=model.edge_length[keep],
         boundary_mask=boundary,
         meta={"h": model.meta["h"]},
     )
+    # every check of a submodel solves its spectrum, so the connectivity
+    # test assembles L; its pattern is symmetric, so its strong components
+    # are the graph's
+    ncomp, _ = connected_components(sub.L, connection="strong")
+    if ncomp != 1:
+        raise ValueError("restriction subset is disconnected")
     if "trusted_mask" in model.meta:
         sub.meta["trusted_mask"] = model.meta["trusted_mask"][subset]
     return sub

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,9 +14,11 @@ from heatlab import (
     gamma2,
     gamma_z,
 )
-from heatlab.fields import DiscretizedModel, EdgeForm, graph_laplacian, self_test_gamma
+from heatlab import fields
+from heatlab.fields import EdgeForm, graph_laplacian, self_test_gamma
+from heatlab.metric import ball_table, graph_distance
 from heatlab.models import ModelSpec, build_model
-from heatlab.semigroup import neumann_restrict
+from heatlab.semigroup import neumann_restrict, spectral_decompose
 
 
 def test_field_validation(euclid2):
@@ -44,7 +48,8 @@ def test_gamma_constant_is_zero(sphere):
 
 def test_gamma_two_evaluation_paths_agree(sphere, heis):
     for model in (sphere[0], heis[0]):
-        assert self_test_gamma(model, seed=11) < 1e-9 * np.abs(model.L.data).max()
+        resid, slack = self_test_gamma(model, seed=11)
+        assert resid <= slack
 
 
 def test_gamma_heisenberg_vertical_coordinate(heis):
@@ -96,15 +101,23 @@ def test_operator_axioms_pass_on_catalog(torus1, sphere, heis):
         assert rep.passed, rep.worst_sample()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_operator_axioms_pass_on_fine_sphere(seed):
+    # gamma-two-paths' roundoff grows with the operator scale (about 1.1e5
+    # on lat48), which the derived slack follows
+    model, _ = build_model(ModelSpec("sphere", dim=2, resolution=48))
+    rep = check_operator_axioms(model, seed=seed)
+    assert rep.passed, rep.worst_sample()
+
+
 def test_operator_axioms_negative_control(tiny_torus):
-    # one asymmetric entry must flip the verdict
+    # one asymmetric entry, put where the L property reads it, must flip
+    # the verdict
     model = tiny_torus[0]
     L = model.L.tolil()
     L[0, 1] += 0.37
-    bad = DiscretizedModel(
-        model_id="corrupted", kind="torus", nodes=model.nodes, mu=model.mu,
-        L=L.tocsr(), edge_form=model.edge_form, edge_length=model.edge_length,
-        boundary_mask=model.boundary_mask)
+    bad = dataclasses.replace(model, model_id="corrupted")
+    bad.derived["_L"] = L.tocsr()
     rep = check_operator_axioms(bad, n_random=10)
     assert not rep.passed
 
@@ -218,3 +231,54 @@ def test_graph_laplacian_isolated_node_and_zero_conductance():
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(L, name), getattr(ref, name)), name
     assert L.indptr[-1] == L.indptr[-2] and 2 not in L.indices[L.indptr[1]:L.indptr[2]]
+
+
+def _counted_laplacian(monkeypatch, corrupt=False):
+    # graph_laplacian as the L property finds it: its calls are counted by
+    # node count, and ``corrupt`` scales one off-diagonal entry by 1.001
+    real, calls = graph_laplacian, []
+
+    def assemble(ef, mu):
+        calls.append(ef.n_nodes)
+        L = real(ef, mu)
+        if corrupt:
+            L.data[np.flatnonzero(L.data > 0)[0]] *= 1.001
+        return L
+    monkeypatch.setattr(fields, "graph_laplacian", assemble)
+    return calls
+
+
+def test_graph_distance_and_balls_leave_laplacian_unassembled(monkeypatch):
+    calls = _counted_laplacian(monkeypatch)
+    model, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=9))
+    d = graph_distance(model, model.n_nodes // 2)
+    ball_table(model, d, [0.3, 0.6])
+    assert calls == [] and "_L" not in model.derived
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("torus", dim=1, resolution=16),
+    ModelSpec("euclidean", dim=2, resolution=10),
+    ModelSpec("sphere", dim=2, resolution=8),
+    ModelSpec("heisenberg", dim=3, resolution=9),
+], ids=lambda s: s.kind)
+def test_corrupted_laplacian_fails_its_first_use(monkeypatch, spec):
+    _counted_laplacian(monkeypatch, corrupt=True)
+    model, _ = build_model(spec)          # the build assembles no L
+    for _ in range(2):                    # a failed L is not kept
+        with pytest.raises(AssertionError, match="self-test failed"):
+            model.L
+
+
+def test_neumann_restrict_assembles_its_laplacian_once(monkeypatch):
+    model, _ = build_model(ModelSpec("euclidean", dim=2, resolution=12))
+    model.L
+    calls = _counted_laplacian(monkeypatch)
+    sub = neumann_restrict(model, model.nodes[:, 0] <= 0)
+    spectral_decompose(sub, k=4)
+    check_operator_axioms(sub, n_random=2)
+    assert calls == [sub.n_nodes]
+    # and that first assembly is self-tested
+    _counted_laplacian(monkeypatch, corrupt=True)
+    with pytest.raises(AssertionError, match="self-test failed"):
+        neumann_restrict(model, model.nodes[:, 0] <= 0)
