@@ -8,7 +8,9 @@ A and B are each a campaign output directory or a digest file written by
 ``--save`` (such as ``tests/golden/default-seed42.json``).  For each
 report it prints the verdict on both sides and the largest move of
 ``min_margin``, ``scale`` or a sample margin, as a fraction of A's scale;
-every changed verdict is marked.  When A and B are both output
+every changed verdict is marked.  Samples pair by position, so a report
+whose sample count changed moves by inf; its line gives the counts and the
+signed move of ``min_margin`` instead.  When A and B are both output
 directories it also counts the reports whose files are byte-identical
 once ``metadata.config_digest`` is blanked, and names the others.  The
 exit code is 1 when a verdict changed or a report is missing on one side,
@@ -57,14 +59,21 @@ def main():
         return 0
     if len(args.runs) != 2:
         ap.error("give two runs A B")
-    rows = compare_digests(load(args.runs[0]), load(args.runs[1]))
+    a, b = load(args.runs[0]), load(args.runs[1])
+    rows = compare_digests(a, b)
     width = max(len(name) for name, *_ in rows)
     print(f"{'report':<{width}}  {'verdict A -> B':<16} max |dmargin|/scale")
     changed = 0
     for name, va, vb, move in rows:
         flag = "" if va == vb else "   CHANGED"
         changed += va != vb
-        print(f"{name:<{width}}  {f'{va} -> {vb}':<16} {move:.3g}{flag}")
+        ra, rb = a.get(name), b.get(name)
+        if ra and rb and ra["samples"] != rb["samples"]:
+            dmin = (rb["min_margin"] - ra["min_margin"]) / (abs(ra["scale"]) or 1.0)
+            move = f"samples {ra['samples']} -> {rb['samples']}, min_margin {dmin:+.3g}"
+        else:
+            move = f"{move:.3g}"
+        print(f"{name:<{width}}  {f'{va} -> {vb}':<16} {move}{flag}")
     worst = max(rows, key=lambda r: r[3])
     print(f"{len(rows)} reports, {changed} changed verdicts, "
           f"largest move {worst[3]:.3g} of scale ({worst[0]})")

@@ -31,10 +31,8 @@ from .models import (
     node_nearest,
 )
 from .metric import (
-    BallTable,
     DistanceField,
-    ball_table,
-    calibrate_anisotropy,
+    ball_volumes,
     discrete_perimeter,
     distance_field,
     dual_distance,

@@ -7,6 +7,9 @@ is made by ``_row`` (or ``_worst``, the least-margin node of a field); its
 margin is rhs - lhs unless the check passes another as ``margin=``.  Margins
 of multiplicative inequalities (Harnack, kernel bounds, Sobolev norms) are
 normalized per sample; additive pointwise margins carry a recorded scale.
+Every sample compares two sides and every one is gated.  Values a check
+records without comparing them (per-radius ball volumes, say) go into the
+report's metadata, as ``series`` rows named by ``series_columns``.
 
 Saturation witnesses are first-class: where an inequality is sharp the
 check also verifies the margin is close to zero, not merely nonnegative.
@@ -29,8 +32,8 @@ from .fields import (
     self_test_gamma,
 )
 from .metric import (
-    ball_table,
-    calibrate_anisotropy,
+    ball_volumes,
+    discrete_perimeter,
     distance_field,
     dual_distance,
     subunit_distance_heisenberg,
@@ -209,11 +212,14 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
     if mode == "riemannian":
         rho, n = oracle.ricci_lower, float(oracle.dim)
         meta.update(rho=rho, n=n)
-        for nf in suite:
-            g, g2, lf2 = cd_forms(model, nf.field)
+        forms = [cd_forms(model, nf.field) for nf in suite]
+        scales = [float(np.max(np.abs(g2[idx])) + np.max(lf2[idx]) / n)
+                  for g, g2, lf2 in forms]
+        # the report's scale, over every field, so no row depends on the
+        # order of the suite
+        scale = max(scales, default=0.0)
+        for nf, (g, g2, lf2), sc in zip(suite, forms, scales):
             marg = (g2 - lf2 / n - rho * g)[idx]
-            sc = float(np.max(np.abs(g2[idx])) + np.max(lf2[idx]) / n)
-            scale = max(scale, sc)
             samples.append(_worst(idx, -marg, 0.0, field=nf.name,
                                   mean_margin=float(marg.mean())))
             if nf.name in equality_fields:
@@ -361,32 +367,27 @@ def poincare_margin(model, f: ScalarField, const: float, absolute: bool = False)
     return const * dirichlet + mean_sq - model.inner(f, f)
 
 
-def check_spectral_gap(model, oracle, spectral: SpectralData, seed: int = 0,
+def check_spectral_gap(model, oracle, spectral: SpectralData,
                        tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                        ) -> MarginReport:
-    """Spectral gap against the sharp positive-curvature bound n rho/(n-1)."""
+    """Spectral gap against the sharp positive-curvature bound n rho/(n-1).
+
+    Over all fields, the least Poincare margin with constant 1/bound,
+    relative to Var f and times bound, is lambda_1 - bound, attained by the
+    first eigenfield; so the gap row tests the Poincare inequality exactly,
+    and the saturation row asks that it be sharp: |lambda_1 - bound| within
+    the tolerance.
+    """
     rho, n = oracle.ricci_lower, float(oracle.dim)
     if rho <= 0:
         raise NotApplicableError("spectral-gap bound needs rho > 0")
     bound = n * rho / (n - 1)
     lam1 = float(spectral.eigenvalues[1])
-    samples = [_row(bound, lam1, quantity="gap")]
-    rng = np.random.default_rng(seed)
-    const = 1.0 / bound
-    worst = np.inf
-    n_random = 100
-    for _ in range(n_random):
-        f = model.field(rng.standard_normal(model.n_nodes))
-        m = poincare_margin(model, f, const) / model.inner(f, f)
-        worst = min(worst, m)
-    samples.append(_row(-worst, 0.0, margin=worst * bound, quantity="poincare-random"))
-    phi1 = model.field(spectral.eigenfields[:, 1])
-    sat = poincare_margin(model, phi1, const) / model.inner(phi1, phi1)
-    samples.append(_row(abs(sat), 0.0, margin=-abs(sat) + tolerance.rel * bound,
-                        quantity="poincare-extremal-saturation"))
+    samples = [_row(bound, lam1, quantity="gap"),
+               _row(abs(lam1 - bound), 0.0, quantity="poincare-extremal-saturation")]
     return _report("spectral-gap", model.model_id, samples, tolerance,
                    scale=bound, metadata={"rho": rho, "n": n, "lambda1": lam1,
-                                          "bound": bound, "n_random": n_random})
+                                          "bound": bound})
 
 
 def _entropy(model, g: np.ndarray) -> float:
@@ -516,9 +517,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
             raise ValueError("sub-riemannian mode needs alpha > 2")
     samples, scale = [], 0.0
     sat_worst = {}
-    meta = {"mode": mode, "alpha": alpha, "rho": rho, "n": n,
-            "series_columns": ["t", "node", "lhs", "rhs", "margin"]}
-    series = []
+    meta = {"mode": mode, "alpha": alpha, "rho": rho, "n": n}
     for t in t_grid:
         if mode == "bakry-qian" and t < 2 / rho - 1e-12:
             raise ValueError(f"bakry-qian needs t >= 2/rho = {2 / rho:g}")
@@ -548,9 +547,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
                 else:
                     rhs = _li_yau_rhs(mode, t, rho, n, lu_over_u[idx], alpha=alpha)
             scale = max(scale, float(np.max(np.abs(rhs))))
-            row = _worst(idx, lhs, rhs, field=nf.name, t=float(t), eps=eps)
-            samples.append(row)
-            series.append([row[c] for c in meta["series_columns"]])
+            samples.append(_worst(idx, lhs, rhs, field=nf.name, t=float(t), eps=eps))
             if nf.name in saturation_fields:
                 close = float(np.min(np.abs(rhs - lhs)))
                 sat_worst[nf.name] = max(sat_worst.get(nf.name, 0.0), close)
@@ -559,7 +556,6 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
         for name, gap in sat_worst.items():
             samples.append(_row(gap, allowed, field=f"{name}|saturation"))
         meta["saturation_rtol"] = saturation_rtol
-    meta["series"] = series
     return _report(f"li-yau-{mode}", model.model_id, samples, tolerance, scale, meta)
 
 
@@ -657,8 +653,9 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
     (b) on-diagonal sandwich: the products p(x,x,2r^2) mu(B(x,r)) and
         p(x,x,r^2) mu(B(x,r)) must be finite, ordered, and (in flat space,
         within 5%) constant in r;
-    (c) two-sided bound: fit the smallest constant C(eps), eps = 0.5,
-        making the volume-normalized Gaussian sandwich hold over the sample;
+    (c) two-sided bound: record (as ``two_sided_C``) the smallest constant
+        C(eps), eps = 0.5, making the volume-normalized Gaussian sandwich
+        hold over the sample;
     (d) ball mass: scan A over ``BALL_MASS_A_GRID`` for the largest uniform
         K with P_{A r^2} 1_{B(x,r)}(x) >= K, evolved by ``engine``.
     """
@@ -695,8 +692,8 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
     # (b) on-diagonal sandwich over (x, r)
     q_hi, q_lo = [], []
     for x in centers:
-        bt = ball_table(model, distance_field(model, oracle, x), radii)
-        for r, vol in zip(radii, bt.volumes):
+        vols = ball_volumes(model, distance_field(model, oracle, x).values, radii)
+        for r, vol in zip(radii, vols):
             exact_vol = (oracle.exact_ball_volume(model.nodes[x], r)
                          if oracle.exact_ball_volume else vol)
             p_r = heat_kernel_block(spectral, r**2, [x], [x])[0, 0]
@@ -720,8 +717,6 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
 
     # (c) two-sided Gaussian fit
     meta["two_sided_C"] = float(c_fit)
-    samples.append(_row(0.0, c_fit, margin=float(c_fit > 0) - 0.5,
-                        part="two-sided-finite"))
 
     # (d) ball-mass scan
     best = (None, -np.inf)
@@ -756,16 +751,19 @@ def check_volume_regularity(model, oracle, centers, radii,
                             tolerance: Tolerance = Tolerance(1e-12, 0.05)) -> MarginReport:
     """Doubling ratios mu(B(x, 2r))/mu(B(x, r)) and the growth exponent.
 
-    The doubling constant is the sample sup of the ratio; the reverse
-    growth exponent is fitted from log volume against log radius and must
-    match log2 of the doubling constant within 10%.  On the
+    Each (centre, radius) is recorded in the metadata ``series``.  The
+    doubling constant is the sup of the ratios; the reverse growth exponent
+    is fitted from log volume against log radius and must match log2 of the
+    doubling constant within 10%.  The least and largest ratio are gated
+    against ``ratio_window``, and the largest, over ``monotone_upper``,
+    against 1.  On the
     Heisenberg lattice the metadata also records ``chart_ball_envelope_C``,
     a report-only shape diagnostic: chart balls of radius r sit inside
     intrinsic balls of radius ~ C sqrt(r) near the vertical axis.
     """
     radii = np.asarray(radii, dtype=float)
     all_r = np.unique(np.concatenate([radii, 2 * radii]))
-    ratios, samples, slope_tables = [], [], []
+    ratios, series, slopes = [], [], []
     for x in centers:
         df = distance_field(model, oracle, x, method=dist_method)
         safe = float(df.values[model.boundary_mask].min(initial=np.inf))
@@ -773,44 +771,43 @@ def check_volume_regularity(model, oracle, centers, radii,
             raise ValueError(
                 f"radii reach the truncation boundary (safe range {safe:g})"
             )
-        bt = ball_table(model, df, all_r)
-        vol = dict(zip(all_r, bt.volumes))
-        slope_tables.append(bt)
+        vols = ball_volumes(model, df.values, all_r)
+        slopes.append(volume_growth_exponent(all_r, vols))
+        vol = dict(zip(all_r, vols))
         for r in radii:
             ratio = vol[2 * r] / vol[r]
             ratios.append(ratio)
-            samples.append(_row(vol[2 * r], vol[r], margin=0.0, part="doubling",
-                                x=int(x), r=float(r), ratio=float(ratio)))
+            series.append([int(x), float(r), float(vol[r]), float(vol[2 * r]),
+                           float(ratio)])
     ratios = np.array(ratios)
     c_doub = float(ratios.max())
     meta = {"doubling_constant": c_doub, "Q_from_doubling": float(np.log2(c_doub)),
-            "ratio_min": float(ratios.min())}
+            "ratio_min": float(ratios.min()),
+            "series_columns": ["x", "r", "volume_r", "volume_2r", "ratio"],
+            "series": series}
     x0 = model.nodes[centers[0]]
     if oracle.exact_ball_volume is not None:
         ex = [oracle.exact_ball_volume(x0, 2 * r) / oracle.exact_ball_volume(x0, r)
               for r in radii]
         meta["oracle_small_ratio"] = float(ex[0])
 
-    slopes = [volume_growth_exponent(bt) for bt in slope_tables]
     q_fit = float(np.mean(slopes))
     meta["growth_exponent_fit"] = q_fit
     gap = abs(q_fit - np.log2(c_doub)) / np.log2(c_doub)
     exponent_rtol = 0.10
-    samples.append(_row(gap, exponent_rtol, part="reverse-exponent"))
+    samples = [_row(gap, exponent_rtol, part="reverse-exponent")]
 
     if ratio_window is not None:
         lo, hi = ratio_window
-        worst = min(float(ratios.min() - lo), float(hi - ratios.max()))
-        samples.append(_row(lo, hi, margin=worst, part="ratio-window"))
+        samples += [_row(lo, ratios.min(), part="ratio-window-lo"),
+                    _row(ratios.max(), hi, part="ratio-window-hi")]
     if monotone_upper is not None:
-        worst = float(monotone_upper - ratios.max()) + tolerance.rel * monotone_upper
-        samples.append(_row(ratios.max(), monotone_upper, margin=worst,
-                            part="ratio-upper"))
+        # ratios over the bound against 1, so the relative slack reads as a
+        # fraction of the bound
+        samples.append(_row(ratios.max() / monotone_upper, 1.0, part="ratio-upper"))
         if oracle.exact_ball_volume is not None:
-            samples.append(_row(np.max(ex), monotone_upper, part="ratio-upper-oracle"))
-    meta["series_columns"] = ["r", "ratio"]
-    meta["series"] = [[float(s["r"]), s["ratio"]] for s in samples
-                      if s.get("part") == "doubling"]
+            samples.append(_row(np.max(ex) / monotone_upper, 1.0,
+                                part="ratio-upper-oracle"))
     if model.kind == "heisenberg":
         # the lattice oracle has no closed-form distance, so this is the
         # graph distance from the first centre
@@ -985,33 +982,38 @@ def check_isoperimetric_balls(model, oracle, centers, radii,
     Ball perimeters use the coarea rate dV/dr, which matches the perimeter
     of smooth metric balls (the cut-edge perimeter measures the anisotropic
     projected boundary and is reported alongside).  Volumes and perimeters
-    are averaged over centers before fitting to wash out staircase noise.
-    The fitted ratio must stay constant in r within 12% and, when
-    ``expected_ratio`` is given, match it within 6%.
+    are averaged over centers before fitting to wash out staircase noise,
+    and recorded per radius in the metadata ``series``.  The fitted ratio
+    must stay constant in r within 12% and, when ``expected_ratio`` is
+    given, match it within 6%.
     """
     n = float(oracle.dim)
     constancy_rtol, value_rtol = 0.12, 0.06
     radii = np.asarray(radii, dtype=float)
+    # the coarea shell must span a few mesh cells or the staircase dominates
+    dr = np.maximum(0.05 * radii, 1.5 * float(model.meta["h"]))
     vols = np.zeros_like(radii)
     cper = np.zeros_like(radii)
     xper = np.zeros_like(radii)
     for x in centers:
-        df = distance_field(model, oracle, x)
-        bt = ball_table(model, df, radii)
-        vols += bt.volumes
-        cper += bt.coarea_perimeters
-        xper += bt.perimeters
+        d = distance_field(model, oracle, x).values
+        vols += ball_volumes(model, d, radii)
+        cper += [(model.mu[d <= r + w].sum() - model.mu[d <= r - w].sum()) / (2 * w)
+                 for r, w in zip(radii, dr)]
+        xper += [discrete_perimeter(model, d <= r) for r in radii]
     vols /= len(centers)
     cper /= len(centers)
     xper /= len(centers)
-    ratio = vols ** ((n - 1) / n) / cper
-    samples = [_row(v ** ((n - 1) / n), pmt, margin=0.0, r=float(r), ratio=float(rat))
-               for r, v, pmt, rat in zip(radii, vols, cper, ratio)]
+    vpow = vols ** ((n - 1) / n)
+    ratio = vpow / cper
     spread = float((ratio.max() - ratio.min()) / ratio.mean())
-    samples.append(_row(spread, constancy_rtol, quantity="ratio-constancy"))
+    samples = [_row(spread, constancy_rtol, quantity="ratio-constancy")]
     meta = {"fitted_C3": float(ratio.max()), "ratio_mean": float(ratio.mean()),
             "spread": spread,
-            "cut_perimeters": [float(p) for p in xper]}
+            "cut_perimeters": [float(p) for p in xper],
+            "series_columns": ["r", "volume_power", "coarea_perimeter", "ratio"],
+            "series": [[float(r), float(v), float(p), float(q)]
+                       for r, v, p, q in zip(radii, vpow, cper, ratio)]}
     if expected_ratio is not None:
         gap = float(abs(ratio.mean() / expected_ratio - 1.0))
         samples.append(_row(gap, value_rtol, quantity="ratio-value"))
@@ -1118,8 +1120,9 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
     The dual bounds the discrete intrinsic distance, which can exceed the
     model's distance by O(h).  Where the oracle has a closed-form distance,
     each row also records it, read from the memoized field that the dual
-    starts from, and the metadata records the lattice overestimation factor
-    (report-only; it never alters bounds).
+    starts from, and the metadata records the lattice overestimation factor,
+    graph over oracle on the rows at least 3 h apart (report-only; it never
+    alters bounds).
     """
     h = float(model.meta["h"])
     tolerance = tolerance or Tolerance(2 * h, 0.02, mesh_order=1)
@@ -1139,8 +1142,12 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
         samples.append(s)
     meta = {"n_pairs": n_pairs}
     if oracle.exact_distance is not None:
-        meta["anisotropy"] = calibrate_anisotropy(model, oracle, n_pairs=100,
-                                                  seed=seed)
+        ratios = np.array([s["rhs"] / s["oracle"] for s in samples
+                           if s["oracle"] >= 3 * h])
+        meta["anisotropy"] = {"n_pairs": int(ratios.size)}
+        if ratios.size:
+            meta["anisotropy"].update(max_ratio=float(ratios.max()),
+                                      mean_ratio=float(ratios.mean()))
     return _report("distance-sandwich", model.model_id, samples, tolerance,
                    scale, meta)
 

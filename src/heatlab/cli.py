@@ -545,8 +545,7 @@ CHECK_KINDS = {
                                 bind=_bind_suite("eigen")),
     "completeness": CheckKind(C.check_completeness, ("model", "engine"),
                               {"t_grid": _floats}),
-    "spectral-gap": CheckKind(C.check_spectral_gap,
-                              ("model", "oracle", "spectral", "seed")),
+    "spectral-gap": CheckKind(C.check_spectral_gap, ("model", "oracle", "spectral")),
     "log-sobolev": CheckKind(C.check_log_sobolev, ("model", "oracle", "engine"),
                              bind=_bind_suite("positive")),
     "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral")),
@@ -826,9 +825,20 @@ def _svg_polyline(points):
     )
 
 
-# the metadata series each plot kind reads, and its name in errors
-_PLOT_SERIES = {"li-yau": ("series", "pointwise"), "doubling": ("series", "(r, ratio)"),
-               "entropy": ("entropy_series", "entropy")}
+# the columns each plot kind reads, by name, and its name in errors
+_PLOT_COLUMNS = {"li-yau": (["t", "node", "lhs", "rhs", "margin"], "pointwise"),
+                 "doubling": (["r", "ratio"], "(r, ratio)")}
+
+
+def _plot_rows(report: MarginReport, columns):
+    """The rows of ``columns``: from the metadata ``series``, whose columns
+    ``series_columns`` names, when the report has one, else from the
+    samples; a record that lacks one of the columns is skipped."""
+    meta = report.metadata
+    records = ([dict(zip(meta.get("series_columns", columns), row))
+                for row in meta["series"]] if "series" in meta else report.samples)
+    return [[rec[c] for c in columns] for rec in records
+            if all(c in rec for c in columns)]
 
 
 def _plot_series(report: MarginReport, kind: str):
@@ -836,31 +846,32 @@ def _plot_series(report: MarginReport, kind: str):
     if kind == "margins":
         return (report.csv_rows(),
                 [(i, s.get("margin", 0.0)) for i, s in enumerate(report.samples)])
-    if kind not in _PLOT_SERIES:
+    if kind == "entropy":
+        series = report.metadata.get("entropy_series")
+        if not series:
+            raise ValueError("report carries no entropy series")
+        slope = report.metadata.get("entropy_slope")
+        rows = [[f"# fitted_slope = {slope!r}"], ["t", "log_entropy"]]
+        return rows + [[repr(float(t)), repr(float(e))] for t, e in series], series
+    if kind not in _PLOT_COLUMNS:
         raise ValueError(f"unknown plot kind {kind!r}")
-    key, what = _PLOT_SERIES[kind]
-    series = report.metadata.get(key)
+    columns, what = _PLOT_COLUMNS[kind]
+    series = _plot_rows(report, columns)
     if not series:
         raise ValueError(f"report carries no {what} series")
     if kind == "li-yau":
-        rows = [report.metadata.get("series_columns",
-                                    ["t", "node", "lhs", "rhs", "margin"])]
-        rows += [[repr(float(v)) if isinstance(v, float) else v for v in row]
-                 for row in series]
+        rows = [columns] + [[repr(float(v)) if isinstance(v, float) else v for v in row]
+                            for row in series]
         pts = {}
         for t, node, lhs, rhs, margin in series:
             pts[t] = min(pts.get(t, np.inf), margin)
         return rows, sorted(pts.items())
-    if kind == "doubling":
-        rows = [["r", "ratio", "monotone_r"]]
-        prev = -np.inf
-        for r, ratio in series:
-            rows.append([repr(float(r)), repr(float(ratio)), int(r >= prev)])
-            prev = r
-        return rows, series
-    slope = report.metadata.get("entropy_slope")
-    rows = [[f"# fitted_slope = {slope!r}"], ["t", "log_entropy"]]
-    return rows + [[repr(float(t)), repr(float(e))] for t, e in series], series
+    rows = [["r", "ratio", "monotone_r"]]
+    prev = -np.inf
+    for r, ratio in series:
+        rows.append([repr(float(r)), repr(float(ratio)), int(r >= prev)])
+        prev = r
+    return rows, series
 
 
 def emit_plot_data(report: MarginReport, kind: str, out_dir: str) -> list[str]:

@@ -1,4 +1,4 @@
-"""Intrinsic distances, ball tables, and discrete perimeters.
+"""Intrinsic distances, ball volumes, and discrete perimeters.
 
 Four routes to the distance are kept.  The graph distance bounds the model's
 distance d from above; the dual certificate bounds from below the discrete
@@ -12,7 +12,7 @@ is exact).
   for the Heisenberg lattice only the horizontal moves carry edges, each of
   unit-speed traversal time h, so graph distances are automatically
   Carnot-Caratheodory-flavoured (and overestimate by the lattice
-  anisotropy, which is calibrated and recorded, never used to alter
+  anisotropy, which the distance sandwich records and which never alters
   certified bounds).
 * dual: any field with pointwise Gamma(f) <= 1 certifies the lower bound
   f(x) - f(y).  The model's distance field to y is rescaled to feasibility,
@@ -59,24 +59,6 @@ class DistanceField:
         v = np.asarray(self.values, dtype=float).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class BallTable:
-    model_id: str
-    center: int
-    radii: np.ndarray
-    volumes: np.ndarray              # mu-measure of closed balls
-    perimeters: np.ndarray           # cut-edge perimeters
-    coarea_perimeters: np.ndarray    # dV/dr (matches smooth-ball perimeter)
-
-    def __post_init__(self):
-        for name in ("radii", "volumes", "perimeters", "coarea_perimeters"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        if np.any(np.diff(self.volumes) < -1e-12):
-            raise ValueError("ball volumes must be nondecreasing")
 
 
 def graph_distance(model: DiscretizedModel, source: int) -> DistanceField:
@@ -294,7 +276,7 @@ def subunit_distance_heisenberg(target):
 
 
 # ---------------------------------------------------------------------------
-# balls and perimeters
+# perimeters and ball volumes
 
 
 def discrete_perimeter(model: DiscretizedModel, node_mask) -> float:
@@ -315,56 +297,19 @@ def discrete_perimeter(model: DiscretizedModel, node_mask) -> float:
     return float(np.sum(ef.c[cut] * model.edge_length[cut]))
 
 
-def ball_table(model: DiscretizedModel, dist: DistanceField, radii) -> BallTable:
-    """Volumes and perimeters of metric balls around the distance source."""
+def ball_volumes(model: DiscretizedModel, d: np.ndarray, radii) -> np.ndarray:
+    """mu-measure of the closed balls {d <= r}, r in the strictly ascending
+    ``radii``, where ``d`` holds the distance of every node to the centre."""
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly ascending")
-    d = dist.values
     order = np.argsort(d)
     cum = np.cumsum(model.mu[order])
     pos = np.searchsorted(d[order], radii, side="right")
-    volumes = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
-
-    perims = np.array([discrete_perimeter(model, d <= r) for r in radii])
-
-    # coarea route: dV/dr by central differences; the shell must span a few
-    # mesh cells or the staircase dominates
-    h = float(model.meta["h"])
-    co = np.empty_like(radii)
-    for k, r in enumerate(radii):
-        dr = max(0.05 * r, 1.5 * h)
-        lo = float(model.mu[d <= r - dr].sum())
-        hi = float(model.mu[d <= r + dr].sum())
-        co[k] = (hi - lo) / (2 * dr)
-    return BallTable(model.model_id, dist.source, radii, volumes, perims, co)
+    return np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
 
 
-def volume_growth_exponent(table: BallTable) -> float:
+def volume_growth_exponent(radii: np.ndarray, volumes: np.ndarray) -> float:
     """Log-log slope of ball volume against radius."""
-    good = table.volumes > 0
-    return float(np.polyfit(np.log(table.radii[good]), np.log(table.volumes[good]), 1)[0])
-
-
-def calibrate_anisotropy(model: DiscretizedModel, oracle: GeometryOracle,
-                         n_pairs: int = 100, seed: int = 0) -> dict:
-    """Graph-over-oracle distance ratios on random pairs at least 3 h apart
-    (report metadata; only ``n_pairs: 0`` when no pair is)."""
-    if oracle.exact_distance is None:
-        raise ValueError("needs an oracle distance")
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(n_pairs):
-        x, y = rng.integers(0, model.n_nodes, size=2)
-        if x == y:
-            continue
-        ref = float(oracle.exact_distance(model.nodes[x], model.nodes[y]))
-        if ref < 3 * model.meta["h"]:
-            continue
-        g = distance_field(model, oracle, y, method="graph").values[x]
-        ratios.append(g / ref)
-    if not ratios:
-        return {"n_pairs": 0}
-    ratios = np.array(ratios)
-    return {"max_ratio": float(ratios.max()), "mean_ratio": float(ratios.mean()),
-            "n_pairs": int(ratios.size)}
+    good = volumes > 0
+    return float(np.polyfit(np.log(radii[good]), np.log(volumes[good]), 1)[0])

@@ -65,6 +65,16 @@ def test_cd_sphere(sphere):
     assert rep.min_margin > -0.02 * rep.scale
 
 
+def test_cd_margins_do_not_depend_on_suite_order(sphere):
+    # the gradient-of-Gamma rows are read in units of the report's scale,
+    # which every field enters, not of the fields checked before them
+    model, oracle, spectral = sphere
+    suite = eigen_fields(model, spectral, seed=0)
+    a, b = (check_cd(model, oracle, s) for s in (suite, suite[::-1]))
+    assert {s["field"]: s["margin"] for s in a.samples} == \
+        {s["field"]: s["margin"] for s in b.samples}
+
+
 def test_span_cd_margin_ignores_the_basis(sphere):
     model, oracle, spectral = sphere
     span = spectral.eigenfields[:, 1:10]
@@ -233,7 +243,7 @@ def test_completeness(sphere, torus1):
 
 def test_spectral_gap_poincare(sphere):
     model, oracle, spectral = sphere
-    rep = check_spectral_gap(model, oracle, spectral, seed=0)
+    rep = check_spectral_gap(model, oracle, spectral)
     assert rep.passed
     assert rep.metadata["lambda1"] == pytest.approx(2.0, rel=0.02)
     # extremal eigenfunction saturates the Poincare inequality
@@ -443,7 +453,7 @@ def test_volume_radii_reaching_the_boundary_raise(method):
                                 dist_method=method)
     rep = check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe],
                                   dist_method=method)
-    assert rep.samples[0]["part"] == "doubling"
+    assert [row[:2] for row in rep.metadata["series"]] == [[x, 0.2], [x, 0.5 * safe]]
 
 
 def test_neumann_poincare(euclid1):
@@ -477,6 +487,30 @@ def test_isoperimetric(euclid2):
     assert rep.passed
     assert rep.metadata["ratio_mean"] == pytest.approx(1 / (2 * np.sqrt(np.pi)),
                                                        rel=0.05)
+    # coarea perimeters follow 2 pi r, cut-edge perimeters the projected 8 r
+    r = np.array([0.3, 0.4, 0.5, 0.6])
+    coarea = np.array([row[2] for row in rep.metadata["series"]])
+    assert np.all(np.abs(coarea / (2 * np.pi * r) - 1) < 0.1)
+    assert np.all(np.abs(np.array(rep.metadata["cut_perimeters"]) / (8 * r) - 1) < 0.1)
+
+
+def test_samples_compare_their_two_sides(euclid2, sphere):
+    # no placeholder, flag or implied row: every margin is rhs - lhs, and
+    # what is only recorded sits in the metadata
+    model, oracle, _ = euclid2
+    i0 = node_nearest(model, [0, 0])
+    smodel, soracle, sspectral = sphere
+    pole = node_nearest(smodel, [0, 0, 1])
+    radii = (np.array([4, 5, 7]) + 0.5) * smodel.meta["h"]
+    reports = [
+        check_volume_regularity(model, oracle, [i0], [0.3, 0.45, 0.6],
+                                ratio_window=(3.7, 4.3)),
+        check_volume_regularity(smodel, soracle, [pole], radii, monotone_upper=4.0),
+        check_isoperimetric_balls(model, oracle, [i0], [0.3, 0.4, 0.5, 0.6]),
+        check_spectral_gap(smodel, soracle, sspectral)]
+    for rep in reports:
+        assert rep.samples
+        assert all(s["margin"] == s["rhs"] - s["lhs"] for s in rep.samples), rep.check_id
 
 
 def test_sharp_sobolev_family(sphere):

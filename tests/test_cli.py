@@ -236,7 +236,7 @@ def test_small_campaign_runs_each_dijkstra_once(tmp_path, monkeypatch):
     cfg.output_dir = str(tmp_path / "out")
     cfg.cache_dir = str(tmp_path / "cache")
     assert run_campaign(cfg, log=lambda *a: None) == 0
-    assert len(runs) == 93
+    assert len(runs) == 19
     assert max(runs.values()) == 1
 
 
@@ -338,6 +338,22 @@ def test_plot_emission(tmp_path, sphere):
     rows = [r.split(",") for r in open(dfiles[0]).read().splitlines()]
     assert rows[0] == ["r", "ratio", "monotone_r"]
     assert all(r[2] == "1" for r in rows[1:])
+
+    # the Li-Yau rows are read from the samples, not from a copy of them;
+    # reports that still carry one (as metadata.series), and doubling series
+    # of (r, ratio) rows, give the same CSV through `heatlab report`
+    assert "series" not in rep.metadata
+    columns = ["t", "node", "lhs", "rhs", "margin"]
+    rep.metadata.update(series_columns=columns, series=[
+        [s[c] for c in columns] for s in rep.samples if "t" in s])
+    vol.metadata.update(series_columns=["r", "ratio"], series=[
+        [r, ratio] for x, r, v_r, v_2r, ratio in vol.metadata["series"]])
+    for old, kind, new in ((rep, "li-yau", files[0]), (vol, "doubling", dfiles[0])):
+        path = str(tmp_path / f"old-{kind}.json")
+        old.save(path)
+        out = tmp_path / f"old-{kind}"
+        assert main(["report", "--report", path, "--kind", kind, "--out", str(out)]) == 0
+        assert (out / os.path.basename(new)).read_bytes() == open(new, "rb").read()
 
     with pytest.raises(ValueError):
         emit_plot_data(rep, "histogram", str(tmp_path))
@@ -521,18 +537,29 @@ def test_compare_runs_counts_byte_identical_reports(tmp_path):
         run = subprocess.run([sys.executable, script, a, b], env=env,
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
-        return run.stdout.splitlines()[-3:]
+        return run.stdout.splitlines()
 
     a = _run_dir(tmp_path / "a", ["0123", "4567"], 0.25)
     b = _run_dir(tmp_path / "b", ["89ab", "cdef"], 0.25)
     assert compare(a, b)[-1] == "2 of 2 reports byte-identical apart from config_digest"
+    # a report whose sample count changed shows the counts and how far its
+    # min_margin moved, not an unpaired inf
+    a3 = _run_dir(tmp_path / "a3", ["0123", "4567"], 0.25)
+    rep = MarginReport.load(os.path.join(a3, "a.json"))
+    rep.samples.append({"lhs": 0.5, "rhs": 1.0, "margin": 0.5})
+    rep.min_margin = 0.5
+    rep.save(os.path.join(a3, "a.json"))
+    lines = compare(b, a3)
+    assert lines[1].split() == ["a", "pass", "->", "pass", "samples", "1", "->", "2,",
+                                "min_margin", "-0.25"]
+    assert lines[2].split() == ["b", "pass", "->", "pass", "0"]
     # one byte differs in b's second report: "n": 3 -> "n": 4; no margin moves
     a2 = _run_dir(tmp_path / "a2", ["0123", "4567"], 0.25)
     path = os.path.join(a2, "b.json")
     text = open(path).read()
     with open(path, "w") as fh:
         fh.write(text.replace('"n": 3', '"n": 4'))
-    assert compare(a2, b) == [
+    assert compare(a2, b)[-3:] == [
         "2 reports, 0 changed verdicts, largest move 0 of scale (a)",
         "1 of 2 reports byte-identical apart from config_digest",
         "  differs: b"]

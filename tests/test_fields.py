@@ -16,7 +16,7 @@ from heatlab import (
 )
 from heatlab import fields
 from heatlab.fields import EdgeForm, graph_laplacian, self_test_gamma
-from heatlab.metric import ball_table, graph_distance
+from heatlab.metric import ball_volumes, graph_distance
 from heatlab.models import ModelSpec, build_model
 from heatlab.semigroup import neumann_restrict, spectral_decompose
 
@@ -252,7 +252,7 @@ def test_graph_distance_and_balls_leave_laplacian_unassembled(monkeypatch):
     calls = _counted_laplacian(monkeypatch)
     model, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=9))
     d = graph_distance(model, model.n_nodes // 2)
-    ball_table(model, d, [0.3, 0.6])
+    ball_volumes(model, d.values, [0.3, 0.6])
     assert calls == [] and "_L" not in model.derived
 
 

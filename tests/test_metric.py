@@ -6,8 +6,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from heatlab import (
-    ball_table,
-    calibrate_anisotropy,
+    ball_volumes,
     discrete_perimeter,
     dual_distance,
     graph_distance,
@@ -15,6 +14,7 @@ from heatlab import (
     subunit_distance_heisenberg,
     volume_growth_exponent,
 )
+from heatlab.checks import check_distance_sandwich
 from heatlab.metric import _increasing_root, oracle_distance
 from heatlab.models import ModelSpec, build_model
 
@@ -371,12 +371,15 @@ def test_heisenberg_graph_distance_vertical(heis):
 def test_ball_tables_disk(euclid2):
     model, oracle, _ = euclid2
     i0 = node_nearest(model, [0, 0])
-    bt = ball_table(model, oracle_distance(model, oracle, i0), [0.3, 0.45, 0.6])
-    exact = np.pi * np.array([0.3, 0.45, 0.6]) ** 2
-    assert np.all(np.abs(bt.volumes - exact) / exact < 0.06)
-    assert np.all(np.diff(bt.volumes) > 0)
+    d = oracle_distance(model, oracle, i0).values
+    radii = np.array([0.3, 0.45, 0.6])
+    vols = ball_volumes(model, d, radii)
+    np.testing.assert_allclose(vols, [model.mu[d <= r].sum() for r in radii],
+                               rtol=1e-13)
+    exact = np.pi * radii**2
+    assert np.all(np.abs(vols - exact) / exact < 0.06)
     with pytest.raises(ValueError):
-        ball_table(model, oracle_distance(model, oracle, i0), [0.3, 0.3])
+        ball_volumes(model, d, [0.3, 0.3])
 
 
 def test_cap_volumes(sphere):
@@ -385,9 +388,9 @@ def test_cap_volumes(sphere):
     pole = node_nearest(model, [0, 0, 1])
     h = model.meta["h"]
     radii = (np.array([5, 10, 20]) + 0.5) * h
-    bt = ball_table(model, graph_distance(model, pole), radii)
+    vols = ball_volumes(model, graph_distance(model, pole).values, radii)
     exact = 2 * np.pi * (1 - np.cos(radii))
-    assert np.all(np.abs(bt.volumes - exact) / exact < 0.01)
+    assert np.all(np.abs(vols - exact) / exact < 0.01)
 
 
 def test_square_perimeter(euclid2):
@@ -405,19 +408,25 @@ def test_heisenberg_growth_exponent():
     d = graph_distance(model, i0)
     h = model.meta["h"]
     radii = (np.arange(3, 21) + 0.49) * h
-    bt = ball_table(model, d, radii)
-    slope = volume_growth_exponent(bt)
+    slope = volume_growth_exponent(radii, ball_volumes(model, d.values, radii))
     assert 3.6 <= slope <= 4.2
 
 
 def test_anisotropy_calibration_without_distant_pairs():
     # on an 8-node circle only antipodal pairs lie 3 h apart; these 4 draw none
     model, oracle = build_model(ModelSpec("torus", dim=1, resolution=8))
-    assert calibrate_anisotropy(model, oracle, n_pairs=4, seed=0) == {"n_pairs": 0}
+    rep = check_distance_sandwich(model, oracle, n_pairs=4, seed=0)
+    assert rep.metadata["anisotropy"] == {"n_pairs": 0}
 
 
 def test_anisotropy_calibration(sphere):
+    # the sandwich's own rows: graph over oracle on the pairs 3 h apart
     model, oracle, _ = sphere
-    cal = calibrate_anisotropy(model, oracle, n_pairs=40, seed=2)
+    rep = check_distance_sandwich(model, oracle, n_pairs=40, seed=2)
+    cal = rep.metadata["anisotropy"]
+    ratios = [s["rhs"] / s["oracle"] for s in rep.samples
+              if s["oracle"] >= 3 * model.meta["h"]]
+    assert cal == {"n_pairs": len(ratios), "max_ratio": max(ratios),
+                   "mean_ratio": pytest.approx(np.mean(ratios), rel=1e-15)}
     assert 1.0 <= cal["mean_ratio"] < 1.3
     assert cal["max_ratio"] < 1.5
