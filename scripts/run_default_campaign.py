@@ -4,6 +4,7 @@
 Equivalent to `heatlab campaign` plus `heatlab report` for the margin
 curves most worth looking at: pointwise gradient-of-log margins against
 time, ball doubling ratios against radius, and the entropy decay line.
+Each goes to `OUT/plots/<check name>-<kind>.csv` and `.svg`.
 """
 import argparse
 import os
@@ -33,15 +34,21 @@ def main():
     cfg.cache_dir = args.cache
     cfg.seed = args.seed
     rc = run_campaign(cfg)
-
-    plot_dir = os.path.join(args.out, "plots")
-    for name, kind in PLOTS:
-        path = os.path.join(args.out, f"{name}.json")
-        if not os.path.exists(path):
-            continue
-        for written in emit_plot_data(MarginReport.load(path), kind, plot_dir):
-            print("plot:", written)
+    for written in emit_featured_plots(args.out):
+        print("plot:", written)
     return rc
+
+
+def emit_featured_plots(out_dir):
+    """Write the ``PLOTS`` series of the reports in ``out_dir`` to
+    ``out_dir/plots``, one file pair per entry; return the paths written."""
+    plot_dir = os.path.join(out_dir, "plots")
+    written = []
+    for name, kind in PLOTS:
+        path = os.path.join(out_dir, f"{name}.json")
+        if os.path.exists(path):
+            written += emit_plot_data(MarginReport.load(path), kind, plot_dir, name)
+    return written
 
 
 if __name__ == "__main__":

@@ -809,13 +809,14 @@ def check_volume_regularity(model, oracle, centers, radii,
             samples.append(_row(np.max(ex) / monotone_upper, 1.0,
                                 part="ratio-upper-oracle"))
     if model.kind == "heisenberg":
-        # the lattice oracle has no closed-form distance, so this is the
-        # graph distance from the first centre
-        d_cc = distance_field(model, oracle, centers[0], method=dist_method).values
-        d_ch = np.linalg.norm(model.nodes - x0, axis=1)
-        near_axis = (np.hypot(model.nodes[:, 0], model.nodes[:, 1])
-                     < 2 * float(model.meta["h"]))
-        sel = near_axis & (d_ch > 1e-6) & np.isfinite(d_cc)
+        # the first centre's distance field by ``dist_method`` (volume-heis
+        # pins the graph route), read on the nodes near the vertical axis
+        near_axis = np.flatnonzero(np.hypot(model.nodes[:, 0], model.nodes[:, 1])
+                                   < 2 * float(model.meta["h"]))
+        d_cc = distance_field(model, oracle, centers[0],
+                              method=dist_method).values[near_axis]
+        d_ch = np.linalg.norm(model.nodes[near_axis] - x0, axis=1)
+        sel = (d_ch > 1e-6) & np.isfinite(d_cc)
         meta["chart_ball_envelope_C"] = float(np.max(d_cc[sel] / np.sqrt(d_ch[sel])))
     return _report("volume-doubling", model.model_id, samples, tolerance, 1.0, meta)
 

@@ -874,12 +874,15 @@ def _plot_series(report: MarginReport, kind: str):
     return rows, series
 
 
-def emit_plot_data(report: MarginReport, kind: str, out_dir: str) -> list[str]:
-    """CSV series plus a minimal static SVG for one report; a report that
-    lacks the series raises ValueError before anything is written."""
+def emit_plot_data(report: MarginReport, kind: str, out_dir: str, name: str) -> list[str]:
+    """CSV series plus a minimal static SVG for one report, written to
+    ``{name}-{kind}.csv`` and ``.svg``; ``name`` is the check's config name
+    (a campaign saves its report as ``{name}.json``), since several checks
+    share one check kind.  A report that lacks the series raises ValueError
+    before anything is written."""
     rows, points = _plot_series(report, kind)
     os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, f"{report.check_id}-{kind}")
+    base = os.path.join(out_dir, f"{name}-{kind}")
     write_csv(base + ".csv", rows)
     atomic_write_text(base + ".svg", _svg_polyline(points))
     return [base + ".csv", base + ".svg"]
@@ -937,8 +940,9 @@ def main(argv=None) -> int:
                 rep = MarginReport.load(args.report)
             except (OSError, ValueError, KeyError) as exc:
                 raise _unreadable(where, exc) from None
+            name = os.path.splitext(os.path.basename(args.report))[0]
             try:
-                written = emit_plot_data(rep, args.kind, args.out)
+                written = emit_plot_data(rep, args.kind, args.out, name)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             for path in written:

@@ -65,9 +65,29 @@ class ScalarField:
         return self.values.shape[0]
 
 
+def index_dtype(count: int):
+    """The dtype of ids below ``count`` (node ids in edge lists and sparse
+    patterns, edge ids): int32 unless ``count`` needs more."""
+    return np.int32 if count < 2**31 else np.int64
+
+
+def frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``: the array itself, frozen in
+    place, unless a cast makes a copy."""
+    a = np.asarray(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class EdgeForm:
-    """A symmetric bilinear edge form sum_e c_e df_e dg_e / (2 mu)."""
+    """A symmetric bilinear edge form sum_e c_e df_e dg_e / (2 mu).
+
+    The form takes ownership of the arrays it is given: ``i`` and ``j``
+    (cast to ``index_dtype``) and ``c`` (float) are copied only when that
+    cast changes their dtype, and are otherwise frozen in place, so the
+    caller must not write to them afterwards.
+    """
 
     i: np.ndarray
     j: np.ndarray
@@ -75,11 +95,9 @@ class EdgeForm:
     n_nodes: int
 
     def __post_init__(self):
-        idx = np.int32 if self.n_nodes < 2**31 else np.int64
+        idx = index_dtype(self.n_nodes)
         for name, dtype in (("i", idx), ("j", idx), ("c", float)):
-            a = np.asarray(getattr(self, name)).astype(dtype)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
         if np.any(self.c < 0):
             raise ValueError("edge conductances must be nonnegative")
 
@@ -122,7 +140,13 @@ class CDParameters:
 
 @dataclass(frozen=True)
 class DiscretizedModel:
-    """Finite stand-in for a (manifold, measure, diffusion operator) triple."""
+    """Finite stand-in for a (manifold, measure, diffusion operator) triple.
+
+    Like ``EdgeForm``, the model takes ownership of its arrays: ``nodes``,
+    ``mu``, ``edge_length`` (float) and ``boundary_mask`` (bool) are copied
+    only when a dtype cast is needed and are otherwise frozen in place.  So
+    ``dataclasses.replace`` shares them with the model it copies.
+    """
 
     model_id: str
     kind: str
@@ -137,13 +161,9 @@ class DiscretizedModel:
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("nodes", "mu", "edge_length"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        b = np.asarray(self.boundary_mask, dtype=bool).copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "boundary_mask", b)
+        for name, dtype in (("nodes", float), ("mu", float), ("edge_length", float),
+                            ("boundary_mask", bool)):
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
         if np.any(self.mu <= 0):
             raise ValueError("cell measures must be positive")
 
@@ -213,17 +233,25 @@ class DiscretizedModel:
 
     def adjacency(self, weights: str = "length") -> sp.csr_matrix:
         """Edge weights, symmetric by construction: each edge is stored as
-        (i, j) and as (j, i), so Dijkstra runs on it as a directed graph."""
+        (i, j) and as (j, i), so Dijkstra runs on it as a directed graph.
+
+        The sparsity pattern is assembled over integer edge ids, whose
+        entries the weights then replace, so no float COO of 2E entries is
+        built.  An edge form that repeats an edge, or joins a node to
+        itself, raises ValueError."""
         key = f"_adj_{weights}"
         if key not in self.derived:
             ef = self.edge_form
-            w = self.edge_length if weights == "length" else np.ones(ef.n_edges)
-            n = self.n_nodes
-            a = sp.coo_matrix(
-                (np.concatenate([w, w]),
-                 (np.concatenate([ef.i, ef.j]), np.concatenate([ef.j, ef.i]))),
-                shape=(n, n),
-            ).tocsr()
+            n, e = self.n_nodes, ef.n_edges
+            # the rows (i, j) and the columns (j, i) are two windows of (i, j, i)
+            ends = np.concatenate([ef.i, ef.j, ef.i])
+            ids = np.tile(np.arange(e, dtype=index_dtype(e)), 2)
+            a = sp.coo_matrix((ids, (ends[:2 * e], ends[e:])), shape=(n, n)).tocsr()
+            del ends, ids
+            if a.nnz != 2 * e:      # the conversion summed coinciding entries
+                raise ValueError(f"{self.model_id}: the edge form repeats an edge "
+                                 "or has a loop")
+            a.data = self.edge_length[a.data] if weights == "length" else np.ones(a.nnz)
             self.derived[key] = a
         return self.derived[key]
 
@@ -385,7 +413,7 @@ def graph_laplacian(edge_form: EdgeForm, mu: np.ndarray) -> sp.csr_matrix:
     diag = np.zeros(n)
     np.add.at(diag, i, c)
     np.add.at(diag, j, c)
-    d, idx = np.arange(n), np.int32 if n < 2**31 else np.int64
+    d, idx = np.arange(n), index_dtype(n)
     L = sp.coo_matrix((np.concatenate([c, c, -diag]),
                        (np.concatenate([i, j, d], dtype=idx),
                         np.concatenate([j, i, d], dtype=idx))), shape=(n, n)).tocsr()

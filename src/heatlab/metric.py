@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .fields import DiscretizedModel
+from .fields import DiscretizedModel, frozen
 from .models import GeometryOracle
 
 
@@ -51,14 +51,16 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class DistanceField:
+    """Distance of every node from ``source``.  Takes ownership of
+    ``values``: it is copied only when a cast to float is needed and is
+    otherwise frozen in place."""
+
     model_id: str
     source: int
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", frozen(self.values, float))
 
 
 def graph_distance(model: DiscretizedModel, source: int) -> DistanceField:
@@ -304,8 +306,10 @@ def ball_volumes(model: DiscretizedModel, d: np.ndarray, radii) -> np.ndarray:
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly ascending")
     order = np.argsort(d)
-    cum = np.cumsum(model.mu[order])
     pos = np.searchsorted(d[order], radii, side="right")
+    cum = model.mu[order]
+    del order
+    np.cumsum(cum, out=cum)
     return np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .fields import CDParameters, DiscretizedModel, EdgeForm
+from .fields import CDParameters, DiscretizedModel, EdgeForm, index_dtype
 
 
 class UnsupportedModelError(ValueError):
@@ -381,39 +381,52 @@ def _build_heisenberg(spec: ModelSpec):
 
     # slot s of column (i, j) holds k = -mz_half + q + 2 s while k <= mz_half
     xs = np.arange(-m_half, m_half + 1, dtype=np.int32)
-    I, J, S = np.meshgrid(xs, xs, np.arange(mz_half + 1, dtype=np.int32), indexing="ij")
+    I, J, S = np.meshgrid(xs, xs, np.arange(mz_half + 1, dtype=np.int32),
+                          indexing="ij", sparse=True)
     K = ((I * J + mz_half) & 1) - mz_half + 2 * S
     keep = K <= mz_half
-    ib, jb, kb = I[keep], J[keep], K[keep]
+    ib, jb, kb = (np.broadcast_to(a, K.shape)[keep] for a in (I, J, K))
+    del K, keep
     n = ib.size
+    ids = np.arange(n, dtype=index_dtype(n))
 
-    nodes = np.stack([ib * h, jb * h, kb * hz], axis=1)
+    # every whole-lattice array is written once, into the array the model keeps
+    nodes = np.empty((n, 3))
+    for col, (a, step) in enumerate(((ib, h), (jb, h), (kb, hz))):
+        np.multiply(a, step, out=nodes[:, col])
 
     # X flow: (x, y, z) -> (x + h, y, z - h y / 2): lattice move (1, 0, -j)
     okx = (ib + 1 <= m_half) & (np.abs(kb - jb) <= mz_half)
     # Y flow: (x, y, z) -> (x, y + h, z + h x / 2): lattice move (0, 1, +i)
     oky = (jb + 1 <= m_half) & (np.abs(kb + ib) <= mz_half)
-    i = np.concatenate([np.flatnonzero(okx), np.flatnonzero(oky)])   # ids = node order
-    j = np.concatenate([
-        _sublattice_ids(ib[okx] + 1, jb[okx], kb[okx] - jb[okx], m_half, mz_half),
-        _sublattice_ids(ib[oky], jb[oky] + 1, kb[oky] + ib[oky], m_half, mz_half)])
+    nx = np.count_nonzero(okx)
+    i = np.empty(nx + np.count_nonzero(oky), ids.dtype)       # ids = node order
+    j = np.empty_like(i)
+    np.compress(okx, ids, out=i[:nx])
+    np.compress(oky, ids, out=i[nx:])
+    j[:nx] = _sublattice_ids(ib[okx] + 1, jb[okx], kb[okx] - jb[okx], m_half, mz_half)
+    j[nx:] = _sublattice_ids(ib[oky], jb[oky] + 1, kb[oky] + ib[oky], m_half, mz_half)
+    del okx, oky, ib, jb
     mu_cell = h * h * (2 * hz)    # each sublattice node owns two hz-cells
     ef = EdgeForm(i, j, np.full(i.shape, mu_cell / (h * h)), n)
-    del i, j                      # the edge form holds its own copies
     mu = np.full(n, mu_cell)
 
     # vertical form: Z = dz sampled by the in-sublattice step 2 hz, which is
     # the next node of the same column
-    zi = np.flatnonzero(kb + 2 <= mz_half)
+    zi = np.compress(kb + 2 <= mz_half, ids)
+    del kb, ids
     vertical = EdgeForm(zi, zi + 1, np.full(zi.shape, mu_cell / (2 * hz) ** 2), n)
+
+    # boundary: any missing structural move (4 horizontal + 2 vertical)
+    boundary = np.zeros(n, dtype=bool)
+    for form, moves in ((ef, 4), (vertical, 2)):
+        deg = np.bincount(form.i, minlength=n)
+        deg += np.bincount(form.j, minlength=n)
+        boundary |= deg < moves
+    del deg
 
     # horizontal edge lengths: time to traverse the unit-speed flow
     lengths = np.full(ef.n_edges, h)
-
-    # boundary: any missing structural move (4 horizontal + 2 vertical)
-    deg = np.bincount(ef.i, minlength=n) + np.bincount(ef.j, minlength=n)
-    degz = np.bincount(vertical.i, minlength=n) + np.bincount(vertical.j, minlength=n)
-    boundary = (deg < 4) | (degz < 2)
 
     meta = {"h": h, "z_step": 2 * hz}
     return nodes, mu, ef, lengths, boundary, meta, vertical
@@ -471,7 +484,6 @@ def build_model(spec: ModelSpec):
         meta=meta,
         vertical_form=vertical,
     )
-    del nodes, mu, lengths, boundary    # the model holds frozen copies
     if spec.kind == "heisenberg":
         # the adjacency is symmetric: its strong components are the graph's,
         # and the graph-distance checks reuse it
@@ -484,4 +496,9 @@ def build_model(spec: ModelSpec):
 def node_nearest(model: DiscretizedModel, point) -> int:
     """Index of the node closest to a chart point."""
     p = np.asarray(point, dtype=float)
-    return int(np.argmin(np.sum((model.nodes - p) ** 2, axis=1)))
+    # column by column, summed in the order of a row sum, so no (N, d)
+    # temporary is made
+    d2 = (model.nodes[:, 0] - p[0]) ** 2
+    for k in range(1, p.size):
+        d2 += (model.nodes[:, k] - p[k]) ** 2
+    return int(np.argmin(d2))

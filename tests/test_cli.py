@@ -327,14 +327,15 @@ def test_plot_emission(tmp_path, sphere):
     suite = positive_fields(model, spectral)[:2]
     rep = check_li_yau(model, oracle, spectral, suite, [0.25, 0.5],
                        mode="general-alpha", alpha=1.0)
-    files = emit_plot_data(rep, "li-yau", str(tmp_path))
+    files = emit_plot_data(rep, "li-yau", str(tmp_path), "li-yau-sphere")
+    assert os.path.basename(files[0]) == "li-yau-sphere-li-yau.csv"
     header = open(files[0]).readline().strip().split(",")
     assert header == ["t", "node", "lhs", "rhs", "margin"]
     assert open(files[1]).read().startswith("<svg")
 
     pole = node_nearest(model, [0, 0, 1])
     vol = check_volume_regularity(model, oracle, [pole], [0.35, 0.5, 0.7])
-    dfiles = emit_plot_data(vol, "doubling", str(tmp_path))
+    dfiles = emit_plot_data(vol, "doubling", str(tmp_path), "volume-sphere")
     rows = [r.split(",") for r in open(dfiles[0]).read().splitlines()]
     assert rows[0] == ["r", "ratio", "monotone_r"]
     assert all(r[2] == "1" for r in rows[1:])
@@ -348,15 +349,19 @@ def test_plot_emission(tmp_path, sphere):
         [s[c] for c in columns] for s in rep.samples if "t" in s])
     vol.metadata.update(series_columns=["r", "ratio"], series=[
         [r, ratio] for x, r, v_r, v_2r, ratio in vol.metadata["series"]])
+    # `heatlab report` names the files after the report file, the check's
+    # config name in a campaign's output
     for old, kind, new in ((rep, "li-yau", files[0]), (vol, "doubling", dfiles[0])):
-        path = str(tmp_path / f"old-{kind}.json")
+        name = os.path.basename(new)[:-len(f"-{kind}.csv")]
+        path = str(tmp_path / "old" / f"{name}.json")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         old.save(path)
         out = tmp_path / f"old-{kind}"
         assert main(["report", "--report", path, "--kind", kind, "--out", str(out)]) == 0
         assert (out / os.path.basename(new)).read_bytes() == open(new, "rb").read()
 
     with pytest.raises(ValueError):
-        emit_plot_data(rep, "histogram", str(tmp_path))
+        emit_plot_data(rep, "histogram", str(tmp_path), "li-yau-sphere")
 
 
 def test_margins_report_csv(tmp_path, capsys):
@@ -394,13 +399,43 @@ def test_entropy_plot_slope_consistency(tmp_path, sphere):
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
     rep = check_log_sobolev(model, oracle, spectral, suite)
-    files = emit_plot_data(rep, "entropy", str(tmp_path))
+    files = emit_plot_data(rep, "entropy", str(tmp_path), "log-sobolev-sphere")
     lines = open(files[0]).read().splitlines()
     slope_header = float(lines[0].split("=")[1])
     data = np.array([[float(a) for a in ln.split(",")] for ln in lines[2:]])
     refit = np.polyfit(data[:, 0], data[:, 1], 1)[0]
     assert refit == pytest.approx(slope_header, abs=1e-9)
     assert refit == pytest.approx(rep.metadata["entropy_slope"], abs=1e-12)
+
+
+def test_featured_plots_get_distinct_paths(tmp_path):
+    # volume-heis and volume-euclid2 are both volume-doubling reports: each
+    # featured plot is named after its check, so none overwrites another
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "run_default_campaign.py")
+    spec = importlib.util.spec_from_file_location("run_default_campaign", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    reports = {
+        "li-yau": MarginReport("li-yau", "m", [
+            {"t": 0.1, "node": 3, "lhs": 0.5, "rhs": 1.0, "margin": 0.5}],
+            min_margin=0.5, tolerance=Tolerance(1e-12)),
+        "doubling": MarginReport("volume-doubling", "m", [], min_margin=0.0,
+                                 tolerance=Tolerance(1e-12), metadata={
+            "series_columns": ["x", "r", "volume_r", "volume_2r", "ratio"],
+            "series": [[0, 0.1, 1.0, 4.0, 4.0], [0, 0.2, 4.0, 15.0, 3.75]]}),
+        "entropy": MarginReport("log-sobolev", "m", [], min_margin=0.0,
+                                tolerance=Tolerance(1e-12), metadata={
+            "entropy_series": [[0.1, -1.0], [0.2, -2.0]], "entropy_slope": -10.0}),
+    }
+    for name, kind in script.PLOTS:
+        reports[kind].save(str(tmp_path / f"{name}.json"))
+    written = script.emit_featured_plots(str(tmp_path))
+    assert len(written) == 2 * len(script.PLOTS) == len(set(written))
+    assert all(os.path.exists(p) for p in written)
+    assert str(tmp_path / "plots" / "volume-heis-doubling.csv") in written
 
 
 def test_config_from_dict_leaves_input_intact():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from heatlab import (
     MismatchError,
@@ -233,6 +233,40 @@ def test_graph_laplacian_isolated_node_and_zero_conductance():
     assert L.indptr[-1] == L.indptr[-2] and 2 not in L.indices[L.indptr[1]:L.indptr[2]]
 
 
+def _adjacency_from_coo(model, weights):
+    # reference assembly: a float COO of 2E entries, each edge as (i, j) and
+    # as (j, i), converted to CSR
+    ef = model.edge_form
+    w = model.edge_length if weights == "length" else np.ones(ef.n_edges)
+    return sp.coo_matrix((np.concatenate([w, w]),
+                          (np.concatenate([ef.i, ef.j]), np.concatenate([ef.j, ef.i]))),
+                         shape=(model.n_nodes,) * 2).tocsr()
+
+
+@pytest.mark.parametrize("name", ["torus1", "euclid2", "sphere", "heis"])
+def test_adjacency_matches_coo_assembly(request, name):
+    model = request.getfixturevalue(name)[0]
+    for weights in ("length", "unit"):
+        got, ref = model.adjacency(weights), _adjacency_from_coo(model, weights)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(ref, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (weights, part)
+    ref = _adjacency_from_coo(model, "length")
+    for source in (0, model.n_nodes // 2, model.n_nodes - 1):
+        want = dijkstra(ref, directed=True, indices=source)
+        assert np.array_equal(graph_distance(model, source).values, want), source
+
+
+@pytest.mark.parametrize("i, j", [([0, 1, 0], [1, 2, 1]), ([0, 1, 2], [1, 2, 2])],
+                         ids=["repeated-edge", "loop"])
+def test_adjacency_rejects_repeated_edges_and_loops(i, j):
+    ef = EdgeForm(np.array(i), np.array(j), np.ones(3), 3)
+    model = fields.DiscretizedModel("m", "euclidean", np.zeros((3, 1)), np.ones(3),
+                                    ef, np.ones(3), np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="repeats an edge or has a loop"):
+        model.adjacency()
+
+
 def _counted_laplacian(monkeypatch, corrupt=False):
     # graph_laplacian as the L property finds it: its calls are counted by
     # node count, and ``corrupt`` scales one off-diagonal entry by 1.001
@@ -282,3 +316,38 @@ def test_neumann_restrict_assembles_its_laplacian_once(monkeypatch):
     _counted_laplacian(monkeypatch, corrupt=True)
     with pytest.raises(AssertionError, match="self-test failed"):
         neumann_restrict(model, model.nodes[:, 0] <= 0)
+
+
+def test_builder_arrays_are_owned_and_frozen():
+    # the model keeps the arrays its builder wrote, read-only, and copies
+    # one only to cast it
+    model, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=9))
+    ef, vf = model.edge_form, model.vertical_form
+    arrays = [model.nodes, model.mu, model.edge_length, model.boundary_mask,
+              ef.i, ef.j, ef.c, vf.i, vf.j, vf.c]
+    assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
+    i, j = np.array([0, 1], dtype=np.int32), np.array([1, 2])
+    c = np.array([1.0, 2.0])
+    ef = EdgeForm(i, j, c, 3)
+    assert ef.i is i and ef.c is c and not i.flags.writeable
+    assert not np.shares_memory(ef.j, j) and j.flags.writeable   # cast int64 -> int32
+    nodes, mu = np.zeros((3, 1)), np.ones(3)
+    m = fields.DiscretizedModel("m", "euclidean", nodes, mu, ef, np.ones(2),
+                                np.zeros(3, dtype=bool))
+    assert m.nodes is nodes and m.mu is mu
+    with pytest.raises(ValueError, match="read-only"):
+        mu[0] = 2.0
+    d = graph_distance(m, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        d.values[0] = 1.0
+
+
+def test_replace_shares_the_model_arrays(tiny_torus):
+    model = tiny_torus[0]
+    ef = model.edge_form
+    copy = dataclasses.replace(model, edge_form=EdgeForm(ef.i, ef.j, 2 * ef.c, ef.n_nodes))
+    for name in ("nodes", "mu", "edge_length", "boundary_mask"):
+        assert np.shares_memory(getattr(copy, name), getattr(model, name)), name
+    assert copy.edge_form.i is ef.i and "_L" not in copy.derived
+    with pytest.raises(ValueError, match="read-only"):
+        copy.nodes[0, 0] = 1.0
