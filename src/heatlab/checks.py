@@ -24,8 +24,8 @@ from .fields import (
     NotApplicableError,
     ScalarField,
     carre_du_champ,
+    cd_forms,
     deep_interior,
-    gamma2,
     gamma2_z,
     gamma_z,
     interior_for_time,
@@ -137,13 +137,6 @@ def check_operator_axioms(model: DiscretizedModel, n_random: int = 100,
 
 # ---------------------------------------------------------------------------
 # curvature-dimension
-
-
-def cd_forms(model, f: ScalarField):
-    """(Gamma f, Gamma2 f, (Lf)^2) on every node, each evaluated once."""
-    g = carre_du_champ(model, f).values
-    g2 = gamma2(model, f).values
-    return g, g2, (model.L @ f.values) ** 2
 
 
 def span_cd_margin(model, oracle: GeometryOracle, basis: np.ndarray) -> float:
@@ -306,10 +299,10 @@ def check_vertical_commutation(
     for nf in suite:
         gz = gamma_z(model, nf.field)
         g = carre_du_champ(model, nf.field)
-        a = carre_du_champ(model, nf.field, model.field(gz.values)).values[idx]
-        b = gamma_z(model, nf.field, model.field(g.values)).values[idx]
-        g_gz = carre_du_champ(model, model.field(gz.values)).values[idx]
-        gz_g = gamma_z(model, model.field(g.values)).values[idx]
+        a = carre_du_champ(model, nf.field, gz).values[idx]
+        b = gamma_z(model, nf.field, g).values[idx]
+        g_gz = carre_du_champ(model, gz).values[idx]
+        gz_g = gamma_z(model, g).values[idx]
         major = float(np.max(np.sqrt(np.maximum(g.values[idx] * g_gz, 0.0))
                              + np.sqrt(np.maximum(gz.values[idx] * gz_g, 0.0))))
         resid = float(np.max(np.abs(a - b)))
@@ -565,7 +558,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
 
 def check_harnack(model, oracle, engine, suite, pair_sample,
                   mode: str = "riemannian",
-                  dist_method: str = "auto",
+                  distance: str = "auto",
                   tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                   ) -> MarginReport:
     """Two-point Harnack comparisons of positive solutions.
@@ -587,9 +580,9 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
     else:
         dim_exp, gauss = n, 1.0
     meta = {"mode": mode, "K": K, "exponent": dim_exp, "gauss_factor": gauss,
-            "distance": dist_method}
+            "distance": distance}
     dists = [0.0 if x == y else
-             float(distance_field(model, oracle, y, method=dist_method).values[x])
+             float(distance_field(model, oracle, y, method=distance).values[x])
              for (x, s, y, t) in pair_sample]
 
     samples = []
@@ -745,7 +738,7 @@ def _unit_ball_volume(n):
 
 
 def check_volume_regularity(model, oracle, centers, radii,
-                            dist_method: str = "auto",
+                            distance: str = "auto",
                             ratio_window: tuple | None = None,
                             monotone_upper: float | None = None,
                             tolerance: Tolerance = Tolerance(1e-12, 0.05)) -> MarginReport:
@@ -765,7 +758,7 @@ def check_volume_regularity(model, oracle, centers, radii,
     all_r = np.unique(np.concatenate([radii, 2 * radii]))
     ratios, series, slopes = [], [], []
     for x in centers:
-        df = distance_field(model, oracle, x, method=dist_method)
+        df = distance_field(model, oracle, x, method=distance)
         safe = float(df.values[model.boundary_mask].min(initial=np.inf))
         if np.isfinite(safe) and 2 * radii.max() > safe:
             raise ValueError(
@@ -809,12 +802,12 @@ def check_volume_regularity(model, oracle, centers, radii,
             samples.append(_row(np.max(ex) / monotone_upper, 1.0,
                                 part="ratio-upper-oracle"))
     if model.kind == "heisenberg":
-        # the first centre's distance field by ``dist_method`` (volume-heis
+        # the first centre's distance field by ``distance`` (volume-heis
         # pins the graph route), read on the nodes near the vertical axis
         near_axis = np.flatnonzero(np.hypot(model.nodes[:, 0], model.nodes[:, 1])
                                    < 2 * float(model.meta["h"]))
         d_cc = distance_field(model, oracle, centers[0],
-                              method=dist_method).values[near_axis]
+                              method=distance).values[near_axis]
         d_ch = np.linalg.norm(model.nodes[near_axis] - x0, axis=1)
         sel = (d_ch > 1e-6) & np.isfinite(d_cc)
         meta["chart_ball_envelope_C"] = float(np.max(d_cc[sel] / np.sqrt(d_ch[sel])))

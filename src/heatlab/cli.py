@@ -366,10 +366,9 @@ class CheckKind:
     ``parts`` name the arguments taken from the model context (``seed`` is
     the check's own sampler seed).  ``keys`` maps each accepted config key
     to its value type; a key is passed to the check under its own name
-    (``distance`` as ``dist_method``) unless ``bind(ctx, opts, seed)``
-    pops it: ``bind`` builds what no single key gives (suites, centers,
-    pair samples).  ``tol_abs``/``tol_rel`` replace the fields of the
-    check's default tolerance.
+    unless ``bind(ctx, opts, seed)`` pops it: ``bind`` builds what no
+    single key gives (suites, centers, pair samples).  ``tol_abs``/``tol_rel``
+    replace the fields of the check's default tolerance.
     """
 
     check: Callable
@@ -526,7 +525,6 @@ def _bind_sobolev_sharp(ctx, opts, seed):
 
 _DISTANCE = _choice("auto", "oracle", "graph")
 _SUITE = _choice(*_SUITES)
-_RENAMED = {"distance": "dist_method"}
 
 CHECK_KINDS = {
     "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed")),
@@ -600,7 +598,7 @@ def _run_check(kind: CheckKind, ctxs, spec, cfg, name):
               for part in kind.parts}
     if kind.bind is not None:
         kwargs.update(kind.bind(ctx, opts, seed))
-    kwargs.update((_RENAMED.get(key, key), value) for key, value in opts.items())
+    kwargs.update(opts)
     if tol:
         default = inspect.signature(kind.check).parameters["tolerance"].default
         kwargs["tolerance"] = dataclasses.replace(kwargs.get("tolerance", default), **tol)

@@ -46,19 +46,17 @@ class NotApplicableError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One real value per node; the universal function representation."""
+    """One real value per node, owned through ``frozen``."""
 
     model_id: str
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = frozen(self.values, float)
         if v.ndim != 1:
             raise MismatchError("field values must be a 1-d array")
         if not np.all(np.isfinite(v)):
             raise MismatchError("field contains non-finite entries")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def __len__(self):
@@ -72,9 +70,11 @@ def index_dtype(count: int):
 
 
 def frozen(a, dtype) -> np.ndarray:
-    """``a`` as a read-only array of ``dtype``: the array itself, frozen in
-    place, unless a cast makes a copy."""
-    a = np.asarray(a, dtype=dtype)
+    """``a`` as a read-only C-contiguous array of ``dtype``: the array
+    itself, frozen in place, unless a dtype cast or a strided view makes a
+    copy.  Every container of the model layer takes its arrays through it,
+    so the caller must not write to them afterwards."""
+    a = np.asarray(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -83,10 +83,8 @@ def frozen(a, dtype) -> np.ndarray:
 class EdgeForm:
     """A symmetric bilinear edge form sum_e c_e df_e dg_e / (2 mu).
 
-    The form takes ownership of the arrays it is given: ``i`` and ``j``
-    (cast to ``index_dtype``) and ``c`` (float) are copied only when that
-    cast changes their dtype, and are otherwise frozen in place, so the
-    caller must not write to them afterwards.
+    The form takes ownership of ``i`` and ``j`` (cast to ``index_dtype``)
+    and ``c`` (float) through ``frozen``.
     """
 
     i: np.ndarray
@@ -142,10 +140,9 @@ class CDParameters:
 class DiscretizedModel:
     """Finite stand-in for a (manifold, measure, diffusion operator) triple.
 
-    Like ``EdgeForm``, the model takes ownership of its arrays: ``nodes``,
-    ``mu``, ``edge_length`` (float) and ``boundary_mask`` (bool) are copied
-    only when a dtype cast is needed and are otherwise frozen in place.  So
-    ``dataclasses.replace`` shares them with the model it copies.
+    Like ``EdgeForm``, the model takes ownership of ``nodes``, ``mu``,
+    ``edge_length`` (float) and ``boundary_mask`` (bool) through ``frozen``,
+    so ``dataclasses.replace`` shares them with the model it copies.
     """
 
     model_id: str
@@ -231,16 +228,15 @@ class DiscretizedModel:
 
     # -- adjacency helpers (each computed once and kept in ``derived``)
 
-    def adjacency(self, weights: str = "length") -> sp.csr_matrix:
-        """Edge weights, symmetric by construction: each edge is stored as
+    def adjacency(self) -> sp.csr_matrix:
+        """Edge lengths, symmetric by construction: each edge is stored as
         (i, j) and as (j, i), so Dijkstra runs on it as a directed graph.
 
         The sparsity pattern is assembled over integer edge ids, whose
-        entries the weights then replace, so no float COO of 2E entries is
+        entries the lengths then replace, so no float COO of 2E entries is
         built.  An edge form that repeats an edge, or joins a node to
         itself, raises ValueError."""
-        key = f"_adj_{weights}"
-        if key not in self.derived:
+        if "_adj" not in self.derived:
             ef = self.edge_form
             n, e = self.n_nodes, ef.n_edges
             # the rows (i, j) and the columns (j, i) are two windows of (i, j, i)
@@ -251,28 +247,30 @@ class DiscretizedModel:
             if a.nnz != 2 * e:      # the conversion summed coinciding entries
                 raise ValueError(f"{self.model_id}: the edge form repeats an edge "
                                  "or has a loop")
-            a.data = self.edge_length[a.data] if weights == "length" else np.ones(a.nnz)
-            self.derived[key] = a
-        return self.derived[key]
+            a.data = self.edge_length[a.data]
+            self.derived["_adj"] = a
+        return self.derived["_adj"]
 
-    def _distance_to_boundary(self, weights: str) -> np.ndarray:
-        key = f"_boundary_{weights}"
+    def _distance_to_boundary(self, unweighted: bool) -> np.ndarray:
+        key = "_boundary_hops" if unweighted else "_boundary_length"
         if key not in self.derived:
             if not self.boundary_mask.any():
                 self.derived[key] = np.full(self.n_nodes, np.inf)
             else:
                 src = np.flatnonzero(self.boundary_mask)
-                self.derived[key] = dijkstra(self.adjacency(weights), directed=True,
-                                             indices=src, min_only=True)
+                self.derived[key] = dijkstra(self.adjacency(), directed=True,
+                                             indices=src, min_only=True,
+                                             unweighted=unweighted)
         return self.derived[key]
 
     def hop_distance_to_boundary(self) -> np.ndarray:
-        """Graph-hop distance to the boundary node set (inf when compact)."""
-        return self._distance_to_boundary("unit")
+        """Graph-hop distance to the boundary node set (inf when compact),
+        counted over ``adjacency()`` with its lengths ignored."""
+        return self._distance_to_boundary(unweighted=True)
 
     def metric_distance_to_boundary(self) -> np.ndarray:
         """Shortest-path distance to the boundary node set (inf when compact)."""
-        return self._distance_to_boundary("length")
+        return self._distance_to_boundary(unweighted=False)
 
 
 def deep_interior(model: DiscretizedModel, hops: int = 2) -> np.ndarray:
@@ -326,16 +324,21 @@ def carre_du_champ_operator_path(model: DiscretizedModel, f: ScalarField,
     return model.field(out)
 
 
-def gamma2(model: DiscretizedModel, f: ScalarField) -> ScalarField:
-    """Iterated form Gamma2(f) = (L Gamma(f) - 2 Gamma(f, Lf))/2.
+def cd_forms(model: DiscretizedModel, f: ScalarField):
+    """(Gamma f, Gamma2 f, (Lf)^2) on every node, from one Lf and one Gamma f.
 
-    Trust it on deep-interior nodes only (two hops from the boundary).
+    Gamma2 f = (L Gamma(f) - 2 Gamma(f, Lf))/2; trust it on deep-interior
+    nodes only (two hops from the boundary).
     """
-    fv = model.check_field(f)
-    lf = model.field(model.L @ fv)
-    g = carre_du_champ(model, f)
-    out = 0.5 * (model.L @ g.values) - carre_du_champ(model, f, lf).values
-    return model.field(out)
+    lf = model.field(model.L @ model.check_field(f))
+    g = carre_du_champ(model, f).values
+    g2 = 0.5 * (model.L @ g) - carre_du_champ(model, f, lf).values
+    return g, g2, lf.values ** 2
+
+
+def gamma2(model: DiscretizedModel, f: ScalarField) -> ScalarField:
+    """Iterated form Gamma2(f), read from ``cd_forms``."""
+    return model.field(cd_forms(model, f)[1])
 
 
 def gamma_z(model: DiscretizedModel, f: ScalarField,

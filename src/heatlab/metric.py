@@ -130,8 +130,6 @@ def _cap_cones(values: np.ndarray, eps: float) -> np.ndarray:
     of about twice the interior value; a parabolic cap keeps the slope
     bound while losing only eps/2 of range at each end.
     """
-    if eps <= 0:
-        return values
     v = values - values.min()
     cap = np.where(v < eps, 0.5 * eps + v**2 / (2 * eps), v)
     top = cap.max()
@@ -174,12 +172,12 @@ def dual_distance(model: DiscretizedModel, oracle: GeometryOracle | None, x: int
     direction[x], direction[y] = 1.0, -1.0
     direction = _jacobi_smooth(model, direction, 4, dt)
     step = 0.5 * best_val if best_val > 0 else 1.0
-    cur = best_f.copy()
+    cur = best_f
     for _ in range(30):
         trial = cur + step * direction
         val, f = _feasible_value(model, trial, x, y)
         if val > best_val:
-            best_val, best_f, cur = val, f, f.copy()
+            best_val, best_f, cur = val, f, f
         else:
             step *= 0.5
             if step < 1e-3 * max(best_val, 1e-12):

@@ -55,7 +55,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import connected_components
 
-from .fields import DiscretizedModel, EdgeForm, ScalarField
+from .fields import DiscretizedModel, EdgeForm, ScalarField, frozen
 from .models import model_hash
 
 
@@ -80,7 +80,8 @@ CHEB_TAIL = 1e-17
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Ascending eigenvalues of -L with mu-orthonormal eigenfields."""
+    """Ascending eigenvalues of -L with mu-orthonormal eigenfields, owned
+    through ``fields.frozen``."""
 
     model_id: str
     eigenvalues: np.ndarray     # (k,) ascending, nonnegative
@@ -90,9 +91,7 @@ class SpectralData:
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenfields"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name), float))
         lam = self.eigenvalues
         scale = max(1.0, float(lam[-1])) if lam.size else 1.0
         if lam.size and lam[0] > 1e-8 * scale:
@@ -127,6 +126,20 @@ def _operator(model: DiscretizedModel):
     return model.derived["_sphere_blocks"]
 
 
+def _fourier_basis(m: int):
+    """(freq, V): the real Fourier basis of period m, orthonormal columns of
+    V sampled at 0 .. m - 1.  One cos wave at frequency 0 and, for even m,
+    at m / 2; a cos and then a sin wave of each frequency between.  ``freq``
+    holds each column's frequency."""
+    a = np.arange(m // 2 + 1)
+    freq = np.repeat(a, np.where((a > 0) & (2 * a < m), 2, 1))
+    is_sin = np.r_[False, freq[1:] == freq[:-1]]     # the second of a pair
+    phase = 2 * np.pi * (np.outer(np.arange(m), freq) % m) / m
+    V = np.where(is_sin, np.sin(phase), np.cos(phase))
+    V /= np.linalg.norm(V, axis=0)
+    return freq, V
+
+
 def _grid_pairs(A, structure, k: int):
     """k lowest pairs of a box or torus generator with uniform mu.
 
@@ -142,19 +155,14 @@ def _grid_pairs(A, structure, k: int):
     if m ** dim != n:
         raise SolverError(f"{kind} marker says {m}^{dim} nodes, the model has {n}")
     w1 = -A[0, 1]                # nodes 0 and 1 neighbour along the last axis
-    i = np.arange(m)
     if kind == "box":
         freq = np.arange(m)
         theta = np.pi * freq / m
-        V = np.cos(np.pi * (np.outer(2 * i + 1, freq) % (4 * m)) / (2 * m))
+        V = np.cos(np.pi * (np.outer(2 * np.arange(m) + 1, freq) % (4 * m)) / (2 * m))
+        V /= np.linalg.norm(V, axis=0)
     else:
-        a = np.arange(m // 2 + 1)
-        freq = np.repeat(a, np.where((a > 0) & (2 * a < m), 2, 1))
-        is_sin = np.r_[False, freq[1:] == freq[:-1]]     # the second of a pair
+        freq, V = _fourier_basis(m)
         theta = 2 * np.pi * freq / m
-        phase = 2 * np.pi * (np.outer(i, freq) % m) / m
-        V = np.where(is_sin, np.sin(phase), np.cos(phase))
-    V /= np.linalg.norm(V, axis=0)
     lam1 = 4 * w1 * np.sin(theta / 2) ** 2
     total = lam1
     for _ in range(dim - 1):
@@ -173,10 +181,9 @@ class _SphereBlocks:
 
     Rows of 2 mt cells are numbered row by row, then the north and south
     pole cells.  The operator commutes with the longitude shift, so the
-    orthonormal longitude waves (the columns of ``waves``, of frequency
-    ``freq``: one cos wave at m = 0 and m = mt, a cos and a sin copy for
-    each 0 < m < mt) split it into mt + 1 real tridiagonal blocks (P. J.
-    Davis, *Circulant Matrices*, 1979).  For a wave of frequency m, ``A``
+    orthonormal longitude waves (``_fourier_basis``: the columns of
+    ``waves``, of frequency ``freq``) split it into mt + 1 real tridiagonal
+    blocks (P. J. Davis, *Circulant Matrices*, 1979).  For a wave of frequency m, ``A``
     acts on the row amplitudes as a block whose diagonal is the row's
     diagonal plus 2 cos(pi m / mt) times its longitude coupling; block 0
     also holds the poles, coupled to their rows by sqrt(2 mt) times one
@@ -205,12 +212,7 @@ class _SphereBlocks:
                 d = np.concatenate([[diag[north]], d, [diag[south]]])
                 e = np.concatenate([[np.sqrt(mp) * pole_n], across, [np.sqrt(mp) * pole_s]])
             self.blocks.append(sla.eigh_tridiagonal(d, e))
-        a = np.arange(mt + 1)
-        self.freq = np.repeat(a, np.where((a > 0) & (a < mt), 2, 1))
-        is_sin = np.r_[False, self.freq[1:] == self.freq[:-1]]     # the second of a pair
-        phase = 2 * np.pi * (np.outer(np.arange(mp), self.freq) % mp) / mp
-        self.waves = np.where(is_sin, np.sin(phase), np.cos(phase))
-        self.waves /= np.linalg.norm(self.waves, axis=0)
+        self.freq, self.waves = _fourier_basis(mp)
 
     def apply(self, v: np.ndarray, fn) -> np.ndarray:
         """The sum over blocks of u diag(fn(w)) u^T, applied to ``v``: project
@@ -591,10 +593,11 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
     c = ef.c[keep]
     sub_ef = EdgeForm(i, j, c, subset.size)
 
+    # every edge length is positive, so a node touches the cut exactly when
+    # its row of lengths weighs a lost node
     lost = np.ones(model.n_nodes, dtype=bool)
     lost[subset] = False
-    adj_full = model.adjacency(weights="unit")
-    touches_cut = np.asarray((adj_full @ lost.astype(float))[subset] > 0)
+    touches_cut = np.asarray((model.adjacency() @ lost.astype(float))[subset] > 0)
     boundary = model.boundary_mask[subset] | touches_cut
 
     sub = DiscretizedModel(
@@ -623,8 +626,8 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
 
 
 def save_spectral(path: str, spectral: SpectralData, model_hash: str) -> None:
-    lam = np.ascontiguousarray(spectral.eigenvalues).tobytes()
-    phi = np.ascontiguousarray(spectral.eigenfields).tobytes()
+    lam = spectral.eigenvalues.tobytes()
+    phi = spectral.eigenfields.tobytes()
     header = json.dumps({
         "version": CACHE_VERSION,
         "checksum": zlib.crc32(phi, zlib.crc32(lam)),
@@ -669,9 +672,9 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
             blocks = fh.read(8 * k * (n + 1))
             if fh.read(1) or zlib.crc32(blocks) != header.get("checksum"):
                 return None
-            lam = np.frombuffer(blocks[:8 * k], dtype=float).copy()
-            phi = np.frombuffer(blocks[8 * k:], dtype=float).reshape(n, k).copy()
-        return SpectralData(header["model_id"], lam, phi,
+        # both arrays are read-only views of the one block read
+        data = np.frombuffer(blocks, dtype=float)
+        return SpectralData(header["model_id"], data[:k], data[k:].reshape(n, k),
                             header["residual"], header["gram_error"])
     except (OSError, ValueError, KeyError, TypeError, struct.error, SolverError):
         return None

@@ -16,7 +16,6 @@ from heatlab import (
     spectral_decompose,
 )
 from heatlab.checks import (
-    cd_forms,
     check_ball_poincare,
     check_cd,
     check_completeness,
@@ -45,7 +44,7 @@ from heatlab.checks import (
     sharp_sobolev_sides,
     span_cd_margin,
 )
-from heatlab.fields import deep_interior, gamma2_z, gamma_z
+from heatlab.fields import EdgeForm, cd_forms, deep_interior, gamma2_z, gamma_z
 from heatlab.reports import Tolerance
 from heatlab.suites import (
     NamedField,
@@ -191,20 +190,34 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
+    # counts the EdgeForm.evaluate calls of each form: cd_forms makes one for
+    # Gamma f and one for Gamma(f, Lf), the gradient-of-Gamma lemma one more;
+    # Gamma^Z f and Gamma2^Z f take three of the vertical form
     from heatlab.suites import sub_riemannian_suite
 
-    calls = _count_calls(monkeypatch, "gamma2", "gamma2_z")
     model, oracle, spectral = sphere
+    hmodel, horacle, _ = heis
+    assert model.L.nnz and hmodel.L.nnz     # assembled, with their self tests, first
+    calls = collections.Counter()
+    real = EdgeForm.evaluate
+
+    def evaluate(self, mu, f, g):
+        calls["vertical" if self is hmodel.vertical_form else "horizontal"] += 1
+        return real(self, mu, f, g)
+    monkeypatch.setattr(EdgeForm, "evaluate", evaluate)
+
     suite = eigen_fields(model, spectral, seed=0)
     check_cd(model, oracle, suite, mode="riemannian")
-    assert calls["gamma2"] == len(suite)
+    assert calls == {"horizontal": 3 * len(suite)}
+    calls.clear()
+    check_cd(model, oracle, suite, mode="riemannian", include_gamma_lemma=False)
+    assert calls == {"horizontal": 2 * len(suite)}
 
     calls.clear()
-    hmodel, horacle, _ = heis
     hsuite = sub_riemannian_suite(hmodel)
     check_cd(hmodel, horacle, hsuite, mode="generalized",
              nu_grid=[0.5, 1.0, 2.0, 8.0])
-    assert calls == {"gamma2": len(hsuite), "gamma2_z": len(hsuite)}
+    assert calls == {"horizontal": 2 * len(hsuite), "vertical": 3 * len(hsuite)}
 
 
 def test_vertical_commutation(heis):
@@ -450,9 +463,9 @@ def test_volume_radii_reaching_the_boundary_raise(method):
     with pytest.raises(ValueError, match=rf"^radii reach the truncation boundary "
                        rf"\(safe range {safe:g}\)$"):
         check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe + 1e-9],
-                                dist_method=method)
+                                distance=method)
     rep = check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe],
-                                  dist_method=method)
+                                  distance=method)
     assert [row[:2] for row in rep.metadata["series"]] == [[x, 0.2], [x, 0.5 * safe]]
 
 

@@ -665,3 +665,26 @@ def test_import_leaves_scipy_optimize_unloaded():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "scipy.optimize"]
+
+
+def test_bench_harness_resolves_its_names(tmp_path):
+    # the benchmark wraps heatlab layers by name under --trace 1 (``spans``)
+    # and parses each workload's config (``worker``): a fresh interpreter
+    # imports both as bench/run.py's processes do, installs every wrapper
+    # and loads every config, so a name or config key that src drops fails
+    # here and not only in a traced benchmark run
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
+    probe = (f"import sys\nsys.path.insert(0, {bench!r})\n"
+             "import spans, worker\n"
+             "rec = spans.Recorder()\n"
+             "spans.CheckTracker(rec).install()\n"
+             "spans.install_spans(rec)\n"
+             "for w in worker.WORKLOADS:\n"
+             f"    print(w, len(worker.load_config(w, {str(tmp_path)!r}).checks))\n")
+    # -B: no bytecode is written under bench/
+    run = subprocess.run([sys.executable, "-B", "-c", probe], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = dict(line.split() for line in run.stdout.splitlines())
+    assert sorted(loaded) == ["campaign-cold", "campaign-warm", "sphere-refine"]
+    assert all(int(count) > 0 for count in loaded.values())

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -15,10 +16,11 @@ from heatlab import (
     gamma_z,
 )
 from heatlab import fields
+from heatlab.cli import _bind_neumann, default_config
 from heatlab.fields import EdgeForm, graph_laplacian, self_test_gamma
 from heatlab.metric import ball_volumes, graph_distance
-from heatlab.models import ModelSpec, build_model
-from heatlab.semigroup import neumann_restrict, spectral_decompose
+from heatlab.models import MODEL_DIMS, ModelSpec, build_model, node_nearest
+from heatlab.semigroup import SpectralData, neumann_restrict, spectral_decompose
 
 
 def test_field_validation(euclid2):
@@ -176,11 +178,15 @@ def _hops_from_boundary(model):
     return shortest_path(adj, directed=False, unweighted=True, indices=n)[:n] - 1
 
 
-def test_hop_distance_to_boundary(euclid2, heis, torus1, sphere):
-    for model in (euclid2[0], heis[0]):
+def test_hop_distance_to_boundary(euclid1, euclid2, euclid3, heis, torus1, sphere):
+    for model in (euclid1[0], euclid2[0], euclid3[0], heis[0]):
         hops = model.hop_distance_to_boundary()
         assert hops.max() >= 3
         np.testing.assert_array_equal(hops, _hops_from_boundary(model))
+        # and Dijkstra over a unit-weight adjacency built here
+        unit = dijkstra(_adjacency_from_coo(model, "unit"), directed=True,
+                        indices=np.flatnonzero(model.boundary_mask), min_only=True)
+        assert np.array_equal(hops, unit)
     for model in (torus1[0], sphere[0]):
         assert np.all(np.isinf(model.hop_distance_to_boundary()))
 
@@ -246,15 +252,42 @@ def _adjacency_from_coo(model, weights):
 @pytest.mark.parametrize("name", ["torus1", "euclid2", "sphere", "heis"])
 def test_adjacency_matches_coo_assembly(request, name):
     model = request.getfixturevalue(name)[0]
-    for weights in ("length", "unit"):
-        got, ref = model.adjacency(weights), _adjacency_from_coo(model, weights)
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(got, part), getattr(ref, part)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (weights, part)
-    ref = _adjacency_from_coo(model, "length")
+    got, ref = model.adjacency(), _adjacency_from_coo(model, "length")
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(ref, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
     for source in (0, model.n_nodes // 2, model.n_nodes - 1):
         want = dijkstra(ref, directed=True, indices=source)
         assert np.array_equal(graph_distance(model, source).values, want), source
+
+
+@pytest.mark.parametrize("check", ["neumann-interval", "neumann-square",
+                                   "neumann-cap-sphere"])
+def test_neumann_boundary_matches_a_unit_weight_adjacency(request, check):
+    # the campaign's box and cap restrictions: a kept node is on the
+    # boundary when the model marks it or a unit-weight edge leaves the subset
+    spec = default_config().checks[check]
+    model = request.getfixturevalue(spec["model"])[0]
+    ctx = collections.namedtuple("Ctx", "model")(model)
+    sub = _bind_neumann(ctx, {"domain": spec["domain"]}, 0)["submodel"]
+    if spec["domain"] == "box":
+        keep = np.all(np.abs(model.nodes) <= 0.5, axis=1)
+    else:
+        keep = graph_distance(model, node_nearest(model, [0, 0, 1])).values <= 0.8
+    assert np.array_equal(sub.nodes, model.nodes[keep])
+    cut = _adjacency_from_coo(model, "unit") @ (~keep).astype(float) > 0
+    want = (model.boundary_mask | cut)[keep]
+    assert want.any() and not want.all()
+    assert np.array_equal(sub.boundary_mask, want)
+
+
+@pytest.mark.parametrize("kind, dim", [(kind, dim) for kind, dims in MODEL_DIMS.items()
+                                       for dim in dims])
+def test_catalog_edge_lengths_are_positive(kind, dim):
+    # neumann_restrict finds cut nodes through the lengths, so none may be 0
+    model, _ = build_model(ModelSpec(kind, dim=dim, resolution=9))
+    assert model.edge_length.shape == (model.edge_form.n_edges,)
+    assert np.all(model.edge_length > 0)
 
 
 @pytest.mark.parametrize("i, j", [([0, 1, 0], [1, 2, 1]), ([0, 1, 2], [1, 2, 2])],
@@ -340,6 +373,33 @@ def test_builder_arrays_are_owned_and_frozen():
     d = graph_distance(m, 0)
     with pytest.raises(ValueError, match="read-only"):
         d.values[0] = 1.0
+
+
+def test_field_and_spectrum_own_their_arrays():
+    # a C-contiguous float input is kept and frozen; a strided or integer one
+    # is copied, so a field never aliases a column of a larger array
+    v = np.arange(6.0)
+    f = ScalarField("m", v)
+    assert np.shares_memory(f.values, v) and not v.flags.writeable
+    block = np.arange(12.0).reshape(6, 2)
+    ints = np.arange(6)
+    for a in (block[:, 0], ints):
+        g = ScalarField("m", a)
+        assert not np.shares_memory(g.values, a) and a.flags.writeable
+        assert g.values.dtype == float and g.values.flags.c_contiguous
+        assert not g.values.flags.writeable
+    for scalar in (1.0, np.array(2.0)):
+        with pytest.raises(MismatchError, match="1-d"):
+            ScalarField("m", scalar)
+    lam, phi = np.array([0.0, 1.0]), np.eye(2)
+    sd = SpectralData("m", lam, phi, 0.0, 0.0)
+    assert sd.eigenvalues is lam and sd.eigenfields is phi
+    assert not lam.flags.writeable and not phi.flags.writeable
+    lam_int, phi_f = np.array([0, 1]), np.asfortranarray(np.eye(3)[:, :2])
+    sd = SpectralData("m", lam_int, phi_f, 0.0, 0.0)
+    for got, given in ((sd.eigenvalues, lam_int), (sd.eigenfields, phi_f)):
+        assert not np.shares_memory(got, given) and given.flags.writeable
+        assert got.flags.c_contiguous and not got.flags.writeable
 
 
 def test_replace_shares_the_model_arrays(tiny_torus):

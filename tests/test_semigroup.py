@@ -379,6 +379,12 @@ def test_spectral_cache_roundtrip(tmp_path, tiny_torus):
     assert back is not None
     assert np.array_equal(back.eigenvalues, spectral.eigenvalues)
     assert np.array_equal(back.eigenfields, spectral.eigenfields)
+    # both arrays are read-only views, end to end, of the one block read
+    lam, phi = back.eigenvalues, back.eigenfields
+    assert not lam.flags.writeable and not phi.flags.writeable
+    assert phi.flags.c_contiguous and phi.flags.aligned
+    assert (lam.__array_interface__["data"][0] + lam.nbytes
+            == phi.__array_interface__["data"][0])
     assert load_spectral(path, "0" * 64) is None          # hash mismatch
     assert load_spectral(os.path.join(tmp_path, "nope"), mh) is None
 
