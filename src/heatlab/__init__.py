@@ -2,7 +2,7 @@
 
 Model spaces (boxes, tori, spheres, the Heisenberg group lattice) are
 finite weighted graphs whose Laplacians are self-adjoint by construction;
-spectral, matrix-exponential and time-stepping semigroup engines,
+eigensolvers, the exact heat flow and a reference time stepper,
 intrinsic distances, and a suite of quantitative margin checks
 (curvature-dimension, gradient bounds, Li-Yau, Harnack, Gaussian kernel
 bounds, doubling, Poincare, log-Sobolev, Sobolev, diameter) sit on top.

@@ -305,12 +305,11 @@ def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
 
 
 class ModelContext:
-    """Lazy bundle: model, oracle, spectral data, heat engines.
+    """Lazy bundle: model, oracle, spectral data and the heat engine.
 
-    ``engine`` evolves the checks: the retained spectrum when the model has
-    a ``spectral_k``, the exact ``flow`` (``ExpmFlow``) otherwise.  ``flow``
-    also evolves the noise of the sub-riemannian suites, and it is
-    ``kernel-laws``' independent second route next to the spectrum.
+    ``engine`` is the exact flow (``ExpmFlow``) that evolves every check;
+    ``spectral()`` holds the eigenpairs that the checks read as objects in
+    their own right (eigenvalues, eigen suites, kernel blocks).
     """
 
     def __init__(self, name, spec: ModelSpec, cache_dir, seed, k=None):
@@ -333,7 +332,7 @@ class ModelContext:
         return self._built[1]
 
     @functools.cached_property
-    def flow(self):
+    def engine(self):
         return ExpmFlow(self.model)
 
     @functools.cached_property
@@ -344,15 +343,6 @@ class ModelContext:
 
     def spectral(self):
         return self._spectral
-
-    @property
-    def engine(self):
-        """Semigroup engine of the checks: the truncated spectrum when one is
-        retained (``spectral_k``), the exact ``flow`` otherwise (longitude
-        blocks on the sphere, a Chebyshev expansion elsewhere)."""
-        if self.k:
-            return self.spectral()
-        return self.flow
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +394,7 @@ _SUITES = {
     "positive": lambda ctx, seed: S.positive_fields(
         ctx.model, ctx.spectral() if ctx.k else None, seed=seed),
     "sub-riemannian": lambda ctx, seed: S.sub_riemannian_suite(
-        ctx.model, engine=ctx.flow, seed=seed),
+        ctx.model, engine=ctx.engine, seed=seed),
 }
 
 
@@ -432,7 +422,7 @@ def _bind_li_yau(ctx, opts, seed):
         return {"suite": suite, "saturation_fields": ("point-source",)}
     if kind == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
-        return {"suite": suite + S.rectified_noise_fields(model, ctx.flow, n=1,
+        return {"suite": suite + S.rectified_noise_fields(model, ctx.engine, n=1,
                                                           seed=seed)}
     return {"suite": _SUITES[kind](ctx, seed)}
 
@@ -528,8 +518,7 @@ _SUITE = _choice(*_SUITES)
 
 CHECK_KINDS = {
     "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed")),
-    "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "spectral", "seed"),
-                             bind=lambda ctx, opts, seed: {"engine2": ctx.flow}),
+    "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "spectral", "engine", "seed")),
     "spectrum": CheckKind(C.check_spectrum, ("model", "oracle", "spectral"),
                           {"count": _int, "rtol": _float}),
     "cd": CheckKind(C.check_cd, ("model", "oracle"),
@@ -546,7 +535,7 @@ CHECK_KINDS = {
     "spectral-gap": CheckKind(C.check_spectral_gap, ("model", "oracle", "spectral")),
     "log-sobolev": CheckKind(C.check_log_sobolev, ("model", "oracle", "engine"),
                              bind=_bind_suite("positive")),
-    "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral")),
+    "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral", "engine")),
     "li-yau": CheckKind(C.check_li_yau, ("model", "oracle", "engine"),
                         {"mode": _choice("rho0", "general-alpha", "exponential",
                                          "bakry-qian", "sub-riemannian"),

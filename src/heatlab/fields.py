@@ -351,13 +351,12 @@ def gamma_z(model: DiscretizedModel, f: ScalarField,
     return model.field(model.vertical_form.evaluate(model.mu, fv, gv))
 
 
-def gamma2_z(model: DiscretizedModel, f: ScalarField) -> ScalarField:
-    """Iterated vertical form (L Gamma^Z(f) - 2 Gamma^Z(f, Lf))/2."""
-    fv = model.check_field(f)
-    lf = model.field(model.L @ fv)
-    gz = gamma_z(model, f)
-    out = 0.5 * (model.L @ gz.values) - gamma_z(model, f, lf).values
-    return model.field(out)
+def gamma2_z(model: DiscretizedModel, f: ScalarField):
+    """(Gamma^Z f, Gamma2^Z f) on every node, from one Lf and one Gamma^Z f:
+    the vertical form and its iterated form (L Gamma^Z(f) - 2 Gamma^Z(f, Lf))/2."""
+    lf = model.field(model.L @ model.check_field(f))
+    gz = gamma_z(model, f).values
+    return gz, 0.5 * (model.L @ gz) - gamma_z(model, f, lf).values
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,7 @@ def self_test_gamma(model: DiscretizedModel, seed: int = 0,
         size = max(size, float(np.abs(f.values).max() * np.abs(g.values).max()))
     rows = int(np.diff(L.indptr).max(initial=0))
     scale = float(np.abs(L.data).max(initial=0.0))
-    return worst, 4 * (rows + 3) * np.finfo(float).eps * scale * size
+    return worst, float(4 * (rows + 3) * np.finfo(float).eps * scale * size)
 
 
 # ---------------------------------------------------------------------------

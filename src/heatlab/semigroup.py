@@ -1,20 +1,16 @@
 """Heat semigroup engines: spectral decomposition, exponential action, stepping.
 
-Three routes to exp(tL), all on the mu-symmetrized operator:
+Two routes to exp(tL), both on the mu-symmetrized operator:
 
-* spectral truncation through the k lowest eigenpairs of -L in L2(mu),
-  with the unresolved component damped at the last retained rate (so t = 0
-  reproduces the input exactly and mass is conserved to roundoff).  It
-  evolves every model that retains a spectrum (``spectral_k``);
-* ``ExpmFlow``, the exact flow: on the latitude sphere by diagonalizing
-  each of its longitude blocks, on every other model by a Chebyshev
-  expansion whose Bessel-function weights bound its error for every
-  input, at a degree of about sqrt(t b ln(1 / CHEB_TAIL)) fixed before
-  any product with the operator (b bounds its spectrum).  It evolves
-  every model without a retained spectrum (the Heisenberg lattice in the
-  default campaign) and the noise of the sub-riemannian suites, and it is
-  the independent route that ``check_kernel_laws`` cross-checks against
-  the truncated spectral one;
+* ``ExpmFlow``, the exact flow that evolves every check.  On a model that
+  ``build_model`` marks in ``meta["structure"]`` (boxes, tori, the latitude
+  sphere) it applies exp(-t A) through the model's diagonalized blocks
+  (``_blocks``): the 1-D cosine or Fourier factors of a Kronecker sum on a
+  box or torus, the longitude blocks on the sphere.  It agrees with a dense
+  ``expm`` to a few times 1e-14 of the sup.  On every other model it sums a
+  Chebyshev expansion whose Bessel-function weights bound its error for
+  every input, at a degree of about sqrt(t b ln(1 / CHEB_TAIL)) fixed
+  before any product with the operator (b bounds its spectrum);
 * Crank-Nicolson stepping with a Richardson step-doubling control, solved
   by conjugate gradients.  No check runs it; it stays as a reference for
   tests and benchmarks.
@@ -23,13 +19,9 @@ The eigenpairs are those of the symmetrized matrix D^{1/2} L D^{-1/2}
 (D = diag mu); eigenfields map back and are mu-orthonormal by
 construction.  ``spectral_decompose`` has three routes to them:
 
-* structured, for the models that ``build_model`` marks in
-  ``meta["structure"]``.  Box and torus generators are Kronecker sums of
-  1-D second differences, whose eigenvectors are cosines (DCT-II) or
-  (cos, sin) Fourier pairs; the sphere operator commutes with the
-  longitude shift and splits into mt + 1 real tridiagonal blocks, one per
-  longitude frequency.  The k lowest pairs are assembled exactly, and a
-  residual check keeps a wrong structure assumption loud;
+* structured, on a marked model: the k lowest pairs of its blocks,
+  assembled exactly.  The blocks of each marked model are built once, and
+  a probe self-test keeps a wrong structure assumption loud;
 * shift-invert Lanczos (ARPACK) on any other model when N > 10 k;
 * a dense subset solve of the k lowest pairs otherwise.  The last two
   cross over near N = 10 k on the sphere and box models (measured up to
@@ -113,19 +105,6 @@ def _symmetrized(model: DiscretizedModel):
     return A.tocsr(), dm
 
 
-def _operator(model: DiscretizedModel):
-    """(A, dm, blocks): ``_symmetrized`` and, on a sphere-marked model, its
-    ``_SphereBlocks`` (else None).  A sphere model's triple is built once
-    and kept in ``model.derived``."""
-    structure = model.meta.get("structure")
-    if structure is None or structure[0] != "sphere":
-        return (*_symmetrized(model), None)
-    if "_sphere_blocks" not in model.derived:
-        A, dm = _symmetrized(model)
-        model.derived["_sphere_blocks"] = (A, dm, _SphereBlocks(A, structure))
-    return model.derived["_sphere_blocks"]
-
-
 def _fourier_basis(m: int):
     """(freq, V): the real Fourier basis of period m, orthonormal columns of
     V sampled at 0 .. m - 1.  One cos wave at frequency 0 and, for even m,
@@ -140,40 +119,61 @@ def _fourier_basis(m: int):
     return freq, V
 
 
-def _grid_pairs(A, structure, k: int):
-    """k lowest pairs of a box or torus generator with uniform mu.
+class _GridBlocks:
+    """A box or torus generator with uniform mu as its diagonalized 1-D factor.
 
-    The 1-D eigenvectors are cos(pi a (i + 1/2) / m) on a box axis
-    (theta_a = pi a / m) and explicit (cos, sin) pairs of frequency a on a
-    periodic axis (theta_a = 2 pi a / m), with eigenvalues
-    4 w sin^2(theta_a / 2), where w is the coupling of neighbouring nodes
-    read from ``A``.  All m^d sums are ranked by a stable argsort over the
-    lexicographic multi-index, and the k lowest become tensor products.
+    The symmetrized operator is the Kronecker sum of one 1-D second
+    difference per axis.  Its eigenvectors, the columns of ``V``, are
+    cos(pi a (i + 1/2) / m) on a box axis (theta_a = pi a / m) and the real
+    Fourier waves of ``_fourier_basis`` on a periodic axis
+    (theta_a = 2 pi a / m), with eigenvalues 4 w sin^2(theta_a / 2), where
+    w is the coupling of neighbouring nodes read from ``A``.  ``total``
+    holds the eigenvalue of every tensor product, indexed by its m^d modes.
     """
-    kind, m, dim = structure
-    n = A.shape[0]
-    if m ** dim != n:
-        raise SolverError(f"{kind} marker says {m}^{dim} nodes, the model has {n}")
-    w1 = -A[0, 1]                # nodes 0 and 1 neighbour along the last axis
-    if kind == "box":
-        freq = np.arange(m)
-        theta = np.pi * freq / m
-        V = np.cos(np.pi * (np.outer(2 * np.arange(m) + 1, freq) % (4 * m)) / (2 * m))
-        V /= np.linalg.norm(V, axis=0)
-    else:
-        freq, V = _fourier_basis(m)
-        theta = 2 * np.pi * freq / m
-    lam1 = 4 * w1 * np.sin(theta / 2) ** 2
-    total = lam1
-    for _ in range(dim - 1):
-        total = np.add.outer(total, lam1)
-    order = np.argsort(total.ravel(), kind="stable")[:k]
-    modes = np.unravel_index(order, (m,) * dim)
-    coords = np.unravel_index(np.arange(n), (m,) * dim)
-    U = np.ones((n, k))
-    for ax in range(dim):
-        U *= V[np.ix_(coords[ax], modes[ax])]
-    return total.ravel()[order], U
+
+    def __init__(self, A, structure):
+        kind, m, dim = structure
+        n = A.shape[0]
+        if m ** dim != n:
+            raise SolverError(f"{kind} marker says {m}^{dim} nodes, the model has {n}")
+        w1 = -A[0, 1]                # nodes 0 and 1 neighbour along the last axis
+        if kind == "box":
+            freq = np.arange(m)
+            theta = np.pi * freq / m
+            V = np.cos(np.pi * (np.outer(2 * np.arange(m) + 1, freq) % (4 * m)) / (2 * m))
+            V /= np.linalg.norm(V, axis=0)
+        else:
+            freq, V = _fourier_basis(m)
+            theta = 2 * np.pi * freq / m
+        lam1 = 4 * w1 * np.sin(theta / 2) ** 2
+        total = lam1
+        for _ in range(dim - 1):
+            total = np.add.outer(total, lam1)
+        self.V, self.total = V, total
+
+    def apply(self, v: np.ndarray, fn) -> np.ndarray:
+        """V diag(fn(total)) V^T, with V the d-fold tensor power of the 1-D
+        factor, applied to ``v`` one axis at a time: each contraction takes
+        the first axis and appends the result last."""
+        c = v.reshape(self.total.shape)
+        for _ in range(c.ndim):
+            c = np.tensordot(c, self.V, axes=(0, 0))
+        c *= fn(self.total)
+        for _ in range(c.ndim):
+            c = np.tensordot(c, self.V, axes=(0, 1))
+        return c.ravel()
+
+    def pairs(self, k: int):
+        """The k lowest pairs: the m^d sums ranked by a stable argsort over
+        the lexicographic multi-index, the k lowest as tensor products."""
+        shape, n = self.total.shape, self.total.size
+        order = np.argsort(self.total.ravel(), kind="stable")[:k]
+        modes = np.unravel_index(order, shape)
+        coords = np.unravel_index(np.arange(n), shape)
+        U = np.ones((n, k))
+        for ax in range(len(shape)):
+            U *= self.V[np.ix_(coords[ax], modes[ax])]
+        return self.total.ravel()[order], U
 
 
 class _SphereBlocks:
@@ -228,21 +228,50 @@ class _SphereBlocks:
                 amp[:, cols] = u @ (fn(w)[:, None] * (u.T @ amp[:, cols]))
         return np.concatenate([(amp @ self.waves.T).ravel(), poles])
 
+    def pairs(self, k: int):
+        """The k lowest pairs: block eigenvectors times their longitude waves."""
+        zero = np.zeros(self.nrows)
+        lam = np.concatenate([self.blocks[m][0] for m in self.freq])
+        vecs = np.hstack([self.blocks[m][1] if m == 0
+                          else np.vstack([zero, self.blocks[m][1], zero])
+                          for m in self.freq])
+        col = np.repeat(np.arange(self.mp), [self.blocks[m][0].size for m in self.freq])
+        order = np.argsort(lam, kind="stable")[:k]
+        amp, waves = vecs[:, order], self.waves[:, col[order]]
+        U = np.empty((self.nrows * self.mp + 2, k))
+        U[:-2] = (amp[1:-1, None, :] * waves[None, :, :]).reshape(-1, k)
+        U[-2], U[-1] = amp[0], amp[-1]
+        return lam[order], U
 
-def _sphere_pairs(S: _SphereBlocks, k: int):
-    """k lowest pairs of the latitude sphere: block eigenvectors of
-    ``S`` times their longitude waves."""
-    zero = np.zeros(S.nrows)
-    lam = np.concatenate([S.blocks[m][0] for m in S.freq])
-    vecs = np.hstack([S.blocks[m][1] if m == 0 else np.vstack([zero, S.blocks[m][1], zero])
-                      for m in S.freq])
-    col = np.repeat(np.arange(S.mp), [S.blocks[m][0].size for m in S.freq])
-    order = np.argsort(lam, kind="stable")[:k]
-    amp, waves = vecs[:, order], S.waves[:, col[order]]
-    U = np.empty((S.nrows * S.mp + 2, k))
-    U[:-2] = (amp[1:-1, None, :] * waves[None, :, :]).reshape(-1, k)
-    U[-2], U[-1] = amp[0], amp[-1]
-    return lam[order], U
+
+_BLOCKS = {"box": _GridBlocks, "torus": _GridBlocks, "sphere": _SphereBlocks}
+
+
+def _blocks(model: DiscretizedModel):
+    """(blocks, dm) of a structure-marked model, or None for an unmarked one.
+
+    Built once per model and kept in ``model.derived``; the symmetrized
+    operator A they are read from is not kept.  At the first build the
+    blocks applied to a fixed probe vector must reproduce ``A @ v`` to 1e-9
+    of each row's |A| |v|, or ``SolverError`` is raised, so a marker that
+    does not fit the operator stays loud.
+    """
+    structure = model.meta.get("structure")
+    if structure is None:
+        return None
+    if "_blocks" not in model.derived:
+        if structure[0] not in _BLOCKS:
+            raise SolverError(f"unknown structure marker {structure!r}")
+        A, dm = _symmetrized(model)
+        blocks = _BLOCKS[structure[0]](A, structure)
+        v = np.random.default_rng(PROBE_SEED).standard_normal(model.n_nodes)
+        err = np.abs(blocks.apply(v, lambda w: w) - A @ v)
+        rel = float(np.max(err / (abs(A) @ np.abs(v))))
+        if not rel <= 1e-9:
+            raise SolverError(f"the blocks of {model.model_id} miss the operator by "
+                              f"{rel:g} of a row; the {structure[0]!r} marker does not fit")
+        model.derived["_blocks"] = (blocks, dm)
+    return model.derived["_blocks"]
 
 
 def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> SpectralData:
@@ -252,11 +281,9 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
 
     * structured, when ``build_model`` marked the model in
       ``meta["structure"]`` (euclidean dims 1-3, torus dims 1-2, sphere):
-      Kronecker-sum tensor products on grids (``_grid_pairs``), longitude
-      blocks on the sphere (``_sphere_pairs``).  A residual above
-      1e-9 max(1, lambda_max), or a marker that does not fit the node
-      count, raises ``SolverError``.  ``neumann_restrict`` submodels carry
-      no marker;
+      the k lowest pairs of its ``_blocks``, which raise ``SolverError`` on
+      a marker that does not fit.  ``neumann_restrict`` submodels carry no
+      marker;
     * shift-invert ``eigsh`` when N > 10 k (its start vector is drawn from
       ``seed``; ``SolverError`` if it does not converge);
     * otherwise a dense solve of the k lowest pairs only.  The crossover
@@ -266,50 +293,44 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
     Each cluster of equal eigenvalues (``eigenvalue_clusters``) is then put
     into the basis of ``canonical_basis``, which also fixes the sign of
     simple eigenfields, so a cluster that k leaves whole does not depend on
-    the route or the seed.
-
-    Caveat: a cluster that k cuts (euclid2 at k = 500) keeps the vectors
-    the route retained: on structured models the first ones of a fixed
-    order, so the cut is deterministic; on the generic routes whichever
-    the solver returned.  Its effect on P_t is bounded by
-    exp(-lambda_{k-1} t), like the rest of the truncation.
+    the route or the seed.  A cluster that k cuts (euclid2 at k = 500)
+    keeps the vectors the route retained: on structured models the first
+    ones of a fixed order, so the cut is deterministic; on the generic
+    routes whichever the solver returned.
     """
     n = model.n_nodes
     if k > n:
         raise ValueError("cannot retain more eigenpairs than nodes")
-    A, dm, blocks = _operator(model)
-    structure = model.meta.get("structure")
-    if structure is not None:
-        if blocks is not None:
-            w, U = _sphere_pairs(blocks, k)
-        elif structure[0] in ("box", "torus"):
-            w, U = _grid_pairs(A, structure, k)
-        else:
-            raise SolverError(f"unknown structure marker {structure!r}")
-    elif n > 10 * k:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        shift = 1e-2 * float(A.diagonal().mean())
-        try:
-            w, U = spla.eigsh(A, k=k, sigma=-shift, which="LM", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(
-                "eigensolver did not converge; raise the subspace size or "
-                "lower the resolution"
-            ) from exc
-        order = np.argsort(w)
-        w, U = w[order], U[:, order]
+    structured = _blocks(model)
+    if structured is not None:
+        blocks, dm = structured
+        w, U = blocks.pairs(k)
     else:
-        w, U = sla.eigh(A.toarray(), subset_by_index=[0, k - 1])
+        A, dm = _symmetrized(model)
+        if n > 10 * k:
+            rng = np.random.default_rng(seed)
+            v0 = rng.standard_normal(n)
+            shift = 1e-2 * float(A.diagonal().mean())
+            try:
+                w, U = spla.eigsh(A, k=k, sigma=-shift, which="LM", v0=v0)
+            except spla.ArpackNoConvergence as exc:
+                raise SolverError(
+                    "eigensolver did not converge; raise the subspace size or "
+                    "lower the resolution"
+                ) from exc
+            order = np.argsort(w)
+            w, U = w[order], U[:, order]
+        else:
+            w, U = sla.eigh(A.toarray(), subset_by_index=[0, k - 1])
     w = np.clip(w, 0.0, None)
-    phi = canonical_basis(w, U * dm[:, None], model.mu)
+    U *= dm[:, None]
+    phi = canonical_basis(w, U, model.mu)
     gram = phi.T @ (model.mu[:, None] * phi)
     gram_error = float(np.max(np.abs(gram - np.eye(k))))
-    resid = model.L @ phi + phi * w
-    residual = float(np.sqrt(np.max(model.mu @ resid**2)))
-    if structure is not None and residual > 1e-9 * max(1.0, float(w[-1])):
-        raise SolverError(f"structured eigenpairs of {model.model_id} have residual "
-                          f"{residual:g}; the {structure[0]!r} marker does not fit")
+    resid = model.L @ phi
+    resid += phi * w
+    resid **= 2
+    residual = float(np.sqrt(np.max(model.mu @ resid)))
     return SpectralData(model.model_id, w, phi, residual, gram_error)
 
 
@@ -322,6 +343,7 @@ def canonical_basis(eigenvalues: np.ndarray, fields: np.ndarray,
     onto its span; with B = QR and the diagonal of R made positive, V Q is
     the Gram-Schmidt basis of those projections.  It depends only on
     span(V): replacing V by V O for an orthogonal O leaves V Q unchanged.
+    The rotation is made in place: ``fields`` itself is returned.
     """
     clusters = eigenvalue_clusters(eigenvalues)
     width = max((len(c) for c in clusters), default=0)
@@ -329,44 +351,22 @@ def canonical_basis(eigenvalues: np.ndarray, fields: np.ndarray,
     probes = np.random.default_rng(PROBE_SEED).standard_normal(
         (width, fields.shape[0])).T
     weighted = mu[:, None] * probes
-    out = np.array(fields, dtype=float)
     for cl in clusters:
-        V = out[:, cl]
+        V = fields[:, cl]
         Q, R = np.linalg.qr(V.T @ weighted[:, :len(cl)])
         signs = np.sign(np.diag(R))
         signs[signs == 0] = 1.0
-        out[:, cl] = V @ (Q * signs)
-    return out
+        fields[:, cl] = V @ (Q * signs)
+    return fields
 
 
 # ---------------------------------------------------------------------------
 # semigroup application
 
 
-def _coefficients(model: DiscretizedModel, spectral: SpectralData, fv: np.ndarray):
-    return spectral.eigenfields.T @ (model.mu * fv)
-
-
 def apply_semigroup(model: DiscretizedModel, engine, f: ScalarField, t: float) -> ScalarField:
-    """P_t f.  ``engine`` is SpectralData, or an engine whose ``evolve`` is
-    called: the exact ``ExpmFlow`` in every check, or ``CrankNicolson``.
-
-    The spectral route damps the component outside the retained span at the
-    last resolved rate; the true semigroup damps it at least that fast, so
-    the sup error is bounded by exp(-lambda_{k-1} t) times its norm.
-    t = 0 returns f, total mass is conserved to roundoff, and every L^p
-    norm is contracted up to the recorded truncation slack.
-    """
-    if t < 0:
-        raise ValueError("diffusion time must be nonnegative")
-    fv = model.check_field(f)
-    if isinstance(engine, SpectralData):
-        lam = engine.eigenvalues
-        coef = _coefficients(model, engine, fv)
-        resolved = engine.eigenfields @ (np.exp(-lam * t) * coef)
-        rest = fv - engine.eigenfields @ coef
-        damp = np.exp(-lam[-1] * t) if lam.size else 1.0
-        return model.field(resolved + damp * rest)
+    """P_t f by ``engine.evolve``: the exact ``ExpmFlow`` in every check, or
+    ``CrankNicolson``."""
     return engine.evolve(f, t)
 
 
@@ -404,12 +404,11 @@ class ExpmFlow:
     """Exact heat flow P_t f = D^{-1/2} exp(-t A) D^{1/2} f on the symmetrized
     operator A.
 
-    On a sphere-marked model (``meta["structure"] == ("sphere", mt)``) each
-    longitude block of ``_SphereBlocks`` is diagonalized, and exp(-t A) is
-    applied block by block, at a cost that does not grow with t ||A||.  At
-    construction the block form applied to a fixed probe vector must
-    reproduce ``A @ v`` to 1e-9 of each row's |A| |v|, or ``SolverError``
-    is raised, so a marker that does not fit the operator stays loud.
+    On a structure-marked model exp(-t A) is applied through the model's
+    diagonalized blocks (``_blocks``, which self-test when first built), at
+    a cost that does not grow with t ||A||: one 1-D factor per axis on a
+    box or torus, one tridiagonal block per longitude frequency on the
+    latitude sphere.
 
     Every other model is evaluated by a Chebyshev expansion (Tal-Ezer &
     Kosloff, J. Chem. Phys. 81 (1984) 3967).  The Gershgorin bound b, the
@@ -428,15 +427,12 @@ class ExpmFlow:
 
     def __init__(self, model: DiscretizedModel):
         self.model = model
-        A, self._dm, self._blocks = _operator(model)
-        if self._blocks is not None:
-            v = np.random.default_rng(PROBE_SEED).standard_normal(model.n_nodes)
-            err = np.abs(self._blocks.apply(v, lambda w: w) - A @ v)
-            rel = float(np.max(err / (abs(A) @ np.abs(v))))
-            if not rel <= 1e-9:
-                raise SolverError(f"longitude blocks of {model.model_id} miss the operator "
-                                  f"by {rel:g} of a row; the sphere marker does not fit")
+        structured = _blocks(model)
+        if structured is not None:
+            self._blocks, self._dm = structured
         else:
+            self._blocks = None
+            A, self._dm = _symmetrized(model)
             self._b = float(abs(A).sum(axis=1).max())
             self._X = (sp.identity(model.n_nodes, format="csr") - (2.0 / self._b) * A).tocsr()
 

@@ -3,6 +3,7 @@
 Tolerances are pinned here, not configured elsewhere; every quantitative
 target carries its stated slack next to the assertion.
 """
+import csv
 import json
 import os
 import time
@@ -12,6 +13,7 @@ import pytest
 
 from heatlab import (
     CrankNicolson,
+    ExpmFlow,
     ModelSpec,
     build_model,
     check_operator_axioms,
@@ -81,7 +83,7 @@ def test_criterion_1_operator_axioms(torus1, euclid1, euclid2, euclid3, sphere, 
 def test_criterion_2_kernel_laws(torus1, sphere):
     t0 = time.monotonic()
     for model, _, spectral in (torus1, sphere):
-        rep = check_kernel_laws(model, spectral, engine2=CrankNicolson(model),
+        rep = check_kernel_laws(model, spectral, engine=CrankNicolson(model),
                                 tolerance=Tolerance(1e-8))
         assert rep.passed, rep.worst_sample()
         assert rep.metadata["cross_engine_sup_diff"] < 1e-4
@@ -146,7 +148,7 @@ def test_criterion_5_li_yau(euclid2, sphere, heis):
     delta[i0] = 1.0 / model.mu[i0]
     suite = [NamedField("point-source", model.field(delta))]
     suite += bump_fields(model, centers=[i0], width=0.25)
-    rep = check_li_yau(model, oracle, spectral, suite, [0.05, 0.1, 0.2],
+    rep = check_li_yau(model, oracle, ExpmFlow(model), suite, [0.05, 0.1, 0.2],
                        mode="rho0", saturation_fields=("point-source",),
                        saturation_rtol=0.01,
                        tolerance=Tolerance(1e-12, 0.03))
@@ -155,11 +157,12 @@ def test_criterion_5_li_yau(euclid2, sphere, heis):
 
     smodel, soracle, sspectral = sphere
     psuite = positive_fields(smodel, sspectral)[:3]
-    ra = check_li_yau(smodel, soracle, sspectral, psuite, [0.25, 0.5, 1.0],
+    sflow = ExpmFlow(smodel)
+    ra = check_li_yau(smodel, soracle, sflow, psuite, [0.25, 0.5, 1.0],
                       mode="general-alpha", alpha=1.0,
                       tolerance=Tolerance(1e-12, 0.03))
     assert ra.passed
-    rb = check_li_yau(smodel, soracle, sspectral, psuite, [2.0, 3.0],
+    rb = check_li_yau(smodel, soracle, sflow, psuite, [2.0, 3.0],
                       mode="bakry-qian")
     assert rb.passed
 
@@ -181,7 +184,7 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     # sharp flat comparison: the kernel lower bound is an equality
     near = [node_nearest(model, p) for p in ([0.2, 0.1], [-0.15, 0.2], [0.0, 0.3])]
     pairs = [(i0, j, t) for j in near for t in (0.05, 0.1)]
-    rk = check_kernel_bounds(model, oracle, spectral, engine=spectral,
+    rk = check_kernel_bounds(model, oracle, spectral, engine=ExpmFlow(model),
                              pair_sample=pairs, centers=[i0],
                              radii=[0.3, 0.4, 0.5, 0.6], equality_expected=True)
     assert rk.passed, rk.worst_sample()
@@ -191,7 +194,7 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     delta = np.zeros(model.n_nodes)
     delta[i0] = 1.0 / model.mu[i0]
     hpairs = sample_harnack_pairs(model, 200, [0.05, 0.1], [0.05, 0.1], seed=3)
-    rh = check_harnack(model, oracle, spectral,
+    rh = check_harnack(model, oracle, ExpmFlow(model),
                        [NamedField("point-source", model.field(delta))] +
                        bump_fields(model, centers=[i0], width=0.3), hpairs,
                        tolerance=Tolerance(1e-12, 0.02))
@@ -199,7 +202,7 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
 
     smodel, soracle, sspectral = sphere
     spairs = sample_harnack_pairs(smodel, 200, [0.1, 0.2], [0.1, 0.3], seed=4)
-    rs = check_harnack(smodel, soracle, sspectral, bump_fields(smodel, seed=4),
+    rs = check_harnack(smodel, soracle, ExpmFlow(smodel), bump_fields(smodel, seed=4),
                        spairs, tolerance=Tolerance(1e-12, 0.02))
     assert rs.passed
 
@@ -264,13 +267,14 @@ def test_criterion_8_functional_inequalities(sphere):
     assert abs(lam1 / 2.0 - 1.0) < 0.02       # sharp gap equality
 
     suite = positive_fields(model, spectral)
-    rl = check_log_sobolev(model, oracle, spectral, suite,
+    flow = ExpmFlow(model)
+    rl = check_log_sobolev(model, oracle, flow, suite,
                            tolerance=Tolerance(1e-12, 0.02))
     assert rl.passed
     slope = rl.metadata["entropy_slope"]
     assert slope <= -2.0 + 0.05
 
-    rg = check_gradient_bound(model, oracle, spectral,
+    rg = check_gradient_bound(model, oracle, flow,
                               eigen_fields(model, spectral, seed=2),
                               [0.1, 0.5, 1.0], tolerance=Tolerance(1e-12, 0.02))
     assert rg.passed
@@ -356,16 +360,24 @@ def test_criterion_10_distances(torus1, euclid2, sphere, heis):
                  f"{-rv.min_margin:.2e} (< 0.08)")
 
 
-def test_criterion_11_determinism_and_runtime(tmp_path):
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """(config, exit code, seconds) of one default campaign run."""
     from heatlab.cli import default_config, run_campaign
 
-    cache = os.path.join(tmp_path, "cache")
+    tmp = tmp_path_factory.mktemp("default")
     t0 = time.monotonic()
     cfg = default_config()
-    cfg.output_dir = os.path.join(tmp_path, "run1")
-    cfg.cache_dir = cache
-    rc1 = run_campaign(cfg, log=lambda *a: None)
-    elapsed = time.monotonic() - t0
+    cfg.output_dir = os.path.join(tmp, "run1")
+    cfg.cache_dir = os.path.join(tmp, "cache")
+    rc = run_campaign(cfg, log=lambda *a: None)
+    return cfg, rc, time.monotonic() - t0
+
+
+def test_criterion_11_determinism_and_runtime(default_run, tmp_path):
+    from heatlab.cli import default_config, run_campaign
+
+    cfg, rc1, elapsed = default_run
     # the golden digest holds every report of this run at an earlier commit;
     # margins move by roundoff only (1e-15 of scale across BLAS thread counts)
     with open(GOLDEN) as fh:
@@ -378,7 +390,7 @@ def test_criterion_11_determinism_and_runtime(tmp_path):
 
     cfg2 = default_config()
     cfg2.output_dir = os.path.join(tmp_path, "run2")
-    cfg2.cache_dir = cache
+    cfg2.cache_dir = cfg.cache_dir
     rc2 = run_campaign(cfg2, log=lambda *a: None)
     assert rc2 == 0
 
@@ -391,6 +403,16 @@ def test_criterion_11_determinism_and_runtime(tmp_path):
     assert _line("criterion-11 determinism + runtime", True,
                  f"campaign {elapsed:.1f}s (< 300s), {len(names)} outputs "
                  f"byte-identical across reruns")
+
+
+def test_default_summary_cells_parse_as_floats(default_run):
+    cfg = default_run[0]
+    with open(os.path.join(cfg.output_dir, "summary.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(cfg.checks)
+    for row in rows:
+        for column in ("min_margin", "tol_abs", "tol_rel", "scale"):
+            float(row[column])          # a numpy repr such as np.float64(...) raises
 
 
 def test_refinement_monotone_margins():

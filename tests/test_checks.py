@@ -13,7 +13,6 @@ from heatlab import (
     metric,
     neumann_restrict,
     node_nearest,
-    spectral_decompose,
 )
 from heatlab.checks import (
     check_ball_poincare,
@@ -192,7 +191,7 @@ def _count_calls(monkeypatch, *names):
 def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
     # counts the EdgeForm.evaluate calls of each form: cd_forms makes one for
     # Gamma f and one for Gamma(f, Lf), the gradient-of-Gamma lemma one more;
-    # Gamma^Z f and Gamma2^Z f take three of the vertical form
+    # gamma2_z makes one for Gamma^Z f and one for Gamma^Z(f, Lf)
     from heatlab.suites import sub_riemannian_suite
 
     model, oracle, spectral = sphere
@@ -217,7 +216,10 @@ def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
     hsuite = sub_riemannian_suite(hmodel)
     check_cd(hmodel, horacle, hsuite, mode="generalized",
              nu_grid=[0.5, 1.0, 2.0, 8.0])
-    assert calls == {"horizontal": 2 * len(hsuite), "vertical": 3 * len(hsuite)}
+    assert calls == {"horizontal": 2 * len(hsuite), "vertical": 2 * len(hsuite)}
+    calls.clear()
+    check_cd(hmodel, horacle, hsuite, mode="scan", nu_grid=[0.5, 1.0, 2.0, 8.0])
+    assert calls == {"horizontal": 2 * len(hsuite), "vertical": 2 * len(hsuite)}
 
 
 def test_vertical_commutation(heis):
@@ -233,14 +235,14 @@ def test_vertical_commutation(heis):
 def test_gradient_bound(sphere, euclid2):
     model, oracle, spectral = sphere
     suite = eigen_fields(model, spectral, n_single=2, n_combo=1)
-    rep = check_gradient_bound(model, oracle, spectral, suite, [0.0, 0.1, 0.5, 1.0])
+    rep = check_gradient_bound(model, oracle, ExpmFlow(model), suite, [0.0, 0.1, 0.5, 1.0])
     assert rep.passed
     t0 = [s for s in rep.samples if s["t"] == 0.0]
     assert all(abs(s["margin"]) < 1e-9 * rep.scale for s in t0)
 
-    emodel, eoracle, espectral = euclid2
+    emodel, eoracle, _ = euclid2
     esuite = [NamedField("coord-0", emodel.field(emodel.nodes[:, 0]))]
-    erep = check_gradient_bound(emodel, eoracle, espectral, esuite, [0.05])
+    erep = check_gradient_bound(emodel, eoracle, ExpmFlow(emodel), esuite, [0.05])
     assert erep.passed
     # translation-invariant gradient: both sides equal one
     s = erep.samples[-1]
@@ -249,8 +251,8 @@ def test_gradient_bound(sphere, euclid2):
 
 
 def test_completeness(sphere, torus1):
-    for model, _, spectral in (sphere, torus1):
-        rep = check_completeness(model, spectral, [0.5, 2.0])
+    for model, _, _ in (sphere, torus1):
+        rep = check_completeness(model, ExpmFlow(model), [0.5, 2.0])
         assert rep.passed and rep.min_margin > -1e-10
 
 
@@ -274,7 +276,7 @@ def test_spectral_gap_needs_positive_curvature(euclid2):
 def test_log_sobolev(sphere):
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
-    rep = check_log_sobolev(model, oracle, spectral, suite)
+    rep = check_log_sobolev(model, oracle, ExpmFlow(model), suite)
     assert rep.passed
     assert rep.metadata["entropy_slope"] <= -2.0 + 0.05
     assert rep.metadata["constant"] == 2.0
@@ -287,7 +289,7 @@ def test_li_yau_flat_sharp(euclid2):
     delta[i0] = 1.0 / model.mu[i0]
     suite = [NamedField("point-source", model.field(delta))]
     suite += bump_fields(model, centers=[i0], width=0.25)
-    rep = check_li_yau(model, oracle, spectral, suite, [0.05, 0.1], mode="rho0",
+    rep = check_li_yau(model, oracle, ExpmFlow(model), suite, [0.05, 0.1], mode="rho0",
                        saturation_fields=("point-source",), saturation_rtol=0.01)
     assert rep.passed
     sat = [s for s in rep.samples if s["field"].endswith("|saturation")][0]
@@ -302,7 +304,7 @@ def test_li_yau_modes_sphere(sphere):
         ("bakry-qian", [2.0, 3.0], {}),
         ("exponential", [0.3, 0.6], {}),
     ):
-        rep = check_li_yau(model, oracle, spectral, suite, grid, mode=mode, **kw)
+        rep = check_li_yau(model, oracle, ExpmFlow(model), suite, grid, mode=mode, **kw)
         assert rep.passed, mode
 
 
@@ -329,10 +331,10 @@ def test_li_yau_errors(euclid2, sphere):
     model, oracle, spectral = euclid2
     suite = bump_fields(model, seed=0)
     with pytest.raises(NotApplicableError):
-        check_li_yau(model, oracle, spectral, suite, [1.0], mode="bakry-qian")
+        check_li_yau(model, oracle, ExpmFlow(model), suite, [1.0], mode="bakry-qian")
     smodel, soracle, sspectral = sphere
     with pytest.raises(ValueError):
-        check_li_yau(smodel, soracle, sspectral,
+        check_li_yau(smodel, soracle, ExpmFlow(smodel),
                      positive_fields(smodel, sspectral)[:1], [0.5],
                      mode="bakry-qian")   # t < 2/rho
 
@@ -357,7 +359,7 @@ def test_harnack_flat_saturation(euclid2):
     i0 = node_nearest(model, [0.0, 0.0])
     delta = np.zeros(model.n_nodes)
     delta[i0] = 1.0 / model.mu[i0]
-    rep = check_harnack(model, oracle, spectral,
+    rep = check_harnack(model, oracle, ExpmFlow(model),
                         [NamedField("point-source", model.field(delta))],
                         [(i0, 0.05, i0, 0.1)])
     assert rep.passed
@@ -368,17 +370,18 @@ def test_harnack_pairs_and_errors(sphere):
     model, oracle, spectral = sphere
     pairs = sample_harnack_pairs(model, 50, [0.1, 0.2], [0.1, 0.3], seed=1)
     suite = bump_fields(model, seed=1)
-    rep = check_harnack(model, oracle, spectral, suite, pairs)
+    flow = ExpmFlow(model)
+    rep = check_harnack(model, oracle, flow, suite, pairs)
     assert rep.passed
     with pytest.raises(ValueError):
-        check_harnack(model, oracle, spectral, suite, [(0, 0.2, 1, 0.1)])
+        check_harnack(model, oracle, flow, suite, [(0, 0.2, 1, 0.1)])
 
 
 def test_harnack_evaluates_each_oracle_field_once(monkeypatch):
     # a fresh model: the session fixtures' distance memos are already filled
     model, oracle = build_model(
         ModelSpec("euclidean", dim=2, resolution=16, extent=1.5))
-    spectral = spectral_decompose(model, k=40)
+    flow = ExpmFlow(model)
     a, b, c, y1, y2 = (node_nearest(model, p) for p in
                        ([0.1, 0.2], [-0.3, 0.0], [0.2, -0.2], [0.0, 0.0], [0.3, 0.3]))
     pairs = [(x, 0.05, y, 0.1) for x, y in
@@ -391,10 +394,10 @@ def test_harnack_evaluates_each_oracle_field_once(monkeypatch):
         return real(model, oracle, source)
     monkeypatch.setattr(metric, "oracle_distance", counted)
     suite = bump_fields(model, seed=0)
-    first = check_harnack(model, oracle, spectral, suite, pairs)
+    first = check_harnack(model, oracle, flow, suite, pairs)
     assert calls == {y1: 1, y2: 1}
     # a second check on the same model reuses the fields
-    again = check_harnack(model, oracle, spectral, suite, pairs)
+    again = check_harnack(model, oracle, flow, suite, pairs)
     assert calls == {y1: 1, y2: 1}
     assert again.samples == first.samples
 
@@ -404,7 +407,7 @@ def test_kernel_bounds_flat(euclid2):
     i0 = node_nearest(model, [0, 0])
     near = [node_nearest(model, [0.2, 0.1]), node_nearest(model, [-0.15, 0.2])]
     pairs = [(i0, near[0], 0.05), (i0, near[1], 0.1)]
-    rep = check_kernel_bounds(model, oracle, spectral, engine=spectral,
+    rep = check_kernel_bounds(model, oracle, spectral, engine=ExpmFlow(model),
                               pair_sample=pairs, centers=[i0],
                               radii=[0.3, 0.4, 0.5, 0.6],
                               equality_expected=True)
@@ -423,7 +426,7 @@ def test_kernel_bounds_evaluates_each_kernel_once(monkeypatch, euclid2):
     pairs = [(i0, node_nearest(model, [0.2, 0.1]), 0.05), (i1, i0, 0.1),
              (i1, i1, 0.05)]
     radii = [0.3, 0.4, 0.5]
-    check_kernel_bounds(model, oracle, spectral, engine=spectral,
+    check_kernel_bounds(model, oracle, spectral, engine=ExpmFlow(model),
                         pair_sample=pairs, centers=[i0, i1], radii=radii)
     assert calls["heat_kernel_block"] == len(pairs) + 2 * 2 * len(radii)
 
@@ -570,7 +573,7 @@ def test_kernel_laws_and_spectrum(torus1):
     model, oracle, spectral = torus1
     from heatlab import CrankNicolson
 
-    rep = check_kernel_laws(model, spectral, engine2=CrankNicolson(model), seed=0)
+    rep = check_kernel_laws(model, spectral, engine=CrankNicolson(model), seed=0)
     assert rep.passed
     assert rep.metadata["cross_engine_sup_diff"] < 1e-4
     rep2 = check_spectrum(model, oracle, spectral, count=5, rtol=0.01)
@@ -578,12 +581,13 @@ def test_kernel_laws_and_spectrum(torus1):
 
 
 def test_kernel_laws_with_the_campaign_flow(sphere):
-    # the campaign binds engine2 to the exact flow; only the truncation of
-    # the 300 retained pairs then separates the routes
+    # the campaign binds the exact flow; on a field in the span of the 300
+    # retained pairs the eigen-expansion is exact too, so only roundoff
+    # separates the routes
     model, _, spectral = sphere
-    rep = check_kernel_laws(model, spectral, engine2=ExpmFlow(model), seed=0)
+    rep = check_kernel_laws(model, spectral, engine=ExpmFlow(model), seed=0)
     assert rep.passed
-    assert rep.metadata["cross_engine_sup_diff"] < 1e-8
+    assert rep.metadata["cross_engine_sup_diff"] < 1e-10
 
 
 def _least_margin(rep):
@@ -592,7 +596,7 @@ def _least_margin(rep):
 
 def test_equilibrium_rate(sphere):
     model, _, spectral = sphere
-    rep = check_equilibrium_rate(model, spectral)
+    rep = check_equilibrium_rate(model, spectral, ExpmFlow(model))
     assert rep.passed
     assert rep.metadata["slope"] == pytest.approx(-spectral.eigenvalues[1], rel=0.03)
     assert rep.min_margin == _least_margin(rep)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from heatlab import ModelSpec, NotApplicableError, build_model, cli, metric
+from heatlab import ExpmFlow, ModelSpec, NotApplicableError, build_model, cli, metric
 from heatlab.cli import (
     CampaignConfig,
     ConfigError,
@@ -325,7 +325,7 @@ def test_plot_emission(tmp_path, sphere):
 
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)[:2]
-    rep = check_li_yau(model, oracle, spectral, suite, [0.25, 0.5],
+    rep = check_li_yau(model, oracle, ExpmFlow(model), suite, [0.25, 0.5],
                        mode="general-alpha", alpha=1.0)
     files = emit_plot_data(rep, "li-yau", str(tmp_path), "li-yau-sphere")
     assert os.path.basename(files[0]) == "li-yau-sphere-li-yau.csv"
@@ -398,7 +398,7 @@ def test_entropy_plot_slope_consistency(tmp_path, sphere):
 
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
-    rep = check_log_sobolev(model, oracle, spectral, suite)
+    rep = check_log_sobolev(model, oracle, ExpmFlow(model), suite)
     files = emit_plot_data(rep, "entropy", str(tmp_path), "log-sobolev-sphere")
     lines = open(files[0]).read().splitlines()
     slope_header = float(lines[0].split("=")[1])
@@ -457,6 +457,20 @@ def test_default_config_is_valid():
         assert spec["check"] in cli.CHECK_RUNNERS
         assert spec["model"] in cfg.models
     validate_config(cfg)
+
+
+def test_every_default_model_evolves_by_the_exact_flow(tmp_path):
+    # the engine takes the blocks route exactly on the models that carry a
+    # structure marker, and every grid and sphere carries one: one that fell
+    # back to the Chebyshev series would fail here
+    cfg = default_config()
+    for name, spec in cfg.models.items():
+        ctx = cli.ModelContext(name, spec, str(tmp_path), cfg.seed,
+                               k=cfg.spectral_k.get(name))
+        assert isinstance(ctx.engine, ExpmFlow) and ctx.engine is ctx.engine
+        marked = "structure" in ctx.model.meta
+        assert marked == (ctx.model.kind in ("euclidean", "torus", "sphere")), name
+        assert (ctx.engine._blocks is not None) == marked, name
 
 
 SHIPPED_CFGS = sorted(glob.glob(os.path.join(os.path.dirname(SMALL_CFG), "*.cfg")))

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from heatlab import ModelSpec, apply_semigroup, build_model, carre_du_champ, gamma_z
+from heatlab import (
+    ExpmFlow,
+    ModelSpec,
+    apply_semigroup,
+    build_model,
+    carre_du_champ,
+    gamma_z,
+)
 from heatlab.fields import deep_interior
 from heatlab.reports import MarginReport, Tolerance
 
@@ -12,9 +19,7 @@ MODEL, ORACLE = build_model(ModelSpec("torus", dim=1, resolution=16))
 HEIS, _ = build_model(
     ModelSpec("heisenberg", dim=3, resolution=9, extent=1.0,
               options={"z_extent": 0.25}))
-from heatlab import spectral_decompose  # noqa: E402
-
-SPECTRAL = spectral_decompose(MODEL, k=16)
+FLOW = ExpmFlow(MODEL)
 
 field_values = arrays(np.float64, MODEL.n_nodes,
                       elements=st.floats(-5, 5, allow_nan=False))
@@ -44,8 +49,8 @@ def test_gamma_nonnegative(a):
 @given(field_values, st.floats(0.01, 1.0), st.floats(0.01, 1.0))
 def test_semigroup_law(a, s, t):
     f = MODEL.field(a)
-    ab = apply_semigroup(MODEL, SPECTRAL, apply_semigroup(MODEL, SPECTRAL, f, s), t)
-    c = apply_semigroup(MODEL, SPECTRAL, f, s + t)
+    ab = apply_semigroup(MODEL, FLOW, apply_semigroup(MODEL, FLOW, f, s), t)
+    c = apply_semigroup(MODEL, FLOW, f, s + t)
     assert np.allclose(ab.values, c.values, atol=1e-9 * max(1.0, np.abs(a).max()))
 
 
@@ -53,7 +58,7 @@ def test_semigroup_law(a, s, t):
 @given(field_values, st.floats(0.0, 2.0))
 def test_lp_contraction_and_mass(a, t):
     f = MODEL.field(a)
-    pt = apply_semigroup(MODEL, SPECTRAL, f, t)
+    pt = apply_semigroup(MODEL, FLOW, f, t)
     scale = max(1.0, np.abs(a).max())
     assert MODEL.integrate(pt) == pytest.approx(MODEL.integrate(f),
                                                 abs=1e-9 * scale)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -9,6 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import ive
 
@@ -38,8 +40,8 @@ from heatlab.models import exact_heat_kernel
 
 def test_mass_conservation(sphere, torus1, heis):
     for bundle, t in ((sphere, 1.0), (torus1, 10.0)):
-        model, _, spectral = bundle
-        pt = apply_semigroup(model, spectral, model.constant(1.0), t)
+        model = bundle[0]
+        pt = apply_semigroup(model, ExpmFlow(model), model.constant(1.0), t)
         assert np.max(np.abs(pt.values - 1.0)) < 1e-10
     model, _, flow = heis
     pt = apply_semigroup(model, flow, model.constant(1.0), 0.2)
@@ -54,27 +56,28 @@ def test_eigenfunction_decay(sphere):
     model, _, spectral = sphere
     phi1 = model.field(spectral.eigenfields[:, 1])
     t = 0.7
-    pt = apply_semigroup(model, spectral, phi1, t)
+    pt = apply_semigroup(model, ExpmFlow(model), phi1, t)
     expected = np.exp(-spectral.eigenvalues[1] * t) * phi1.values
     assert np.max(np.abs(pt.values - expected)) < 1e-10
 
 
 def test_time_zero_identity(torus1):
-    model, _, spectral = torus1
+    model, _, _ = torus1
+    flow = ExpmFlow(model)
     rng = np.random.default_rng(0)
     f = model.field(rng.standard_normal(model.n_nodes))
-    assert np.array_equal(apply_semigroup(model, spectral, f, 0.0).values, f.values)
+    assert np.array_equal(apply_semigroup(model, flow, f, 0.0).values, f.values)
     with pytest.raises(ValueError):
-        apply_semigroup(model, spectral, f, -0.1)
+        apply_semigroup(model, flow, f, -0.1)
 
 
 def test_cross_engine_agreement(torus1, sphere, heis):
-    # spectral on the grids and the sphere, the exact flow on heis
-    for model, engine in ((torus1[0], torus1[2]), (sphere[0], sphere[2]),
-                          (heis[0], heis[2])):
+    # the exact flow through the blocks on the torus and the sphere, through
+    # the Chebyshev series on heis
+    for model in (torus1[0], sphere[0], heis[0]):
         rng = np.random.default_rng(1)
         f = model.field(rng.standard_normal(model.n_nodes))
-        a = apply_semigroup(model, engine, f, 0.1)
+        a = apply_semigroup(model, ExpmFlow(model), f, 0.1)
         b = CrankNicolson(model).evolve(f, 0.1)
         assert np.max(np.abs(a.values - b.values)) < 1e-4
 
@@ -149,23 +152,38 @@ def test_torus_flow_matches_full_spectrum(torus1, monkeypatch):
     _forbid_expm_multiply(monkeypatch)
     flow = ExpmFlow(model)
     f = model.field(np.random.default_rng(9).standard_normal(model.n_nodes))
+    phi = spectral.eigenfields
+    coef = phi.T @ (model.mu * f.values)
     for t in (0.01, 0.1, 10.0):
-        ref = apply_semigroup(model, spectral, f, t).values
+        ref = phi @ (np.exp(-spectral.eigenvalues * t) * coef)
         got = flow.evolve(f, t).values
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(f.values))
+
+
+def _assert_flow_matches_dense_exponential(model, monkeypatch):
+    f = model.field(np.random.default_rng(5).standard_normal(model.n_nodes))
+    L = model.L.toarray()
+    _forbid_expm_multiply(monkeypatch)
+    flow = ExpmFlow(model)
+    assert flow._blocks is not None
+    for t in (0.01, 0.1, 1.0):
+        exact = sla.expm(t * L) @ f.values
+        got = apply_semigroup(model, flow, f, t).values
+        assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("res", [8, 16])
 def test_sphere_flow_matches_dense_exponential(res, monkeypatch):
     model, _ = build_model(ModelSpec("sphere", dim=2, resolution=res))
-    f = model.field(np.random.default_rng(5).standard_normal(model.n_nodes))
-    L = model.L.toarray()
-    _forbid_expm_multiply(monkeypatch)
-    flow = ExpmFlow(model)
-    for t in (0.01, 0.1, 1.0):
-        exact = sla.expm(t * L) @ f.values
-        got = apply_semigroup(model, flow, f, t).values
-        assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+    _assert_flow_matches_dense_exponential(model, monkeypatch)
+
+
+@pytest.mark.parametrize("kind,dim,res", [
+    ("euclidean", 1, 16), ("euclidean", 2, 9), ("euclidean", 3, 8),
+    ("torus", 1, 15), ("torus", 2, 8)])
+def test_grid_flow_matches_dense_exponential(kind, dim, res, monkeypatch):
+    model, _ = build_model(ModelSpec(kind, dim=dim, resolution=res))
+    _assert_flow_matches_dense_exponential(model, monkeypatch)
 
 
 def test_sphere_flow_matches_generic_route(monkeypatch):
@@ -208,26 +226,31 @@ def test_tampered_sphere_blocks_raise(edge):
         ExpmFlow(_tampered(model, edge))
 
 
-def test_sphere_operator_built_once_per_model(monkeypatch):
-    spec = ModelSpec("sphere", dim=2, resolution=12)
+@pytest.mark.parametrize("kind,dim,res", [
+    ("euclidean", 1, 48), ("euclidean", 2, 8), ("euclidean", 3, 8),
+    ("torus", 1, 48), ("torus", 2, 9), ("sphere", 2, 12)])
+def test_blocks_built_once_per_model(kind, dim, res, monkeypatch):
+    spec = ModelSpec(kind, dim=dim, resolution=res)
     ref_model, _ = build_model(spec)
     ref_sd, ref_flow = spectral_decompose(ref_model, k=40), ExpmFlow(ref_model)
-    built = {"_symmetrized": 0, "_SphereBlocks": 0}
+    built = collections.Counter()
+    real = semigroup._symmetrized
 
-    def counted(name):
-        real = getattr(semigroup, name)
-
-        def wrapper(*args):
-            built[name] += 1
-            return real(*args)
-        monkeypatch.setattr(semigroup, name, wrapper)
-    for name in built:
-        counted(name)
+    def counted(model):
+        built["_symmetrized"] += 1
+        return real(model)
+    monkeypatch.setattr(semigroup, "_symmetrized", counted)
     model, _ = build_model(spec)
     sd = spectral_decompose(model, k=40)
     flows = [ExpmFlow(model), ExpmFlow(model)]
     spectral_decompose(model, k=20)
-    assert built == {"_symmetrized": 1, "_SphereBlocks": 1}
+    assert built == {"_symmetrized": 1}
+    assert all(flow._blocks is model.derived["_blocks"][0] for flow in flows)
+    # the model keeps L and its blocks, not the symmetrized operator
+    assert set(model.derived) == {"_L", "_blocks"}
+    blocks, dm = model.derived["_blocks"]
+    assert isinstance(dm, np.ndarray)
+    assert not any(map(sp.issparse, vars(blocks).values()))
     assert np.array_equal(sd.eigenvalues, ref_sd.eigenvalues)
     assert np.array_equal(sd.eigenfields, ref_sd.eigenfields)
     f = model.field(np.random.default_rng(3).standard_normal(model.n_nodes))
@@ -250,28 +273,29 @@ def test_wrong_sphere_marker_raises_in_flow(kind, res, marker, match):
 
 
 def test_semigroup_law(sphere):
-    model, _, spectral = sphere
+    model, _, _ = sphere
     rng = np.random.default_rng(2)
     f = model.field(rng.standard_normal(model.n_nodes))
-    a = apply_semigroup(model, spectral, apply_semigroup(model, spectral, f, 0.3), 0.2)
-    b = apply_semigroup(model, spectral, f, 0.5)
+    flow = ExpmFlow(model)
+    a = apply_semigroup(model, flow, apply_semigroup(model, flow, f, 0.3), 0.2)
+    b = apply_semigroup(model, flow, f, 0.5)
     assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
 def test_positivity_and_submarkov(sphere):
-    model, _, spectral = sphere
+    model, _, _ = sphere
     rng = np.random.default_rng(3)
     f = model.field(rng.uniform(0.0, 1.0, model.n_nodes))
-    pt = apply_semigroup(model, spectral, f, 0.2).values
+    pt = apply_semigroup(model, ExpmFlow(model), f, 0.2).values
     assert pt.min() > -1e-8
     assert pt.max() < 1 + 1e-8
 
 
 def test_lp_contraction(sphere):
-    model, _, spectral = sphere
+    model, _, _ = sphere
     rng = np.random.default_rng(4)
     f = model.field(rng.standard_normal(model.n_nodes))
-    pt = apply_semigroup(model, spectral, f, 0.3)
+    pt = apply_semigroup(model, ExpmFlow(model), f, 0.3)
     for p in (1, 2, np.inf):
         assert model.norm(pt, p) <= model.norm(f, p) * (1 + 1e-10)
 
@@ -343,12 +367,13 @@ def test_reproducing_kernel_reproduces_cluster_span(sphere):
 def test_equilibrium(sphere):
     model, _, spectral = sphere
     phi1 = model.field(spectral.eigenfields[:, 1])
-    rate = equilibrium_rate(model, spectral, phi1, np.linspace(0.5, 2.0, 7))
+    flow = ExpmFlow(model)
+    rate = equilibrium_rate(model, flow, phi1, np.linspace(0.5, 2.0, 7))
     assert rate == pytest.approx(-2.0, rel=0.03)
-    assert equilibrium_error(model, spectral, model.constant(2.0), 0.5) < 1e-10
+    assert equilibrium_error(model, flow, model.constant(2.0), 0.5) < 1e-10
     rng = np.random.default_rng(5)
     f = model.field(rng.standard_normal(model.n_nodes))
-    assert equilibrium_error(model, spectral, f, 20.0) < 1e-8
+    assert equilibrium_error(model, flow, f, 20.0) < 1e-8
 
 
 def test_neumann_restrict_identity_and_errors(torus1):
@@ -601,8 +626,8 @@ def test_structured_route_matches_generic_solver(kind, dim, res, monkeypatch):
 
 
 @pytest.mark.parametrize("kind,dim,res,marker,match", [
-    ("euclidean", 2, 12, ("torus", 12, 2), "residual"),
-    ("torus", 1, 16, ("box", 16, 1), "residual"),
+    ("euclidean", 2, 12, ("torus", 12, 2), "miss the operator"),
+    ("torus", 1, 16, ("box", 16, 1), "miss the operator"),
     ("torus", 2, 10, ("torus", 10, 1), "nodes"),
     ("sphere", 2, 16, ("sphere", 12), "nodes"),
     ("sphere", 2, 12, ("disk", 12), "unknown"),
@@ -612,6 +637,9 @@ def test_tampered_structure_marker_raises(kind, dim, res, marker, match):
     model.meta["structure"] = marker
     with pytest.raises(semigroup.SolverError, match=match):
         spectral_decompose(model, k=8)
+    with pytest.raises(semigroup.SolverError, match=match):
+        ExpmFlow(model)
+    assert "_blocks" not in model.derived
 
 
 def test_decompose_determinism_and_errors(tiny_torus):
@@ -624,7 +652,7 @@ def test_decompose_determinism_and_errors(tiny_torus):
 
 
 def test_richardson_stepper_refines(torus1):
-    model, _, spectral = torus1
+    model, _, _ = torus1
     rng = np.random.default_rng(11)
     f = model.field(rng.standard_normal(model.n_nodes))
     coarse = CrankNicolson(model, base_steps=4, max_doublings=0).evolve(f, 0.5)
@@ -632,7 +660,7 @@ def test_richardson_stepper_refines(torus1):
     # by 6.9e-7: within 1e-6, but 700 times 1e-9
     fine = CrankNicolson(model, base_steps=4, max_doublings=6,
                          richardson_tol=1e-6).evolve(f, 0.5)
-    exact = apply_semigroup(model, spectral, f, 0.5)
+    exact = apply_semigroup(model, ExpmFlow(model), f, 0.5)
     err_c = np.max(np.abs(coarse.values - exact.values))
     err_f = np.max(np.abs(fine.values - exact.values))
     assert err_f < err_c / 10
