@@ -68,6 +68,10 @@ PROBE_SEED = 0
 # the Chebyshev series of ``ExpmFlow`` drops weight below this, a bound on
 # its error relative to the 2-norm of the input: below double roundoff
 CHEB_TAIL = 1e-17
+# rows or columns of an (N, k) eigenfield block that the spectral path
+# handles at a time (``_runs``), so that no step holds a second N x k array;
+# 48 keeps run-by-run products bit-identical to one-shot ones (``_runs``)
+_BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,24 @@ def _fourier_basis(m: int):
     return freq, V
 
 
+def _runs(n: int) -> list[slice]:
+    """Slices of 0 .. n - 1 in runs of ``_BLOCK``, the remainder joined to
+    the last run.
+
+    A product formed run by run then rounds as the one-shot product does,
+    as measured with OpenBLAS 0.3.31 at one BLAS thread against 32 or more
+    columns.  Each run starts at a multiple of 48, a multiple of the tile
+    heights of its gemm kernels, so every row lands in the same tile; and
+    no run is under 48 rows (unless it is the only one), past the
+    small-matrix kernel that takes products of about 1000 entries or
+    fewer.  With more BLAS threads a one-shot product of 100 or more
+    columns may be split at other rows and differ at roundoff; the 64
+    columns of ``check_kernel_laws`` give the same bits at 1 and 2 threads.
+    """
+    edges = list(range(0, n, _BLOCK))[:max(1, n // _BLOCK)] + [n]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 class _GridBlocks:
     """A box or torus generator with uniform mu as its diagonalized 1-D factor.
 
@@ -165,14 +187,18 @@ class _GridBlocks:
 
     def pairs(self, k: int):
         """The k lowest pairs: the m^d sums ranked by a stable argsort over
-        the lexicographic multi-index, the k lowest as tensor products."""
+        the lexicographic multi-index, the k lowest as tensor products.
+        The products are written into the (N, k) array returned, one run
+        of rows (``_runs``) at a time, so each factor is gathered for one
+        run only."""
         shape, n = self.total.shape, self.total.size
         order = np.argsort(self.total.ravel(), kind="stable")[:k]
         modes = np.unravel_index(order, shape)
-        coords = np.unravel_index(np.arange(n), shape)
         U = np.ones((n, k))
-        for ax in range(len(shape)):
-            U *= self.V[np.ix_(coords[ax], modes[ax])]
+        for r in _runs(n):
+            coords = np.unravel_index(np.arange(r.start, r.stop), shape)
+            for ax in range(len(shape)):
+                U[r] *= self.V[np.ix_(coords[ax], modes[ax])]
         return self.total.ravel()[order], U
 
 
@@ -229,7 +255,8 @@ class _SphereBlocks:
         return np.concatenate([(amp @ self.waves.T).ravel(), poles])
 
     def pairs(self, k: int):
-        """The k lowest pairs: block eigenvectors times their longitude waves."""
+        """The k lowest pairs: block eigenvectors times their longitude
+        waves, multiplied straight into the (N, k) array returned."""
         zero = np.zeros(self.nrows)
         lam = np.concatenate([self.blocks[m][0] for m in self.freq])
         vecs = np.hstack([self.blocks[m][1] if m == 0
@@ -239,7 +266,8 @@ class _SphereBlocks:
         order = np.argsort(lam, kind="stable")[:k]
         amp, waves = vecs[:, order], self.waves[:, col[order]]
         U = np.empty((self.nrows * self.mp + 2, k))
-        U[:-2] = (amp[1:-1, None, :] * waves[None, :, :]).reshape(-1, k)
+        np.multiply(amp[1:-1, None, :], waves[None, :, :],
+                    out=U[:-2].reshape(self.nrows, self.mp, k))
         U[-2], U[-1] = amp[0], amp[-1]
         return lam[order], U
 
@@ -290,6 +318,16 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
       was measured up to N = 4514; past that the rule is extrapolated, and
       the dense path holds an N x N matrix.
 
+    The (N, k) array a route returns becomes the eigenfields, and no later
+    step allocates a second N x k array.  The structured route writes each
+    pair into it (the sphere also holds an (mt + 1) x N table of its block
+    eigenvectors); ``eigsh`` reorders its vectors into a copy.  The scaling
+    to mu-orthonormal fields and the cluster rotation work in place, one
+    cluster gathered at a time.  The Gram error (its entries on and below
+    the diagonal) and the residual max ||L phi + lambda phi||_mu are formed
+    over runs of ``_BLOCK`` columns (``_runs``): each run holds a copy of
+    its columns and one N x run product at a time.
+
     Each cluster of equal eigenvalues (``eigenvalue_clusters``) is then put
     into the basis of ``canonical_basis``, which also fixes the sign of
     simple eigenfields, so a cluster that k leaves whole does not depend on
@@ -325,13 +363,19 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
     w = np.clip(w, 0.0, None)
     U *= dm[:, None]
     phi = canonical_basis(w, U, model.mu)
-    gram = phi.T @ (model.mu[:, None] * phi)
-    gram_error = float(np.max(np.abs(gram - np.eye(k))))
-    resid = model.L @ phi
-    resid += phi * w
-    resid **= 2
-    residual = float(np.sqrt(np.max(model.mu @ resid)))
-    return SpectralData(model.model_id, w, phi, residual, gram_error)
+    gram_error = residual = 0.0
+    for c in _runs(k):
+        block = phi[:, c].copy()
+        # the Gram matrix is symmetric: of columns c, rows c.start on suffice
+        gram = phi[:, c.start:].T @ (model.mu[:, None] * block)
+        gram[np.diag_indices(block.shape[1])] -= 1.0
+        gram_error = max(gram_error, float(np.max(np.abs(gram))))
+        resid = model.L @ block
+        block *= w[c]
+        resid += block
+        resid **= 2
+        residual = max(residual, float(np.max(model.mu @ resid)))
+    return SpectralData(model.model_id, w, phi, float(np.sqrt(residual)), gram_error)
 
 
 def canonical_basis(eigenvalues: np.ndarray, fields: np.ndarray,
@@ -526,13 +570,26 @@ class CrankNicolson:
 
 
 def heat_kernel_block(spectral: SpectralData, t: float, rows, cols=None) -> np.ndarray:
-    """Dense kernel block p(t, rows, cols) from the retained spectrum."""
-    lam = spectral.eigenvalues
+    """Dense kernel block p(t, rows, cols) = (phi[rows] * w) @ phi[cols].T,
+    w = exp(-lambda t), from the retained spectrum (``cols`` defaults to
+    ``rows``).
+
+    ``rows`` and ``cols`` index the nodes; ``slice(None)`` addresses all of
+    them.  phi[rows] and phi[cols] are gathered once each (views for a
+    slice, and one array when ``cols`` is None); beyond them and the block
+    returned, only one run of weighted rows is allocated at a time, as the
+    product is formed over runs of rows (``_runs``).  Against the 64
+    columns of ``check_kernel_laws`` the block is bit-identical to the
+    one-shot product.
+    """
     phi = spectral.eigenfields
-    w = np.exp(-lam * t)
-    R = phi[rows] * w
-    C = phi[cols] if cols is not None else phi[rows]
-    return R @ C.T
+    w = np.exp(-spectral.eigenvalues * t)
+    R = phi[rows]
+    C = R if cols is None else phi[cols]
+    out = np.empty((R.shape[0], C.shape[0]))
+    for r in _runs(R.shape[0]):
+        np.matmul(R[r] * w, C.T, out=out[r])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +679,12 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
 
 
 def save_spectral(path: str, spectral: SpectralData, model_hash: str) -> None:
-    lam = spectral.eigenvalues.tobytes()
-    phi = spectral.eigenfields.tobytes()
+    """Write the cache file: magic, header length, JSON header, then the
+    eigenvalue and eigenfield blocks as raw float64.  The blocks are CRC'd
+    and written from the arrays' own C-contiguous buffers, so no copy of
+    them is made."""
+    lam = memoryview(spectral.eigenvalues).cast("B")
+    phi = memoryview(spectral.eigenfields).cast("B")
     header = json.dumps({
         "version": CACHE_VERSION,
         "checksum": zlib.crc32(phi, zlib.crc32(lam)),

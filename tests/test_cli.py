@@ -702,3 +702,27 @@ def test_bench_harness_resolves_its_names(tmp_path):
     loaded = dict(line.split() for line in run.stdout.splitlines())
     assert sorted(loaded) == ["campaign-cold", "campaign-warm", "sphere-refine"]
     assert all(int(count) > 0 for count in loaded.values())
+
+
+def test_traced_metrics_name_the_declared_layers(tmp_path):
+    # a traced benchmark run (--trace 1) prints the per-layer metrics of
+    # ``spans.layer_metrics`` plus the two trace.* keys that bench/run.py
+    # adds; they must be exactly the per_layer names BENCHMARK.json
+    # declares, and serialize as strict JSON, or the run's last line is not
+    # a result.  A fresh interpreter imports bench/ without bytecode (-B).
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    bench = os.path.join(root, "bench")
+    probe = (f"import json, sys\nsys.path.insert(0, {bench!r})\n"
+             "import spans, worker\n"
+             "m = spans.layer_metrics(spans.Recorder(), 1.0, worker.all_check_names())\n"
+             "m['trace.untraced_wall_s'] = {'value': 1.0, 'unit': 's'}\n"
+             "m['trace.overhead_s'] = {'value': 0.0, 'unit': 's'}\n"
+             "print(json.dumps(m, allow_nan=False))\n")
+    run = subprocess.run([sys.executable, "-B", "-c", probe], capture_output=True,
+                         text=True, timeout=120, cwd=str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    metrics = json.loads(run.stdout.splitlines()[-1])
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        declared = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert len(declared) == len(set(declared)) == 90
+    assert sorted(metrics) == sorted(declared)

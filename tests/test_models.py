@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatlab import ModelSpec, build_model, exact_heat_kernel, spectral_decompose
+from heatlab import (ModelSpec, build_model, exact_heat_kernel, heat_kernel_block,
+                     spectral_decompose)
+from heatlab import semigroup
 from heatlab.models import (
     UnsupportedModelError,
     _sublattice_ids,
@@ -236,6 +238,40 @@ def test_volume_check_peak_memory():
         model, oracle, [node_nearest(model, [0, 0, 0])], radii, distance="graph"))
     assert "chart_ball_envelope_C" in rep.metadata
     assert peak <= 0.25 * model_bytes, (peak, model_bytes)
+
+
+@pytest.fixture(scope="module")
+def sphere48():
+    # L and the blocks are built here, before any trace starts
+    model, _ = build_model(ModelSpec("sphere", dim=2, resolution=48))
+    model.L
+    semigroup._blocks(model)
+    return model
+
+
+def test_decompose_peak_memory(sphere48, euclid2):
+    # every step writes into the (N, k) array kept, or works over runs of
+    # columns: the solve peaks at 1.57 (sphere lat48, k = 300) and 1.38
+    # (euclid2, k = 500) times what it keeps, against 3.07 and 3.22 when the
+    # products, the Gram matrix and the residual were formed whole; each
+    # bound allows 0.12 to 0.13 over the measured ratio.  The euclid2
+    # fixture's own solve built its L and blocks.
+    for model, k, bound in ((sphere48, 300, 1.7), (euclid2[0], 500, 1.5)):
+        sd, kept, peak = _traced(lambda: spectral_decompose(model, k))
+        assert sd.eigenfields.shape == (model.n_nodes, k)
+        assert peak <= bound * kept, (model.model_id, peak, kept)
+
+
+def test_kernel_block_peak_memory(sphere48):
+    # all rows against the 64 probe columns of kernel-laws: phi is read
+    # through a slice and weighted one run of rows at a time, so the block
+    # peaks at 1.15 times what it returns (9.4 when phi[np.arange(N)] * w
+    # was formed whole); the bound allows 0.1 over the measured ratio
+    spectral = spectral_decompose(sphere48, 300)
+    cols = np.sort(np.random.default_rng(5).choice(sphere48.n_nodes, 64, replace=False))
+    block, kept, peak = _traced(lambda: heat_kernel_block(spectral, 0.5, slice(None), cols))
+    assert block.shape == (sphere48.n_nodes, 64)
+    assert peak <= 1.25 * kept, (peak, kept)
 
 
 def test_model_hash_stable(tiny_torus):

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import zlib
 
 import numpy as np
 import pytest
@@ -311,6 +312,26 @@ def test_kernel_symmetry_and_chapman_kolmogorov(torus1):
     assert np.max(np.abs(comp - K3)) < 1e-8
 
 
+def test_kernel_block_equals_one_shot_product(sphere):
+    # the block is formed over runs of rows; against the 64 probe columns of
+    # kernel-laws, and on a 100 x 100 block, every run gives the bits of
+    # the one-shot product, also the last, longer run
+    model, _, spectral = sphere
+    n, phi = model.n_nodes, spectral.eigenfields
+    assert n % semigroup._BLOCK != 0
+    rng = np.random.default_rng(5)
+    cols = np.sort(rng.choice(n, 64, replace=False))
+    some = [int(i) for i in rng.choice(n, 100, replace=False)]
+    for t in (0.05, 0.5):
+        w = np.exp(-spectral.eigenvalues * t)
+        for rows in (some, np.array(some), np.arange(n), slice(None)):
+            ref = (phi[rows] * w) @ phi[cols].T
+            assert np.array_equal(heat_kernel_block(spectral, t, rows, cols), ref)
+        # cols defaults to rows: the same array on both sides
+        assert np.array_equal(heat_kernel_block(spectral, t, some),
+                              heat_kernel_block(spectral, t, some, some))
+
+
 def test_kernel_against_oracles(euclid1, sphere):
     model, oracle, spectral = euclid1
     i = node_nearest(model, [0.0])
@@ -410,6 +431,19 @@ def test_spectral_cache_roundtrip(tmp_path, tiny_torus):
     assert phi.flags.c_contiguous and phi.flags.aligned
     assert (lam.__array_interface__["data"][0] + lam.nbytes
             == phi.__array_interface__["data"][0])
+    # the blocks are CRC'd and written from the arrays' own buffers: the
+    # file holds exactly their bytes, and the loaded views save to the
+    # same file
+    lam, phi = spectral.eigenvalues.tobytes(), spectral.eigenfields.tobytes()
+    header = _header(path)
+    assert header["checksum"] == zlib.crc32(phi, zlib.crc32(lam))
+    text = json.dumps(header, sort_keys=True).encode()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data == CACHE_MAGIC + struct.pack("<I", len(text)) + text + lam + phi
+    save_spectral(path, back, mh)
+    with open(path, "rb") as fh:
+        assert fh.read() == data
     assert load_spectral(path, "0" * 64) is None          # hash mismatch
     assert load_spectral(os.path.join(tmp_path, "nope"), mh) is None
 
@@ -640,6 +674,43 @@ def test_tampered_structure_marker_raises(kind, dim, res, marker, match):
     with pytest.raises(semigroup.SolverError, match=match):
         ExpmFlow(model)
     assert "_blocks" not in model.derived
+
+
+def _former_pairs(blocks, k):
+    # the one-shot products that the structured pairs were formed by
+    if isinstance(blocks, semigroup._GridBlocks):
+        shape, n = blocks.total.shape, blocks.total.size
+        order = np.argsort(blocks.total.ravel(), kind="stable")[:k]
+        modes = np.unravel_index(order, shape)
+        coords = np.unravel_index(np.arange(n), shape)
+        U = np.ones((n, k))
+        for ax in range(len(shape)):
+            U *= blocks.V[np.ix_(coords[ax], modes[ax])]
+        return blocks.total.ravel()[order], U
+    zero = np.zeros(blocks.nrows)
+    lam = np.concatenate([blocks.blocks[m][0] for m in blocks.freq])
+    vecs = np.hstack([blocks.blocks[m][1] if m == 0
+                      else np.vstack([zero, blocks.blocks[m][1], zero])
+                      for m in blocks.freq])
+    col = np.repeat(np.arange(blocks.mp), [blocks.blocks[m][0].size for m in blocks.freq])
+    order = np.argsort(lam, kind="stable")[:k]
+    amp, waves = vecs[:, order], blocks.waves[:, col[order]]
+    U = np.empty((blocks.nrows * blocks.mp + 2, k))
+    U[:-2] = (amp[1:-1, None, :] * waves[None, :, :]).reshape(-1, k)
+    U[-2], U[-1] = amp[0], amp[-1]
+    return lam[order], U
+
+
+@pytest.mark.parametrize("kind,dim,res,k", [
+    ("euclidean", 2, 48, 500), ("euclidean", 3, 11, 120), ("torus", 2, 30, 200),
+    ("torus", 1, 70, 70), ("sphere", 2, 24, 300)])
+def test_structured_pairs_equal_one_shot_products(kind, dim, res, k):
+    # the pairs are written into the returned array, the grid's run by run
+    model, _ = build_model(ModelSpec(kind, dim=dim, resolution=res))
+    blocks, _ = semigroup._blocks(model)
+    lam, U = blocks.pairs(k)
+    ref_lam, ref_U = _former_pairs(blocks, k)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(U, ref_U)
 
 
 def test_decompose_determinism_and_errors(tiny_torus):
