@@ -3,8 +3,11 @@
 Builds the model catalog, runs the selected checks one after another on
 one thread, persists spectral caches, and writes one JSON margin report per
 (model, check) plus a summary table; each check logs its line as soon as it
-finishes.  ``heatlab report`` turns a report into a CSV series and a static
-SVG plot.  Reports contain no timestamps or environment data, so reruns at
+finishes.  The checks run grouped by model, and each model is dropped after
+its last check, so at most one model's build, caches, flow and spectrum is
+alive at a time; the reports, the summaries and the ``FAILED:`` list keep
+config order.  ``heatlab report`` turns a report into a CSV series and a
+static SVG plot.  Reports contain no timestamps or environment data, so reruns at
 a fixed seed are byte-identical.  A rerun reuses a report only when both
 its config and the heatlab sources are unchanged (``config_digest``).
 
@@ -743,33 +746,47 @@ def _stored_report(path, digest):
 def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
     """Run the checks (all, or those named in ``only``) and write their
     reports; a full run also writes ``summary.csv`` and ``summary.txt``.
-    A check found not applicable stops the run with a ``ConfigError``."""
+    A check found not applicable stops the run with a ``ConfigError``.
+
+    The checks run grouped by model, the models in the order in which
+    they first appear among the checks, and each model's context (build,
+    caches, flow, spectrum) is dropped after its last check, so one model
+    is alive at a time; a model that ``_check_spectral_k`` builds up front
+    waits for its own group.  Each check logs its line when it finishes,
+    in run order; the reports, the summaries and the ``FAILED:`` list keep
+    config order."""
     validate_config(cfg)          # before any report is written
-    ctxs = {name: ModelContext(name, spec, cfg.cache_dir, cfg.seed,
-                               k=cfg.spectral_k.get(name))
-            for name, spec in cfg.models.items()}
     names = [n for n in cfg.checks if only is None or n in only]
-    for name in dict.fromkeys(cfg.checks[n]["model"] for n in names):
-        _check_spectral_k(ctxs[name], f"models.{name}.spectral_k")
+    groups: dict[str, list[str]] = {}
+    for name in names:
+        groups.setdefault(cfg.checks[name]["model"], []).append(name)
+    ctxs = {name: ModelContext(name, cfg.models[name], cfg.cache_dir, cfg.seed,
+                               k=cfg.spectral_k.get(name))
+            for name in groups}
+    for name, ctx in ctxs.items():
+        _check_spectral_k(ctx, f"models.{name}.spectral_k")
     os.makedirs(cfg.output_dir, exist_ok=True)
     os.makedirs(cfg.cache_dir, exist_ok=True)
     results: dict[str, MarginReport] = {}
-    for name in names:
-        spec = cfg.checks[name]
-        digest = config_digest(cfg, name, spec)
-        path = os.path.join(cfg.output_dir, f"{name}.json")
-        rep = _stored_report(path, digest)
-        cached = rep is not None
-        if not cached:
-            try:
-                rep = CHECK_RUNNERS[spec["check"]](ctxs, spec, cfg, name)
-            except NotApplicableError as exc:
-                raise ConfigError(f"checks.{name}: {exc}") from None
-            rep.metadata["config_digest"] = digest
-            rep.save(path)
-        results[name] = rep
-        log(f"[{rep.verdict:4s}] {name:34s} min_margin={rep.min_margin:+.3e}"
-            f"{' (cached)' if cached else ''}")
+    for model_name, group in groups.items():
+        one = {model_name: ctxs.pop(model_name)}
+        for name in group:
+            spec = cfg.checks[name]
+            digest = config_digest(cfg, name, spec)
+            path = os.path.join(cfg.output_dir, f"{name}.json")
+            rep = _stored_report(path, digest)
+            cached = rep is not None
+            if not cached:
+                try:
+                    rep = CHECK_RUNNERS[spec["check"]](one, spec, cfg, name)
+                except NotApplicableError as exc:
+                    raise ConfigError(f"checks.{name}: {exc}") from None
+                rep.metadata["config_digest"] = digest
+                rep.save(path)
+            results[name] = rep
+            log(f"[{rep.verdict:4s}] {name:34s} min_margin={rep.min_margin:+.3e}"
+                f"{' (cached)' if cached else ''}")
+        del one           # the model goes before the next group builds its own
     if only is None:    # a partial run leaves the summaries of the full one
         rows = [["check", "model", "verdict", "min_margin", "tol_abs", "tol_rel",
                  "scale"]]

@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -362,22 +363,39 @@ def test_criterion_10_distances(torus1, euclid2, sphere, heis):
 
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
-    """(config, exit code, seconds) of one default campaign run."""
-    from heatlab.cli import default_config, run_campaign
+    """(config, exit code, seconds, the models other than its own that are
+    still alive when ``volume-heis`` starts) of one default campaign run."""
+    from heatlab import cli
 
+    models, alive_at_heis = {}, []
+
+    def watched(runner):
+        def run(ctxs, spec, cfg, name):
+            if name == "volume-heis":
+                alive_at_heis.extend(m for m, ref in models.items() if ref() is not None)
+            rep = runner(ctxs, spec, cfg, name)
+            models[spec["model"]] = weakref.ref(ctxs[spec["model"]].model)
+            return rep
+        return run
+
+    runners = dict(cli.CHECK_RUNNERS)
+    cli.CHECK_RUNNERS.update({cid: watched(r) for cid, r in runners.items()})
     tmp = tmp_path_factory.mktemp("default")
     t0 = time.monotonic()
-    cfg = default_config()
+    cfg = cli.default_config()
     cfg.output_dir = os.path.join(tmp, "run1")
     cfg.cache_dir = os.path.join(tmp, "cache")
-    rc = run_campaign(cfg, log=lambda *a: None)
-    return cfg, rc, time.monotonic() - t0
+    try:
+        rc = cli.run_campaign(cfg, log=lambda *a: None)
+    finally:
+        cli.CHECK_RUNNERS.update(runners)
+    return cfg, rc, time.monotonic() - t0, alive_at_heis
 
 
 def test_criterion_11_determinism_and_runtime(default_run, tmp_path):
     from heatlab.cli import default_config, run_campaign
 
-    cfg, rc1, elapsed = default_run
+    cfg, rc1, elapsed, _ = default_run
     # the golden digest holds every report of this run at an earlier commit;
     # margins move by roundoff only (1e-15 of scale across BLAS thread counts)
     with open(GOLDEN) as fh:
@@ -413,6 +431,13 @@ def test_default_summary_cells_parse_as_floats(default_run):
     for row in rows:
         for column in ("min_margin", "tol_abs", "tol_rel", "scale"):
             float(row[column])          # a numpy repr such as np.float64(...) raises
+
+
+def test_heis_hd_is_built_after_every_other_model_is_gone(default_run):
+    # heis-hd sets the campaign's memory peak; nothing else may add to it
+    cfg, alive_at_heis = default_run[0], default_run[3]
+    assert cfg.checks["volume-heis"]["model"] == "heis-hd"
+    assert alive_at_heis == []
 
 
 def test_refinement_monotone_margins():

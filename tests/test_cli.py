@@ -1,10 +1,12 @@
 import collections
 import csv
+import gc
 import glob
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -299,6 +301,52 @@ def test_each_check_logs_before_the_next_starts(tmp_path, monkeypatch):
         ("log", line.split()[1]))) == 0
     assert events == [(kind, name) for name in cfg.checks
                       for kind in ("start", "log")]
+
+
+def _interleaved_config(out):
+    cfg = CampaignConfig.from_dict({
+        "models": {"t": {"kind": "torus", "dim": 1, "resolution": 32,
+                         "spectral_k": 32},
+                   "b": {"kind": "euclidean", "dim": 2, "resolution": 12,
+                         "extent": 1.0}},
+        "checks": {"ax-t": {"check": "operator-axioms", "model": "t"},
+                   "ax-b": {"check": "operator-axioms", "model": "b"},
+                   "laws-t": {"check": "kernel-laws", "model": "t"}}})
+    cfg.output_dir, cfg.cache_dir = os.path.join(out, "out"), os.path.join(out, "cache")
+    return cfg
+
+
+def test_checks_run_grouped_by_model_and_each_model_is_dropped(tmp_path, monkeypatch):
+    cfg = _interleaved_config(str(tmp_path / "all"))
+    started, models, dead_at_b = [], {}, []
+    for cid, runner in list(cli.CHECK_RUNNERS.items()):
+        def wrapped(ctxs, spec, cfg, name, runner=runner):
+            model_name = spec["model"]
+            if model_name == "b" and not dead_at_b:
+                dead_at_b.append(models["t"]() is None)
+            started.append((name, list(ctxs)))
+            rep = runner(ctxs, spec, cfg, name)
+            models[model_name] = weakref.ref(ctxs[model_name].model)
+            return rep
+        monkeypatch.setitem(cli.CHECK_RUNNERS, cid, wrapped)
+    gc.disable()          # freed by reference counts alone, not by a collection
+    try:
+        assert run_campaign(cfg, log=lambda *a: None) == 0
+    finally:
+        gc.enable()
+    # run order, each runner given its own model's context only
+    assert started == [("ax-t", ["t"]), ("laws-t", ["t"]), ("ax-b", ["b"])]
+    assert dead_at_b == [True]
+    with open(os.path.join(cfg.output_dir, "summary.csv"), newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == list(cfg.checks)
+    with open(os.path.join(cfg.output_dir, "summary.txt")) as fh:
+        assert [line.split()[0] for line in fh] == list(cfg.checks)
+    for name in cfg.checks:
+        alone = _interleaved_config(str(tmp_path / name))
+        assert run_campaign(alone, only={name}, log=lambda *a: None) == 0
+        with open(os.path.join(alone.output_dir, f"{name}.json"), "rb") as fh:
+            with open(os.path.join(cfg.output_dir, f"{name}.json"), "rb") as gh:
+                assert fh.read() == gh.read(), name
 
 
 def test_reports_are_rerun_after_a_code_change(tmp_path, monkeypatch):
