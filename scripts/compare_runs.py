@@ -12,9 +12,10 @@ every changed verdict is marked.  Samples pair by position, so a report
 whose sample count changed moves by inf; its line gives the counts and the
 signed move of ``min_margin`` instead.  When A and B are both output
 directories it also counts the reports whose files are byte-identical
-once ``metadata.config_digest`` is blanked, and names the others.  The
-exit code is 1 when a verdict changed or a report is missing on one side,
-else 0.
+once ``metadata.config_digest`` is blanked, and names the others, each
+with the top-level keys whose values differ and, inside ``metadata``, the
+metadata keys (``harnack-heis (metadata.distance)``).  The exit code is 1
+when a verdict changed or a report is missing on one side, else 0.
 
 ``--save`` writes the digest of the output directory RUN to DIGEST.
 Regenerating the golden digest is a deliberate act: list every report
@@ -44,6 +45,31 @@ def report_bytes(run, name):
         return None
     with open(path, "rb") as fh:
         return re.sub(rb'"config_digest": "[^"]*"', b'"config_digest": ""', fh.read())
+
+
+def differing_keys(run_a, run_b, name):
+    """The keys whose values differ between report ``name`` of ``run_a`` and
+    of ``run_b``: top-level keys, and ``metadata.<key>`` inside the metadata
+    (its ``config_digest`` left out).  Empty when a side is missing."""
+    reps = []
+    for run in (run_a, run_b):
+        path = os.path.join(run, f"{name}.json")
+        if not os.path.exists(path):
+            return []
+        with open(path) as fh:
+            rep = json.load(fh)
+        rep.get("metadata", {}).pop("config_digest", None)
+        reps.append(rep)
+    a, b = reps
+    keys = []
+    for key in sorted(a.keys() | b.keys()):
+        if key == "metadata":
+            ma, mb = a.get(key, {}), b.get(key, {})
+            keys += [f"metadata.{k}" for k in sorted(ma.keys() | mb.keys())
+                     if ma.get(k) != mb.get(k)]
+        elif a.get(key) != b.get(key):
+            keys.append(key)
+    return keys
 
 
 def main():
@@ -83,7 +109,8 @@ def main():
         print(f"{len(rows) - len(differ)} of {len(rows)} reports byte-identical "
               "apart from config_digest")
         for name in differ:
-            print(f"  differs: {name}")
+            keys = differing_keys(args.runs[0], args.runs[1], name)
+            print(f"  differs: {name}" + (f" ({', '.join(keys)})" if keys else ""))
     return 1 if changed else 0
 
 

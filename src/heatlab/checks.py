@@ -39,7 +39,7 @@ from .metric import (
     subunit_distance_heisenberg,
     volume_growth_exponent,
 )
-from .models import GeometryOracle
+from .models import UNIT_BALL_VOLUME, GeometryOracle
 from .reports import MarginReport, Tolerance
 from .semigroup import (
     SpectralData,
@@ -316,7 +316,7 @@ def check_vertical_commutation(
 
 
 def check_gradient_bound(model, oracle, engine, suite,
-                         t_grid=(0.0, 0.1, 0.5, 1.0),
+                         t_grid=(0.1, 0.5, 1.0),
                          tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                          ) -> MarginReport:
     """sqrt(Gamma(P_t f)) <= exp(-rho t) P_t sqrt(Gamma(f)) pointwise."""
@@ -402,7 +402,6 @@ def check_log_sobolev(model, oracle, engine, suite,
     rho = oracle.ricci_lower
     if rho <= 0:
         raise NotApplicableError("log-Sobolev constant needs rho > 0")
-    mu_hat = model.mu / model.total_measure
     samples, scale = [], 0.0
     eps_used = {}
     for nf in suite:
@@ -413,8 +412,7 @@ def check_log_sobolev(model, oracle, engine, suite,
         for fac, tag in ((1.0, ""), (0.1, "|eps/10")):
             fe = model.field(nf.field.values + eps * fac)
             ent = _entropy(model, fe.values**2)
-            dirichlet = -float(mu_hat @ (fe.values * (model.L @ fe.values)))
-            rhs = (2.0 / rho) * dirichlet
+            rhs = (2.0 / rho) * dirichlet_normalized(model, fe.values)
             scale = max(scale, abs(rhs), abs(ent))
             samples.append(_row(ent, rhs, field=nf.name + tag))
     meta = {"rho": rho, "constant": 2.0 / rho, "eps": eps_used}
@@ -558,7 +556,6 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
 
 def check_harnack(model, oracle, engine, suite, pair_sample,
                   mode: str = "riemannian",
-                  distance: str = "auto",
                   tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                   ) -> MarginReport:
     """Two-point Harnack comparisons of positive solutions.
@@ -579,10 +576,8 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
         gauss = dim_exp / params.n
     else:
         dim_exp, gauss = n, 1.0
-    meta = {"mode": mode, "K": K, "exponent": dim_exp, "gauss_factor": gauss,
-            "distance": distance}
-    dists = [0.0 if x == y else
-             float(distance_field(model, oracle, y, method=distance).values[x])
+    meta = {"mode": mode, "K": K, "exponent": dim_exp, "gauss_factor": gauss}
+    dists = [0.0 if x == y else float(distance_field(model, oracle, y).values[x])
              for (x, s, y, t) in pair_sample]
 
     samples = []
@@ -673,7 +668,7 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
         worst_sat = max(worst_sat, abs(m))
         vol = (oracle.exact_ball_volume(model.nodes[x], np.sqrt(t))
                if oracle.exact_ball_volume else
-               float(model.mu[dx <= np.sqrt(t)].sum()))
+               float(ball_volumes(model, dx, [np.sqrt(t)])[0]))
         if p > 0 and vol > 0:
             up = p * vol / np.exp(-d**2 / ((4 + eps) * t))
             dn = np.exp(-d**2 / ((4 - eps) * t)) / (p * vol)
@@ -706,7 +701,7 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
     if equality_expected:
         samples.append(_row(spread, ondiag_constancy_rtol, part="ondiag-constancy"))
         meta["ondiag_expected_product"] = float((4 * np.pi) ** (-n / 2)
-                                                * _unit_ball_volume(n))
+                                                * UNIT_BALL_VOLUME[oracle.dim])
 
     # (c) two-sided Gaussian fit
     meta["two_sided_C"] = float(c_fit)
@@ -729,16 +724,11 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
     return _report("kernel-bounds", model.model_id, samples, tolerance, 1.0, meta)
 
 
-def _unit_ball_volume(n):
-    return {1.0: 2.0, 2.0: np.pi, 3.0: 4 * np.pi / 3}[float(n)]
-
-
 # ---------------------------------------------------------------------------
 # volume regularity
 
 
 def check_volume_regularity(model, oracle, centers, radii,
-                            distance: str = "auto",
                             ratio_window: tuple | None = None,
                             monotone_upper: float | None = None,
                             tolerance: Tolerance = Tolerance(1e-12, 0.05)) -> MarginReport:
@@ -758,7 +748,7 @@ def check_volume_regularity(model, oracle, centers, radii,
     all_r = np.unique(np.concatenate([radii, 2 * radii]))
     ratios, series, slopes = [], [], []
     for x in centers:
-        df = distance_field(model, oracle, x, method=distance)
+        df = distance_field(model, oracle, x)
         safe = float(df.values[model.boundary_mask].min(initial=np.inf))
         if np.isfinite(safe) and 2 * radii.max() > safe:
             raise ValueError(
@@ -802,15 +792,14 @@ def check_volume_regularity(model, oracle, centers, radii,
             samples.append(_row(np.max(ex) / monotone_upper, 1.0,
                                 part="ratio-upper-oracle"))
     if model.kind == "heisenberg":
-        # the first centre's distance field by ``distance`` (volume-heis
-        # pins the graph route), read on the nodes near the vertical axis
+        # the first centre's distance field (the graph distance while the
+        # Heisenberg oracle has no closed form), read near the vertical axis
         near_axis = np.flatnonzero(np.hypot(model.nodes[:, 0], model.nodes[:, 1])
                                    < 2 * float(model.meta["h"]))
-        d_cc = distance_field(model, oracle, centers[0],
-                              method=distance).values[near_axis]
+        d_model = distance_field(model, oracle, centers[0]).values[near_axis]
         d_ch = np.linalg.norm(model.nodes[near_axis] - x0, axis=1)
-        sel = (d_ch > 1e-6) & np.isfinite(d_cc)
-        meta["chart_ball_envelope_C"] = float(np.max(d_cc[sel] / np.sqrt(d_ch[sel])))
+        sel = (d_ch > 1e-6) & np.isfinite(d_model)
+        meta["chart_ball_envelope_C"] = float(np.max(d_model[sel] / np.sqrt(d_ch[sel])))
     return _report("volume-doubling", model.model_id, samples, tolerance, 1.0, meta)
 
 
@@ -847,7 +836,7 @@ def check_ball_poincare(model, center: int, seed: int = 0) -> MarginReport:
     """Report-only: the scale-invariant Poincare constant lambda_1 r^2 of
     the Neumann problem on the graph-distance ball B(center, 0.6)."""
     radius = 0.6
-    d = distance_field(model, None, center, method="graph").values
+    d = distance_field(model, None, center).values
     sub = neumann_restrict(model, np.flatnonzero(d <= radius))
     lam1 = float(spectral_decompose(sub, k=3, seed=seed).eigenvalues[1])
     samples = [_row(0.0, lam1 * radius**2, r=radius)]
@@ -958,8 +947,7 @@ def check_sobolev_embedding(model, oracle, suite,
     p_crit = 2 * n / (n - 2)
     samples = []
     for nf in suite:
-        v = nf.field.values
-        lhs = float((model.mu @ np.abs(v) ** p_crit) ** (1 / p_crit))
+        lhs = model.norm(nf.field, p_crit)
         grad = float(np.sqrt(model.mu @ carre_du_champ(model, nf.field).values))
         rhs = const * grad
         samples.append(_row(lhs, rhs, margin=_norm_margin(lhs, rhs), field=nf.name))
@@ -989,11 +977,13 @@ def check_isoperimetric_balls(model, oracle, centers, radii,
     vols = np.zeros_like(radii)
     cper = np.zeros_like(radii)
     xper = np.zeros_like(radii)
+    # the balls and the inner and outer balls of their shells, from one sort
+    r_all = np.unique(np.concatenate([radii, radii - dr, radii + dr]))
     for x in centers:
         d = distance_field(model, oracle, x).values
-        vols += ball_volumes(model, d, radii)
-        cper += [(model.mu[d <= r + w].sum() - model.mu[d <= r - w].sum()) / (2 * w)
-                 for r, w in zip(radii, dr)]
+        vol = dict(zip(r_all, ball_volumes(model, d, r_all)))
+        vols += [vol[r] for r in radii]
+        cper += [(vol[r + w] - vol[r - w]) / (2 * w) for r, w in zip(radii, dr)]
         xper += [discrete_perimeter(model, d <= r) for r in radii]
     vols /= len(centers)
     cper /= len(centers)
@@ -1128,7 +1118,7 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
         if x == y:
             continue
         dc = dual_distance(model, oracle, int(x), int(y))
-        g = float(distance_field(model, None, y, method="graph").values[x])
+        g = float(distance_field(model, None, y).values[x])
         scale = max(scale, g)
         s = _row(dc.value, g, x=int(x), y=int(y), feasibility=dc.feasibility)
         if oracle.exact_distance is not None:

@@ -175,6 +175,11 @@ def _floats(v):
     return [_float(x) for x in v]
 
 
+# at t = 0 the semigroup is the identity, so a sample there compares a value
+# with itself (or, in li-yau, divides by t)
+_times = _bounded(_floats, lambda v: all(t > 0 for t in v), "a list of positive times")
+
+
 def _pair(v):
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValueError(f"expected a list of two numbers, got {v!r}")
@@ -279,6 +284,9 @@ def _check_options(cfg, name, spec) -> dict:
     opts = _keyed(f"checks.{name}.", spec,
                   {"check": str, "model": str, **CHECK_KINDS[cid].keys})
     del opts["check"], opts["model"]
+    if "radii" in opts and "shell_radii" in opts:
+        raise ConfigError(f"checks.{name}: radii and shell_radii both set; "
+                          "give one of them")
     return opts
 
 
@@ -489,8 +497,7 @@ def _bind_neumann(ctx, opts, seed):
         diameter = round(sub.n_nodes ** (1.0 / dim)) * float(model.meta["h"]) \
             * np.sqrt(dim)
     else:
-        d = distance_field(model, None, node_nearest(model, [0, 0, 1]),
-                           method="graph").values
+        d = distance_field(model, None, node_nearest(model, [0, 0, 1])).values
         sub = neumann_restrict(model, np.flatnonzero(d <= r))
         diameter = 2 * r
     return {"submodel": sub, "diameter": float(diameter)}
@@ -516,7 +523,6 @@ def _bind_sobolev_sharp(ctx, opts, seed):
         ctx.model, pole, p=max(C.SOBOLEV_P_LIST))}
 
 
-_DISTANCE = _choice("auto", "oracle", "graph")
 _SUITE = _choice(*_SUITES)
 
 CHECK_KINDS = {
@@ -531,10 +537,10 @@ CHECK_KINDS = {
     "vertical-commutation": CheckKind(C.check_vertical_commutation, ("model",),
                                       bind=_bind_vertical),
     "gradient-bound": CheckKind(C.check_gradient_bound, ("model", "oracle", "engine"),
-                                {"suite": _SUITE, "t_grid": _floats},
+                                {"suite": _SUITE, "t_grid": _times},
                                 bind=_bind_suite("eigen")),
     "completeness": CheckKind(C.check_completeness, ("model", "engine"),
-                              {"t_grid": _floats}),
+                              {"t_grid": _times}),
     "spectral-gap": CheckKind(C.check_spectral_gap, ("model", "oracle", "spectral")),
     "log-sobolev": CheckKind(C.check_log_sobolev, ("model", "oracle", "engine"),
                              bind=_bind_suite("positive")),
@@ -542,22 +548,20 @@ CHECK_KINDS = {
     "li-yau": CheckKind(C.check_li_yau, ("model", "oracle", "engine"),
                         {"mode": _choice("rho0", "general-alpha", "exponential",
                                          "bakry-qian", "sub-riemannian"),
-                         "suite": _choice("delta", *_SUITES), "t_grid": _floats,
+                         "suite": _choice("delta", *_SUITES), "t_grid": _times,
                          "alpha": _float}, bind=_bind_li_yau),
     "harnack": CheckKind(C.check_harnack, ("model", "oracle", "engine"),
                          {"mode": _choice("riemannian", "sub-riemannian"),
-                          "suite": _choice("delta"), "distance": _DISTANCE,
-                          "n_pairs": _int, "s_grid": _floats,
-                          "gap_grid": _floats},
+                          "suite": _choice("delta"), "n_pairs": _int,
+                          "s_grid": _floats, "gap_grid": _floats},
                          bind=_bind_harnack),
     "kernel-bounds": CheckKind(C.check_kernel_bounds,
                                ("model", "oracle", "spectral", "engine"),
                                {"equality_expected": _bool, "radii": _floats,
-                                "t_grid": _floats}, bind=_bind_kernel_bounds),
+                                "t_grid": _times}, bind=_bind_kernel_bounds),
     "volume-doubling": CheckKind(C.check_volume_regularity, ("model", "oracle"),
                                  {"radii": _floats, "shell_radii": _floats,
-                                  "centers": _choice("origin"),
-                                  "distance": _DISTANCE, "ratio_window": _pair,
+                                  "centers": _choice("origin"), "ratio_window": _pair,
                                   "monotone_upper": _float, "tol_rel": _nonneg},
                                  bind=_bind_volume),
     "neumann-poincare": CheckKind(C.check_neumann_poincare, ("seed",),
@@ -672,9 +676,8 @@ def default_config() -> CampaignConfig:
                            "n_pairs": 200, "s_grid": [0.1, 0.2],
                            "gap_grid": [0.1, 0.3]},
         "harnack-heis": {"check": "harnack", "model": "heis",
-                         "mode": "sub-riemannian", "distance": "graph",
-                         "n_pairs": 60, "s_grid": [0.02, 0.04],
-                         "gap_grid": [0.02, 0.05]},
+                         "mode": "sub-riemannian", "n_pairs": 60,
+                         "s_grid": [0.02, 0.04], "gap_grid": [0.02, 0.05]},
         "kernel-bounds-euclid2": {"check": "kernel-bounds", "model": "euclid2",
                                   "equality_expected": True,
                                   "radii": [0.3, 0.4, 0.5, 0.6]},
@@ -688,17 +691,16 @@ def default_config() -> CampaignConfig:
                           "radii": [0.35, 0.5, 0.7], "monotone_upper": 4.0,
                           "tol_rel": 0.06},
         "volume-heis": {"check": "volume-doubling", "model": "heis-hd",
-                        "distance": "graph", "centers": "origin",
-                        "shell_radii": [5, 6, 7, 8, 9],
+                        "centers": "origin", "shell_radii": [5, 6, 7, 8, 9],
                         "ratio_window": [14.0, 18.0]},
         "spectral-gap-sphere": {"check": "spectral-gap", "model": "sphere"},
         "log-sobolev-sphere": {"check": "log-sobolev", "model": "sphere"},
         "equilibrium-sphere": {"check": "equilibrium-rate", "model": "sphere"},
         "gradient-bound-sphere": {"check": "gradient-bound", "model": "sphere",
-                                  "t_grid": [0.0, 0.1, 0.5, 1.0]},
+                                  "t_grid": [0.1, 0.5, 1.0]},
         "gradient-bound-euclid2": {"check": "gradient-bound", "model": "euclid2",
                                    "suite": "coordinate",
-                                   "t_grid": [0.0, 0.05, 0.1]},
+                                   "t_grid": [0.05, 0.1]},
         "completeness-sphere": {"check": "completeness", "model": "sphere",
                                 "t_grid": [1.0]},
         "completeness-torus1": {"check": "completeness", "model": "torus1",

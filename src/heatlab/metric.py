@@ -1,31 +1,32 @@
 """Intrinsic distances, ball volumes, and discrete perimeters.
 
-Four routes to the distance are kept.  The graph distance bounds the model's
-distance d from above; the dual certificate bounds from below the discrete
-intrinsic distance sup{f(x) - f(y) : max-node Gamma(f) <= 1}, which can
-exceed d by O(h) (about 0.08 h on the default torus1, whose graph distance
-is exact).
+A model has one distance, and ``distance_field`` is its rule: the closed
+form of the model space where the oracle has one (Euclidean, flat torus,
+round sphere), evaluated from one source over every node in one array
+call, and the graph distance otherwise (the Heisenberg lattice, whose
+oracle has no closed-form distance yet).  Every check reads its distance
+there; ``oracle=None`` asks for the graph distance by name.  Each field is
+kept in the model's derived-data cache (``model.derived``, beside the
+adjacency), so every caller, the dual's start included, shares one
+evaluation per (route, source).
 
-* oracle: the closed form of the model space (Euclidean, flat torus, round
-  sphere), evaluated from one source over every node in one array call.
 * graph: Dijkstra over the model edges.  Edge lengths are chart lengths;
   for the Heisenberg lattice only the horizontal moves carry edges, each of
   unit-speed traversal time h, so graph distances are automatically
   Carnot-Caratheodory-flavoured (and overestimate by the lattice
   anisotropy, which the distance sandwich records and which never alters
-  certified bounds).
+  certified bounds).  It bounds the model's distance d from above.
 * dual: any field with pointwise Gamma(f) <= 1 certifies the lower bound
-  f(x) - f(y).  The model's distance field to y is rescaled to feasibility,
-  then improved by a smoothed ascent; feasibility, not optimality, is the
+  f(x) - f(y) on the discrete intrinsic distance
+  sup{f(x) - f(y) : max-node Gamma(f) <= 1}, which can exceed d by O(h)
+  (about 0.08 h on the default torus1, whose graph distance is exact).
+  The model's distance field to y is rescaled to feasibility, then
+  improved by a smoothed ascent; feasibility, not optimality, is the
   certificate.
 * subunit (Heisenberg): the closed-form Carnot-Caratheodory distance of
   the continuous group from the origin to one target or to rows of them,
   the length of the circular-arc geodesic that reaches each; its roots are
   bisected in numpy, so importing heatlab does not load scipy.optimize.
-
-``distance_field`` keeps each oracle and graph distance in the model's
-derived-data cache (``model.derived``, beside the adjacency), so every caller,
-the dual's start included, shares one evaluation per (route, source).
 """
 from __future__ import annotations
 
@@ -78,24 +79,21 @@ def oracle_distance(model: DiscretizedModel, oracle: GeometryOracle, source: int
     return DistanceField(model.model_id, source, vals)
 
 
-def distance_field(model, oracle, source, method="auto") -> DistanceField:
-    """Distance from ``source`` by the oracle or the graph route.
+def distance_field(model, oracle, source) -> DistanceField:
+    """The model's distance from ``source``: the oracle's closed form where
+    ``oracle`` has one, the graph distance otherwise or when ``oracle`` is
+    None.
 
     Each result is kept in ``model.derived`` under (route, source), beside the
     adjacency, so each route runs once per source.  ``oracle`` is the one
     built with ``model``.
     """
-    if method == "auto":
-        method = "oracle" if (oracle is not None and oracle.exact_distance) else "graph"
+    exact = oracle is not None and oracle.exact_distance is not None
     memo = model.derived.setdefault("_distance", {})
-    key = (method, int(source))
+    key = ("oracle" if exact else "graph", int(source))
     if key not in memo:
-        if method == "oracle":
-            memo[key] = oracle_distance(model, oracle, key[1])
-        elif method == "graph":
-            memo[key] = graph_distance(model, key[1])
-        else:
-            raise ValueError(f"unknown distance method {method!r}")
+        memo[key] = (oracle_distance(model, oracle, key[1]) if exact
+                     else graph_distance(model, key[1]))
     return memo[key]
 
 

@@ -41,6 +41,8 @@ EXTENT_KINDS = ("euclidean", "heisenberg")
 # the dimensions each model kind is built in
 MODEL_DIMS = {"euclidean": (1, 2, 3), "torus": (1, 2), "sphere": (2,),
               "heisenberg": (3,)}
+# the volume of the Euclidean unit ball, by dimension
+UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4 * np.pi / 3}
 
 
 @dataclass(frozen=True)
@@ -166,13 +168,11 @@ def _euclidean_oracle(dim: int, extent: float) -> GeometryOracle:
         d2 = float(np.sum((x - y) ** 2))
         return (4 * np.pi * t) ** (-dim / 2) * np.exp(-d2 / (4 * t))
 
-    vol_coef = {1: 2.0, 2: np.pi, 3: 4 * np.pi / 3}[dim]
-
     return GeometryOracle(
         dim=dim,
         ricci_lower=0.0,
         exact_distance=lambda x, Y: np.linalg.norm(np.asarray(Y) - np.asarray(x), axis=-1),
-        exact_ball_volume=lambda x, r: vol_coef * r ** dim,
+        exact_ball_volume=lambda x, r: UNIT_BALL_VOLUME[dim] * r ** dim,
         exact_kernel=kernel,
         total_measure=(2 * extent) ** dim,
         diameter=2 * extent * np.sqrt(dim),

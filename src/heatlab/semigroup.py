@@ -23,9 +23,10 @@ construction.  ``spectral_decompose`` has three routes to them:
   assembled exactly.  The blocks of each marked model are built once, and
   a probe self-test keeps a wrong structure assumption loud;
 * shift-invert Lanczos (ARPACK) on any other model when N > 10 k;
-* a dense subset solve of the k lowest pairs otherwise.  The last two
-  cross over near N = 10 k on the sphere and box models (measured up to
-  N = 4514).
+* a dense subset solve of the k lowest pairs otherwise.  Only unmarked
+  models take these two routes; in the default campaign they are the
+  Neumann and ball submodels (N = 32 dense; 256, 513 and 135 by Lanczos;
+  k <= 4, each solve under 10 ms).
 
 Inside every cluster of equal eigenvalues the basis is then rotated to a
 canonical one fixed by constant probe fields, so no eigenfield of a
@@ -314,9 +315,8 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
       marker;
     * shift-invert ``eigsh`` when N > 10 k (its start vector is drawn from
       ``seed``; ``SolverError`` if it does not converge);
-    * otherwise a dense solve of the k lowest pairs only.  The crossover
-      was measured up to N = 4514; past that the rule is extrapolated, and
-      the dense path holds an N x N matrix.
+    * otherwise a dense solve of the k lowest pairs only, which holds an
+      N x N matrix.
 
     The (N, k) array a route returns becomes the eigenfields, and no later
     step allocates a second N x k array.  The structured route writes each

@@ -212,7 +212,7 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     hpairs2 = sample_harnack_pairs(hmodel, 60, [0.02, 0.04], [0.02, 0.05], seed=5)
     rsub = check_harnack(hmodel, horacle, flow,
                          horizontal_bump_fields(hmodel, widths=(0.5, 0.8)),
-                         hpairs2, mode="sub-riemannian", distance="graph",
+                         hpairs2, mode="sub-riemannian",
                          tolerance=Tolerance(1e-12, 0.02))
     assert rsub.passed
     assert _line("criterion-6 harnack + kernel bounds", True,
@@ -247,7 +247,6 @@ def test_criterion_7_volume(euclid2, sphere):
     hh = hd_model.meta["h"]
     hrep = check_volume_regularity(hd_model, hd_oracle, [c0],
                                    (np.arange(5, 10) + 0.49) * hh,
-                                   distance="graph",
                                    ratio_window=(14.0, 18.0))
     assert hrep.passed, hrep.worst_sample()
     assert 0 < hrep.metadata["chart_ball_envelope_C"] < np.inf

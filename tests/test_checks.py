@@ -455,20 +455,22 @@ def test_volume_doubling(euclid2, sphere):
     assert up["margin"] >= 0.0   # cap concavity in closed form
 
 
-@pytest.mark.parametrize("method", ["oracle", "graph"])
-def test_volume_radii_reaching_the_boundary_raise(method):
-    # the guard reads the centre's own distance field; on a box the nearest
-    # boundary node lies along an axis, as the boundary Dijkstra finds it
-    model, oracle = build_model(ModelSpec("euclidean", dim=2, resolution=16,
-                                          extent=1.0))
-    x = node_nearest(model, [0, 0])
+@pytest.mark.parametrize("route", ["oracle", "graph"])
+def test_volume_radii_reaching_the_boundary_raise(route):
+    # the guard reads the centre's own distance field: the closed form on a
+    # box, whose nearest boundary node lies along an axis as the boundary
+    # Dijkstra finds it, and the graph distance on the Heisenberg lattice,
+    # whose oracle has no closed form
+    spec = (ModelSpec("euclidean", dim=2, resolution=16, extent=1.0)
+            if route == "oracle" else ModelSpec("heisenberg", dim=3, resolution=9))
+    model, oracle = build_model(spec)
+    assert (oracle.exact_distance is not None) == (route == "oracle")
+    x = node_nearest(model, np.zeros(model.nodes.shape[1]))
     safe = float(model.metric_distance_to_boundary()[x])
     with pytest.raises(ValueError, match=rf"^radii reach the truncation boundary "
                        rf"\(safe range {safe:g}\)$"):
-        check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe + 1e-9],
-                                distance=method)
-    rep = check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe],
-                                  distance=method)
+        check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe + 1e-9])
+    rep = check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe])
     assert [row[:2] for row in rep.metadata["series"]] == [[x, 0.2], [x, 0.5 * safe]]
 
 

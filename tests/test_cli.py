@@ -556,6 +556,15 @@ TYPOS = [
      "checks.c.mode = riemanian\n", "checks.c.mode"),
     (MINI_CFG + "checks.c.check = cd\nchecks.c.model = t\n"
      "checks.c.suite = eigne\n", "checks.c.suite"),
+    (MINI_CFG + "checks.h.check = harnack\nchecks.h.model = t\n"
+     "checks.h.distance = graph\n", "checks.h.distance"),
+    (MINI_CFG + "checks.v.check = volume-doubling\nchecks.v.model = t\n"
+     "checks.v.distance = graph\n", "checks.v.distance"),
+    (MINI_CFG + "checks.v.check = volume-doubling\nchecks.v.model = t\n"
+     "checks.v.radii = [0.1, 0.2]\nchecks.v.shell_radii = [3, 4]\n", "checks.v"),
+    *[(MINI_CFG + f"checks.{kind}.check = {kind}\nchecks.{kind}.model = t\n"
+       f"checks.{kind}.t_grid = [0.0, 0.1]\n", f"checks.{kind}.t_grid")
+      for kind in ("li-yau", "gradient-bound", "completeness", "kernel-bounds")],
     (MINI_CFG + "workers = many\n", "workers"),
     (MINI_CFG + "seed = 1.5\n", "seed"),
     (MINI_CFG + "sede = 3\n", "sede"),
@@ -592,6 +601,32 @@ def test_config_key_given_twice_names_both_lines():
     with pytest.raises(ConfigError, match="^models.a.kind: line 2 nests under the "
                        "scalar models.a of line 1$"):
         parse_config_text("models.a = 3\nmodels.a.kind = sphere\n")
+
+
+def test_distance_is_an_unknown_key_and_radii_take_one_form():
+    # a model has one distance, so no check takes a distance route
+    for kind, accepted in (
+            ("harnack", "mode, suite, n_pairs, s_grid, gap_grid"),
+            ("volume-doubling", "radii, shell_radii, centers, ratio_window, "
+                                "monotone_upper, tol_rel")):
+        data = parse_config_text(MINI_CFG + f"checks.x.check = {kind}\n"
+                                 "checks.x.model = t\nchecks.x.distance = graph\n")
+        with pytest.raises(ConfigError) as info:
+            CampaignConfig.from_dict(data)
+        assert str(info.value) == (f"checks.x.distance: unknown key "
+                                   f"(accepted: check, model, {accepted})")
+    # shell_radii would replace radii without a word
+    data = parse_config_text(MINI_CFG + "checks.v.check = volume-doubling\n"
+                             "checks.v.model = t\nchecks.v.radii = [0.1, 0.2]\n"
+                             "checks.v.shell_radii = [3, 4]\n")
+    with pytest.raises(ConfigError, match="^checks.v: radii and shell_radii both set; "
+                       "give one of them$"):
+        CampaignConfig.from_dict(data)
+    data = parse_config_text(MINI_CFG + "checks.c.check = completeness\n"
+                             "checks.c.model = t\nchecks.c.t_grid = [1.0, -0.5]\n")
+    with pytest.raises(ConfigError, match="^checks.c.t_grid: must be a list of "
+                       "positive times$"):
+        CampaignConfig.from_dict(data)
 
 
 def test_kernel_bounds_t_grid_beyond_the_interior_is_not_applicable():
@@ -659,7 +694,7 @@ def test_compare_runs_counts_byte_identical_reports(tmp_path):
     assert compare(a2, b)[-3:] == [
         "2 reports, 0 changed verdicts, largest move 0 of scale (a)",
         "1 of 2 reports byte-identical apart from config_digest",
-        "  differs: b"]
+        "  differs: b (metadata.n)"]
 
 
 def test_unknown_key_error_lists_accepted_keys():

@@ -15,8 +15,30 @@ from heatlab import (
     volume_growth_exponent,
 )
 from heatlab.checks import check_distance_sandwich
-from heatlab.metric import _increasing_root, oracle_distance
+from heatlab.metric import _increasing_root, distance_field, oracle_distance
 from heatlab.models import ModelSpec, build_model
+
+
+@pytest.mark.parametrize("name", ["torus1", "euclid2", "sphere"])
+def test_distance_field_is_the_closed_form_or_by_name_the_graph(request, name):
+    model, oracle, _ = request.getfixturevalue(name)
+    for s in (0, model.n_nodes // 3):
+        exact = oracle.exact_distance(model.nodes[s], model.nodes)
+        assert np.array_equal(distance_field(model, oracle, s).values, exact)
+        graph = dijkstra(model.adjacency(), directed=True, indices=s)
+        assert np.array_equal(distance_field(model, None, s).values, graph)
+
+
+def test_distance_field_without_a_closed_form_is_the_graph(heis):
+    # the Heisenberg oracle has no closed-form distance: both calls read one
+    # memoized graph field
+    model, oracle, _ = heis
+    assert oracle.exact_distance is None
+    s = model.n_nodes // 2
+    field = distance_field(model, oracle, s)
+    assert distance_field(model, None, s) is field
+    assert np.array_equal(field.values,
+                          dijkstra(model.adjacency(), directed=True, indices=s))
 
 
 def test_graph_distance_axis_pairs(euclid2):

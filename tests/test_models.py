@@ -235,7 +235,7 @@ def test_volume_check_peak_memory():
     (model, oracle), model_bytes, _ = _traced(lambda: build_model(spec))
     radii = (np.array([2, 3, 4]) + 0.49) * model.meta["h"]
     rep, _, peak = _traced(lambda: check_volume_regularity(
-        model, oracle, [node_nearest(model, [0, 0, 0])], radii, distance="graph"))
+        model, oracle, [node_nearest(model, [0, 0, 0])], radii))
     assert "chart_ball_envelope_C" in rep.metadata
     assert peak <= 0.25 * model_bytes, (peak, model_bytes)
 
