@@ -4,7 +4,7 @@
 Margins must not systematically decrease under refinement; spectra and
 saturation gaps must improve.  Prints one table row per quantity.
 """
-from heatlab import ExpmFlow, ModelSpec, build_model, node_nearest, spectral_decompose
+from heatlab import ModelSpec, build_model, node_nearest, spectral_decompose
 from heatlab.checks import check_li_yau, span_cd_margin
 from heatlab.suites import point_source_fields
 
@@ -23,7 +23,7 @@ def flat_li_yau(m):
     model, oracle = build_model(
         ModelSpec("euclidean", dim=2, resolution=m, extent=1.5))
     suite = point_source_fields(model, node_nearest(model, [0.0, 0.0]), width=0.25)
-    rep = check_li_yau(model, oracle, ExpmFlow(model), suite, [0.05, 0.1],
+    rep = check_li_yau(model, oracle, suite, [0.05, 0.1],
                        mode="rho0", saturation_fields=("point-source",),
                        saturation_rtol=1.0)
     sat = [s for s in rep.samples if s["field"].endswith("|saturation")][0]

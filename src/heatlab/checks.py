@@ -7,7 +7,8 @@ is made by ``_row`` (or ``_worst``, the least-margin node of a field); its
 margin is rhs - lhs unless the check passes another as ``margin=``.  Margins
 of multiplicative inequalities (Harnack, kernel bounds, Sobolev norms) are
 normalized per sample; additive pointwise margins carry a recorded scale.
-Every sample compares two sides and every one is gated.  Values a check
+Every sample compares two sides and every one is gated; a check left with
+no sample raises ``NotApplicableError`` rather than pass.  Values a check
 records without comparing them (per-radius ball volumes, say) go into the
 report's metadata, as ``series`` rows named by ``series_columns``.
 
@@ -53,12 +54,13 @@ from .suites import NamedField, eps_shift
 
 
 def _report(check_id, model_id, samples, tolerance, scale=1.0, metadata=None):
-    min_margin = min((s["margin"] for s in samples), default=np.inf)
+    if not samples:
+        raise NotApplicableError(f"{check_id} gated no sample")
     return MarginReport(
         check_id=check_id,
         model_id=model_id,
         samples=samples,
-        min_margin=float(min_margin),
+        min_margin=float(min(s["margin"] for s in samples)),
         tolerance=tolerance,
         scale=float(scale),
         metadata=metadata or {},
@@ -315,7 +317,7 @@ def check_vertical_commutation(
 # semigroup-based pointwise bounds
 
 
-def check_gradient_bound(model, oracle, engine, suite,
+def check_gradient_bound(model, oracle, suite,
                          t_grid=(0.1, 0.5, 1.0),
                          tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                          ) -> MarginReport:
@@ -327,8 +329,8 @@ def check_gradient_bound(model, oracle, engine, suite,
     for t in t_grid:
         idx = _mask_indices(model, interior_for_time(model, t))
         for nf, sg in zip(suite, sqrt_gamma):
-            rhs = np.exp(-rho * t) * apply_semigroup(model, engine, sg, t).values
-            ptf = apply_semigroup(model, engine, nf.field, t)
+            rhs = np.exp(-rho * t) * apply_semigroup(model, sg, t).values
+            ptf = apply_semigroup(model, nf.field, t)
             lhs = np.sqrt(carre_du_champ(model, ptf).values)
             scale = max(scale, float(np.max(np.abs(rhs[idx]))))
             samples.append(_worst(idx, lhs[idx], rhs[idx], field=nf.name, t=float(t)))
@@ -336,13 +338,13 @@ def check_gradient_bound(model, oracle, engine, suite,
                    {"rho": rho})
 
 
-def check_completeness(model, engine, t_grid=(0.1, 1.0),
+def check_completeness(model, t_grid=(0.1, 1.0),
                        tolerance: Tolerance = Tolerance(1e-10)) -> MarginReport:
     """Mass conservation: sup |P_t 1 - 1| per time (exact on reflecting closures)."""
     samples = []
     one = model.constant(1.0)
     for t in t_grid:
-        pt = apply_semigroup(model, engine, one, t)
+        pt = apply_semigroup(model, one, t)
         samples.append(_row(np.max(np.abs(pt.values - 1.0)), 0.0, t=float(t)))
     return _report("completeness", model.model_id, samples, tolerance, 1.0, {})
 
@@ -391,7 +393,7 @@ def _entropy(model, g: np.ndarray) -> float:
     return float(mu @ glg - gm * np.log(gm))
 
 
-def check_log_sobolev(model, oracle, engine, suite,
+def check_log_sobolev(model, oracle, suite,
                       tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                       ) -> MarginReport:
     """Entropy inequality with constant 2/rho, plus the entropy-decay rate.
@@ -424,7 +426,7 @@ def check_log_sobolev(model, oracle, engine, suite,
     t_grid, slope_slack = tuple(np.linspace(0.3, 1.5, 7)), 0.05
     ents = []
     for t in t_grid:
-        pt = apply_semigroup(model, engine, f, t)
+        pt = apply_semigroup(model, f, t)
         ents.append(_entropy(model, np.maximum(pt.values, 1e-300)))
     ents = np.array(ents)
     if np.all(ents > 0):
@@ -438,16 +440,15 @@ def check_log_sobolev(model, oracle, engine, suite,
     return _report("log-sobolev", model.model_id, samples, tolerance, scale, meta)
 
 
-def check_equilibrium_rate(model, spectral: SpectralData, engine) -> MarginReport:
+def check_equilibrium_rate(model, spectral: SpectralData) -> MarginReport:
     """Heat flow reaches equilibrium at the spectral-gap rate.
 
     The fitted slope of log ||P_t phi_1 - mean|| over t in [0.5, 2], with
-    phi_1 evolved by the exact flow ``engine``, must match -lambda_1 within
-    3%.
+    phi_1 evolved by the exact flow, must match -lambda_1 within 3%.
     """
     t_grid, rtol = tuple(np.linspace(0.5, 2.0, 7)), 0.03
     f = model.field(spectral.eigenfields[:, 1])
-    slope = equilibrium_rate(model, engine, f, t_grid)
+    slope = equilibrium_rate(model, f, t_grid)
     expect = -float(spectral.eigenvalues[1])
     gap = abs(slope - expect) / abs(expect)
     samples = [_row(gap, rtol, quantity="log-error-slope", slope=float(slope))]
@@ -482,7 +483,7 @@ def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
+def check_li_yau(model, oracle, suite, t_grid=(0.05, 0.1, 0.2),
                  mode: str = "rho0", alpha: float | None = None,
                  tolerance: Tolerance = Tolerance(1e-12, 0.03, mesh_order=2),
                  saturation_fields=(), saturation_rtol: float = 0.01) -> MarginReport:
@@ -516,7 +517,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
         for nf in suite:
             f, eps = eps_shift(model, nf.field) if np.min(nf.field.values) < 0 \
                 else (nf.field, 0.0)
-            u = apply_semigroup(model, engine, f, t)
+            u = apply_semigroup(model, f, t)
             uv = u.values
             if np.min(uv[idx]) <= 0:
                 raise ValueError(f"P_t {nf.name} not positive on the interior")
@@ -554,7 +555,7 @@ def check_li_yau(model, oracle, engine, suite, t_grid=(0.05, 0.1, 0.2),
 # Harnack
 
 
-def check_harnack(model, oracle, engine, suite, pair_sample,
+def check_harnack(model, oracle, suite, pair_sample,
                   mode: str = "riemannian",
                   tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                   ) -> MarginReport:
@@ -588,7 +589,7 @@ def check_harnack(model, oracle, engine, suite, pair_sample,
 
         def u(node, t):
             if t not in cache:
-                cache[t] = apply_semigroup(model, engine, f, t).values
+                cache[t] = apply_semigroup(model, f, t).values
             return float(cache[t][node])
 
         for (x, s, y, t), d in zip(pair_sample, dists):
@@ -625,7 +626,7 @@ def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0):
 BALL_MASS_A_GRID = (0.25, 0.5, 1.0)
 
 
-def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
+def check_kernel_bounds(model, oracle, spectral, pair_sample,
                         centers, radii,
                         tolerance: Tolerance = Tolerance(1e-12, 0.05, mesh_order=2),
                         equality_expected: bool = False) -> MarginReport:
@@ -645,7 +646,7 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
         C(eps), eps = 0.5, making the volume-normalized Gaussian sandwich
         hold over the sample;
     (d) ball mass: scan A over ``BALL_MASS_A_GRID`` for the largest uniform
-        K with P_{A r^2} 1_{B(x,r)}(x) >= K, evolved by ``engine``.
+        K with P_{A r^2} 1_{B(x,r)}(x) >= K, evolved by the exact flow.
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
     K = max(0.0, -rho)
@@ -714,7 +715,7 @@ def check_kernel_bounds(model, oracle, spectral, engine, pair_sample,
             dx = distance_field(model, oracle, x).values
             for r in radii:
                 ind = model.field((dx <= r).astype(float))
-                val = apply_semigroup(model, engine, ind, A * r**2).values[x]
+                val = apply_semigroup(model, ind, A * r**2).values[x]
                 k_min = min(k_min, float(val))
         if k_min > best[1]:
             best = (float(A), k_min)
@@ -1042,16 +1043,16 @@ def check_diameter(model, oracle, tolerance: Tolerance = Tolerance(1e-12, 0.0)
 # kernel laws and spectra (structural semigroup checks)
 
 
-def check_kernel_laws(model, spectral: SpectralData, engine,
-                      seed: int = 0,
+def check_kernel_laws(model, spectral: SpectralData, seed: int = 0,
                       tolerance: Tolerance = Tolerance(1e-8)) -> MarginReport:
-    """Symmetry, Chapman-Kolmogorov, and cross-engine agreement.
+    """Symmetry, Chapman-Kolmogorov, and the flow against the eigen-expansion.
 
     The composition law is checked on 64 probe nodes at (t, s) = (0.3, 0.7)
     and (0.5, 0.5): integrating the kernel block against itself with the mu
     weights must reproduce the kernel at the summed time.  For a random
     field in the retained span the eigen-expansion of P_t is exact, so at
-    t = 0.1 the exact flow ``engine`` must agree with it within 1e-4.
+    t = 0.1 the exact flow must agree with it within 1e-4 (the
+    ``cross-engine`` row).
     """
     rng = np.random.default_rng(seed)
     probe = np.sort(rng.choice(model.n_nodes, size=min(64, model.n_nodes),
@@ -1072,7 +1073,7 @@ def check_kernel_laws(model, spectral: SpectralData, engine,
     coef = rng.standard_normal(spectral.count)
     f = model.field(spectral.eigenfields @ coef)
     a = spectral.eigenfields @ (np.exp(-spectral.eigenvalues * cross_t) * coef)
-    b = apply_semigroup(model, engine, f, cross_t).values
+    b = apply_semigroup(model, f, cross_t).values
     gap = float(np.max(np.abs(a - b)))
     samples.append(_row(gap, cross_tol, law="cross-engine", t=float(cross_t)))
     return _report("kernel-laws", model.model_id, samples, tolerance, 1.0,
@@ -1082,9 +1083,11 @@ def check_kernel_laws(model, spectral: SpectralData, engine,
 def check_spectrum(model, oracle, spectral: SpectralData, count: int = 5,
                    rtol: float = 0.02,
                    tolerance: Tolerance = Tolerance(1e-12, 0.0)) -> MarginReport:
-    """Retained eigenvalues against the oracle's closed-form spectrum."""
+    """The ``count`` lowest retained eigenvalues against the closed-form spectrum."""
     if oracle.exact_eigenvalues is None:
         raise NotApplicableError("oracle has no closed-form spectrum")
+    if count > spectral.count:
+        raise NotApplicableError(f"count: {count} exceeds the {spectral.count} retained pairs")
     lam = spectral.eigenvalues[:count]
     ref = np.asarray(oracle.exact_eigenvalues(count), dtype=float)
     samples = [_row(abs(a - b) / max(abs(b), 1.0), rtol, k=k, discrete=float(a),

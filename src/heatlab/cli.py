@@ -11,9 +11,9 @@ static SVG plot.  Reports contain no timestamps or environment data, so reruns a
 a fixed seed are byte-identical.  A rerun reuses a report only when both
 its config and the heatlab sources are unchanged (``config_digest``).
 
-Each check id is declared once in ``CHECK_KINDS``: its check function, the
-model-context parts it takes, and the config keys it accepts with their
-types.  Defaults and default tolerances live in the check functions.
+Each check id is declared once in ``CHECK_KINDS``: its check function and
+the config keys it accepts with their types.  Defaults, default tolerances
+and the model-context arguments it takes live in the check's signature.
 
 Config grammar (also accepted as JSON with the same nesting):
 
@@ -56,7 +56,7 @@ from .fields import NotApplicableError, deep_interior
 from .metric import distance_field
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
-from .semigroup import ExpmFlow, cached_decompose, neumann_restrict
+from .semigroup import cached_decompose, neumann_restrict
 from . import suites as S
 
 CONFIG_SCHEMA_VERSION = 1
@@ -178,6 +178,10 @@ def _floats(v):
 # at t = 0 the semigroup is the identity, so a sample there compares a value
 # with itself (or, in li-yau, divides by t)
 _times = _bounded(_floats, lambda v: all(t > 0 for t in v), "a list of positive times")
+_radii = _bounded(_floats, lambda v: all(r > 0 for r in v), "a list of positive numbers")
+# a shell index r stands for the radius (r + 0.49) h
+_shell_radii = _bounded(_floats, lambda v: all(r >= 0 for r in v),
+                        "a list of nonnegative numbers")
 
 
 def _pair(v):
@@ -316,11 +320,12 @@ def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
 
 
 class ModelContext:
-    """Lazy bundle: model, oracle, spectral data and the heat engine.
+    """Lazy bundle: model, oracle and spectral data.
 
-    ``engine`` is the exact flow (``ExpmFlow``) that evolves every check;
-    ``spectral()`` holds the eigenpairs that the checks read as objects in
-    their own right (eigenvalues, eigen suites, kernel blocks).
+    The checks evolve the model by its one exact flow (``apply_semigroup``),
+    whose state the model keeps; ``spectral()`` holds the eigenpairs that
+    the checks read as objects in their own right (eigenvalues, eigen
+    suites, kernel blocks).
     """
 
     def __init__(self, name, spec: ModelSpec, cache_dir, seed, k=None):
@@ -343,10 +348,6 @@ class ModelContext:
         return self._built[1]
 
     @functools.cached_property
-    def engine(self):
-        return ExpmFlow(self.model)
-
-    @functools.cached_property
     def _spectral(self):
         k = self.k or min(self.model.n_nodes, 128)
         path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
@@ -364,16 +365,16 @@ class ModelContext:
 class CheckKind:
     """How a check id binds its config to a check function.
 
-    ``parts`` name the arguments taken from the model context (``seed`` is
-    the check's own sampler seed).  ``keys`` maps each accepted config key
-    to its value type; a key is passed to the check under its own name
-    unless ``bind(ctx, opts, seed)`` pops it: ``bind`` builds what no
-    single key gives (suites, centers, pair samples).  ``tol_abs``/``tol_rel``
-    replace the fields of the check's default tolerance.
+    ``keys`` maps each accepted config key to its value type; a key is
+    passed to the check under its own name unless ``bind(ctx, opts, seed)``
+    pops it: ``bind`` builds what no single key gives (suites, centers,
+    pair samples).  ``tol_abs``/``tol_rel`` replace the fields of the
+    check's default tolerance.  The arguments ``model``, ``oracle``,
+    ``spectral`` and ``seed`` (the check's own sampler seed) come from the
+    model context whenever the check's signature names them.
     """
 
     check: Callable
-    parts: tuple
     keys: dict = field(default_factory=dict)
     bind: Callable | None = None
 
@@ -404,8 +405,7 @@ _SUITES = {
     "coordinate": lambda ctx, seed: S.coordinate_fields(ctx.model),
     "positive": lambda ctx, seed: S.positive_fields(
         ctx.model, ctx.spectral() if ctx.k else None, seed=seed),
-    "sub-riemannian": lambda ctx, seed: S.sub_riemannian_suite(
-        ctx.model, engine=ctx.engine, seed=seed),
+    "sub-riemannian": lambda ctx, seed: S.sub_riemannian_suite(ctx.model, seed=seed),
 }
 
 
@@ -420,21 +420,15 @@ def _bind_cd(ctx, opts, seed):
     return {"suite": _SUITES[suite](ctx, seed), "tolerance": C.CD_TOLERANCE[mode]}
 
 
-def _bind_vertical(ctx, opts, seed):
-    # without an engine the suite has no noise fields, which this check skips
-    return {"suite": S.sub_riemannian_suite(ctx.model)}
-
-
 def _bind_li_yau(ctx, opts, seed):
     model, kind = ctx.model, opts.pop("suite", "positive")
     if kind == "delta":
         suite = S.point_source_fields(model, _origin(model), width=0.25)
-        suite += S.rectified_noise_fields(model, ctx.engine, n=2, seed=seed)
+        suite += S.rectified_noise_fields(model, n=2, seed=seed)
         return {"suite": suite, "saturation_fields": ("point-source",)}
     if kind == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
-        return {"suite": suite + S.rectified_noise_fields(model, ctx.engine, n=1,
-                                                          seed=seed)}
+        return {"suite": suite + S.rectified_noise_fields(model, n=1, seed=seed)}
     return {"suite": _SUITES[kind](ctx, seed)}
 
 
@@ -526,60 +520,48 @@ def _bind_sobolev_sharp(ctx, opts, seed):
 _SUITE = _choice(*_SUITES)
 
 CHECK_KINDS = {
-    "operator-axioms": CheckKind(C.check_operator_axioms, ("model", "seed")),
-    "kernel-laws": CheckKind(C.check_kernel_laws, ("model", "spectral", "engine", "seed")),
-    "spectrum": CheckKind(C.check_spectrum, ("model", "oracle", "spectral"),
-                          {"count": _int, "rtol": _float}),
-    "cd": CheckKind(C.check_cd, ("model", "oracle"),
-                    {"mode": _choice(*C.CD_TOLERANCE), "suite": _SUITE,
-                     "nu_grid": _floats, "equality_fields": _strs,
-                     "tol_abs": _nonneg, "tol_rel": _nonneg}, bind=_bind_cd),
-    "vertical-commutation": CheckKind(C.check_vertical_commutation, ("model",),
-                                      bind=_bind_vertical),
-    "gradient-bound": CheckKind(C.check_gradient_bound, ("model", "oracle", "engine"),
-                                {"suite": _SUITE, "t_grid": _times},
+    "operator-axioms": CheckKind(C.check_operator_axioms),
+    "kernel-laws": CheckKind(C.check_kernel_laws),
+    "spectrum": CheckKind(C.check_spectrum, {"count": _count, "rtol": _float}),
+    "cd": CheckKind(C.check_cd, {"mode": _choice(*C.CD_TOLERANCE), "suite": _SUITE,
+                                 "nu_grid": _floats, "equality_fields": _strs,
+                                 "tol_abs": _nonneg, "tol_rel": _nonneg}, bind=_bind_cd),
+    "vertical-commutation": CheckKind(C.check_vertical_commutation, bind=lambda ctx, opts, seed: {
+        "suite": S.sub_riemannian_fields(ctx.model)}),
+    "gradient-bound": CheckKind(C.check_gradient_bound, {"suite": _SUITE, "t_grid": _times},
                                 bind=_bind_suite("eigen")),
-    "completeness": CheckKind(C.check_completeness, ("model", "engine"),
-                              {"t_grid": _times}),
-    "spectral-gap": CheckKind(C.check_spectral_gap, ("model", "oracle", "spectral")),
-    "log-sobolev": CheckKind(C.check_log_sobolev, ("model", "oracle", "engine"),
-                             bind=_bind_suite("positive")),
-    "equilibrium-rate": CheckKind(C.check_equilibrium_rate, ("model", "spectral", "engine")),
-    "li-yau": CheckKind(C.check_li_yau, ("model", "oracle", "engine"),
-                        {"mode": _choice("rho0", "general-alpha", "exponential",
-                                         "bakry-qian", "sub-riemannian"),
-                         "suite": _choice("delta", *_SUITES), "t_grid": _times,
-                         "alpha": _float}, bind=_bind_li_yau),
-    "harnack": CheckKind(C.check_harnack, ("model", "oracle", "engine"),
-                         {"mode": _choice("riemannian", "sub-riemannian"),
-                          "suite": _choice("delta"), "n_pairs": _int,
-                          "s_grid": _floats, "gap_grid": _floats},
+    "completeness": CheckKind(C.check_completeness, {"t_grid": _times}),
+    "spectral-gap": CheckKind(C.check_spectral_gap),
+    "log-sobolev": CheckKind(C.check_log_sobolev, bind=_bind_suite("positive")),
+    "equilibrium-rate": CheckKind(C.check_equilibrium_rate),
+    "li-yau": CheckKind(C.check_li_yau, {"mode": _choice("rho0", "general-alpha", "exponential",
+                                                         "bakry-qian", "sub-riemannian"),
+                                         "suite": _choice("delta", *_SUITES), "t_grid": _times,
+                                         "alpha": _float}, bind=_bind_li_yau),
+    "harnack": CheckKind(C.check_harnack, {"mode": _choice("riemannian", "sub-riemannian"),
+                                           "suite": _choice("delta"), "n_pairs": _count,
+                                           "s_grid": _floats, "gap_grid": _floats},
                          bind=_bind_harnack),
-    "kernel-bounds": CheckKind(C.check_kernel_bounds,
-                               ("model", "oracle", "spectral", "engine"),
-                               {"equality_expected": _bool, "radii": _floats,
-                                "t_grid": _times}, bind=_bind_kernel_bounds),
-    "volume-doubling": CheckKind(C.check_volume_regularity, ("model", "oracle"),
-                                 {"radii": _floats, "shell_radii": _floats,
+    "kernel-bounds": CheckKind(C.check_kernel_bounds, {"equality_expected": _bool,
+                                                       "radii": _radii, "t_grid": _times},
+                               bind=_bind_kernel_bounds),
+    "volume-doubling": CheckKind(C.check_volume_regularity,
+                                 {"radii": _radii, "shell_radii": _shell_radii,
                                   "centers": _choice("origin"), "ratio_window": _pair,
                                   "monotone_upper": _float, "tol_rel": _nonneg},
                                  bind=_bind_volume),
-    "neumann-poincare": CheckKind(C.check_neumann_poincare, ("seed",),
-                                  {"domain": _choice("box", "cap"),
-                                   "constant": _float, "expected_product": _float},
-                                  bind=_bind_neumann),
-    "ball-poincare": CheckKind(C.check_ball_poincare, ("model", "seed"),
-                               bind=lambda ctx, opts, seed: {"center": _origin(ctx.model)}),
-    "sobolev-embedding": CheckKind(C.check_sobolev_embedding, ("model", "oracle"),
-                                   bind=_bind_embedding),
-    "isoperimetric": CheckKind(C.check_isoperimetric_balls, ("model", "oracle"),
-                               {"expected_ratio": _float}, bind=_bind_isoperimetric),
-    "sobolev-sharp": CheckKind(C.check_sobolev_sharp, ("model", "oracle"),
-                               bind=_bind_sobolev_sharp),
-    "diameter": CheckKind(C.check_diameter, ("model", "oracle")),
-    "distance-sandwich": CheckKind(C.check_distance_sandwich,
-                                   ("model", "oracle", "seed"), {"n_pairs": _int}),
-    "subunit-oracle": CheckKind(C.check_subunit_oracle, ("model",)),
+    "neumann-poincare": CheckKind(C.check_neumann_poincare, {
+        "domain": _choice("box", "cap"), "constant": _float, "expected_product": _float},
+        bind=_bind_neumann),
+    "ball-poincare": CheckKind(C.check_ball_poincare, bind=lambda ctx, opts, seed: {
+        "center": _origin(ctx.model)}),
+    "sobolev-embedding": CheckKind(C.check_sobolev_embedding, bind=_bind_embedding),
+    "isoperimetric": CheckKind(C.check_isoperimetric_balls, {"expected_ratio": _float},
+                               bind=_bind_isoperimetric),
+    "sobolev-sharp": CheckKind(C.check_sobolev_sharp, bind=_bind_sobolev_sharp),
+    "diameter": CheckKind(C.check_diameter),
+    "distance-sandwich": CheckKind(C.check_distance_sandwich, {"n_pairs": _count}),
+    "subunit-oracle": CheckKind(C.check_subunit_oracle),
 }
 
 
@@ -589,14 +571,14 @@ def _run_check(kind: CheckKind, ctxs, spec, cfg, name):
     seed = _seed_for(cfg, name)
     opts = _check_options(cfg, name, spec)
     tol = {f: opts.pop(f"tol_{f}") for f in ("abs", "rel") if f"tol_{f}" in opts}
-    kwargs = {part: seed if part == "seed"
-              else ctx.spectral() if part == "spectral" else getattr(ctx, part)
-              for part in kind.parts}
+    params = inspect.signature(kind.check).parameters
+    kwargs = {p: seed if p == "seed" else ctx.spectral() if p == "spectral" else getattr(ctx, p)
+              for p in ("model", "oracle", "spectral", "seed") if p in params}
     if kind.bind is not None:
         kwargs.update(kind.bind(ctx, opts, seed))
     kwargs.update(opts)
     if tol:
-        default = inspect.signature(kind.check).parameters["tolerance"].default
+        default = params["tolerance"].default
         kwargs["tolerance"] = dataclasses.replace(kwargs.get("tolerance", default), **tol)
     return kind.check(**kwargs)
 

@@ -42,7 +42,7 @@ from .models import GeometryOracle
 
 def __getattr__(name):
     # ``metric.optimize`` resolves, importing scipy.optimize on first use, only
-    # because bench/spans.py reads it under --trace 1; ROADMAP item 3's
+    # because bench/spans.py reads it under --trace 1; ROADMAP item 5's
     # benchmark change deletes this together with metric.subunit.loss_evals
     if name == "optimize":
         from scipy import optimize

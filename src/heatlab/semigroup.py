@@ -1,8 +1,10 @@
-"""Heat semigroup engines: spectral decomposition, exponential action, stepping.
+"""The heat semigroup: spectral decomposition, exact flow, reference stepper.
 
-Two routes to exp(tL), both on the mu-symmetrized operator:
+A model has one heat semigroup P_t = exp(tL), and ``apply_semigroup``
+evolves every check by it.  Two routes to exp(tL), both on the
+mu-symmetrized operator:
 
-* ``ExpmFlow``, the exact flow that evolves every check.  On a model that
+* ``ExpmFlow``, the exact flow of ``apply_semigroup``.  On a model that
   ``build_model`` marks in ``meta["structure"]`` (boxes, tori, the latitude
   sphere) it applies exp(-t A) through the model's diagonalized blocks
   (``_blocks``): the 1-D cosine or Fourier factors of a Kronecker sum on a
@@ -10,7 +12,8 @@ Two routes to exp(tL), both on the mu-symmetrized operator:
   ``expm`` to a few times 1e-14 of the sup.  On every other model it sums a
   Chebyshev expansion whose Bessel-function weights bound its error for
   every input, at a degree of about sqrt(t b ln(1 / CHEB_TAIL)) fixed
-  before any product with the operator (b bounds its spectrum);
+  before any product with the operator (b bounds its spectrum).  Either
+  state is built once per model and kept in ``model.derived``;
 * Crank-Nicolson stepping with a Richardson step-doubling control, solved
   by conjugate gradients.  No check runs it; it stays as a reference for
   tests and benchmarks.
@@ -408,10 +411,11 @@ def canonical_basis(eigenvalues: np.ndarray, fields: np.ndarray,
 # semigroup application
 
 
-def apply_semigroup(model: DiscretizedModel, engine, f: ScalarField, t: float) -> ScalarField:
-    """P_t f by ``engine.evolve``: the exact ``ExpmFlow`` in every check, or
-    ``CrankNicolson``."""
-    return engine.evolve(f, t)
+def apply_semigroup(model: DiscretizedModel, f: ScalarField, t: float) -> ScalarField:
+    """P_t f by the model's exact flow ``ExpmFlow(model)``.  The model keeps
+    the flow's state, not the flow: a flow holds its model, and a model
+    that held it back would be freed only by a garbage collection."""
+    return ExpmFlow(model).evolve(f, t)
 
 
 def _bessel_weights(a: float, start: int | None = None) -> np.ndarray:
@@ -444,6 +448,18 @@ def _bessel_weights(a: float, start: int | None = None) -> np.ndarray:
     return w[:cut[0] + 1]
 
 
+def _chebyshev_operator(model: DiscretizedModel):
+    """(X, b, dm) of an unmarked model, X = I - (2 / b) A with b the
+    Gershgorin bound of the symmetrized A; built once per model and kept in
+    ``model.derived`` like ``_blocks``, while A itself is not kept."""
+    if "_chebyshev" not in model.derived:
+        A, dm = _symmetrized(model)
+        b = float(abs(A).sum(axis=1).max())
+        X = (sp.identity(model.n_nodes, format="csr") - (2.0 / b) * A).tocsr()
+        model.derived["_chebyshev"] = (X, b, dm)
+    return model.derived["_chebyshev"]
+
+
 class ExpmFlow:
     """Exact heat flow P_t f = D^{-1/2} exp(-t A) D^{1/2} f on the symmetrized
     operator A.
@@ -471,14 +487,9 @@ class ExpmFlow:
 
     def __init__(self, model: DiscretizedModel):
         self.model = model
-        structured = _blocks(model)
-        if structured is not None:
-            self._blocks, self._dm = structured
-        else:
-            self._blocks = None
-            A, self._dm = _symmetrized(model)
-            self._b = float(abs(A).sum(axis=1).max())
-            self._X = (sp.identity(model.n_nodes, format="csr") - (2.0 / self._b) * A).tocsr()
+        self._blocks, self._dm = _blocks(model) or (None, None)
+        if self._blocks is None:
+            self._X, self._b, self._dm = _chebyshev_operator(model)
 
     def evolve(self, f: ScalarField, t: float) -> ScalarField:
         if t < 0:
@@ -607,17 +618,17 @@ def eigenvalue_clusters(eigenvalues: np.ndarray, rtol: float = 1e-6) -> list[np.
     return clusters
 
 
-def equilibrium_error(model: DiscretizedModel, engine, f: ScalarField, t: float) -> float:
+def equilibrium_error(model: DiscretizedModel, f: ScalarField, t: float) -> float:
     """L2(mu) distance of P_t f from its equilibrium (the mu-average of f)."""
     mean = model.integrate(f) / model.total_measure
-    pt = apply_semigroup(model, engine, f, t)
+    pt = apply_semigroup(model, f, t)
     diff = pt.values - mean
     return float(np.sqrt(model.mu @ diff**2))
 
 
-def equilibrium_rate(model, engine, f, t_grid) -> float:
+def equilibrium_rate(model, f, t_grid) -> float:
     """Fitted slope of log ||P_t f - mean|| over the time grid."""
-    errs = np.array([equilibrium_error(model, engine, f, t) for t in t_grid])
+    errs = np.array([equilibrium_error(model, f, t) for t in t_grid])
     if np.any(errs <= 0):
         raise ValueError("equilibrium error vanished on the grid; nothing to fit")
     return float(np.polyfit(np.asarray(t_grid, float), np.log(errs), 1)[0])

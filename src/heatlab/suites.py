@@ -3,6 +3,7 @@
 Families: eigenfunction combinations, chart-coordinate polynomials, bump
 functions, point sources, heat-evolved noise, and log-concave latitude
 profiles used as near-extremal candidates for the sharp Sobolev family.
+Noise is evolved by the model's exact flow (``apply_semigroup``).
 Checks that need positivity shift by a recorded epsilon and are rerun at
 epsilon/10 to confirm stability.
 """
@@ -84,7 +85,7 @@ def point_source_fields(model: DiscretizedModel, center: int,
             + bump_fields(model, centers=[center], width=width))
 
 
-def evolved_noise_fields(model: DiscretizedModel, engine, n: int = 2,
+def evolved_noise_fields(model: DiscretizedModel, n: int = 2,
                          eps_time: float | None = None, seed: int = 0) -> list[NamedField]:
     """White noise mollified by a short heat run (P_eps of noise)."""
     rng = np.random.default_rng(seed)
@@ -94,15 +95,15 @@ def evolved_noise_fields(model: DiscretizedModel, engine, n: int = 2,
     for k in range(n):
         raw = model.field(rng.standard_normal(model.n_nodes))
         out.append(NamedField(f"evolved-noise-{k}",
-                              apply_semigroup(model, engine, raw, eps_time)))
+                              apply_semigroup(model, raw, eps_time)))
     return out
 
 
-def rectified_noise_fields(model: DiscretizedModel, engine, n: int = 2,
+def rectified_noise_fields(model: DiscretizedModel, n: int = 2,
                            seed: int = 0) -> list[NamedField]:
     """Nonnegative mollified noise (evolved noise minus its minimum)."""
     out = []
-    for nf in evolved_noise_fields(model, engine, n=n, seed=seed):
+    for nf in evolved_noise_fields(model, n=n, seed=seed):
         v = nf.field.values
         out.append(NamedField("rectified-" + nf.name, model.field(v - v.min())))
     return out
@@ -153,16 +154,15 @@ def horizontal_bump_fields(model: DiscretizedModel, widths=(0.5,)) -> list[Named
     return out
 
 
-def sub_riemannian_suite(model: DiscretizedModel, engine=None, seed: int = 0) -> list[NamedField]:
+def sub_riemannian_fields(model: DiscretizedModel) -> list[NamedField]:
     """Polynomials and smooth bumps adapted to the group structure."""
     x, y, z = model.nodes[:, 0], model.nodes[:, 1], model.nodes[:, 2]
-    out = coordinate_fields(model)
-    out.append(NamedField("xz", model.field(x * z)))
-    out.append(NamedField("x2y", model.field(x * x * y)))
-    out += horizontal_bump_fields(model, widths=(0.5, 0.8))
-    if engine is not None:
-        h = float(model.meta["h"])
-        for nf in evolved_noise_fields(model, engine, n=1, eps_time=16 * h**2,
-                                       seed=seed):
-            out.append(nf)
-    return out
+    return (coordinate_fields(model) + [NamedField("xz", model.field(x * z)),
+                                        NamedField("x2y", model.field(x * x * y))]
+            + horizontal_bump_fields(model, widths=(0.5, 0.8)))
+
+
+def sub_riemannian_suite(model: DiscretizedModel, seed: int = 0) -> list[NamedField]:
+    """``sub_riemannian_fields`` and one noise field evolved for 16 h^2."""
+    return sub_riemannian_fields(model) + evolved_noise_fields(
+        model, n=1, eps_time=16 * float(model.meta["h"])**2, seed=seed)

@@ -12,7 +12,7 @@ import pytest
 from heatlab import ModelSpec, build_model, node_nearest
 from heatlab.checks import check_cd
 from heatlab.metric import dual_distance
-from heatlab.suites import sub_riemannian_suite
+from heatlab.suites import sub_riemannian_fields
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def euclid2():
 def test_cd_generalized_heis(benchmark, heis):
     # the campaign's cd-generalized-heis: four nu values over one suite
     model, oracle = heis
-    suite = sub_riemannian_suite(model)
+    suite = sub_riemannian_fields(model)
     rep = benchmark(check_cd, model, oracle, suite,
                     mode="generalized", nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert len(rep.samples) == 4 * len(suite)

@@ -2,20 +2,19 @@
 
     PYTHONPATH=src python -m pytest tests/bench_semigroup.py --benchmark-only
 
-One white-noise field evolved by the exact ``ExpmFlow`` (the engine of
-every model without a retained spectrum and ``kernel-laws``' second
-route) and by the ``CrankNicolson`` reference stepper, on ``heis`` at
-Heisenberg campaign times (0.25 is 16 h^2, the noise time of the CD
-suites; at 1.0 the flow's degree is largest), and on ``torus1`` and the
-latitude spheres of ``sphere-refine`` (lat32, lat48; ``ExpmFlow`` takes
-the longitude-block route there) at ``kernel-laws``' cross-check time.
-Each timed call builds the engine and evolves the field, as
-``kernel-laws`` does once per model; the sphere's longitude blocks, which
-the model keeps in ``meta``, are dropped before each round, so every
-round builds them.  The default test run
-collects only ``test_*.py`` files, so these run only when named.  Pin the
-BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to compare runs across
-commits.
+One white-noise field evolved by the exact ``ExpmFlow`` (the flow of
+``apply_semigroup``, which evolves every check) and by the
+``CrankNicolson`` reference stepper, on ``heis`` at Heisenberg campaign
+times (0.25 is 16 h^2, the noise time of the CD suites; at 1.0 the flow's
+degree is largest), and on ``torus1`` and the latitude spheres of
+``sphere-refine`` (lat32, lat48; ``ExpmFlow`` takes the longitude-block
+route there) at ``kernel-laws``' cross-check time.  Each timed call
+builds the flow's state and evolves the field, as the first
+``apply_semigroup`` on a model does: the blocks or the Chebyshev operator
+that the model keeps in ``derived`` are dropped before each round.  The
+default test run collects only ``test_*.py`` files, so these run only
+when named.  Pin the BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to
+compare runs across commits.
 """
 import functools
 
@@ -44,7 +43,8 @@ def noise(name):
 
 
 def forget_blocks(model):
-    model.derived.pop("_sphere_blocks", None)
+    model.derived.pop("_blocks", None)
+    model.derived.pop("_chebyshev", None)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -1,6 +1,6 @@
 import pytest
 
-from heatlab import ExpmFlow, ModelSpec, build_model, spectral_decompose
+from heatlab import ModelSpec, build_model, spectral_decompose
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def heis():
     model, oracle = build_model(
         ModelSpec("heisenberg", dim=3, resolution=21, extent=1.25,
                   options={"z_extent": 0.15625}))
-    return model, oracle, ExpmFlow(model)
+    return model, oracle
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from heatlab import (
-    CrankNicolson,
-    ExpmFlow,
     ModelSpec,
     build_model,
     check_operator_axioms,
@@ -84,8 +82,7 @@ def test_criterion_1_operator_axioms(torus1, euclid1, euclid2, euclid3, sphere, 
 def test_criterion_2_kernel_laws(torus1, sphere):
     t0 = time.monotonic()
     for model, _, spectral in (torus1, sphere):
-        rep = check_kernel_laws(model, spectral, engine=CrankNicolson(model),
-                                tolerance=Tolerance(1e-8))
+        rep = check_kernel_laws(model, spectral, tolerance=Tolerance(1e-8))
         assert rep.passed, rep.worst_sample()
         assert rep.metadata["cross_engine_sup_diff"] < 1e-4
     elapsed = time.monotonic() - t0
@@ -126,10 +123,10 @@ def test_criterion_4_cd_suite(sphere, euclid2, heis):
                     tolerance=Tolerance(1e-9, 1e-9), include_gamma_lemma=False)
     assert erep.passed
 
-    hmodel, horacle, flow = heis
+    hmodel, horacle = heis
     vals = []
     for seed in (5, 77):
-        suite = sub_riemannian_suite(hmodel, engine=flow, seed=seed)
+        suite = sub_riemannian_suite(hmodel, seed=seed)
         hrep = check_cd(hmodel, horacle, suite, mode="scan",
                         nu_grid=np.geomspace(0.25, 64, 10))
         vals.append(hrep.metadata["rho1_scan"])
@@ -149,7 +146,7 @@ def test_criterion_5_li_yau(euclid2, sphere, heis):
     delta[i0] = 1.0 / model.mu[i0]
     suite = [NamedField("point-source", model.field(delta))]
     suite += bump_fields(model, centers=[i0], width=0.25)
-    rep = check_li_yau(model, oracle, ExpmFlow(model), suite, [0.05, 0.1, 0.2],
+    rep = check_li_yau(model, oracle, suite, [0.05, 0.1, 0.2],
                        mode="rho0", saturation_fields=("point-source",),
                        saturation_rtol=0.01,
                        tolerance=Tolerance(1e-12, 0.03))
@@ -158,18 +155,17 @@ def test_criterion_5_li_yau(euclid2, sphere, heis):
 
     smodel, soracle, sspectral = sphere
     psuite = positive_fields(smodel, sspectral)[:3]
-    sflow = ExpmFlow(smodel)
-    ra = check_li_yau(smodel, soracle, sflow, psuite, [0.25, 0.5, 1.0],
+    ra = check_li_yau(smodel, soracle, psuite, [0.25, 0.5, 1.0],
                       mode="general-alpha", alpha=1.0,
                       tolerance=Tolerance(1e-12, 0.03))
     assert ra.passed
-    rb = check_li_yau(smodel, soracle, sflow, psuite, [2.0, 3.0],
+    rb = check_li_yau(smodel, soracle, psuite, [2.0, 3.0],
                       mode="bakry-qian")
     assert rb.passed
 
-    hmodel, horacle, flow = heis
+    hmodel, horacle = heis
     hsuite = horizontal_bump_fields(hmodel, widths=(0.5, 0.8))
-    rh = check_li_yau(hmodel, horacle, flow, hsuite, [0.01, 0.02, 0.05],
+    rh = check_li_yau(hmodel, horacle, hsuite, [0.01, 0.02, 0.05],
                       mode="sub-riemannian", alpha=3.0)
     assert rh.passed
     assert _line("criterion-5 li-yau family", True,
@@ -185,8 +181,7 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     # sharp flat comparison: the kernel lower bound is an equality
     near = [node_nearest(model, p) for p in ([0.2, 0.1], [-0.15, 0.2], [0.0, 0.3])]
     pairs = [(i0, j, t) for j in near for t in (0.05, 0.1)]
-    rk = check_kernel_bounds(model, oracle, spectral, engine=ExpmFlow(model),
-                             pair_sample=pairs, centers=[i0],
+    rk = check_kernel_bounds(model, oracle, spectral, pair_sample=pairs, centers=[i0],
                              radii=[0.3, 0.4, 0.5, 0.6], equality_expected=True)
     assert rk.passed, rk.worst_sample()
     prod = rk.metadata["ondiag_upper_C"]
@@ -195,23 +190,21 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
     delta = np.zeros(model.n_nodes)
     delta[i0] = 1.0 / model.mu[i0]
     hpairs = sample_harnack_pairs(model, 200, [0.05, 0.1], [0.05, 0.1], seed=3)
-    rh = check_harnack(model, oracle, ExpmFlow(model),
-                       [NamedField("point-source", model.field(delta))] +
+    rh = check_harnack(model, oracle, [NamedField("point-source", model.field(delta))] +
                        bump_fields(model, centers=[i0], width=0.3), hpairs,
                        tolerance=Tolerance(1e-12, 0.02))
     assert rh.passed
 
     smodel, soracle, sspectral = sphere
     spairs = sample_harnack_pairs(smodel, 200, [0.1, 0.2], [0.1, 0.3], seed=4)
-    rs = check_harnack(smodel, soracle, ExpmFlow(smodel), bump_fields(smodel, seed=4),
+    rs = check_harnack(smodel, soracle, bump_fields(smodel, seed=4),
                        spairs, tolerance=Tolerance(1e-12, 0.02))
     assert rs.passed
 
     assert harnack_dimension(3.0, 0.0, 0.5, 2.0) == pytest.approx(2.0)
-    hmodel, horacle, flow = heis
+    hmodel, horacle = heis
     hpairs2 = sample_harnack_pairs(hmodel, 60, [0.02, 0.04], [0.02, 0.05], seed=5)
-    rsub = check_harnack(hmodel, horacle, flow,
-                         horizontal_bump_fields(hmodel, widths=(0.5, 0.8)),
+    rsub = check_harnack(hmodel, horacle, horizontal_bump_fields(hmodel, widths=(0.5, 0.8)),
                          hpairs2, mode="sub-riemannian",
                          tolerance=Tolerance(1e-12, 0.02))
     assert rsub.passed
@@ -267,14 +260,13 @@ def test_criterion_8_functional_inequalities(sphere):
     assert abs(lam1 / 2.0 - 1.0) < 0.02       # sharp gap equality
 
     suite = positive_fields(model, spectral)
-    flow = ExpmFlow(model)
-    rl = check_log_sobolev(model, oracle, flow, suite,
+    rl = check_log_sobolev(model, oracle, suite,
                            tolerance=Tolerance(1e-12, 0.02))
     assert rl.passed
     slope = rl.metadata["entropy_slope"]
     assert slope <= -2.0 + 0.05
 
-    rg = check_gradient_bound(model, oracle, flow,
+    rg = check_gradient_bound(model, oracle,
                               eigen_fields(model, spectral, seed=2),
                               [0.1, 0.5, 1.0], tolerance=Tolerance(1e-12, 0.02))
     assert rg.passed
@@ -338,7 +330,7 @@ def test_criterion_10_distances(torus1, euclid2, sphere, heis):
         model, oracle = bundle[0], bundle[1]
         rep = check_distance_sandwich(model, oracle, n_pairs=50, seed=6)
         assert rep.passed, model.model_id
-    hmodel, horacle, _ = heis
+    hmodel, horacle = heis
     hrep = check_distance_sandwich(hmodel, horacle, n_pairs=50, seed=6)
     assert hrep.passed
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from heatlab import (
-    ExpmFlow,
     ModelSpec,
     NotApplicableError,
     build_model,
@@ -116,12 +115,12 @@ def test_cd_euclid_equality(euclid2):
 
 
 def test_cd_heisenberg_scan_and_reproducibility(heis):
-    model, oracle, flow = heis
+    model, oracle = heis
     from heatlab.suites import sub_riemannian_suite
 
     vals = []
     for seed in (5, 77):
-        suite = sub_riemannian_suite(model, engine=flow, seed=seed)
+        suite = sub_riemannian_suite(model, seed=seed)
         rep = check_cd(model, oracle, suite,
                        mode="scan", nu_grid=np.geomspace(0.25, 64, 10))
         assert rep.passed
@@ -131,10 +130,10 @@ def test_cd_heisenberg_scan_and_reproducibility(heis):
 
 
 def test_cd_generalized_margins(heis):
-    model, oracle, flow = heis
+    model, oracle = heis
     from heatlab.suites import sub_riemannian_suite
 
-    suite = sub_riemannian_suite(model, engine=flow, seed=5)
+    suite = sub_riemannian_suite(model, seed=5)
     rep = check_cd(model, oracle, suite, mode="generalized",
                    nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert rep.passed
@@ -165,7 +164,7 @@ def test_cd_mode_errors(sphere):
 def test_vertical_forms_need_vertical_edges(heis, call):
     # a Neumann restriction of heis keeps its oracle's CD parameters but
     # not its vertical edges, so only the missing vertical form can refuse
-    model, oracle, _ = heis
+    model, oracle = heis
     assert model.vertical_form.n_edges > 0
     sub = neumann_restrict(model, np.all(np.abs(model.nodes[:, :2]) <= 0.8, axis=1))
     assert sub.vertical_form is None
@@ -192,10 +191,10 @@ def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
     # counts the EdgeForm.evaluate calls of each form: cd_forms makes one for
     # Gamma f and one for Gamma(f, Lf), the gradient-of-Gamma lemma one more;
     # gamma2_z makes one for Gamma^Z f and one for Gamma^Z(f, Lf)
-    from heatlab.suites import sub_riemannian_suite
+    from heatlab.suites import sub_riemannian_fields
 
     model, oracle, spectral = sphere
-    hmodel, horacle, _ = heis
+    hmodel, horacle = heis
     assert model.L.nnz and hmodel.L.nnz     # assembled, with their self tests, first
     calls = collections.Counter()
     real = EdgeForm.evaluate
@@ -213,7 +212,7 @@ def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
     assert calls == {"horizontal": 2 * len(suite)}
 
     calls.clear()
-    hsuite = sub_riemannian_suite(hmodel)
+    hsuite = sub_riemannian_fields(hmodel)
     check_cd(hmodel, horacle, hsuite, mode="generalized",
              nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert calls == {"horizontal": 2 * len(hsuite), "vertical": 2 * len(hsuite)}
@@ -223,7 +222,7 @@ def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
 
 
 def test_vertical_commutation(heis):
-    model, _, _ = heis
+    model, _ = heis
     x, z = model.nodes[:, 0], model.nodes[:, 2]
     suite = [NamedField("xz", model.field(x * z))]
     suite += horizontal_bump_fields(model, widths=(0.5,))
@@ -235,14 +234,14 @@ def test_vertical_commutation(heis):
 def test_gradient_bound(sphere, euclid2):
     model, oracle, spectral = sphere
     suite = eigen_fields(model, spectral, n_single=2, n_combo=1)
-    rep = check_gradient_bound(model, oracle, ExpmFlow(model), suite, [0.0, 0.1, 0.5, 1.0])
+    rep = check_gradient_bound(model, oracle, suite, [0.0, 0.1, 0.5, 1.0])
     assert rep.passed
     t0 = [s for s in rep.samples if s["t"] == 0.0]
     assert all(abs(s["margin"]) < 1e-9 * rep.scale for s in t0)
 
     emodel, eoracle, _ = euclid2
     esuite = [NamedField("coord-0", emodel.field(emodel.nodes[:, 0]))]
-    erep = check_gradient_bound(emodel, eoracle, ExpmFlow(emodel), esuite, [0.05])
+    erep = check_gradient_bound(emodel, eoracle, esuite, [0.05])
     assert erep.passed
     # translation-invariant gradient: both sides equal one
     s = erep.samples[-1]
@@ -252,7 +251,7 @@ def test_gradient_bound(sphere, euclid2):
 
 def test_completeness(sphere, torus1):
     for model, _, _ in (sphere, torus1):
-        rep = check_completeness(model, ExpmFlow(model), [0.5, 2.0])
+        rep = check_completeness(model, [0.5, 2.0])
         assert rep.passed and rep.min_margin > -1e-10
 
 
@@ -276,7 +275,7 @@ def test_spectral_gap_needs_positive_curvature(euclid2):
 def test_log_sobolev(sphere):
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
-    rep = check_log_sobolev(model, oracle, ExpmFlow(model), suite)
+    rep = check_log_sobolev(model, oracle, suite)
     assert rep.passed
     assert rep.metadata["entropy_slope"] <= -2.0 + 0.05
     assert rep.metadata["constant"] == 2.0
@@ -289,7 +288,7 @@ def test_li_yau_flat_sharp(euclid2):
     delta[i0] = 1.0 / model.mu[i0]
     suite = [NamedField("point-source", model.field(delta))]
     suite += bump_fields(model, centers=[i0], width=0.25)
-    rep = check_li_yau(model, oracle, ExpmFlow(model), suite, [0.05, 0.1], mode="rho0",
+    rep = check_li_yau(model, oracle, suite, [0.05, 0.1], mode="rho0",
                        saturation_fields=("point-source",), saturation_rtol=0.01)
     assert rep.passed
     sat = [s for s in rep.samples if s["field"].endswith("|saturation")][0]
@@ -304,7 +303,7 @@ def test_li_yau_modes_sphere(sphere):
         ("bakry-qian", [2.0, 3.0], {}),
         ("exponential", [0.3, 0.6], {}),
     ):
-        rep = check_li_yau(model, oracle, ExpmFlow(model), suite, grid, mode=mode, **kw)
+        rep = check_li_yau(model, oracle, suite, grid, mode=mode, **kw)
         assert rep.passed, mode
 
 
@@ -331,18 +330,17 @@ def test_li_yau_errors(euclid2, sphere):
     model, oracle, spectral = euclid2
     suite = bump_fields(model, seed=0)
     with pytest.raises(NotApplicableError):
-        check_li_yau(model, oracle, ExpmFlow(model), suite, [1.0], mode="bakry-qian")
+        check_li_yau(model, oracle, suite, [1.0], mode="bakry-qian")
     smodel, soracle, sspectral = sphere
     with pytest.raises(ValueError):
-        check_li_yau(smodel, soracle, ExpmFlow(smodel),
-                     positive_fields(smodel, sspectral)[:1], [0.5],
+        check_li_yau(smodel, soracle, positive_fields(smodel, sspectral)[:1], [0.5],
                      mode="bakry-qian")   # t < 2/rho
 
 
 def test_li_yau_sub_riemannian(heis):
-    model, oracle, flow = heis
+    model, oracle = heis
     suite = horizontal_bump_fields(model, widths=(0.5,))
-    rep = check_li_yau(model, oracle, flow, suite, [0.02, 0.05],
+    rep = check_li_yau(model, oracle, suite, [0.02, 0.05],
                        mode="sub-riemannian", alpha=3.0)
     assert rep.passed
 
@@ -359,8 +357,7 @@ def test_harnack_flat_saturation(euclid2):
     i0 = node_nearest(model, [0.0, 0.0])
     delta = np.zeros(model.n_nodes)
     delta[i0] = 1.0 / model.mu[i0]
-    rep = check_harnack(model, oracle, ExpmFlow(model),
-                        [NamedField("point-source", model.field(delta))],
+    rep = check_harnack(model, oracle, [NamedField("point-source", model.field(delta))],
                         [(i0, 0.05, i0, 0.1)])
     assert rep.passed
     assert abs(rep.samples[0]["margin"]) < 0.02   # matched scaling, near equality
@@ -370,18 +367,16 @@ def test_harnack_pairs_and_errors(sphere):
     model, oracle, spectral = sphere
     pairs = sample_harnack_pairs(model, 50, [0.1, 0.2], [0.1, 0.3], seed=1)
     suite = bump_fields(model, seed=1)
-    flow = ExpmFlow(model)
-    rep = check_harnack(model, oracle, flow, suite, pairs)
+    rep = check_harnack(model, oracle, suite, pairs)
     assert rep.passed
     with pytest.raises(ValueError):
-        check_harnack(model, oracle, flow, suite, [(0, 0.2, 1, 0.1)])
+        check_harnack(model, oracle, suite, [(0, 0.2, 1, 0.1)])
 
 
 def test_harnack_evaluates_each_oracle_field_once(monkeypatch):
     # a fresh model: the session fixtures' distance memos are already filled
     model, oracle = build_model(
         ModelSpec("euclidean", dim=2, resolution=16, extent=1.5))
-    flow = ExpmFlow(model)
     a, b, c, y1, y2 = (node_nearest(model, p) for p in
                        ([0.1, 0.2], [-0.3, 0.0], [0.2, -0.2], [0.0, 0.0], [0.3, 0.3]))
     pairs = [(x, 0.05, y, 0.1) for x, y in
@@ -394,10 +389,10 @@ def test_harnack_evaluates_each_oracle_field_once(monkeypatch):
         return real(model, oracle, source)
     monkeypatch.setattr(metric, "oracle_distance", counted)
     suite = bump_fields(model, seed=0)
-    first = check_harnack(model, oracle, flow, suite, pairs)
+    first = check_harnack(model, oracle, suite, pairs)
     assert calls == {y1: 1, y2: 1}
     # a second check on the same model reuses the fields
-    again = check_harnack(model, oracle, flow, suite, pairs)
+    again = check_harnack(model, oracle, suite, pairs)
     assert calls == {y1: 1, y2: 1}
     assert again.samples == first.samples
 
@@ -407,8 +402,7 @@ def test_kernel_bounds_flat(euclid2):
     i0 = node_nearest(model, [0, 0])
     near = [node_nearest(model, [0.2, 0.1]), node_nearest(model, [-0.15, 0.2])]
     pairs = [(i0, near[0], 0.05), (i0, near[1], 0.1)]
-    rep = check_kernel_bounds(model, oracle, spectral, engine=ExpmFlow(model),
-                              pair_sample=pairs, centers=[i0],
+    rep = check_kernel_bounds(model, oracle, spectral, pair_sample=pairs, centers=[i0],
                               radii=[0.3, 0.4, 0.5, 0.6],
                               equality_expected=True)
     assert rep.passed
@@ -426,8 +420,7 @@ def test_kernel_bounds_evaluates_each_kernel_once(monkeypatch, euclid2):
     pairs = [(i0, node_nearest(model, [0.2, 0.1]), 0.05), (i1, i0, 0.1),
              (i1, i1, 0.05)]
     radii = [0.3, 0.4, 0.5]
-    check_kernel_bounds(model, oracle, spectral, engine=ExpmFlow(model),
-                        pair_sample=pairs, centers=[i0, i1], radii=radii)
+    check_kernel_bounds(model, oracle, spectral, pair_sample=pairs, centers=[i0, i1], radii=radii)
     assert calls["heat_kernel_block"] == len(pairs) + 2 * 2 * len(radii)
 
 
@@ -573,21 +566,33 @@ def test_distance_sandwich_checks(sphere, heis):
 
 def test_kernel_laws_and_spectrum(torus1):
     model, oracle, spectral = torus1
-    from heatlab import CrankNicolson
-
-    rep = check_kernel_laws(model, spectral, engine=CrankNicolson(model), seed=0)
+    rep = check_kernel_laws(model, spectral, seed=0)
     assert rep.passed
     assert rep.metadata["cross_engine_sup_diff"] < 1e-4
     rep2 = check_spectrum(model, oracle, spectral, count=5, rtol=0.01)
     assert rep2.passed
 
 
+def test_a_check_that_gates_no_sample_does_not_pass(torus1):
+    # with nothing compared, min_margin would be +inf and the report a pass
+    model, oracle, spectral = torus1
+    with pytest.raises(NotApplicableError, match="^distance-sandwich gated no sample$"):
+        check_distance_sandwich(model, oracle, n_pairs=0)
+    with pytest.raises(NotApplicableError, match="^harnack-riemannian gated no sample$"):
+        check_harnack(model, oracle, bump_fields(model, seed=0), [])
+    # zip would cut the comparison at the retained pairs and still pass
+    with pytest.raises(NotApplicableError,
+                       match="^count: 65 exceeds the 64 retained pairs$"):
+        check_spectrum(model, oracle, spectral, count=65)
+    assert len(check_spectrum(model, oracle, spectral, count=64).samples) == 64
+
+
 def test_kernel_laws_with_the_campaign_flow(sphere):
-    # the campaign binds the exact flow; on a field in the span of the 300
+    # the check evolves by the exact flow; on a field in the span of the 300
     # retained pairs the eigen-expansion is exact too, so only roundoff
     # separates the routes
     model, _, spectral = sphere
-    rep = check_kernel_laws(model, spectral, engine=ExpmFlow(model), seed=0)
+    rep = check_kernel_laws(model, spectral, seed=0)
     assert rep.passed
     assert rep.metadata["cross_engine_sup_diff"] < 1e-10
 
@@ -598,7 +603,7 @@ def _least_margin(rep):
 
 def test_equilibrium_rate(sphere):
     model, _, spectral = sphere
-    rep = check_equilibrium_rate(model, spectral, ExpmFlow(model))
+    rep = check_equilibrium_rate(model, spectral)
     assert rep.passed
     assert rep.metadata["slope"] == pytest.approx(-spectral.eigenvalues[1], rel=0.03)
     assert rep.min_margin == _least_margin(rep)

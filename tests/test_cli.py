@@ -373,7 +373,7 @@ def test_plot_emission(tmp_path, sphere):
 
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)[:2]
-    rep = check_li_yau(model, oracle, ExpmFlow(model), suite, [0.25, 0.5],
+    rep = check_li_yau(model, oracle, suite, [0.25, 0.5],
                        mode="general-alpha", alpha=1.0)
     files = emit_plot_data(rep, "li-yau", str(tmp_path), "li-yau-sphere")
     assert os.path.basename(files[0]) == "li-yau-sphere-li-yau.csv"
@@ -446,7 +446,7 @@ def test_entropy_plot_slope_consistency(tmp_path, sphere):
 
     model, oracle, spectral = sphere
     suite = positive_fields(model, spectral)
-    rep = check_log_sobolev(model, oracle, ExpmFlow(model), suite)
+    rep = check_log_sobolev(model, oracle, suite)
     files = emit_plot_data(rep, "entropy", str(tmp_path), "log-sobolev-sphere")
     lines = open(files[0]).read().splitlines()
     slope_header = float(lines[0].split("=")[1])
@@ -508,17 +508,31 @@ def test_default_config_is_valid():
 
 
 def test_every_default_model_evolves_by_the_exact_flow(tmp_path):
-    # the engine takes the blocks route exactly on the models that carry a
+    # the flow takes the blocks route exactly on the models that carry a
     # structure marker, and every grid and sphere carries one: one that fell
     # back to the Chebyshev series would fail here
     cfg = default_config()
     for name, spec in cfg.models.items():
         ctx = cli.ModelContext(name, spec, str(tmp_path), cfg.seed,
                                k=cfg.spectral_k.get(name))
-        assert isinstance(ctx.engine, ExpmFlow) and ctx.engine is ctx.engine
+        flow = ExpmFlow(ctx.model)
         marked = "structure" in ctx.model.meta
         assert marked == (ctx.model.kind in ("euclidean", "torus", "sphere")), name
-        assert (ctx.engine._blocks is not None) == marked, name
+        assert (flow._blocks is not None) == marked, name
+        # the model keeps the flow's state, so a second flow shares it
+        assert ExpmFlow(ctx.model)._dm is flow._dm, name
+
+
+@pytest.mark.parametrize("argv", [["refinement_study.py"], ["memory_trace.py", SMALL_CFG]],
+                         ids=lambda argv: argv[0])
+def test_scripts_exit_0(tmp_path, argv):
+    # the scripts call the library directly, so a changed signature breaks them
+    scripts = os.path.join(os.path.dirname(__file__), "..", "scripts")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    run = subprocess.run([sys.executable, os.path.join(scripts, argv[0]), *argv[1:]],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert not os.listdir(tmp_path)
 
 
 SHIPPED_CFGS = sorted(glob.glob(os.path.join(os.path.dirname(SMALL_CFG), "*.cfg")))
@@ -565,6 +579,19 @@ TYPOS = [
     *[(MINI_CFG + f"checks.{kind}.check = {kind}\nchecks.{kind}.model = t\n"
        f"checks.{kind}.t_grid = [0.0, 0.1]\n", f"checks.{kind}.t_grid")
       for kind in ("li-yau", "gradient-bound", "completeness", "kernel-bounds")],
+    # a count of 0 (or less) would leave a check with no sample to gate
+    (MINI_CFG + "checks.ds.check = distance-sandwich\nchecks.ds.model = t\n"
+     "checks.ds.n_pairs = 0\n", "checks.ds.n_pairs"),
+    (MINI_CFG + "checks.h.check = harnack\nchecks.h.model = t\n"
+     "checks.h.n_pairs = -3\n", "checks.h.n_pairs"),
+    (MINI_CFG + "checks.sq.check = spectrum\nchecks.sq.model = t\n"
+     "checks.sq.count = 0\n", "checks.sq.count"),
+    (MINI_CFG + "checks.v.check = volume-doubling\nchecks.v.model = t\n"
+     "checks.v.radii = [-0.1, 0.2]\n", "checks.v.radii"),
+    (MINI_CFG + "checks.v.check = volume-doubling\nchecks.v.model = t\n"
+     "checks.v.shell_radii = [-1, 2]\n", "checks.v.shell_radii"),
+    (MINI_CFG + "checks.k.check = kernel-bounds\nchecks.k.model = t\n"
+     "checks.k.radii = [0.0, 0.2]\n", "checks.k.radii"),
     (MINI_CFG + "workers = many\n", "workers"),
     (MINI_CFG + "seed = 1.5\n", "seed"),
     (MINI_CFG + "sede = 3\n", "sede"),
@@ -650,6 +677,17 @@ def test_not_applicable_check_exits_2_with_one_line(tmp_path, capsys):
     assert err == ("configuration error: checks.k: t_grid: no interior node lies "
                    "2.4 sqrt(t) from the boundary at t = 1\n")
     assert not os.listdir(out)
+
+
+def test_spectrum_count_beyond_the_retained_pairs_exits_2(tmp_path, capsys):
+    # 32 retained pairs: a count of 200 would compare 32 and report 200
+    cfgfile = tmp_path / "sp.cfg"
+    cfgfile.write_text(MINI_CFG + "checks.sp.check = spectrum\nchecks.sp.model = t\n"
+                       "checks.sp.count = 200\n")
+    assert main(["campaign", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                 "--cache", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == ("configuration error: checks.sp: count: 200 "
+                                       "exceeds the 32 retained pairs\n")
 
 
 def _run_dir(path, digests, lhs):

@@ -90,7 +90,7 @@ def test_sphere_eigenfunction_cd_margin(sphere):
 
 
 def test_vertical_form_coordinate(heis):
-    model, _, _ = heis
+    model, _ = heis
     f = model.field(model.nodes[:, 2])
     gz = gamma_z(model, f).values
     interior = deep_interior(model, hops=1)

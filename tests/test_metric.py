@@ -32,7 +32,7 @@ def test_distance_field_is_the_closed_form_or_by_name_the_graph(request, name):
 def test_distance_field_without_a_closed_form_is_the_graph(heis):
     # the Heisenberg oracle has no closed-form distance: both calls read one
     # memoized graph field
-    model, oracle, _ = heis
+    model, oracle = heis
     assert oracle.exact_distance is None
     s = model.n_nodes // 2
     field = distance_field(model, oracle, s)
@@ -90,7 +90,7 @@ def test_dual_sphere_angle(sphere):
 
 
 def test_dual_graph_sandwich(torus1, euclid2, sphere, heis):
-    for model, oracle, _ in (torus1, euclid2, sphere, heis):
+    for model, oracle, *_ in (torus1, euclid2, sphere, heis):
         h = model.meta["h"]
         rng = np.random.default_rng(1)
         for _ in range(6):
@@ -372,7 +372,7 @@ def test_sphere_oracle_exact_at_both_ends(sphere):
 
 
 def test_subunit_dual_sandwich(heis):
-    model, oracle, _ = heis
+    model, oracle = heis
     i0 = node_nearest(model, [0, 0, 0])
     target = node_nearest(model, [0.0, 0.0, 0.0625])
     cert = dual_distance(model, oracle, target, i0)

@@ -138,7 +138,7 @@ def test_latitude_sphere_total_measure():
 
 
 def test_heisenberg_lattice_structure(heis):
-    model, oracle, _ = heis
+    model, oracle = heis
     # horizontal moves preserve the sublattice parity and stay in the box
     assert model.edge_form.n_edges > 0
     assert model.vertical_form.n_edges > 0

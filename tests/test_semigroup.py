@@ -1,11 +1,13 @@
 import collections
 import dataclasses
+import gc
 import json
 import os
 import struct
 import subprocess
 import sys
 import textwrap
+import weakref
 import zlib
 
 import numpy as np
@@ -34,22 +36,24 @@ from heatlab import (
     spectral_decompose,
 )
 from heatlab import semigroup
+from heatlab.checks import check_completeness
 from heatlab.cli import ModelContext
 from heatlab.semigroup import CACHE_MAGIC, canonical_basis
 from heatlab.models import exact_heat_kernel
+from heatlab.suites import sub_riemannian_suite
 
 
 def test_mass_conservation(sphere, torus1, heis):
     for bundle, t in ((sphere, 1.0), (torus1, 10.0)):
         model = bundle[0]
-        pt = apply_semigroup(model, ExpmFlow(model), model.constant(1.0), t)
+        pt = apply_semigroup(model, model.constant(1.0), t)
         assert np.max(np.abs(pt.values - 1.0)) < 1e-10
-    model, _, flow = heis
-    pt = apply_semigroup(model, flow, model.constant(1.0), 0.2)
+    model, _ = heis
+    pt = apply_semigroup(model, model.constant(1.0), 0.2)
     assert np.max(np.abs(pt.values - 1.0)) < 1e-10
     f = model.field(np.random.default_rng(3).standard_normal(model.n_nodes))
     mass = model.integrate(f)
-    assert abs(model.integrate(apply_semigroup(model, flow, f, 0.2)) - mass) \
+    assert abs(model.integrate(apply_semigroup(model, f, 0.2)) - mass) \
         < 1e-10 * model.integrate(np.abs(f.values))
 
 
@@ -57,19 +61,18 @@ def test_eigenfunction_decay(sphere):
     model, _, spectral = sphere
     phi1 = model.field(spectral.eigenfields[:, 1])
     t = 0.7
-    pt = apply_semigroup(model, ExpmFlow(model), phi1, t)
+    pt = apply_semigroup(model, phi1, t)
     expected = np.exp(-spectral.eigenvalues[1] * t) * phi1.values
     assert np.max(np.abs(pt.values - expected)) < 1e-10
 
 
 def test_time_zero_identity(torus1):
     model, _, _ = torus1
-    flow = ExpmFlow(model)
     rng = np.random.default_rng(0)
     f = model.field(rng.standard_normal(model.n_nodes))
-    assert np.array_equal(apply_semigroup(model, flow, f, 0.0).values, f.values)
+    assert np.array_equal(apply_semigroup(model, f, 0.0).values, f.values)
     with pytest.raises(ValueError):
-        apply_semigroup(model, flow, f, -0.1)
+        apply_semigroup(model, f, -0.1)
 
 
 def test_cross_engine_agreement(torus1, sphere, heis):
@@ -78,7 +81,7 @@ def test_cross_engine_agreement(torus1, sphere, heis):
     for model in (torus1[0], sphere[0], heis[0]):
         rng = np.random.default_rng(1)
         f = model.field(rng.standard_normal(model.n_nodes))
-        a = apply_semigroup(model, ExpmFlow(model), f, 0.1)
+        a = apply_semigroup(model, f, 0.1)
         b = CrankNicolson(model).evolve(f, 0.1)
         assert np.max(np.abs(a.values - b.values)) < 1e-4
 
@@ -92,7 +95,7 @@ def test_expm_flow_matches_dense_exponential():
     L = model.L.toarray()
     for t in (0.01, 0.2, 1.0):
         exact = sla.expm(t * L) @ f.values
-        got = apply_semigroup(model, flow, f, t).values
+        got = apply_semigroup(model, f, t).values
         assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
     assert np.array_equal(flow.evolve(f, 0.0).values, f.values)
     with pytest.raises(ValueError):
@@ -124,7 +127,8 @@ def test_bessel_recurrence_started_too_low_raises():
 
 @pytest.mark.parametrize("t", [0.01, 0.05, 0.25, 1.0])
 def test_heis_flow_matches_expm_multiply(heis, t):
-    model, _, flow = heis
+    model, _ = heis
+    flow = ExpmFlow(model)
     fv = np.random.default_rng(7).standard_normal(model.n_nodes)
     A, dm = semigroup._symmetrized(model)
     ref = dm * spla.expm_multiply(-t * A, fv / dm)     # reference only
@@ -169,7 +173,7 @@ def _assert_flow_matches_dense_exponential(model, monkeypatch):
     assert flow._blocks is not None
     for t in (0.01, 0.1, 1.0):
         exact = sla.expm(t * L) @ f.values
-        got = apply_semigroup(model, flow, f, t).values
+        got = apply_semigroup(model, f, t).values
         assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
 
 
@@ -260,6 +264,36 @@ def test_blocks_built_once_per_model(kind, dim, res, monkeypatch):
                               ref_flow.evolve(ref_model.field(f.values), 0.1).values)
 
 
+def test_chebyshev_operator_built_once_per_model(monkeypatch):
+    # an unmarked model keeps the flow's Chebyshev operator, however many
+    # checks evolve it, and not the flow: a flow holds its model, so a model
+    # that held it back would outlive its last reference
+    built = collections.Counter()
+    real = semigroup._symmetrized
+
+    def counted(model):
+        built["_symmetrized"] += 1
+        return real(model)
+    monkeypatch.setattr(semigroup, "_symmetrized", counted)
+    model, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=9, extent=1.25,
+                                     options={"z_extent": 0.15625}))
+    f = model.field(np.random.default_rng(2).standard_normal(model.n_nodes))
+    first = apply_semigroup(model, f, 0.1).values
+    check_completeness(model, [0.1, 0.2])
+    sub_riemannian_suite(model, seed=0)
+    equilibrium_error(model, f, 0.3)
+    assert built == {"_symmetrized": 1}
+    assert "_chebyshev" in model.derived and "_blocks" not in model.derived
+    assert np.array_equal(apply_semigroup(model, f, 0.1).values, first)
+    alive = weakref.ref(model)
+    gc.disable()
+    try:
+        del model, f
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("kind,res,marker,match", [
     ("sphere", 8, ("sphere", 7), "nodes"),
     ("sphere", 8, ("sphere", 9), "nodes"),
@@ -277,9 +311,8 @@ def test_semigroup_law(sphere):
     model, _, _ = sphere
     rng = np.random.default_rng(2)
     f = model.field(rng.standard_normal(model.n_nodes))
-    flow = ExpmFlow(model)
-    a = apply_semigroup(model, flow, apply_semigroup(model, flow, f, 0.3), 0.2)
-    b = apply_semigroup(model, flow, f, 0.5)
+    a = apply_semigroup(model, apply_semigroup(model, f, 0.3), 0.2)
+    b = apply_semigroup(model, f, 0.5)
     assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
@@ -287,7 +320,7 @@ def test_positivity_and_submarkov(sphere):
     model, _, _ = sphere
     rng = np.random.default_rng(3)
     f = model.field(rng.uniform(0.0, 1.0, model.n_nodes))
-    pt = apply_semigroup(model, ExpmFlow(model), f, 0.2).values
+    pt = apply_semigroup(model, f, 0.2).values
     assert pt.min() > -1e-8
     assert pt.max() < 1 + 1e-8
 
@@ -296,7 +329,7 @@ def test_lp_contraction(sphere):
     model, _, _ = sphere
     rng = np.random.default_rng(4)
     f = model.field(rng.standard_normal(model.n_nodes))
-    pt = apply_semigroup(model, ExpmFlow(model), f, 0.3)
+    pt = apply_semigroup(model, f, 0.3)
     for p in (1, 2, np.inf):
         assert model.norm(pt, p) <= model.norm(f, p) * (1 + 1e-10)
 
@@ -388,13 +421,12 @@ def test_reproducing_kernel_reproduces_cluster_span(sphere):
 def test_equilibrium(sphere):
     model, _, spectral = sphere
     phi1 = model.field(spectral.eigenfields[:, 1])
-    flow = ExpmFlow(model)
-    rate = equilibrium_rate(model, flow, phi1, np.linspace(0.5, 2.0, 7))
+    rate = equilibrium_rate(model, phi1, np.linspace(0.5, 2.0, 7))
     assert rate == pytest.approx(-2.0, rel=0.03)
-    assert equilibrium_error(model, flow, model.constant(2.0), 0.5) < 1e-10
+    assert equilibrium_error(model, model.constant(2.0), 0.5) < 1e-10
     rng = np.random.default_rng(5)
     f = model.field(rng.standard_normal(model.n_nodes))
-    assert equilibrium_error(model, flow, f, 20.0) < 1e-8
+    assert equilibrium_error(model, f, 20.0) < 1e-8
 
 
 def test_neumann_restrict_identity_and_errors(torus1):
@@ -731,7 +763,7 @@ def test_richardson_stepper_refines(torus1):
     # by 6.9e-7: within 1e-6, but 700 times 1e-9
     fine = CrankNicolson(model, base_steps=4, max_doublings=6,
                          richardson_tol=1e-6).evolve(f, 0.5)
-    exact = apply_semigroup(model, ExpmFlow(model), f, 0.5)
+    exact = apply_semigroup(model, f, 0.5)
     err_c = np.max(np.abs(coarse.values - exact.values))
     err_f = np.max(np.abs(fine.values - exact.values))
     assert err_f < err_c / 10
