@@ -11,10 +11,10 @@ report it prints the verdict on both sides and the largest move of
 every changed verdict is marked.  Samples pair by position, so a report
 whose sample count changed moves by inf; its line gives the counts and the
 signed move of ``min_margin`` instead.  When A and B are both output
-directories it also counts the reports whose files are byte-identical
-once ``metadata.config_digest`` is blanked, and names the others, each
-with the top-level keys whose values differ and, inside ``metadata``, the
-metadata keys (``harnack-heis (metadata.distance)``).  The exit code is 1
+directories it also counts the reports whose files are byte-identical,
+and names the others, each with the top-level keys whose values differ
+and, inside ``metadata``, the metadata keys
+(``harnack-heis (metadata.distance)``).  The exit code is 1
 when a verdict changed or a report is missing on one side, else 0.
 
 ``--save`` writes the digest of the output directory RUN to DIGEST.
@@ -24,7 +24,6 @@ that moved, and why, with the change that does it.
 import argparse
 import json
 import os
-import re
 import sys
 
 from heatlab.reports import compare_digests, run_digest
@@ -38,28 +37,26 @@ def load(path):
 
 
 def report_bytes(run, name):
-    """The bytes of report ``name`` in ``run`` with its config digest
-    blanked (None when the file is missing)."""
+    """The bytes of report ``name`` in ``run`` (None when the file is
+    missing)."""
     path = os.path.join(run, f"{name}.json")
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
-        return re.sub(rb'"config_digest": "[^"]*"', b'"config_digest": ""', fh.read())
+        return fh.read()
 
 
 def differing_keys(run_a, run_b, name):
     """The keys whose values differ between report ``name`` of ``run_a`` and
-    of ``run_b``: top-level keys, and ``metadata.<key>`` inside the metadata
-    (its ``config_digest`` left out).  Empty when a side is missing."""
+    of ``run_b``: top-level keys, and ``metadata.<key>`` inside the metadata.
+    Empty when a side is missing."""
     reps = []
     for run in (run_a, run_b):
         path = os.path.join(run, f"{name}.json")
         if not os.path.exists(path):
             return []
         with open(path) as fh:
-            rep = json.load(fh)
-        rep.get("metadata", {}).pop("config_digest", None)
-        reps.append(rep)
+            reps.append(json.load(fh))
     a, b = reps
     keys = []
     for key in sorted(a.keys() | b.keys()):
@@ -106,8 +103,7 @@ def main():
     if all(os.path.isdir(run) for run in args.runs):
         differ = [name for name, *_ in rows
                   if report_bytes(args.runs[0], name) != report_bytes(args.runs[1], name)]
-        print(f"{len(rows) - len(differ)} of {len(rows)} reports byte-identical "
-              "apart from config_digest")
+        print(f"{len(rows) - len(differ)} of {len(rows)} reports byte-identical")
         for name in differ:
             keys = differing_keys(args.runs[0], args.runs[1], name)
             print(f"  differs: {name}" + (f" ({', '.join(keys)})" if keys else ""))

@@ -506,13 +506,15 @@ def check_li_yau(model, oracle, suite, t_grid=(0.05, 0.1, 0.2),
             raise NotApplicableError(
                 "sub-riemannian mode needs CD parameters and a vertical form")
         if alpha is None or alpha <= 2:
-            raise ValueError("sub-riemannian mode needs alpha > 2")
+            raise NotApplicableError(f"alpha: sub-riemannian mode needs alpha > 2, "
+                                     f"got {alpha}")
     samples, scale = [], 0.0
     sat_worst = {}
     meta = {"mode": mode, "alpha": alpha, "rho": rho, "n": n}
     for t in t_grid:
         if mode == "bakry-qian" and t < 2 / rho - 1e-12:
-            raise ValueError(f"bakry-qian needs t >= 2/rho = {2 / rho:g}")
+            raise NotApplicableError(f"t_grid: bakry-qian mode needs t >= 2/rho "
+                                     f"= {2 / rho:g}, got {t:g}")
         idx = _mask_indices(model, interior_for_time(model, t))
         for nf in suite:
             f, eps = eps_shift(model, nf.field) if np.min(nf.field.values) < 0 \
@@ -520,7 +522,8 @@ def check_li_yau(model, oracle, suite, t_grid=(0.05, 0.1, 0.2),
             u = apply_semigroup(model, f, t)
             uv = u.values
             if np.min(uv[idx]) <= 0:
-                raise ValueError(f"P_t {nf.name} not positive on the interior")
+                raise NotApplicableError(f"P_t {nf.name} not positive on the interior "
+                                         f"at t = {t:g}")
             lu_over_u = (model.L @ uv) / uv
             if mode == "bakry-qian":
                 lhs = lu_over_u[idx]
@@ -752,9 +755,8 @@ def check_volume_regularity(model, oracle, centers, radii,
         df = distance_field(model, oracle, x)
         safe = float(df.values[model.boundary_mask].min(initial=np.inf))
         if np.isfinite(safe) and 2 * radii.max() > safe:
-            raise ValueError(
-                f"radii reach the truncation boundary (safe range {safe:g})"
-            )
+            raise NotApplicableError(
+                f"radii reach the truncation boundary (safe range {safe:g})")
         vols = ball_volumes(model, df.values, all_r)
         slopes.append(volume_growth_exponent(all_r, vols))
         vol = dict(zip(all_r, vols))

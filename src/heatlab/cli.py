@@ -8,8 +8,9 @@ its last check, so at most one model's build, caches, flow and spectrum is
 alive at a time; the reports, the summaries and the ``FAILED:`` list keep
 config order.  ``heatlab report`` turns a report into a CSV series and a
 static SVG plot.  Reports contain no timestamps or environment data, so reruns at
-a fixed seed are byte-identical.  A rerun reuses a report only when both
-its config and the heatlab sources are unchanged (``config_digest``).
+a fixed seed are byte-identical.  Every run computes each report it
+writes; the spectral cache (``cache_dir``) is the only state kept between
+runs.
 
 Each check id is declared once in ``CHECK_KINDS``: its check function and
 the config keys it accepts with their types.  Defaults, default tolerances
@@ -40,7 +41,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import inspect
 import json
 import os
@@ -58,8 +58,6 @@ from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
 from .semigroup import cached_decompose, neumann_restrict
 from . import suites as S
-
-CONFIG_SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -294,27 +292,6 @@ def _check_options(cfg, name, spec) -> dict:
     return opts
 
 
-@functools.cache
-def _source_digest() -> str:
-    """Digest of the package's source files: a report made by other code is
-    not reused."""
-    h = hashlib.sha256()
-    here = os.path.dirname(os.path.abspath(__file__))
-    for name in sorted(os.listdir(here)):
-        if name.endswith(".py"):
-            with open(os.path.join(here, name), "rb") as fh:
-                h.update(name.encode() + b"\0" + fh.read())
-    return h.hexdigest()
-
-
-def config_digest(cfg: CampaignConfig, name: str, spec: dict) -> str:
-    payload = json.dumps(
-        {"schema": CONFIG_SCHEMA_VERSION, "code": _source_digest(),
-         "seed": cfg.seed, "check": spec, "model": cfg.models[spec["model"]].__dict__},
-        sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # model contexts
 
@@ -429,7 +406,7 @@ def _bind_li_yau(ctx, opts, seed):
     if kind == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
         return {"suite": suite + S.rectified_noise_fields(model, n=1, seed=seed)}
-    return {"suite": _SUITES[kind](ctx, seed)}
+    return {"suite": _SUITES["positive"](ctx, seed)}
 
 
 def _bind_harnack(ctx, opts, seed):
@@ -536,11 +513,12 @@ CHECK_KINDS = {
     "equilibrium-rate": CheckKind(C.check_equilibrium_rate),
     "li-yau": CheckKind(C.check_li_yau, {"mode": _choice("rho0", "general-alpha", "exponential",
                                                          "bakry-qian", "sub-riemannian"),
-                                         "suite": _choice("delta", *_SUITES), "t_grid": _times,
+                                         "suite": _choice("delta", "positive", "sub-riemannian"),
+                                         "t_grid": _times,
                                          "alpha": _float}, bind=_bind_li_yau),
     "harnack": CheckKind(C.check_harnack, {"mode": _choice("riemannian", "sub-riemannian"),
                                            "suite": _choice("delta"), "n_pairs": _count,
-                                           "s_grid": _floats, "gap_grid": _floats},
+                                           "s_grid": _times, "gap_grid": _times},
                          bind=_bind_harnack),
     "kernel-bounds": CheckKind(C.check_kernel_bounds, {"equality_expected": _bool,
                                                        "radii": _radii, "t_grid": _times},
@@ -718,15 +696,6 @@ def _check_spectral_k(ctx: ModelContext, where: str) -> None:
                           f"nodes of model {ctx.name!r}, got {ctx.k}")
 
 
-def _stored_report(path, digest):
-    """The report at ``path`` if it was made from this config and code."""
-    try:
-        prev = MarginReport.load(path)
-    except (OSError, ValueError, KeyError):
-        return None
-    return prev if prev.metadata.get("config_digest") == digest else None
-
-
 def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
     """Run the checks (all, or those named in ``only``) and write their
     reports; a full run also writes ``summary.csv`` and ``summary.txt``.
@@ -756,20 +725,13 @@ def run_campaign(cfg: CampaignConfig, only=None, log=print) -> int:
         one = {model_name: ctxs.pop(model_name)}
         for name in group:
             spec = cfg.checks[name]
-            digest = config_digest(cfg, name, spec)
-            path = os.path.join(cfg.output_dir, f"{name}.json")
-            rep = _stored_report(path, digest)
-            cached = rep is not None
-            if not cached:
-                try:
-                    rep = CHECK_RUNNERS[spec["check"]](one, spec, cfg, name)
-                except NotApplicableError as exc:
-                    raise ConfigError(f"checks.{name}: {exc}") from None
-                rep.metadata["config_digest"] = digest
-                rep.save(path)
+            try:
+                rep = CHECK_RUNNERS[spec["check"]](one, spec, cfg, name)
+            except NotApplicableError as exc:
+                raise ConfigError(f"checks.{name}: {exc}") from None
+            rep.save(os.path.join(cfg.output_dir, f"{name}.json"))
             results[name] = rep
-            log(f"[{rep.verdict:4s}] {name:34s} min_margin={rep.min_margin:+.3e}"
-                f"{' (cached)' if cached else ''}")
+            log(f"[{rep.verdict:4s}] {name:34s} min_margin={rep.min_margin:+.3e}")
         del one           # the model goes before the next group builds its own
     if only is None:    # a partial run leaves the summaries of the full one
         rows = [["check", "model", "verdict", "min_margin", "tol_abs", "tol_rel",

@@ -332,7 +332,8 @@ def test_li_yau_errors(euclid2, sphere):
     with pytest.raises(NotApplicableError):
         check_li_yau(model, oracle, suite, [1.0], mode="bakry-qian")
     smodel, soracle, sspectral = sphere
-    with pytest.raises(ValueError):
+    with pytest.raises(NotApplicableError, match="^t_grid: bakry-qian mode needs t >= "
+                       "2/rho = 2, got 0.5$"):
         check_li_yau(smodel, soracle, positive_fields(smodel, sspectral)[:1], [0.5],
                      mode="bakry-qian")   # t < 2/rho
 
@@ -432,7 +433,7 @@ def test_volume_doubling(euclid2, sphere):
                                   tolerance=Tolerance(1e-12, 0.0))
     assert rep.passed
     assert rep.metadata["oracle_small_ratio"] == pytest.approx(4.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotApplicableError):
         check_volume_regularity(model, oracle, [i0], [1.0])   # hits the wall
 
     smodel, soracle, _ = sphere
@@ -460,7 +461,7 @@ def test_volume_radii_reaching_the_boundary_raise(route):
     assert (oracle.exact_distance is not None) == (route == "oracle")
     x = node_nearest(model, np.zeros(model.nodes.shape[1]))
     safe = float(model.metric_distance_to_boundary()[x])
-    with pytest.raises(ValueError, match=rf"^radii reach the truncation boundary "
+    with pytest.raises(NotApplicableError, match=rf"^radii reach the truncation boundary "
                        rf"\(safe range {safe:g}\)$"):
         check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe + 1e-9])
     rep = check_volume_regularity(model, oracle, [x], [0.2, 0.5 * safe])

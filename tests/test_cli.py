@@ -97,18 +97,28 @@ def _mini_config(tmp_path, seed=11):
     return cfg
 
 
-def test_mini_campaign_and_resume(tmp_path):
+def _read_all(out):
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+def test_mini_campaign_rerun_is_byte_identical(tmp_path):
     cfg = _mini_config(str(tmp_path))
     assert run_campaign(cfg, log=lambda *a: None) == 0
     out = os.listdir(cfg.output_dir)
     assert "summary.csv" in out and "ax.json" in out
     rep = MarginReport.load(os.path.join(cfg.output_dir, "ax.json"))
     assert rep.passed
-    # resumable: completed pairs are reused (results identical)
-    before = open(os.path.join(cfg.output_dir, "ax.json"), "rb").read()
-    assert run_campaign(cfg, log=lambda *a: None) == 0
-    after = open(os.path.join(cfg.output_dir, "ax.json"), "rb").read()
-    assert before == after
+    # a rerun into the same directory computes every report again and
+    # writes the same bytes
+    before = _read_all(cfg.output_dir)
+    lines = []
+    assert run_campaign(cfg, log=lines.append) == 0
+    assert len(lines) == len(cfg.checks)
+    assert _read_all(cfg.output_dir) == before
 
 
 def test_campaign_failure_exit_code(tmp_path):
@@ -124,7 +134,7 @@ def test_campaign_reruns_on_config_change(tmp_path):
     cfg2 = _mini_config(str(tmp_path), seed=12)   # same dirs, new seed
     assert run_campaign(cfg2, log=lambda *a: None) == 0
     d2 = MarginReport.load(os.path.join(cfg2.output_dir, "ax.json"))
-    assert d1.metadata["config_digest"] != d2.metadata["config_digest"]
+    assert d1.dumps() != d2.dumps()
 
 
 def test_main_exit_codes(tmp_path):
@@ -349,19 +359,23 @@ def test_checks_run_grouped_by_model_and_each_model_is_dropped(tmp_path, monkeyp
                 assert fh.read() == gh.read(), name
 
 
-def test_reports_are_rerun_after_a_code_change(tmp_path, monkeypatch):
-    cfg = _mini_config(str(tmp_path))
+def test_hand_edited_report_is_overwritten_on_rerun(tmp_path):
+    # a report file on disk never stands in for the check: a rerun into the
+    # same directory computes it again and replaces the edited file
+    cfg = CampaignConfig.from_dict(load_config_file(SMALL_CFG))
+    cfg.output_dir = str(tmp_path / "out")
+    cfg.cache_dir = str(tmp_path / "cache")
     assert run_campaign(cfg, log=lambda *a: None) == 0
-    path = os.path.join(cfg.output_dir, "ax.json")
-    before = MarginReport.load(path).metadata["config_digest"]
+    before = _read_all(cfg.output_dir)
+    path = os.path.join(cfg.output_dir, "gap-sphere.json")
+    edited = MarginReport.load(path)
+    edited.min_margin = -1.0
+    edited.save(path)
+    assert not MarginReport.load(path).passed
     lines = []
     assert run_campaign(cfg, log=lines.append) == 0
-    assert all("(cached)" in line for line in lines)
-    monkeypatch.setattr(cli, "_source_digest", lambda: "other sources")
-    lines.clear()
-    assert run_campaign(cfg, log=lines.append) == 0
-    assert lines and not any("(cached)" in line for line in lines)
-    assert MarginReport.load(path).metadata["config_digest"] != before
+    assert not any("FAILED" in line for line in lines)
+    assert _read_all(cfg.output_dir) == before
 
 
 def test_plot_emission(tmp_path, sphere):
@@ -592,6 +606,16 @@ TYPOS = [
      "checks.v.shell_radii = [-1, 2]\n", "checks.v.shell_radii"),
     (MINI_CFG + "checks.k.check = kernel-bounds\nchecks.k.model = t\n"
      "checks.k.radii = [0.0, 0.2]\n", "checks.k.radii"),
+    # s = 0 divides by zero and a gap of 0 makes s = t; li-yau needs a
+    # positive suite, which eps_shift cannot make of an eigenfield or a
+    # coordinate
+    (MINI_CFG + "checks.h.check = harnack\nchecks.h.model = t\n"
+     "checks.h.s_grid = [-0.1]\n", "checks.h.s_grid"),
+    (MINI_CFG + "checks.h.check = harnack\nchecks.h.model = t\n"
+     "checks.h.gap_grid = [0.0]\n", "checks.h.gap_grid"),
+    *[(MINI_CFG + f"checks.{name}.check = li-yau\nchecks.{name}.model = t\n"
+       f"checks.{name}.suite = {suite}\n", f"checks.{name}.suite")
+      for name, suite in (("le", "eigen"), ("lc", "coordinate"))],
     (MINI_CFG + "workers = many\n", "workers"),
     (MINI_CFG + "seed = 1.5\n", "seed"),
     (MINI_CFG + "sede = 3\n", "sede"),
@@ -663,20 +687,39 @@ def test_kernel_bounds_t_grid_beyond_the_interior_is_not_applicable():
         cli._bind_kernel_bounds(ctx, {"t_grid": [1.0]}, 0)
 
 
+BOX16 = ("models.b.kind = euclidean\nmodels.b.dim = 2\nmodels.b.resolution = 16\n"
+         "models.b.extent = {extent}\n")
+SPHERE16 = "models.s.kind = sphere\nmodels.s.resolution = 16\n"
+HEIS9 = "models.h.kind = heisenberg\nmodels.h.dim = 3\nmodels.h.resolution = 9\n"
+# (config, the one line on stderr after "configuration error: ")
+NOT_APPLICABLE = [
+    (BOX16.format(extent=1.0) + "models.b.spectral_k = 50\n"
+     "checks.k.check = kernel-bounds\nchecks.k.model = b\nchecks.k.t_grid = [1.0]\n",
+     "checks.k: t_grid: no interior node lies 2.4 sqrt(t) from the boundary at t = 1"),
+    (BOX16.format(extent=1.5) + "checks.v.check = volume-doubling\nchecks.v.model = b\n"
+     "checks.v.radii = [0.8]\n",
+     "checks.v: radii reach the truncation boundary (safe range 1.3125)"),
+    (BOX16.format(extent=1.5) + "checks.l.check = li-yau\nchecks.l.model = b\n"
+     "checks.l.suite = delta\nchecks.l.t_grid = [0.001]\n",
+     "checks.l: P_t point-source not positive on the interior at t = 0.001"),
+    (SPHERE16 + "checks.l.check = li-yau\nchecks.l.model = s\n"
+     "checks.l.mode = bakry-qian\nchecks.l.t_grid = [0.5]\n",
+     "checks.l: t_grid: bakry-qian mode needs t >= 2/rho = 2, got 0.5"),
+    (HEIS9 + "checks.l.check = li-yau\nchecks.l.model = h\n"
+     "checks.l.mode = sub-riemannian\nchecks.l.suite = sub-riemannian\n",
+     "checks.l: alpha: sub-riemannian mode needs alpha > 2, got None"),
+]
+
+
 def test_not_applicable_check_exits_2_with_one_line(tmp_path, capsys):
-    cfgfile = tmp_path / "na.cfg"
-    cfgfile.write_text("models.b.kind = euclidean\nmodels.b.dim = 2\n"
-                       "models.b.resolution = 16\nmodels.b.extent = 1.0\n"
-                       "models.b.spectral_k = 50\n"
-                       "checks.k.check = kernel-bounds\nchecks.k.model = b\n"
-                       "checks.k.t_grid = [1.0]\n")
-    out = tmp_path / "o"
-    assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
-                 "--cache", str(tmp_path / "c")]) == 2
-    err = capsys.readouterr().err
-    assert err == ("configuration error: checks.k: t_grid: no interior node lies "
-                   "2.4 sqrt(t) from the boundary at t = 1\n")
-    assert not os.listdir(out)
+    for i, (text, message) in enumerate(NOT_APPLICABLE):
+        cfgfile = tmp_path / f"na{i}.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / f"o{i}"
+        assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                     "--cache", str(tmp_path / "c")]) == 2, message
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not os.listdir(out)
 
 
 def test_spectrum_count_beyond_the_retained_pairs_exits_2(tmp_path, capsys):
@@ -690,11 +733,11 @@ def test_spectrum_count_beyond_the_retained_pairs_exits_2(tmp_path, capsys):
                                        "exceeds the 32 retained pairs\n")
 
 
-def _run_dir(path, digests, lhs):
-    for name, digest in zip("ab", digests):
+def _run_dir(path, lhs):
+    for name in "ab":
         rep = MarginReport(name, "m", [{"lhs": lhs, "rhs": 1.0, "margin": 1.0 - lhs}],
                            min_margin=1.0 - lhs, tolerance=Tolerance(0.0),
-                           metadata={"config_digest": digest, "n": 3})
+                           metadata={"n": 3})
         rep.save(str(path / f"{name}.json"))
     return str(path)
 
@@ -709,12 +752,12 @@ def test_compare_runs_counts_byte_identical_reports(tmp_path):
         assert run.returncode == 0, run.stderr
         return run.stdout.splitlines()
 
-    a = _run_dir(tmp_path / "a", ["0123", "4567"], 0.25)
-    b = _run_dir(tmp_path / "b", ["89ab", "cdef"], 0.25)
-    assert compare(a, b)[-1] == "2 of 2 reports byte-identical apart from config_digest"
+    a = _run_dir(tmp_path / "a", 0.25)
+    b = _run_dir(tmp_path / "b", 0.25)
+    assert compare(a, b)[-1] == "2 of 2 reports byte-identical"
     # a report whose sample count changed shows the counts and how far its
     # min_margin moved, not an unpaired inf
-    a3 = _run_dir(tmp_path / "a3", ["0123", "4567"], 0.25)
+    a3 = _run_dir(tmp_path / "a3", 0.25)
     rep = MarginReport.load(os.path.join(a3, "a.json"))
     rep.samples.append({"lhs": 0.5, "rhs": 1.0, "margin": 0.5})
     rep.min_margin = 0.5
@@ -724,14 +767,14 @@ def test_compare_runs_counts_byte_identical_reports(tmp_path):
                                 "min_margin", "-0.25"]
     assert lines[2].split() == ["b", "pass", "->", "pass", "0"]
     # one byte differs in b's second report: "n": 3 -> "n": 4; no margin moves
-    a2 = _run_dir(tmp_path / "a2", ["0123", "4567"], 0.25)
+    a2 = _run_dir(tmp_path / "a2", 0.25)
     path = os.path.join(a2, "b.json")
     text = open(path).read()
     with open(path, "w") as fh:
         fh.write(text.replace('"n": 3', '"n": 4'))
     assert compare(a2, b)[-3:] == [
         "2 reports, 0 changed verdicts, largest move 0 of scale (a)",
-        "1 of 2 reports byte-identical apart from config_digest",
+        "1 of 2 reports byte-identical",
         "  differs: b (metadata.n)"]
 
 
