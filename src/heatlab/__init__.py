@@ -2,8 +2,9 @@
 
 Model spaces (boxes, tori, spheres, the Heisenberg group lattice) are
 finite weighted graphs whose Laplacians are self-adjoint by construction;
-eigensolvers, the exact heat flow and a reference time stepper,
-intrinsic distances, and a suite of quantitative margin checks
+eigensolvers and the exact heat flow (``apply_semigroup``), each a
+function of the model alone, a reference time stepper, intrinsic
+distances, and a suite of quantitative margin checks
 (curvature-dimension, gradient bounds, Li-Yau, Harnack, Gaussian kernel
 bounds, doubling, Poincare, log-Sobolev, Sobolev, diameter) sit on top.
 """
@@ -44,7 +45,6 @@ from .reports import MarginReport, Tolerance
 from .checks import check_operator_axioms
 from .semigroup import (
     CrankNicolson,
-    ExpmFlow,
     SpectralData,
     apply_semigroup,
     eigenvalue_clusters,

@@ -8,9 +8,10 @@ margin is rhs - lhs unless the check passes another as ``margin=``.  Margins
 of multiplicative inequalities (Harnack, kernel bounds, Sobolev norms) are
 normalized per sample; additive pointwise margins carry a recorded scale.
 Every sample compares two sides and every one is gated; a check left with
-no sample raises ``NotApplicableError`` rather than pass.  Values a check
-records without comparing them (per-radius ball volumes, say) go into the
-report's metadata, as ``series`` rows named by ``series_columns``.
+no sample, or with a non-finite lhs, rhs or margin (an overflowed side is
+no comparison), raises ``NotApplicableError`` rather than pass.  Values a
+check records without comparing them (per-radius ball volumes, say) go
+into the report's metadata, as ``series`` rows named by ``series_columns``.
 
 Saturation witnesses are first-class: where an inequality is sharp the
 check also verifies the margin is close to zero, not merely nonnegative.
@@ -56,6 +57,12 @@ from .suites import NamedField, eps_shift
 def _report(check_id, model_id, samples, tolerance, scale=1.0, metadata=None):
     if not samples:
         raise NotApplicableError(f"{check_id} gated no sample")
+    sides = ("lhs", "rhs", "margin")
+    for s in samples:
+        if not all(np.isfinite(s[k]) for k in sides):
+            where = ", ".join(f"{k}={v}" for k, v in s.items() if k not in sides)
+            bad = ", ".join(f"{k}={s[k]}" for k in sides if not np.isfinite(s[k]))
+            raise NotApplicableError(f"{check_id} sample {where} is not finite: {bad}")
     return MarginReport(
         check_id=check_id,
         model_id=model_id,
@@ -469,6 +476,27 @@ def harnack_dimension(alpha: float, kappa: float, rho2: float, n: float) -> floa
     return n * (alpha - 1) ** 2 * (1 + alpha * kappa / ((alpha - 1) * rho2)) / (4 * (alpha - 2))
 
 
+def _positive_flow(model, nf: NamedField):
+    """(eps, flow): the heat flow of suite field ``nf`` as a positive solution.
+
+    A field that dips below 0 is shifted by ``eps_shift`` first (eps = 0
+    otherwise).  ``flow(t, idx, where)`` is P_t f at every node, evolved
+    once per t; it raises ``NotApplicableError`` unless P_t f is positive
+    at the nodes ``idx`` that the check reads, named by ``where``.
+    """
+    f, eps = eps_shift(model, nf.field) if nf.field.values.min() < 0 else (nf.field, 0.0)
+    evolved = {}
+
+    def flow(t, idx, where):
+        if t not in evolved:
+            evolved[t] = apply_semigroup(model, f, t).values
+        u = evolved[t]
+        if np.min(u[idx]) <= 0:
+            raise NotApplicableError(f"P_t {nf.name} not positive {where} at t = {t:g}")
+        return u
+    return eps, flow
+
+
 def _li_yau_rhs(mode, t, rho, n, lu_over_u, alpha=None):
     if mode == "rho0":
         return lu_over_u + n / (2 * t)
@@ -487,7 +515,7 @@ def check_li_yau(model, oracle, suite, t_grid=(0.05, 0.1, 0.2),
                  mode: str = "rho0", alpha: float | None = None,
                  tolerance: Tolerance = Tolerance(1e-12, 0.03, mesh_order=2),
                  saturation_fields=(), saturation_rtol: float = 0.01) -> MarginReport:
-    """Gradient-of-logarithm estimates for positive solutions.
+    """Gradient-of-logarithm estimates for positive solutions (``_positive_flow``).
 
     Modes: ``rho0`` (sharp flat-space form), ``general-alpha``,
     ``exponential``, ``bakry-qian`` (needs rho > 0 and t >= 2/rho), and
@@ -511,19 +539,14 @@ def check_li_yau(model, oracle, suite, t_grid=(0.05, 0.1, 0.2),
     samples, scale = [], 0.0
     sat_worst = {}
     meta = {"mode": mode, "alpha": alpha, "rho": rho, "n": n}
+    flows = [(nf, *_positive_flow(model, nf)) for nf in suite]
     for t in t_grid:
         if mode == "bakry-qian" and t < 2 / rho - 1e-12:
             raise NotApplicableError(f"t_grid: bakry-qian mode needs t >= 2/rho "
                                      f"= {2 / rho:g}, got {t:g}")
         idx = _mask_indices(model, interior_for_time(model, t))
-        for nf in suite:
-            f, eps = eps_shift(model, nf.field) if np.min(nf.field.values) < 0 \
-                else (nf.field, 0.0)
-            u = apply_semigroup(model, f, t)
-            uv = u.values
-            if np.min(uv[idx]) <= 0:
-                raise NotApplicableError(f"P_t {nf.name} not positive on the interior "
-                                         f"at t = {t:g}")
+        for nf, eps, flow in flows:
+            uv = flow(t, idx, "on the interior")
             lu_over_u = (model.L @ uv) / uv
             if mode == "bakry-qian":
                 lhs = lu_over_u[idx]
@@ -562,7 +585,7 @@ def check_harnack(model, oracle, suite, pair_sample,
                   mode: str = "riemannian",
                   tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                   ) -> MarginReport:
-    """Two-point Harnack comparisons of positive solutions.
+    """Two-point Harnack comparisons of positive solutions (``_positive_flow``).
 
     ``pair_sample`` is a list of (x, s, y, t) with s < t.  The Riemannian
     form uses K = max(0, -rho); the sub-Riemannian form uses the effective
@@ -586,23 +609,18 @@ def check_harnack(model, oracle, suite, pair_sample,
 
     samples = []
     for nf in suite:
-        f, eps = eps_shift(model, nf.field) if np.min(nf.field.values) < 0 \
-            else (nf.field, 0.0)
-        cache = {}
-
-        def u(node, t):
-            if t not in cache:
-                cache[t] = apply_semigroup(model, f, t).values
-            return float(cache[t][node])
-
+        _, flow = _positive_flow(model, nf)
         for (x, s, y, t), d in zip(pair_sample, dists):
             if not s < t:
                 raise ValueError("harnack pairs need s < t")
-            lhs = u(x, s)
-            rhs = (u(y, t) * (t / s) ** (dim_exp / 2)
-                   * np.exp(gauss * d**2 / (4 * (t - s))
-                            + K * d**2 / 6 + n * K * (t - s) / 4))
-            samples.append(_row(lhs, rhs, margin=_norm_margin(lhs, rhs), field=nf.name,
+            lhs = float(flow(s, x, f"at x = {x}")[x])
+            uy = float(flow(t, y, f"at y = {y}")[y])
+            with np.errstate(over="ignore", invalid="ignore"):   # see ``_report``
+                rhs = (uy * (t / s) ** (dim_exp / 2)
+                       * np.exp(gauss * d**2 / (4 * (t - s))
+                                + K * d**2 / 6 + n * K * (t - s) / 4))
+                margin = _norm_margin(lhs, rhs)
+            samples.append(_row(lhs, rhs, margin=margin, field=nf.name,
                                 x=int(x), s=float(s), y=int(y), t=float(t), d=d))
     return _report(f"harnack-{mode}", model.model_id, samples, tolerance,
                    scale=1.0, metadata=meta)
@@ -811,7 +829,7 @@ def check_volume_regularity(model, oracle, centers, radii,
 
 
 def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2,
-                           expected_product: float | None = None, seed: int = 0,
+                           expected_product: float | None = None,
                            tolerance: Tolerance = Tolerance(1e-12, 0.02, mesh_order=2)
                            ) -> MarginReport:
     """lambda_1(Neumann) >= constant / diam^2 on a restricted domain.
@@ -820,7 +838,7 @@ def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2
     converges to the optimal constant from below.  An ``expected_product``
     must be met within 1%.
     """
-    sd = spectral_decompose(submodel, k=min(4, submodel.n_nodes), seed=seed)
+    sd = spectral_decompose(submodel, k=min(4, submodel.n_nodes))
     lam1 = float(sd.eigenvalues[1])
     product = lam1 * diameter**2
     samples = [_row(constant, product, quantity="gap-vs-diameter")]
@@ -835,13 +853,13 @@ def check_neumann_poincare(submodel, diameter: float, constant: float = np.pi**2
                    scale=max(1.0, product), metadata=meta)
 
 
-def check_ball_poincare(model, center: int, seed: int = 0) -> MarginReport:
+def check_ball_poincare(model, center: int) -> MarginReport:
     """Report-only: the scale-invariant Poincare constant lambda_1 r^2 of
     the Neumann problem on the graph-distance ball B(center, 0.6)."""
     radius = 0.6
     d = distance_field(model, None, center).values
     sub = neumann_restrict(model, np.flatnonzero(d <= radius))
-    lam1 = float(spectral_decompose(sub, k=3, seed=seed).eigenvalues[1])
+    lam1 = float(spectral_decompose(sub, k=3).eigenvalues[1])
     samples = [_row(0.0, lam1 * radius**2, r=radius)]
     return _report("ball-poincare", model.model_id, samples,
                    Tolerance(0.0, 0.0), 1.0,

@@ -302,14 +302,14 @@ class ModelContext:
     The checks evolve the model by its one exact flow (``apply_semigroup``),
     whose state the model keeps; ``spectral()`` holds the eigenpairs that
     the checks read as objects in their own right (eigenvalues, eigen
-    suites, kernel blocks).
+    suites, kernel blocks); both depend on the model alone.  ``seed`` is
+    unused; it stays because ``bench/worker.py`` passes it.
     """
 
     def __init__(self, name, spec: ModelSpec, cache_dir, seed, k=None):
         self.name = name
         self.spec = spec
         self.cache_dir = cache_dir
-        self.seed = seed
         self.k = k
 
     @functools.cached_property
@@ -328,7 +328,7 @@ class ModelContext:
     def _spectral(self):
         k = self.k or min(self.model.n_nodes, 128)
         path = os.path.join(self.cache_dir, f"{self.name}-k{k}.spec")
-        return cached_decompose(self.model, k, path, seed=self.seed)
+        return cached_decompose(self.model, k, path)
 
     def spectral(self):
         return self._spectral

@@ -1,40 +1,26 @@
 """The heat semigroup: spectral decomposition, exact flow, reference stepper.
 
-A model has one heat semigroup P_t = exp(tL), and ``apply_semigroup``
-evolves every check by it.  Two routes to exp(tL), both on the
-mu-symmetrized operator:
+A model has one heat semigroup P_t = exp(tL).  ``apply_semigroup`` is its
+exact flow, and every check evolves by it: through the model's
+diagonalized blocks (``_blocks``) on a model that ``build_model`` marks in
+``meta["structure"]`` (boxes, tori, the latitude sphere), where it agrees
+with a dense ``expm`` to a few times 1e-14 of the sup, and by a Chebyshev
+series with an error bound for every input on any other model.  Either
+state is built once per model and kept in ``model.derived``.
+``CrankNicolson`` stepping, solved by conjugate gradients, stays as a
+reference for tests and benchmarks; no check runs it.
 
-* ``ExpmFlow``, the exact flow of ``apply_semigroup``.  On a model that
-  ``build_model`` marks in ``meta["structure"]`` (boxes, tori, the latitude
-  sphere) it applies exp(-t A) through the model's diagonalized blocks
-  (``_blocks``): the 1-D cosine or Fourier factors of a Kronecker sum on a
-  box or torus, the longitude blocks on the sphere.  It agrees with a dense
-  ``expm`` to a few times 1e-14 of the sup.  On every other model it sums a
-  Chebyshev expansion whose Bessel-function weights bound its error for
-  every input, at a degree of about sqrt(t b ln(1 / CHEB_TAIL)) fixed
-  before any product with the operator (b bounds its spectrum).  Either
-  state is built once per model and kept in ``model.derived``;
-* Crank-Nicolson stepping with a Richardson step-doubling control, solved
-  by conjugate gradients.  No check runs it; it stays as a reference for
-  tests and benchmarks.
+``spectral_decompose`` returns eigenpairs of the symmetrized matrix
+D^{1/2} L D^{-1/2} (D = diag mu), mapped back to mu-orthonormal
+eigenfields: from the blocks on a marked model, by shift-invert Lanczos
+(ARPACK) or a dense subset solve on any other.  Inside every cluster of
+equal eigenvalues the basis is then rotated to a canonical one fixed by
+constant probe fields, so no eigenfield of a cluster that k leaves whole
+depends on the route, the solver's start vector or the BLAS thread count.
 
-The eigenpairs are those of the symmetrized matrix D^{1/2} L D^{-1/2}
-(D = diag mu); eigenfields map back and are mu-orthonormal by
-construction.  ``spectral_decompose`` has three routes to them:
-
-* structured, on a marked model: the k lowest pairs of its blocks,
-  assembled exactly.  The blocks of each marked model are built once, and
-  a probe self-test keeps a wrong structure assumption loud;
-* shift-invert Lanczos (ARPACK) on any other model when N > 10 k;
-* a dense subset solve of the k lowest pairs otherwise.  Only unmarked
-  models take these two routes; in the default campaign they are the
-  Neumann and ball submodels (N = 32 dense; 256, 513 and 135 by Lanczos;
-  k <= 4, each solve under 10 ms).
-
-Inside every cluster of equal eigenvalues the basis is then rotated to a
-canonical one fixed by constant probe fields, so no eigenfield of a
-cluster that k leaves whole depends on the route, the solver's start
-vector or the BLAS thread count.
+Every solve is a function of the model alone: the Lanczos start vector,
+the cluster probes and the blocks' self-test probe are drawn from the
+constant ``PROBE_SEED``, and nothing that a run sets reaches a solver.
 """
 from __future__ import annotations
 
@@ -64,13 +50,17 @@ CACHE_MAGIC = b"HLSPEC01"
 # header version: 2 since eigenfields are in the canonical cluster basis,
 # 3 since the header carries a CRC-32 of the eigenvalue and eigenfield blocks,
 # 4 since structured models keep the structured route's vectors of a cluster
-# that k cuts (earlier files hold a generic solver's)
-CACHE_VERSION = 4
-# seed of the probe fields that fix the basis inside eigenvalue clusters;
-# a constant, so the basis does not follow any run's seed
+# that k cuts (earlier files hold a generic solver's), 5 since the Lanczos
+# start vector is drawn from ``PROBE_SEED`` (a version-4 file of an unmarked
+# model may hold a solve started from a vector that the run chose, so a warm
+# run could differ from a cold one)
+CACHE_VERSION = 5
+# draws the cluster probe fields, the Lanczos start vector and the blocks'
+# self-test probe; a constant, so no solve depends on the run
 PROBE_SEED = 0
-# the Chebyshev series of ``ExpmFlow`` drops weight below this, a bound on
-# its error relative to the 2-norm of the input: below double roundoff
+# the Chebyshev series of ``apply_semigroup`` drops weight below this, a
+# bound on its error relative to the 2-norm of the input: below double
+# roundoff
 CHEB_TAIL = 1e-17
 # rows or columns of an (N, k) eigenfield block that the spectral path
 # handles at a time (``_runs``), so that no step holds a second N x k array;
@@ -306,7 +296,7 @@ def _blocks(model: DiscretizedModel):
     return model.derived["_blocks"]
 
 
-def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> SpectralData:
+def spectral_decompose(model: DiscretizedModel, k: int) -> SpectralData:
     """k lowest eigenpairs of -L in the mu-weighted inner product.
 
     Three routes:
@@ -317,7 +307,7 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
       a marker that does not fit.  ``neumann_restrict`` submodels carry no
       marker;
     * shift-invert ``eigsh`` when N > 10 k (its start vector is drawn from
-      ``seed``; ``SolverError`` if it does not converge);
+      ``PROBE_SEED``; ``SolverError`` if it does not converge);
     * otherwise a dense solve of the k lowest pairs only, which holds an
       N x N matrix.
 
@@ -334,7 +324,7 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
     Each cluster of equal eigenvalues (``eigenvalue_clusters``) is then put
     into the basis of ``canonical_basis``, which also fixes the sign of
     simple eigenfields, so a cluster that k leaves whole does not depend on
-    the route or the seed.  A cluster that k cuts (euclid2 at k = 500)
+    the route or the start vector.  A cluster that k cuts (euclid2 at k = 500)
     keeps the vectors the route retained: on structured models the first
     ones of a fixed order, so the cut is deterministic; on the generic
     routes whichever the solver returned.
@@ -349,8 +339,7 @@ def spectral_decompose(model: DiscretizedModel, k: int, seed: int = 0) -> Spectr
     else:
         A, dm = _symmetrized(model)
         if n > 10 * k:
-            rng = np.random.default_rng(seed)
-            v0 = rng.standard_normal(n)
+            v0 = np.random.default_rng(PROBE_SEED).standard_normal(n)
             shift = 1e-2 * float(A.diagonal().mean())
             try:
                 w, U = spla.eigsh(A, k=k, sigma=-shift, which="LM", v0=v0)
@@ -386,7 +375,7 @@ def canonical_basis(eigenvalues: np.ndarray, fields: np.ndarray,
     """mu-orthonormal ``fields`` rotated to a fixed basis in each eigenvalue cluster.
 
     For a cluster V with m columns, B = V^T diag(mu) P holds the L2(mu)
-    projections of the first m probe fields P (seeded by ``PROBE_SEED``)
+    projections of the first m probe fields P (drawn from ``PROBE_SEED``)
     onto its span; with B = QR and the diagonal of R made positive, V Q is
     the Gram-Schmidt basis of those projections.  It depends only on
     span(V): replacing V by V O for an orthogonal O leaves V Q unchanged.
@@ -412,10 +401,45 @@ def canonical_basis(eigenvalues: np.ndarray, fields: np.ndarray,
 
 
 def apply_semigroup(model: DiscretizedModel, f: ScalarField, t: float) -> ScalarField:
-    """P_t f by the model's exact flow ``ExpmFlow(model)``.  The model keeps
-    the flow's state, not the flow: a flow holds its model, and a model
-    that held it back would be freed only by a garbage collection."""
-    return ExpmFlow(model).evolve(f, t)
+    """Exact heat flow P_t f = D^{-1/2} exp(-t A) D^{1/2} f on the symmetrized
+    operator A.
+
+    On a structure-marked model exp(-t A) is applied through the model's
+    diagonalized blocks (``_blocks``, which self-test when first built), at
+    a cost that does not grow with t ||A||: one 1-D factor per axis on a
+    box or torus, one tridiagonal block per longitude frequency on the
+    latitude sphere.
+
+    Every other model is evaluated by a Chebyshev expansion (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81 (1984) 3967).  The Gershgorin bound b, the
+    largest absolute row sum of A, holds the spectrum of A in [0, b], so
+    that of X = I - (2/b) A lies in [-1, 1].  With a = t b / 2,
+    exp(-t A) = exp(-a) exp(a X) = sum_k c_k T_k(X), c_0 = exp(-a) I_0(a)
+    and c_k = 2 exp(-a) I_k(a) (``_bessel_weights``).  As |T_k| <= 1 on
+    [-1, 1], cutting the series after degree K errs by at most the sum of
+    the dropped c_k, relative to ||D^{1/2} f||_2; the series is cut where
+    that sum falls below ``CHEB_TAIL``, at a degree of about
+    sqrt(2 a ln(1 / CHEB_TAIL)) that is known before any product with A
+    (Hochbruck & Lubich, SIAM J. Numer. Anal. 34 (1997) 1911).  The
+    weights sum to 1 and X fixes D^{1/2} 1, so constants and total mass
+    are preserved to roundoff.
+
+    The blocks or the Chebyshev operator are built at the first t > 0 and
+    kept in ``model.derived``; P_0 f is f.
+    """
+    if t < 0:
+        raise ValueError("diffusion time must be nonnegative")
+    fv = model.check_field(f)
+    if t == 0:
+        return model.field(fv)
+    structured = _blocks(model)
+    if structured is not None:
+        blocks, dm = structured
+        w = blocks.apply(fv / dm, lambda lam: np.exp(-t * lam))
+    else:
+        X, b, dm = _chebyshev_operator(model)
+        w = _chebyshev(X, fv / dm, 0.5 * t * b)
+    return model.field(w * dm)
 
 
 def _bessel_weights(a: float, start: int | None = None) -> np.ndarray:
@@ -460,63 +484,19 @@ def _chebyshev_operator(model: DiscretizedModel):
     return model.derived["_chebyshev"]
 
 
-class ExpmFlow:
-    """Exact heat flow P_t f = D^{-1/2} exp(-t A) D^{1/2} f on the symmetrized
-    operator A.
-
-    On a structure-marked model exp(-t A) is applied through the model's
-    diagonalized blocks (``_blocks``, which self-test when first built), at
-    a cost that does not grow with t ||A||: one 1-D factor per axis on a
-    box or torus, one tridiagonal block per longitude frequency on the
-    latitude sphere.
-
-    Every other model is evaluated by a Chebyshev expansion (Tal-Ezer &
-    Kosloff, J. Chem. Phys. 81 (1984) 3967).  The Gershgorin bound b, the
-    largest absolute row sum of A, holds the spectrum of A in [0, b], so
-    that of X = I - (2/b) A lies in [-1, 1].  With a = t b / 2,
-    exp(-t A) = exp(-a) exp(a X) = sum_k c_k T_k(X), c_0 = exp(-a) I_0(a)
-    and c_k = 2 exp(-a) I_k(a) (``_bessel_weights``).  As |T_k| <= 1 on
-    [-1, 1], cutting the series after degree K errs by at most the sum of
-    the dropped c_k, relative to ||D^{1/2} f||_2; the series is cut where
-    that sum falls below ``CHEB_TAIL``, at a degree of about
-    sqrt(2 a ln(1 / CHEB_TAIL)) that is known before any product with A
-    (Hochbruck & Lubich, SIAM J. Numer. Anal. 34 (1997) 1911).  The
-    weights sum to 1 and X fixes D^{1/2} 1, so constants and total mass
-    are preserved to roundoff.
-    """
-
-    def __init__(self, model: DiscretizedModel):
-        self.model = model
-        self._blocks, self._dm = _blocks(model) or (None, None)
-        if self._blocks is None:
-            self._X, self._b, self._dm = _chebyshev_operator(model)
-
-    def evolve(self, f: ScalarField, t: float) -> ScalarField:
-        if t < 0:
-            raise ValueError("diffusion time must be nonnegative")
-        fv = self.model.check_field(f)
-        if t == 0:
-            return self.model.field(fv)
-        v = fv / self._dm                                        # D^{1/2} f
-        if self._blocks is not None:
-            w = self._blocks.apply(v, lambda lam: np.exp(-t * lam))
-        else:
-            w = self._chebyshev(v, 0.5 * t * self._b)
-        return self.model.field(w * self._dm)
-
-    def _chebyshev(self, v: np.ndarray, a: float) -> np.ndarray:
-        """sum_k c_k T_k(X) v by the recurrence T_{k+1} = 2 X T_k - T_{k-1}."""
-        w = _bessel_weights(a)
-        out = w[0] * v
-        prev, cur = v, self._X @ v                               # T_0 v, T_1 v
-        for k in range(1, w.size):
-            if k > 1:
-                nxt = self._X @ cur
-                nxt *= 2.0
-                nxt -= prev
-                prev, cur = cur, nxt
-            out = daxpy(cur, out, a=2.0 * w[k])                   # out += c_k T_k v
-        return out
+def _chebyshev(X, v: np.ndarray, a: float) -> np.ndarray:
+    """sum_k c_k T_k(X) v by the recurrence T_{k+1} = 2 X T_k - T_{k-1}."""
+    w = _bessel_weights(a)
+    out = w[0] * v
+    prev, cur = v, X @ v                                         # T_0 v, T_1 v
+    for k in range(1, w.size):
+        if k > 1:
+            nxt = X @ cur
+            nxt *= 2.0
+            nxt -= prev
+            prev, cur = cur, nxt
+        out = daxpy(cur, out, a=2.0 * w[k])                       # out += c_k T_k v
+    return out
 
 
 class CrankNicolson:
@@ -748,13 +728,12 @@ def load_spectral(path: str, model_hash: str) -> SpectralData | None:
         return None
 
 
-def cached_decompose(model: DiscretizedModel, k: int, path: str,
-                     seed: int = 0) -> SpectralData:
+def cached_decompose(model: DiscretizedModel, k: int, path: str) -> SpectralData:
     """At least k eigenpairs from the cache file at ``path``; on a miss (see
     ``load_spectral``) or too few cached pairs, k are computed and saved."""
     mh = model_hash(model)
     cached = load_spectral(path, mh)
     if cached is None or cached.count < k:
-        cached = spectral_decompose(model, k=k, seed=seed)
+        cached = spectral_decompose(model, k=k)
         save_spectral(path, cached, mh)
     return cached

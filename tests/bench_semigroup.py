@@ -2,13 +2,13 @@
 
     PYTHONPATH=src python -m pytest tests/bench_semigroup.py --benchmark-only
 
-One white-noise field evolved by the exact ``ExpmFlow`` (the flow of
-``apply_semigroup``, which evolves every check) and by the
-``CrankNicolson`` reference stepper, on ``heis`` at Heisenberg campaign
-times (0.25 is 16 h^2, the noise time of the CD suites; at 1.0 the flow's
-degree is largest), and on ``torus1`` and the latitude spheres of
-``sphere-refine`` (lat32, lat48; ``ExpmFlow`` takes the longitude-block
-route there) at ``kernel-laws``' cross-check time.  Each timed call
+One white-noise field evolved by the exact flow ``apply_semigroup``
+(which evolves every check) and by the ``CrankNicolson`` reference
+stepper, on ``heis`` at Heisenberg campaign times (0.25 is 16 h^2, the
+noise time of the CD suites; at 1.0 the flow's degree is largest), and on
+``torus1`` and the latitude spheres of ``sphere-refine`` (lat32, lat48;
+the flow takes the longitude-block route there) at ``kernel-laws``'
+cross-check time.  Each timed call
 builds the flow's state and evolves the field, as the first
 ``apply_semigroup`` on a model does: the blocks or the Chebyshev operator
 that the model keeps in ``derived`` are dropped before each round.  The
@@ -21,7 +21,7 @@ import functools
 import numpy as np
 import pytest
 
-from heatlab import CrankNicolson, ExpmFlow, ModelSpec, build_model
+from heatlab import CrankNicolson, ModelSpec, apply_semigroup, build_model
 
 MODELS = {
     "heis": ModelSpec("heisenberg", dim=3, resolution=21, extent=1.25,
@@ -31,8 +31,9 @@ MODELS = {
     "sphere48": ModelSpec("sphere", dim=2, resolution=48),
 }
 ENGINES = {
-    "expm": ExpmFlow,
-    "cn": lambda model: CrankNicolson(model, base_steps=32, richardson_tol=1e-6),
+    "expm": apply_semigroup,
+    "cn": lambda model, f, t: CrankNicolson(model, base_steps=32,
+                                           richardson_tol=1e-6).evolve(f, t),
 }
 
 
@@ -53,6 +54,6 @@ def forget_blocks(model):
                                      ("sphere32", 0.1), ("sphere48", 0.1)])
 def test_evolve(benchmark, engine, name, t):
     model, f = noise(name)
-    out = benchmark.pedantic(lambda: ENGINES[engine](model).evolve(f, t),
+    out = benchmark.pedantic(lambda: ENGINES[engine](model, f, t),
                              setup=lambda: forget_blocks(model), rounds=5)
     assert abs(model.integrate(out) - model.integrate(f)) < 1e-8

@@ -612,7 +612,7 @@ def test_equilibrium_rate(sphere):
 
 def test_ball_poincare_is_report_only(heis):
     model = heis[0]
-    rep = check_ball_poincare(model, node_nearest(model, [0, 0, 0]), seed=1)
+    rep = check_ball_poincare(model, node_nearest(model, [0, 0, 0]))
     assert rep.metadata["gate"] == "report-only"
     assert 3 < rep.metadata["nodes"] < model.n_nodes
     assert rep.min_margin == _least_margin(rep)

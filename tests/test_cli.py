@@ -11,7 +11,14 @@ import weakref
 import numpy as np
 import pytest
 
-from heatlab import ExpmFlow, ModelSpec, NotApplicableError, build_model, cli, metric
+from heatlab import (
+    ModelSpec,
+    NotApplicableError,
+    apply_semigroup,
+    build_model,
+    cli,
+    metric,
+)
 from heatlab.cli import (
     CampaignConfig,
     ConfigError,
@@ -529,12 +536,30 @@ def test_every_default_model_evolves_by_the_exact_flow(tmp_path):
     for name, spec in cfg.models.items():
         ctx = cli.ModelContext(name, spec, str(tmp_path), cfg.seed,
                                k=cfg.spectral_k.get(name))
-        flow = ExpmFlow(ctx.model)
-        marked = "structure" in ctx.model.meta
-        assert marked == (ctx.model.kind in ("euclidean", "torus", "sphere")), name
-        assert (flow._blocks is not None) == marked, name
-        # the model keeps the flow's state, so a second flow shares it
-        assert ExpmFlow(ctx.model)._dm is flow._dm, name
+        model = ctx.model
+        apply_semigroup(model, model.constant(1.0), 1e-3)
+        marked = "structure" in model.meta
+        assert marked == (model.kind in ("euclidean", "torus", "sphere")), name
+        key, other = ("_blocks", "_chebyshev") if marked else ("_chebyshev", "_blocks")
+        assert key in model.derived and other not in model.derived, name
+        # the model keeps the flow's state, so a second evolve reuses it
+        state = model.derived[key]
+        apply_semigroup(model, model.constant(1.0), 2e-3)
+        assert model.derived[key] is state, name
+
+
+@pytest.mark.parametrize("name", ["neumann-square", "neumann-cap-sphere",
+                                  "ball-poincare-heis", "neumann-interval"])
+def test_eigensolve_reports_do_not_follow_the_seed(tmp_path, name):
+    # the first three solve their submodel by eigsh, the last by the dense
+    # solver; no start vector is drawn from the seed, so the bytes agree
+    reports = []
+    for seed in ("42", "43"):
+        out = tmp_path / seed
+        assert main(["check", "--check", name, "--seed", seed, "--out", str(out),
+                     "--cache", str(tmp_path / f"cache{seed}")]) == 0
+        reports.append((out / f"{name}.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("argv", [["refinement_study.py"], ["memory_trace.py", SMALL_CFG]],
@@ -691,6 +716,8 @@ BOX16 = ("models.b.kind = euclidean\nmodels.b.dim = 2\nmodels.b.resolution = 16\
          "models.b.extent = {extent}\n")
 SPHERE16 = "models.s.kind = sphere\nmodels.s.resolution = 16\n"
 HEIS9 = "models.h.kind = heisenberg\nmodels.h.dim = 3\nmodels.h.resolution = 9\n"
+HARNACK_FAST = (BOX16.format(extent=1.5) + "checks.h.check = harnack\nchecks.h.model = b\n"
+                "checks.h.s_grid = [0.001]\nchecks.h.gap_grid = [0.001]\n")
 # (config, the one line on stderr after "configuration error: ")
 NOT_APPLICABLE = [
     (BOX16.format(extent=1.0) + "models.b.spectral_k = 50\n"
@@ -708,6 +735,13 @@ NOT_APPLICABLE = [
     (HEIS9 + "checks.l.check = li-yau\nchecks.l.model = h\n"
      "checks.l.mode = sub-riemannian\nchecks.l.suite = sub-riemannian\n",
      "checks.l: alpha: sub-riemannian mode needs alpha > 2, got None"),
+    # the Gaussian factor exp(d^2 / (4 (t - s))) overflows at t - s = 0.001
+    (HARNACK_FAST,
+     "checks.h: harnack-riemannian sample field=bump-185, x=154, s=0.001, y=51, "
+     "t=0.002, d=1.7286645857424163 is not finite: rhs=inf, margin=nan"),
+    # P_t of the point source rounds below 0 far from it
+    (HARNACK_FAST + "checks.h.suite = delta\n",
+     "checks.h: P_t point-source not positive at x = 221 at t = 0.001"),
 ]
 
 

@@ -20,7 +20,6 @@ from scipy.special import ive
 from heatlab import (
     CrankNicolson,
     EdgeForm,
-    ExpmFlow,
     ModelSpec,
     apply_semigroup,
     build_model,
@@ -90,21 +89,20 @@ def test_expm_flow_matches_dense_exponential():
     model, _ = build_model(ModelSpec("heisenberg", dim=3, resolution=9, extent=1.25,
                                         options={"z_extent": 0.15625}))
     assert model.n_nodes == 389
-    flow = ExpmFlow(model)
     f = model.field(np.random.default_rng(4).standard_normal(model.n_nodes))
     L = model.L.toarray()
     for t in (0.01, 0.2, 1.0):
         exact = sla.expm(t * L) @ f.values
         got = apply_semigroup(model, f, t).values
         assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
-    assert np.array_equal(flow.evolve(f, 0.0).values, f.values)
+    assert np.array_equal(apply_semigroup(model, f, 0.0).values, f.values)
     with pytest.raises(ValueError):
-        flow.evolve(f, -0.1)
+        apply_semigroup(model, f, -0.1)
 
 
 def _forbid_expm_multiply(monkeypatch):
     def generic(*args, **kwargs):
-        raise AssertionError("an ExpmFlow ran expm_multiply")
+        raise AssertionError("the exact flow ran expm_multiply")
     monkeypatch.setattr(spla, "expm_multiply", generic)
 
 
@@ -128,11 +126,10 @@ def test_bessel_recurrence_started_too_low_raises():
 @pytest.mark.parametrize("t", [0.01, 0.05, 0.25, 1.0])
 def test_heis_flow_matches_expm_multiply(heis, t):
     model, _ = heis
-    flow = ExpmFlow(model)
     fv = np.random.default_rng(7).standard_normal(model.n_nodes)
     A, dm = semigroup._symmetrized(model)
     ref = dm * spla.expm_multiply(-t * A, fv / dm)     # reference only
-    got = flow.evolve(model.field(fv), t).values
+    got = apply_semigroup(model, model.field(fv), t).values
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -140,14 +137,13 @@ def test_heis_flow_matches_expm_multiply(heis, t):
 def test_no_flow_runs_expm_multiply(name, request, monkeypatch):
     model = request.getfixturevalue(name)[0]
     _forbid_expm_multiply(monkeypatch)
-    flow = ExpmFlow(model)
     f = model.field(np.random.default_rng(8).standard_normal(model.n_nodes))
     mass = model.integrate(f)
     for t in (0.05, 0.25, 1.0):
-        out = flow.evolve(f, t)
-        assert np.array_equal(out.values, flow.evolve(f, t).values)
+        out = apply_semigroup(model, f, t)
+        assert np.array_equal(out.values, apply_semigroup(model, f, t).values)
         assert abs(model.integrate(out) - mass) < 1e-12 * model.integrate(np.abs(f.values))
-        pt = flow.evolve(model.constant(1.0), t)
+        pt = apply_semigroup(model, model.constant(1.0), t)
         assert np.max(np.abs(pt.values - 1.0)) < 1e-12
 
 
@@ -155,13 +151,12 @@ def test_torus_flow_matches_full_spectrum(torus1, monkeypatch):
     model, _, spectral = torus1
     assert spectral.count == model.n_nodes          # the whole spectrum: exact
     _forbid_expm_multiply(monkeypatch)
-    flow = ExpmFlow(model)
     f = model.field(np.random.default_rng(9).standard_normal(model.n_nodes))
     phi = spectral.eigenfields
     coef = phi.T @ (model.mu * f.values)
     for t in (0.01, 0.1, 10.0):
         ref = phi @ (np.exp(-spectral.eigenvalues * t) * coef)
-        got = flow.evolve(f, t).values
+        got = apply_semigroup(model, f, t).values
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(f.values))
 
 
@@ -169,8 +164,7 @@ def _assert_flow_matches_dense_exponential(model, monkeypatch):
     f = model.field(np.random.default_rng(5).standard_normal(model.n_nodes))
     L = model.L.toarray()
     _forbid_expm_multiply(monkeypatch)
-    flow = ExpmFlow(model)
-    assert flow._blocks is not None
+    assert semigroup._blocks(model) is not None
     for t in (0.01, 0.1, 1.0):
         exact = sla.expm(t * L) @ f.values
         got = apply_semigroup(model, f, t).values
@@ -195,19 +189,18 @@ def test_sphere_flow_matches_generic_route(monkeypatch):
     model, _ = build_model(ModelSpec("sphere", dim=2, resolution=32))
     plain = _unmarked(model)
     fv = np.random.default_rng(6).standard_normal(model.n_nodes)
-    ref = ExpmFlow(plain).evolve(plain.field(fv), 0.1).values
+    ref = apply_semigroup(plain, plain.field(fv), 0.1).values
     _forbid_expm_multiply(monkeypatch)
-    flow = ExpmFlow(model)
     f = model.field(fv)
-    got = flow.evolve(f, 0.1).values
+    got = apply_semigroup(model, f, 0.1).values
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(flow.evolve(f, 0.0).values, fv)
+    assert np.array_equal(apply_semigroup(model, f, 0.0).values, fv)
     with pytest.raises(ValueError):
-        flow.evolve(f, -0.1)
+        apply_semigroup(model, f, -0.1)
     for t in (0.1, 1.0):
-        pt = flow.evolve(model.constant(1.0), t)
+        pt = apply_semigroup(model, model.constant(1.0), t)
         assert np.max(np.abs(pt.values - 1.0)) < 1e-10
-        assert abs(model.integrate(flow.evolve(f, t)) - model.integrate(f)) \
+        assert abs(model.integrate(apply_semigroup(model, f, t)) - model.integrate(f)) \
             < 1e-12 * model.integrate(np.abs(fv))
 
 
@@ -226,9 +219,10 @@ def _tampered(model, edge):
                          ids=["longitude-0", "longitude-3", "latitude", "pole"])
 def test_tampered_sphere_blocks_raise(edge):
     model, _ = build_model(ModelSpec("sphere", dim=2, resolution=8))
-    ExpmFlow(model)
+    apply_semigroup(model, model.constant(1.0), 0.1)
+    tampered = _tampered(model, edge)
     with pytest.raises(semigroup.SolverError, match="miss the operator"):
-        ExpmFlow(_tampered(model, edge))
+        apply_semigroup(tampered, tampered.constant(1.0), 0.1)
 
 
 @pytest.mark.parametrize("kind,dim,res", [
@@ -237,7 +231,7 @@ def test_tampered_sphere_blocks_raise(edge):
 def test_blocks_built_once_per_model(kind, dim, res, monkeypatch):
     spec = ModelSpec(kind, dim=dim, resolution=res)
     ref_model, _ = build_model(spec)
-    ref_sd, ref_flow = spectral_decompose(ref_model, k=40), ExpmFlow(ref_model)
+    ref_sd = spectral_decompose(ref_model, k=40)
     built = collections.Counter()
     real = semigroup._symmetrized
 
@@ -247,10 +241,10 @@ def test_blocks_built_once_per_model(kind, dim, res, monkeypatch):
     monkeypatch.setattr(semigroup, "_symmetrized", counted)
     model, _ = build_model(spec)
     sd = spectral_decompose(model, k=40)
-    flows = [ExpmFlow(model), ExpmFlow(model)]
+    f = model.field(np.random.default_rng(3).standard_normal(model.n_nodes))
+    evolved = [apply_semigroup(model, f, 0.1), apply_semigroup(model, f, 0.1)]
     spectral_decompose(model, k=20)
     assert built == {"_symmetrized": 1}
-    assert all(flow._blocks is model.derived["_blocks"][0] for flow in flows)
     # the model keeps L and its blocks, not the symmetrized operator
     assert set(model.derived) == {"_L", "_blocks"}
     blocks, dm = model.derived["_blocks"]
@@ -258,16 +252,15 @@ def test_blocks_built_once_per_model(kind, dim, res, monkeypatch):
     assert not any(map(sp.issparse, vars(blocks).values()))
     assert np.array_equal(sd.eigenvalues, ref_sd.eigenvalues)
     assert np.array_equal(sd.eigenfields, ref_sd.eigenfields)
-    f = model.field(np.random.default_rng(3).standard_normal(model.n_nodes))
-    for flow in flows:
-        assert np.array_equal(flow.evolve(f, 0.1).values,
-                              ref_flow.evolve(ref_model.field(f.values), 0.1).values)
+    ref = apply_semigroup(ref_model, ref_model.field(f.values), 0.1).values
+    for pt in evolved:
+        assert np.array_equal(pt.values, ref)
 
 
 def test_chebyshev_operator_built_once_per_model(monkeypatch):
     # an unmarked model keeps the flow's Chebyshev operator, however many
-    # checks evolve it, and not the flow: a flow holds its model, so a model
-    # that held it back would outlive its last reference
+    # checks evolve it, and nothing that holds the model back, which would
+    # outlive its last reference
     built = collections.Counter()
     real = semigroup._symmetrized
 
@@ -304,7 +297,7 @@ def test_wrong_sphere_marker_raises_in_flow(kind, res, marker, match):
                                         resolution=res))
     model.meta["structure"] = marker
     with pytest.raises(semigroup.SolverError, match=match):
-        ExpmFlow(model)
+        apply_semigroup(model, model.constant(1.0), 0.1)
 
 
 def test_semigroup_law(sphere):
@@ -522,6 +515,24 @@ def test_version1_cache_is_recomputed(tmp_path):
     assert np.array_equal(back.eigenfields, fresh.eigenfields)
 
 
+def test_version4_cache_is_recomputed(tmp_path, monkeypatch):
+    # a version 4 file of an unmarked model may hold an eigsh solve started
+    # from a vector drawn from the run's seed: it is a miss, so a warm run
+    # reads only the solve that a cold run makes
+    model, _ = build_model(ModelSpec("torus", dim=1, resolution=64))
+    sub = neumann_restrict(model, np.arange(40))
+    mh = model_hash(sub)
+    path = str(tmp_path / "s-k3.spec")
+    fresh = spectral_decompose(sub, k=3)
+    with monkeypatch.context() as m:
+        m.setattr(semigroup, "CACHE_VERSION", 4)
+        save_spectral(path, fresh, mh)
+    assert _header(path)["version"] == 4
+    assert load_spectral(path, mh) is None
+    semigroup.cached_decompose(sub, 3, path)
+    assert _header(path)["version"] == semigroup.CACHE_VERSION
+
+
 def test_damaged_cache_is_recomputed(tmp_path, monkeypatch):
     # a cut-short or garbled cache file is a miss: the decomposition is
     # computed afresh and the file rewritten
@@ -621,14 +632,6 @@ def test_dense_and_eigsh_paths_agree(sphere16, monkeypatch):
     assert np.max(np.abs(a.eigenfields[:, full] - b.eigenfields[:, full])) < 1e-8
 
 
-def test_eigenfields_do_not_follow_the_seed(sphere16):
-    k = sphere16.n_nodes // 10 - 3        # eigsh path: the seed draws its start vector
-    a = spectral_decompose(sphere16, k=k, seed=0)
-    b = spectral_decompose(sphere16, k=k, seed=9)
-    full = _full_clusters(a)
-    assert np.max(np.abs(a.eigenfields[:, full] - b.eigenfields[:, full])) < 1e-8
-
-
 _CD_MARGIN = textwrap.dedent("""
     import numpy as np
     from heatlab import ModelSpec, build_model, neumann_restrict, spectral_decompose
@@ -680,8 +683,8 @@ def test_structured_route_matches_generic_solver(kind, dim, res, monkeypatch):
         raise AssertionError("a structured model ran a generic solver")
     monkeypatch.setattr(semigroup.spla, "eigsh", generic)
     monkeypatch.setattr(semigroup.sla, "eigh", generic)
-    a = spectral_decompose(model, k=k, seed=0)
-    b = spectral_decompose(model, k=k, seed=9)
+    a = spectral_decompose(model, k=k)
+    b = spectral_decompose(model, k=k)
 
     lam = ref.eigenvalues[:k]
     assert np.all(np.abs(a.eigenvalues - lam) <= 1e-10 * np.maximum(1.0, lam))
@@ -704,7 +707,7 @@ def test_tampered_structure_marker_raises(kind, dim, res, marker, match):
     with pytest.raises(semigroup.SolverError, match=match):
         spectral_decompose(model, k=8)
     with pytest.raises(semigroup.SolverError, match=match):
-        ExpmFlow(model)
+        apply_semigroup(model, model.constant(1.0), 0.1)
     assert "_blocks" not in model.derived
 
 
@@ -747,8 +750,8 @@ def test_structured_pairs_equal_one_shot_products(kind, dim, res, k):
 
 def test_decompose_determinism_and_errors(tiny_torus):
     model, _, _ = tiny_torus
-    a = spectral_decompose(model, k=6, seed=9)
-    b = spectral_decompose(model, k=6, seed=9)
+    a = spectral_decompose(model, k=6)
+    b = spectral_decompose(model, k=6)
     assert np.array_equal(a.eigenfields, b.eigenfields)
     with pytest.raises(ValueError):
         spectral_decompose(model, k=model.n_nodes + 1)
