@@ -15,6 +15,11 @@ into the report's metadata, as ``series`` rows named by ``series_columns``.
 
 Saturation witnesses are first-class: where an inequality is sharp the
 check also verifies the margin is close to zero, not merely nonnegative.
+
+No check takes a seed.  A sample design (suites, centres, node pairs) is an
+argument, drawn from the run's seed by the bindings in ``cli``; the probes
+of ``check_operator_axioms`` and ``check_kernel_laws`` come from the
+constant ``PROBE_SEED``.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import (
+    PROBE_SEED,
     DiscretizedModel,
     NotApplicableError,
     ScalarField,
@@ -106,18 +112,21 @@ def _norm_margin(lhs, rhs):
 # operator axioms
 
 
-def check_operator_axioms(model: DiscretizedModel, n_random: int = 100,
-                          seed: int = 0,
+AXIOM_FIELDS = 100
+
+
+def check_operator_axioms(model: DiscretizedModel,
                           tolerance: Tolerance | None = None) -> MarginReport:
     """Report the residuals of the defining operator axioms.
 
     Covers mu-weighted symmetry, L1 = 0, Dirichlet nonpositivity of
-    <f, Lf>_mu over a randomized field sample, pointwise Gamma(f) >= 0, and
-    the agreement of the edge and operator routes to Gamma.  Unless given,
-    the tolerance is the roundoff slack of ``self_test_gamma``, 4 (r + 3)
-    eps s F G, which grows with the operator scale s and the longest row r.
+    <f, Lf>_mu and pointwise Gamma(f) >= 0 over 100 random fields, and
+    the agreement of the edge and operator routes to Gamma; the fields of
+    both are probes drawn from ``PROBE_SEED``.  Unless given, the tolerance
+    is the roundoff slack of ``self_test_gamma``, 4 (r + 3) eps s F G, which
+    grows with the operator scale s and the longest row r.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     D = sp.diags(model.mu)
     M = D @ model.L
     sym_residual = float(np.abs((M - M.T)).max()) if M.nnz else 0.0
@@ -127,12 +136,12 @@ def check_operator_axioms(model: DiscretizedModel, n_random: int = 100,
 
     min_dirichlet = np.inf
     min_gamma = np.inf
-    for _ in range(n_random):
+    for _ in range(AXIOM_FIELDS):
         f = model.field(rng.standard_normal(model.n_nodes))
         min_dirichlet = min(min_dirichlet, -model.inner(f, model.apply_L(f)))
         min_gamma = min(min_gamma, float(carre_du_champ(model, f).values.min()))
 
-    gamma_paths, slack = self_test_gamma(model, seed=seed)
+    gamma_paths, slack = self_test_gamma(model)
 
     samples = [_row(lhs, 0.0, axiom=axiom) for axiom, lhs in (
         ("weighted-symmetry", sym_residual), ("unit-in-kernel", l1_residual),
@@ -141,7 +150,7 @@ def check_operator_axioms(model: DiscretizedModel, n_random: int = 100,
     scale = float(np.abs(model.L.data).max()) if model.L.nnz else 1.0
     return _report("operator-axioms", model.model_id, samples,
                    tolerance or Tolerance(slack), scale,
-                   {"n_random_fields": n_random, "seed": seed})
+                   {"n_random_fields": AXIOM_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +202,6 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
              nu_grid=tuple(np.geomspace(0.25, 64, 10)),
              mode: str = "riemannian",
              tolerance: Tolerance | None = None,
-             include_gamma_lemma: bool = True,
              equality_fields=()) -> MarginReport:
     """Pointwise curvature-dimension margins over suite x interior (x nu).
 
@@ -202,7 +210,9 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
     returns the largest rho1 compatible with the sample for the oracle's
     (rho2, kappa, n).  Each mode reads a suite field's forms from one
     ``cd_forms`` call (and one ``gamma2_z`` call), so Gamma2 runs once per
-    field for any ``nu_grid``.
+    field for any ``nu_grid``.  In ``riemannian`` mode each field also gates
+    the gradient-of-Gamma lemma Gamma(Gamma f) <= 4 Gamma f (Gamma2 f - rho
+    Gamma f).
     """
     if mode not in CD_TOLERANCE:
         raise ValueError(f"unknown cd mode {mode!r}")
@@ -229,16 +239,15 @@ def check_cd(model: DiscretizedModel, oracle: GeometryOracle,
                 # nonnegative
                 samples.append(_row(np.max(np.abs(marg)), tolerance.slack(sc),
                                     field=f"{nf.name}|equality"))
-            if include_gamma_lemma:
-                gg = carre_du_champ(model, model.field(g)).values
-                bound = 4 * g * (g2 - rho * g)
-                lem = (bound - gg)[idx]
-                lsc = float(np.max(np.abs(4 * g * g2)) + 1e-300)
-                k = int(np.argmin(lem))
-                samples.append(_row(gg[idx][k], bound[idx][k],
-                                    margin=lem[k] / lsc * scale if scale else lem[k],
-                                    field=f"{nf.name}|gradient-of-gamma",
-                                    node=int(idx[k]), normalized_by=lsc))
+            gg = carre_du_champ(model, model.field(g)).values
+            bound = 4 * g * (g2 - rho * g)
+            lem = (bound - gg)[idx]
+            lsc = float(np.max(np.abs(4 * g * g2)) + 1e-300)
+            k = int(np.argmin(lem))
+            samples.append(_row(gg[idx][k], bound[idx][k],
+                                margin=lem[k] / lsc * scale if scale else lem[k],
+                                field=f"{nf.name}|gradient-of-gamma",
+                                node=int(idx[k]), normalized_by=lsc))
         return _report("cd", model.model_id, samples, tolerance, scale, meta)
 
     params = oracle.cd_params
@@ -624,20 +633,6 @@ def check_harnack(model, oracle, suite, pair_sample,
                                 x=int(x), s=float(s), y=int(y), t=float(t), d=d))
     return _report(f"harnack-{mode}", model.model_id, samples, tolerance,
                    scale=1.0, metadata=meta)
-
-
-def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0):
-    """(x, s, y, t) tuples with s < t, nodes drawn from a safe interior."""
-    rng = np.random.default_rng(seed)
-    tmax = max(s + g for s in s_grid for g in gap_grid)
-    idx = _mask_indices(model, interior_for_time(model, tmax))
-    pairs = []
-    for _ in range(n_pairs):
-        x, y = rng.choice(idx, size=2, replace=True)
-        s = float(rng.choice(np.asarray(s_grid, dtype=float)))
-        t = s + float(rng.choice(np.asarray(gap_grid, dtype=float)))
-        pairs.append((int(x), s, int(y), t))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1058,7 @@ def check_diameter(model, oracle, tolerance: Tolerance = Tolerance(1e-12, 0.0)
 # kernel laws and spectra (structural semigroup checks)
 
 
-def check_kernel_laws(model, spectral: SpectralData, seed: int = 0,
+def check_kernel_laws(model, spectral: SpectralData,
                       tolerance: Tolerance = Tolerance(1e-8)) -> MarginReport:
     """Symmetry, Chapman-Kolmogorov, and the flow against the eigen-expansion.
 
@@ -1072,9 +1067,10 @@ def check_kernel_laws(model, spectral: SpectralData, seed: int = 0,
     weights must reproduce the kernel at the summed time.  For a random
     field in the retained span the eigen-expansion of P_t is exact, so at
     t = 0.1 the exact flow must agree with it within 1e-4 (the
-    ``cross-engine`` row).
+    ``cross-engine`` row).  The probe nodes and the field's coefficients
+    are drawn from ``PROBE_SEED``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     probe = np.sort(rng.choice(model.n_nodes, size=min(64, model.n_nodes),
                                replace=False))
     samples = []
@@ -1120,11 +1116,12 @@ def check_spectrum(model, oracle, spectral: SpectralData, count: int = 5,
 # distances
 
 
-def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
+def check_distance_sandwich(model, oracle, pair_sample,
                             tolerance: Tolerance | None = None) -> MarginReport:
     """Dual lower bounds never exceed graph distances (plus slack).
 
-    The dual bounds the discrete intrinsic distance, which can exceed the
+    ``pair_sample`` holds the (x, y) node pairs; a pair with x == y is
+    skipped, as it compares nothing.  The dual bounds the discrete intrinsic distance, which can exceed the
     model's distance by O(h).  Where the oracle has a closed-form distance,
     each row also records it, read from the memoized field that the dual
     starts from, and the metadata records the lattice overestimation factor,
@@ -1133,21 +1130,19 @@ def check_distance_sandwich(model, oracle, n_pairs: int = 50, seed: int = 0,
     """
     h = float(model.meta["h"])
     tolerance = tolerance or Tolerance(2 * h, 0.02, mesh_order=1)
-    rng = np.random.default_rng(seed)
     samples = []
     scale = 0.0
-    for _ in range(n_pairs):
-        x, y = rng.integers(0, model.n_nodes, size=2)
+    for x, y in pair_sample:
         if x == y:
             continue
-        dc = dual_distance(model, oracle, int(x), int(y))
+        dc = dual_distance(model, oracle, x, y)
         g = float(distance_field(model, None, y).values[x])
         scale = max(scale, g)
-        s = _row(dc.value, g, x=int(x), y=int(y), feasibility=dc.feasibility)
+        s = _row(dc.value, g, x=x, y=y, feasibility=dc.feasibility)
         if oracle.exact_distance is not None:
             s["oracle"] = float(distance_field(model, oracle, y).values[x])
         samples.append(s)
-    meta = {"n_pairs": n_pairs}
+    meta = {"n_pairs": len(pair_sample)}
     if oracle.exact_distance is not None:
         ratios = np.array([s["rhs"] / s["oracle"] for s in samples
                            if s["oracle"] >= 3 * h])

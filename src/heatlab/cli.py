@@ -15,6 +15,8 @@ runs.
 Each check id is declared once in ``CHECK_KINDS``: its check function and
 the config keys it accepts with their types.  Defaults, default tolerances
 and the model-context arguments it takes live in the check's signature.
+The run's ``seed`` picks each check's sample design (suites, centres, node
+pairs), which only the binding here draws; no check takes a seed.
 
 Config grammar (also accepted as JSON with the same nesting):
 
@@ -52,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import checks as C
-from .fields import NotApplicableError, deep_interior
+from .fields import NotApplicableError, deep_interior, interior_for_time
 from .metric import distance_field
 from .models import MODEL_OPTIONS, ModelSpec, build_model, node_nearest
 from .reports import MarginReport, atomic_write_text, write_csv
@@ -344,11 +346,11 @@ class CheckKind:
 
     ``keys`` maps each accepted config key to its value type; a key is
     passed to the check under its own name unless ``bind(ctx, opts, seed)``
-    pops it: ``bind`` builds what no single key gives (suites, centers,
-    pair samples).  ``tol_abs``/``tol_rel`` replace the fields of the
-    check's default tolerance.  The arguments ``model``, ``oracle``,
-    ``spectral`` and ``seed`` (the check's own sampler seed) come from the
-    model context whenever the check's signature names them.
+    pops it: ``bind`` draws from the check's own seed the sample design
+    that no single key gives (suites, centers, pair samples).
+    ``tol_abs``/``tol_rel`` replace the fields of the check's default
+    tolerance.  The arguments ``model``, ``oracle`` and ``spectral`` come
+    from the model context whenever the check's signature names them.
     """
 
     check: Callable
@@ -377,11 +379,33 @@ def _reach(model, r, cells):
     return model.metric_distance_to_boundary() > r + cells * h
 
 
+def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0):
+    """(x, s, y, t) tuples with s < t, nodes drawn from a safe interior."""
+    rng = np.random.default_rng(seed)
+    tmax = max(s + g for s in s_grid for g in gap_grid)
+    idx = np.flatnonzero(interior_for_time(model, tmax))
+    if idx.size == 0:
+        raise NotApplicableError("interior mask is empty; model too coarse")
+    pairs = []
+    for _ in range(n_pairs):
+        x, y = rng.choice(idx, size=2, replace=True)
+        s = float(rng.choice(np.asarray(s_grid, dtype=float)))
+        t = s + float(rng.choice(np.asarray(gap_grid, dtype=float)))
+        pairs.append((int(x), s, int(y), t))
+    return pairs
+
+
+def sample_node_pairs(model, n_pairs, seed=0):
+    """``n_pairs`` (x, y) node pairs drawn uniformly, x == y allowed."""
+    rng = np.random.default_rng(seed)
+    return [tuple(int(v) for v in rng.integers(0, model.n_nodes, size=2))
+            for _ in range(n_pairs)]
+
+
 _SUITES = {
     "eigen": lambda ctx, seed: S.eigen_fields(ctx.model, ctx.spectral(), seed=seed),
     "coordinate": lambda ctx, seed: S.coordinate_fields(ctx.model),
-    "positive": lambda ctx, seed: S.positive_fields(
-        ctx.model, ctx.spectral() if ctx.k else None, seed=seed),
+    "positive": lambda ctx, seed: S.positive_fields(ctx.model, ctx.spectral(), seed=seed),
     "sub-riemannian": lambda ctx, seed: S.sub_riemannian_suite(ctx.model, seed=seed),
 }
 
@@ -411,9 +435,9 @@ def _bind_li_yau(ctx, opts, seed):
 
 def _bind_harnack(ctx, opts, seed):
     model = ctx.model
-    pairs = C.sample_harnack_pairs(model, opts.pop("n_pairs", 200),
-                                   opts.pop("s_grid", [0.05, 0.1]),
-                                   opts.pop("gap_grid", [0.05, 0.1]), seed=seed)
+    pairs = sample_harnack_pairs(model, opts.pop("n_pairs", 200),
+                                 opts.pop("s_grid", [0.05, 0.1]),
+                                 opts.pop("gap_grid", [0.05, 0.1]), seed=seed)
     if opts.pop("suite", None) == "delta":
         suite = S.point_source_fields(model, _origin(model), width=0.3)
     elif opts.get("mode") == "sub-riemannian":
@@ -487,6 +511,10 @@ def _bind_isoperimetric(ctx, opts, seed):
         model, np.random.default_rng(seed), _reach(model, radii.max(), 3), 6)}
 
 
+def _bind_sandwich(ctx, opts, seed):
+    return {"pair_sample": sample_node_pairs(ctx.model, opts.pop("n_pairs", 50), seed)}
+
+
 def _bind_sobolev_sharp(ctx, opts, seed):
     suite = _SUITES["positive"](ctx, seed)
     pole = node_nearest(ctx.model, [0, 0, 1])
@@ -538,7 +566,8 @@ CHECK_KINDS = {
                                bind=_bind_isoperimetric),
     "sobolev-sharp": CheckKind(C.check_sobolev_sharp, bind=_bind_sobolev_sharp),
     "diameter": CheckKind(C.check_diameter),
-    "distance-sandwich": CheckKind(C.check_distance_sandwich, {"n_pairs": _count}),
+    "distance-sandwich": CheckKind(C.check_distance_sandwich, {"n_pairs": _count},
+                                   bind=_bind_sandwich),
     "subunit-oracle": CheckKind(C.check_subunit_oracle),
 }
 
@@ -550,8 +579,8 @@ def _run_check(kind: CheckKind, ctxs, spec, cfg, name):
     opts = _check_options(cfg, name, spec)
     tol = {f: opts.pop(f"tol_{f}") for f in ("abs", "rel") if f"tol_{f}" in opts}
     params = inspect.signature(kind.check).parameters
-    kwargs = {p: seed if p == "seed" else ctx.spectral() if p == "spectral" else getattr(ctx, p)
-              for p in ("model", "oracle", "spectral", "seed") if p in params}
+    kwargs = {p: ctx.spectral() if p == "spectral" else getattr(ctx, p)
+              for p in ("model", "oracle", "spectral") if p in params}
     if kind.bind is not None:
         kwargs.update(kind.bind(ctx, opts, seed))
     kwargs.update(opts)

@@ -40,6 +40,12 @@ class NotApplicableError(RuntimeError):
     """A check's preconditions are not met by this model."""
 
 
+# draws every verification probe, a random input that tests an identity of
+# the code rather than an inequality of the paper (the Gamma self-test, the
+# axioms, the kernel laws, the eigensolver); constant, so none follows a run
+PROBE_SEED = 0
+
+
 # ---------------------------------------------------------------------------
 # core data types
 
@@ -175,7 +181,7 @@ class DiscretizedModel:
         assembly must pass ``self_test_gamma`` or raises AssertionError."""
         if "_L" not in self.derived:
             self.derived["_L"] = graph_laplacian(self.edge_form, self.mu)
-            resid, slack = self_test_gamma(self, seed=7, n_fields=2)
+            resid, slack = self_test_gamma(self, n_fields=2)
             if not resid <= slack:
                 del self.derived["_L"]
                 raise AssertionError(f"Gamma edge/operator self-test failed for "
@@ -363,12 +369,11 @@ def gamma2_z(model: DiscretizedModel, f: ScalarField):
 # operator axioms
 
 
-def self_test_gamma(model: DiscretizedModel, seed: int = 0,
-                    n_fields: int = 3) -> tuple[float, float]:
+def self_test_gamma(model: DiscretizedModel, n_fields: int = 3) -> tuple[float, float]:
     """(residual, slack): the largest disagreement between the edge and the
-    operator routes to Gamma(f, g) over ``n_fields`` random pairs, and the
-    roundoff bound that it stays under when L is the graph Laplacian of the
-    edge list.
+    operator routes to Gamma(f, g) over ``n_fields`` random pairs drawn from
+    ``PROBE_SEED``, and the roundoff bound that it stays under when L is the
+    graph Laplacian of the edge list.
 
     With s = max |L_ij|, r the longest row of L, eps the machine epsilon
     and F G the largest max |f| max |g| of a pair drawn, the slack is
@@ -384,7 +389,7 @@ def self_test_gamma(model: DiscretizedModel, seed: int = 0,
       (r + 4) eps s F G.
     The sum, (4 r + 8.5) eps s F G, is below the slack.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     L = model.L
     worst, size = 0.0, 0.0
     for _ in range(n_fields):

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .fields import CDParameters, DiscretizedModel, EdgeForm, index_dtype
+from .fields import CDParameters, DiscretizedModel, EdgeForm, NotApplicableError, index_dtype
 
 
 class UnsupportedModelError(ValueError):
@@ -494,8 +494,13 @@ def build_model(spec: ModelSpec):
 
 
 def node_nearest(model: DiscretizedModel, point) -> int:
-    """Index of the node closest to a chart point."""
+    """Index of the node closest to a chart point; NotApplicableError if the
+    point's dimension is not the chart's."""
     p = np.asarray(point, dtype=float)
+    if p.shape != model.nodes.shape[1:]:
+        raise NotApplicableError(f"point {p.tolist()} has {p.size} coordinates; the "
+                                 f"chart of model {model.model_id!r} has "
+                                 f"{model.nodes.shape[1]}")
     # column by column, summed in the order of a row sum, so no (N, d)
     # temporary is made
     d2 = (model.nodes[:, 0] - p[0]) ** 2

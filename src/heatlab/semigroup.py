@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import connected_components
 
-from .fields import DiscretizedModel, EdgeForm, ScalarField, frozen
+from .fields import PROBE_SEED, DiscretizedModel, EdgeForm, ScalarField, frozen
 from .models import model_hash
 
 
@@ -55,9 +55,6 @@ CACHE_MAGIC = b"HLSPEC01"
 # model may hold a solve started from a vector that the run chose, so a warm
 # run could differ from a cold one)
 CACHE_VERSION = 5
-# draws the cluster probe fields, the Lanczos start vector and the blocks'
-# self-test probe; a constant, so no solve depends on the run
-PROBE_SEED = 0
 # the Chebyshev series of ``apply_semigroup`` drops weight below this, a
 # bound on its error relative to the 2-norm of the input: below double
 # roundoff

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DiscretizedModel, ScalarField
+from .fields import DiscretizedModel, NotApplicableError, ScalarField
 from .semigroup import SpectralData, apply_semigroup
 
 
@@ -109,11 +109,11 @@ def rectified_noise_fields(model: DiscretizedModel, n: int = 2,
     return out
 
 
-def positive_fields(model: DiscretizedModel, spectral: SpectralData | None,
+def positive_fields(model: DiscretizedModel, spectral: SpectralData,
                     seed: int = 0) -> list[NamedField]:
     """Strictly positive suite members 1 + a * (bounded field), a = 0.3, 0.6."""
     out = [NamedField("one", model.constant(1.0))]
-    if spectral is not None and spectral.count > 1:
+    if spectral.count > 1:
         for a in (0.3, 0.6):
             phi = spectral.eigenfields[:, 1]
             v = 1.0 + a * phi / np.max(np.abs(phi))
@@ -156,6 +156,9 @@ def horizontal_bump_fields(model: DiscretizedModel, widths=(0.5,)) -> list[Named
 
 def sub_riemannian_fields(model: DiscretizedModel) -> list[NamedField]:
     """Polynomials and smooth bumps adapted to the group structure."""
+    if model.vertical_form is None:
+        raise NotApplicableError(f"model {model.model_id!r} has no vertical structure; "
+                                 "the sub-riemannian suite needs one")
     x, y, z = model.nodes[:, 0], model.nodes[:, 1], model.nodes[:, 2]
     return (coordinate_fields(model) + [NamedField("xz", model.field(x * z)),
                                         NamedField("x2y", model.field(x * x * y))]

@@ -40,10 +40,10 @@ from heatlab.checks import (
     check_volume_regularity,
     harnack_dimension,
     poincare_margin,
-    sample_harnack_pairs,
     sharp_sobolev_sides,
     span_cd_margin,
 )
+from heatlab.cli import sample_harnack_pairs, sample_node_pairs
 from heatlab.reports import Tolerance, compare_digests, run_digest
 from heatlab.suites import (
     NamedField,
@@ -69,8 +69,7 @@ def test_criterion_1_operator_axioms(torus1, euclid1, euclid2, euclid3, sphere, 
     models = [torus1[0], euclid1[0], euclid2[0], euclid3[0], sphere[0], heis[0]]
     worst = 0.0
     for model in models:
-        rep = check_operator_axioms(model, n_random=100, seed=1,
-                                    tolerance=Tolerance(1e-10))
+        rep = check_operator_axioms(model, tolerance=Tolerance(1e-10))
         worst = max(worst, -rep.min_margin)
         assert rep.passed, (model.model_id, rep.worst_sample())
     elapsed = time.monotonic() - t0
@@ -120,7 +119,7 @@ def test_criterion_4_cd_suite(sphere, euclid2, heis):
     f = emodel.field(0.5 * np.sum(emodel.nodes**2, axis=1))
     erep = check_cd(emodel, eoracle, [NamedField("half-square-norm", f)],
                     mode="riemannian", equality_fields=("half-square-norm",),
-                    tolerance=Tolerance(1e-9, 1e-9), include_gamma_lemma=False)
+                    tolerance=Tolerance(1e-9, 1e-9))
     assert erep.passed
 
     hmodel, horacle = heis
@@ -328,10 +327,10 @@ def test_criterion_9_sobolev_diameter(euclid3, euclid2, sphere):
 def test_criterion_10_distances(torus1, euclid2, sphere, heis):
     for bundle in (torus1, euclid2, sphere):
         model, oracle = bundle[0], bundle[1]
-        rep = check_distance_sandwich(model, oracle, n_pairs=50, seed=6)
+        rep = check_distance_sandwich(model, oracle, sample_node_pairs(model, 50, seed=6))
         assert rep.passed, model.model_id
     hmodel, horacle = heis
-    hrep = check_distance_sandwich(hmodel, horacle, n_pairs=50, seed=6)
+    hrep = check_distance_sandwich(hmodel, horacle, sample_node_pairs(hmodel, 50, seed=6))
     assert hrep.passed
 
     worst = 0.0

@@ -1,9 +1,12 @@
-"""The benchmark's own code runs against the library (about 7 s).
+"""The benchmark's own code and the microbenchmarks run against the library
+(about 9 s).
 
 ``bench/`` calls library names (``apply_semigroup``, ``spectral_decompose``
-with k second, ``ModelContext``, ``metric.optimize`` and others); a change
-to one of them shows up here, not only in a benchmark run.
+with k second, ``ModelContext``, ``metric.optimize`` and others), and the
+microbenchmarks ``tests/bench_*.py`` import others; a change to one of them
+shows up here, not only in a benchmark run.
 """
+import glob
 import json
 import os
 import subprocess
@@ -11,6 +14,18 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
+MICROBENCHMARKS = sorted(glob.glob(os.path.join(ROOT, "tests", "bench_*.py")))
+
+
+def test_microbenchmarks_collect():
+    # the default run collects only test_*.py, so a moved or renamed library
+    # name would break these files unseen
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                          "-p", "no:cacheprovider", *MICROBENCHMARKS],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert sum("::" in line for line in run.stdout.splitlines()) == 29, run.stdout
 
 
 def test_one_traced_warm_round_reports_every_declared_layer():

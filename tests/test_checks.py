@@ -38,10 +38,10 @@ from heatlab.checks import (
     diameter_bound,
     harnack_dimension,
     poincare_margin,
-    sample_harnack_pairs,
     sharp_sobolev_sides,
     span_cd_margin,
 )
+from heatlab.cli import sample_harnack_pairs, sample_node_pairs
 from heatlab.fields import EdgeForm, cd_forms, deep_interior, gamma2_z, gamma_z
 from heatlab.reports import Tolerance
 from heatlab.suites import (
@@ -83,12 +83,13 @@ def test_span_cd_margin_ignores_the_basis(sphere):
 
 def test_span_cd_margin_matches_check_cd(sphere):
     model, oracle, spectral = sphere
-    # one column: the check_cd relative margin of that field
+    # one column: the check_cd relative margin of that field (its first row;
+    # the second is the gradient-of-Gamma lemma's)
     v = spectral.eigenfields[:, 5]
-    rep = check_cd(model, oracle, [NamedField("v", model.field(v))],
-                   mode="riemannian", include_gamma_lemma=False)
+    rep = check_cd(model, oracle, [NamedField("v", model.field(v))], mode="riemannian")
+    assert rep.samples[0]["field"] == "v"
     assert span_cd_margin(model, oracle, v[:, None]) == pytest.approx(
-        rep.min_margin / rep.scale, rel=1e-12)
+        rep.samples[0]["margin"] / rep.scale, rel=1e-12)
     # two columns: forms maximized and minimized by brute force over angles
     span = spectral.eigenfields[:, [2, 5]]
     idx = np.flatnonzero(deep_interior(model))
@@ -108,7 +109,7 @@ def test_cd_euclid_equality(euclid2):
     f = model.field(0.5 * np.sum(model.nodes**2, axis=1))
     rep = check_cd(model, oracle, [NamedField("half-square-norm", f)],
                    mode="riemannian", equality_fields=("half-square-norm",),
-                   tolerance=Tolerance(1e-9, 1e-9), include_gamma_lemma=False)
+                   tolerance=Tolerance(1e-9, 1e-9))
     assert rep.passed
     eq = [s for s in rep.samples if s["field"].endswith("|equality")][0]
     assert eq["lhs"] < 1e-9   # the margin vanishes identically
@@ -207,9 +208,6 @@ def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
     suite = eigen_fields(model, spectral, seed=0)
     check_cd(model, oracle, suite, mode="riemannian")
     assert calls == {"horizontal": 3 * len(suite)}
-    calls.clear()
-    check_cd(model, oracle, suite, mode="riemannian", include_gamma_lemma=False)
-    assert calls == {"horizontal": 2 * len(suite)}
 
     calls.clear()
     hsuite = sub_riemannian_fields(hmodel)
@@ -561,13 +559,13 @@ def test_diameter_bound(sphere):
 def test_distance_sandwich_checks(sphere, heis):
     for bundle, pairs in ((sphere, 15), (heis, 8)):
         model, oracle = bundle[0], bundle[1]
-        rep = check_distance_sandwich(model, oracle, n_pairs=pairs, seed=4)
+        rep = check_distance_sandwich(model, oracle, sample_node_pairs(model, pairs, seed=4))
         assert rep.passed
 
 
 def test_kernel_laws_and_spectrum(torus1):
     model, oracle, spectral = torus1
-    rep = check_kernel_laws(model, spectral, seed=0)
+    rep = check_kernel_laws(model, spectral)
     assert rep.passed
     assert rep.metadata["cross_engine_sup_diff"] < 1e-4
     rep2 = check_spectrum(model, oracle, spectral, count=5, rtol=0.01)
@@ -578,7 +576,9 @@ def test_a_check_that_gates_no_sample_does_not_pass(torus1):
     # with nothing compared, min_margin would be +inf and the report a pass
     model, oracle, spectral = torus1
     with pytest.raises(NotApplicableError, match="^distance-sandwich gated no sample$"):
-        check_distance_sandwich(model, oracle, n_pairs=0)
+        check_distance_sandwich(model, oracle, [])
+    with pytest.raises(NotApplicableError, match="^distance-sandwich gated no sample$"):
+        check_distance_sandwich(model, oracle, [(3, 3)])     # x == y compares nothing
     with pytest.raises(NotApplicableError, match="^harnack-riemannian gated no sample$"):
         check_harnack(model, oracle, bump_fields(model, seed=0), [])
     # zip would cut the comparison at the retained pairs and still pass
@@ -593,7 +593,7 @@ def test_kernel_laws_with_the_campaign_flow(sphere):
     # retained pairs the eigen-expansion is exact too, so only roundoff
     # separates the routes
     model, _, spectral = sphere
-    rep = check_kernel_laws(model, spectral, seed=0)
+    rep = check_kernel_laws(model, spectral)
     assert rep.passed
     assert rep.metadata["cross_engine_sup_diff"] < 1e-10
 

@@ -135,13 +135,14 @@ def test_campaign_failure_exit_code(tmp_path):
 
 
 def test_campaign_reruns_on_config_change(tmp_path):
-    cfg = _mini_config(str(tmp_path))
-    assert run_campaign(cfg, log=lambda *a: None) == 0
-    d1 = MarginReport.load(os.path.join(cfg.output_dir, "ax.json"))
-    cfg2 = _mini_config(str(tmp_path), seed=12)   # same dirs, new seed
-    assert run_campaign(cfg2, log=lambda *a: None) == 0
-    d2 = MarginReport.load(os.path.join(cfg2.output_dir, "ax.json"))
-    assert d1.dumps() != d2.dumps()
+    # the sandwich's node pairs are drawn from the seed
+    dumps = []
+    for seed in (11, 12):                     # same dirs, new seed
+        cfg = _mini_config(str(tmp_path), seed=seed)
+        cfg.checks["pairs"] = {"check": "distance-sandwich", "model": "t", "n_pairs": 8}
+        assert run_campaign(cfg, log=lambda *a: None) == 0
+        dumps.append(MarginReport.load(os.path.join(cfg.output_dir, "pairs.json")).dumps())
+    assert dumps[0] != dumps[1]
 
 
 def test_main_exit_codes(tmp_path):
@@ -548,17 +549,32 @@ def test_every_default_model_evolves_by_the_exact_flow(tmp_path):
         assert model.derived[key] is state, name
 
 
-@pytest.mark.parametrize("name", ["neumann-square", "neumann-cap-sphere",
-                                  "ball-poincare-heis", "neumann-interval"])
-def test_eigensolve_reports_do_not_follow_the_seed(tmp_path, name):
-    # the first three solve their submodel by eigsh, the last by the dense
-    # solver; no start vector is drawn from the seed, so the bytes agree
+def _reports_at_seeds_42_and_43(tmp_path, name):
     reports = []
     for seed in ("42", "43"):
         out = tmp_path / seed
         assert main(["check", "--check", name, "--seed", seed, "--out", str(out),
                      "--cache", str(tmp_path / f"cache{seed}")]) == 0
         reports.append((out / f"{name}.json").read_bytes())
+    return reports
+
+
+@pytest.mark.parametrize("name", ["neumann-square", "neumann-cap-sphere",
+                                  "ball-poincare-heis", "neumann-interval"])
+def test_eigensolve_reports_do_not_follow_the_seed(tmp_path, name):
+    # the first three solve their submodel by eigsh, the last by the dense
+    # solver; no start vector is drawn from the seed, so the bytes agree
+    reports = _reports_at_seeds_42_and_43(tmp_path, name)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name", ["axioms-torus1", "axioms-euclid1", "axioms-euclid2",
+                                  "axioms-euclid3", "axioms-sphere", "axioms-heis",
+                                  "kernel-laws-torus1", "kernel-laws-sphere"])
+def test_probe_reports_do_not_follow_the_seed(tmp_path, name):
+    # the random fields and probe nodes of these checks test identities of
+    # the code and are drawn from PROBE_SEED, so the bytes agree
+    reports = _reports_at_seeds_42_and_43(tmp_path, name)
     assert reports[0] == reports[1]
 
 
@@ -742,6 +758,32 @@ NOT_APPLICABLE = [
     # P_t of the point source rounds below 0 far from it
     (HARNACK_FAST + "checks.h.suite = delta\n",
      "checks.h: P_t point-source not positive at x = 221 at t = 0.001"),
+    # the cap is centred at the pole (0, 0, 1), a point of no flat chart
+    (BOX16.format(extent=1.5) + "checks.n.check = neumann-poincare\nchecks.n.model = b\n"
+     "checks.n.domain = cap\n",
+     "checks.n: point [0.0, 0.0, 1.0] has 3 coordinates; the chart of model "
+     "'euclidean2d-m16-a1.5' has 2"),
+    ("models.t.kind = torus\nmodels.t.dim = 1\nmodels.t.resolution = 32\n"
+     "checks.n.check = neumann-poincare\nchecks.n.model = t\n"
+     "checks.n.domain = cap\n",
+     "checks.n: point [0.0, 0.0, 1.0] has 3 coordinates; the chart of model "
+     "'torus1d-m32-P6.28319' has 1"),
+    (BOX16.format(extent=1.5) + "checks.s.check = sobolev-sharp\nchecks.s.model = b\n",
+     "checks.s: point [0.0, 0.0, 1.0] has 3 coordinates; the chart of model "
+     "'euclidean2d-m16-a1.5' has 2"),
+    # the sub-riemannian suite needs a vertical form
+    (BOX16.format(extent=1.5) + "checks.v.check = vertical-commutation\n"
+     "checks.v.model = b\n",
+     "checks.v: model 'euclidean2d-m16-a1.5' has no vertical structure; "
+     "the sub-riemannian suite needs one"),
+    (BOX16.format(extent=1.5) + "checks.g.check = gradient-bound\nchecks.g.model = b\n"
+     "checks.g.suite = sub-riemannian\n",
+     "checks.g: model 'euclidean2d-m16-a1.5' has no vertical structure; "
+     "the sub-riemannian suite needs one"),
+    (BOX16.format(extent=1.5) + "checks.c.check = cd\nchecks.c.model = b\n"
+     "checks.c.mode = scan\n",
+     "checks.c: model 'euclidean2d-m16-a1.5' has no vertical structure; "
+     "the sub-riemannian suite needs one"),
 ]
 
 
@@ -754,6 +796,22 @@ def test_not_applicable_check_exits_2_with_one_line(tmp_path, capsys):
                      "--cache", str(tmp_path / "c")]) == 2, message
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not os.listdir(out)
+
+
+def test_positive_suite_does_not_follow_spectral_k(tmp_path):
+    # the suite's eigenfield-1 members are there whether or not the model
+    # sets spectral_k; eigenfield 1 of lat16 is the same at k = 40 and 128
+    reports = []
+    for i, extra in enumerate(("", "models.s.spectral_k = 40\n")):
+        cfgfile = tmp_path / f"ls{i}.cfg"
+        cfgfile.write_text(SPHERE16 + extra + "checks.l.check = log-sobolev\n"
+                           "checks.l.model = s\n")
+        out = tmp_path / f"o{i}"
+        assert main(["campaign", "--config", str(cfgfile), "--out", str(out),
+                     "--cache", str(tmp_path / "c")]) == 0
+        reports.append((out / "l.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["samples"]) == 11
 
 
 def test_spectrum_count_beyond_the_retained_pairs_exits_2(tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_gamma_constant_is_zero(sphere):
 
 def test_gamma_two_evaluation_paths_agree(sphere, heis):
     for model in (sphere[0], heis[0]):
-        resid, slack = self_test_gamma(model, seed=11)
+        resid, slack = self_test_gamma(model)
         assert resid <= slack
 
 
@@ -99,16 +99,15 @@ def test_vertical_form_coordinate(heis):
 
 def test_operator_axioms_pass_on_catalog(torus1, sphere, heis):
     for model in (torus1[0], sphere[0], heis[0]):
-        rep = check_operator_axioms(model, n_random=25, seed=3)
+        rep = check_operator_axioms(model)
         assert rep.passed, rep.worst_sample()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_operator_axioms_pass_on_fine_sphere(seed):
+def test_operator_axioms_pass_on_fine_sphere():
     # gamma-two-paths' roundoff grows with the operator scale (about 1.1e5
     # on lat48), which the derived slack follows
     model, _ = build_model(ModelSpec("sphere", dim=2, resolution=48))
-    rep = check_operator_axioms(model, seed=seed)
+    rep = check_operator_axioms(model)
     assert rep.passed, rep.worst_sample()
 
 
@@ -120,7 +119,7 @@ def test_operator_axioms_negative_control(tiny_torus):
     L[0, 1] += 0.37
     bad = dataclasses.replace(model, model_id="corrupted")
     bad.derived["_L"] = L.tocsr()
-    rep = check_operator_axioms(bad, n_random=10)
+    rep = check_operator_axioms(bad)
     assert not rep.passed
 
 
@@ -343,7 +342,7 @@ def test_neumann_restrict_assembles_its_laplacian_once(monkeypatch):
     calls = _counted_laplacian(monkeypatch)
     sub = neumann_restrict(model, model.nodes[:, 0] <= 0)
     spectral_decompose(sub, k=4)
-    check_operator_axioms(sub, n_random=2)
+    check_operator_axioms(sub)
     assert calls == [sub.n_nodes]
     # and that first assembly is self-tested
     _counted_laplacian(monkeypatch, corrupt=True)

@@ -15,6 +15,7 @@ from heatlab import (
     volume_growth_exponent,
 )
 from heatlab.checks import check_distance_sandwich
+from heatlab.cli import sample_node_pairs
 from heatlab.metric import _increasing_root, distance_field, oracle_distance
 from heatlab.models import ModelSpec, build_model
 
@@ -435,16 +436,16 @@ def test_heisenberg_growth_exponent():
 
 
 def test_anisotropy_calibration_without_distant_pairs():
-    # on an 8-node circle only antipodal pairs lie 3 h apart; these 4 draw none
+    # on an 8-node circle only antipodal pairs lie 3 h apart; these 4 are not
     model, oracle = build_model(ModelSpec("torus", dim=1, resolution=8))
-    rep = check_distance_sandwich(model, oracle, n_pairs=4, seed=0)
+    rep = check_distance_sandwich(model, oracle, [(0, 1), (2, 4), (5, 3), (7, 6)])
     assert rep.metadata["anisotropy"] == {"n_pairs": 0}
 
 
 def test_anisotropy_calibration(sphere):
     # the sandwich's own rows: graph over oracle on the pairs 3 h apart
     model, oracle, _ = sphere
-    rep = check_distance_sandwich(model, oracle, n_pairs=40, seed=2)
+    rep = check_distance_sandwich(model, oracle, sample_node_pairs(model, 40, seed=2))
     cal = rep.metadata["anisotropy"]
     ratios = [s["rhs"] / s["oracle"] for s in rep.samples
               if s["oracle"] >= 3 * model.meta["h"]]

@@ -640,8 +640,7 @@ _CD_MARGIN = textwrap.dedent("""
     model, oracle = build_model(ModelSpec("sphere", dim=2, resolution=16))
     for m in (model, neumann_restrict(model, np.arange(model.n_nodes))):
         spectral = spectral_decompose(m, k=60)
-        rep = check_cd(m, oracle, eigen_fields(m, spectral, seed=0),
-                       mode="riemannian", include_gamma_lemma=False)
+        rep = check_cd(m, oracle, eigen_fields(m, spectral, seed=0), mode="riemannian")
         print(repr(rep.min_margin))
 """)
 
