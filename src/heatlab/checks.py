@@ -527,16 +527,16 @@ def check_li_yau(model, oracle, suite, t_grid=(0.05, 0.1, 0.2),
     """Gradient-of-logarithm estimates for positive solutions (``_positive_flow``).
 
     Modes: ``rho0`` (sharp flat-space form), ``general-alpha``,
-    ``exponential``, ``bakry-qian`` (needs rho > 0 and t >= 2/rho), and
-    ``sub-riemannian`` (needs the model's vertical form, the oracle's CD
-    parameters and alpha > 2).
+    ``exponential`` (needs rho > 0), ``bakry-qian`` (needs rho > 0 and
+    t >= 2/rho), and ``sub-riemannian`` (needs the model's vertical form,
+    the oracle's CD parameters and alpha > 2).
     Fields named in ``saturation_fields`` must additionally come within
     ``saturation_rtol`` (relative to the report scale) of equality somewhere
     on the interior.
     """
     rho, n = oracle.ricci_lower, float(oracle.dim)
-    if mode == "bakry-qian" and rho <= 0:
-        raise NotApplicableError("bakry-qian mode needs rho > 0")
+    if mode in ("bakry-qian", "exponential") and rho <= 0:
+        raise NotApplicableError(f"{mode} mode needs rho > 0")
     if mode == "sub-riemannian":
         params = oracle.cd_params
         if params is None or model.vertical_form is None:
@@ -854,7 +854,7 @@ def check_ball_poincare(model, center: int) -> MarginReport:
     radius = 0.6
     d = distance_field(model, None, center).values
     sub = neumann_restrict(model, np.flatnonzero(d <= radius))
-    lam1 = float(spectral_decompose(sub, k=3).eigenvalues[1])
+    lam1 = float(spectral_decompose(sub, k=min(3, sub.n_nodes)).eigenvalues[1])
     samples = [_row(0.0, lam1 * radius**2, r=radius)]
     return _report("ball-poincare", model.model_id, samples,
                    Tolerance(0.0, 0.0), 1.0,

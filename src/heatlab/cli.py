@@ -15,8 +15,8 @@ runs.
 Each check id is declared once in ``CHECK_KINDS``: its check function and
 the config keys it accepts with their types.  Defaults, default tolerances
 and the model-context arguments it takes live in the check's signature.
-The run's ``seed`` picks each check's sample design (suites, centres, node
-pairs), which only the binding here draws; no check takes a seed.
+The run's ``seed`` picks each check's centres and node pairs, which only
+the binding here draws; no check and no suite takes a seed.
 
 Config grammar (also accepted as JSON with the same nesting):
 
@@ -345,9 +345,9 @@ class CheckKind:
     """How a check id binds its config to a check function.
 
     ``keys`` maps each accepted config key to its value type; a key is
-    passed to the check under its own name unless ``bind(ctx, opts, seed)``
-    pops it: ``bind`` draws from the check's own seed the sample design
-    that no single key gives (suites, centers, pair samples).
+    passed to the check under its own name unless ``bind(ctx, opts, rng)``
+    pops it: ``bind`` builds the suite and draws from ``rng`` (a fresh
+    stream of the check's own seed) the centers and pair samples.
     ``tol_abs``/``tol_rel`` replace the fields of the check's default
     tolerance.  The arguments ``model``, ``oracle`` and ``spectral`` come
     from the model context whenever the check's signature names them.
@@ -379,9 +379,8 @@ def _reach(model, r, cells):
     return model.metric_distance_to_boundary() > r + cells * h
 
 
-def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0):
+def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, rng):
     """(x, s, y, t) tuples with s < t, nodes drawn from a safe interior."""
-    rng = np.random.default_rng(seed)
     tmax = max(s + g for s in s_grid for g in gap_grid)
     idx = np.flatnonzero(interior_for_time(model, tmax))
     if idx.size == 0:
@@ -395,61 +394,58 @@ def sample_harnack_pairs(model, n_pairs, s_grid, gap_grid, seed=0):
     return pairs
 
 
-def sample_node_pairs(model, n_pairs, seed=0):
+def sample_node_pairs(model, n_pairs, rng):
     """``n_pairs`` (x, y) node pairs drawn uniformly, x == y allowed."""
-    rng = np.random.default_rng(seed)
     return [tuple(int(v) for v in rng.integers(0, model.n_nodes, size=2))
             for _ in range(n_pairs)]
 
 
 _SUITES = {
-    "eigen": lambda ctx, seed: S.eigen_fields(ctx.model, ctx.spectral(), seed=seed),
-    "coordinate": lambda ctx, seed: S.coordinate_fields(ctx.model),
-    "positive": lambda ctx, seed: S.positive_fields(ctx.model, ctx.spectral(), seed=seed),
-    "sub-riemannian": lambda ctx, seed: S.sub_riemannian_suite(ctx.model, seed=seed),
+    "eigen": lambda ctx: S.eigen_fields(ctx.model, ctx.spectral()),
+    "coordinate": lambda ctx: S.coordinate_fields(ctx.model),
+    "positive": lambda ctx: S.positive_fields(ctx.model, ctx.spectral()),
+    "sub-riemannian": lambda ctx: S.sub_riemannian_suite(ctx.model),
 }
 
 
 def _bind_suite(default):
-    return lambda ctx, opts, seed: {
-        "suite": _SUITES[opts.pop("suite", default)](ctx, seed)}
+    return lambda ctx, opts, rng: {"suite": _SUITES[opts.pop("suite", default)](ctx)}
 
 
-def _bind_cd(ctx, opts, seed):
+def _bind_cd(ctx, opts, rng):
     mode = opts.get("mode", "riemannian")
     suite = opts.pop("suite", "eigen" if mode == "riemannian" else "sub-riemannian")
-    return {"suite": _SUITES[suite](ctx, seed), "tolerance": C.CD_TOLERANCE[mode]}
+    return {"suite": _SUITES[suite](ctx), "tolerance": C.CD_TOLERANCE[mode]}
 
 
-def _bind_li_yau(ctx, opts, seed):
+def _bind_li_yau(ctx, opts, rng):
     model, kind = ctx.model, opts.pop("suite", "positive")
     if kind == "delta":
         suite = S.point_source_fields(model, _origin(model), width=0.25)
-        suite += S.rectified_noise_fields(model, n=2, seed=seed)
+        suite += S.rectified_noise_fields(model, n=2)
         return {"suite": suite, "saturation_fields": ("point-source",)}
     if kind == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
-        return {"suite": suite + S.rectified_noise_fields(model, n=1, seed=seed)}
-    return {"suite": _SUITES["positive"](ctx, seed)}
+        return {"suite": suite + S.rectified_noise_fields(model, n=1)}
+    return {"suite": _SUITES["positive"](ctx)}
 
 
-def _bind_harnack(ctx, opts, seed):
+def _bind_harnack(ctx, opts, rng):
     model = ctx.model
     pairs = sample_harnack_pairs(model, opts.pop("n_pairs", 200),
                                  opts.pop("s_grid", [0.05, 0.1]),
-                                 opts.pop("gap_grid", [0.05, 0.1]), seed=seed)
+                                 opts.pop("gap_grid", [0.05, 0.1]), rng)
     if opts.pop("suite", None) == "delta":
         suite = S.point_source_fields(model, _origin(model), width=0.3)
     elif opts.get("mode") == "sub-riemannian":
         suite = S.horizontal_bump_fields(model, widths=(0.5, 0.8))
     else:
-        suite = S.bump_fields(model, seed=seed)
+        suite = S.bump_fields(model)
     return {"suite": suite, "pair_sample": pairs}
 
 
-def _bind_kernel_bounds(ctx, opts, seed):
+def _bind_kernel_bounds(ctx, opts, rng):
     model = ctx.model
-    rng = np.random.default_rng(seed)
     radii = opts.pop("radii", [0.3, 0.4, 0.5, 0.6])
     t_grid = opts.pop("t_grid", [0.05, 0.1])
     safe = model.metric_distance_to_boundary()
@@ -471,7 +467,7 @@ def _bind_kernel_bounds(ctx, opts, seed):
     return {"radii": radii, "centers": centers, "pair_sample": pairs}
 
 
-def _bind_volume(ctx, opts, seed):
+def _bind_volume(ctx, opts, rng):
     model = ctx.model
     radii = np.asarray(opts.pop("radii", [0.3, 0.4, 0.5, 0.6]))
     if "shell_radii" in opts:
@@ -479,10 +475,10 @@ def _bind_volume(ctx, opts, seed):
     if opts.pop("centers", None) == "origin":
         return {"radii": radii, "centers": [_origin(model)]}
     return {"radii": radii, "centers": _centers(
-        model, np.random.default_rng(seed), _reach(model, 2 * radii.max(), 2), 2)}
+        model, rng, _reach(model, 2 * radii.max(), 2), 2)}
 
 
-def _bind_neumann(ctx, opts, seed):
+def _bind_neumann(ctx, opts, rng):
     model = ctx.model
     half, r = 0.5, 0.8            # box half-width, cap radius
     if opts.pop("domain", "box") == "box":
@@ -498,25 +494,24 @@ def _bind_neumann(ctx, opts, seed):
     return {"submodel": sub, "diameter": float(diameter)}
 
 
-def _bind_embedding(ctx, opts, seed):
+def _bind_embedding(ctx, opts, rng):
     model = ctx.model
     return {"suite": S.bump_fields(model, centers=[_origin(model)], width=0.25)
-            + S.bump_fields(model, seed=seed, width=0.25)}
+            + S.bump_fields(model, width=0.25)}
 
 
-def _bind_isoperimetric(ctx, opts, seed):
-    model = ctx.model
+def _bind_isoperimetric(ctx, opts, rng):
     radii = np.asarray([0.3, 0.4, 0.5, 0.6])
-    return {"radii": radii, "centers": _centers(
-        model, np.random.default_rng(seed), _reach(model, radii.max(), 3), 6)}
+    return {"radii": radii,
+            "centers": _centers(ctx.model, rng, _reach(ctx.model, radii.max(), 3), 6)}
 
 
-def _bind_sandwich(ctx, opts, seed):
-    return {"pair_sample": sample_node_pairs(ctx.model, opts.pop("n_pairs", 50), seed)}
+def _bind_sandwich(ctx, opts, rng):
+    return {"pair_sample": sample_node_pairs(ctx.model, opts.pop("n_pairs", 50), rng)}
 
 
-def _bind_sobolev_sharp(ctx, opts, seed):
-    suite = _SUITES["positive"](ctx, seed)
+def _bind_sobolev_sharp(ctx, opts, rng):
+    suite = _SUITES["positive"](ctx)
     pole = node_nearest(ctx.model, [0, 0, 1])
     return {"suite": suite, "extremal_suite": S.latitude_profiles(
         ctx.model, pole, p=max(C.SOBOLEV_P_LIST))}
@@ -531,7 +526,7 @@ CHECK_KINDS = {
     "cd": CheckKind(C.check_cd, {"mode": _choice(*C.CD_TOLERANCE), "suite": _SUITE,
                                  "nu_grid": _floats, "equality_fields": _strs,
                                  "tol_abs": _nonneg, "tol_rel": _nonneg}, bind=_bind_cd),
-    "vertical-commutation": CheckKind(C.check_vertical_commutation, bind=lambda ctx, opts, seed: {
+    "vertical-commutation": CheckKind(C.check_vertical_commutation, bind=lambda ctx, opts, rng: {
         "suite": S.sub_riemannian_fields(ctx.model)}),
     "gradient-bound": CheckKind(C.check_gradient_bound, {"suite": _SUITE, "t_grid": _times},
                                 bind=_bind_suite("eigen")),
@@ -559,7 +554,7 @@ CHECK_KINDS = {
     "neumann-poincare": CheckKind(C.check_neumann_poincare, {
         "domain": _choice("box", "cap"), "constant": _float, "expected_product": _float},
         bind=_bind_neumann),
-    "ball-poincare": CheckKind(C.check_ball_poincare, bind=lambda ctx, opts, seed: {
+    "ball-poincare": CheckKind(C.check_ball_poincare, bind=lambda ctx, opts, rng: {
         "center": _origin(ctx.model)}),
     "sobolev-embedding": CheckKind(C.check_sobolev_embedding, bind=_bind_embedding),
     "isoperimetric": CheckKind(C.check_isoperimetric_balls, {"expected_ratio": _float},
@@ -575,14 +570,14 @@ CHECK_KINDS = {
 def _run_check(kind: CheckKind, ctxs, spec, cfg, name):
     """Run one configured check: bind its keys to the check's arguments."""
     ctx = ctxs[spec["model"]]
-    seed = _seed_for(cfg, name)
     opts = _check_options(cfg, name, spec)
     tol = {f: opts.pop(f"tol_{f}") for f in ("abs", "rel") if f"tol_{f}" in opts}
     params = inspect.signature(kind.check).parameters
     kwargs = {p: ctx.spectral() if p == "spectral" else getattr(ctx, p)
               for p in ("model", "oracle", "spectral") if p in params}
     if kind.bind is not None:
-        kwargs.update(kind.bind(ctx, opts, seed))
+        rng = np.random.default_rng(_seed_for(cfg, name))
+        kwargs.update(kind.bind(ctx, opts, rng))
     kwargs.update(opts)
     if tol:
         default = params["tolerance"].default

@@ -41,8 +41,9 @@ class NotApplicableError(RuntimeError):
 
 
 # draws every verification probe, a random input that tests an identity of
-# the code rather than an inequality of the paper (the Gamma self-test, the
-# axioms, the kernel laws, the eigensolver); constant, so none follows a run
+# the code (the Gamma self-test, the axioms, the kernel laws, the
+# eigensolver), and the random members of the suites, a finite probe of the
+# paper's "for every f"; constant, so none follows a run
 PROBE_SEED = 0
 
 

@@ -37,7 +37,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import connected_components
 
-from .fields import PROBE_SEED, DiscretizedModel, EdgeForm, ScalarField, frozen
+from .fields import (PROBE_SEED, DiscretizedModel, EdgeForm, NotApplicableError,
+                     ScalarField, frozen)
 from .models import model_hash
 
 
@@ -619,12 +620,16 @@ def neumann_restrict(model: DiscretizedModel, node_subset) -> DiscretizedModel:
     """Reflecting restriction to a connected node subset.
 
     Keeps internal edges only, so the constant field stays in the kernel
-    and the spectrum is the discrete Neumann spectrum of the subdomain.
+    and the spectrum is the discrete Neumann spectrum of the subdomain;
+    ``NotApplicableError`` if the subset is too small to have a gap lambda_1.
     """
     subset = np.asarray(node_subset)
     if subset.dtype == bool:
         subset = np.flatnonzero(subset)
     subset = np.unique(subset)
+    if subset.size < 2:
+        raise NotApplicableError(f"the subdomain holds {subset.size} node(s); "
+                                 "its Neumann gap lambda_1 needs at least 2")
     remap = -np.ones(model.n_nodes, dtype=np.int64)
     remap[subset] = np.arange(subset.size)
 

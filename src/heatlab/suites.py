@@ -5,7 +5,8 @@ functions, point sources, heat-evolved noise, and log-concave latitude
 profiles used as near-extremal candidates for the sharp Sobolev family.
 Noise is evolved by the model's exact flow (``apply_semigroup``).
 Checks that need positivity shift by a recorded epsilon and are rerun at
-epsilon/10 to confirm stability.
+epsilon/10 to confirm stability.  A suite probes "for every f", so it is a
+function of the model: its random members are drawn from ``PROBE_SEED``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DiscretizedModel, NotApplicableError, ScalarField
+from .fields import PROBE_SEED, DiscretizedModel, NotApplicableError, ScalarField
 from .semigroup import SpectralData, apply_semigroup
 
 
@@ -39,28 +40,26 @@ def coordinate_fields(model: DiscretizedModel) -> list[NamedField]:
     return out
 
 
-def eigen_fields(model: DiscretizedModel, spectral: SpectralData,
-                 n_single: int = 3, n_combo: int = 3,
-                 seed: int = 0) -> list[NamedField]:
-    """Eigenfields 1..n_single and random combinations of eigenfields 1..9."""
-    rng = np.random.default_rng(seed)
+def eigen_fields(model: DiscretizedModel, spectral: SpectralData) -> list[NamedField]:
+    """Eigenfields 1..3 and three random combinations of eigenfields 1..9."""
+    rng = np.random.default_rng(PROBE_SEED)
     k_max = min(9, spectral.count - 1)
     out = []
-    for k in range(1, min(n_single, k_max) + 1):
+    for k in range(1, min(3, k_max) + 1):
         out.append(NamedField(f"eigen-{k}", model.field(spectral.eigenfields[:, k])))
-    for c in range(n_combo):
+    for c in range(3):
         coef = rng.standard_normal(k_max)
         v = spectral.eigenfields[:, 1:k_max + 1] @ coef
         out.append(NamedField(f"eigen-combo-{c}", model.field(v)))
     return out
 
 
-def bump_fields(model: DiscretizedModel, centers=None, width: float | None = None,
-                seed: int = 0) -> list[NamedField]:
+def bump_fields(model: DiscretizedModel, centers=None,
+                width: float | None = None) -> list[NamedField]:
     """Gaussian bumps in chart coordinates, snapped to nodes."""
-    rng = np.random.default_rng(seed)
     nodes = model.nodes
     if centers is None:
+        rng = np.random.default_rng(PROBE_SEED)
         interior = np.flatnonzero(model.hop_distance_to_boundary() >= 3)
         if interior.size == 0:
             interior = np.arange(model.n_nodes)
@@ -86,9 +85,9 @@ def point_source_fields(model: DiscretizedModel, center: int,
 
 
 def evolved_noise_fields(model: DiscretizedModel, n: int = 2,
-                         eps_time: float | None = None, seed: int = 0) -> list[NamedField]:
+                         eps_time: float | None = None) -> list[NamedField]:
     """White noise mollified by a short heat run (P_eps of noise)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     if eps_time is None:
         eps_time = 4 * float(model.meta["h"])**2
     out = []
@@ -99,18 +98,16 @@ def evolved_noise_fields(model: DiscretizedModel, n: int = 2,
     return out
 
 
-def rectified_noise_fields(model: DiscretizedModel, n: int = 2,
-                           seed: int = 0) -> list[NamedField]:
+def rectified_noise_fields(model: DiscretizedModel, n: int = 2) -> list[NamedField]:
     """Nonnegative mollified noise (evolved noise minus its minimum)."""
     out = []
-    for nf in evolved_noise_fields(model, n=n, seed=seed):
+    for nf in evolved_noise_fields(model, n=n):
         v = nf.field.values
         out.append(NamedField("rectified-" + nf.name, model.field(v - v.min())))
     return out
 
 
-def positive_fields(model: DiscretizedModel, spectral: SpectralData,
-                    seed: int = 0) -> list[NamedField]:
+def positive_fields(model: DiscretizedModel, spectral: SpectralData) -> list[NamedField]:
     """Strictly positive suite members 1 + a * (bounded field), a = 0.3, 0.6."""
     out = [NamedField("one", model.constant(1.0))]
     if spectral.count > 1:
@@ -118,7 +115,7 @@ def positive_fields(model: DiscretizedModel, spectral: SpectralData,
             phi = spectral.eigenfields[:, 1]
             v = 1.0 + a * phi / np.max(np.abs(phi))
             out.append(NamedField(f"one-plus-{a:g}-eigen1", model.field(v)))
-    for nf in bump_fields(model, seed=seed):
+    for nf in bump_fields(model):
         out.append(NamedField("positive-" + nf.name,
                               model.field(0.2 + nf.field.values)))
     return out
@@ -146,6 +143,9 @@ def latitude_profiles(model: DiscretizedModel, pole_node: int,
 def horizontal_bump_fields(model: DiscretizedModel, widths=(0.5,)) -> list[NamedField]:
     """Bumps about the vertical axis, constant in the vertical coordinate
     (smooth for the sub-Laplacian)."""
+    if model.nodes.shape[1] < 2:
+        raise NotApplicableError(f"model {model.model_id!r} has one chart coordinate; "
+                                 "horizontal bumps need two")
     nodes = model.nodes
     out = []
     for w in widths:
@@ -165,7 +165,7 @@ def sub_riemannian_fields(model: DiscretizedModel) -> list[NamedField]:
             + horizontal_bump_fields(model, widths=(0.5, 0.8)))
 
 
-def sub_riemannian_suite(model: DiscretizedModel, seed: int = 0) -> list[NamedField]:
+def sub_riemannian_suite(model: DiscretizedModel) -> list[NamedField]:
     """``sub_riemannian_fields`` and one noise field evolved for 16 h^2."""
     return sub_riemannian_fields(model) + evolved_noise_fields(
-        model, n=1, eps_time=16 * float(model.meta["h"])**2, seed=seed)
+        model, n=1, eps_time=16 * float(model.meta["h"])**2)

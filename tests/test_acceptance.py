@@ -14,6 +14,7 @@ import pytest
 
 from heatlab import (
     ModelSpec,
+    apply_semigroup,
     build_model,
     check_operator_axioms,
     eigenvalue_clusters,
@@ -52,7 +53,7 @@ from heatlab.suites import (
     horizontal_bump_fields,
     latitude_profiles,
     positive_fields,
-    sub_riemannian_suite,
+    sub_riemannian_fields,
 )
 
 # every report of the default campaign (seed 42), from scripts/compare_runs.py --save
@@ -111,7 +112,7 @@ def test_criterion_3_spectra(torus1, sphere, euclid1):
 
 def test_criterion_4_cd_suite(sphere, euclid2, heis):
     model, oracle, spectral = sphere
-    rep = check_cd(model, oracle, eigen_fields(model, spectral, seed=0),
+    rep = check_cd(model, oracle, eigen_fields(model, spectral),
                    mode="riemannian", tolerance=Tolerance(1e-12, 0.02))
     assert rep.passed, rep.worst_sample()
 
@@ -123,9 +124,13 @@ def test_criterion_4_cd_suite(sphere, euclid2, heis):
     assert erep.passed
 
     hmodel, horacle = heis
+    eps = 16 * float(hmodel.meta["h"])**2
     vals = []
     for seed in (5, 77):
-        suite = sub_riemannian_suite(hmodel, seed=seed)
+        # the scan's rho1 must not hang on one noise draw
+        raw = np.random.default_rng(seed).standard_normal(hmodel.n_nodes)
+        noise = apply_semigroup(hmodel, hmodel.field(raw), eps)
+        suite = sub_riemannian_fields(hmodel) + [NamedField("evolved-noise-0", noise)]
         hrep = check_cd(hmodel, horacle, suite, mode="scan",
                         nu_grid=np.geomspace(0.25, 64, 10))
         vals.append(hrep.metadata["rho1_scan"])
@@ -188,21 +193,24 @@ def test_criterion_6_harnack_kernel_bounds(euclid2, sphere, heis):
 
     delta = np.zeros(model.n_nodes)
     delta[i0] = 1.0 / model.mu[i0]
-    hpairs = sample_harnack_pairs(model, 200, [0.05, 0.1], [0.05, 0.1], seed=3)
+    hpairs = sample_harnack_pairs(model, 200, [0.05, 0.1], [0.05, 0.1],
+                                  np.random.default_rng(3))
     rh = check_harnack(model, oracle, [NamedField("point-source", model.field(delta))] +
                        bump_fields(model, centers=[i0], width=0.3), hpairs,
                        tolerance=Tolerance(1e-12, 0.02))
     assert rh.passed
 
     smodel, soracle, sspectral = sphere
-    spairs = sample_harnack_pairs(smodel, 200, [0.1, 0.2], [0.1, 0.3], seed=4)
-    rs = check_harnack(smodel, soracle, bump_fields(smodel, seed=4),
+    spairs = sample_harnack_pairs(smodel, 200, [0.1, 0.2], [0.1, 0.3],
+                                  np.random.default_rng(4))
+    rs = check_harnack(smodel, soracle, bump_fields(smodel),
                        spairs, tolerance=Tolerance(1e-12, 0.02))
     assert rs.passed
 
     assert harnack_dimension(3.0, 0.0, 0.5, 2.0) == pytest.approx(2.0)
     hmodel, horacle = heis
-    hpairs2 = sample_harnack_pairs(hmodel, 60, [0.02, 0.04], [0.02, 0.05], seed=5)
+    hpairs2 = sample_harnack_pairs(hmodel, 60, [0.02, 0.04], [0.02, 0.05],
+                                   np.random.default_rng(5))
     rsub = check_harnack(hmodel, horacle, horizontal_bump_fields(hmodel, widths=(0.5, 0.8)),
                          hpairs2, mode="sub-riemannian",
                          tolerance=Tolerance(1e-12, 0.02))
@@ -266,7 +274,7 @@ def test_criterion_8_functional_inequalities(sphere):
     assert slope <= -2.0 + 0.05
 
     rg = check_gradient_bound(model, oracle,
-                              eigen_fields(model, spectral, seed=2),
+                              eigen_fields(model, spectral),
                               [0.1, 0.5, 1.0], tolerance=Tolerance(1e-12, 0.02))
     assert rg.passed
     assert _line("criterion-8 functional inequalities", True,
@@ -327,10 +335,10 @@ def test_criterion_9_sobolev_diameter(euclid3, euclid2, sphere):
 def test_criterion_10_distances(torus1, euclid2, sphere, heis):
     for bundle in (torus1, euclid2, sphere):
         model, oracle = bundle[0], bundle[1]
-        rep = check_distance_sandwich(model, oracle, sample_node_pairs(model, 50, seed=6))
+        rep = check_distance_sandwich(model, oracle, sample_node_pairs(model, 50, np.random.default_rng(6)))
         assert rep.passed, model.model_id
     hmodel, horacle = heis
-    hrep = check_distance_sandwich(hmodel, horacle, sample_node_pairs(hmodel, 50, seed=6))
+    hrep = check_distance_sandwich(hmodel, horacle, sample_node_pairs(hmodel, 50, np.random.default_rng(6)))
     assert hrep.passed
 
     worst = 0.0

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from heatlab import (
     ModelSpec,
     NotApplicableError,
+    apply_semigroup,
     build_model,
     checks,
     metric,
@@ -56,7 +57,7 @@ from heatlab.suites import (
 
 def test_cd_sphere(sphere):
     model, oracle, spectral = sphere
-    suite = eigen_fields(model, spectral, seed=0)
+    suite = eigen_fields(model, spectral)
     rep = check_cd(model, oracle, suite, mode="riemannian")
     assert rep.passed
     assert rep.min_margin > -0.02 * rep.scale
@@ -66,7 +67,7 @@ def test_cd_margins_do_not_depend_on_suite_order(sphere):
     # the gradient-of-Gamma rows are read in units of the report's scale,
     # which every field enters, not of the fields checked before them
     model, oracle, spectral = sphere
-    suite = eigen_fields(model, spectral, seed=0)
+    suite = eigen_fields(model, spectral)
     a, b = (check_cd(model, oracle, s) for s in (suite, suite[::-1]))
     assert {s["field"]: s["margin"] for s in a.samples} == \
         {s["field"]: s["margin"] for s in b.samples}
@@ -117,11 +118,15 @@ def test_cd_euclid_equality(euclid2):
 
 def test_cd_heisenberg_scan_and_reproducibility(heis):
     model, oracle = heis
-    from heatlab.suites import sub_riemannian_suite
+    from heatlab.suites import sub_riemannian_fields
 
+    eps = 16 * float(model.meta["h"])**2
     vals = []
     for seed in (5, 77):
-        suite = sub_riemannian_suite(model, seed=seed)
+        # the scan's rho1 must not hang on one noise draw
+        raw = np.random.default_rng(seed).standard_normal(model.n_nodes)
+        noise = apply_semigroup(model, model.field(raw), eps)
+        suite = sub_riemannian_fields(model) + [NamedField("evolved-noise-0", noise)]
         rep = check_cd(model, oracle, suite,
                        mode="scan", nu_grid=np.geomspace(0.25, 64, 10))
         assert rep.passed
@@ -134,7 +139,7 @@ def test_cd_generalized_margins(heis):
     model, oracle = heis
     from heatlab.suites import sub_riemannian_suite
 
-    suite = sub_riemannian_suite(model, seed=5)
+    suite = sub_riemannian_suite(model)
     rep = check_cd(model, oracle, suite, mode="generalized",
                    nu_grid=[0.5, 1.0, 2.0, 8.0])
     assert rep.passed
@@ -205,7 +210,7 @@ def test_cd_evaluates_each_form_once_per_field(monkeypatch, sphere, heis):
         return real(self, mu, f, g)
     monkeypatch.setattr(EdgeForm, "evaluate", evaluate)
 
-    suite = eigen_fields(model, spectral, seed=0)
+    suite = eigen_fields(model, spectral)
     check_cd(model, oracle, suite, mode="riemannian")
     assert calls == {"horizontal": 3 * len(suite)}
 
@@ -231,7 +236,8 @@ def test_vertical_commutation(heis):
 
 def test_gradient_bound(sphere, euclid2):
     model, oracle, spectral = sphere
-    suite = eigen_fields(model, spectral, n_single=2, n_combo=1)
+    suite = eigen_fields(model, spectral)
+    suite = suite[:2] + suite[3:4]          # eigen-1, eigen-2, eigen-combo-0
     rep = check_gradient_bound(model, oracle, suite, [0.0, 0.1, 0.5, 1.0])
     assert rep.passed
     t0 = [s for s in rep.samples if s["t"] == 0.0]
@@ -326,7 +332,7 @@ def test_exponential_schedule_coefficients():
 
 def test_li_yau_errors(euclid2, sphere):
     model, oracle, spectral = euclid2
-    suite = bump_fields(model, seed=0)
+    suite = bump_fields(model)
     with pytest.raises(NotApplicableError):
         check_li_yau(model, oracle, suite, [1.0], mode="bakry-qian")
     smodel, soracle, sspectral = sphere
@@ -364,8 +370,9 @@ def test_harnack_flat_saturation(euclid2):
 
 def test_harnack_pairs_and_errors(sphere):
     model, oracle, spectral = sphere
-    pairs = sample_harnack_pairs(model, 50, [0.1, 0.2], [0.1, 0.3], seed=1)
-    suite = bump_fields(model, seed=1)
+    pairs = sample_harnack_pairs(model, 50, [0.1, 0.2], [0.1, 0.3],
+                                 np.random.default_rng(1))
+    suite = bump_fields(model)
     rep = check_harnack(model, oracle, suite, pairs)
     assert rep.passed
     with pytest.raises(ValueError):
@@ -387,7 +394,7 @@ def test_harnack_evaluates_each_oracle_field_once(monkeypatch):
         calls[int(source)] += 1
         return real(model, oracle, source)
     monkeypatch.setattr(metric, "oracle_distance", counted)
-    suite = bump_fields(model, seed=0)
+    suite = bump_fields(model)
     first = check_harnack(model, oracle, suite, pairs)
     assert calls == {y1: 1, y2: 1}
     # a second check on the same model reuses the fields
@@ -559,7 +566,8 @@ def test_diameter_bound(sphere):
 def test_distance_sandwich_checks(sphere, heis):
     for bundle, pairs in ((sphere, 15), (heis, 8)):
         model, oracle = bundle[0], bundle[1]
-        rep = check_distance_sandwich(model, oracle, sample_node_pairs(model, pairs, seed=4))
+        sample = sample_node_pairs(model, pairs, np.random.default_rng(4))
+        rep = check_distance_sandwich(model, oracle, sample)
         assert rep.passed
 
 
@@ -580,7 +588,7 @@ def test_a_check_that_gates_no_sample_does_not_pass(torus1):
     with pytest.raises(NotApplicableError, match="^distance-sandwich gated no sample$"):
         check_distance_sandwich(model, oracle, [(3, 3)])     # x == y compares nothing
     with pytest.raises(NotApplicableError, match="^harnack-riemannian gated no sample$"):
-        check_harnack(model, oracle, bump_fields(model, seed=0), [])
+        check_harnack(model, oracle, bump_fields(model), [])
     # zip would cut the comparison at the retained pairs and still pass
     with pytest.raises(NotApplicableError,
                        match="^count: 65 exceeds the 64 retained pairs$"):

@@ -16,6 +16,7 @@ from heatlab import (
     NotApplicableError,
     apply_semigroup,
     build_model,
+    checks,
     cli,
     metric,
 )
@@ -578,6 +579,35 @@ def test_probe_reports_do_not_follow_the_seed(tmp_path, name):
     assert reports[0] == reports[1]
 
 
+# reports whose only random draw is their suite
+SUITE_REPORTS = ["cd-sphere", "cd-scan-heis", "cd-generalized-heis", "gradient-bound-sphere",
+                 "li-yau-euclid2", "li-yau-sphere-alpha1", "bakry-qian-sphere",
+                 "li-yau-exponential-sphere", "li-yau-heis", "log-sobolev-sphere",
+                 "sobolev-embedding-euclid3", "sobolev-sharp-sphere"]
+
+
+@pytest.fixture(scope="module")
+def suite_reports_at_seeds_42_and_43(tmp_path_factory):
+    # one partial default campaign per seed, so each model is built once
+    tmp = tmp_path_factory.mktemp("suites")
+    runs = []
+    for seed in (42, 43):
+        cfg = default_config()
+        cfg.seed, cfg.output_dir, cfg.cache_dir = seed, str(tmp / str(seed)), str(tmp / "c")
+        assert run_campaign(cfg, only=set(SUITE_REPORTS), log=lambda *a: None) == 0
+        runs.append({name: (tmp / str(seed) / f"{name}.json").read_bytes()
+                     for name in SUITE_REPORTS})
+    return runs
+
+
+@pytest.mark.parametrize("name", SUITE_REPORTS)
+def test_suite_reports_do_not_follow_the_seed(suite_reports_at_seeds_42_and_43, name):
+    # a suite is a function of the model: its random members are drawn
+    # from PROBE_SEED, so the bytes agree
+    at42, at43 = suite_reports_at_seeds_42_and_43
+    assert at42[name] == at43[name]
+
+
 @pytest.mark.parametrize("argv", [["refinement_study.py"], ["memory_trace.py", SMALL_CFG]],
                          ids=lambda argv: argv[0])
 def test_scripts_exit_0(tmp_path, argv):
@@ -725,12 +755,14 @@ def test_kernel_bounds_t_grid_beyond_the_interior_is_not_applicable():
     model, _ = build_model(ModelSpec("euclidean", dim=2, resolution=16, extent=1.0))
     ctx = collections.namedtuple("Ctx", "model")(model)
     with pytest.raises(NotApplicableError, match="^t_grid: "):
-        cli._bind_kernel_bounds(ctx, {"t_grid": [1.0]}, 0)
+        cli._bind_kernel_bounds(ctx, {"t_grid": [1.0]}, np.random.default_rng(0))
 
 
 BOX16 = ("models.b.kind = euclidean\nmodels.b.dim = 2\nmodels.b.resolution = 16\n"
          "models.b.extent = {extent}\n")
 SPHERE16 = "models.s.kind = sphere\nmodels.s.resolution = 16\n"
+SPHERE8 = "models.s.kind = sphere\nmodels.s.resolution = 8\n"
+TORUS = "models.s.kind = torus\nmodels.s.dim = {dim}\nmodels.s.resolution = {res}\n"
 HEIS9 = "models.h.kind = heisenberg\nmodels.h.dim = 3\nmodels.h.resolution = 9\n"
 HARNACK_FAST = (BOX16.format(extent=1.5) + "checks.h.check = harnack\nchecks.h.model = b\n"
                 "checks.h.s_grid = [0.001]\nchecks.h.gap_grid = [0.001]\n")
@@ -753,7 +785,7 @@ NOT_APPLICABLE = [
      "checks.l: alpha: sub-riemannian mode needs alpha > 2, got None"),
     # the Gaussian factor exp(d^2 / (4 (t - s))) overflows at t - s = 0.001
     (HARNACK_FAST,
-     "checks.h: harnack-riemannian sample field=bump-185, x=154, s=0.001, y=51, "
+     "checks.h: harnack-riemannian sample field=bump-183, x=154, s=0.001, y=51, "
      "t=0.002, d=1.7286645857424163 is not finite: rhs=inf, margin=nan"),
     # P_t of the point source rounds below 0 far from it
     (HARNACK_FAST + "checks.h.suite = delta\n",
@@ -784,7 +816,24 @@ NOT_APPLICABLE = [
      "checks.c.mode = scan\n",
      "checks.c: model 'euclidean2d-m16-a1.5' has no vertical structure; "
      "the sub-riemannian suite needs one"),
-]
+    # the flat box has rho = 0, where the exponential form is 0/0
+    (BOX16.format(extent=1.5) + "checks.l.check = li-yau\nchecks.l.model = b\n"
+     "checks.l.mode = exponential\n",
+     "checks.l: exponential mode needs rho > 0"),
+] + [
+    # every node of the sphere has |x| = 1, outside the box |x_i| <= 0.5; on
+    # the coarse tori the box or the ball B(x, 0.6) holds one node
+    (f"{model}checks.n.check = {check}\nchecks.n.model = s\n",
+     f"checks.n: the subdomain holds {nodes} node(s); its Neumann gap lambda_1 "
+     "needs at least 2")
+    for model, check, nodes in (
+        (SPHERE8, "neumann-poincare", 0),
+        (SPHERE16, "neumann-poincare", 0),
+        (TORUS.format(dim=1, res=8), "neumann-poincare", 1),
+        (TORUS.format(dim=2, res=8), "neumann-poincare", 1),
+        (TORUS.format(dim=1, res=12), "neumann-poincare", 1),
+        (TORUS.format(dim=1, res=8), "ball-poincare", 1),
+        (TORUS.format(dim=2, res=8), "ball-poincare", 1))]
 
 
 def test_not_applicable_check_exits_2_with_one_line(tmp_path, capsys):
@@ -796,6 +845,37 @@ def test_not_applicable_check_exits_2_with_one_line(tmp_path, capsys):
                      "--cache", str(tmp_path / "c")]) == 2, message
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not os.listdir(out)
+
+
+# the coarsest model of each kind, and every check id with each of its modes
+# and domains
+COARSE_MODELS = ([TORUS.format(dim=d, res=8) for d in (1, 2)]
+                 + [f"models.s.kind = euclidean\nmodels.s.dim = {d}\nmodels.s.resolution = 8\n"
+                    for d in (1, 2, 3)]
+                 + [SPHERE8, "models.s.kind = heisenberg\nmodels.s.dim = 3\n"
+                    "models.s.resolution = 9\n"])
+VARIANTS = {"cd": ("mode", list(checks.CD_TOLERANCE)),
+            "li-yau": ("mode", ["rho0", "general-alpha", "exponential", "bakry-qian",
+                                "sub-riemannian"]),
+            "harnack": ("mode", ["riemannian", "sub-riemannian"]),
+            "neumann-poincare": ("domain", ["box", "cap"])}
+
+
+def test_every_check_ends_in_an_exit_code_on_every_coarse_model(tmp_path):
+    # a check that does not apply exits 2, one that fails exits 1; none
+    # may end in a traceback
+    cases = []
+    for cid in cli.CHECK_KINDS:
+        key, values = VARIANTS.get(cid, (None, [None]))
+        cases += [f"checks.x.check = {cid}\nchecks.x.model = s\n"
+                  + (f"checks.x.{key} = {v}\n" if key else "") for v in values]
+    for i, model in enumerate(COARSE_MODELS):
+        for j, check in enumerate(cases):
+            cfgfile = tmp_path / f"m{i}-{j}.cfg"
+            cfgfile.write_text(model + check)
+            rc = main(["campaign", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                       "--cache", str(tmp_path / f"c{i}")])
+            assert rc in (0, 1, 2), (model, check)
 
 
 def test_positive_suite_does_not_follow_spectral_k(tmp_path):

@@ -273,7 +273,7 @@ def test_neumann_boundary_matches_a_unit_weight_adjacency(request, check):
     spec = default_config().checks[check]
     model = request.getfixturevalue(spec["model"])[0]
     ctx = collections.namedtuple("Ctx", "model")(model)
-    sub = _bind_neumann(ctx, {"domain": spec["domain"]}, 0)["submodel"]
+    sub = _bind_neumann(ctx, {"domain": spec["domain"]}, None)["submodel"]
     if spec["domain"] == "box":
         keep = np.all(np.abs(model.nodes) <= 0.5, axis=1)
     else:

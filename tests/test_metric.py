@@ -445,7 +445,8 @@ def test_anisotropy_calibration_without_distant_pairs():
 def test_anisotropy_calibration(sphere):
     # the sandwich's own rows: graph over oracle on the pairs 3 h apart
     model, oracle, _ = sphere
-    rep = check_distance_sandwich(model, oracle, sample_node_pairs(model, 40, seed=2))
+    pairs = sample_node_pairs(model, 40, np.random.default_rng(2))
+    rep = check_distance_sandwich(model, oracle, pairs)
     cal = rep.metadata["anisotropy"]
     ratios = [s["rhs"] / s["oracle"] for s in rep.samples
               if s["oracle"] >= 3 * model.meta["h"]]

@@ -273,7 +273,7 @@ def test_chebyshev_operator_built_once_per_model(monkeypatch):
     f = model.field(np.random.default_rng(2).standard_normal(model.n_nodes))
     first = apply_semigroup(model, f, 0.1).values
     check_completeness(model, [0.1, 0.2])
-    sub_riemannian_suite(model, seed=0)
+    sub_riemannian_suite(model)
     equilibrium_error(model, f, 0.3)
     assert built == {"_symmetrized": 1}
     assert "_chebyshev" in model.derived and "_blocks" not in model.derived
@@ -640,7 +640,7 @@ _CD_MARGIN = textwrap.dedent("""
     model, oracle = build_model(ModelSpec("sphere", dim=2, resolution=16))
     for m in (model, neumann_restrict(model, np.arange(model.n_nodes))):
         spectral = spectral_decompose(m, k=60)
-        rep = check_cd(m, oracle, eigen_fields(m, spectral, seed=0), mode="riemannian")
+        rep = check_cd(m, oracle, eigen_fields(m, spectral), mode="riemannian")
         print(repr(rep.min_margin))
 """)
 
